@@ -24,7 +24,7 @@ use cpplookup_subobject::{
     defns, isomorphism, lookup as oracle_lookup, Resolution, SubobjectGraph,
 };
 
-use crate::timing::{fmt_duration, median_time};
+use crate::timing::{fmt_duration, median_time, Spread};
 use crate::workloads::{self, Workload};
 
 /// All experiment ids, in order.
@@ -2405,17 +2405,16 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
             }
             lags.push(t0.elapsed());
         }
-        lags.sort();
-        let median = lags[lags.len() / 2];
+        let spread = Spread::of(lags);
         writeln!(
             w,
             "  burst {burst:>4} edits: converged in {:>10} ({:>8}/edit)",
-            fmt_duration(median),
-            fmt_duration(median / burst as u32),
+            fmt_duration(spread.median),
+            fmt_duration(spread.median / burst as u32),
         )?;
         lag_rows.push(format!(
-            "{{\"burst\": {burst}, \"median_lag_ns\": {}}}",
-            median.as_nanos()
+            "{{\"burst\": {burst}, \"lag\": {}}}",
+            spread.json()
         ));
     }
     follower.stop();
@@ -2423,48 +2422,24 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
     drop(leader);
 
     // Stage 2: restart recovery vs log length, then the same log after
-    // checkpoint compaction. Replay is the farm-level path a booting
-    // server runs before its first connection.
-    writeln!(w, "  restart recovery vs log length:")?;
+    // checkpoint compaction. Replay is `Farm::replay`, the boot path a
+    // starting server runs before its first connection.
     writeln!(
         w,
-        "  {:>8} {:>10} {:>12} {:>12} | {:>6} {:>12}",
+        "  restart recovery vs log length (min / median / max of {REPEATS} rounds):"
+    )?;
+    writeln!(
+        w,
+        "  {:>8} {:>10} {:>30} {:>10} | {:>6} {:>12}",
         "records", "log bytes", "replay", "rate", "after", "replay"
     )?;
     let mut recovery_rows = Vec::new();
     for log_len in LOG_LENS {
         let wal_path = dir.file(&format!("len{log_len}.wal"));
-        {
-            let (store, _) = WalStore::open(&wal_path, 0).map_err(io::Error::other)?;
-            let farm = Farm::with_options(FarmOptions {
-                wal: Some(Arc::new(store)),
-                ..FarmOptions::default()
-            });
-            farm.load("t", &snap_path)
-                .map_err(|(_, m)| io::Error::other(m))?;
-            for i in 0..log_len {
-                let class = &class_names[i % class_names.len()];
-                farm.edit("t", &format!("member {class} r{i}"))
-                    .map_err(|(_, m)| io::Error::other(m))?;
-            }
-            farm.wal().unwrap().sync()?;
-        }
+        write_member_log(&wal_path, &snap_path, &class_names, log_len)?;
         let log_bytes = std::fs::metadata(&wal_path)?.len();
-        let replay = |path: &std::path::Path| -> io::Result<(usize, Duration)> {
-            let t0 = Instant::now();
-            let (store, recovered) = WalStore::open(path, 0).map_err(io::Error::other)?;
-            let farm = Farm::with_options(FarmOptions {
-                wal: Some(Arc::new(store)),
-                ..FarmOptions::default()
-            });
-            for stamped in &recovered {
-                farm.apply_replica_record(&stamped.record)
-                    .map_err(|(_, m)| io::Error::other(m))?;
-            }
-            Ok((recovered.len(), t0.elapsed()))
-        };
-        let (records, cold) = replay(&wal_path)?;
-        let rate = records as f64 / cold.as_secs_f64().max(1e-9);
+        let (records, cold) = replay_rounds(&wal_path, REPEATS)?;
+        let rate = records as f64 / cold.median.as_secs_f64().max(1e-9);
 
         // Compact: fold the whole history into one checkpoint snapshot.
         {
@@ -2473,31 +2448,34 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
                 wal: Some(Arc::new(store)),
                 ..FarmOptions::default()
             });
-            for stamped in &recovered {
-                farm.apply_replica_record(&stamped.record)
-                    .map_err(|(_, m)| io::Error::other(m))?;
-            }
+            farm.replay(&recovered)
+                .map_err(|(_, (_, m))| io::Error::other(m))?;
             farm.compact_wal(&dir.file(&format!("ckpt{log_len}")))
                 .map_err(|(_, m)| io::Error::other(m))?;
         }
-        let (compacted_records, warm) = replay(&wal_path)?;
+        let (compacted_records, warm) = replay_rounds(&wal_path, REPEATS)?;
         writeln!(
             w,
-            "  {records:>8} {log_bytes:>10} {:>12} {rate:>9.0}/s | {compacted_records:>6} {:>12}",
-            fmt_duration(cold),
-            fmt_duration(warm),
+            "  {records:>8} {log_bytes:>10} {:>30} {rate:>8.0}/s | {compacted_records:>6} {:>12}",
+            format!(
+                "{} / {} / {}",
+                fmt_duration(cold.min),
+                fmt_duration(cold.median),
+                fmt_duration(cold.max)
+            ),
+            fmt_duration(warm.median),
         )?;
         recovery_rows.push(format!(
             "{{\"records\": {records}, \"log_bytes\": {log_bytes}, \
-             \"replay_ns\": {}, \"compacted_records\": {compacted_records}, \
-             \"compacted_replay_ns\": {}}}",
-            cold.as_nanos(),
-            warm.as_nanos()
+             \"replay\": {}, \"records_per_s\": {rate:.0}, \
+             \"compacted_records\": {compacted_records}, \"compacted_replay\": {}}}",
+            cold.json(),
+            warm.json()
         ));
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"e25\",\n  {},\n  \
+        "{{\n  \"experiment\": \"e25\",\n  {},\n  \"rounds\": {REPEATS},\n  \
          \"lag\": [{}],\n  \"recovery\": [{}]\n}}\n",
         host_context_json(1),
         lag_rows.join(", "),
@@ -2508,7 +2486,61 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// E25's CI gate, three checks deep:
+/// Writes an edit log of one `Open` of `snap` followed by `edits`
+/// member additions cycling over `class_names` — the records a logging
+/// leader appends for the same client edits, written without applying
+/// them.
+fn write_member_log(
+    path: &std::path::Path,
+    snap: &std::path::Path,
+    class_names: &[String],
+    edits: usize,
+) -> io::Result<()> {
+    use cpplookup_wal::{WalRecord, WalStore};
+
+    let (store, _) = WalStore::open(path, 0).map_err(io::Error::other)?;
+    store.append(WalRecord::Open {
+        tenant: "t".to_owned(),
+        path: snap.display().to_string(),
+    })?;
+    for i in 0..edits {
+        store.append(WalRecord::Edit {
+            tenant: "t".to_owned(),
+            directive: format!("member {} r{i}", class_names[i % class_names.len()]),
+        })?;
+    }
+    store.sync()
+}
+
+/// Times `rounds` cold recoveries of the log at `path` — open, repair,
+/// and [`Farm::replay`](cpplookup_server::Farm::replay) into a fresh
+/// farm, as `Server::start` does — and returns the record count and the
+/// spread.
+fn replay_rounds(path: &std::path::Path, rounds: usize) -> io::Result<(usize, Spread)> {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use cpplookup_server::{Farm, FarmOptions};
+    use cpplookup_wal::WalStore;
+
+    let mut records = 0;
+    let mut times = Vec::with_capacity(rounds);
+    for _ in 0..rounds.max(1) {
+        let t0 = Instant::now();
+        let (store, recovered) = WalStore::open(path, 0).map_err(io::Error::other)?;
+        let farm = Farm::with_options(FarmOptions {
+            wal: Some(Arc::new(store)),
+            ..FarmOptions::default()
+        });
+        farm.replay(&recovered)
+            .map_err(|(seq, (_, m))| io::Error::other(format!("replay at seq {seq}: {m}")))?;
+        times.push(t0.elapsed());
+        records = recovered.len();
+    }
+    Ok((records, Spread::of(times)))
+}
+
+/// E25's CI gate, four checks deep:
 ///
 /// 1. **Crash recovery** — a scripted log truncated at *every* byte
 ///    boundary must recover a clean prefix of its records (the
@@ -2521,6 +2553,10 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
 ///    generous wall-clock bound (30s); a wedged subscription or a
 ///    follower spinning on a poisoned record fails here, actual
 ///    latency is E25 proper's business.
+/// 4. **Linear replay** — boot replay of a 4097-record log must run at
+///    least half the records/s of a 257-record log, best of three
+///    rounds each. An in-run ratio, not a floor: a floor recorded on
+///    another machine fails on runner noise.
 fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -2682,6 +2718,28 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
         leader_epochs,
         fmt_duration(lag)
     )?;
+
+    // 4. Replay rate stays within 2x from the shortest to the longest log.
+    let mut rates = Vec::new();
+    for edits in [256, 4096] {
+        let path = dir.file(&format!("replay{edits}.wal"));
+        write_member_log(&path, &snap_path, &class_names, edits)?;
+        let (records, spread) = replay_rounds(&path, 3)?;
+        let rate = records as f64 / spread.min.as_secs_f64().max(1e-9);
+        writeln!(
+            w,
+            "  replay: {records} records in {} (best of 3), {rate:.0} records/s",
+            fmt_duration(spread.min)
+        )?;
+        rates.push(rate);
+    }
+    if rates[1] < 0.5 * rates[0] {
+        return Err(io::Error::other(format!(
+            "replay is superlinear: {:.0} records/s at the longest log, \
+             under half the {:.0}/s at the shortest",
+            rates[1], rates[0]
+        )));
+    }
     writeln!(w, "  guard: PASS")?;
     Ok(())
 }

@@ -29,6 +29,40 @@ pub fn median_time<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (times[times.len() / 2], last.expect("runs >= 1"))
 }
 
+/// The minimum, median and maximum of a set of timed rounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Spread {
+    /// The fastest round.
+    pub min: Duration,
+    /// The median round (the upper one of an even count).
+    pub median: Duration,
+    /// The slowest round.
+    pub max: Duration,
+}
+
+impl Spread {
+    /// The spread of `rounds` (at least one).
+    pub fn of(mut rounds: Vec<Duration>) -> Spread {
+        assert!(!rounds.is_empty(), "a spread needs at least one round");
+        rounds.sort();
+        Spread {
+            min: rounds[0],
+            median: rounds[rounds.len() / 2],
+            max: rounds[rounds.len() - 1],
+        }
+    }
+
+    /// `{"min_ns": …, "median_ns": …, "max_ns": …}`.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"min_ns\": {}, \"median_ns\": {}, \"max_ns\": {}}}",
+            self.min.as_nanos(),
+            self.median.as_nanos(),
+            self.max.as_nanos()
+        )
+    }
+}
+
 /// Formats a duration compactly for table cells (`1.23ms`, `45.6µs`).
 pub fn fmt_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
@@ -46,6 +80,20 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_orders_rounds() {
+        let ms = Duration::from_millis;
+        let spread = Spread::of(vec![ms(3), ms(1), ms(2)]);
+        assert_eq!(
+            (spread.min, spread.median, spread.max),
+            (ms(1), ms(2), ms(3))
+        );
+        assert_eq!(
+            spread.json(),
+            "{\"min_ns\": 1000000, \"median_ns\": 2000000, \"max_ns\": 3000000}"
+        );
+    }
 
     #[test]
     fn median_returns_value_and_positive_time() {

@@ -240,16 +240,7 @@ impl LookupEngine {
     /// Creates an engine with explicit options. Complete backings pay
     /// the full table build here.
     pub fn with_options(chg: Chg, options: EngineOptions) -> Self {
-        let shard_count = options.shards.max(1);
-        let shards = (0..shard_count)
-            .map(|_| RwLock::new(FxHashMap::default()))
-            .collect();
-        let mut engine = LookupEngine {
-            chg,
-            options,
-            shards,
-            metrics: EngineMetrics::new(shard_count),
-        };
+        let mut engine = Self::empty(chg, options);
         let start = Instant::now();
         let strategy = match options.backing {
             EngineBacking::Lazy => "lazy",
@@ -270,6 +261,64 @@ impl LookupEngine {
         engine
     }
 
+    /// Creates an engine whose memo is `entries`, computed elsewhere —
+    /// typically a loaded snapshot — so no build runs. Under a complete
+    /// backing (eager or parallel) `entries` must be the *whole* table
+    /// for `chg` under `options.lookup`: a pair missing from the memo
+    /// then means "not visible", queries never compute, and
+    /// [`apply`](Self::apply) recomputes its dirty set eagerly. Under the
+    /// lazy backing the entries are only a warm start; pairs outside
+    /// them are computed on first use.
+    ///
+    /// The engine trusts the entries as it trusts its own memo.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cpplookup_chg::fixtures;
+    /// use cpplookup_core::{EngineOptions, LookupEngine, LookupTable};
+    ///
+    /// let g = fixtures::fig9();
+    /// let table = LookupTable::build(&g);
+    /// let entries: Vec<_> = g
+    ///     .classes()
+    ///     .flat_map(|c| g.member_ids().map(move |m| (c, m)))
+    ///     .filter_map(|(c, m)| table.entry(c, m).map(|e| (c, m, e.clone())))
+    ///     .collect();
+    /// let engine = LookupEngine::with_entries(g, EngineOptions::default(), entries);
+    /// let e = engine.chg().class_by_name("E").unwrap();
+    /// let m = engine.chg().member_by_name("m").unwrap();
+    /// assert!(engine.lookup(e, m).is_resolved());
+    /// assert_eq!(engine.stats().entries_computed, 0);
+    /// ```
+    pub fn with_entries(
+        chg: Chg,
+        options: EngineOptions,
+        entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
+    ) -> Self {
+        let mut engine = Self::empty(chg, options);
+        let start = Instant::now();
+        engine.seed_entries(entries);
+        engine
+            .metrics
+            .record_build("seeded", start.elapsed().as_nanos() as u64);
+        engine
+    }
+
+    /// An engine over `chg` with an empty memo.
+    fn empty(chg: Chg, options: EngineOptions) -> Self {
+        let shard_count = options.shards.max(1);
+        let shards = (0..shard_count)
+            .map(|_| RwLock::new(FxHashMap::default()))
+            .collect();
+        LookupEngine {
+            chg,
+            options,
+            shards,
+            metrics: EngineMetrics::new(shard_count),
+        }
+    }
+
     fn seed_from_table(&mut self, table: LookupTable) {
         for (c, members) in table.into_entries().into_iter().enumerate() {
             let c = ClassId::from_index(c);
@@ -283,15 +332,9 @@ impl LookupEngine {
         }
     }
 
-    /// Seeds the memo cache with precomputed entries — the warm-start
-    /// path for deserialized tables (e.g. a loaded snapshot). Seeded
-    /// pairs are served as cache hits without recomputation; an edit
-    /// invalidates them exactly like computed entries.
-    ///
-    /// The entries must be correct for the engine's current hierarchy
-    /// and lookup options; the engine trusts them as it trusts its own
-    /// memo.
-    pub fn seed_entries(&mut self, entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>) {
+    /// Inserts precomputed entries into the memo (see
+    /// [`with_entries`](Self::with_entries)).
+    fn seed_entries(&mut self, entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>) {
         for (c, m, e) in entries {
             let idx = self.shard_index(c, m);
             self.shards[idx]
@@ -547,6 +590,16 @@ impl LookupEngine {
     /// Returns the first [`ChgError`] produced by validation. On error
     /// the engine is unchanged — hierarchy, cache, and counters.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<(), ChgError> {
+        self.apply_dirty(edits).map(drop)
+    }
+
+    /// [`apply`](Self::apply), returning the dirty set it invalidated
+    /// (in [`dirty_set`]'s order) so an index over the engine can
+    /// refresh exactly those rows without recomputing the set.
+    pub(crate) fn apply_dirty(
+        &mut self,
+        edits: &[Edit],
+    ) -> Result<Vec<(ClassId, MemberId)>, ChgError> {
         let new_chg = apply_edits(&self.chg, edits)?;
         let dirty = dirty_set(&new_chg, edits);
         self.chg = new_chg;
@@ -571,7 +624,7 @@ impl LookupEngine {
             recomputed,
             self.chg.generation(),
         );
-        Ok(())
+        Ok(dirty)
     }
 
     /// Recomputes the (invalidated) dirty entries against the updated

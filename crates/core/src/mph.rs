@@ -35,10 +35,28 @@
 /// sets; small enough that a pathological seed fails fast.
 const MAX_DISPLACEMENT: u32 = 1 << 18;
 
-/// Seeds tried before construction gives up. The per-seed failure
-/// probability is tiny; 64 consecutive failures indicates duplicate
-/// keys (a caller bug), not bad luck.
-const MAX_SEEDS: u64 = 64;
+/// Seeds tried before construction gives up: the 64 small seeds, then
+/// 64 wide ones (see [`attempt_seed`]). The per-seed failure
+/// probability is tiny once seeds are wide; exhausting them indicates
+/// duplicate keys (a caller bug), not bad luck.
+const MAX_SEEDS: u64 = 128;
+
+/// The seed of construction attempt `i`. Attempts 0–63 use the seed
+/// `i`, so every key set that ever built still compiles to the same
+/// bytes; later attempts use splitmix64 outputs. Small seeds alone are
+/// too weak a retry: `key ^ seed` with a seed below `2^k` only permutes
+/// a dense run of `2^k` class ids, so a packed key set over such a run
+/// (say 64 classes × 2 members) that fails at seed 0 fails identically
+/// at every seed up to 63.
+fn attempt_seed(i: u64) -> u64 {
+    if i < 64 {
+        return i;
+    }
+    let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// A one-multiply mix of `key ^ seed`: a multiply-shift whose high
 /// product bits are the strongly mixed ones (they become the slot
@@ -99,8 +117,8 @@ impl MphFunction {
     /// If `keys` contains duplicates (no perfect hash exists), after
     /// exhausting the seed budget.
     pub fn build(keys: &[u64]) -> MphFunction {
-        for seed in 0..MAX_SEEDS {
-            if let Some(f) = Self::try_build(keys, seed) {
+        for attempt in 0..MAX_SEEDS {
+            if let Some(f) = Self::try_build(keys, attempt_seed(attempt)) {
                 return f;
             }
         }
@@ -265,6 +283,24 @@ mod tests {
         for &k in &keys {
             let p = f.position(k);
             assert!(!seen[p]);
+            seen[p] = true;
+        }
+    }
+
+    #[test]
+    fn dense_runs_that_fail_at_seed_zero_still_build() {
+        // 64 classes × 2 members fails at seed 0; every seed below 64
+        // only permutes the class ids, so the build needs a wide seed.
+        let keys: Vec<u64> = (0..2u64)
+            .flat_map(|m| (0..64u64).map(move |c| c | m << 32))
+            .collect();
+        assert!(MphFunction::try_build(&keys, 0).is_none());
+        let f = MphFunction::build(&keys);
+        assert!(f.seed() >= 64, "built at small seed {}", f.seed());
+        let mut seen = vec![false; keys.len()];
+        for &k in &keys {
+            let p = f.position(k);
+            assert!(!seen[p], "slot {p} assigned twice");
             seen[p] = true;
         }
     }

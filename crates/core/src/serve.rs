@@ -1357,9 +1357,18 @@ impl ServeHandle {
     /// held only for the pointer swap (plus an O(1) push into the
     /// retention window when retention is above 1).
     pub fn publish(&self, index: DispatchIndex) -> u64 {
+        self.publish_advancing(index, 1)
+    }
+
+    /// [`publish`](Self::publish) as the version `steps` epochs past
+    /// the current one — where `steps` one-at-a-time publishes would
+    /// have landed. The skipped epochs were never published, so
+    /// [`load_at`](Self::load_at) reports them retired. `steps` is
+    /// clamped to at least 1: epochs never repeat or go backwards.
+    pub fn publish_advancing(&self, index: DispatchIndex, steps: u64) -> u64 {
         let start = Instant::now();
         let mut slot = self.current.write().expect("serve handle lock poisoned");
-        let epoch = slot.current.epoch + 1;
+        let epoch = slot.current.epoch + steps.max(1);
         let superseded =
             std::mem::replace(&mut slot.current, Arc::new(PublishedIndex { epoch, index }));
         if slot.retain > 1 {
@@ -1455,10 +1464,54 @@ impl IndexedEngine {
     ///
     /// Any [`ChgError`] of [`LookupEngine::apply`].
     pub fn apply(&mut self, edits: &[Edit]) -> Result<u64, ChgError> {
-        self.engine.apply(edits)?;
-        let dirty = crate::engine::dirty_set(self.engine.chg(), edits);
+        self.apply_publishing(edits, 1)
+    }
+
+    /// Applies a run of edits as *one* engine transaction and *one*
+    /// index refresh, and publishes a single version numbered as if
+    /// each edit had been applied and published on its own: the current
+    /// epoch plus `edits.len()`. This is the recovery shape: a replayer
+    /// that no reader watches pays one dirty-set sweep for the run
+    /// instead of one per edit, and still lands on the writer's epoch
+    /// numbering. The intermediate epochs are never published. An
+    /// empty run changes nothing and returns the current epoch.
+    ///
+    /// The transaction accepts exactly the runs whose edits the engine
+    /// would accept one by one (edits only add, and every check either
+    /// looks at one edit or, like cycle detection, at the final graph).
+    ///
+    /// # Errors
+    ///
+    /// Any [`ChgError`] of [`LookupEngine::apply`]; as there, nothing
+    /// changes on error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cpplookup_chg::{fixtures, Edit};
+    /// use cpplookup_core::serve::IndexedEngine;
+    /// use cpplookup_core::LookupEngine;
+    ///
+    /// let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig2()));
+    /// let run = [
+    ///     Edit::AddClass { name: "Y".into() },
+    ///     Edit::AddClass { name: "Z".into() },
+    /// ];
+    /// assert_eq!(serving.apply_run(&run)?, 2);
+    /// assert_eq!(serving.handle().load_at(1).map(|p| p.epoch()), None);
+    /// # Ok::<(), cpplookup_chg::ChgError>(())
+    /// ```
+    pub fn apply_run(&mut self, edits: &[Edit]) -> Result<u64, ChgError> {
+        if edits.is_empty() {
+            return Ok(self.handle.epoch());
+        }
+        self.apply_publishing(edits, edits.len() as u64)
+    }
+
+    fn apply_publishing(&mut self, edits: &[Edit], steps: u64) -> Result<u64, ChgError> {
+        let dirty = self.engine.apply_dirty(edits)?;
         let refreshed = self.handle.load().index.refreshed(&self.engine, &dirty);
-        Ok(self.handle.publish(refreshed))
+        Ok(self.handle.publish_advancing(refreshed, steps))
     }
 }
 

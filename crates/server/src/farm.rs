@@ -91,8 +91,10 @@ impl FarmMetrics {
     }
 }
 
-/// Name ↔ id mapping for one tenant, rebuilt wholesale on edit (edits
-/// are rare and append-only; queries only take the read lock).
+/// Name ↔ id mapping for one tenant. Hierarchies only grow and ids are
+/// dense and append-only, so an edit interns just the name it adds
+/// ([`intern`](Names::intern)); queries only take the read lock.
+#[derive(Clone)]
 struct Names {
     classes: FxHashMap<String, ClassId>,
     members: FxHashMap<String, MemberId>,
@@ -121,23 +123,28 @@ impl Names {
         n
     }
 
-    fn from_chg(chg: &Chg) -> Names {
-        let mut n = Names {
-            classes: FxHashMap::default(),
-            members: FxHashMap::default(),
-            class_names: Vec::with_capacity(chg.class_count()),
-        };
-        for i in 0..chg.class_count() {
-            let c = ClassId::from_index(i);
-            let name = chg.class_name(c).to_owned();
-            n.classes.insert(name.clone(), c);
-            n.class_names.push(name);
+    /// Records the name `edit` introduces, if it is new, under the id
+    /// the hierarchy gives it: the next dense class or member index,
+    /// exactly as `ChgBuilder` assigns them. Call it once per accepted
+    /// edit, in apply order.
+    fn intern(&mut self, edit: &Edit) {
+        match edit {
+            Edit::AddClass { name } if !self.classes.contains_key(name) => {
+                let c = ClassId::from_index(self.class_names.len());
+                self.classes.insert(name.clone(), c);
+                self.class_names.push(name.clone());
+            }
+            Edit::AddMember { name, .. } if !self.members.contains_key(name) => {
+                let m = MemberId::from_index(self.members.len());
+                self.members.insert(name.clone(), m);
+            }
+            _ => {}
         }
-        for i in 0..chg.member_name_count() {
-            let m = MemberId::from_index(i);
-            n.members.insert(chg.member_name(m).to_owned(), m);
-        }
-        n
+    }
+
+    /// Whether these names cover exactly `chg`'s class and member ids.
+    fn in_step_with(&self, chg: &Chg) -> bool {
+        self.class_names.len() == chg.class_count() && self.members.len() == chg.member_name_count()
     }
 
     fn class(&self, name: &str) -> Result<ClassId, FarmError> {
@@ -371,8 +378,12 @@ impl Tenant {
         ))
     }
 
-    fn edit_now(&self, directive: &str, wal: Option<&WalStore>) -> Result<u64, FarmError> {
-        let mut live = self.live.lock().expect("live lock poisoned");
+    /// The tenant's write path, warming the engine from the snapshot
+    /// on first use.
+    fn go_live<'a>(
+        &self,
+        live: &'a mut Option<IndexedEngine>,
+    ) -> Result<&'a mut IndexedEngine, FarmError> {
         if live.is_none() {
             let engine = self.snapshot.warm_engine().map_err(|e| {
                 (
@@ -384,7 +395,28 @@ impl Tenant {
             // readers see engine-backed epochs from here on.
             *live = Some(IndexedEngine::attach(engine, self.promote().clone()));
         }
-        let serving = live.as_mut().unwrap();
+        Ok(live.as_mut().expect("just set"))
+    }
+
+    /// Interns the names `edits` (just applied, in order) add and counts
+    /// them; `epoch` is the tenant's new published epoch. A reader that
+    /// still holds the old names keeps them: `Arc::make_mut` clones them
+    /// for the write in that case and appends in place otherwise.
+    fn record_applied(&self, edits: &[Edit], epoch: u64, chg: &Chg) {
+        let mut slot = self.names.write().expect("names lock poisoned");
+        let names = Arc::make_mut(&mut slot);
+        edits.iter().for_each(|e| names.intern(e));
+        debug_assert!(names.in_step_with(chg));
+        drop(slot);
+        self.edits.fetch_add(edits.len() as u64, Ordering::Relaxed);
+        if let Some(m) = &self.metrics {
+            m.epoch.with_label(&self.name).set(epoch as i64);
+        }
+    }
+
+    fn edit_now(&self, directive: &str, wal: Option<&WalStore>) -> Result<u64, FarmError> {
+        let mut live = self.live.lock().expect("live lock poisoned");
+        let serving = self.go_live(&mut live)?;
         let edit = parse_directive(directive, &self.names())?;
         // Append-before-apply, still under the live lock: the log's
         // record order is exactly the apply order, so a replayer that
@@ -406,13 +438,83 @@ impl Tenant {
         let epoch = serving
             .apply(std::slice::from_ref(&edit))
             .map_err(|e| (ErrorCode::EditRejected, format!("edit rejected: {e}")))?;
-        *self.names.write().expect("names lock poisoned") =
-            Arc::new(Names::from_chg(serving.engine().chg()));
-        self.edits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.epoch.with_label(&self.name).set(epoch as i64);
-        }
+        self.record_applied(std::slice::from_ref(&edit), epoch, serving.engine().chg());
         Ok(epoch)
+    }
+
+    /// Boot replay of a run of this tenant's `Edit` records (no `Open`
+    /// or `Checkpoint` of the tenant between them): each record's
+    /// outcome, exactly as [`Farm::apply_replica_record`] reports it
+    /// one record at a time.
+    ///
+    /// Directives that parse go to the engine as one transaction (see
+    /// [`apply_batch`](Tenant::apply_batch)). A directive that does not
+    /// parse takes the per-record path, which skips it with the same
+    /// message, and batching resumes after it. After an engine
+    /// rejection the rest of the run takes the per-record path, which
+    /// skips exactly the records the leader failed.
+    fn replay_edits(&self, directives: &[&str]) -> Vec<Result<ReplicaApply, FarmError>> {
+        let mut out = Vec::with_capacity(directives.len());
+        let mut per_record = false;
+        while out.len() < directives.len() {
+            if !per_record {
+                let (epochs, rejected) = self.apply_batch(&directives[out.len()..]);
+                out.extend(epochs.into_iter().map(|e| Ok(ReplicaApply::Edited(e))));
+                per_record = rejected;
+                if out.len() == directives.len() {
+                    break;
+                }
+            }
+            out.push(replica_edit(self.edit_now(directives[out.len()], None)));
+        }
+        out
+    }
+
+    /// Parses the longest prefix of `directives` that parses — each
+    /// against the names the earlier ones introduce — and applies it:
+    /// one [`IndexedEngine::apply_run`] for all but the last
+    /// `retain_epochs - 1` edits, which publish one by one so the
+    /// retention window holds the same versions as a per-record
+    /// replay. Returns the epochs of the applied edits and whether the
+    /// engine rejected one (then nothing after the applied prefix
+    /// changed). Nothing reads a booting farm, so the skipped
+    /// intermediate epochs are never missed.
+    fn apply_batch(&self, directives: &[&str]) -> (Vec<u64>, bool) {
+        let mut live = self.live.lock().expect("live lock poisoned");
+        let Ok(serving) = self.go_live(&mut live) else {
+            return (Vec::new(), true);
+        };
+        // Parse against a private copy that interns as it goes, so a
+        // directive can name a class an earlier one in the run adds.
+        let mut names = (*self.names()).clone();
+        let mut edits = Vec::with_capacity(directives.len());
+        for directive in directives {
+            let Ok(edit) = parse_directive(directive, &names) else {
+                break;
+            };
+            names.intern(&edit);
+            edits.push(edit);
+        }
+        let singles = (self.retain_epochs - 1).min(edits.len());
+        let (run, tail) = edits.split_at(edits.len() - singles);
+        let mut epochs = Vec::with_capacity(edits.len());
+        if !run.is_empty() {
+            let Ok(last) = serving.apply_run(run) else {
+                return (epochs, true);
+            };
+            epochs.extend(last + 1 - run.len() as u64..=last);
+        }
+        for edit in tail {
+            match serving.apply(std::slice::from_ref(edit)) {
+                Ok(epoch) => epochs.push(epoch),
+                Err(_) => break,
+            }
+        }
+        if let Some(&epoch) = epochs.last() {
+            self.record_applied(&edits[..epochs.len()], epoch, serving.engine().chg());
+        }
+        let rejected = epochs.len() < edits.len();
+        (epochs, rejected)
     }
 
     fn stats_json(&self) -> String {
@@ -521,6 +623,19 @@ pub enum ReplicaApply {
     /// A `Checkpoint` for a tenant already live from earlier records;
     /// its state already subsumes the checkpoint.
     CheckpointSkipped,
+}
+
+/// Maps a replayed edit's result to its [`ReplicaApply`]: the errors
+/// the engine or the parser deterministically produce become skips.
+fn replica_edit(result: Result<u64, FarmError>) -> Result<ReplicaApply, FarmError> {
+    match result {
+        Ok(epoch) => Ok(ReplicaApply::Edited(epoch)),
+        Err((
+            ErrorCode::BadPayload | ErrorCode::UnknownName | ErrorCode::EditRejected,
+            message,
+        )) => Ok(ReplicaApply::EditSkipped(message)),
+        Err(e) => Err(e),
+    }
 }
 
 /// Construction-time knobs for a [`Farm`].
@@ -850,14 +965,7 @@ impl Farm {
                 Ok(ReplicaApply::Loaded)
             }
             WalRecord::Edit { tenant, directive } => {
-                match self.get(tenant)?.edit_now(directive, None) {
-                    Ok(epoch) => Ok(ReplicaApply::Edited(epoch)),
-                    Err((
-                        ErrorCode::BadPayload | ErrorCode::UnknownName | ErrorCode::EditRejected,
-                        message,
-                    )) => Ok(ReplicaApply::EditSkipped(message)),
-                    Err(e) => Err(e),
-                }
+                replica_edit(self.get(tenant)?.edit_now(directive, None))
             }
             WalRecord::Checkpoint { tenant, path, .. } => {
                 if self.has_tenant(tenant) {
@@ -868,6 +976,92 @@ impl Farm {
                 }
             }
         }
+    }
+
+    /// Boot-time recovery: replays a recovered log, in order, to the
+    /// state a per-record [`apply_replica_record`](Farm::apply_replica_record)
+    /// walk reaches — the same answers, epochs, retained epochs and
+    /// skipped records — and returns each record's outcome as that walk
+    /// reports it.
+    ///
+    /// Each tenant's `Edit` records between two of its `Open` or
+    /// `Checkpoint` records form a run (other tenants' records may
+    /// interleave), and a run applies as one engine transaction and one
+    /// index refresh instead of one per record. The run's epoch is the
+    /// one the per-record walk ends on, and with `retain_epochs = K` its
+    /// last `K - 1` edits still publish one by one. This is only for a
+    /// farm no one reads yet: live followers keep the per-record path,
+    /// since their readers must see every epoch.
+    ///
+    /// # Errors
+    ///
+    /// The first error the per-record walk would stop at, with that
+    /// record's sequence number; every record before it is applied.
+    pub fn replay(&self, records: &[Stamped]) -> Result<Vec<ReplicaApply>, (u64, FarmError)> {
+        let mut outcomes: Vec<Option<ReplicaApply>> = records.iter().map(|_| None).collect();
+        // Each tenant's pending run, as indexes into `records`.
+        let mut runs: FxHashMap<&str, Vec<usize>> = FxHashMap::default();
+        for (i, stamped) in records.iter().enumerate() {
+            let tenant = stamped.record.tenant();
+            if matches!(stamped.record, WalRecord::Edit { .. }) && self.has_tenant(tenant) {
+                runs.entry(tenant).or_default().push(i);
+                continue;
+            }
+            // An Open or Checkpoint ends its tenant's run; an Edit for a
+            // tenant not loaded yet fails below, after every pending run.
+            if let Some(run) = runs.remove(tenant) {
+                self.replay_run(records, &run, &mut outcomes)?;
+            }
+            match self.apply_replica_record(&stamped.record) {
+                Ok(outcome) => outcomes[i] = Some(outcome),
+                Err(e) => {
+                    self.replay_runs(records, runs, &mut outcomes)?;
+                    return Err((stamped.seq, e));
+                }
+            }
+        }
+        self.replay_runs(records, runs, &mut outcomes)?;
+        Ok(outcomes
+            .into_iter()
+            .map(|o| o.expect("every record replayed"))
+            .collect())
+    }
+
+    /// Replays every pending run, oldest first.
+    fn replay_runs(
+        &self,
+        records: &[Stamped],
+        runs: FxHashMap<&str, Vec<usize>>,
+        outcomes: &mut [Option<ReplicaApply>],
+    ) -> Result<(), (u64, FarmError)> {
+        let mut runs: Vec<Vec<usize>> = runs.into_values().collect();
+        runs.sort_unstable_by_key(|run| run[0]);
+        runs.iter()
+            .try_for_each(|run| self.replay_run(records, run, outcomes))
+    }
+
+    /// Replays one tenant's run of `Edit` records (indexes into
+    /// `records`).
+    fn replay_run(
+        &self,
+        records: &[Stamped],
+        run: &[usize],
+        outcomes: &mut [Option<ReplicaApply>],
+    ) -> Result<(), (u64, FarmError)> {
+        let directives: Vec<&str> = run
+            .iter()
+            .map(|&i| match &records[i].record {
+                WalRecord::Edit { directive, .. } => directive.as_str(),
+                _ => unreachable!("runs hold only Edit records"),
+            })
+            .collect();
+        let tenant = self
+            .get(records[run[0]].record.tenant())
+            .map_err(|e| (records[run[0]].seq, e))?;
+        for (&i, outcome) in run.iter().zip(tenant.replay_edits(&directives)) {
+            outcomes[i] = Some(outcome.map_err(|e| (records[i].seq, e))?);
+        }
+        Ok(())
     }
 
     /// Compacts the edit log: captures every tenant's current state as
@@ -1240,6 +1434,88 @@ mod tests {
         for (c, m) in [("E", "m"), ("E", "fresh"), ("Z", "fresh"), ("D", "m")] {
             assert_eq!(follower.query("t", c, m), leader.query("t", c, m));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The engine generation of tenant `t`: one per engine transaction.
+    fn generation(farm: &Farm) -> u64 {
+        let t = farm.get("t").unwrap();
+        let live = t.live.lock().unwrap();
+        live.as_ref().unwrap().engine().generation()
+    }
+
+    #[test]
+    fn boot_replay_applies_a_run_as_one_transaction() {
+        let dir = scratch("batch");
+        let leader = logging_farm(&dir, &fixtures::fig2());
+        for d in ["member E fresh", "class Z", "edge Z E", "member Z z"] {
+            leader.edit("t", d).unwrap();
+        }
+        let leader_epoch = leader.retained_epochs("t").unwrap()[0];
+        let records = cpplookup_wal::read_all(leader.wal().unwrap().path()).unwrap();
+        let booted = Farm::new();
+        let outcomes = booted.replay(&records).unwrap();
+        assert_eq!(outcomes[0], ReplicaApply::Loaded);
+        assert_eq!(
+            outcomes[1..],
+            [2, 3, 4, 5].map(ReplicaApply::Edited),
+            "each record reports the epoch a per-record replay gives it"
+        );
+        assert_eq!(booted.retained_epochs("t").unwrap(), vec![leader_epoch]);
+        assert_eq!(generation(&booted), 1, "four edits, one engine transaction");
+        for (c, m) in [("E", "fresh"), ("Z", "fresh"), ("Z", "z"), ("D", "m")] {
+            assert_eq!(booted.query("t", c, m), leader.query("t", c, m));
+        }
+        // Live edits continue from the replayed names and epoch.
+        assert_eq!(booted.edit("t", "member Z y").unwrap(), leader_epoch + 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn boot_replay_splits_runs_at_bad_records_and_stops_at_orphans() {
+        let dir = scratch("split");
+        let leader = logging_farm(&dir, &fixtures::fig2());
+        let mut records = cpplookup_wal::read_all(leader.wal().unwrap().path()).unwrap();
+        let edit = |seq: u64, tenant: &str, directive: &str| Stamped {
+            seq,
+            unix_nanos: 0,
+            record: WalRecord::Edit {
+                tenant: tenant.to_owned(),
+                directive: directive.to_owned(),
+            },
+        };
+        records.extend([
+            edit(2, "t", "class Z"),
+            edit(3, "t", "drop table"),
+            edit(4, "t", "edge Z E"),
+            edit(5, "t", "edge E Z"), // a cycle: the engine rejects it
+            edit(6, "t", "member Z z"),
+        ]);
+        let booted = Farm::new();
+        let outcomes = booted.replay(&records).unwrap();
+        let per_record = Farm::new();
+        for (r, outcome) in records.iter().zip(&outcomes) {
+            assert_eq!(
+                &per_record.apply_replica_record(&r.record).unwrap(),
+                outcome
+            );
+        }
+        assert!(matches!(outcomes[2], ReplicaApply::EditSkipped(_)));
+        assert!(matches!(outcomes[4], ReplicaApply::EditSkipped(_)));
+        assert_eq!(
+            booted.retained_epochs("t").unwrap(),
+            per_record.retained_epochs("t").unwrap()
+        );
+        assert_eq!(booted.query("t", "Z", "z"), per_record.query("t", "Z", "z"));
+
+        // An edit for a tenant no record loaded is a structural error at
+        // its own sequence number; every record before it is applied.
+        records.push(edit(7, "t", "member Z w"));
+        records.push(edit(8, "nobody", "class Q"));
+        let booted = Farm::new();
+        let (seq, (code, _)) = booted.replay(&records).unwrap_err();
+        assert_eq!((seq, code), (8, ErrorCode::NoSuchTenant));
+        assert!(booted.query("t", "Z", "w").is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 

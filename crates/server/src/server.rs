@@ -342,7 +342,7 @@ pub struct Server {
 impl Server {
     /// Binds, preloads the configured tenants, and starts accepting.
     /// With an edit log configured, the log is recovered and replayed
-    /// first, so a restarted leader answers from the state it crashed
+    /// first ([`Farm::replay`]), so a restarted leader answers from the state it crashed
     /// with before its first connection.
     ///
     /// # Errors
@@ -366,14 +366,12 @@ impl Server {
             read_only: config.read_only,
             retain_epochs: config.retain_epochs,
         }));
-        for stamped in &recovered {
-            // Replay is load-shaped, not append-shaped: nothing here
-            // goes back into the log.
-            farm.apply_replica_record(&stamped.record)
-                .map_err(|(_, msg)| {
-                    io::Error::other(format!("edit log replay (seq {}): {msg}", stamped.seq))
-                })?;
-        }
+        // Replay is load-shaped, not append-shaped: nothing here goes
+        // back into the log. No reader is connected yet, so each
+        // tenant's run of edits applies as one batch.
+        farm.replay(&recovered).map_err(|(seq, (_, msg))| {
+            io::Error::other(format!("edit log replay (seq {seq}): {msg}"))
+        })?;
         if !recovered.is_empty() {
             cpplookup_obs::global()
                 .counter(

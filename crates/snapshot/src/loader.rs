@@ -1165,24 +1165,25 @@ impl SnapshotTable {
             .map_err(|e| SnapshotError::malformed(e.to_string()))
     }
 
-    /// Materializes a [`LookupEngine`] whose memo cache is warmed from
-    /// the snapshot: the hierarchy is rebuilt with
-    /// [`to_chg`](SnapshotTable::to_chg), the engine is created lazy
-    /// (skipping the whole-table build), and every serialized entry is
-    /// seeded into the cache. The engine then serves cache hits
-    /// immediately and still supports edits with incremental
-    /// invalidation.
+    /// Materializes a [`LookupEngine`] whose memo is the snapshot's
+    /// table: the hierarchy is rebuilt with
+    /// [`to_chg`](SnapshotTable::to_chg) and every serialized entry is
+    /// seeded into a *complete* (eager) engine without running the
+    /// build. A snapshot holds the whole table, so a pair missing from
+    /// the memo means "not visible": the engine serves every probe as a
+    /// cache hit, never computes on demand, and recomputes an edit's
+    /// dirty set eagerly with incremental invalidation.
     ///
     /// # Errors
     ///
     /// Any error of [`to_chg`](SnapshotTable::to_chg).
     pub fn warm_engine(&self) -> Result<LookupEngine, SnapshotError> {
         let chg = self.to_chg()?;
-        let mut options = EngineOptions::lazy();
-        options.lookup = self.options();
-        let mut engine = LookupEngine::with_options(chg, options);
-        engine.seed_entries(self.entries());
-        Ok(engine)
+        let options = EngineOptions {
+            lookup: self.options(),
+            ..EngineOptions::default()
+        };
+        Ok(LookupEngine::with_entries(chg, options, self.entries()))
     }
 
     /// Pre-decodes the whole table into a flat

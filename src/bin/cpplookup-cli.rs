@@ -917,11 +917,13 @@ fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut options = EngineOptions::lazy();
-    options.lookup = snap.options();
-    options.timing = metrics;
-    let mut engine = LookupEngine::with_options(chg, options);
-    engine.seed_entries(snap.entries());
+    let options = EngineOptions {
+        lookup: snap.options(),
+        timing: metrics,
+        ..EngineOptions::default()
+    };
+    // The snapshot is the whole table, so the seeded memo is complete.
+    let engine = LookupEngine::with_entries(chg, options, snap.entries());
     eprintln!(
         "warm start: {} entries seeded from {} ({} bytes)",
         snap.entry_count(),

@@ -32,6 +32,7 @@ use cpplookup::hiergen::families;
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::prelude::*;
 use cpplookup::subobject::{lookup_in_class, Resolution};
+use cpplookup::{Access, DispatchIndex};
 
 /// Subobject-graph budget for the oracle pass; corpus hierarchies are
 /// chosen to stay well under it.
@@ -268,6 +269,105 @@ fn snapshots_agree_with_subobject_oracle() {
                     got,
                     oracle
                 );
+            }
+        }
+    }
+}
+
+/// A fixed edit script for any hierarchy: a new class under the
+/// topologically first and last classes, shadowing and fresh member
+/// declarations, and a new base under the root — whose whole derived
+/// closure turns dirty.
+fn growth_script(g: &Chg) -> Vec<Edit> {
+    let mut topo: Vec<ClassId> = g.classes().collect();
+    topo.sort_by_key(|&c| g.topo_position(c));
+    let (first, last, middle) = (topo[0], topo[topo.len() - 1], topo[topo.len() / 2]);
+    let (w, v) = (
+        ClassId::from_index(g.class_count()),
+        ClassId::from_index(g.class_count() + 1),
+    );
+    let member = |class, name: &str| Edit::AddMember {
+        class,
+        name: name.to_owned(),
+        decl: MemberDecl::public(MemberKind::Function),
+    };
+    let edge = |derived, base, inheritance| Edit::AddEdge {
+        derived,
+        base,
+        inheritance,
+        access: Access::Public,
+    };
+    let mut script = vec![
+        Edit::AddClass { name: "W".into() },
+        edge(w, last, Inheritance::NonVirtual),
+        Edit::AddClass { name: "V".into() },
+        member(v, "fresh"),
+        edge(first, v, Inheritance::Virtual),
+        member(middle, "fresh2"),
+    ];
+    if first != last {
+        script.push(edge(w, first, Inheritance::Virtual));
+    }
+    if let Some(m) = g.member_ids().next() {
+        script.push(member(w, g.member_name(m)));
+        script.push(member(v, g.member_name(m)));
+    }
+    script
+}
+
+/// The warm engine a snapshot hands out is *complete*: packing it into
+/// a dispatch index computes nothing, and edits — one at a time or as
+/// one batch — recompute their dirty sets eagerly to exactly the table
+/// a from-scratch engine over the edited hierarchy builds.
+#[test]
+fn warm_engines_are_complete_and_edit_like_a_rebuild() {
+    for case in CASES {
+        let g = (case.build)();
+        for statics in [StaticRule::Cpp, StaticRule::Ignore] {
+            let lookup = LookupOptions { statics };
+            let label = format!("{} {statics:?}", case.name);
+            let snap = SnapshotTable::from_bytes(Snapshot::compile_with(&g, lookup).into_bytes())
+                .expect("corpus snapshots validate");
+            let warm = snap.warm_engine().expect("corpus hierarchies rebuild");
+            let index = DispatchIndex::from_engine(&warm);
+            assert_eq!(index.entry_count(), snap.entry_count(), "{label}");
+            let stats = warm.stats();
+            assert_eq!(
+                stats.entries_computed, 0,
+                "{label}: packing computed entries"
+            );
+            assert_eq!(stats.cache_misses, 0, "{label}: packing missed the memo");
+
+            let script = growth_script(&g);
+            let edited = cpplookup::apply_edits(&g, &script).expect("growth script applies");
+            let rebuilt = LookupEngine::with_options(
+                edited.clone(),
+                EngineOptions {
+                    lookup,
+                    ..EngineOptions::default()
+                },
+            );
+            let mut one_by_one = snap.warm_engine().unwrap();
+            for edit in &script {
+                one_by_one.apply(std::slice::from_ref(edit)).unwrap();
+            }
+            let mut batched = warm;
+            batched.apply(&script).unwrap();
+            for engine in [&one_by_one, &batched] {
+                for c in edited.classes() {
+                    for m in edited.member_ids() {
+                        assert_eq!(
+                            engine.entry(c, m),
+                            rebuilt.entry(c, m),
+                            "{label}: ({}, {}) after the script",
+                            edited.class_name(c),
+                            edited.member_name(m)
+                        );
+                    }
+                }
+                let stats = engine.stats();
+                assert_eq!(stats.entries_computed, 0, "{label}: edits computed lazily");
+                assert_eq!(stats.cache_misses, 0, "{label}: probes missed the memo");
             }
         }
     }

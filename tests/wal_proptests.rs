@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use cpplookup::chg::fixtures;
 use cpplookup::prelude::*;
+use cpplookup::server::farm::ReplicaApply;
 use cpplookup::server::{ErrorCode, Farm, FarmOptions, WireOutcome};
 use cpplookup::wal::{read_all, recover_bytes, Stamped, WalError, WalRecord, WalStore, WalWriter};
 use proptest::prelude::*;
@@ -149,7 +150,15 @@ fn replica_of(dir: &Path, records: &[Stamped]) -> Farm {
 /// Rebuilds the same state from scratch down the *client edit* path:
 /// loads for Open records, `edit` for Edit records (rejections and all).
 fn rebuild_of(records: &[Stamped]) -> Farm {
-    let farm = Farm::new();
+    rebuild_retaining(records, 1)
+}
+
+/// [`rebuild_of`] on a farm that keeps `retain_epochs` epochs loadable.
+fn rebuild_retaining(records: &[Stamped], retain_epochs: usize) -> Farm {
+    let farm = Farm::with_options(FarmOptions {
+        retain_epochs,
+        ..FarmOptions::default()
+    });
     for r in records {
         match &r.record {
             WalRecord::Open { tenant, path } => {
@@ -168,8 +177,161 @@ fn rebuild_of(records: &[Stamped]) -> Farm {
     farm
 }
 
+/// One record of a two-tenant replay script, after the fixed
+/// `Open t` + `Checkpoint u` prologue.
+#[derive(Debug, Clone)]
+enum Step {
+    /// An edit of tenant `u` (`true`) or `t` (`false`).
+    Edit(bool, Op),
+    /// A directive that does not parse.
+    Garbage(bool),
+    /// `Open u` on a different hierarchy: ends `u`'s run and resets it.
+    ReopenU,
+    /// `Checkpoint t`: skipped (t is loaded), but it ends t's run.
+    CheckpointT,
+}
+
+fn replay_script() -> impl Strategy<Value = Vec<Step>> {
+    let op = prop_oneof![
+        any::<u8>().prop_map(Op::Class),
+        (any::<u8>(), any::<u8>()).prop_map(|(c, m)| Op::Member(c, m)),
+        (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(a, b, v)| Op::Edge(a, b, v)),
+    ];
+    // Mostly edits; one step in twelve each of the other kinds.
+    let step = (any::<u8>(), any::<bool>(), op).prop_map(|(kind, u, op)| match kind % 12 {
+        0 => Step::Garbage(u),
+        1 => Step::ReopenU,
+        2 => Step::CheckpointT,
+        _ => Step::Edit(u, op),
+    });
+    proptest::collection::vec(step, 0..16)
+}
+
+/// The records of a replay script: `t` opens on fig2, `u` is first
+/// loaded by a checkpoint of fig1 and may be reopened on fig9.
+fn replay_records(dir: &Path, script: &[Step]) -> Vec<Stamped> {
+    let snap = |name: &str, chg: &Chg| {
+        let path = dir.join(name);
+        Snapshot::compile(chg).write_to(&path).unwrap();
+        path.display().to_string()
+    };
+    let (t_snap, u_snap, u_reopen) = (
+        snap("t.snap", &fixtures::fig2()),
+        snap("u.snap", &fixtures::fig1()),
+        snap("u2.snap", &fixtures::fig9()),
+    );
+    let tenant = |u: bool| if u { "u" } else { "t" }.to_owned();
+    let mut records = vec![
+        WalRecord::Open {
+            tenant: tenant(false),
+            path: t_snap.clone(),
+        },
+        WalRecord::Checkpoint {
+            tenant: tenant(true),
+            path: u_snap,
+            epoch: 0,
+        },
+    ];
+    records.extend(script.iter().map(|step| match step {
+        Step::Edit(u, op) => WalRecord::Edit {
+            tenant: tenant(*u),
+            directive: op.render(),
+        },
+        Step::Garbage(u) => WalRecord::Edit {
+            tenant: tenant(*u),
+            directive: "drop table".to_owned(),
+        },
+        Step::ReopenU => WalRecord::Open {
+            tenant: tenant(true),
+            path: u_reopen.clone(),
+        },
+        Step::CheckpointT => WalRecord::Checkpoint {
+            tenant: tenant(false),
+            path: t_snap.clone(),
+            epoch: 0,
+        },
+    }));
+    records
+        .into_iter()
+        .enumerate()
+        .map(|(i, record)| Stamped {
+            seq: i as u64 + 1,
+            unix_nanos: 0,
+            record,
+        })
+        .collect()
+}
+
+/// Everything a reader can observe of one tenant: its retained epochs
+/// (the last is the current one), then the outcome of every probe now
+/// and as of each retained epoch.
+fn tenant_state(farm: &Farm, tenant: &str) -> (Vec<u64>, Vec<Fingerprint>) {
+    let epochs = farm.retained_epochs(tenant).unwrap_or_default();
+    let (mut classes, members) = probe_names();
+    classes.push("S".to_owned());
+    let print = |as_of: Option<u64>| -> Fingerprint {
+        let mut out = Vec::new();
+        for c in &classes {
+            for m in &members {
+                out.push(farm.query_at(tenant, c, m, as_of).map_err(|(code, _)| code));
+            }
+        }
+        out
+    };
+    let mut prints = vec![print(None)];
+    prints.extend(epochs.iter().map(|&e| print(Some(e))));
+    (epochs, prints)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Batched boot replay is indistinguishable from per-record replay
+    /// and from the client edit path, at every record prefix of a
+    /// two-tenant log with rejected, unparseable and unknown-name
+    /// edits, a reopened tenant and a skipped checkpoint: the same
+    /// per-record outcomes, the same current and retained epochs, the
+    /// same answers now and as of every retained epoch.
+    #[test]
+    fn batched_boot_replay_matches_per_record_replay(script in replay_script()) {
+        let dir = scratch("batched");
+        let records = replay_records(&dir, &script);
+        for retain_epochs in [1, 3, 8] {
+            let options = || FarmOptions {
+                read_only: true,
+                retain_epochs,
+                ..FarmOptions::default()
+            };
+            for k in 0..=records.len() {
+                let prefix = &records[..k];
+                let batched = Farm::with_options(options());
+                let outcomes = batched
+                    .replay(prefix)
+                    .expect("replaying a valid log never fails structurally");
+                let per_record = Farm::with_options(options());
+                let expected: Vec<ReplicaApply> = prefix
+                    .iter()
+                    .map(|r| per_record.apply_replica_record(&r.record).unwrap())
+                    .collect();
+                prop_assert_eq!(&outcomes, &expected, "outcomes, K={} prefix {}", retain_epochs, k);
+                let rebuild = rebuild_retaining(prefix, retain_epochs);
+                for tenant in ["t", "u"] {
+                    let state = tenant_state(&batched, tenant);
+                    prop_assert_eq!(
+                        &state,
+                        &tenant_state(&per_record, tenant),
+                        "{} vs per-record, K={} prefix {}", tenant, retain_epochs, k
+                    );
+                    prop_assert_eq!(
+                        &state,
+                        &tenant_state(&rebuild, tenant),
+                        "{} vs rebuild, K={} prefix {}", tenant, retain_epochs, k
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// Kill-at-random-offset: truncating the log anywhere recovers a
     /// clean prefix of the appended records, and both a log replay and
