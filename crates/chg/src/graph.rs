@@ -26,7 +26,6 @@ use crate::members::{Access, MemberDecl, MemberKind};
 /// the `≈` subobject equivalence, and the `∘` abstraction operator are all
 /// defined in terms of it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Inheritance {
     /// Non-virtual ("replicated") inheritance: each occurrence of the base
     /// along a distinct non-virtual path is a distinct subobject.
@@ -54,7 +53,6 @@ impl fmt::Display for Inheritance {
 
 /// One direct-base entry in a class's base list, in declaration order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BaseSpec {
     /// The base class.
     pub base: ClassId,

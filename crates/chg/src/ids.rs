@@ -27,7 +27,6 @@ use crate::fxmap::FxHashMap;
 /// assert_eq!(b_.index(), 1);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassId(u32);
 
 impl ClassId {
@@ -64,7 +63,6 @@ impl fmt::Display for ClassId {
 /// mirrors the paper, where lookup is a function of a class and a member
 /// *name*.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemberId(u32);
 
 impl MemberId {

@@ -16,7 +16,6 @@ use std::fmt;
 /// frontend can model real C++ declarations and so diagnostics can describe
 /// what was found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemberKind {
     /// A non-static data member, e.g. `int m;`.
     #[default]
@@ -88,7 +87,6 @@ impl fmt::Display for MemberKind {
 /// so `a.min(b)` is "the more restrictive of the two", which is how access
 /// composes along an inheritance path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Access {
     /// Accessible only within the declaring class (and friends, which we do
     /// not model).
@@ -116,7 +114,6 @@ impl fmt::Display for Access {
 /// The declaration is identified by the pair `(ClassId, MemberId)`; this
 /// struct carries everything else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemberDecl {
     /// What kind of member this is.
     pub kind: MemberKind,

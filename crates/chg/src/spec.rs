@@ -1,9 +1,9 @@
 //! A plain-data description of a class hierarchy, convertible to and from
 //! [`Chg`].
 //!
-//! [`ChgSpec`] exists so hierarchies can be stored, diffed, and (with the
-//! `serde` feature) serialized by tools, without exposing the `Chg`'s
-//! internal precomputed tables.
+//! [`ChgSpec`] exists so hierarchies can be stored, diffed, and
+//! rendered as JSON by tools, without exposing the `Chg`'s internal
+//! precomputed tables.
 
 use crate::error::ChgError;
 use crate::graph::{Chg, ChgBuilder, Inheritance};
@@ -11,7 +11,6 @@ use crate::members::{Access, MemberDecl, MemberKind};
 
 /// One base-class entry of a [`ClassSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BaseSpecDesc {
     /// Name of the base class.
     pub name: String,
@@ -23,7 +22,6 @@ pub struct BaseSpecDesc {
 
 /// One member entry of a [`ClassSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemberSpecDesc {
     /// The member's name.
     pub name: String,
@@ -35,7 +33,6 @@ pub struct MemberSpecDesc {
 
 /// One class of a [`ChgSpec`].
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassSpec {
     /// The class name.
     pub name: String,
@@ -60,7 +57,6 @@ pub struct ClassSpec {
 /// # Ok::<(), cpplookup_chg::ChgError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChgSpec {
     /// Classes in creation order.
     pub classes: Vec<ClassSpec>,
@@ -205,10 +201,8 @@ mod tests {
 }
 
 impl ChgSpec {
-    /// Renders the spec as JSON (hand-rolled writer — no serialization
-    /// dependency needed for the common tooling case; the optional
-    /// `serde` feature provides full `Serialize`/`Deserialize` for
-    /// everything else).
+    /// Renders the spec as JSON (hand-rolled writer — the workspace
+    /// carries no serialization dependency).
     pub fn to_json(&self) -> String {
         fn escape(s: &str, out: &mut String) {
             out.push('"');

@@ -20,7 +20,7 @@ use crate::server::{Server, ServerConfig};
 pub const SERVE_USAGE: &str = "[--addr HOST:PORT] [--max-connections N] \
      [--read-timeout-secs N] [--tenant NAME=PATH]... [--no-obs] \
      [--recorder-capacity N] [--slow-threshold-ms N] [--tenant-cardinality N] \
-     [--shards N] [--io-model threads|epoll] [--reactors N] [--max-frames-per-turn N] \
+     [--io-model threads|epoll] [--reactors N] [--max-frames-per-turn N] \
      [--wal PATH] [--fsync-every N] [--retain-epochs N] [--read-only] \
      [--compact-every-secs N] [--compact-dir DIR] \
      [--follow ADDR | --follow-log PATH] [--follower-id NAME]";
@@ -133,12 +133,6 @@ pub fn parse_server_args(args: &[String]) -> Result<ServeArgs, String> {
                     .ok_or("--retain-epochs wants a positive number")?;
             }
             "--read-only" => config.read_only = true,
-            "--shards" => {
-                config.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--shards wants a worker count (0 = answer on connection threads)")?;
-            }
             "--io-model" => {
                 config.io_model = it
                     .next()
@@ -657,15 +651,6 @@ mod tests {
             parse_loadgen_args(&strs(&["--addr", "h:1", "--snapshot", "x", "--rate", "-1"]))
                 .is_err()
         );
-    }
-
-    #[test]
-    fn server_shards_flag_parses() {
-        let cfg = parse_server_args(&strs(&["--shards", "8"])).unwrap().config;
-        assert_eq!(cfg.shards, 8);
-        let cfg = parse_server_args(&strs(&[])).unwrap().config;
-        assert_eq!(cfg.shards, 0, "inline by default");
-        assert!(parse_server_args(&strs(&["--shards", "four"])).is_err());
     }
 
     #[test]

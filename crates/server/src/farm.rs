@@ -6,11 +6,12 @@
 //! demand:
 //!
 //! ```text
-//!           LOAD                    first QUERY              first EDIT
+//!           LOAD                    first read               first EDIT
 //! (nothing) ────► SnapshotTable ───────────────► promoted ──────────────► live
 //!                 cold, no index    DispatchIndex packed     engine warmed,
-//!                                   once (coalesced), pub-   attached to the
-//!                                   lished on a ServeHandle  SAME ServeHandle
+//!                                   once (single-flight),    attached to the
+//!                                   published on a           SAME ServeHandle
+//!                                   ServeHandle
 //! ```
 //!
 //! The promotion step packs the snapshot through the backend-generic
@@ -23,10 +24,12 @@
 //! without re-resolving anything. A 1000-tenant farm where only a dozen
 //! tenants see traffic pays for exactly a dozen index builds.
 //!
-//! Identical concurrent *cold* probes — the stampede when a popular
-//! tenant is first touched — are coalesced: one connection packs the
-//! index and answers, the rest block briefly and reuse its verdict. The
-//! warm fast path never touches the coalescer.
+//! Every read — a QUERY is a batch of one — goes through
+//! [`Farm::read`]: resolve the names, load the publication, probe the
+//! directory in one batch, convert back to names. Concurrent reads of a
+//! cold tenant, identical or not, meet in the promotion's
+//! `OnceLock::get_or_init`: one of them packs the index, the rest wait
+//! for it and then probe it themselves.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,17 +38,16 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use cpplookup_chg::fxmap::FxHashMap;
 use cpplookup_chg::{Chg, ClassId, Edit, Inheritance, MemberDecl, MemberId, MemberKind};
-use cpplookup_core::{IndexedEngine, LeastVirtual, LookupOutcome, OutcomeRef, ServeHandle};
+use cpplookup_core::{IndexedEngine, LeastVirtual, OutcomeRef, ServeHandle};
 use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_wal::{Stamped, WalRecord, WalStore};
 
-use crate::coalesce::Coalescer;
 use crate::protocol::{ErrorCode, WireLv, WireOutcome};
 
 /// A request-level failure: the structured code plus a human message.
 pub type FarmError = (ErrorCode, String);
 
-/// Phase boundaries captured inside a traced probe, as instants: after
+/// Phase boundaries captured inside every read, as instants: after
 /// name resolution, after the serve handle was obtained (on a cold
 /// tenant this absorbs the index build — the "promotion wait"), and
 /// after the directory probe produced wire outcomes. Together with the
@@ -175,27 +177,10 @@ impl Names {
             .unwrap_or_else(|| format!("{c}"))
     }
 
-    fn wire(&self, outcome: &LookupOutcome) -> WireOutcome {
-        match outcome {
-            LookupOutcome::NotFound => WireOutcome::NotFound,
-            LookupOutcome::Resolved {
-                class,
-                least_virtual,
-            } => WireOutcome::Resolved {
-                class: self.class_name(*class),
-                least_virtual: self.lv(least_virtual),
-            },
-            LookupOutcome::Ambiguous { witnesses } => WireOutcome::Ambiguous {
-                witnesses: witnesses.iter().map(|w| self.lv(w)).collect(),
-            },
-        }
-    }
-
-    /// [`wire`](Names::wire) over a borrowed outcome, so the batch path
-    /// can go straight from [`DispatchIndex::lookup_batch_into`]
-    /// (cpplookup_core::DispatchIndex::lookup_batch_into)'s pool
-    /// borrows to wire strings without materializing `LookupOutcome`s
-    /// in between.
+    /// Converts an outcome borrowed from
+    /// [`DispatchIndex::lookup_batch_into`](cpplookup_core::DispatchIndex::lookup_batch_into)'s
+    /// pool straight to wire strings, without materializing a
+    /// `LookupOutcome` in between.
     fn wire_ref(&self, outcome: &OutcomeRef<'_>) -> WireOutcome {
         match outcome {
             OutcomeRef::NotFound => WireOutcome::NotFound,
@@ -305,50 +290,13 @@ impl Tenant {
         }
     }
 
-    fn query_now(
+    /// Answers `probes` in order from the current publication or, for
+    /// an as-of read, the retained epoch `as_of` pins, stamping the
+    /// phase boundaries on the way. Fails on the first unresolvable
+    /// name, before touching the index.
+    fn read<P: AsRef<str>>(
         &self,
-        class: &str,
-        member: &str,
-        as_of: Option<u64>,
-    ) -> Result<WireOutcome, FarmError> {
-        Ok(self.query_now_timed(class, member, as_of)?.0)
-    }
-
-    fn query_now_timed(
-        &self,
-        class: &str,
-        member: &str,
-        as_of: Option<u64>,
-    ) -> Result<(WireOutcome, ProbeTiming), FarmError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let names = self.names();
-        let (c, m) = (names.class(class)?, names.member(member)?);
-        let resolved = Instant::now();
-        let published = self.published_at(as_of)?;
-        let promoted = Instant::now();
-        let outcome = names.wire(&published.index().lookup(c, m));
-        let probed = Instant::now();
-        Ok((
-            outcome,
-            ProbeTiming {
-                resolved,
-                promoted,
-                probed,
-            },
-        ))
-    }
-
-    fn batch_now(
-        &self,
-        probes: &[(String, String)],
-        as_of: Option<u64>,
-    ) -> Result<Vec<WireOutcome>, FarmError> {
-        Ok(self.batch_now_timed(probes, as_of)?.0)
-    }
-
-    fn batch_now_timed(
-        &self,
-        probes: &[(String, String)],
+        probes: &[(P, P)],
         as_of: Option<u64>,
     ) -> Result<(Vec<WireOutcome>, ProbeTiming), FarmError> {
         self.queries
@@ -356,7 +304,9 @@ impl Tenant {
         let names = self.names();
         let ids = probes
             .iter()
-            .map(|(class, member)| Ok((names.class(class)?, names.member(member)?)))
+            .map(|(class, member)| {
+                Ok((names.class(class.as_ref())?, names.member(member.as_ref())?))
+            })
             .collect::<Result<Vec<_>, FarmError>>()?;
         let resolved = Instant::now();
         let published = self.published_at(as_of)?;
@@ -665,10 +615,9 @@ impl Default for FarmOptions {
     }
 }
 
-/// The farm: the tenant map plus the cold-probe coalescer.
+/// The farm: the tenant map plus the edit log and its policies.
 pub struct Farm {
     tenants: RwLock<FxHashMap<String, Arc<Tenant>>>,
-    cold_probes: Coalescer<(String, String, String), Result<WireOutcome, FarmError>>,
     metrics: Option<Arc<FarmMetrics>>,
     wal: Option<Arc<WalStore>>,
     read_only: bool,
@@ -701,7 +650,6 @@ impl Farm {
     pub fn with_options(options: FarmOptions) -> Farm {
         Farm {
             tenants: RwLock::new(FxHashMap::default()),
-            cold_probes: Coalescer::new(),
             metrics: options
                 .tenant_cardinality
                 .map(|k| Arc::new(FarmMetrics::new(k))),
@@ -792,112 +740,48 @@ impl Farm {
             .ok_or_else(|| (ErrorCode::NoSuchTenant, format!("no tenant `{tenant}`")))
     }
 
-    /// One point lookup. Warm tenants answer straight from their
-    /// published index; cold tenants coalesce identical concurrent
-    /// probes around the one index build.
+    /// The read: answers `probes` against one tenant, in probe order,
+    /// from the current publication or — for a time-travel read — the
+    /// retained epoch `as_of` pins, so every probe sees the same frozen
+    /// index version. A cold tenant is promoted first. The returned
+    /// phase stamps let a traced request cut its span tree.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::NoSuchTenant`] or [`ErrorCode::UnknownName`].
-    pub fn query(&self, tenant: &str, class: &str, member: &str) -> Result<WireOutcome, FarmError> {
-        self.query_at(tenant, class, member, None)
-    }
-
-    /// One point lookup, optionally pinned to a retained epoch — the
-    /// time-travel read. As-of probes on a cold tenant still coalesce
-    /// (the pinned epoch is part of the answer, not the key, only
-    /// because a cold tenant has exactly one epoch to pin).
-    ///
-    /// # Errors
-    ///
-    /// [`query`](Farm::query)'s, plus [`ErrorCode::EpochRetired`] when
-    /// the epoch aged out of the retention window.
-    pub fn query_at(
+    /// [`ErrorCode::NoSuchTenant`], [`ErrorCode::UnknownName`] (the
+    /// whole read fails on the first unresolvable name), or
+    /// [`ErrorCode::EpochRetired`] when `as_of` aged out of the
+    /// retention window.
+    pub fn read<P: AsRef<str>>(
         &self,
         tenant: &str,
-        class: &str,
-        member: &str,
-        as_of: Option<u64>,
-    ) -> Result<WireOutcome, FarmError> {
-        let t = self.get(tenant)?;
-        if t.is_promoted() || as_of.is_some() {
-            return t.query_now(class, member, as_of);
-        }
-        let key = (tenant.to_owned(), class.to_owned(), member.to_owned());
-        let (outcome, leader) = self
-            .cold_probes
-            .run(key, || t.query_now(class, member, None));
-        if !leader {
-            cpplookup_obs::global()
-                .counter(
-                    "server_coalesced_probes_total",
-                    "cold probes answered by another connection's in-flight computation",
-                )
-                .inc();
-        }
-        outcome
-    }
-
-    /// One point lookup with phase timing, for traced requests. Traced
-    /// probes bypass the cold-probe coalescer on purpose: a trace asks
-    /// "what did *this* request pay", and riding another connection's
-    /// in-flight build would attribute the leader's work to the
-    /// follower.
-    ///
-    /// # Errors
-    ///
-    /// As for [`query`](Farm::query).
-    pub fn query_traced(
-        &self,
-        tenant: &str,
-        class: &str,
-        member: &str,
-        as_of: Option<u64>,
-    ) -> Result<(WireOutcome, ProbeTiming), FarmError> {
-        self.get(tenant)?.query_now_timed(class, member, as_of)
-    }
-
-    /// A batch of lookups with phase timing, for traced requests.
-    ///
-    /// # Errors
-    ///
-    /// As for [`batch`](Farm::batch).
-    pub fn batch_traced(
-        &self,
-        tenant: &str,
-        probes: &[(String, String)],
+        probes: &[(P, P)],
         as_of: Option<u64>,
     ) -> Result<(Vec<WireOutcome>, ProbeTiming), FarmError> {
-        self.get(tenant)?.batch_now_timed(probes, as_of)
+        self.get(tenant)?.read(probes, as_of)
     }
 
-    /// A batch of lookups against one tenant, answered in probe order.
+    /// One current lookup: [`read`](Farm::read) of a single probe.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::NoSuchTenant`] or [`ErrorCode::UnknownName`] (the
-    /// whole batch fails on the first unresolvable name).
+    /// As for [`read`](Farm::read).
+    pub fn query(&self, tenant: &str, class: &str, member: &str) -> Result<WireOutcome, FarmError> {
+        Ok(self.read(tenant, &[(class, member)], None)?.0.remove(0))
+    }
+
+    /// A batch of current lookups: [`read`](Farm::read) without the
+    /// phase stamps.
+    ///
+    /// # Errors
+    ///
+    /// As for [`read`](Farm::read).
     pub fn batch(
         &self,
         tenant: &str,
         probes: &[(String, String)],
     ) -> Result<Vec<WireOutcome>, FarmError> {
-        self.batch_at(tenant, probes, None)
-    }
-
-    /// A batch of lookups pinned to a retained epoch: every probe is
-    /// answered from the same frozen index version.
-    ///
-    /// # Errors
-    ///
-    /// As for [`query_at`](Farm::query_at).
-    pub fn batch_at(
-        &self,
-        tenant: &str,
-        probes: &[(String, String)],
-        as_of: Option<u64>,
-    ) -> Result<Vec<WireOutcome>, FarmError> {
-        self.get(tenant)?.batch_now(probes, as_of)
+        Ok(self.read(tenant, probes, None)?.0)
     }
 
     /// Applies one edit directive through the tenant's engine, warming
@@ -1320,6 +1204,17 @@ mod tests {
         );
     }
 
+    /// One probe through the read path — a QUERY, as the server asks it.
+    fn read_one(
+        farm: &Farm,
+        tenant: &str,
+        class: &str,
+        member: &str,
+        as_of: Option<u64>,
+    ) -> Result<WireOutcome, FarmError> {
+        Ok(farm.read(tenant, &[(class, member)], as_of)?.0.remove(0))
+    }
+
     #[test]
     fn batch_matches_point_queries() {
         let farm = farm_with("t", &fixtures::fig2());
@@ -1332,6 +1227,122 @@ mod tests {
         for ((class, member), got) in probes.iter().zip(&batch) {
             assert_eq!(got, &farm.query("t", class, member).unwrap());
         }
+        // Pinned to the current epoch — the snapshot's, then an
+        // engine-backed one — a read answers as the unpinned one does.
+        for edit in [None, Some("member E fresh")] {
+            if let Some(directive) = edit {
+                farm.edit("t", directive).unwrap();
+            }
+            let epoch = farm.retained_epochs("t").unwrap().last().copied();
+            let (pinned, _) = farm.read("t", &probes, epoch).unwrap();
+            assert_eq!(pinned, farm.batch("t", &probes).unwrap());
+            for (class, member) in &probes {
+                assert_eq!(
+                    read_one(&farm, "t", class, member, epoch),
+                    farm.query("t", class, member)
+                );
+            }
+        }
+        // A failure carries the same code asked as one probe or inside a
+        // batch (where it fails the whole batch). After the edit, epoch
+        // 0 is retired under the default retention.
+        for (tenant, class, member, as_of, code) in [
+            ("t", "Nope", "m", None, ErrorCode::UnknownName),
+            ("t", "E", "nope", None, ErrorCode::UnknownName),
+            ("x", "E", "m", None, ErrorCode::NoSuchTenant),
+            ("t", "E", "m", Some(0), ErrorCode::EpochRetired),
+        ] {
+            let pair = [("D", "m"), (class, member)];
+            assert_eq!(
+                read_one(&farm, tenant, class, member, as_of).unwrap_err().0,
+                code
+            );
+            assert_eq!(farm.read(tenant, &pair, as_of).unwrap_err().0, code);
+            if as_of.is_none() {
+                let owned = pair.map(|(c, m)| (c.to_owned(), m.to_owned()));
+                assert_eq!(farm.query(tenant, class, member).unwrap_err().0, code);
+                assert_eq!(farm.batch(tenant, &owned).unwrap_err().0, code);
+            }
+        }
+    }
+
+    /// The reference answer: a freshly built table, mapped to wire form
+    /// through the hierarchy's own names.
+    fn expect_wire(chg: &Chg, outcome: &cpplookup_core::LookupOutcome) -> WireOutcome {
+        use cpplookup_core::LookupOutcome;
+        let lv = |v: &LeastVirtual| match v {
+            LeastVirtual::Omega => WireLv::Omega,
+            LeastVirtual::Class(c) => WireLv::Class(chg.class_name(*c).to_owned()),
+        };
+        match outcome {
+            LookupOutcome::NotFound => WireOutcome::NotFound,
+            LookupOutcome::Resolved {
+                class,
+                least_virtual,
+            } => WireOutcome::Resolved {
+                class: chg.class_name(*class).to_owned(),
+                least_virtual: lv(least_virtual),
+            },
+            LookupOutcome::Ambiguous { witnesses } => WireOutcome::Ambiguous {
+                witnesses: witnesses.iter().map(lv).collect(),
+            },
+        }
+    }
+
+    #[test]
+    fn cold_stampede_promotes_once_and_answers_exactly() {
+        // The tenant name is unique to this test: the promotion counter
+        // lives in the process-global registry.
+        const TENANT: &str = "cold-stampede";
+        let chg = fixtures::fig9();
+        let table = cpplookup_core::LookupTable::build(&chg);
+        let mut all = Vec::new();
+        for ci in 0..chg.class_count() {
+            for mi in 0..chg.member_name_count() {
+                let (c, m) = (ClassId::from_index(ci), MemberId::from_index(mi));
+                let names = (chg.class_name(c).to_owned(), chg.member_name(m).to_owned());
+                all.push((names, expect_wire(&chg, &table.lookup(c, m))));
+            }
+        }
+        let farm = farm_with(TENANT, &chg);
+        let promotions = || {
+            farm.metrics
+                .as_ref()
+                .expect("per-tenant metrics on")
+                .promotions
+                .with_label(TENANT)
+                .get()
+        };
+        assert_eq!(promotions(), 0, "LOAD must not promote");
+        let threads = 8;
+        let gate = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for i in 0..threads {
+                let (farm, gate, all) = (&farm, &gate, &all);
+                s.spawn(move || {
+                    // Every thread asks the same first probe; the rest of
+                    // its batch is its own slice of the cross product.
+                    let mine: Vec<_> = std::iter::once(&all[0])
+                        .chain(all.iter().skip(i).step_by(threads))
+                        .collect();
+                    let probes: Vec<(String, String)> =
+                        mine.iter().map(|(names, _)| names.clone()).collect();
+                    gate.wait();
+                    let got = if i % 2 == 0 {
+                        farm.batch(TENANT, &probes).unwrap()
+                    } else {
+                        probes
+                            .iter()
+                            .map(|(c, m)| farm.query(TENANT, c, m).unwrap())
+                            .collect()
+                    };
+                    for ((names, want), got) in mine.iter().zip(&got) {
+                        assert_eq!(got, want, "{names:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(promotions(), 1, "eight cold readers, one index build");
     }
 
     /// A scratch directory that survives for the test (WAL replay needs
@@ -1556,21 +1567,21 @@ mod tests {
         assert_eq!(farm.retained_epochs("t").unwrap(), vec![0, 1, 2]);
         // The new member exists now but not in the pinned past.
         assert!(matches!(
-            farm.query_at("t", "E", "fresh", Some(epoch)).unwrap(),
+            read_one(&farm, "t", "E", "fresh", Some(epoch)).unwrap(),
             WireOutcome::Resolved { .. }
         ));
         assert_eq!(
-            farm.query_at("t", "E", "fresh", Some(0)).unwrap(),
+            read_one(&farm, "t", "E", "fresh", Some(0)).unwrap(),
             WireOutcome::NotFound
         );
         // Batches pin the same frozen version.
         let probes = vec![("E".to_owned(), "fresh".to_owned())];
         assert_eq!(
-            farm.batch_at("t", &probes, Some(0)).unwrap(),
+            farm.read("t", &probes, Some(0)).unwrap().0,
             vec![WireOutcome::NotFound]
         );
         assert_eq!(
-            farm.query_at("t", "E", "m", Some(99)).unwrap_err().0,
+            read_one(&farm, "t", "E", "m", Some(99)).unwrap_err().0,
             ErrorCode::EpochRetired
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1582,7 +1593,7 @@ mod tests {
         farm.query("t", "E", "m").unwrap();
         farm.edit("t", "member E fresh").unwrap();
         assert_eq!(
-            farm.query_at("t", "E", "m", Some(0)).unwrap_err().0,
+            read_one(&farm, "t", "E", "m", Some(0)).unwrap_err().0,
             ErrorCode::EpochRetired
         );
     }

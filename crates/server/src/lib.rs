@@ -14,9 +14,10 @@
 //!   panics or unbounded reads.
 //! * [`farm`] — the tenant farm. Each tenant is a loaded snapshot
 //!   lazily *promoted* to a [`DispatchIndex`](cpplookup_core::DispatchIndex)
-//!   on first traffic (identical cold probes are coalesced into one
-//!   build), and lazily *warmed* to an engine on first edit so
-//!   subsequent queries read the epoch-published index.
+//!   on first traffic (concurrent cold readers share one build), and
+//!   lazily *warmed* to an engine on first edit so subsequent queries
+//!   read the epoch-published index. Every read, QUERY or BATCH, goes
+//!   through one batched [`Farm::read`].
 //! * [`server`] — the TCP listener: bounded-accept admission control,
 //!   request-scoped phase tracing (the protocol TRACE flag returns a
 //!   span tree), per-tenant metric families, plus an HTTP admin
@@ -27,11 +28,6 @@
 //!   and the portability fallback) and `epoll` (per-core reactor
 //!   threads multiplexing nonblocking connection state machines; see
 //!   the `reactor` module, Linux only).
-//! * [`shard`] — optional shard-affine read workers: with
-//!   `--shards N` untraced reads are routed to a fixed worker thread
-//!   by tenant hash, keeping each tenant's probe directory
-//!   cache-resident on one core instead of bouncing between
-//!   connection threads.
 //! * [`recorder`] — the flight recorder: a bounded ring of recent
 //!   completed requests plus a slow-query log with full span trees.
 //! * [`replication`] — follower mode: a background loop that tails a
@@ -51,7 +47,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // only `sys` opts out, for the epoll/eventfd syscalls
 
-mod coalesce;
 #[cfg(target_os = "linux")]
 mod reactor;
 #[cfg(target_os = "linux")]
@@ -65,7 +60,6 @@ pub mod protocol;
 pub mod recorder;
 pub mod replication;
 pub mod server;
-pub mod shard;
 
 pub use client::Client;
 pub use farm::{Farm, FarmOptions};
@@ -74,4 +68,3 @@ pub use protocol::{ErrorCode, Request, Response, WireLv, WireOutcome, WireSpan, 
 pub use recorder::{FlightEntry, FlightRecorder, SlowEntry};
 pub use replication::{FollowSource, Follower, FollowerConfig};
 pub use server::{IoModel, ObsConfig, Server, ServerConfig};
-pub use shard::ShardPool;

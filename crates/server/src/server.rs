@@ -65,7 +65,6 @@ use crate::protocol::{
 };
 use crate::recorder::FlightRecorder;
 use crate::replication::wire_record;
-use crate::shard::ShardPool;
 
 /// Observability-layer configuration: per-tenant metric families and
 /// the flight recorder. Request tracing (the protocol TRACE flag) is
@@ -167,12 +166,6 @@ pub struct ServerConfig {
     /// Refuse client edits — the stance of a replication follower,
     /// whose only writer is the replayed log.
     pub read_only: bool,
-    /// Shard-affine read workers: with `N > 0`, untraced `QUERY` /
-    /// `BATCH` requests are executed by one of `N` worker threads
-    /// chosen by a stable hash of the tenant name, so each tenant's
-    /// probe directory stays cache-resident on one core. `0` (the
-    /// default) answers reads on the connection thread.
-    pub shards: usize,
     /// How connections are multiplexed: blocking threads (default) or
     /// the epoll reactor.
     pub io_model: IoModel,
@@ -198,7 +191,6 @@ impl Default for ServerConfig {
             fsync_every: 1,
             retain_epochs: 1,
             read_only: false,
-            shards: 0,
             io_model: IoModel::default(),
             reactors: 0,
             max_frames_per_turn: 32,
@@ -210,7 +202,6 @@ impl Default for ServerConfig {
 pub(crate) struct Shared {
     farm: Arc<Farm>,
     obs: Option<ObsState>,
-    shards: Option<ShardPool>,
 }
 
 /// The observability layer's per-request handles, resolved once at
@@ -390,12 +381,9 @@ impl Server {
             farm.load(tenant, path)
                 .map_err(|(_, msg)| io::Error::other(format!("preload `{tenant}`: {msg}")))?;
         }
-        let shards =
-            (config.shards > 0).then(|| ShardPool::start(Arc::clone(&farm), config.shards));
         let shared = Arc::new(Shared {
             farm,
             obs: config.obs.enabled.then(|| ObsState::new(&config.obs)),
-            shards,
         });
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -889,8 +877,9 @@ fn op_label(req: &Request) -> &'static str {
     }
 }
 
-/// Executes one decoded request against the farm. Traced probes also
-/// return the farm's phase timing, for the caller to cut spans from.
+/// Executes one decoded request against the farm. Reads also return
+/// the farm's phase timing, for the caller to cut spans from when the
+/// request asked for a trace.
 /// ([`Request::Subscribe`] never reaches here — it takes over the
 /// connection in `serve_connection`.)
 fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
@@ -918,46 +907,21 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
             tenant,
             class,
             member,
-            trace: true,
             as_of,
-        } => match farm.query_traced(&tenant, &class, &member, as_of) {
-            Ok((outcome, timing)) => (Response::Outcome(outcome), Some(timing)),
+            ..
+        } => match farm.read(&tenant, &[(class, member)], as_of) {
+            Ok((mut outcomes, timing)) => (Response::Outcome(outcomes.remove(0)), Some(timing)),
             Err(e) => plain(err(e)),
         },
-        Request::Query {
-            tenant,
-            class,
-            member,
-            trace: false,
-            as_of,
-        } => plain(match &shared.shards {
-            Some(pool) => pool.query(tenant, class, member, as_of),
-            None => match farm.query_at(&tenant, &class, &member, as_of) {
-                Ok(outcome) => Response::Outcome(outcome),
-                Err(e) => err(e),
-            },
-        }),
         Request::Batch {
             tenant,
             probes,
-            trace: true,
             as_of,
-        } => match farm.batch_traced(&tenant, &probes, as_of) {
+            ..
+        } => match farm.read(&tenant, &probes, as_of) {
             Ok((outcomes, timing)) => (Response::Outcomes(outcomes), Some(timing)),
             Err(e) => plain(err(e)),
         },
-        Request::Batch {
-            tenant,
-            probes,
-            trace: false,
-            as_of,
-        } => plain(match &shared.shards {
-            Some(pool) => pool.batch(tenant, probes, as_of),
-            None => match farm.batch_at(&tenant, &probes, as_of) {
-                Ok(outcomes) => Response::Outcomes(outcomes),
-                Err(e) => err(e),
-            },
-        }),
         Request::Edit { tenant, directive } => plain(match farm.edit(&tenant, &directive) {
             Ok(epoch) => Response::Edited { epoch },
             Err(e) => err(e),

@@ -165,15 +165,25 @@ fn wire_answers_byte_equal_in_process_dispatch_index() {
                 )
             })
             .collect();
+        // Every probe four ways — QUERY, BATCH, traced QUERY, traced
+        // BATCH — through the server's one read path.
         let got = c.batch(tenant, &named).unwrap();
         assert_eq!(got, expected, "batch mismatch in {tenant}");
-        // Spot-check the point-query path too (first 25 probes).
-        for (i, (class, member)) in named.iter().take(25).enumerate() {
+        let (traced, spans) = c.batch_traced(tenant, &named).unwrap();
+        assert_eq!(traced, expected, "traced batch mismatch in {tenant}");
+        assert!(!spans.is_empty(), "traced batch without spans in {tenant}");
+        for (i, (class, member)) in named.iter().enumerate() {
             assert_eq!(
                 c.query(tenant, class, member).unwrap(),
                 expected[i],
                 "query mismatch in {tenant} for ({class}, {member})"
             );
+            let (outcome, spans) = c.query_traced(tenant, class, member).unwrap();
+            assert_eq!(
+                outcome, expected[i],
+                "traced query mismatch in {tenant} for ({class}, {member})"
+            );
+            assert!(!spans.is_empty(), "traced query without spans in {tenant}");
         }
     }
 }
@@ -232,87 +242,6 @@ fn concurrent_clients_many_tenants_differential() {
         w.join().unwrap();
     }
     drop(server);
-}
-
-/// Sharding is a routing change, not a semantic one: a server running
-/// shard-affine read workers must answer every query, batch, traced
-/// probe, and error byte-identically to an inline server over the same
-/// snapshots — and edits (which stay on the connection thread) must
-/// still be visible to subsequent sharded reads.
-#[test]
-fn sharded_server_answers_identically_to_inline() {
-    let dir = TempDir::new("sharded");
-    let graphs = [fixtures::fig1(), fixtures::fig2(), fixtures::fig9()];
-    let mut tenants = Vec::new();
-    for (i, g) in graphs.iter().enumerate() {
-        let path = dir.file(&format!("g{i}.snap"));
-        write_snapshot(g, &path);
-        tenants.push((format!("g{i}"), path));
-    }
-    let (_inline, inline_addr) = start_server(ServerConfig {
-        preload: tenants.clone(),
-        ..ServerConfig::default()
-    });
-    let (_sharded, sharded_addr) = start_server(ServerConfig {
-        preload: tenants.clone(),
-        shards: 4,
-        ..ServerConfig::default()
-    });
-    let mut a = connect(&inline_addr);
-    let mut b = connect(&sharded_addr);
-    for (tenant, path) in &tenants {
-        let table = SnapshotTable::load(path).unwrap();
-        let mut probes = Vec::new();
-        for ci in 0..table.class_count() {
-            for mi in 0..table.member_name_count() {
-                probes.push((
-                    table
-                        .class_name(cpplookup_chg::ClassId::from_index(ci))
-                        .unwrap()
-                        .to_owned(),
-                    table
-                        .member_name(cpplookup_chg::MemberId::from_index(mi))
-                        .unwrap()
-                        .to_owned(),
-                ));
-            }
-        }
-        assert_eq!(
-            a.batch(tenant, &probes).unwrap(),
-            b.batch(tenant, &probes).unwrap(),
-            "{tenant}: sharded batch diverged"
-        );
-        for (class, member) in &probes {
-            assert_eq!(
-                a.query(tenant, class, member).unwrap(),
-                b.query(tenant, class, member).unwrap(),
-                "{tenant}: sharded query diverged on ({class}, {member})"
-            );
-        }
-        // Traced probes bypass the pool but must agree on the outcome.
-        let (outcome, spans) = b.query_traced(tenant, &probes[0].0, &probes[0].1).unwrap();
-        assert_eq!(
-            outcome,
-            a.query(tenant, &probes[0].0, &probes[0].1).unwrap()
-        );
-        assert!(!spans.is_empty());
-    }
-    // Structured errors survive the queue hop.
-    for c in [&mut a, &mut b] {
-        match c.query("ghost", "A", "m") {
-            Err(cpplookup_server::client::ClientError::Server { code, .. }) => {
-                assert_eq!(code, ErrorCode::NoSuchTenant)
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    // An edit lands on the connection thread; the sharded read path
-    // must see the republished epoch.
-    b.edit("g1", "member E freshly_sharded").unwrap();
-    match b.query("g1", "E", "freshly_sharded").unwrap() {
-        WireOutcome::Resolved { class, .. } => assert_eq!(class, "E"),
-        other => panic!("unexpected {other:?}"),
-    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! For every generator family in the golden corpus, a farm with a deep
 //! retention window ingests a family-derived edit script. Each edit
 //! publishes a new epoch; afterwards, every retained epoch is replayed
-//! two ways — `query_at(.., Some(epoch))` on the long-lived farm versus
+//! two ways — an as-of read pinned to that epoch on the long-lived farm versus
 //! a fresh farm that applied only the edits up to that epoch — and the
 //! two must agree on **every** `(class, member)` probe.
 
@@ -127,13 +127,25 @@ impl Probe {
     }
 }
 
+/// One probe through the farm's read path, optionally pinned to a
+/// retained epoch.
+fn query_at(
+    farm: &Farm,
+    tenant: &str,
+    class: &str,
+    member: &str,
+    as_of: Option<u64>,
+) -> Result<WireOutcome, (ErrorCode, String)> {
+    Ok(farm.read(tenant, &[(class, member)], as_of)?.0.remove(0))
+}
+
 /// Every probe outcome of `tenant` at `as_of` (None = current).
 fn fingerprint_at(farm: &Farm, chg: &Chg, as_of: Option<u64>) -> Vec<Probe> {
     let (classes, members) = probes(chg);
     let mut out = Vec::new();
     for c in &classes {
         for m in &members {
-            out.push(Probe::of(farm.query_at("t", c, m, as_of)));
+            out.push(Probe::of(query_at(farm, "t", c, m, as_of)));
         }
     }
     out
@@ -235,7 +247,7 @@ fn a_shallow_retention_window_retires_old_epochs_in_order() {
     // Everything older than the window answers EpochRetired; everything
     // inside it still answers.
     for &e in &epochs {
-        let outcome = farm.query_at("t", "TTA", "tt_m1", Some(e));
+        let outcome = query_at(&farm, "t", "TTA", "tt_m1", Some(e));
         if retained.contains(&e) {
             assert!(outcome.is_ok(), "retained epoch {e} must serve");
         } else {

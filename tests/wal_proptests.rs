@@ -262,6 +262,18 @@ fn replay_records(dir: &Path, script: &[Step]) -> Vec<Stamped> {
         .collect()
 }
 
+/// One probe through the farm's read path, optionally pinned to a
+/// retained epoch.
+fn query_at(
+    farm: &Farm,
+    tenant: &str,
+    class: &str,
+    member: &str,
+    as_of: Option<u64>,
+) -> Result<WireOutcome, (ErrorCode, String)> {
+    Ok(farm.read(tenant, &[(class, member)], as_of)?.0.remove(0))
+}
+
 /// Everything a reader can observe of one tenant: its retained epochs
 /// (the last is the current one), then the outcome of every probe now
 /// and as of each retained epoch.
@@ -273,7 +285,7 @@ fn tenant_state(farm: &Farm, tenant: &str) -> (Vec<u64>, Vec<Fingerprint>) {
         let mut out = Vec::new();
         for c in &classes {
             for m in &members {
-                out.push(farm.query_at(tenant, c, m, as_of).map_err(|(code, _)| code));
+                out.push(query_at(farm, tenant, c, m, as_of).map_err(|(code, _)| code));
             }
         }
         out
