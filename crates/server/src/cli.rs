@@ -20,7 +20,7 @@ use crate::server::{Server, ServerConfig};
 pub const SERVE_USAGE: &str = "[--addr HOST:PORT] [--max-connections N] \
      [--read-timeout-secs N] [--tenant NAME=PATH]... [--no-obs] \
      [--recorder-capacity N] [--slow-threshold-ms N] [--tenant-cardinality N] \
-     [--io-model threads|epoll] [--reactors N] [--max-frames-per-turn N] \
+     [--io-model threads|epoll] [--reactors N] \
      [--wal PATH] [--fsync-every N] [--retain-epochs N] [--read-only] \
      [--compact-every-secs N] [--compact-dir DIR] \
      [--follow ADDR | --follow-log PATH] [--follower-id NAME]";
@@ -144,13 +144,6 @@ pub fn parse_server_args(args: &[String]) -> Result<ServeArgs, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--reactors wants a thread count (0 = one per core)")?;
-            }
-            "--max-frames-per-turn" => {
-                config.max_frames_per_turn = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--max-frames-per-turn wants a positive frame count")?;
             }
             "--follow" => {
                 let addr = it.next().ok_or("--follow wants HOST:PORT")?.clone();
@@ -676,12 +669,6 @@ mod tests {
         let cfg = parse_server_args(&strs(&[])).unwrap().config;
         assert_eq!(cfg.reactors, 0, "one reactor per core by default");
         assert!(parse_server_args(&strs(&["--reactors", "many"])).is_err());
-
-        let cfg = parse_server_args(&strs(&["--max-frames-per-turn", "8"]))
-            .unwrap()
-            .config;
-        assert_eq!(cfg.max_frames_per_turn, 8);
-        assert!(parse_server_args(&strs(&["--max-frames-per-turn", "0"])).is_err());
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //!   span tree), per-tenant metric families, plus an HTTP admin
 //!   endpoint (`GET /metrics`, `/healthz`, `/tenants`,
 //!   `/flightrecorder`) sharing the same port by first-bytes sniffing.
-//!   Two I/O models sit behind one wire contract, selected by
-//!   `--io-model`: `threads` (one thread per connection — the default
-//!   and the portability fallback) and `epoll` (per-core reactor
-//!   threads multiplexing nonblocking connection state machines; see
-//!   the `reactor` module, Linux only).
+//!   Every connection runs one protocol state machine (the `conn`
+//!   module: framing, admin sniffing, frame-damage policy, fairness
+//!   cap) under one of two drivers, selected by `--io-model`: `threads`
+//!   (a blocking driver on one thread per connection — the default and
+//!   the portability fallback) or `epoll` (per-core reactor threads
+//!   multiplexing nonblocking sockets; see the `reactor` module, Linux
+//!   only).
 //! * [`recorder`] — the flight recorder: a bounded ring of recent
 //!   completed requests plus a slow-query log with full span trees.
 //! * [`replication`] — follower mode: a background loop that tails a
@@ -47,6 +49,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // only `sys` opts out, for the epoll/eventfd syscalls
 
+mod conn;
 #[cfg(target_os = "linux")]
 mod reactor;
 #[cfg(target_os = "linux")]

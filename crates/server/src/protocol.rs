@@ -441,29 +441,31 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// One whole frame — length prefix, body, trailing checksum — in a
+/// single allocation.
+pub fn frame(body: &[u8]) -> Vec<u8> {
+    debug_assert!(!body.is_empty() && body.len() <= MAX_BODY as usize);
+    let mut frame = Vec::with_capacity(body.len() + 12);
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&checksum64(body).to_le_bytes());
+    frame
+}
+
 /// Writes one frame: length prefix, body, trailing checksum.
 ///
 /// # Errors
 ///
 /// Propagates writer I/O errors.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(!body.is_empty() && body.len() <= MAX_BODY as usize);
-    let mut frame = Vec::with_capacity(body.len() + 12);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&checksum64(body).to_le_bytes());
-    w.write_all(&frame)
+    w.write_all(&frame(body))
 }
 
-/// Reads one frame body after its 4-byte length prefix has already been
-/// consumed (the server peeks the prefix to sniff HTTP admin traffic).
-///
-/// # Errors
-///
-/// [`FrameError::BadLength`] before any allocation for a hostile
-/// length, [`FrameError::Io`] on truncation, [`FrameError::Checksum`]
-/// on body damage.
-pub fn read_frame_body(r: &mut impl Read, len: u32) -> Result<Vec<u8>, FrameError> {
+/// Reads one frame body after its 4-byte length prefix: a hostile
+/// length is [`FrameError::BadLength`] before any allocation,
+/// truncation is [`FrameError::Io`], body damage
+/// [`FrameError::Checksum`].
+fn read_frame_body(r: &mut impl Read, len: u32) -> Result<Vec<u8>, FrameError> {
     if len == 0 || len > MAX_BODY {
         return Err(FrameError::BadLength { len });
     }
@@ -481,8 +483,10 @@ pub fn read_frame_body(r: &mut impl Read, len: u32) -> Result<Vec<u8>, FrameErro
 ///
 /// # Errors
 ///
-/// [`FrameError::Eof`] on a clean close at a frame boundary, otherwise
-/// any error of [`read_frame_body`].
+/// [`FrameError::Eof`] on a clean close at a frame boundary,
+/// [`FrameError::BadLength`] for a hostile length (before any
+/// allocation), [`FrameError::Io`] on truncation, and
+/// [`FrameError::Checksum`] on body damage.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut prefix = [0u8; 4];
     let mut got = 0;

@@ -1,55 +1,44 @@
 //! The epoll reactor I/O model: a few threads multiplexing many
-//! nonblocking connection state machines.
+//! nonblocking connections.
 //!
 //! The threaded model parks one OS thread (and its stack) per
 //! connection; at 1024+ mostly-idle connections that is the dominant
 //! server cost, while the probes themselves are nearly free (the MPH
 //! directory made them one cache line each). The reactor replaces the
 //! parked threads with `N` per-core event loops — each owns an epoll
-//! instance, an eventfd doorbell, and a slab of [`Conn`] state
-//! machines; the acceptor round-robins accepted fds across them.
+//! instance, an eventfd doorbell, and a slab of [`Conn`]s; the acceptor
+//! round-robins accepted fds across them.
 //!
-//! Per connection the machine is small and explicit:
+//! Each connection's protocol — framing, the admin sniff, frame-damage
+//! policy, the fairness cap, the response queue — is a
+//! [`Session`](crate::conn::Session), the same state machine the
+//! threaded model's blocking driver runs, so responses are
+//! byte-identical between the models by construction (and pinned by
+//! the differential tests and the e27 CI gate). The reactor is only
+//! what epoll needs on top:
 //!
-//! ```text
-//!            bytes            "GET "            frame damage
-//!   Start ─────────▶ Binary   Start ──▶ Http    Binary ──▶ error frame,
-//!     │                 │               (hand      drain + close
-//!     ▼                 ▼                off)      after flush
-//!   read ──▶ reassemble ──▶ decode ──▶ handle ──▶ buffer ──▶ writev
-//! ```
-//!
-//! * **Incremental frame reassembly** — [`FrameBuffer`] carries a
-//!   consumed-prefix offset and a resumable length-prefix parse, so a
-//!   frame split across any number of partial reads is decoded exactly
-//!   once, with no re-scanning of consumed bytes.
-//! * **Pipelined decoding with a fairness cap** — one readiness event
-//!   drains at most [`ServerConfig::max_frames_per_turn`] complete
-//!   frames; a connection with more buffered work re-queues itself
-//!   behind every other ready connection, so one pipelining client
-//!   cannot starve the loop.
-//! * **Backpressure by interest, not queues** — responses buffer in
-//!   per-connection `Vec`s flushed with vectored `writev`; `EPOLLOUT`
-//!   interest exists only while a backlog does, and read interest is
-//!   parked while a backlog exists *or* the frame buffer holds a
-//!   budget of unprocessed frames, so a peer that pipelines requests
-//!   without reading responses stops being read from (TCP flow
-//!   control takes over) instead of growing our buffers forever.
+//! * **A ready list for the fairness cap** — a session that ends its
+//!   turn with frames still buffered re-queues behind every other ready
+//!   connection, so one pipelining client cannot starve the loop.
+//! * **Backpressure by interest, not queues** — the response queue
+//!   flushes with vectored `writev`; `EPOLLOUT` interest exists only
+//!   while a backlog does, and read interest is parked while a backlog
+//!   exists *or* the session holds a budget of unprocessed input, so a
+//!   peer that pipelines requests without reading responses stops being
+//!   read from (TCP flow control takes over) instead of growing our
+//!   buffers forever.
 //! * **Idle timeouts off a timer wheel** — a coarse hashed wheel with
 //!   lazy reinsertion; activity just stamps the connection's deadline,
 //!   and the wheel checks it when the slot comes due.
 //!
-//! Requests execute through the exact code path the threaded model
-//! uses ([`process_body`](crate::server)), so responses are
-//! byte-identical between the models — pinned by the differential
-//! tests and the e27 CI gate. The rare connection-takeover requests
-//! (HTTP admin, `SUBSCRIBE`) hand their fd back to a plain blocking
-//! thread, keeping the event loop free of long-lived work.
+//! The rare connection-takeover requests (HTTP admin, `SUBSCRIBE`) hand
+//! their fd and session to a plain thread running the blocking driver,
+//! keeping the event loop free of long-lived work.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read};
 use std::net::TcpStream;
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -57,11 +46,8 @@ use std::time::{Duration, Instant};
 
 use cpplookup_obs::{Counter, Gauge};
 
-use crate::protocol::{checksum64, write_frame, FrameError, MAX_BODY};
-use crate::server::{
-    frame_damage_response, process_body, serve_admin, serve_subscription, Action, ConnCount,
-    ReqCounters, ServerConfig, Shared,
-};
+use crate::conn::{drive, Session, Turn, READ_CHUNK};
+use crate::server::{ConnCount, ReqCounters, ServerConfig, Shared};
 use crate::sys::{self, Epoll, EpollEvent, EventFd};
 
 /// The epoll token reserved for each reactor's eventfd doorbell.
@@ -71,157 +57,19 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// moves on and lets level-triggered epoll re-report the fd.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// How many response buffers one `writev` gathers at most.
-const WRITEV_BATCH: usize = 32;
-
 /// A connection's idle deadline when no timeout is configured.
 const FOREVER: Duration = Duration::from_secs(365 * 24 * 3600);
 
-/// Incremental frame reassembly: a growable buffer with a consumed
-/// prefix and a *resumable* length-prefix parse. Bytes are appended as
-/// they arrive; complete frames are peeled off the front. The parsed
-/// body length is cached across calls, so a frame arriving one byte at
-/// a time costs one prefix parse and one checksum pass total — consumed
-/// bytes are never re-scanned.
-struct FrameBuffer {
-    buf: Vec<u8>,
-    pos: usize,
-    /// Body length parsed from the current frame's prefix, once its
-    /// four bytes have arrived.
-    pending: Option<usize>,
-}
-
-/// How far the consumed prefix may grow before the buffer compacts.
-const COMPACT_AT: usize = 64 * 1024;
-
-impl FrameBuffer {
-    fn new() -> FrameBuffer {
-        FrameBuffer {
-            buf: Vec::new(),
-            pos: 0,
-            pending: None,
-        }
-    }
-
-    fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Unconsumed byte count.
-    fn available(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The first `n` unconsumed bytes, if that many have arrived.
-    fn peek(&self, n: usize) -> Option<&[u8]> {
-        (self.available() >= n).then(|| &self.buf[self.pos..self.pos + n])
-    }
-
-    /// Every unconsumed byte.
-    fn unconsumed(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Peels the next complete frame body off the front, `Ok(None)`
-    /// when more bytes are needed. Frame-level damage (bad length,
-    /// checksum mismatch) is an error — the stream position is garbage
-    /// from there and the connection must close.
-    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let body_len = match self.pending {
-            Some(len) => len,
-            None => {
-                let Some(prefix) = self.peek(4) else {
-                    return Ok(None);
-                };
-                let len = u32::from_le_bytes(prefix.try_into().expect("peeked 4"));
-                if len == 0 || len > MAX_BODY {
-                    return Err(FrameError::BadLength { len });
-                }
-                self.pending = Some(len as usize);
-                len as usize
-            }
-        };
-        if self.available() < 4 + body_len + 8 {
-            return Ok(None);
-        }
-        let start = self.pos + 4;
-        let body_end = start + body_len;
-        let want = u64::from_le_bytes(
-            self.buf[body_end..body_end + 8]
-                .try_into()
-                .expect("checksum bytes present"),
-        );
-        if checksum64(&self.buf[start..body_end]) != want {
-            return Err(FrameError::Checksum);
-        }
-        let body = self.buf[start..body_end].to_vec();
-        self.pos = body_end + 8;
-        self.pending = None;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= COMPACT_AT {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some(body))
-    }
-
-    /// Whether another `next_frame` call would make progress: a full
-    /// frame is buffered, or the buffered prefix is already known-bad
-    /// (so the damage error is worth reporting).
-    fn has_work(&self) -> bool {
-        let avail = self.available();
-        match self.pending {
-            Some(len) => avail >= 4 + len + 8,
-            None => {
-                let Some(prefix) = self.peek(4) else {
-                    return false;
-                };
-                let len = u32::from_le_bytes(prefix.try_into().expect("peeked 4"));
-                if len == 0 || len > MAX_BODY {
-                    return true;
-                }
-                avail >= 4 + len as usize + 8
-            }
-        }
-    }
-}
-
-/// What a connection has been identified as.
-enum Mode {
-    /// Nothing sniffed yet: fewer than four bytes have arrived.
-    Start,
-    /// Length-prefixed binary protocol.
-    Binary,
-}
-
-/// One nonblocking connection state machine.
+/// One nonblocking connection: its session plus the epoll bookkeeping.
 struct Conn {
     stream: TcpStream,
-    fd: RawFd,
-    buf: FrameBuffer,
-    mode: Mode,
-    /// Buffered response frames, front partially written up to
-    /// `out_head`.
-    out: VecDeque<Vec<u8>>,
-    out_head: usize,
-    /// Total buffered response bytes (the writev backlog).
-    backlog: usize,
+    session: Session,
     /// The interest set currently registered with epoll.
     interest: u32,
-    /// Close once the backlog drains (frame damage answered, peer EOF
-    /// served out, or idle expiry with a flush pending).
+    /// The session asked to close once its response queue drains.
     close_after_flush: bool,
-    /// The peer closed its write half; serve what is buffered, then go.
-    read_closed: bool,
-    /// Frame-level damage: ignore everything else the peer sends.
-    discard_input: bool,
     /// Idle deadline, refreshed on any read or write progress.
     deadline: Instant,
-    /// When the fairness cap deferred this connection, for queue_wait
-    /// attribution when its turn comes back around.
-    resumed_from: Option<Instant>,
     /// Already queued on the ready list.
     queued_ready: bool,
 }
@@ -363,7 +211,6 @@ impl ReactorSet {
 /// One event loop: an epoll instance, a doorbell, and a slab of
 /// connections.
 struct Reactor {
-    idx: usize,
     shared: Arc<Shared>,
     count: Arc<ConnCount>,
     epoll: Epoll,
@@ -382,10 +229,8 @@ struct Reactor {
     /// check the timer wheel uses.
     ready: VecDeque<(usize, u64)>,
     wheel: Option<Wheel>,
+    /// Also the read timeout of fds handed off to blocking threads.
     idle_timeout: Option<Duration>,
-    max_frames: usize,
-    /// Read timeout restored on fds handed off to blocking threads.
-    handoff_timeout: Option<Duration>,
     counters: ReqCounters,
     conns_gauge: Arc<Gauge>,
     wakeups: Arc<Counter>,
@@ -408,7 +253,6 @@ impl Reactor {
         let label = idx.to_string();
         let now = Instant::now();
         Ok(Reactor {
-            idx,
             shared,
             count,
             epoll,
@@ -421,8 +265,6 @@ impl Reactor {
             ready: VecDeque::new(),
             wheel: cfg.read_timeout.map(|t| Wheel::new(t, now)),
             idle_timeout: cfg.read_timeout,
-            max_frames: cfg.max_frames_per_turn.max(1),
-            handoff_timeout: cfg.read_timeout,
             counters: ReqCounters::new(),
             conns_gauge: obs
                 .gauge_family(
@@ -451,7 +293,6 @@ impl Reactor {
     }
 
     fn run(&mut self) {
-        let _ = self.idx;
         let mut events = vec![
             EpollEvent {
                 events: 0,
@@ -574,18 +415,10 @@ impl Reactor {
         let deadline = now + self.idle_timeout.unwrap_or(FOREVER);
         self.conns[token] = Some(Conn {
             stream,
-            fd,
-            buf: FrameBuffer::new(),
-            mode: Mode::Start,
-            out: VecDeque::new(),
-            out_head: 0,
-            backlog: 0,
+            session: Session::new(),
             interest: sys::EPOLLIN | sys::EPOLLRDHUP,
             close_after_flush: false,
-            read_closed: false,
-            discard_input: false,
             deadline,
-            resumed_from: None,
             queued_ready: false,
         });
         self.conns_gauge.add(1);
@@ -615,7 +448,7 @@ impl Reactor {
     /// per-event budget (level-triggered epoll re-reports the rest),
     /// then processes what arrived.
     fn fill(&mut self, token: usize) {
-        let mut scratch = [0u8; 16 * 1024];
+        let mut scratch = [0u8; READ_CHUNK];
         let mut total = 0usize;
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
@@ -630,13 +463,10 @@ impl Reactor {
                 break;
             }
             match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
                 Ok(n) => {
-                    if !conn.discard_input {
-                        conn.buf.extend(&scratch[..n]);
+                    conn.session.feed(&scratch[..n]);
+                    if n == 0 {
+                        break;
                     }
                     conn.deadline = Instant::now() + self.idle_timeout.unwrap_or(FOREVER);
                     total += n;
@@ -662,106 +492,24 @@ impl Reactor {
         self.process_conn(token);
     }
 
-    /// Drains complete frames from the connection's buffer — at most
-    /// the fairness cap per turn — and buffers their responses.
+    /// Runs one session turn, then flushes what it queued.
     fn process_conn(&mut self, token: usize) {
-        // Sniff the first four bytes: HTTP admin traffic hands off.
-        {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                return;
-            };
-            if matches!(conn.mode, Mode::Start) {
-                match conn.buf.peek(4) {
-                    Some(head) if head == b"GET " => {
-                        self.handoff(token, Handoff::Admin);
-                        return;
-                    }
-                    Some(_) => conn.mode = Mode::Binary,
-                    None => {
-                        if conn.read_closed {
-                            self.close(token);
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-        let mut resumed = self
-            .conns
-            .get_mut(token)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.resumed_from.take());
-        let mut served = 0usize;
-        while served < self.max_frames {
-            let before = Instant::now();
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                return;
-            };
-            if conn.discard_input {
-                break;
-            }
-            let body = match conn.buf.next_frame() {
-                Ok(Some(body)) => body,
-                Ok(None) => break,
-                Err(damage) => {
-                    // Answer once, swallow whatever else arrives, close
-                    // when the answer has flushed — mirroring the
-                    // threaded model's frame-damage policy.
-                    conn.discard_input = true;
-                    conn.close_after_flush = true;
-                    match frame_damage_response(&self.counters, &damage) {
-                        Some(frame_body) => {
-                            let mut framed = Vec::with_capacity(frame_body.len() + 12);
-                            let _ = write_frame(&mut framed, &frame_body);
-                            self.push_out(token, framed);
-                        }
-                        None => {
-                            self.close(token);
-                            return;
-                        }
-                    }
-                    break;
-                }
-            };
-            // queue_wait starts when the frame's turn began: the read
-            // event (first frame), or the deferral instant when the
-            // fairness cap pushed this connection to the back.
-            let t0 = resumed.take().unwrap_or(before);
-            let t1 = Instant::now();
-            match process_body(&self.shared, &self.counters, &body, t0, t1) {
-                Action::Reply(frame_body) => {
-                    let mut framed = Vec::with_capacity(frame_body.len() + 12);
-                    let _ = write_frame(&mut framed, &frame_body);
-                    self.push_out(token, framed);
-                }
-                Action::Subscribe { from_seq } => {
-                    self.handoff(token, Handoff::Subscribe { from_seq });
-                    return;
-                }
-            }
-            served += 1;
-        }
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        if conn.read_closed && !conn.buf.has_work() {
-            // Peer is done sending and every complete frame is
-            // answered; a torn trailing frame can never complete.
-            conn.close_after_flush = true;
+        let queued = conn.session.backlog();
+        let turn = conn.session.serve(&self.shared, &self.counters);
+        self.backlog_gauge
+            .add((conn.session.backlog() - queued) as i64);
+        match turn {
+            Turn::Admin | Turn::Subscribe { .. } => return self.handoff(token),
+            Turn::Close => conn.close_after_flush = true,
+            Turn::More | Turn::Idle => {}
         }
         // `flush` re-queues the connection for the frames still
-        // buffered past this turn's budget — unless a write backlog
+        // buffered past this turn's cap — unless a write backlog
         // exists, in which case the requeue waits for the drain.
         self.flush(token);
-    }
-
-    fn push_out(&mut self, token: usize, framed: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return;
-        };
-        conn.backlog += framed.len();
-        self.backlog_gauge.add(framed.len() as i64);
-        conn.out.push_back(framed);
     }
 
     /// Writes the backlog out with vectored writes until empty or
@@ -769,81 +517,40 @@ impl Reactor {
     /// while a backlog exists. Returns `true` when the connection was
     /// closed (error, or close-after-flush completing).
     fn flush(&mut self, token: usize) -> bool {
-        enum Outcome {
-            Drained,
-            Blocked,
-            Dead,
-        }
-        let outcome = loop {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                return true;
-            };
-            if conn.out.is_empty() {
-                break Outcome::Drained;
-            }
-            let mut slices: Vec<IoSlice> = Vec::with_capacity(conn.out.len().min(WRITEV_BATCH));
-            let mut iter = conn.out.iter();
-            if let Some(first) = iter.next() {
-                slices.push(IoSlice::new(&first[conn.out_head..]));
-            }
-            for buffer in iter.take(WRITEV_BATCH - 1) {
-                slices.push(IoSlice::new(buffer));
-            }
-            match conn.stream.write_vectored(&slices) {
-                Ok(0) => break Outcome::Dead,
-                Ok(mut wrote) => {
-                    conn.backlog -= wrote;
-                    self.backlog_gauge.add(-(wrote as i64));
-                    conn.deadline = Instant::now() + self.idle_timeout.unwrap_or(FOREVER);
-                    while wrote > 0 {
-                        let front_left = conn.out[0].len() - conn.out_head;
-                        if wrote >= front_left {
-                            wrote -= front_left;
-                            conn.out.pop_front();
-                            conn.out_head = 0;
-                        } else {
-                            conn.out_head += wrote;
-                            wrote = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Outcome::Blocked,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break Outcome::Dead,
-            }
-        };
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return true;
         };
-        match outcome {
-            Outcome::Dead => {
-                self.close(token);
-                true
+        let drained = loop {
+            if conn.session.backlog() == 0 {
+                break true;
             }
-            Outcome::Drained if conn.close_after_flush => {
-                self.close(token);
-                true
-            }
-            Outcome::Drained | Outcome::Blocked => {
-                self.update_interest(token);
-                let gen = self.gens[token];
-                let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                    return true;
-                };
-                if conn.out.is_empty()
-                    && !conn.discard_input
-                    && conn.buf.has_work()
-                    && !conn.queued_ready
-                {
-                    // Fairness: more complete frames than the turn's
-                    // budget, and no backlog holding them back.
-                    conn.queued_ready = true;
-                    conn.resumed_from = Some(Instant::now());
-                    self.ready.push_back((token, gen));
+            match conn.session.write_to(&mut conn.stream) {
+                Ok(0) => {}
+                Ok(wrote) => {
+                    self.backlog_gauge.add(-(wrote as i64));
+                    conn.deadline = Instant::now() + self.idle_timeout.unwrap_or(FOREVER);
+                    continue;
                 }
-                false
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {}
             }
+            // A zero-length write or any other error: the peer is gone.
+            self.close(token);
+            return true;
+        };
+        if drained && conn.close_after_flush {
+            self.close(token);
+            return true;
         }
+        if drained && conn.session.has_work() && !conn.queued_ready {
+            // Fairness: more complete frames than the turn's cap, and no
+            // backlog holding them back.
+            conn.queued_ready = true;
+            self.ready.push_back((token, self.gens[token]));
+        }
+        self.update_interest(token);
+        false
     }
 
     /// Recomputes the fd's epoll interest from the connection's state
@@ -868,30 +575,39 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        let reads_wanted = !conn.read_closed && conn.out.is_empty() && !input_saturated(conn);
+        let reads_wanted =
+            !conn.session.read_closed() && conn.session.backlog() == 0 && !input_saturated(conn);
         let mut interest = 0;
         if reads_wanted {
             interest |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
-        if !conn.out.is_empty() {
+        if conn.session.backlog() > 0 {
             interest |= sys::EPOLLOUT;
         }
         if interest != conn.interest {
             conn.interest = interest;
-            let fd = conn.fd;
-            let _ = self.epoll.modify(fd, interest, token as u64);
+            let _ = self
+                .epoll
+                .modify(conn.stream.as_raw_fd(), interest, token as u64);
         }
     }
 
+    /// Takes a connection out of the slab and off epoll; its admission
+    /// slot stays claimed.
+    fn detach(&mut self, token: usize) -> Option<Conn> {
+        let conn = self.conns.get_mut(token).and_then(Option::take)?;
+        let _ = self.epoll.delete(conn.stream.as_raw_fd());
+        self.backlog_gauge.add(-(conn.session.backlog() as i64));
+        self.gens[token] = self.gens[token].wrapping_add(1);
+        self.free.push(token);
+        self.conns_gauge.add(-1);
+        Some(conn)
+    }
+
     fn close(&mut self, token: usize) {
-        if let Some(conn) = self.conns.get_mut(token).and_then(Option::take) {
-            let _ = self.epoll.delete(conn.fd);
-            self.backlog_gauge.add(-(conn.backlog as i64));
-            self.gens[token] = self.gens[token].wrapping_add(1);
-            self.free.push(token);
-            self.conns_gauge.add(-1);
+        if self.detach(token).is_some() {
             self.count.release();
-            // `conn.stream` drops here, closing the fd.
+            // The detached `Conn` drops here, closing the fd.
         }
     }
 
@@ -901,181 +617,45 @@ impl Reactor {
         }
     }
 
-    /// Hands a connection-takeover request (HTTP admin, SUBSCRIBE) to a
-    /// plain blocking thread: these are rare, long-lived, and have no
-    /// business on the event loop. The admission slot follows the fd.
-    fn handoff(&mut self, token: usize, kind: Handoff) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::take) else {
+    /// Hands a connection taken over by HTTP admin or SUBSCRIBE to a
+    /// plain thread running the blocking driver on its session — which
+    /// writes any queued responses, then serves the takeover: rare,
+    /// long-lived work with no business on the event loop. The
+    /// admission slot follows the fd.
+    fn handoff(&mut self, token: usize) {
+        let Some(conn) = self.detach(token) else {
             return;
         };
-        let _ = self.epoll.delete(conn.fd);
-        self.backlog_gauge.add(-(conn.backlog as i64));
-        self.gens[token] = self.gens[token].wrapping_add(1);
-        self.free.push(token);
-        self.conns_gauge.add(-1);
         let shared = Arc::clone(&self.shared);
         let count = Arc::clone(&self.count);
-        let timeout = self.handoff_timeout;
+        let timeout = self.idle_timeout;
         thread::spawn(move || {
-            let Conn {
-                mut stream,
-                buf,
-                out,
-                out_head,
-                ..
-            } = conn;
             // If the fd cannot be returned to blocking mode, writing
-            // would fail spuriously with `WouldBlock` mid-buffer; close
+            // would fail spuriously with `WouldBlock` mid-queue; close
             // instead of speaking a takeover protocol on a broken fd.
-            let mut flushed = stream.set_nonblocking(false).is_ok();
-            let _ = stream.set_read_timeout(timeout);
-            if flushed {
-                // Flush responses buffered for earlier pipelined frames
-                // before the takeover protocol speaks.
-                for (i, buffer) in out.iter().enumerate() {
-                    let from = if i == 0 { out_head } else { 0 };
-                    if stream.write_all(&buffer[from..]).is_err() {
-                        flushed = false;
-                        break;
-                    }
-                }
-            }
-            if flushed {
-                match kind {
-                    Handoff::Admin => {
-                        // The buffer still holds the sniffed `GET `;
-                        // everything after it is the admin prefill.
-                        let leftover = buf.unconsumed();
-                        serve_admin(stream, &shared, &leftover[leftover.len().min(4)..]);
-                    }
-                    Handoff::Subscribe { from_seq } => {
-                        serve_subscription(stream, &shared, from_seq);
-                    }
-                }
+            if conn.stream.set_nonblocking(false).is_ok() {
+                let _ = conn.stream.set_read_timeout(timeout);
+                drive(conn.stream, conn.session, &shared);
             }
             count.release();
         });
     }
 }
 
-enum Handoff {
-    Admin,
-    Subscribe { from_seq: u64 },
-}
-
 /// Whether a connection's input side has hit its high-water mark: a
 /// budget's worth of bytes is buffered *and* at least one complete
 /// frame waits among them, so processing (not reading) is what makes
 /// progress next. The second condition matters — a single legal frame
-/// can run to [`MAX_BODY`], far past the budget, and parking reads
+/// can run to [`MAX_BODY`](crate::protocol::MAX_BODY), far past the budget, and parking reads
 /// mid-frame would deadlock it; one complete frame in the buffer
 /// guarantees the ready-list keeps draining until reads resume.
 fn input_saturated(conn: &Conn) -> bool {
-    conn.buf.available() >= READ_BUDGET && conn.buf.has_work()
+    conn.session.buffered() >= READ_BUDGET && conn.session.has_work()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{write_frame, Request};
-
-    fn frame_of(req: &Request) -> Vec<u8> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &req.encode()).unwrap();
-        wire
-    }
-
-    fn hello() -> Request {
-        Request::Hello { version: 1 }
-    }
-
-    #[test]
-    fn frame_buffer_reassembles_across_every_split() {
-        let a = frame_of(&hello());
-        let b = frame_of(&Request::Stats {
-            tenant: "t".to_owned(),
-        });
-        let c = frame_of(&Request::Metrics);
-        let stream: Vec<u8> = [a.clone(), b.clone(), c.clone()].concat();
-        let bodies = [&a, &b, &c].map(|f| f[4..f.len() - 8].to_vec());
-        // Every two-part split of the whole pipelined stream must yield
-        // the same three bodies.
-        for cut in 0..=stream.len() {
-            let mut fb = FrameBuffer::new();
-            fb.extend(&stream[..cut]);
-            let mut got = Vec::new();
-            while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
-            }
-            fb.extend(&stream[cut..]);
-            while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
-            }
-            assert_eq!(got, bodies.to_vec(), "split at {cut}");
-        }
-        // And byte-at-a-time arrival resumes the parse, never
-        // re-scanning: the cached pending length survives each call.
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        for &byte in &stream {
-            fb.extend(&[byte]);
-            while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
-            }
-        }
-        assert_eq!(got, bodies.to_vec());
-        assert_eq!(fb.available(), 0);
-    }
-
-    #[test]
-    fn frame_buffer_rejects_bad_length_and_checksum() {
-        let mut fb = FrameBuffer::new();
-        fb.extend(&(MAX_BODY + 1).to_le_bytes());
-        assert!(matches!(fb.next_frame(), Err(FrameError::BadLength { .. })));
-        let mut fb = FrameBuffer::new();
-        fb.extend(&0u32.to_le_bytes());
-        assert!(matches!(
-            fb.next_frame(),
-            Err(FrameError::BadLength { len: 0 })
-        ));
-        let mut damaged = frame_of(&hello());
-        let at = damaged.len() - 3; // inside the trailing checksum
-        damaged[at] ^= 0x40;
-        let mut fb = FrameBuffer::new();
-        fb.extend(&damaged);
-        assert!(matches!(fb.next_frame(), Err(FrameError::Checksum)));
-    }
-
-    #[test]
-    fn frame_buffer_has_work_tracks_progress() {
-        let frame = frame_of(&hello());
-        let mut fb = FrameBuffer::new();
-        assert!(!fb.has_work());
-        fb.extend(&frame[..frame.len() - 1]);
-        assert!(!fb.has_work(), "torn frame is not workable");
-        fb.extend(&frame[frame.len() - 1..]);
-        assert!(fb.has_work());
-        fb.next_frame().unwrap().unwrap();
-        assert!(!fb.has_work());
-        // A known-bad prefix counts as work: the damage wants reporting.
-        fb.extend(&(MAX_BODY + 1).to_le_bytes());
-        assert!(fb.has_work());
-    }
-
-    #[test]
-    fn frame_buffer_compacts_consumed_prefix() {
-        let frame = frame_of(&hello());
-        let mut fb = FrameBuffer::new();
-        for _ in 0..3 {
-            fb.extend(&frame);
-        }
-        assert!(fb.next_frame().unwrap().is_some());
-        assert!(fb.pos > 0, "mid-stream keeps the offset");
-        assert!(fb.next_frame().unwrap().is_some());
-        assert!(fb.next_frame().unwrap().is_some());
-        assert_eq!(fb.pos, 0, "fully-consumed buffer resets");
-        assert!(fb.buf.is_empty());
-    }
 
     #[test]
     fn wheel_files_and_expires_lazily() {

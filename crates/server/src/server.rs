@@ -1,15 +1,18 @@
-//! The TCP server: framing loop, admission control, and the HTTP admin
-//! endpoint, behind a choice of two I/O models.
+//! The TCP server: the request core, admission control, and the HTTP
+//! admin endpoint, behind a choice of two I/O models.
 //!
-//! The default [`IoModel::Threads`] runs one OS thread per connection
-//! over blocking I/O — a fine trade at modest concurrency: a
+//! Both models drive the same per-connection state machine (the
+//! crate-private `conn` module: framing, admin sniffing, frame-damage
+//! policy, fairness cap), which hands each frame to [`process_body`]
+//! here — so their responses are byte-identical by construction. The
+//! default [`IoModel::Threads`] runs one OS thread per connection with
+//! the blocking driver — a fine trade at modest concurrency: a
 //! connection's requests are strictly sequential (the protocol is
 //! request/response), the farm's read path is wait-free, so threads
 //! spend their lives parked in `read()` costing a stack apiece.
-//! [`IoModel::Epoll`] (Linux only; see [`crate::reactor`]) replaces the
+//! [`IoModel::Epoll`] (Linux only; see `crate::reactor`) replaces the
 //! parked threads with a few reactor threads multiplexing nonblocking
-//! connection state machines — same protocol, same farm, byte-identical
-//! responses, a fraction of the memory at high connection counts.
+//! sockets — a fraction of the memory at high connection counts.
 //! Admission control bounds the cost either way: past
 //! [`ServerConfig::max_connections`] a new connection receives one
 //! [`ErrorCode::Busy`] frame and is closed, deterministically, instead
@@ -58,13 +61,16 @@ use std::time::{Duration, Instant};
 use cpplookup_obs::{Counter, Family2, HistogramFamily, Span, SpanRecorder};
 use cpplookup_wal::{TailCursor, WalStore};
 
+use crate::conn::{drive, Session};
 use crate::farm::{Farm, FarmOptions, ProbeTiming};
 use crate::protocol::{
-    read_frame_body, write_frame, ErrorCode, FrameError, Request, Response, TracedEncoder,
-    WireOutcome, WireSpan, PROTOCOL_VERSION,
+    write_frame, ErrorCode, Request, Response, TracedEncoder, WireOutcome, WireSpan,
+    PROTOCOL_VERSION,
 };
 use crate::recorder::FlightRecorder;
 use crate::replication::wire_record;
+#[cfg(target_os = "linux")]
+use crate::sys::EventFd;
 
 /// Observability-layer configuration: per-tenant metric families and
 /// the flight recorder. Request tracing (the protocol TRACE flag) is
@@ -172,11 +178,6 @@ pub struct ServerConfig {
     /// Reactor threads under [`IoModel::Epoll`]; `0` (the default) runs
     /// one per available core.
     pub reactors: usize,
-    /// Fairness cap: the most pipelined requests one connection is
-    /// served back-to-back before the server yields to its peers — per
-    /// readiness event under the reactor, per yield point under the
-    /// threaded model.
-    pub max_frames_per_turn: usize,
 }
 
 impl Default for ServerConfig {
@@ -193,7 +194,6 @@ impl Default for ServerConfig {
             read_only: false,
             io_model: IoModel::default(),
             reactors: 0,
-            max_frames_per_turn: 32,
         }
     }
 }
@@ -243,32 +243,6 @@ impl ObsState {
                 "response bytes written to the wire",
             ),
         }
-    }
-}
-
-/// The shutdown doorbell: a wakeup fd the acceptor polls beside the
-/// listener, so stopping the server never needs the old "throwaway
-/// connect to unblock accept" hack. Shared by both I/O models (the
-/// reactors carry their own per-thread doorbells on top).
-#[cfg(target_os = "linux")]
-pub(crate) struct Wakeup(crate::sys::EventFd);
-
-#[cfg(target_os = "linux")]
-impl Wakeup {
-    fn new() -> io::Result<Wakeup> {
-        Ok(Wakeup(crate::sys::EventFd::new()?))
-    }
-
-    fn raw(&self) -> std::os::unix::io::RawFd {
-        self.0.raw()
-    }
-
-    fn signal(&self) {
-        self.0.signal();
-    }
-
-    fn drain(&self) {
-        self.0.drain();
     }
 }
 
@@ -323,8 +297,10 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
+    /// The shutdown doorbell the acceptor polls beside the listener, so
+    /// stopping never needs a throwaway connect to unblock `accept`.
     #[cfg(target_os = "linux")]
-    wake: Arc<Wakeup>,
+    wake: Arc<EventFd>,
     #[cfg(target_os = "linux")]
     reactors: Option<Arc<crate::reactor::ReactorSet>>,
     acceptor: Option<thread::JoinHandle<()>>,
@@ -400,7 +376,7 @@ impl Server {
             });
         #[cfg(target_os = "linux")]
         {
-            let wake = Arc::new(Wakeup::new()?);
+            let wake = Arc::new(EventFd::new()?);
             let reactors = match config.io_model {
                 IoModel::Epoll => Some(crate::reactor::ReactorSet::start(
                     Arc::clone(&shared),
@@ -514,11 +490,10 @@ fn admit(
     let shared = Arc::clone(shared);
     let count = Arc::clone(count);
     let timeout = cfg.read_timeout;
-    let cap = cfg.max_frames_per_turn.max(1);
     thread::spawn(move || {
         let _ = stream.set_read_timeout(timeout);
         let _ = stream.set_nodelay(true);
-        serve_connection(stream, &shared, cap);
+        drive(stream, Session::new(), &shared);
         count.release();
     });
 }
@@ -530,7 +505,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     cfg: ServerConfig,
     count: Arc<ConnCount>,
-    wake: Arc<Wakeup>,
+    wake: Arc<EventFd>,
     reactors: Option<Arc<crate::reactor::ReactorSet>>,
 ) {
     use std::os::unix::io::AsRawFd;
@@ -637,7 +612,7 @@ impl ReqMeta {
 /// connection (threaded model) or per reactor.
 pub(crate) struct ReqCounters {
     requests: Arc<cpplookup_obs::Family>,
-    errors: Arc<cpplookup_obs::Family>,
+    pub(crate) errors: Arc<cpplookup_obs::Family>,
 }
 
 impl ReqCounters {
@@ -670,30 +645,12 @@ pub(crate) enum Action {
     },
 }
 
-/// The response frame for frame-level damage, or `None` when the peer
-/// simply went away (truncation / transport error — close quietly).
-/// Either way the stream position can no longer be trusted: the caller
-/// must close after sending.
-pub(crate) fn frame_damage_response(counters: &ReqCounters, err: &FrameError) -> Option<Vec<u8>> {
-    let (code, message) = match err {
-        FrameError::BadLength { len } => (
-            ErrorCode::BadLength,
-            format!("frame length {len} outside bounds"),
-        ),
-        FrameError::Checksum => (ErrorCode::BadFrame, "frame checksum mismatch".to_owned()),
-        FrameError::Eof | FrameError::Io(_) => return None,
-    };
-    counters.errors.with_label(code.label()).inc();
-    Some(Response::Error { code, message }.encode())
-}
-
 /// Executes one request body — decode, dispatch, encode, metrics — and
-/// returns what to do with the connection. This is the request core
-/// both I/O models share, so their responses are byte-identical by
-/// construction. `t0` is when the frame became the server's to read
-/// (or, under the reactor, to process) and `t1` when its bytes were
-/// fully acquired; together with the decode and farm phase stamps they
-/// cut the traced span tree's exact partition.
+/// returns what to do with the connection. The connection state machine
+/// calls it for every frame under either I/O model. `t0` is when the
+/// frame's turn began and `t1` when it was peeled off the frame buffer
+/// (the `queue_wait` phase); together with the decode and farm phase
+/// stamps they cut the traced span tree's exact partition.
 pub(crate) fn process_body(
     shared: &Shared,
     counters: &ReqCounters,
@@ -765,56 +722,6 @@ pub(crate) fn process_body(
     Action::Reply(frame_body)
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared, max_frames_per_turn: usize) {
-    let counters = ReqCounters::new();
-    let mut served = 0u64;
-    loop {
-        // Read the 4-byte prefix ourselves so the first bytes can be
-        // sniffed for HTTP admin traffic.
-        let mut prefix = [0u8; 4];
-        if read_exact_or_close(&mut stream, &mut prefix).is_err() {
-            return;
-        }
-        if &prefix == b"GET " {
-            serve_admin(stream, shared, &[]);
-            return;
-        }
-        // t0: request visible. t1: frame fully read.
-        let t0 = Instant::now();
-        let body = match read_frame_body(&mut stream, u32::from_le_bytes(prefix)) {
-            Ok(body) => body,
-            Err(e) => {
-                // Frame-level damage answers once, then closes — the
-                // stream position is garbage from here. Truncation or
-                // I/O failure closes quietly.
-                if let Some(frame) = frame_damage_response(&counters, &e) {
-                    let _ = write_frame(&mut stream, &frame);
-                }
-                return;
-            }
-        };
-        let t1 = Instant::now();
-        match process_body(shared, &counters, &body, t0, t1) {
-            Action::Subscribe { from_seq } => {
-                serve_subscription(stream, shared, from_seq);
-                return;
-            }
-            Action::Reply(frame) => {
-                if write_frame(&mut stream, &frame).is_err() {
-                    return;
-                }
-            }
-        }
-        // Fairness: a client pipelining an unbroken run of requests
-        // yields the core periodically so its peers' threads run —
-        // the threaded model's analogue of the reactor's per-event cap.
-        served += 1;
-        if served.is_multiple_of(max_frames_per_turn.max(1) as u64) {
-            thread::yield_now();
-        }
-    }
-}
-
 /// Builds the span tree for one traced probe and encodes the traced
 /// response. The outcomes are encoded *before* the spans are stamped,
 /// so the `encode` span reflects real outcome-encoding work; the six
@@ -880,8 +787,8 @@ fn op_label(req: &Request) -> &'static str {
 /// Executes one decoded request against the farm. Reads also return
 /// the farm's phase timing, for the caller to cut spans from when the
 /// request asked for a trace.
-/// ([`Request::Subscribe`] never reaches here — it takes over the
-/// connection in `serve_connection`.)
+/// ([`Request::Subscribe`] never reaches here — [`process_body`] turns
+/// it into a connection takeover.)
 fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
     let farm = &shared.farm;
     let err = |(code, message): (ErrorCode, String)| Response::Error { code, message };
@@ -1046,24 +953,10 @@ fn respond(stream: &mut TcpStream, response: Response) -> bool {
     write_frame(stream, &response.encode()).is_ok()
 }
 
-fn read_exact_or_close(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), ()> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
-        }
-    }
-    Ok(())
-}
-
 /// Serves one HTTP request on a connection whose first bytes were
 /// `GET `; the rest of the header is read (bounded) and discarded
 /// beyond the request target. `prefill` is any bytes past the sniffed
-/// `GET ` that the caller already pulled off the socket — the reactor
-/// hands over whatever its read buffer holds.
+/// `GET ` that the connection's driver already pulled off the socket.
 pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]) {
     // Read until the end of the header block or an 8 KiB cap, consuming
     // the prefill before touching the socket again.

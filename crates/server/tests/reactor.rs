@@ -226,10 +226,6 @@ fn epoll_traced_partition_stays_exact() {
 fn pipelined_burst_beyond_fairness_cap_answers_in_order() {
     let dir = TempDir::new("burst");
     let preload = fig2_preload(&dir);
-    let small_cap = |io_model| ServerConfig {
-        max_frames_per_turn: 4,
-        ..config(io_model, &preload)
-    };
     let session: Vec<Request> = (0..100)
         .map(|i| {
             if i % 2 == 0 {
@@ -240,7 +236,7 @@ fn pipelined_burst_beyond_fairness_cap_answers_in_order() {
         })
         .collect();
     for io_model in [IoModel::Epoll, IoModel::Threads] {
-        let server = Server::start(small_cap(io_model)).unwrap();
+        let server = Server::start(config(io_model, &preload)).unwrap();
         let responses = play(server.addr(), &session);
         assert_eq!(responses.len(), 100);
         for (i, body) in responses.iter().enumerate() {
@@ -323,10 +319,6 @@ fn torn_trailing_frame_is_dropped_after_complete_ones_answer() {
 fn unread_pipelined_backlog_parks_reads_then_drains_completely() {
     let dir = TempDir::new("backlog");
     let preload = fig2_preload(&dir);
-    let small_cap = |io_model| ServerConfig {
-        max_frames_per_turn: 4,
-        ..config(io_model, &preload)
-    };
     // 256 batches of 256 probes each: ~2 MB of responses, far past the
     // socket buffers, so the server is forced through its blocked-write
     // state while the client deliberately sits on the unread backlog.
@@ -346,7 +338,7 @@ fn unread_pipelined_backlog_parks_reads_then_drains_completely() {
     let wire: Vec<u8> = batch.repeat(count);
     let mut per_model = Vec::new();
     for io_model in [IoModel::Epoll, IoModel::Threads] {
-        let server = Server::start(small_cap(io_model)).unwrap();
+        let server = Server::start(config(io_model, &preload)).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -414,9 +406,9 @@ fn frame_larger_than_read_budget_completes_in_both_models() {
 }
 
 /// The tentpole reassembly property: splitting the recorded session at
-/// EVERY byte boundary (two writes with a flush between) must leave the
-/// reactor's responses byte-identical to the threaded model's answers
-/// for the unsplit session.
+/// EVERY byte boundary (two writes with a flush between) must leave
+/// both models' responses byte-identical to the threaded model's
+/// answers for the unsplit session.
 #[test]
 fn every_byte_boundary_split_reassembles_identically() {
     let dir = TempDir::new("splits");
@@ -441,8 +433,15 @@ fn every_byte_boundary_split_reassembles_identically() {
     let wire: Vec<u8> = session.iter().flat_map(frame_of).collect();
     let want = play(threads.addr(), &session);
     for cut in 0..=wire.len() {
-        let got = play_chunks(epoll.addr(), &[&wire[..cut], &wire[cut..]], session.len());
-        assert_eq!(got, want, "split at byte {cut} diverged");
+        for server in [&epoll, &threads] {
+            let got = play_chunks(server.addr(), &[&wire[..cut], &wire[cut..]], session.len());
+            assert_eq!(
+                got,
+                want,
+                "split at byte {cut} diverged ({})",
+                server.addr()
+            );
+        }
     }
 }
 
@@ -451,7 +450,8 @@ proptest! {
 
     /// Arbitrary multi-way splits of the recorded multi-frame session —
     /// partial writes tearing frames anywhere, many times over — always
-    /// reassemble to the threaded model's byte-exact answers.
+    /// reassemble to the threaded model's byte-exact answers for the
+    /// unsplit session, in both models.
     #[test]
     fn arbitrary_partial_writes_reassemble_identically(
         cuts in proptest::collection::vec(0.0f64..1.0, 0..12),
@@ -459,6 +459,9 @@ proptest! {
         let dir = TempDir::new("prop");
         let preload = fig2_preload(&dir);
         let (epoll, threads) = start_pair(&preload);
+        // The session edits its tenant, so the split replay under the
+        // threaded model gets a server of its own.
+        let split_threads = Server::start(config(IoModel::Threads, &preload)).unwrap();
         let session = recorded_session();
         let wire: Vec<u8> = session.iter().flat_map(frame_of).collect();
         let mut offsets: Vec<usize> = cuts
@@ -473,9 +476,11 @@ proptest! {
             .windows(2)
             .map(|w| &wire[w[0]..w[1]])
             .collect();
-        let got = play_chunks(epoll.addr(), &chunks, session.len());
         let want = play(threads.addr(), &session);
-        prop_assert_eq!(got, want, "chunking {:?} diverged", offsets);
+        let got = play_chunks(epoll.addr(), &chunks, session.len());
+        prop_assert_eq!(&got, &want, "epoll: chunking {:?} diverged", offsets);
+        let got = play_chunks(split_threads.addr(), &chunks, session.len());
+        prop_assert_eq!(&got, &want, "threads: chunking {:?} diverged", offsets);
     }
 }
 
@@ -531,6 +536,39 @@ fn admin_endpoint_works_under_epoll() {
         response.contains("reactor_connections"),
         "per-reactor gauges must be exported: {response}"
     );
+}
+
+/// An admin request whose first bytes arrive apart — before the sniff
+/// has its four bytes, or mid request target — is still recognised and
+/// answered, in both models.
+#[test]
+fn admin_request_split_before_sniff_answers_in_both_models() {
+    let dir = TempDir::new("admin-split");
+    let preload = fig2_preload(&dir);
+    let (epoll, threads) = start_pair(&preload);
+    let request = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+    // `GE` + the rest, and `GET /met` + the rest.
+    for cut in [2, 8] {
+        for server in [&epoll, &threads] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream.write_all(&request[..cut]).unwrap();
+            // Not needed to pass; makes the first part arrive as a read
+            // of its own rather than coalesced with the rest.
+            std::thread::sleep(Duration::from_millis(10));
+            stream.write_all(&request[cut..]).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 200 OK"),
+                "split at {cut} ({}): {response}",
+                server.addr()
+            );
+        }
+    }
 }
 
 /// `SUBSCRIBE` under the reactor: the connection is handed off to a
