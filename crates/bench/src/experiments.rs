@@ -1270,7 +1270,7 @@ fn serve_probes(chg: &Chg, table: &LookupTable, seed: u64) -> Vec<Probe> {
 /// reported. Also emits `BENCH_e22.json` for the CI no-regression
 /// guard (`e22-smoke`).
 fn e22(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::{DirectoryKind, DispatchIndex};
+    use cpplookup_core::DispatchIndex;
     use cpplookup_snapshot::{Snapshot, SnapshotTable};
 
     const THREADS: usize = 8;
@@ -1282,8 +1282,7 @@ fn e22(w: &mut dyn Write) -> io::Result<()> {
         w,
         "  table = FxHashMap-of-FxHashMap entry clone; snapshot = binary-search \
          + varint decode per hit; index = pre-decoded CSR rows served via \
-         allocation-free lookup_ref (open-addressed directory: E22 is the \
-         baseline-directory experiment; the MPH directory is E26's subject)"
+         allocation-free lookup_ref through the minimal perfect hash directory"
     )?;
     let families: Vec<(&str, Chg)> = vec![
         ("chain_2500", families::chain(2500, Some(16))),
@@ -1312,8 +1311,7 @@ fn e22(w: &mut dyn Write) -> io::Result<()> {
         let table = LookupTable::build(chg);
         let snap = SnapshotTable::from_bytes(Snapshot::compile(chg).into_bytes())
             .expect("snapshot roundtrip");
-        let index = DispatchIndex::from_table(LookupTable::build(chg))
-            .with_directory_kind(DirectoryKind::Open);
+        let index = DispatchIndex::from_table(LookupTable::build(chg));
         let probes = serve_probes(chg, &table, 0x9E37 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
         let mt_reps = (1_000_000 / probes.len()).max(1);
@@ -1451,30 +1449,42 @@ fn json_f64(json: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// E22's CI guard, in three stages: a full index-vs-table differential
+/// The table's answer for `(c, m)`, or `NotFound` past its class range:
+/// the smokes' dead-id margins probe beyond the ids the table covers.
+fn table_lookup(
+    table: &LookupTable,
+    class_count: usize,
+    c: cpplookup_chg::ClassId,
+    m: cpplookup_chg::MemberId,
+) -> LookupOutcome {
+    if c.index() < class_count {
+        table.lookup(c, m)
+    } else {
+        LookupOutcome::NotFound
+    }
+}
+
+/// E22's CI guard, in four stages: a full index-vs-table differential
 /// on an interface-heavy family (every construction detail wrong shows
-/// up here), a serve-sweep perf floor on `grid_50x50` — the family
-/// where the index's one-line probe has the widest, most noise-proof
-/// margin over the hashmap table (≥2×) — and, when a committed
-/// `BENCH_e22.json` baseline exists, a no-regression check against
-/// 0.4× that family's recorded ratio.
-///
-/// Since the MPH directory became the serving default, this guard pins
-/// the index to the **open-addressed** directory on purpose: open is
-/// the fallback every version-1 snapshot still loads through, so it
-/// must stay correct and fast on its own. The MPH path has its own
-/// gate (`e26-smoke`).
+/// up here); a version-1 load gate — `tests/fixtures/chain_12_v1.snap`,
+/// written before snapshots carried their hash, must build its minimal
+/// perfect hash at load and answer every pair plus a dead-id margin as
+/// the table does; a serve-sweep perf floor on `grid_50x50` — the
+/// family where the index's one-line probe has the widest, most
+/// noise-proof margin over the hashmap table (≥2×) — and, when a
+/// committed `BENCH_e22.json` baseline exists, a no-regression check
+/// against 0.4× that family's recorded ratio.
 fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::{DirectoryKind, DispatchIndex};
+    use cpplookup_core::DispatchIndex;
+    use cpplookup_snapshot::SnapshotTable;
 
     writeln!(
         w,
-        "E22-smoke: dispatch-index differential + serve perf guard (open-directory fallback path)"
+        "E22-smoke: dispatch-index differential, v1-load gate + serve perf guard"
     )?;
     let diff = families::interface_heavy(200, 4);
     let diff_table = LookupTable::build(&diff);
-    let diff_index = DispatchIndex::from_table(LookupTable::build(&diff))
-        .with_directory_kind(DirectoryKind::Open);
+    let diff_index = DispatchIndex::from_table(LookupTable::build(&diff));
     for c in diff.classes() {
         for m in diff.member_ids() {
             if diff_index.lookup_ref(c, m).to_outcome() != diff_table.lookup(c, m) {
@@ -1492,10 +1502,43 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
         diff.class_count(),
         diff_index.entry_count()
     )?;
+    let v1_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/chain_12_v1.snap");
+    let v1 = SnapshotTable::load(&v1_path)
+        .map_err(|e| io::Error::other(format!("{}: {e}", v1_path.display())))?;
+    let v1_index = v1.dispatch_index();
+    let v1_chg = families::chain(12, None);
+    let v1_table = LookupTable::build(&v1_chg);
+    if v1_index.class_count() != v1_chg.class_count()
+        || v1_index.entry_count() != v1_table.stats().entries
+    {
+        return Err(io::Error::other(
+            "v1 snapshot index does not cover the chain_12 table",
+        ));
+    }
+    for ci in 0..v1_chg.class_count() + 3 {
+        for mi in 0..v1_chg.member_name_count() + 3 {
+            let (c, m) = (
+                cpplookup_chg::ClassId::from_index(ci),
+                cpplookup_chg::MemberId::from_index(mi),
+            );
+            if v1_index.lookup_ref(c, m).to_outcome()
+                != table_lookup(&v1_table, v1_chg.class_count(), c, m)
+            {
+                return Err(io::Error::other(format!(
+                    "v1 snapshot index diverges from table at probe ({ci}, {mi})"
+                )));
+            }
+        }
+    }
+    writeln!(
+        w,
+        "  v1 load: {} entries, mph built at load, index == table (+3 dead margin)",
+        v1_index.entry_count()
+    )?;
     let chg = families::grid(50, 50);
     let table = LookupTable::build(&chg);
-    let index = DispatchIndex::from_table(LookupTable::build(&chg))
-        .with_directory_kind(DirectoryKind::Open);
+    let index = DispatchIndex::from_table(LookupTable::build(&chg));
     let probes = serve_probes(&chg, &table, 0xE22);
     let reps = (1_000_000 / probes.len()).max(1);
     let (ns_table, s_table) =
@@ -2194,6 +2237,9 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
 
     let io_model = io_model_from_env();
     writeln!(w, "  io-model: {}", io_model.label())?;
+    // One reactor per server under epoll: the A/B then does not depend
+    // on the host's core count, and the two servers plus the load
+    // threads oversubscribe a small host less.
     let start = |enabled: bool| -> io::Result<(Server, String)> {
         let server = Server::start(ServerConfig {
             preload: vec![("t0".to_owned(), snap_path.clone())],
@@ -2202,6 +2248,7 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
                 ..ObsConfig::default()
             },
             io_model,
+            reactors: 1,
             ..ServerConfig::default()
         })?;
         let addr = server.addr().to_string();
@@ -2744,40 +2791,31 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// E26 — the minimal perfect hash probe directory against the
-/// open-addressed directory it replaced, plus the SWAR batch path.
+/// E26 — the minimal perfect hash probe directory and the SWAR batch
+/// path over it.
 ///
-/// Four measurements per family, on shuffled live-pair probe streams
-/// with cross-directory checksums verified before any number is
+/// Three measurements per family, on shuffled live-pair probe streams
+/// with checksums verified against `lookup_ref` before any number is
 /// reported:
 ///
-/// 1. **Serve-path race** (the headline) — the new BATCH serve path
-///    (`lookup_batch_into` over 256-probe chunks, reused buffer, MPH
-///    directory) against the serve path it replaced: a per-probe
-///    *owned* `lookup` loop over the open-addressed directory (one
+/// 1. **Directory probe** — single-thread ns/lookup through
+///    `lookup_ref`: one displacement read plus exactly one
+///    data-dependent cell line.
+/// 2. **Batch against owned** (the headline) — the BATCH serve path
+///    (`lookup_batch_into` over 256-probe chunks, reused buffer)
+///    against a per-probe *owned* `lookup` loop on the same index (one
 ///    owned outcome, witness `Vec` clones and per-call obs hooks
-///    included, per probe — exactly what the server's BATCH handler
-///    ran before this change, and what a v1 snapshot still runs).
-/// 2. **Batch isolation** — the same batch path against the owned
-///    loop *on the MPH directory*, so the ratio isolates the batch
-///    rewrite from the directory swap.
-/// 3. **Directory race** (context, no target) — single-thread
-///    ns/lookup through `lookup_ref`, open vs MPH. The MPH probe is
-///    one displacement read plus exactly one data-dependent cell
-///    line, but pays ~4 serial multiplies against open addressing's
-///    one; it wins once the open table outgrows cache (collision
-///    chains start missing lines) and loses on cache-resident
-///    families. Reported honestly either way — the serving win is
-///    the batch path plus roughly halved directory bytes.
-/// 4. **Thread scaling** — aggregate MPH lookup throughput from 1 to
-///    32 threads on the largest family; the shared directory is
+///    included, per probe).
+/// 3. **Thread scaling** — aggregate lookup throughput from 1 to 32
+///    threads on the largest family; the shared directory is
 ///    read-only, so scaling should track cores until memory bandwidth
 ///    (on a single-core host the curve is honestly flat).
 ///
 /// Emits `BENCH_e26.json` (with host context) for the CI gate
-/// (`e26-smoke`).
+/// (`e26-smoke`). Files recorded before the open-addressed directory
+/// was deleted also carry its columns, as history.
 fn e26(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::{DirectoryKind, DispatchIndex};
+    use cpplookup_core::DispatchIndex;
 
     const CHUNK: usize = 256;
     const THREAD_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -2787,11 +2825,10 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     )?;
     writeln!(
         w,
-        "  open = open-addressed directory (the v1-snapshot fallback); mph = CHD \
-         displacement directory (the serving default); owned = per-probe owned \
-         lookup loop (the serve path the BATCH handler used to run, measured on \
-         the open directory); batch = lookup_batch_into over {CHUNK}-probe \
-         chunks with a reused buffer on the mph directory (the serve path now)"
+        "  mph = lookup_ref through the CHD displacement directory; owned = \
+         per-probe owned lookup loop on the same index; batch = \
+         lookup_batch_into over {CHUNK}-probe chunks with a reused buffer \
+         (the serve path)"
     )?;
     let families: Vec<(&str, Chg)> = vec![
         ("chain_2500", families::chain(2500, Some(16))),
@@ -2809,58 +2846,26 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "  single thread, ns/lookup:")?;
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "family",
-        "classes",
-        "entries",
-        "open",
-        "mph",
-        "dir gain",
-        "owned",
-        "batch",
-        "batch gain",
-        "serve gain"
+        "  {:<16} {:>7} {:>8} {:>8} {:>8} {:>8} {:>9}",
+        "family", "classes", "entries", "mph", "owned", "batch", "batch gain"
     )?;
     let mut json_rows: Vec<String> = Vec::new();
-    let mut dir_ratios: Vec<f64> = Vec::new();
     let mut batch_ratios: Vec<f64> = Vec::new();
-    let mut serve_ratios: Vec<f64> = Vec::new();
     for (name, chg) in &families {
         let table = LookupTable::build(chg);
         let mph = DispatchIndex::from_table(LookupTable::build(chg));
-        let open = mph.with_directory_kind(DirectoryKind::Open);
         let probes = serve_probes(chg, &table, 0xE26 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
         let lookups = (reps * probes.len()) as f64;
 
-        let (ns_open, s_open) = serve_single(&probes, reps, |(c, m)| {
-            outcome_ref_word(&open.lookup_ref(c, m))
-        });
         let (ns_mph, s_mph) = serve_single(&probes, reps, |(c, m)| {
             outcome_ref_word(&mph.lookup_ref(c, m))
         });
-        if s_open != s_mph {
-            return Err(io::Error::other(format!(
-                "{name}: open and mph directories disagreed on the serve sweep"
-            )));
-        }
-        // The pre-batch serve path: one owned outcome per probe over
-        // the open directory — what the BATCH handler ran before this
-        // change, and what a v1 snapshot still serves today.
         let (ns_owned, s_owned) =
-            serve_single(&probes, reps, |(c, m)| outcome_word(&open.lookup(c, m)));
+            serve_single(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m)));
         if s_owned != s_mph {
             return Err(io::Error::other(format!(
-                "{name}: owned lookup (open) diverged from lookup_ref"
-            )));
-        }
-        // The same owned loop on the mph directory, so the batch ratio
-        // isolates the loop rewrite from the directory swap.
-        let (ns_owned_mph, s_owned_mph) =
-            serve_single(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m)));
-        if s_owned_mph != s_mph {
-            return Err(io::Error::other(format!(
-                "{name}: owned lookup (mph) diverged from lookup_ref"
+                "{name}: owned lookup diverged from lookup_ref"
             )));
         }
         let (t_batch, s_batch) = median_time(3, || {
@@ -2882,43 +2887,33 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
             )));
         }
         let ns_batch = t_batch.as_secs_f64() * 1e9 / lookups;
-        let dir_ratio = ns_open / ns_mph.max(f64::MIN_POSITIVE);
-        let batch_ratio = ns_owned_mph / ns_batch.max(f64::MIN_POSITIVE);
-        let serve_ratio = ns_owned / ns_batch.max(f64::MIN_POSITIVE);
-        // The acceptance geomeans are over the ≥2000-class families;
+        let batch_ratio = ns_owned / ns_batch.max(f64::MIN_POSITIVE);
+        // The acceptance geomean is over the ≥2000-class families;
         // smaller ones are printed for shape but not averaged in.
         if chg.class_count() >= 2000 {
-            dir_ratios.push(dir_ratio);
             batch_ratios.push(batch_ratio);
-            serve_ratios.push(serve_ratio);
         }
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>8.1} {:>8.1} {:>7.2}x {:>8.1} {:>8.1} {:>8.2}x {:>8.2}x",
+            "  {:<16} {:>7} {:>8} {:>8.1} {:>8.1} {:>8.1} {:>8.2}x",
             name,
             chg.class_count(),
             mph.entry_count(),
-            ns_open,
             ns_mph,
-            dir_ratio,
             ns_owned,
             ns_batch,
             batch_ratio,
-            serve_ratio,
         )?;
         json_rows.push(format!(
             "    {{\"name\": \"{name}\", \"classes\": {}, \"entries\": {}, \
-             \"single_ns\": {{\"open\": {ns_open:.2}, \"mph\": {ns_mph:.2}, \
-             \"owned_open\": {ns_owned:.2}, \"owned_mph\": {ns_owned_mph:.2}, \
+             \"single_ns\": {{\"mph\": {ns_mph:.2}, \"owned_mph\": {ns_owned:.2}, \
              \"batch\": {ns_batch:.2}}}, \
-             \"mph_vs_open_single\": {dir_ratio:.3}, \
-             \"batch_vs_owned\": {batch_ratio:.3}, \
-             \"serve_path_vs_baseline\": {serve_ratio:.3}}}",
+             \"batch_vs_owned\": {batch_ratio:.3}}}",
             chg.class_count(),
             mph.entry_count(),
         ));
     }
-    // Thread scaling on the largest family, MPH directory.
+    // Thread scaling on the largest family.
     let (scale_name, scale_chg) = families.last().expect("families nonempty");
     let table = LookupTable::build(scale_chg);
     let mph = DispatchIndex::from_table(LookupTable::build(scale_chg));
@@ -2949,32 +2944,16 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
         ));
     }
     let geo = |rs: &[f64]| (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
-    let g_dir = geo(&dir_ratios);
     let g_batch = geo(&batch_ratios);
-    let g_serve = geo(&serve_ratios);
     writeln!(
         w,
-        "  target >=1.5x serve path (batch on mph) vs the open-addressed per-probe \
-         loop it replaced, >=2000-class families (geomean): {} ({g_serve:.2}x)",
-        if g_serve >= 1.5 { "PASS" } else { "FAIL" }
-    )?;
-    writeln!(
-        w,
-        "  target >=2x batch vs per-probe owned loop, same directory (geomean): {} ({g_batch:.2}x)",
+        "  target >=2x batch vs per-probe owned loop, same index (geomean): {} ({g_batch:.2}x)",
         if g_batch >= 2.0 { "PASS" } else { "FAIL" }
-    )?;
-    writeln!(
-        w,
-        "  context (no target): mph vs open per-probe lookup_ref geomean {g_dir:.2}x \
-         — the bare directory race; mph pays ~4 serial multiplies + a displacement \
-         load per probe and wins only once the open table outgrows cache"
     )?;
     let json = format!(
         "{{\n  \"experiment\": \"e26\",\n  {},\n  \"families\": [\n{}\n  ],\n  \
          \"scaling\": {{\"family\": \"{scale_name}\", \"points\": [\n{}\n  ]}},\n  \
-         \"geomean_mph_vs_open_single\": {g_dir:.3},\n  \
-         \"geomean_batch_vs_owned\": {g_batch:.3},\n  \
-         \"geomean_serve_path_vs_baseline\": {g_serve:.3}\n}}\n",
+         \"geomean_batch_vs_owned\": {g_batch:.3}\n}}\n",
         host_context_json(*THREAD_SWEEP.last().expect("sweep nonempty")),
         json_rows.join(",\n"),
         scale_rows.join(",\n"),
@@ -2986,27 +2965,25 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
 
 /// E26's CI gate, in three stages mirroring `e22-smoke`:
 ///
-/// 1. **MPH/open differential** — every live pair *and* a dead-key
-///    margin beyond the id ranges on an interface-heavy family, both
-///    directories, single and batch paths. A wrong displacement, a
-///    weak slot remix, or a missing key-compare all surface here.
+/// 1. **Directory differential** — every live pair *and* a dead-key
+///    margin beyond the id ranges on an interface-heavy family, single
+///    and batch paths, against the Definition 9 [`LookupTable`]. A
+///    wrong displacement, a weak slot remix, or a missing key-compare
+///    all surface here.
 /// 2. **Perf floor** — ≥1.2× single-thread serve path on
-///    `grid_50x50`: the batched MPH path (`lookup_batch_into`, reused
-///    buffer) against the per-probe owned `lookup` loop on the open
-///    directory that the BATCH handler ran before this change.
+///    `grid_50x50`: the batched path (`lookup_batch_into`, reused
+///    buffer) against the per-probe owned `lookup` loop on the same
+///    index.
 /// 3. **No-regression** — when a committed `BENCH_e26.json` exists,
 ///    the measured ratio must stay above 0.4× the recorded
-///    `grid_50x50` `serve_path_vs_baseline` ratio.
+///    `grid_50x50` `batch_vs_owned` ratio.
 fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::{DirectoryKind, DispatchIndex};
+    use cpplookup_core::DispatchIndex;
 
-    writeln!(w, "E26-smoke: mph/open differential + mph perf floor")?;
+    writeln!(w, "E26-smoke: mph/table differential + batch perf floor")?;
     let diff = families::interface_heavy(200, 4);
+    let table = LookupTable::build(&diff);
     let mph = DispatchIndex::from_table(LookupTable::build(&diff));
-    if mph.directory_kind() != DirectoryKind::Mph {
-        return Err(io::Error::other("from_table no longer defaults to mph"));
-    }
-    let open = mph.with_directory_kind(DirectoryKind::Open);
     // Live pairs and a margin of dead ids beyond both ranges: an alien
     // key still hashes *somewhere*, so this exercises the key-compare
     // rejection, not just the happy path.
@@ -3021,14 +2998,13 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
         })
         .collect();
     let mut mph_batch = Vec::new();
-    let mut open_batch = Vec::new();
     mph.lookup_batch_into(&probes, &mut mph_batch);
-    open.lookup_batch_into(&probes, &mut open_batch);
     for (i, &(c, m)) in probes.iter().enumerate() {
         let got = mph.lookup_ref(c, m);
-        if got != open.lookup_ref(c, m) || got != mph_batch[i] || got != open_batch[i] {
+        if got.to_outcome() != table_lookup(&table, diff.class_count(), c, m) || got != mph_batch[i]
+        {
             return Err(io::Error::other(format!(
-                "mph/open divergence at probe ({}, {})",
+                "mph/table divergence at probe ({}, {})",
                 c.index(),
                 m.index()
             )));
@@ -3037,22 +3013,20 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "  differential: {} probes ({} live entries + dead margin), \
-         mph == open, batch == single",
+         mph == table, batch == single",
         probes.len(),
         mph.entry_count()
     )?;
     let chg = families::grid(50, 50);
     let table = LookupTable::build(&chg);
     let mph = DispatchIndex::from_table(LookupTable::build(&chg));
-    let open = mph.with_directory_kind(DirectoryKind::Open);
     let probes = serve_probes(&chg, &table, 0xE26);
     let reps = (1_000_000 / probes.len()).max(1);
-    // The serve path before this change: one owned outcome (witness
-    // Vec clones and obs hooks included) per probe, open directory.
-    let (ns_owned, s_owned) =
-        serve_single(&probes, reps, |(c, m)| outcome_word(&open.lookup(c, m)));
-    // The serve path now: batched allocation-free lookups, mph
-    // directory, reused output buffer.
+    // One owned outcome (witness Vec clones and obs hooks included)
+    // per probe.
+    let (ns_owned, s_owned) = serve_single(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m)));
+    // The serve path: batched allocation-free lookups, reused output
+    // buffer.
     let (t_batch, s_batch) = median_time(3, || {
         let mut out = Vec::new();
         let mut sum = 0u64;
@@ -3068,32 +3042,32 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
     });
     if s_owned != s_batch {
         return Err(io::Error::other(
-            "probe checksums diverged between the owned open loop and the mph batch path",
+            "probe checksums diverged between the owned loop and the batch path",
         ));
     }
     let ns_batch = t_batch.as_secs_f64() * 1e9 / (reps * probes.len()) as f64;
     let ratio = ns_owned / ns_batch.max(f64::MIN_POSITIVE);
     writeln!(
         w,
-        "  perf (grid_50x50): owned loop on open {ns_owned:.1} ns/probe, batch on \
-         mph {ns_batch:.1} ns/probe (serve-path speedup {ratio:.2}x)"
+        "  perf (grid_50x50): owned loop {ns_owned:.1} ns/probe, batch \
+         {ns_batch:.1} ns/probe (batch speedup {ratio:.2}x)"
     )?;
     if ratio < 1.2 {
         return Err(io::Error::other(format!(
-            "the batched mph serve path is only {ratio:.2}x the open per-probe \
-             loop it replaced (floor 1.2x)"
+            "the batched serve path is only {ratio:.2}x the per-probe owned \
+             loop (floor 1.2x)"
         )));
     }
     writeln!(w, "  guard: PASS (floor 1.2x)")?;
     if let Ok(baseline) = std::fs::read_to_string("BENCH_e26.json") {
         let recorded = baseline
             .find("\"name\": \"grid_50x50\"")
-            .and_then(|at| json_f64(&baseline[at..], "serve_path_vs_baseline"));
+            .and_then(|at| json_f64(&baseline[at..], "batch_vs_owned"));
         if let Some(recorded) = recorded {
             let floor = (recorded * 0.4).max(1.2);
             if ratio < floor {
                 return Err(io::Error::other(format!(
-                    "serve-path speedup {ratio:.2}x regressed below {floor:.2}x \
+                    "batch speedup {ratio:.2}x regressed below {floor:.2}x \
                      (0.4x the recorded grid_50x50 ratio {recorded:.2}x)"
                 )));
             }

@@ -88,8 +88,7 @@ pub use engine::{EngineBacking, EngineOptions, EngineStats, LookupEngine};
 pub use lazy::LazyLookup;
 pub use result::{DisplayEntry, Entry, LookupOutcome};
 pub use serve::{
-    DirectoryKind, DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex,
-    ServeHandle,
+    DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex, ServeHandle,
 };
 pub use table::{LookupOptions, LookupTable, TableStats};
 
@@ -109,8 +108,7 @@ pub mod prelude {
     pub use crate::engine::{EngineOptions, LookupEngine};
     pub use crate::result::{Entry, LookupOutcome};
     pub use crate::serve::{
-        DirectoryKind, DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex,
-        ServeHandle,
+        DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex, ServeHandle,
     };
     pub use crate::table::{LookupOptions, LookupTable};
 }

@@ -1,7 +1,7 @@
 //! A minimal perfect hash function over the packed `(class, member)`
-//! probe keys — the "hash, displace" (CHD-style) construction that
-//! turns the serve directory's open-addressed probe chains into exactly
-//! one displacement load plus one data-dependent cell load.
+//! probe keys — the "hash, displace" (CHD-style) construction behind
+//! the serve directory: every probe is exactly one displacement load
+//! plus one data-dependent cell load, with no collision chains.
 //!
 //! The key set of a [`DispatchIndex`](crate::serve::DispatchIndex) is
 //! *static between epochs*: every republish rebuilds the directory from

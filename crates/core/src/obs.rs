@@ -283,36 +283,21 @@ pub fn index_built(_source: &str, _entries: u64, _bytes: u64, _elapsed_ns: u64) 
 }
 
 /// Records one probe-directory build in the [`global()`] registry:
-/// `serve_directory_kind{kind="mph" | "open"}` gauges how many live
-/// directories of each kind have been built (so promotion logs show
-/// which probe path a tenant landed on — a nonzero `open` count means
-/// some tenant is serving through the pre-hash fallback), and, for MPH
-/// builds, `mph_build_seconds` histograms the hash-and-displace
-/// construction wall time (observed in **nanoseconds**, like the other
-/// latency histograms — the help text states the unit). No-op with the
-/// `obs` feature disabled.
+/// `mph_build_seconds` histograms the wall time of building (or, under
+/// a snapshot's prebuilt hash, placing) the minimal-perfect-hash
+/// directory (observed in **nanoseconds**, like the other latency
+/// histograms — the help text states the unit). No-op with the `obs`
+/// feature disabled.
 #[inline]
-pub fn directory_built(_kind: &str, _entries: u64, _mph_build_ns: Option<u64>) {
+pub fn directory_built(_elapsed_ns: u64) {
     #[cfg(feature = "obs")]
-    {
-        let r = global();
-        r.gauge_family(
-            "serve_directory_kind",
-            "probe directories built, by directory kind",
-            "kind",
-            2,
+    global()
+        .histogram(
+            "mph_build_seconds",
+            "minimal perfect hash construction wall time (recorded in nanoseconds)",
+            Histogram::latency_ns(),
         )
-        .with_label(_kind)
-        .add(1);
-        if let Some(ns) = _mph_build_ns {
-            r.histogram(
-                "mph_build_seconds",
-                "minimal perfect hash construction wall time (recorded in nanoseconds)",
-                Histogram::latency_ns(),
-            )
-            .observe(ns);
-        }
-    }
+        .observe(_elapsed_ns);
 }
 
 /// Records one [`ServeHandle`](crate::serve::ServeHandle) publish in

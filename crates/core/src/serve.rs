@@ -20,12 +20,10 @@
 //!               sorted by member id per class  class — rank iteration
 //!                                              and batch locality
 //! directory   : 16-byte cells {key, a, b}     the global probe path,
-//!               key = class | member << 32     verdict decoded inline:
-//!               red  → a = ldc, b = lv         · mph: minimal perfect
-//!               blue → a = pool off,             hash, n cells, zero
-//!                      b = len | BLUE_BIT        collision chains
-//!                                              · open: linear probing,
-//!                                                α ≤ 0.6 (fallback)
+//!               key = class | member << 32     verdict decoded inline;
+//!               red  → a = ldc, b = lv         minimal perfect hash:
+//!               blue → a = pool off,           n cells, zero collision
+//!                      b = len | BLUE_BIT      chains
 //! entries     : fixed-width pre-decoded slots (24 bytes each)
 //!               red  → {ldc, lv, via, shared off+len}
 //!               blue → {witness off+len}
@@ -36,18 +34,18 @@
 //! The rank-sorted `pairs` rows serve ordered iteration
 //! ([`members_of`](DispatchIndex::members_of)); the cell directory
 //! answers a point probe with one hashed 16-byte load. The key set is
-//! *static between epochs*, so the default directory is a minimal
-//! perfect hash ([`crate::mph`]): exactly `n` cells for `n` entries,
-//! every probe is one displacement-array load plus one data-dependent
-//! cache line, with **zero collision chains** — a miss is decided by
-//! the same single key compare a hit needs. (Old snapshots without a
-//! serialized hash fall back to the original open-addressed directory,
-//! [`DirectoryKind::Open`].) Cells live in 64-byte-aligned blocks of
-//! four, so a cell never straddles a cache line. Because a cell carries
-//! the decoded verdict inline, a red hit costs exactly one
-//! data-dependent line — not the `log₂(row)` lines a binary search pays
-//! on member-heavy classes, and not the two-level bucket walk of the
-//! hashmap table. Blue hits add one pool read for the witnesses; the
+//! *static between epochs*, so the directory is a minimal perfect hash
+//! ([`crate::mph`]): exactly `n` cells for `n` entries, every probe is
+//! one displacement-array load plus one data-dependent cache line, with
+//! **zero collision chains** — a miss is decided by the same single key
+//! compare a hit needs. Every index carries this one directory: a
+//! snapshot that ships its hash has its cells placed under it, and one
+//! that does not (format version 1) has the hash built at load. Cells
+//! live in 64-byte-aligned blocks of four, so a cell never straddles a
+//! cache line. Because a cell carries the decoded verdict inline, a
+//! red hit costs exactly one data-dependent line — not the `log₂(row)`
+//! lines a binary search pays on member-heavy classes, and not the
+//! two-level bucket walk of the hashmap table. Blue hits add one pool read for the witnesses; the
 //! `entries` arena is only touched by the cold reconstruction paths
 //! ([`entry`](DispatchIndex::entry), refresh copying, which binary-
 //! search the rank-sorted rows instead).
@@ -64,8 +62,9 @@
 //! * [`DispatchIndex::from_table`] — one pass over
 //!   `LookupTable::into_entries`, no entry clones;
 //! * [`DispatchIndex::from_entries`] — any `(class, member, entry)`
-//!   stream; `SnapshotTable::dispatch_index` uses it to decode each
-//!   varint payload exactly once at load, then never again;
+//!   stream, under a prebuilt hash or a fresh one;
+//!   `SnapshotTable::dispatch_index` uses it to decode each varint
+//!   payload exactly once at load, then never again;
 //! * [`DispatchIndex::from_engine`] / [`DispatchIndex::refreshed`] —
 //!   (re)packs the engine's memo; after
 //!   [`LookupEngine::apply`](crate::LookupEngine::apply) only the dirty
@@ -201,32 +200,6 @@ impl Cell {
     };
 }
 
-/// Which probe directory a [`DispatchIndex`] carries — reported by
-/// [`DispatchIndex::directory_kind`] and surfaced per tenant through
-/// the `serve_directory_kind` gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DirectoryKind {
-    /// The minimal perfect hash directory ([`crate::mph`]): exactly one
-    /// displacement load + one cell line per probe, zero collision
-    /// chains. The default for every freshly built index and for
-    /// current-version snapshots (which serialize the hash).
-    Mph,
-    /// The open-addressed directory (multiplicative hash, linear
-    /// probing, load ≤ 0.6) — the compatibility fallback for snapshots
-    /// written before the hash section existed.
-    Open,
-}
-
-impl DirectoryKind {
-    /// Stable label for metrics and reports: `"mph"` / `"open"`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DirectoryKind::Mph => "mph",
-            DirectoryKind::Open => "open",
-        }
-    }
-}
-
 /// Four cells on one 64-byte line: the arena's unit of alignment, so a
 /// 16-byte cell can never straddle a cache-line boundary and every
 /// probe touches exactly one line of directory.
@@ -270,87 +243,32 @@ impl CellArena {
     }
 }
 
-/// The probe directory behind [`DispatchIndex::lookup_ref`]: either the
-/// minimal perfect hash (one displacement + one cell, every cell
-/// occupied by a live key) or the open-addressed fallback.
+/// The probe directory behind [`DispatchIndex::lookup_ref`]: a minimal
+/// perfect hash with one cell per key at the hash's slot, every cell
+/// occupied by a live key; misses are rejected by the key compare on
+/// the single probed cell.
 #[derive(Clone, Debug)]
-enum Directory {
-    /// Linear probing over a power-of-two arena at load ≤ 0.6.
-    Open(CellArena),
-    /// One cell per key at the hash's slot; misses are rejected by the
-    /// key compare on the single probed cell.
-    Mph { mph: MphFunction, cells: CellArena },
-}
-
-/// How a constructor obtains its directory: build one of the given
-/// kind, or place cells under a hash that already exists (the snapshot
-/// loader deserializes and validates one instead of re-running the
-/// displacement search).
-enum DirectoryInit {
-    Build(DirectoryKind),
-    Prebuilt(MphFunction),
+struct Directory {
+    mph: MphFunction,
+    cells: CellArena,
 }
 
 impl Directory {
-    fn kind(&self) -> DirectoryKind {
-        match self {
-            Directory::Open(_) => DirectoryKind::Open,
-            Directory::Mph { .. } => DirectoryKind::Mph,
-        }
-    }
-
     /// The cell holding `key`, if the key is live — the single-probe
     /// core of every point lookup.
     #[inline]
     fn get(&self, key: u64) -> Option<&Cell> {
-        match self {
-            Directory::Mph { mph, cells } => {
-                if cells.len() == 0 {
-                    return None;
-                }
-                let cell = cells.get(mph.position(key));
-                (cell.key == key).then_some(cell)
-            }
-            Directory::Open(cells) => {
-                let mask = cells.len() - 1;
-                let mut at = hash_key(key) & mask;
-                loop {
-                    let cell = cells.get(at);
-                    if cell.key == key {
-                        return Some(cell);
-                    }
-                    if cell.key == Cell::VACANT {
-                        return None;
-                    }
-                    at = (at + 1) & mask;
-                }
-            }
+        if self.cells.len() == 0 {
+            return None;
         }
+        let cell = self.cells.get(self.mph.position(key));
+        (cell.key == key).then_some(cell)
     }
 
     /// Allocated directory bytes (cells + hash metadata).
     fn bytes(&self) -> usize {
-        match self {
-            Directory::Open(cells) => cells.bytes(),
-            Directory::Mph { mph, cells } => mph.size_bytes() + cells.bytes(),
-        }
+        self.mph.size_bytes() + self.cells.bytes()
     }
-}
-
-/// Directory capacity for `n` occupied cells under open addressing: the
-/// next power of two at or above `n / 0.6`, so the load factor never
-/// exceeds 0.6 and linear probing terminates on a vacant cell.
-#[inline]
-fn directory_cap(n: usize) -> usize {
-    (n.max(1) * 5 / 3 + 1).next_power_of_two()
-}
-
-/// Mixes a packed probe key for the directory (fxhash's 64-bit
-/// multiplier; the high product bits are the well-mixed ones, so fold
-/// them down before masking).
-#[inline]
-fn hash_key(key: u64) -> usize {
-    (key.wrapping_mul(0x517c_c1b7_2722_0a95) >> 32) as usize
 }
 
 /// Encodes a `leastVirtual` into the pool's `u32` form (`0` = Ω,
@@ -590,8 +508,8 @@ pub struct DispatchIndex {
     row_starts: Vec<u32>,
     /// Per-class runs sorted by member id.
     pairs: Vec<IndexPair>,
-    /// The global probe directory of pre-decoded verdicts — minimal
-    /// perfect hash by default, open-addressed fallback.
+    /// The global probe directory of pre-decoded verdicts (minimal
+    /// perfect hash).
     directory: Directory,
     /// The pre-decoded entry arena; `pairs[i].slot` indexes it.
     entries: Vec<PackedEntry>,
@@ -624,57 +542,20 @@ impl DispatchIndex {
 
     /// Builds the index in one pass from any `(class, member, entry)`
     /// stream. `class_count` must cover every class id in the stream;
-    /// the stream may arrive in any order. The probe directory is the
-    /// default minimal perfect hash, built here.
+    /// the stream may arrive in any order.
+    ///
+    /// With `mph`, cells are placed under a minimal perfect hash that
+    /// already exists — the snapshot load path, where the hash was
+    /// built once at compile time, serialized, and validated against
+    /// the container's key set, so load skips the displacement search
+    /// and only places cells. A hash that does not cover the stream's
+    /// packed keys is discarded and rebuilt. Without one (a fresh
+    /// stream, or a snapshot written before the hash section existed)
+    /// the hash is built here.
     pub fn from_entries(
         class_count: usize,
         entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
-    ) -> Self {
-        Self::from_entries_init(
-            class_count,
-            entries,
-            DirectoryInit::Build(DirectoryKind::Mph),
-        )
-    }
-
-    /// [`from_entries`](Self::from_entries) on the open-addressed
-    /// directory — the compatibility path for snapshots written before
-    /// the hash section existed (the loader cannot place cells under a
-    /// hash the container never stored, and rebuilding one at load time
-    /// would charge the displacement search to every cold start).
-    pub fn from_entries_open(
-        class_count: usize,
-        entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
-    ) -> Self {
-        Self::from_entries_init(
-            class_count,
-            entries,
-            DirectoryInit::Build(DirectoryKind::Open),
-        )
-    }
-
-    /// [`from_entries`](Self::from_entries) under a minimal perfect
-    /// hash that already exists — the snapshot load path, where the
-    /// hash was built once at compile time, serialized, and validated
-    /// against the container's key set, so load skips the displacement
-    /// search entirely and only places cells.
-    ///
-    /// `mph` must be a valid minimal perfect hash for exactly the
-    /// packed keys of the stream (the snapshot loader verifies this
-    /// before calling); if its key count disagrees with the stream the
-    /// hash is discarded and rebuilt from scratch.
-    pub fn from_entries_mph(
-        class_count: usize,
-        entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
-        mph: MphFunction,
-    ) -> Self {
-        Self::from_entries_init(class_count, entries, DirectoryInit::Prebuilt(mph))
-    }
-
-    fn from_entries_init(
-        class_count: usize,
-        entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
-        init: DirectoryInit,
+        mph: Option<MphFunction>,
     ) -> Self {
         let mut rows: Vec<Vec<(u32, Entry)>> = vec![Vec::new(); class_count];
         let mut member_count = 0usize;
@@ -682,7 +563,7 @@ impl DispatchIndex {
             member_count = member_count.max(m.index() + 1);
             rows[c.index()].push((m.index() as u32, e));
         }
-        Self::from_rows_init(member_count, rows, init)
+        Self::from_rows(member_count, rows, mph)
     }
 
     /// Builds the index from a consumed [`LookupTable`] — one pass over
@@ -707,7 +588,7 @@ impl DispatchIndex {
                     .collect()
             })
             .collect();
-        let index = Self::from_rows(member_count, rows);
+        let index = Self::from_rows(member_count, rows, None);
         crate::obs::index_built(
             "table",
             index.entry_count() as u64,
@@ -736,7 +617,7 @@ impl DispatchIndex {
                 }
             }
         }
-        let index = Self::from_rows(chg.member_name_count(), rows);
+        let index = Self::from_rows(chg.member_name_count(), rows, None);
         crate::obs::index_built(
             "engine",
             index.entry_count() as u64,
@@ -752,8 +633,7 @@ impl DispatchIndex {
     /// engine's memo; every clean row — pairs, packed entries, and
     /// their pool ranges — is copied verbatim. The pool only grows, so
     /// copied `set_off` ranges stay valid. The probe directory is
-    /// rebuilt whole (its key set changed) on the same
-    /// [`DirectoryKind`] this index carries.
+    /// rebuilt whole (its key set changed).
     pub fn refreshed(&self, engine: &LookupEngine, dirty: &[(ClassId, MemberId)]) -> Self {
         let start = Instant::now();
         let chg = engine.chg();
@@ -796,12 +676,7 @@ impl DispatchIndex {
             }
             row_starts.push(u32::try_from(pairs.len()).expect("dispatch index overflow"));
         }
-        let directory = Self::build_directory(
-            DirectoryInit::Build(self.directory_kind()),
-            &row_starts,
-            &pairs,
-            &entries,
-        );
+        let directory = Self::build_directory(None, &row_starts, &pairs, &entries);
         let index = DispatchIndex {
             class_count,
             member_count: chg.member_name_count(),
@@ -821,15 +696,12 @@ impl DispatchIndex {
     }
 
     /// The shared layout pass: sorts each row by member id and packs
-    /// entries into the arena + pool.
-    fn from_rows(member_count: usize, rows: Vec<Vec<(u32, Entry)>>) -> Self {
-        Self::from_rows_init(member_count, rows, DirectoryInit::Build(DirectoryKind::Mph))
-    }
-
-    fn from_rows_init(
+    /// entries into the arena + pool, then builds the directory (under
+    /// `mph` when given, see [`build_directory`](Self::build_directory)).
+    fn from_rows(
         member_count: usize,
         rows: Vec<Vec<(u32, Entry)>>,
-        init: DirectoryInit,
+        mph: Option<MphFunction>,
     ) -> Self {
         let class_count = rows.len();
         let mut pool = PoolBuilder::new();
@@ -846,7 +718,7 @@ impl DispatchIndex {
             }
             row_starts.push(u32::try_from(pairs.len()).expect("dispatch index overflow"));
         }
-        let directory = Self::build_directory(init, &row_starts, &pairs, &entries);
+        let directory = Self::build_directory(mph, &row_starts, &pairs, &entries);
         DispatchIndex {
             class_count,
             member_count,
@@ -883,18 +755,17 @@ impl DispatchIndex {
     }
 
     /// Builds the global probe directory from the finished CSR rows,
-    /// every cell carrying its entry's decoded verdict inline.
+    /// every cell carrying its entry's decoded verdict inline, each at
+    /// its unique minimal-perfect-hash slot: `n` cells for `n` entries,
+    /// all occupied.
     ///
-    /// * `Build(Mph)` runs the hash-and-displace construction over the
-    ///   packed key set (class-ascending, member-ascending — the same
-    ///   order the snapshot serializes) and places each cell at its
-    ///   unique slot: `n` cells for `n` entries, all occupied.
-    /// * `Prebuilt` places cells under an already-validated hash (the
-    ///   snapshot load path) — no displacement search at load time.
-    /// * `Build(Open)` fills a power-of-two table at load ≤ 0.6 by
-    ///   linear probing — the pre-MPH directory, kept as the fallback.
+    /// * `Some(mph)` places cells under an already-validated hash (the
+    ///   snapshot load path) — no displacement search.
+    /// * `None` runs the hash-and-displace construction over the packed
+    ///   key set (class-ascending, member-ascending — the same order the
+    ///   snapshot serializes).
     fn build_directory(
-        init: DirectoryInit,
+        mph: Option<MphFunction>,
         row_starts: &[u32],
         pairs: &[IndexPair],
         entries: &[PackedEntry],
@@ -908,47 +779,21 @@ impl DispatchIndex {
                 packed.push(Self::cell_of(ci, pair, entries));
             }
         }
-        let directory = match init {
-            DirectoryInit::Build(DirectoryKind::Open) => {
-                let mut cells = CellArena::vacant(directory_cap(packed.len()));
-                let mask = cells.len() - 1;
-                for &(key, cell) in &packed {
-                    let mut at = hash_key(key) & mask;
-                    while cells.get(at).key != Cell::VACANT {
-                        at = (at + 1) & mask;
-                    }
-                    cells.set(at, cell);
-                }
-                Directory::Open(cells)
-            }
-            DirectoryInit::Build(DirectoryKind::Mph) => {
-                let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
-                Self::place_mph(MphFunction::build(&keys), &packed)
-                    .expect("freshly built mph collided on its own key set")
-            }
-            DirectoryInit::Prebuilt(mph) => {
-                // A hash that cannot cover this key set — wrong count,
-                // or a displacement array that maps two live keys to
-                // one slot (a mismatched or adversarial container
-                // section; random corruption is already caught by the
-                // file checksum) — is rebuilt instead of served
-                // through: a collision would silently overwrite a cell
-                // and turn live probes into NotFound.
-                let placed = (mph.n() as usize == packed.len())
-                    .then(|| Self::place_mph(mph, &packed))
-                    .flatten();
-                placed.unwrap_or_else(|| {
-                    let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
-                    Self::place_mph(MphFunction::build(&keys), &packed)
-                        .expect("freshly built mph collided on its own key set")
-                })
-            }
-        };
-        crate::obs::directory_built(
-            directory.kind().label(),
-            packed.len() as u64,
-            matches!(directory, Directory::Mph { .. }).then(|| elapsed_ns(start)),
-        );
+        // A prebuilt hash that cannot cover this key set — wrong count,
+        // or a displacement array that maps two live keys to one slot
+        // (a mismatched or adversarial container section; random
+        // corruption is already caught by the file checksum) — is
+        // rebuilt instead of served through: a collision would silently
+        // overwrite a cell and turn live probes into NotFound.
+        let placed = mph
+            .filter(|mph| mph.n() as usize == packed.len())
+            .and_then(|mph| Self::place_mph(mph, &packed));
+        let directory = placed.unwrap_or_else(|| {
+            let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
+            Self::place_mph(MphFunction::build(&keys), &packed)
+                .expect("freshly built mph collided on its own key set")
+        });
+        crate::obs::directory_built(elapsed_ns(start));
         directory
     }
 
@@ -964,15 +809,12 @@ impl DispatchIndex {
             }
             cells.set(at, cell);
         }
-        Some(Directory::Mph { mph, cells })
+        Some(Directory { mph, cells })
     }
 
     /// The directory cell behind `(c, m)`, if any — the hot probe
-    /// behind every point query: on the default MPH directory, one
-    /// displacement load plus one hashed 16-byte cell load with zero
-    /// collision chains; on the open fallback, a hashed load stepping
-    /// linearly past collisions (bounded because that directory is at
-    /// most 0.6 full).
+    /// behind every point query: one displacement load plus one hashed
+    /// 16-byte cell load, with zero collision chains.
     #[inline]
     fn cell(&self, c: ClassId, m: MemberId) -> Option<&Cell> {
         if c.index() >= self.class_count || m.index() > u32::MAX as usize {
@@ -1042,15 +884,15 @@ impl DispatchIndex {
     /// across calls amortizes its capacity to zero allocations per
     /// frame (the outcomes themselves are [`Copy`] borrows).
     ///
-    /// On the MPH directory this is the SWAR-style striped probe: each
-    /// stripe of eight probes is packed and hashed first — independent,
-    /// register-only work after the displacement loads — then all eight
-    /// cells are copied out back-to-back, so their (potentially
-    /// missing) cache lines are requested together and the loads
-    /// overlap instead of serializing, then decoded. A probe outside
-    /// the class/member id range packs to the vacant sentinel key,
-    /// which no occupied cell carries, and falls out as `NotFound`
-    /// through the same key compare as any dead key.
+    /// This is the SWAR-style striped probe: each stripe of eight
+    /// probes is packed and hashed first — independent, register-only
+    /// work after the displacement loads — then all eight cells are
+    /// copied out back-to-back, so their (potentially missing) cache
+    /// lines are requested together and the loads overlap instead of
+    /// serializing, then decoded. A probe outside the class/member id
+    /// range packs to the vacant sentinel key, which no occupied cell
+    /// carries, and falls out as `NotFound` through the same key
+    /// compare as any dead key.
     pub fn lookup_batch_into<'a>(
         &'a self,
         probes: &[(ClassId, MemberId)],
@@ -1059,38 +901,33 @@ impl DispatchIndex {
         crate::obs::serve_query("index", probes.len() as u64);
         out.clear();
         out.reserve(probes.len());
-        match &self.directory {
-            Directory::Mph { mph, cells } if cells.len() > 0 => {
-                let mut keys = [0u64; 8];
-                let mut slots = [0usize; 8];
-                let mut hit = [Cell::EMPTY; 8];
-                for stripe in probes.chunks(8) {
-                    for (i, &(c, m)) in stripe.iter().enumerate() {
-                        let key = if c.index() < self.class_count && m.index() <= u32::MAX as usize
-                        {
-                            c.index() as u64 | (m.index() as u64) << 32
-                        } else {
-                            Cell::VACANT
-                        };
-                        keys[i] = key;
-                        slots[i] = mph.position(key);
-                    }
-                    for i in 0..stripe.len() {
-                        hit[i] = *cells.get(slots[i]);
-                    }
-                    for i in 0..stripe.len() {
-                        out.push(if hit[i].key == keys[i] {
-                            self.decode(&hit[i])
-                        } else {
-                            OutcomeRef::NotFound
-                        });
-                    }
-                }
+        let Directory { mph, cells } = &self.directory;
+        if cells.len() == 0 {
+            out.extend(probes.iter().map(|_| OutcomeRef::NotFound));
+            return;
+        }
+        let mut keys = [0u64; 8];
+        let mut slots = [0usize; 8];
+        let mut hit = [Cell::EMPTY; 8];
+        for stripe in probes.chunks(8) {
+            for (i, &(c, m)) in stripe.iter().enumerate() {
+                let key = if c.index() < self.class_count && m.index() <= u32::MAX as usize {
+                    c.index() as u64 | (m.index() as u64) << 32
+                } else {
+                    Cell::VACANT
+                };
+                keys[i] = key;
+                slots[i] = mph.position(key);
             }
-            _ => {
-                for &(c, m) in probes {
-                    out.push(self.lookup_ref(c, m));
-                }
+            for i in 0..stripe.len() {
+                hit[i] = *cells.get(slots[i]);
+            }
+            for i in 0..stripe.len() {
+                out.push(if hit[i].key == keys[i] {
+                    self.decode(&hit[i])
+                } else {
+                    OutcomeRef::NotFound
+                });
             }
         }
     }
@@ -1163,30 +1000,6 @@ impl DispatchIndex {
     /// Total `(class, member)` entries.
     pub fn entry_count(&self) -> usize {
         self.pairs.len()
-    }
-
-    /// Which probe directory this index carries — MPH for everything
-    /// built fresh, Open only for indexes loaded from pre-hash
-    /// snapshots (or forced via
-    /// [`with_directory_kind`](Self::with_directory_kind)).
-    pub fn directory_kind(&self) -> DirectoryKind {
-        self.directory.kind()
-    }
-
-    /// This index repacked onto the other probe directory — the CSR
-    /// rows, entry arena, and pool are shared verbatim (cloned), only
-    /// the directory is rebuilt. Differential tests and the e22 smoke
-    /// gate use it to exercise the open fallback against the same data
-    /// the MPH path serves.
-    pub fn with_directory_kind(&self, kind: DirectoryKind) -> Self {
-        let mut out = self.clone();
-        out.directory = Self::build_directory(
-            DirectoryInit::Build(kind),
-            &out.row_starts,
-            &out.pairs,
-            &out.entries,
-        );
-        out
     }
 
     /// Bytes of flat storage: row starts + pairs + probe directory
@@ -1613,30 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn default_directory_is_mph_and_open_repack_agrees_everywhere() {
-        for g in graphs() {
-            let mph = DispatchIndex::from_table(LookupTable::build(&g));
-            assert_eq!(mph.directory_kind(), DirectoryKind::Mph);
-            let open = mph.with_directory_kind(DirectoryKind::Open);
-            assert_eq!(open.directory_kind(), DirectoryKind::Open);
-            // Probe well past the live id range on both axes, so dead
-            // keys go through both directories' miss paths too.
-            for ci in 0..g.class_count() + 3 {
-                for mi in 0..g.member_name_count() + 3 {
-                    let (c, m) = (ClassId::from_index(ci), MemberId::from_index(mi));
-                    assert_eq!(mph.lookup_ref(c, m), open.lookup_ref(c, m));
-                }
-            }
-            // Repacking back lands on MPH again.
-            assert_eq!(
-                open.with_directory_kind(DirectoryKind::Mph)
-                    .directory_kind(),
-                DirectoryKind::Mph
-            );
-        }
-    }
-
-    #[test]
     fn batch_into_matches_singles_and_reuses_the_buffer() {
         for g in graphs() {
             let index = DispatchIndex::from_table(LookupTable::build(&g));
@@ -1656,33 +1445,7 @@ mod tests {
                     assert_eq!(out[i], index.lookup_ref(c, m), "probe {i}");
                 }
             }
-            // The open fallback's batch path answers identically.
-            let open = index.with_directory_kind(DirectoryKind::Open);
-            let mut open_out = Vec::new();
-            open.lookup_batch_into(&probes, &mut open_out);
-            index.lookup_batch_into(&probes, &mut out);
-            assert_eq!(out, open_out);
         }
-    }
-
-    #[test]
-    fn refresh_preserves_directory_kind() {
-        let g = fixtures::fig2();
-        let engine = LookupEngine::new(g);
-        let open = DispatchIndex::from_engine(&engine).with_directory_kind(DirectoryKind::Open);
-        let refreshed = open.refreshed(&engine, &[]);
-        assert_eq!(refreshed.directory_kind(), DirectoryKind::Open);
-        let mph = DispatchIndex::from_engine(&engine);
-        assert_eq!(
-            mph.refreshed(&engine, &[]).directory_kind(),
-            DirectoryKind::Mph
-        );
-    }
-
-    #[test]
-    fn directory_kind_labels_are_stable() {
-        assert_eq!(DirectoryKind::Mph.label(), "mph");
-        assert_eq!(DirectoryKind::Open.label(), "open");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -122,11 +122,36 @@ impl Default for FollowerConfig {
 
 /// Shared live state of a running follower.
 struct Progress {
-    /// Last sequence number applied to the farm.
-    applied: AtomicU64,
+    /// Last sequence number applied to the farm. Every update is one
+    /// store of a plain integer, so a poisoned lock still guards a
+    /// valid value and is recovered rather than propagated.
+    applied: Mutex<u64>,
+    /// Signalled whenever `applied` advances.
+    advanced: Condvar,
     /// Records applied since start.
     records: AtomicU64,
     stop: AtomicBool,
+}
+
+impl Progress {
+    fn new(from_seq: u64) -> Progress {
+        Progress {
+            applied: Mutex::new(from_seq),
+            advanced: Condvar::new(),
+            records: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+        }
+    }
+
+    fn applied(&self) -> u64 {
+        *self.applied.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records `seq` as applied and wakes every waiter.
+    fn advance(&self, seq: u64) {
+        *self.applied.lock().unwrap_or_else(PoisonError::into_inner) = seq;
+        self.advanced.notify_all();
+    }
 }
 
 /// A background replication loop — see the module docs.
@@ -141,11 +166,7 @@ impl Follower {
     /// but that is the caller's choice — replay bypasses the read-only
     /// gate by design.
     pub fn start(farm: Arc<Farm>, config: FollowerConfig) -> Follower {
-        let progress = Arc::new(Progress {
-            applied: AtomicU64::new(config.from_seq),
-            records: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        });
+        let progress = Arc::new(Progress::new(config.from_seq));
         let worker = {
             let progress = Arc::clone(&progress);
             thread::spawn(move || match &config.source {
@@ -161,7 +182,7 @@ impl Follower {
 
     /// Last log sequence number applied to the farm.
     pub fn applied_seq(&self) -> u64 {
-        self.progress.applied.load(Ordering::SeqCst)
+        self.progress.applied()
     }
 
     /// Records applied since start.
@@ -170,16 +191,21 @@ impl Follower {
     }
 
     /// Blocks until the follower has applied through `seq` (or the
-    /// timeout passes); returns whether it got there.
+    /// timeout passes); returns whether it got there. The apply loop
+    /// wakes waiters as each record lands, so a wait returns as soon
+    /// as the record is applied.
     pub fn wait_for_seq(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.applied_seq() < seq {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        true
+        let applied = self
+            .progress
+            .applied
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (_applied, waited) = self
+            .progress
+            .advanced
+            .wait_timeout_while(applied, timeout, |applied| *applied < seq)
+            .unwrap_or_else(PoisonError::into_inner);
+        !waited.timed_out()
     }
 
     /// Stops the loop and joins the thread.
@@ -260,7 +286,7 @@ fn apply_one(
             meter.errors.inc();
         }
     }
-    progress.applied.store(seq, Ordering::SeqCst);
+    progress.advance(seq);
     progress.records.fetch_add(1, Ordering::SeqCst);
     meter.applied.set(seq as i64);
     meter
@@ -275,7 +301,7 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
     // leader is quiet: a timeout is an idle tick, not a failure.
     let timeout = Some(Duration::from_millis(250));
     while !progress.stop.load(Ordering::SeqCst) {
-        let from = progress.applied.load(Ordering::SeqCst);
+        let from = progress.applied();
         let Ok(client) = Client::connect(addr, timeout) else {
             thread::sleep(config.poll_interval);
             continue;
@@ -320,7 +346,7 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
                     // Idle leader; take the chance to flush a final ack
                     // so the leader's view converges when writes stop.
                     if config.ack_every > 0 && unacked > 0 {
-                        let seq = progress.applied.load(Ordering::SeqCst);
+                        let seq = progress.applied();
                         if acker.is_none() {
                             acker = Client::connect(addr, timeout).ok();
                         }
@@ -348,7 +374,7 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
 /// The file loop: poll the leader's log with a [`FileTailer`].
 fn follow_file(farm: &Farm, config: &FollowerConfig, path: &std::path::Path, progress: &Progress) {
     let meter = LagMeter::new();
-    let mut tailer = FileTailer::new(path, progress.applied.load(Ordering::SeqCst));
+    let mut tailer = FileTailer::new(path, progress.applied());
     while !progress.stop.load(Ordering::SeqCst) {
         match tailer.poll() {
             Ok(batch) if batch.is_empty() => thread::sleep(config.poll_interval),
@@ -398,5 +424,33 @@ mod tests {
         for r in &records {
             assert_eq!(&wal_record(&wire_record(r)), r);
         }
+    }
+
+    #[test]
+    fn wait_for_seq_wakes_on_apply_and_times_out_short_of_it() {
+        let progress = Arc::new(Progress::new(3));
+        let follower = Follower {
+            progress: Arc::clone(&progress),
+            worker: None,
+        };
+        // Already applied: no wait at all.
+        assert!(follower.wait_for_seq(3, Duration::ZERO));
+        // The sleeps make "waiter blocked before the advance" the likely
+        // order; the assertions hold in either order.
+        let applier = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            progress.advance(4);
+            thread::sleep(Duration::from_millis(20));
+            progress.advance(5);
+        });
+        // Woken by the apply loop's signal, across an intermediate
+        // advance that does not yet reach the target.
+        assert!(follower.wait_for_seq(5, Duration::from_secs(30)));
+        assert_eq!(follower.applied_seq(), 5);
+        applier.join().unwrap();
+        // Nothing will apply seq 6: the wait gives up at its timeout.
+        let start = std::time::Instant::now();
+        assert!(!follower.wait_for_seq(6, Duration::from_millis(50)));
+        assert!(start.elapsed() >= Duration::from_millis(50));
     }
 }

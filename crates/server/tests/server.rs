@@ -600,3 +600,111 @@ fn load_failures_and_unknown_tenants_are_structured() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// Sends one request frame and returns the raw response body.
+fn round_trip(s: &mut TcpStream, req: &Request) -> Vec<u8> {
+    write_frame(s, &req.encode()).unwrap();
+    read_frame(s).unwrap()
+}
+
+/// Asks `req(tenant)` of both tenants and returns the one answer they
+/// must agree on byte for byte.
+fn same_answer(s: &mut TcpStream, what: &str, req: impl Fn(&str) -> Request) -> Response {
+    let (v1, v2) = (round_trip(s, &req("v1")), round_trip(s, &req("v2")));
+    assert_eq!(v1, v2, "{what}: v1 and v2 tenants answer differently");
+    Response::decode(&v1).unwrap()
+}
+
+/// A version-1 snapshot (written before snapshots carried their minimal
+/// perfect hash; its index builds the hash at load) serves exactly like
+/// the version-2 recompile of the same hierarchy, through its whole
+/// lifecycle: every QUERY and BATCH answer is byte-equal across the two
+/// tenants before and after the same EDIT, which promotes each tenant,
+/// attaches an engine to its published index and refreshes it.
+#[test]
+fn v1_snapshot_tenant_serves_byte_identically_to_v2_across_an_edit() {
+    let dir = TempDir::new("v1-lifecycle");
+    let v1 = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/chain_12_v1.snap"
+    ))
+    .to_path_buf();
+    let v2 = dir.file("chain_12.snap");
+    write_snapshot(&cpplookup_hiergen::families::chain(12, None), &v2);
+    let (_server, addr) = start_server(ServerConfig {
+        preload: vec![("v1".to_owned(), v1), ("v2".to_owned(), v2.clone())],
+        ..ServerConfig::default()
+    });
+    let mut s = TcpStream::connect(&addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let table = SnapshotTable::load(&v2).unwrap();
+    let mut probes = Vec::new();
+    for ci in 0..table.class_count() {
+        for mi in 0..table.member_name_count() {
+            probes.push((
+                table
+                    .class_name(cpplookup_chg::ClassId::from_index(ci))
+                    .unwrap()
+                    .to_owned(),
+                table
+                    .member_name(cpplookup_chg::MemberId::from_index(mi))
+                    .unwrap()
+                    .to_owned(),
+            ));
+        }
+    }
+    let check_all = |s: &mut TcpStream, stage: &str| {
+        for (class, member) in &probes {
+            let what = format!("{stage}: QUERY ({class}, {member})");
+            let answer = same_answer(s, &what, |tenant| Request::Query {
+                tenant: tenant.to_owned(),
+                class: class.clone(),
+                member: member.clone(),
+                trace: false,
+                as_of: None,
+            });
+            assert!(matches!(answer, Response::Outcome(_)), "{what}: {answer:?}");
+        }
+        let answer = same_answer(s, &format!("{stage}: BATCH"), |tenant| Request::Batch {
+            tenant: tenant.to_owned(),
+            probes: probes.clone(),
+            trace: false,
+            as_of: None,
+        });
+        match answer {
+            Response::Outcomes(outcomes) => {
+                assert_eq!(outcomes.len(), probes.len(), "{stage}");
+                assert!(
+                    outcomes.iter().any(|o| *o != WireOutcome::NotFound),
+                    "{stage}: every probe missed"
+                );
+            }
+            other => panic!("{stage}: unexpected {other:?}"),
+        }
+    };
+
+    check_all(&mut s, "before the edit");
+    // Redeclaring `m` halfway down the chain changes what every class
+    // below it resolves to.
+    let edited = same_answer(&mut s, "EDIT", |tenant| Request::Edit {
+        tenant: tenant.to_owned(),
+        directive: "member C5 m".to_owned(),
+    });
+    assert!(
+        !matches!(edited, Response::Error { .. }),
+        "EDIT was refused: {edited:?}"
+    );
+    check_all(&mut s, "after the edit");
+    let query = Request::Query {
+        tenant: "v1".to_owned(),
+        class: "C11".to_owned(),
+        member: "m".to_owned(),
+        trace: false,
+        as_of: None,
+    };
+    match Response::decode(&round_trip(&mut s, &query)).unwrap() {
+        Response::Outcome(WireOutcome::Resolved { class, .. }) => assert_eq!(class, "C5"),
+        other => panic!("unexpected {other:?}"),
+    }
+}

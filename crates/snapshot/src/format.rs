@@ -35,8 +35,8 @@ pub const MAGIC: [u8; 8] = *b"CPLKSNAP";
 
 /// The format version this build writes. Version 2 added the MPH
 /// section (the serialized minimal perfect hash over the probe keys);
-/// the loader still reads [`MIN_VERSION`]-and-up, with pre-MPH
-/// snapshots served through the open-addressed directory fallback.
+/// the loader still reads [`MIN_VERSION`]-and-up, and a pre-MPH
+/// snapshot's index builds the hash at load.
 pub const VERSION: u16 = 2;
 
 /// The oldest format version the loader accepts.

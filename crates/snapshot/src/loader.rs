@@ -98,8 +98,8 @@ pub struct SnapshotTable {
     /// rather than ever blocking a reader.
     decoded: Mutex<Option<(u32, Entry)>>,
     /// The validated minimal perfect hash of the MPH section (version
-    /// ≥ 2). `None` for version-1 snapshots, which serve through the
-    /// open-addressed directory fallback.
+    /// ≥ 2). `None` for version-1 snapshots, whose index builds its
+    /// hash at load.
     mph: Option<MphFunction>,
 }
 
@@ -1202,18 +1202,14 @@ impl SnapshotTable {
         let start = Instant::now();
         // Version ≥ 2 snapshots ship their probe directory's hash
         // pre-compiled: reuse it instead of re-running the displacement
-        // search. Version-1 files fall back to the open-addressed
-        // directory, keeping old snapshots loadable forever.
-        let index = match &self.mph {
-            Some(mph) => cpplookup_core::DispatchIndex::from_entries_mph(
-                self.class_count,
-                self.entries(),
-                mph.clone(),
-            ),
-            None => {
-                cpplookup_core::DispatchIndex::from_entries_open(self.class_count, self.entries())
-            }
-        };
+        // search. Version-1 files build the hash here, so they serve
+        // exactly like version-2 files at the price of one
+        // displacement search per load.
+        let index = cpplookup_core::DispatchIndex::from_entries(
+            self.class_count,
+            self.entries(),
+            self.mph.clone(),
+        );
         obs::index_built(
             "snapshot",
             index.entry_count() as u64,
@@ -1345,7 +1341,7 @@ mod tests {
     use super::*;
     use crate::Snapshot;
     use cpplookup_chg::fixtures;
-    use cpplookup_core::{DirectoryKind, LookupTable};
+    use cpplookup_core::LookupTable;
 
     fn roundtrip(g: &Chg) -> SnapshotTable {
         SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes()).expect("roundtrip")
@@ -1426,7 +1422,6 @@ mod tests {
         let snap = roundtrip(&g);
         assert!(snap.mph.is_some(), "v2 load must decode the MPH section");
         let index = snap.dispatch_index();
-        assert_eq!(index.directory_kind(), DirectoryKind::Mph);
         let table = LookupTable::build(&g);
         for c in g.classes() {
             for m in g.member_ids() {
@@ -1436,20 +1431,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_fall_back_to_the_open_directory() {
+    fn v1_snapshots_build_their_mph_at_load() {
         let g = fixtures::fig9();
         let v2 = Snapshot::compile(&g).into_bytes();
         let v1 = downgrade_to_v1(&v2);
         let snap = SnapshotTable::from_bytes(v1).expect("v1 snapshots must stay loadable");
         assert!(snap.mph.is_none());
-        let index = snap.dispatch_index();
-        assert_eq!(index.directory_kind(), DirectoryKind::Open);
         // Downgrading loses no data: every outcome matches the v2 load.
         let fresh = roundtrip(&g);
         for c in g.classes() {
             for m in g.member_ids() {
                 assert_eq!(snap.entry(c, m), fresh.entry(c, m));
                 assert_eq!(snap.lookup(c, m), fresh.lookup(c, m));
+            }
+        }
+        // The index built at load answers every pair, and dead ids past
+        // both axes, exactly as the index under the shipped hash does.
+        let (v1_index, v2_index) = (snap.dispatch_index(), fresh.dispatch_index());
+        for ci in 0..g.class_count() + 3 {
+            for mi in 0..g.member_name_count() + 3 {
+                let (c, m) = (ClassId::from_index(ci), MemberId::from_index(mi));
+                assert_eq!(v1_index.lookup_ref(c, m), v2_index.lookup_ref(c, m));
+                assert_eq!(v1_index.entry(c, m), v2_index.entry(c, m));
             }
         }
     }

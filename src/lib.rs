@@ -151,9 +151,9 @@ pub use cpplookup_chg::{
     MemberId, MemberKind, Path,
 };
 pub use cpplookup_core::{
-    DirectoryKind, DispatchIndex, EngineBacking, EngineOptions, EngineStats, IndexedEngine,
-    IntoDispatchIndex, LazyLookup, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome,
-    LookupTable, MemberLookup, OutcomeRef, RedAbs, ServeHandle, StaticRule,
+    DispatchIndex, EngineBacking, EngineOptions, EngineStats, IndexedEngine, IntoDispatchIndex,
+    LazyLookup, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome, LookupTable,
+    MemberLookup, OutcomeRef, RedAbs, ServeHandle, StaticRule,
 };
 pub use cpplookup_snapshot::{Snapshot, SnapshotError, SnapshotTable};
 pub use cpplookup_subobject::{Resolution, Subobject, SubobjectGraph};

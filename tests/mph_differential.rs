@@ -1,10 +1,10 @@
-//! Differential tests of the two probe directories: the minimal
-//! perfect hash directory (the serving default since the MPH tentpole)
-//! must be observationally identical to the open-addressed directory it
-//! replaced — same `OutcomeRef` for every live `(class, member)` pair,
-//! same `NotFound` for every dead key — across the full generator
-//! corpus, both statics rules, and proptest-fuzzed probe streams that
-//! deliberately stray outside the live id ranges.
+//! Differential tests of the probe directory against the paper's
+//! Definition 9 table: the minimal perfect hash directory a
+//! [`DispatchIndex`] serves through must answer exactly what
+//! [`LookupTable`] answers — the same outcome and entry for every live
+//! `(class, member)` pair, `NotFound` for every dead key — across the
+//! full generator corpus, both statics rules, and proptest-fuzzed probe
+//! streams that deliberately stray outside the live id ranges.
 
 use cpplookup::hiergen::{families, random_hierarchy, RandomConfig};
 use cpplookup::prelude::*;
@@ -48,42 +48,46 @@ fn corpus() -> Vec<(&'static str, Chg)> {
     ]
 }
 
+/// The reference entry for `(c, m)`: the table's, or `None` past its
+/// class range (the table only covers live class ids).
+fn reference(table: &LookupTable, class_count: usize, c: ClassId, m: MemberId) -> Option<&Entry> {
+    if c.index() < class_count {
+        table.entry(c, m)
+    } else {
+        None
+    }
+}
+
 /// Exhaustive sweep: every pair in (and a margin beyond) the live id
-/// ranges, under both statics rules, through both directories — the
-/// outcomes must match pairwise, and both batch paths must match the
-/// single-probe path.
+/// ranges, under both statics rules — the index's single and batch
+/// probes must both match the table.
 #[test]
-fn mph_and_open_directories_agree_on_the_full_corpus() {
+fn mph_directory_matches_the_table_on_the_full_corpus() {
     for (name, g) in corpus() {
         for statics in [StaticRule::Cpp, StaticRule::Ignore] {
-            let table = LookupTable::build_with(&g, LookupOptions { statics });
-            let mph = DispatchIndex::from_table(table);
-            assert_eq!(mph.directory_kind(), DirectoryKind::Mph, "{name}");
-            let open = mph.with_directory_kind(DirectoryKind::Open);
-            assert_eq!(open.directory_kind(), DirectoryKind::Open, "{name}");
+            let options = LookupOptions { statics };
+            let table = LookupTable::build_with(&g, options);
+            let index = DispatchIndex::from_table(LookupTable::build_with(&g, options));
             let probes: Vec<_> = (0..g.class_count() + 3)
                 .flat_map(|c| {
                     (0..g.member_name_count() + 3)
                         .map(move |m| (ClassId::from_index(c), MemberId::from_index(m)))
                 })
                 .collect();
-            for &(c, m) in &probes {
+            let mut batch = Vec::new();
+            index.lookup_batch_into(&probes, &mut batch);
+            assert_eq!(batch.len(), probes.len(), "{name}");
+            for (r, &(c, m)) in batch.iter().zip(&probes) {
+                let want = reference(&table, g.class_count(), c, m);
+                let at = || format!("{name} statics={statics:?} probe ({c:?}, {m:?})");
                 assert_eq!(
-                    mph.lookup_ref(c, m),
-                    open.lookup_ref(c, m),
-                    "{name} statics={statics:?} probe ({}, {})",
-                    c.index(),
-                    m.index()
+                    index.lookup_ref(c, m).to_outcome(),
+                    LookupOutcome::from_entry(want),
+                    "{}",
+                    at()
                 );
-            }
-            let mut mph_batch = Vec::new();
-            let mut open_batch = Vec::new();
-            mph.lookup_batch_into(&probes, &mut mph_batch);
-            open.lookup_batch_into(&probes, &mut open_batch);
-            assert_eq!(mph_batch.len(), probes.len(), "{name}");
-            assert_eq!(mph_batch, open_batch, "{name} statics={statics:?}");
-            for (r, &(c, m)) in mph_batch.iter().zip(&probes) {
-                assert_eq!(r, &mph.lookup_ref(c, m), "{name} batch vs single");
+                assert_eq!(index.entry(c, m).as_ref(), want, "{}", at());
+                assert_eq!(r, &index.lookup_ref(c, m), "{} batch vs single", at());
             }
         }
     }
@@ -96,15 +100,15 @@ proptest! {
     /// landing on dead pairs inside them) must come back `NotFound`
     /// from the MPH directory — an alien key hashes *somewhere* in
     /// range, so this is exactly the key-compare rejection working —
-    /// and both directories must agree probe for probe.
+    /// and every probe, single or batched, must match the table.
     #[test]
     fn fuzzed_probes_never_diverge(
         family in 0usize..12,
         raw in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..128),
     ) {
         let (name, g) = corpus().swap_remove(family);
-        let mph = DispatchIndex::from_table(LookupTable::build(&g));
-        let open = mph.with_directory_kind(DirectoryKind::Open);
+        let table = LookupTable::build(&g);
+        let index = DispatchIndex::from_table(LookupTable::build(&g));
         let probes: Vec<_> = raw
             .iter()
             .map(|&(c, m)| {
@@ -115,12 +119,13 @@ proptest! {
             })
             .collect();
         let mut batch = Vec::new();
-        mph.lookup_batch_into(&probes, &mut batch);
+        index.lookup_batch_into(&probes, &mut batch);
         for (i, &(c, m)) in probes.iter().enumerate() {
-            let got = mph.lookup_ref(c, m);
-            prop_assert_eq!(&got, &open.lookup_ref(c, m), "{} probe {}", name, i);
+            let got = index.lookup_ref(c, m);
+            let want = LookupOutcome::from_entry(reference(&table, g.class_count(), c, m));
+            prop_assert_eq!(&got.to_outcome(), &want, "{} probe {}", name, i);
             prop_assert_eq!(&got, &batch[i], "{} batch probe {}", name, i);
-            if mph.entry(c, m).is_none() {
+            if index.entry(c, m).is_none() {
                 prop_assert_eq!(&got, &OutcomeRef::NotFound, "{} dead key {}", name, i);
             }
         }
