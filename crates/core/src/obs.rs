@@ -27,6 +27,13 @@ pub use cpplookup_obs::{
 
 use cpplookup_obs::Counter;
 
+/// A point-in-time copy of the process-wide facade: every metric this
+/// module records in [`global()`]. A server appends it to its own
+/// instance metrics on `/metrics`.
+pub fn snapshot() -> Snapshot {
+    global().snapshot()
+}
+
 /// Work counters for the Figure-8 propagation kernels, registered in
 /// the [`global()`] registry on first use.
 ///
@@ -283,11 +290,13 @@ pub fn index_built(_source: &str, _entries: u64, _bytes: u64, _elapsed_ns: u64) 
 }
 
 /// Records one probe-directory build in the [`global()`] registry:
-/// `mph_build_seconds` histograms the wall time of building (or, under
-/// a snapshot's prebuilt hash, placing) the minimal-perfect-hash
-/// directory (observed in **nanoseconds**, like the other latency
-/// histograms — the help text states the unit). No-op with the `obs`
-/// feature disabled.
+/// `mph_build_seconds` histograms the wall time of building a
+/// minimal-perfect-hash directory from its key set — the
+/// hash-and-displace search plus cell placement — observed in
+/// **nanoseconds**, like the other latency histograms (the help text
+/// states the unit). Placing cells under a snapshot's shipped hash is
+/// not a build and is not recorded. No-op with the `obs` feature
+/// disabled.
 #[inline]
 pub fn directory_built(_elapsed_ns: u64) {
     #[cfg(feature = "obs")]

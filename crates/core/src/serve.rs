@@ -757,12 +757,13 @@ impl DispatchIndex {
     /// Builds the global probe directory from the finished CSR rows,
     /// every cell carrying its entry's decoded verdict inline, each at
     /// its unique minimal-perfect-hash slot: `n` cells for `n` entries,
-    /// all occupied.
+    /// all occupied. Cells are placed straight from the rows; only a
+    /// fresh hash needs the key set collected first.
     ///
     /// * `Some(mph)` places cells under an already-validated hash (the
     ///   snapshot load path) — no displacement search.
-    /// * `None` runs the hash-and-displace construction over the packed
-    ///   key set (class-ascending, member-ascending — the same order the
+    /// * `None` runs the hash-and-displace construction over the key
+    ///   set (class-ascending, member-ascending — the same order the
     ///   snapshot serializes).
     fn build_directory(
         mph: Option<MphFunction>,
@@ -770,15 +771,13 @@ impl DispatchIndex {
         pairs: &[IndexPair],
         entries: &[PackedEntry],
     ) -> Directory {
-        let start = Instant::now();
-        let class_count = row_starts.len() - 1;
-        let mut packed: Vec<(u64, Cell)> = Vec::with_capacity(pairs.len());
-        for ci in 0..class_count {
-            let (lo, hi) = (row_starts[ci] as usize, row_starts[ci + 1] as usize);
-            for pair in &pairs[lo..hi] {
-                packed.push(Self::cell_of(ci, pair, entries));
-            }
-        }
+        let cells = || {
+            row_starts.windows(2).enumerate().flat_map(|(ci, row)| {
+                pairs[row[0] as usize..row[1] as usize]
+                    .iter()
+                    .map(move |pair| Self::cell_of(ci, pair, entries))
+            })
+        };
         // A prebuilt hash that cannot cover this key set — wrong count,
         // or a displacement array that maps two live keys to one slot
         // (a mismatched or adversarial container section; random
@@ -786,30 +785,31 @@ impl DispatchIndex {
         // rebuilt instead of served through: a collision would silently
         // overwrite a cell and turn live probes into NotFound.
         let placed = mph
-            .filter(|mph| mph.n() as usize == packed.len())
-            .and_then(|mph| Self::place_mph(mph, &packed));
-        let directory = placed.unwrap_or_else(|| {
-            let keys: Vec<u64> = packed.iter().map(|&(key, _)| key).collect();
-            Self::place_mph(MphFunction::build(&keys), &packed)
-                .expect("freshly built mph collided on its own key set")
-        });
-        crate::obs::directory_built(elapsed_ns(start));
-        directory
+            .filter(|mph| mph.n() as usize == pairs.len())
+            .and_then(|mph| Self::place_mph(mph, cells()));
+        placed.unwrap_or_else(|| {
+            let start = Instant::now();
+            let keys: Vec<u64> = cells().map(|(key, _)| key).collect();
+            let directory = Self::place_mph(MphFunction::build(&keys), cells())
+                .expect("freshly built mph collided on its own key set");
+            crate::obs::directory_built(elapsed_ns(start));
+            directory
+        })
     }
 
     /// Places every cell at its minimal-perfect-hash slot; `None` if
     /// two keys land on one slot (the hash does not cover this key
     /// set — possible only for a deserialized hash).
-    fn place_mph(mph: MphFunction, packed: &[(u64, Cell)]) -> Option<Directory> {
-        let mut cells = CellArena::vacant(mph.n() as usize);
-        for &(key, cell) in packed {
+    fn place_mph(mph: MphFunction, cells: impl Iterator<Item = (u64, Cell)>) -> Option<Directory> {
+        let mut arena = CellArena::vacant(mph.n() as usize);
+        for (key, cell) in cells {
             let at = mph.position(key);
-            if cells.get(at).key != Cell::VACANT {
+            if arena.get(at).key != Cell::VACANT {
                 return None;
             }
-            cells.set(at, cell);
+            arena.set(at, cell);
         }
-        Some(Directory { mph, cells })
+        Some(Directory { mph, cells: arena })
     }
 
     /// The directory cell behind `(c, m)`, if any — the hot probe

@@ -43,7 +43,7 @@ use std::thread;
 use std::time::Instant;
 
 use crate::protocol::{checksum64, frame, ErrorCode, FrameError, Response, MAX_BODY};
-use crate::server::{process_body, serve_admin, serve_subscription, Action, ReqCounters, Shared};
+use crate::server::{process_body, serve_admin, serve_subscription, Action, Shared};
 
 /// Fairness cap: the most pipelined frames one connection has answered
 /// back-to-back before its driver lets the other connections run.
@@ -239,7 +239,7 @@ impl Session {
     /// Answers up to [`MAX_FRAMES_PER_TURN`] buffered frames, queueing
     /// their framed responses, and says what the driver does next.
     /// Asking again after a handoff or close repeats the answer.
-    pub(crate) fn serve(&mut self, shared: &Shared, counters: &ReqCounters) -> Turn {
+    pub(crate) fn serve(&mut self, shared: &Shared) -> Turn {
         match self.phase {
             Phase::Start => match self.buf.peek(4) {
                 Some(head) if head == b"GET " => return Turn::Admin,
@@ -262,13 +262,13 @@ impl Session {
                     // answer once, discard whatever else arrives, and
                     // close once the answer is written.
                     self.phase = Phase::Damaged;
-                    self.push(damage_response(counters, &damage));
+                    self.push(damage_response(shared, &damage));
                     return Turn::Close;
                 }
             };
             let t0 = deferred.take().unwrap_or(turn_start);
             let t1 = Instant::now();
-            match process_body(shared, counters, &body, t0, t1) {
+            match process_body(shared, &body, t0, t1) {
                 Action::Reply(body) => self.push(body),
                 Action::Subscribe { from_seq } => {
                     self.phase = Phase::Subscribed { from_seq };
@@ -342,7 +342,7 @@ impl Session {
 }
 
 /// The answer to frame-level damage, counted as an error response.
-fn damage_response(counters: &ReqCounters, damage: &FrameError) -> Vec<u8> {
+fn damage_response(shared: &Shared, damage: &FrameError) -> Vec<u8> {
     let (code, message) = match damage {
         FrameError::BadLength { len } => (
             ErrorCode::BadLength,
@@ -350,7 +350,7 @@ fn damage_response(counters: &ReqCounters, damage: &FrameError) -> Vec<u8> {
         ),
         other => (ErrorCode::BadFrame, other.to_string()),
     };
-    counters.errors.with_label(code.label()).inc();
+    shared.farm.metrics().errors.with_label(code.label()).inc();
     Response::Error { code, message }.encode()
 }
 
@@ -361,12 +361,11 @@ fn damage_response(counters: &ReqCounters, damage: &FrameError) -> Vec<u8> {
 /// earlier pipelined frames possibly still queued. The idle timeout is
 /// the stream's read timeout.
 pub(crate) fn drive(mut stream: TcpStream, mut session: Session, shared: &Shared) {
-    let counters = ReqCounters::new();
     // Start small — a parked connection's thread keeps its scratch —
     // and widen once the peer sends more than fits.
     let mut scratch = vec![0u8; 2048];
     loop {
-        let turn = session.serve(shared, &counters);
+        let turn = session.serve(shared);
         // Queued answers go out before the next read or a takeover
         // protocol speaks.
         while session.backlog() > 0 {

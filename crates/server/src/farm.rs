@@ -42,6 +42,7 @@ use cpplookup_core::{IndexedEngine, LeastVirtual, OutcomeRef, ServeHandle};
 use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_wal::{Stamped, WalRecord, WalStore};
 
+use crate::metrics::ServerMetrics;
 use crate::protocol::{ErrorCode, WireLv, WireOutcome};
 
 /// A request-level failure: the structured code plus a human message.
@@ -61,36 +62,6 @@ pub struct ProbeTiming {
     pub promoted: Instant,
     /// Directory probed and outcomes converted back to names.
     pub probed: Instant,
-}
-
-/// Per-tenant metric families, shared by every tenant in a farm.
-/// `None` on a farm built with observability off — the E19/E24
-/// baseline — in which case tenants keep only their local atomics.
-struct FarmMetrics {
-    /// `tenant_promotions_total{tenant}`.
-    promotions: Arc<cpplookup_obs::Family>,
-    /// `tenant_epoch{tenant}`: the currently published index epoch.
-    epoch: Arc<cpplookup_obs::GaugeFamily>,
-}
-
-impl FarmMetrics {
-    fn new(cardinality: usize) -> FarmMetrics {
-        let obs = cpplookup_obs::global();
-        FarmMetrics {
-            promotions: obs.counter_family_bounded(
-                "tenant_promotions_total",
-                "snapshot-to-index promotions, by tenant",
-                "tenant",
-                cardinality,
-            ),
-            epoch: obs.gauge_family(
-                "tenant_epoch",
-                "currently published index epoch, by tenant",
-                "tenant",
-                cardinality,
-            ),
-        }
-    }
 }
 
 /// Name ↔ id mapping for one tenant. Hierarchies only grow and ids are
@@ -213,7 +184,7 @@ pub struct Tenant {
     edits: AtomicU64,
     /// Epochs (current included) kept loadable for as-of reads.
     retain_epochs: usize,
-    metrics: Option<Arc<FarmMetrics>>,
+    metrics: Arc<ServerMetrics>,
 }
 
 impl Tenant {
@@ -221,7 +192,7 @@ impl Tenant {
         name: String,
         table: SnapshotTable,
         retain_epochs: usize,
-        metrics: Option<Arc<FarmMetrics>>,
+        metrics: Arc<ServerMetrics>,
     ) -> Tenant {
         let names = Names::from_snapshot(&table);
         Tenant {
@@ -246,13 +217,8 @@ impl Tenant {
     /// and returns the tenant's publication handle.
     fn promote(&self) -> &ServeHandle {
         self.serve.get_or_init(|| {
-            cpplookup_obs::global()
-                .counter(
-                    "server_promotions_total",
-                    "tenants promoted from snapshot to dispatch index",
-                )
-                .inc();
-            if let Some(m) = &self.metrics {
+            self.metrics.promotions.inc();
+            if let Some(m) = &self.metrics.obs {
                 m.promotions.with_label(&self.name).inc();
                 m.epoch.with_label(&self.name).set(0);
             }
@@ -359,7 +325,7 @@ impl Tenant {
         debug_assert!(names.in_step_with(chg));
         drop(slot);
         self.edits.fetch_add(edits.len() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.metrics.obs {
             m.epoch.with_label(&self.name).set(epoch as i64);
         }
     }
@@ -615,10 +581,11 @@ impl Default for FarmOptions {
     }
 }
 
-/// The farm: the tenant map plus the edit log and its policies.
+/// The farm: the tenant map, the edit log and its policies, and the
+/// metrics of the server it backs (one registry per farm).
 pub struct Farm {
     tenants: RwLock<FxHashMap<String, Arc<Tenant>>>,
-    metrics: Option<Arc<FarmMetrics>>,
+    metrics: Arc<ServerMetrics>,
     wal: Option<Arc<WalStore>>,
     read_only: bool,
     retain_epochs: usize,
@@ -634,25 +601,11 @@ impl Farm {
         Farm::with_options(FarmOptions::default())
     }
 
-    /// An empty farm; `cardinality` bounds the per-tenant label space
-    /// of the `tenant_promotions_total` / `tenant_epoch` families
-    /// (tenants past the bound share an `other` series), and `None`
-    /// disables the per-tenant families entirely — the observability-off
-    /// baseline the E24 overhead experiment compares against.
-    pub fn with_tenant_cardinality(cardinality: Option<usize>) -> Farm {
-        Farm::with_options(FarmOptions {
-            tenant_cardinality: cardinality,
-            ..FarmOptions::default()
-        })
-    }
-
     /// An empty farm with every knob explicit — see [`FarmOptions`].
     pub fn with_options(options: FarmOptions) -> Farm {
         Farm {
             tenants: RwLock::new(FxHashMap::default()),
-            metrics: options
-                .tenant_cardinality
-                .map(|k| Arc::new(FarmMetrics::new(k))),
+            metrics: Arc::new(ServerMetrics::new(options.tenant_cardinality)),
             wal: options.wal,
             read_only: options.read_only,
             retain_epochs: options.retain_epochs.max(1),
@@ -663,6 +616,16 @@ impl Farm {
     /// The edit log this farm appends to, if it has one.
     pub fn wal(&self) -> Option<&Arc<WalStore>> {
         self.wal.as_ref()
+    }
+
+    /// This farm's metrics — its server's, when a server owns it.
+    pub(crate) fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+
+    /// This farm's `/metrics` text — see [`ServerMetrics::render`].
+    pub(crate) fn render_metrics(&self) -> String {
+        self.metrics.render(self.wal.as_deref())
     }
 
     /// Whether client edits are refused (replication-follower stance).
@@ -720,9 +683,7 @@ impl Farm {
             tenants.insert(tenant.to_owned(), t);
             tenants.len()
         };
-        cpplookup_obs::global()
-            .gauge("server_tenants", "tenants currently loaded")
-            .set(count as i64);
+        self.metrics.tenants.set(count as i64);
         Ok(stats)
     }
 
@@ -1046,12 +1007,7 @@ impl Farm {
             kept
         })
         .map_err(|e| io("rewrite", &e))?;
-        cpplookup_obs::global()
-            .counter(
-                "server_wal_compactions_total",
-                "edit-log compaction rewrites",
-            )
-            .inc();
+        self.metrics.wal_compactions.inc();
         Ok(dropped)
     }
 
@@ -1291,9 +1247,7 @@ mod tests {
 
     #[test]
     fn cold_stampede_promotes_once_and_answers_exactly() {
-        // The tenant name is unique to this test: the promotion counter
-        // lives in the process-global registry.
-        const TENANT: &str = "cold-stampede";
+        const TENANT: &str = "t";
         let chg = fixtures::fig9();
         let table = cpplookup_core::LookupTable::build(&chg);
         let mut all = Vec::new();
@@ -1306,14 +1260,13 @@ mod tests {
         }
         let farm = farm_with(TENANT, &chg);
         let promotions = || {
-            farm.metrics
-                .as_ref()
-                .expect("per-tenant metrics on")
-                .promotions
-                .with_label(TENANT)
-                .get()
+            let by_tenant = farm.metrics.obs.as_ref().expect("per-tenant metrics on");
+            (
+                farm.metrics.promotions.get(),
+                by_tenant.promotions.with_label(TENANT).get(),
+            )
         };
-        assert_eq!(promotions(), 0, "LOAD must not promote");
+        assert_eq!(promotions(), (0, 0), "LOAD must not promote");
         let threads = 8;
         let gate = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
@@ -1342,7 +1295,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(promotions(), 1, "eight cold readers, one index build");
+        assert_eq!(promotions(), (1, 1), "eight cold readers, one index build");
     }
 
     /// A scratch directory that survives for the test (WAL replay needs

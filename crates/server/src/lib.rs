@@ -20,7 +20,8 @@
 //!   through one batched [`Farm::read`].
 //! * [`server`] — the TCP listener: bounded-accept admission control,
 //!   request-scoped phase tracing (the protocol TRACE flag returns a
-//!   span tree), per-tenant metric families, plus an HTTP admin
+//!   span tree), per-instance metrics with per-tenant families (one
+//!   registry per server, owned by its farm), plus an HTTP admin
 //!   endpoint (`GET /metrics`, `/healthz`, `/tenants`,
 //!   `/flightrecorder`) sharing the same port by first-bytes sniffing.
 //!   Every connection runs one protocol state machine (the `conn`
@@ -50,6 +51,7 @@
 #![deny(unsafe_code)] // only `sys` opts out, for the epoll/eventfd syscalls
 
 mod conn;
+mod metrics;
 #[cfg(target_os = "linux")]
 mod reactor;
 #[cfg(target_os = "linux")]

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use cpplookup_obs::{Counter, Gauge};
 
 use crate::conn::{drive, Session, Turn, READ_CHUNK};
-use crate::server::{ConnCount, ReqCounters, ServerConfig, Shared};
+use crate::server::{ServerConfig, Shared};
 use crate::sys::{self, Epoll, EpollEvent, EventFd};
 
 /// The epoll token reserved for each reactor's eventfd doorbell.
@@ -135,11 +135,7 @@ struct ReactorHandle {
 impl ReactorSet {
     /// Spawns the reactor threads: `cfg.reactors` of them, or one per
     /// available core.
-    pub(crate) fn start(
-        shared: Arc<Shared>,
-        cfg: &ServerConfig,
-        count: Arc<ConnCount>,
-    ) -> io::Result<Arc<ReactorSet>> {
+    pub(crate) fn start(shared: Arc<Shared>, cfg: &ServerConfig) -> io::Result<Arc<ReactorSet>> {
         let n = if cfg.reactors > 0 {
             cfg.reactors
         } else {
@@ -154,7 +150,6 @@ impl ReactorSet {
                 idx,
                 Arc::clone(&shared),
                 cfg,
-                Arc::clone(&count),
                 Arc::clone(&wake),
                 Arc::clone(&inbox),
                 Arc::clone(&stop),
@@ -212,7 +207,6 @@ impl ReactorSet {
 /// connections.
 struct Reactor {
     shared: Arc<Shared>,
-    count: Arc<ConnCount>,
     epoll: Epoll,
     wake: Arc<EventFd>,
     inbox: Arc<Mutex<Vec<TcpStream>>>,
@@ -231,7 +225,6 @@ struct Reactor {
     wheel: Option<Wheel>,
     /// Also the read timeout of fds handed off to blocking threads.
     idle_timeout: Option<Duration>,
-    counters: ReqCounters,
     conns_gauge: Arc<Gauge>,
     wakeups: Arc<Counter>,
     backlog_gauge: Arc<Gauge>,
@@ -242,19 +235,20 @@ impl Reactor {
         idx: usize,
         shared: Arc<Shared>,
         cfg: &ServerConfig,
-        count: Arc<ConnCount>,
         wake: Arc<EventFd>,
         inbox: Arc<Mutex<Vec<TcpStream>>>,
         stop: Arc<AtomicBool>,
     ) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         epoll.add(wake.raw(), sys::EPOLLIN, WAKE_TOKEN)?;
-        let obs = cpplookup_obs::global();
+        let metrics = shared.farm.metrics();
         let label = idx.to_string();
         let now = Instant::now();
         Ok(Reactor {
+            conns_gauge: metrics.reactor_connections.with_label(&label),
+            wakeups: metrics.reactor_wakeups.with_label(&label),
+            backlog_gauge: metrics.reactor_backlog.with_label(&label),
             shared,
-            count,
             epoll,
             wake,
             inbox,
@@ -265,30 +259,6 @@ impl Reactor {
             ready: VecDeque::new(),
             wheel: cfg.read_timeout.map(|t| Wheel::new(t, now)),
             idle_timeout: cfg.read_timeout,
-            counters: ReqCounters::new(),
-            conns_gauge: obs
-                .gauge_family(
-                    "reactor_connections",
-                    "connections owned, by reactor",
-                    "reactor",
-                    64,
-                )
-                .with_label(&label),
-            wakeups: obs
-                .counter_family(
-                    "reactor_wakeups_total",
-                    "epoll wakeups handled, by reactor",
-                    "reactor",
-                )
-                .with_label(&label),
-            backlog_gauge: obs
-                .gauge_family(
-                    "reactor_writev_backlog_bytes",
-                    "buffered response bytes awaiting writev, by reactor",
-                    "reactor",
-                    64,
-                )
-                .with_label(&label),
         })
     }
 
@@ -392,7 +362,7 @@ impl Reactor {
 
     fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
-            self.count.release();
+            self.shared.release();
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -408,7 +378,7 @@ impl Reactor {
             .is_err()
         {
             self.free.push(token);
-            self.count.release();
+            self.shared.release();
             return;
         }
         let now = Instant::now();
@@ -498,7 +468,7 @@ impl Reactor {
             return;
         };
         let queued = conn.session.backlog();
-        let turn = conn.session.serve(&self.shared, &self.counters);
+        let turn = conn.session.serve(&self.shared);
         self.backlog_gauge
             .add((conn.session.backlog() - queued) as i64);
         match turn {
@@ -606,7 +576,7 @@ impl Reactor {
 
     fn close(&mut self, token: usize) {
         if self.detach(token).is_some() {
-            self.count.release();
+            self.shared.release();
             // The detached `Conn` drops here, closing the fd.
         }
     }
@@ -627,7 +597,6 @@ impl Reactor {
             return;
         };
         let shared = Arc::clone(&self.shared);
-        let count = Arc::clone(&self.count);
         let timeout = self.idle_timeout;
         thread::spawn(move || {
             // If the fd cannot be returned to blocking mode, writing
@@ -637,7 +606,7 @@ impl Reactor {
                 let _ = conn.stream.set_read_timeout(timeout);
                 drive(conn.stream, conn.session, &shared);
             }
-            count.release();
+            shared.release();
         });
     }
 }

@@ -19,9 +19,10 @@
 //!   leader mid-append — reads as "no new records yet".
 //!
 //! Replication lag is measured per record as apply-time minus the
-//! leader's append timestamp and lands in the
-//! `replication_lag_ns` histogram; `replication_applied_seq` gauges the
-//! follower's position for dashboards and the E25 experiment.
+//! leader's append timestamp and lands in the `replication_lag_ns`
+//! histogram of the follower farm's own metrics;
+//! `replication_applied_seq` gauges the follower's position for
+//! dashboards and the E25 experiment.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -227,39 +228,6 @@ impl Drop for Follower {
     }
 }
 
-/// Per-follower metric handles, resolved once.
-struct LagMeter {
-    lag: Arc<cpplookup_obs::Histogram>,
-    applied: Arc<cpplookup_obs::Gauge>,
-    skipped: Arc<cpplookup_obs::Counter>,
-    errors: Arc<cpplookup_obs::Counter>,
-}
-
-impl LagMeter {
-    fn new() -> LagMeter {
-        let obs = cpplookup_obs::global();
-        LagMeter {
-            lag: obs.histogram(
-                "replication_lag_ns",
-                "per-record apply-time minus leader append-time",
-                cpplookup_obs::Histogram::latency_ns(),
-            ),
-            applied: obs.gauge(
-                "replication_applied_seq",
-                "last leader log sequence number applied locally",
-            ),
-            skipped: obs.counter(
-                "replication_skipped_total",
-                "replayed records deterministically skipped (leader rejected them too)",
-            ),
-            errors: obs.counter(
-                "replication_errors_total",
-                "records that failed to apply or stream errors",
-            ),
-        }
-    }
-}
-
 fn unix_nanos_now() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -268,35 +236,28 @@ fn unix_nanos_now() -> u64 {
 }
 
 /// Applies one record, advancing progress and the lag histogram.
-fn apply_one(
-    farm: &Farm,
-    meter: &LagMeter,
-    progress: &Progress,
-    seq: u64,
-    leader_nanos: u64,
-    record: &WalRecord,
-) {
+fn apply_one(farm: &Farm, progress: &Progress, seq: u64, leader_nanos: u64, record: &WalRecord) {
+    let metrics = farm.metrics();
     match farm.apply_replica_record(record) {
-        Ok(crate::farm::ReplicaApply::EditSkipped(_)) => meter.skipped.inc(),
+        Ok(crate::farm::ReplicaApply::EditSkipped(_)) => metrics.replication_skipped.inc(),
         Ok(_) => {}
         Err(_) => {
             // A missing snapshot artifact or an out-of-order stream:
             // count it and keep the position honest — retrying the same
             // record forever would wedge the stream.
-            meter.errors.inc();
+            metrics.replication_errors.inc();
         }
     }
     progress.advance(seq);
     progress.records.fetch_add(1, Ordering::SeqCst);
-    meter.applied.set(seq as i64);
-    meter
-        .lag
+    metrics.replication_applied.set(seq as i64);
+    metrics
+        .replication_lag
         .observe(unix_nanos_now().saturating_sub(leader_nanos));
 }
 
 /// The wire loop: subscribe, apply, ack; reconnect on any stream error.
 fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Progress) {
-    let meter = LagMeter::new();
     // Short read timeouts keep the loop responsive to `stop` while the
     // leader is quiet: a timeout is an idle tick, not a failure.
     let timeout = Some(Duration::from_millis(250));
@@ -318,14 +279,7 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
             }
             match sub.next_record() {
                 Ok((seq, leader_nanos, record)) => {
-                    apply_one(
-                        farm,
-                        &meter,
-                        progress,
-                        seq,
-                        leader_nanos,
-                        &wal_record(&record),
-                    );
+                    apply_one(farm, progress, seq, leader_nanos, &wal_record(&record));
                     unacked += 1;
                     if config.ack_every > 0 && unacked >= config.ack_every {
                         if acker.is_none() {
@@ -362,7 +316,7 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
                 Err(_) => {
                     // Leader gone or stream damaged: resubscribe from
                     // the applied position after a breath.
-                    meter.errors.inc();
+                    farm.metrics().replication_errors.inc();
                     break;
                 }
             }
@@ -373,7 +327,6 @@ fn follow_wire(farm: &Farm, config: &FollowerConfig, addr: &str, progress: &Prog
 
 /// The file loop: poll the leader's log with a [`FileTailer`].
 fn follow_file(farm: &Farm, config: &FollowerConfig, path: &std::path::Path, progress: &Progress) {
-    let meter = LagMeter::new();
     let mut tailer = FileTailer::new(path, progress.applied());
     while !progress.stop.load(Ordering::SeqCst) {
         match tailer.poll() {
@@ -382,7 +335,6 @@ fn follow_file(farm: &Farm, config: &FollowerConfig, path: &std::path::Path, pro
                 for stamped in batch {
                     apply_one(
                         farm,
-                        &meter,
                         progress,
                         stamped.seq,
                         stamped.unix_nanos,
@@ -393,7 +345,7 @@ fn follow_file(farm: &Farm, config: &FollowerConfig, path: &std::path::Path, pro
             Err(_) => {
                 // Mid-rewrite rename or real damage: the tailer dedupes
                 // by seq, so retrying after a pause is always safe.
-                meter.errors.inc();
+                farm.metrics().replication_errors.inc();
                 thread::sleep(config.poll_interval);
             }
         }

@@ -41,6 +41,12 @@
 //! disabled the request path is the bare PR-6 loop, which is what the
 //! E24 overhead experiment compares against.
 //!
+//! Metrics belong to the server instance: they live in its farm's
+//! registry (the crate-private `metrics` module), so `/metrics` shows
+//! this server's own state — never another co-resident server's —
+//! followed by its edit log's counters and the engine's process-wide
+//! `core::obs` facade.
+//!
 //! # Error policy
 //!
 //! * Frame-level damage (bad length, checksum mismatch) → one error
@@ -58,7 +64,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cpplookup_obs::{Counter, Family2, HistogramFamily, Span, SpanRecorder};
+use cpplookup_obs::{Span, SpanRecorder};
 use cpplookup_wal::{TailCursor, WalStore};
 
 use crate::conn::{drive, Session};
@@ -199,95 +205,34 @@ impl Default for ServerConfig {
 }
 
 /// State shared by every connection, whichever I/O model drives it.
+/// The server's metrics live in its farm ([`Farm::metrics`]).
 pub(crate) struct Shared {
-    farm: Arc<Farm>,
-    obs: Option<ObsState>,
-}
-
-/// The observability layer's per-request handles, resolved once at
-/// startup so the request path never touches the registry lock.
-struct ObsState {
-    recorder: Arc<FlightRecorder>,
-    queries_by_tenant: Arc<Family2>,
-    latency_by_tenant: Arc<HistogramFamily>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-}
-
-impl ObsState {
-    fn new(cfg: &ObsConfig) -> ObsState {
-        let obs = cpplookup_obs::global();
-        ObsState {
-            recorder: Arc::new(FlightRecorder::new(
-                cfg.recorder_capacity,
-                cfg.slow_capacity,
-                cfg.slow_threshold.as_nanos() as u64,
-            )),
-            queries_by_tenant: obs.counter_family2(
-                "server_queries_total",
-                "requests served, by tenant and operation",
-                "tenant",
-                "op",
-                cfg.tenant_cardinality,
-            ),
-            latency_by_tenant: obs.histogram_family(
-                "server_query_latency_ns",
-                "end-to-end query/batch service latency, by tenant",
-                "tenant",
-                cpplookup_obs::Histogram::latency_ns(),
-                cfg.tenant_cardinality,
-            ),
-            bytes_read: obs.counter("server_bytes_read_total", "request bytes read off the wire"),
-            bytes_written: obs.counter(
-                "server_bytes_written_total",
-                "response bytes written to the wire",
-            ),
-        }
-    }
-}
-
-/// Connection admission state shared between the acceptor and whichever
-/// side retires connections (connection threads, reactors, or handoff
-/// threads).
-pub(crate) struct ConnCount {
+    pub(crate) farm: Arc<Farm>,
+    /// The flight recorder, when the observability layer is on.
+    recorder: Option<Arc<FlightRecorder>>,
+    /// Connections currently admitted, bounded by `max_connections`.
     active: AtomicUsize,
-    max: usize,
-    gauge: Arc<cpplookup_obs::Gauge>,
-    accepted: Arc<Counter>,
-    rejected: Arc<Counter>,
+    max_connections: usize,
 }
 
-impl ConnCount {
-    fn new(max: usize) -> ConnCount {
-        let obs = cpplookup_obs::global();
-        ConnCount {
-            active: AtomicUsize::new(0),
-            max,
-            gauge: obs.gauge("server_connections", "connections currently open"),
-            accepted: obs.counter("server_connections_total", "connections accepted"),
-            rejected: obs.counter(
-                "server_rejected_total",
-                "connections refused by admission control",
-            ),
-        }
-    }
-
+impl Shared {
     /// Claims a connection slot; `false` means the caller must refuse.
     fn try_admit(&self) -> bool {
-        if self.active.load(Ordering::SeqCst) >= self.max {
-            self.rejected.inc();
+        let m = self.farm.metrics();
+        if self.active.load(Ordering::SeqCst) >= self.max_connections {
+            m.rejected.inc();
             return false;
         }
-        self.accepted.inc();
+        m.accepted.inc();
         self.active.fetch_add(1, Ordering::SeqCst);
-        self.gauge.add(1);
+        m.connections.add(1);
         true
     }
 
-    /// Returns a slot claimed by [`try_admit`](ConnCount::try_admit).
+    /// Returns a slot claimed by [`try_admit`](Shared::try_admit).
     pub(crate) fn release(&self) {
         self.active.fetch_sub(1, Ordering::SeqCst);
-        self.gauge.add(-1);
+        self.farm.metrics().connections.add(-1);
     }
 }
 
@@ -339,14 +284,7 @@ impl Server {
         farm.replay(&recovered).map_err(|(seq, (_, msg))| {
             io::Error::other(format!("edit log replay (seq {seq}): {msg}"))
         })?;
-        if !recovered.is_empty() {
-            cpplookup_obs::global()
-                .counter(
-                    "server_wal_replayed_total",
-                    "edit-log records replayed at startup",
-                )
-                .add(recovered.len() as u64);
-        }
+        farm.metrics().wal_replayed.add(recovered.len() as u64);
         for (tenant, path) in &config.preload {
             // A tenant the replay already restored carries edits the
             // pristine snapshot lacks; reloading it would wind the
@@ -357,23 +295,26 @@ impl Server {
             farm.load(tenant, path)
                 .map_err(|(_, msg)| io::Error::other(format!("preload `{tenant}`: {msg}")))?;
         }
+        farm.metrics().io_model.set(match config.io_model {
+            IoModel::Threads => 0,
+            IoModel::Epoll => 1,
+        });
+        let obs = &config.obs;
         let shared = Arc::new(Shared {
             farm,
-            obs: config.obs.enabled.then(|| ObsState::new(&config.obs)),
+            recorder: obs.enabled.then(|| {
+                Arc::new(FlightRecorder::new(
+                    obs.recorder_capacity,
+                    obs.slow_capacity,
+                    obs.slow_threshold.as_nanos() as u64,
+                ))
+            }),
+            active: AtomicUsize::new(0),
+            max_connections: config.max_connections,
         });
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let count = Arc::new(ConnCount::new(config.max_connections));
-        cpplookup_obs::global()
-            .gauge(
-                "server_io_model",
-                "active I/O model (0 = threads, 1 = epoll reactor)",
-            )
-            .set(match config.io_model {
-                IoModel::Threads => 0,
-                IoModel::Epoll => 1,
-            });
         #[cfg(target_os = "linux")]
         {
             let wake = Arc::new(EventFd::new()?);
@@ -381,7 +322,6 @@ impl Server {
                 IoModel::Epoll => Some(crate::reactor::ReactorSet::start(
                     Arc::clone(&shared),
                     &config,
-                    Arc::clone(&count),
                 )?),
                 IoModel::Threads => None,
             };
@@ -390,9 +330,7 @@ impl Server {
                 let stop = Arc::clone(&stop);
                 let wake = Arc::clone(&wake);
                 let reactors = reactors.clone();
-                thread::spawn(move || {
-                    accept_loop(listener, shared, stop, config, count, wake, reactors)
-                })
+                thread::spawn(move || accept_loop(listener, shared, stop, config, wake, reactors))
             };
             Ok(Server {
                 addr,
@@ -413,7 +351,7 @@ impl Server {
             let acceptor = {
                 let shared = Arc::clone(&shared);
                 let stop = Arc::clone(&stop);
-                thread::spawn(move || accept_loop(listener, shared, stop, config, count))
+                thread::spawn(move || accept_loop(listener, shared, stop, config))
             };
             Ok(Server {
                 addr,
@@ -436,7 +374,7 @@ impl Server {
 
     /// The flight recorder, when the observability layer is enabled.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.obs.as_ref().map(|o| &o.recorder)
+        self.shared.recorder.as_ref()
     }
 
     /// Stops the acceptor and waits for it. Under the threaded model
@@ -475,10 +413,9 @@ fn admit(
     stream: TcpStream,
     shared: &Arc<Shared>,
     cfg: &ServerConfig,
-    count: &Arc<ConnCount>,
     #[cfg(target_os = "linux")] reactors: &Option<Arc<crate::reactor::ReactorSet>>,
 ) {
-    if !count.try_admit() {
+    if !shared.try_admit() {
         refuse(stream);
         return;
     }
@@ -488,13 +425,12 @@ fn admit(
         return;
     }
     let shared = Arc::clone(shared);
-    let count = Arc::clone(count);
     let timeout = cfg.read_timeout;
     thread::spawn(move || {
         let _ = stream.set_read_timeout(timeout);
         let _ = stream.set_nodelay(true);
         drive(stream, Session::new(), &shared);
-        count.release();
+        shared.release();
     });
 }
 
@@ -504,7 +440,6 @@ fn accept_loop(
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
     cfg: ServerConfig,
-    count: Arc<ConnCount>,
     wake: Arc<EventFd>,
     reactors: Option<Arc<crate::reactor::ReactorSet>>,
 ) {
@@ -538,7 +473,7 @@ fn accept_loop(
         }
         loop {
             match listener.accept() {
-                Ok((stream, _)) => admit(stream, &shared, &cfg, &count, &reactors),
+                Ok((stream, _)) => admit(stream, &shared, &cfg, &reactors),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
@@ -553,14 +488,13 @@ fn accept_loop(
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
     cfg: ServerConfig,
-    count: Arc<ConnCount>,
 ) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        admit(stream, &shared, &cfg, &count);
+        admit(stream, &shared, &cfg);
     }
 }
 
@@ -608,31 +542,6 @@ impl ReqMeta {
     }
 }
 
-/// The per-operation request/error counter families, resolved once per
-/// connection (threaded model) or per reactor.
-pub(crate) struct ReqCounters {
-    requests: Arc<cpplookup_obs::Family>,
-    pub(crate) errors: Arc<cpplookup_obs::Family>,
-}
-
-impl ReqCounters {
-    pub(crate) fn new() -> ReqCounters {
-        let obs = cpplookup_obs::global();
-        ReqCounters {
-            requests: obs.counter_family(
-                "server_requests_total",
-                "requests served, by operation",
-                "op",
-            ),
-            errors: obs.counter_family(
-                "server_errors_total",
-                "error responses sent, by code",
-                "code",
-            ),
-        }
-    }
-}
-
 /// What a processed request body asks of the connection driver.
 pub(crate) enum Action {
     /// Send this response frame body back.
@@ -651,14 +560,9 @@ pub(crate) enum Action {
 /// frame's turn began and `t1` when it was peeled off the frame buffer
 /// (the `queue_wait` phase); together with the decode and farm phase
 /// stamps they cut the traced span tree's exact partition.
-pub(crate) fn process_body(
-    shared: &Shared,
-    counters: &ReqCounters,
-    body: &[u8],
-    t0: Instant,
-    t1: Instant,
-) -> Action {
-    if let Some(obs) = &shared.obs {
+pub(crate) fn process_body(shared: &Shared, body: &[u8], t0: Instant, t1: Instant) -> Action {
+    let metrics = shared.farm.metrics();
+    if let Some(obs) = &metrics.obs {
         obs.bytes_read.add((4 + body.len() + 8) as u64);
     }
     let decoded = Request::decode(body);
@@ -667,11 +571,11 @@ pub(crate) fn process_body(
         Ok(Request::Subscribe { from_seq }) => {
             // A subscription takes over the connection: from here the
             // stream speaks nothing but replicated records.
-            counters.requests.with_label("subscribe").inc();
+            metrics.requests.with_label("subscribe").inc();
             return Action::Subscribe { from_seq };
         }
         Ok(req) => {
-            counters.requests.with_label(op_label(&req)).inc();
+            metrics.requests.with_label(op_label(&req)).inc();
             (ReqMeta::of(&req), handle(shared, req))
         }
         // Payload-level damage: framing is intact, keep going.
@@ -686,7 +590,7 @@ pub(crate) fn process_body(
     };
     let (response, timing) = outcome;
     if let Response::Error { code, .. } = &response {
-        counters.errors.with_label(code.label()).inc();
+        metrics.errors.with_label(code.label()).inc();
     }
     let outcome_label = match &response {
         Response::Error { code, .. } => code.label(),
@@ -703,21 +607,18 @@ pub(crate) fn process_body(
         (Response::Outcomes(os), true, Some(t)) => traced_body(os, t0, t1, t2, t, &mut spans),
         _ => response.encode(),
     };
-    if let Some(obs) = &shared.obs {
+    if let Some(obs) = &metrics.obs {
         obs.bytes_written.add((4 + frame_body.len() + 8) as u64);
         let latency_ns = t0.elapsed().as_nanos() as u64;
         if !meta.tenant.is_empty() {
-            obs.queries_by_tenant
-                .with_labels(&meta.tenant, meta.op)
-                .inc();
+            obs.queries.with_labels(&meta.tenant, meta.op).inc();
             if matches!(meta.op, "query" | "batch") {
-                obs.latency_by_tenant
-                    .with_label(&meta.tenant)
-                    .observe(latency_ns);
+                obs.latency.with_label(&meta.tenant).observe(latency_ns);
             }
         }
-        obs.recorder
-            .record(&meta.tenant, meta.op, outcome_label, latency_ns, &spans);
+        if let Some(recorder) = &shared.recorder {
+            recorder.record(&meta.tenant, meta.op, outcome_label, latency_ns, &spans);
+        }
     }
     Action::Reply(frame_body)
 }
@@ -838,7 +739,7 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
             Err(e) => err(e),
         }),
         Request::Metrics => plain(Response::Metrics {
-            text: cpplookup_obs::global().snapshot().render_prometheus(),
+            text: farm.render_metrics(),
         }),
         Request::Subscribe { .. } => plain(Response::Error {
             code: ErrorCode::BadPayload,
@@ -846,13 +747,8 @@ fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
         }),
         Request::Ack { follower, seq } => plain(match farm.wal() {
             Some(wal) => {
-                cpplookup_obs::global()
-                    .gauge_family(
-                        "server_follower_acked_seq",
-                        "last log sequence number each follower reported applied",
-                        "follower",
-                        16,
-                    )
+                farm.metrics()
+                    .follower_acked_seq
                     .with_label(&follower)
                     .set(seq as i64);
                 Response::Acked {
@@ -884,13 +780,8 @@ pub(crate) fn serve_subscription(mut stream: TcpStream, shared: &Shared, from_se
         );
         return;
     };
-    let obs = cpplookup_obs::global();
-    let subscribers = obs.gauge("server_subscribers", "replication subscriptions active");
-    let shipped = obs.counter(
-        "server_replicated_records_total",
-        "edit-log records streamed to subscribers",
-    );
-    subscribers.add(1);
+    let metrics = shared.farm.metrics();
+    metrics.subscribers.add(1);
     let mut cursor = TailCursor::from_seq(from_seq);
     // The liveness probe below must not block: a quiet, connected
     // subscriber answers `peek` with a timeout, a gone one with EOF.
@@ -937,8 +828,8 @@ pub(crate) fn serve_subscription(mut stream: TcpStream, shared: &Shared, from_se
                 closed = true;
                 break;
             }
-            shipped.inc();
-            if let Some(o) = &shared.obs {
+            metrics.replicated.inc();
+            if let Some(o) = &metrics.obs {
                 o.bytes_written.add((4 + body.len() + 8) as u64);
             }
         }
@@ -946,7 +837,7 @@ pub(crate) fn serve_subscription(mut stream: TcpStream, shared: &Shared, from_se
             break;
         }
     }
-    subscribers.add(-1);
+    metrics.subscribers.add(-1);
 }
 
 fn respond(stream: &mut TcpStream, response: Response) -> bool {
@@ -981,14 +872,12 @@ pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]
         .next()
         .map(|t| String::from_utf8_lossy(t).into_owned())
         .unwrap_or_default();
-    cpplookup_obs::global()
-        .counter("server_admin_requests_total", "admin HTTP requests served")
-        .inc();
+    shared.farm.metrics().admin_requests.inc();
     let (status, content_type, body) = match target.as_str() {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            cpplookup_obs::global().snapshot().render_prometheus(),
+            shared.farm.render_metrics(),
         ),
         "/healthz" => ("200 OK", "text/plain", "ok\n".to_owned()),
         "/tenants" => (
@@ -999,8 +888,8 @@ pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]
                 .stats_json("")
                 .unwrap_or_else(|(_, m)| format!("{{\"error\":{}}}", crate::farm::json_str(&m))),
         ),
-        "/flightrecorder" => match &shared.obs {
-            Some(obs) => ("200 OK", "application/json", obs.recorder.to_json()),
+        "/flightrecorder" => match &shared.recorder {
+            Some(recorder) => ("200 OK", "application/json", recorder.to_json()),
             None => (
                 "404 Not Found",
                 "text/plain",

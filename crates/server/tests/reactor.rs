@@ -111,6 +111,26 @@ fn fig2_preload(dir: &TempDir) -> Vec<(String, PathBuf)> {
     vec![("t0".to_owned(), snap)]
 }
 
+/// The value of one exposition series (`name` or `name{labels}`) in a
+/// Prometheus text.
+fn series(text: &str, name: &str) -> Option<i64> {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// A server's `GET /metrics` body.
+fn http_metrics(addr: SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    response
+}
+
 fn query(class: &str, member: &str) -> Request {
     Request::Query {
         tenant: "t0".to_owned(),
@@ -181,11 +201,10 @@ fn epoll_full_session_matches_threads_byte_for_byte() {
         WireOutcome::Resolved { class, .. } => assert_eq!(class, "D"),
         other => panic!("unexpected {other:?}"),
     }
-    // The io-model gauge is exported (its value is process-global, so
-    // concurrent tests starting threaded servers may overwrite it —
-    // asserting presence here, the value in e27-smoke's single-server
-    // runs).
-    assert!(c.metrics().unwrap().contains("server_io_model"));
+    // Each server exports its own io-model gauge.
+    assert_eq!(series(&c.metrics().unwrap(), "server_io_model"), Some(1));
+    let mut t = Client::connect(threads.addr(), Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(series(&t.metrics().unwrap(), "server_io_model"), Some(0));
 }
 
 /// Traced responses carry measured durations, so they are compared
@@ -523,18 +542,69 @@ fn admin_endpoint_works_under_epoll() {
     let server = Server::start(config(IoModel::Epoll, &preload)).unwrap();
     let mut c = Client::connect(server.addr(), Some(Duration::from_secs(10))).unwrap();
     c.query("t0", "E", "m").unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-    assert!(response.contains("server_io_model 1"), "{response}");
+    let response = http_metrics(server.addr());
+    assert_eq!(series(&response, "server_io_model"), Some(1), "{response}");
     assert!(
         response.contains("reactor_connections"),
         "per-reactor gauges must be exported: {response}"
+    );
+}
+
+/// Two servers in one process, one per I/O model, each with its own
+/// tenants and its own query count: each `/metrics` shows only its own
+/// server's state, and nothing server-side lands in the process-wide
+/// engine facade.
+#[test]
+fn co_resident_servers_export_only_their_own_metrics() {
+    let dir = TempDir::new("co-resident");
+    let snap = dir.file("fig2.snap");
+    write_snapshot(&fixtures::fig2(), &snap);
+    let tenants = |names: &[&str]| -> Vec<(String, PathBuf)> {
+        names
+            .iter()
+            .map(|n| (n.to_string(), snap.clone()))
+            .collect()
+    };
+    let threads = Server::start(config(IoModel::Threads, &tenants(&["a"]))).unwrap();
+    let epoll = Server::start(config(IoModel::Epoll, &tenants(&["b0", "b1"]))).unwrap();
+    for (server, tenant, queries, io_model, loaded) in
+        [(&threads, "a", 3, 0, 1), (&epoll, "b1", 5, 1, 2)]
+    {
+        let mut c = Client::connect(server.addr(), Some(Duration::from_secs(10))).unwrap();
+        for _ in 0..queries {
+            c.query(tenant, "E", "m").unwrap();
+        }
+        drop(c);
+        let text = http_metrics(server.addr());
+        assert_eq!(series(&text, "server_io_model"), Some(io_model), "{text}");
+        assert_eq!(series(&text, "server_tenants"), Some(loaded), "{text}");
+        assert_eq!(
+            series(&text, "server_requests_total{op=\"query\"}"),
+            Some(queries),
+            "{text}"
+        );
+        let q = format!("server_queries_total{{tenant=\"{tenant}\",op=\"query\"}}");
+        assert_eq!(series(&text, &q), Some(queries), "{text}");
+    }
+    let (a, b) = (http_metrics(threads.addr()), http_metrics(epoll.addr()));
+    assert!(
+        !a.contains("tenant=\"b1\"") && !a.contains("reactor=\""),
+        "{a}"
+    );
+    assert!(!b.contains("tenant=\"a\""), "{b}");
+    let leaked: Vec<String> = cpplookup_core::obs::snapshot()
+        .metrics
+        .into_iter()
+        .map(|m| m.name)
+        .filter(|n| {
+            ["server_", "reactor_", "tenant_", "wal_", "replication_"]
+                .iter()
+                .any(|p| n.starts_with(p))
+        })
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "server metrics in the process facade: {leaked:?}"
     );
 }
 
@@ -646,14 +716,16 @@ fn multiple_reactors_share_the_accept_stream() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    // All three reactors took connections (the registry is
-    // process-global, so reactor 0 also carries other tests' servers —
-    // labels 1 and 2 exist only because round-robin reached them).
+    // Round-robin gave each of the three reactors two of the six.
     let metrics = clients[0].metrics().unwrap();
     for reactor in 0..3 {
-        assert!(
-            metrics.contains(&format!("reactor_connections{{reactor=\"{reactor}\"}}")),
-            "round-robin must reach reactor {reactor}: {metrics}"
+        assert_eq!(
+            series(
+                &metrics,
+                &format!("reactor_connections{{reactor=\"{reactor}\"}}")
+            ),
+            Some(2),
+            "round-robin must give reactor {reactor} two connections: {metrics}"
         );
     }
 }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use cpplookup_chg::checksum::checksum64;
-use cpplookup_obs::Counter;
+use cpplookup_obs::{Counter, Registry, Snapshot};
 
 use crate::record::{encode_frame, parse_frames, Stamped, WalRecord};
 use crate::WalError;
@@ -165,21 +165,23 @@ pub fn read_all(path: &Path) -> Result<Vec<Stamped>, WalError> {
     }
 }
 
-/// Append counters, resolved once per writer so the append path never
-/// touches the registry lock.
-pub(crate) struct WalCounters {
+/// The writer's append counters, in a registry of their own: each log
+/// reports only its own appends ([`WalStore::metrics`](crate::WalStore::metrics)).
+struct WalCounters {
+    registry: Registry,
     records: Arc<Counter>,
     bytes: Arc<Counter>,
     fsyncs: Arc<Counter>,
 }
 
 impl WalCounters {
-    pub(crate) fn new() -> WalCounters {
-        let obs = cpplookup_obs::global();
+    fn new() -> WalCounters {
+        let registry = Registry::new();
         WalCounters {
-            records: obs.counter("wal_records_total", "records appended to the edit log"),
-            bytes: obs.counter("wal_bytes_written_total", "bytes appended to the edit log"),
-            fsyncs: obs.counter("wal_fsyncs_total", "edit-log fsync calls"),
+            records: registry.counter("wal_records_total", "records appended to the edit log"),
+            bytes: registry.counter("wal_bytes_written_total", "bytes appended to the edit log"),
+            fsyncs: registry.counter("wal_fsyncs_total", "edit-log fsync calls"),
+            registry,
         }
     }
 }
@@ -260,6 +262,12 @@ impl WalWriter {
     /// The log file's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// This writer's append counters: `wal_records_total`,
+    /// `wal_bytes_written_total` and `wal_fsyncs_total`.
+    pub fn metrics(&self) -> Snapshot {
+        self.counters.registry.snapshot()
     }
 
     /// Bytes in the log (header included).

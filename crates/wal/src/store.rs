@@ -13,6 +13,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use cpplookup_obs::Snapshot;
+
 use crate::log::WalWriter;
 use crate::record::{parse_frames, Stamped, WalRecord};
 use crate::WalError;
@@ -89,6 +91,11 @@ impl WalStore {
     /// The log file's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The log's append counters — see [`WalWriter::metrics`].
+    pub fn metrics(&self) -> Snapshot {
+        self.state.lock().unwrap().writer.metrics()
     }
 
     /// Appends one record (stamping it) and wakes tailers. Honors the
