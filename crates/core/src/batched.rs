@@ -215,13 +215,11 @@ struct BMerge {
     candidate: Option<BCand>,
     /// The `toBeDominated` set, kept sorted + deduplicated.
     demoted: Vec<LeastVirtual>,
-    #[cfg(feature = "obs")]
     work: Work,
 }
 
 /// Local merge work tallies, flushed to the propagation counters by
 /// [`BMerge::finish_slot`] exactly like the reference merge.
-#[cfg(feature = "obs")]
 #[derive(Clone, Copy, Default)]
 struct Work {
     reds: u32,
@@ -251,10 +249,7 @@ impl BMerge {
         via: ClassId,
         statics: StaticRule,
     ) {
-        #[cfg(feature = "obs")]
-        {
-            self.work.reds += 1;
-        }
+        self.work.reds += 1;
         let incoming = BCand {
             abs,
             via,
@@ -290,10 +285,7 @@ impl BMerge {
             self.candidate = Some(incoming);
         } else if !dominates_all(chg, pool, cand, incoming) {
             // Neither dominates: everything becomes blue.
-            #[cfg(feature = "obs")]
-            {
-                self.work.demotions += 1;
-            }
+            self.work.demotions += 1;
             for c in [cand, incoming] {
                 self.demote(c.abs.lv);
                 let (lo, len) = pool.sets[c.shared as usize];
@@ -310,17 +302,13 @@ impl BMerge {
 
     /// Lines 29–32: one blue element, already extended through the edge.
     fn add_blue(&mut self, lv: LeastVirtual) {
-        #[cfg(feature = "obs")]
-        {
-            self.work.blues += 1;
-        }
+        self.work.blues += 1;
         self.demote(lv);
     }
 
     /// Lines 34–44: resolve the merge into a slot, flushing the work
     /// tallies exactly like the reference merge.
     fn finish_slot(self, pool: &mut Pool, chg: &Chg) -> Slot {
-        #[cfg(feature = "obs")]
         let work = self.work;
         let slot = match self.candidate {
             None => Slot::Blue {
@@ -352,7 +340,6 @@ impl BMerge {
                 }
             }
         };
-        #[cfg(feature = "obs")]
         crate::obs::propagation().flush_merge(
             work.reds,
             work.blues,
@@ -482,10 +469,7 @@ impl ColumnSpace {
                 last_base
             }
         };
-        #[cfg(feature = "obs")]
         crate::obs::propagation().flush_merge(live, 0, 0, false);
-        #[cfg(not(feature = "obs"))]
-        let _ = live;
         Some(Slot::Red {
             red,
             via: via.index() as u32,

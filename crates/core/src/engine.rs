@@ -752,9 +752,8 @@ impl LookupEngine {
             .sum()
     }
 
-    /// The engine's metrics registry. Summary counters
-    /// (`engine_lookups_total`, `engine_cache_hits_total`, …) are always
-    /// registered; with the `obs` feature the registry also carries
+    /// The engine's metrics registry: the summary counters
+    /// (`engine_lookups_total`, `engine_cache_hits_total`, …), the
     /// per-shard hit/miss families, the lookup-latency histogram, and
     /// the per-edit dirty/invalidation size histograms.
     pub fn metrics_registry(&self) -> &Arc<obs::Registry> {
@@ -773,8 +772,7 @@ impl LookupEngine {
     /// Installs an [`EventSink`](obs::EventSink) that receives
     /// structured trace events (query start/end, per-shard cache
     /// hits/misses, node visits, ambiguity encounters, edit
-    /// applications); `None` removes it. Without the `obs` feature this
-    /// is a no-op.
+    /// applications); `None` removes it.
     pub fn set_event_sink(&self, sink: Option<Arc<dyn obs::EventSink>>) {
         self.metrics.set_sink(sink);
     }

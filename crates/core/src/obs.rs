@@ -3,22 +3,24 @@
 //!
 //! The actual primitives (counters, histograms, registries, event
 //! sinks) live in the dependency-free [`cpplookup_obs`] crate and are
-//! re-exported here. This module adds the *wiring*, split by cost:
+//! re-exported here. This module adds the *wiring*:
 //!
-//! * **Always on** — the engine's summary counters (lookups, cache
-//!   hits/misses, invalidations, edits) are registered in a per-engine
-//!   [`Registry`] and power the [`EngineStats`](crate::EngineStats)
-//!   compatibility accessor. They cost exactly what the pre-registry
-//!   ad-hoc atomics cost: one relaxed add per event.
-//! * **Feature `obs`** — per-shard cache hit/miss families, the lookup
-//!   latency histogram, edit dirty-set/invalidation histograms, the
-//!   ambiguity counter, structured [`Event`] emission, and the global
-//!   propagation work counters ([`propagation()`]) that make the
-//!   paper's unambiguous-vs-ambiguous work split measurable. With the
-//!   feature disabled every hook in this module compiles to an empty
-//!   inline function and the extra state does not exist.
+//! * **Per engine** — the summary counters (lookups, cache hits/misses,
+//!   invalidations, edits) that power the
+//!   [`EngineStats`](crate::EngineStats) compatibility accessor, the
+//!   per-shard cache hit/miss families, the lookup latency histogram,
+//!   edit dirty-set/invalidation histograms, the ambiguity counter and
+//!   structured [`Event`] emission, all in a per-engine [`Registry`].
+//! * **Process-wide** — the propagation work counters
+//!   ([`propagation()`]) that make the paper's unambiguous-vs-ambiguous
+//!   work split measurable, and the build, snapshot and serve hooks,
+//!   all in the [`global()`] registry.
+//!
+//! Each hot-path hook costs one relaxed atomic add; an event is built
+//! only when a sink is installed.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 
 pub use cpplookup_obs::{
     global, CountingSink, Event, EventSink, Family, Gauge, Histogram, HistogramSnapshot,
@@ -36,25 +38,16 @@ pub fn snapshot() -> Snapshot {
 
 /// Work counters for the Figure-8 propagation kernels, registered in
 /// the [`global()`] registry on first use.
-///
-/// With the `obs` feature disabled this is a zero-sized stub whose
-/// methods compile to nothing.
 #[derive(Debug)]
 pub struct PropagationStats {
-    #[cfg(feature = "obs")]
     nodes_visited: Arc<Counter>,
-    #[cfg(feature = "obs")]
     red_merges: Arc<Counter>,
-    #[cfg(feature = "obs")]
     blue_merges: Arc<Counter>,
-    #[cfg(feature = "obs")]
     demotions: Arc<Counter>,
-    #[cfg(feature = "obs")]
     ambiguous_entries: Arc<Counter>,
 }
 
 /// The process-wide propagation counters.
-#[cfg(feature = "obs")]
 pub fn propagation() -> &'static PropagationStats {
     use std::sync::OnceLock;
     static STATS: OnceLock<PropagationStats> = OnceLock::new();
@@ -85,57 +78,42 @@ pub fn propagation() -> &'static PropagationStats {
     })
 }
 
-/// The process-wide propagation counters (no-op stub: `obs` feature
-/// disabled).
-#[cfg(not(feature = "obs"))]
-pub fn propagation() -> &'static PropagationStats {
-    static STATS: PropagationStats = PropagationStats {};
-    &STATS
-}
-
 impl PropagationStats {
     /// One (class, member) propagation step ran.
     #[inline]
     pub fn node_visited(&self) {
-        #[cfg(feature = "obs")]
         self.nodes_visited.inc();
     }
 
     /// `n` propagation steps ran (bulk flush from the eager builder).
     #[inline]
-    pub fn nodes_visited_add(&self, _n: u64) {
-        #[cfg(feature = "obs")]
-        self.nodes_visited.add(_n);
+    pub fn nodes_visited_add(&self, n: u64) {
+        self.nodes_visited.add(n);
     }
 
     /// Flushes one merge's locally accumulated counts.
     #[inline]
-    pub fn flush_merge(&self, _reds: u32, _blues: u32, _demotions: u32, _ambiguous: bool) {
-        #[cfg(feature = "obs")]
-        {
-            if _reds > 0 {
-                self.red_merges.add(u64::from(_reds));
-            }
-            if _blues > 0 {
-                self.blue_merges.add(u64::from(_blues));
-            }
-            if _demotions > 0 {
-                self.demotions.add(u64::from(_demotions));
-            }
-            if _ambiguous {
-                self.ambiguous_entries.inc();
-            }
+    pub fn flush_merge(&self, reds: u32, blues: u32, demotions: u32, ambiguous: bool) {
+        if reds > 0 {
+            self.red_merges.add(u64::from(reds));
+        }
+        if blues > 0 {
+            self.blue_merges.add(u64::from(blues));
+        }
+        if demotions > 0 {
+            self.demotions.add(u64::from(demotions));
+        }
+        if ambiguous {
+            self.ambiguous_entries.inc();
         }
     }
 
-    /// Current node-visit count (enabled builds only).
-    #[cfg(feature = "obs")]
+    /// Current node-visit count.
     pub fn nodes_visited(&self) -> u64 {
         self.nodes_visited.get()
     }
 
-    /// Current ambiguous-entry count (enabled builds only).
-    #[cfg(feature = "obs")]
+    /// Current ambiguous-entry count.
     pub fn ambiguous_entries(&self) -> u64 {
         self.ambiguous_entries.get()
     }
@@ -143,18 +121,16 @@ impl PropagationStats {
 
 /// Counts one query answered by a baseline lookup strategy, labelled by
 /// strategy name, in the [`global()`] registry
-/// (`baseline_queries_total{strategy="..."}`). No-op with the `obs`
-/// feature disabled.
+/// (`baseline_queries_total{strategy="..."}`).
 #[inline]
-pub fn baseline_query(_strategy: &str) {
-    #[cfg(feature = "obs")]
+pub fn baseline_query(strategy: &str) {
     global()
         .counter_family(
             "baseline_queries_total",
             "queries answered by baseline lookup strategies",
             "strategy",
         )
-        .with_label(_strategy)
+        .with_label(strategy)
         .inc();
 }
 
@@ -163,30 +139,26 @@ pub fn baseline_query(_strategy: &str) {
 /// of the most recently loaded snapshot, and `snapshot_load_seconds`
 /// histograms the wall-clock load+validate time (observed in
 /// **nanoseconds** — the registry's histograms are integer-valued and
-/// loads are sub-second; the help text states the unit). No-op with the
-/// `obs` feature disabled.
+/// loads are sub-second; the help text states the unit).
 #[inline]
-pub fn snapshot_loaded(_bytes: u64, _elapsed_ns: u64) {
-    #[cfg(feature = "obs")]
-    {
-        let r = global();
-        r.counter(
-            "snapshot_loads_total",
-            "snapshot files loaded and validated",
-        )
-        .inc();
-        r.gauge(
-            "snapshot_bytes",
-            "size in bytes of the last loaded snapshot",
-        )
-        .set(i64::try_from(_bytes).unwrap_or(i64::MAX));
-        r.histogram(
-            "snapshot_load_seconds",
-            "snapshot load+validate wall time (recorded in nanoseconds)",
-            Histogram::latency_ns(),
-        )
-        .observe(_elapsed_ns);
-    }
+pub fn snapshot_loaded(bytes: u64, elapsed_ns: u64) {
+    let r = global();
+    r.counter(
+        "snapshot_loads_total",
+        "snapshot files loaded and validated",
+    )
+    .inc();
+    r.gauge(
+        "snapshot_bytes",
+        "size in bytes of the last loaded snapshot",
+    )
+    .set(i64::try_from(bytes).unwrap_or(i64::MAX));
+    r.histogram(
+        "snapshot_load_seconds",
+        "snapshot load+validate wall time (recorded in nanoseconds)",
+        Histogram::latency_ns(),
+    )
+    .observe(elapsed_ns);
 }
 
 /// Records one whole-table build in the [`global()`] registry:
@@ -197,57 +169,51 @@ pub fn snapshot_loaded(_bytes: u64, _elapsed_ns: u64) {
 /// member-frontier pruning skipped (`|N|·|M| −` live; zero for the
 /// unpruned reference builder); and `build_seconds` histograms the
 /// build wall time (observed in **nanoseconds**, like the other latency
-/// histograms — the help text states the unit). No-op with the `obs`
-/// feature disabled.
+/// histograms — the help text states the unit).
 #[inline]
 pub fn table_built(
-    _strategy: &'static str,
-    _nodes_visited: u64,
-    _members_pruned: u64,
-    _elapsed_ns: u64,
+    strategy: &'static str,
+    nodes_visited: u64,
+    members_pruned: u64,
+    elapsed_ns: u64,
 ) {
-    #[cfg(feature = "obs")]
-    {
-        let r = global();
-        r.counter_family(
-            "build_nodes_visited_total",
-            "live (class, member) pairs touched by whole-table builds",
-            "strategy",
-        )
-        .with_label(_strategy)
-        .add(_nodes_visited);
-        r.counter(
-            "build_members_pruned_total",
-            "(class, member) pairs skipped by member-frontier pruning",
-        )
-        .add(_members_pruned);
-        r.histogram(
-            "build_seconds",
-            "whole-table build wall time (recorded in nanoseconds)",
-            Histogram::latency_ns(),
-        )
-        .observe(_elapsed_ns);
-    }
+    let r = global();
+    r.counter_family(
+        "build_nodes_visited_total",
+        "live (class, member) pairs touched by whole-table builds",
+        "strategy",
+    )
+    .with_label(strategy)
+    .add(nodes_visited);
+    r.counter(
+        "build_members_pruned_total",
+        "(class, member) pairs skipped by member-frontier pruning",
+    )
+    .add(members_pruned);
+    r.histogram(
+        "build_seconds",
+        "whole-table build wall time (recorded in nanoseconds)",
+        Histogram::latency_ns(),
+    )
+    .observe(elapsed_ns);
 }
 
-/// Counts `_queries` queries answered by a serving read path, labelled
+/// Counts `queries` queries answered by a serving read path, labelled
 /// by backend, in the [`global()`] registry
 /// (`serve_queries_total{backend="index" | "table" | "snapshot"}`).
 /// Batch paths record once per batch with the element count; the
 /// allocation-free [`lookup_ref`](crate::serve::DispatchIndex::lookup_ref)
-/// hot path records nothing by design. No-op with the `obs` feature
-/// disabled.
+/// hot path records nothing by design.
 #[inline]
-pub fn serve_query(_backend: &str, _queries: u64) {
-    #[cfg(feature = "obs")]
+pub fn serve_query(backend: &str, queries: u64) {
     global()
         .counter_family(
             "serve_queries_total",
             "queries answered by serving read paths",
             "backend",
         )
-        .with_label(_backend)
-        .add(_queries);
+        .with_label(backend)
+        .add(queries);
 }
 
 /// Records one [`DispatchIndex`](crate::serve::DispatchIndex) build in
@@ -257,36 +223,33 @@ pub fn serve_query(_backend: &str, _queries: u64) {
 /// most recently built index's footprint, and
 /// `serve_index_build_seconds` histograms the build wall time (observed
 /// in **nanoseconds**, like the other latency histograms — the help
-/// text states the unit). No-op with the `obs` feature disabled.
+/// text states the unit).
 #[inline]
-pub fn index_built(_source: &str, _entries: u64, _bytes: u64, _elapsed_ns: u64) {
-    #[cfg(feature = "obs")]
-    {
-        let r = global();
-        r.counter_family(
-            "serve_index_builds_total",
-            "dispatch index builds by construction path",
-            "source",
-        )
-        .with_label(_source)
-        .inc();
-        r.gauge(
-            "serve_index_entries",
-            "(class, member) entries in the last built dispatch index",
-        )
-        .set(i64::try_from(_entries).unwrap_or(i64::MAX));
-        r.gauge(
-            "serve_index_bytes",
-            "flat storage bytes of the last built dispatch index",
-        )
-        .set(i64::try_from(_bytes).unwrap_or(i64::MAX));
-        r.histogram(
-            "serve_index_build_seconds",
-            "dispatch index build wall time (recorded in nanoseconds)",
-            Histogram::latency_ns(),
-        )
-        .observe(_elapsed_ns);
-    }
+pub fn index_built(source: &str, entries: u64, bytes: u64, elapsed_ns: u64) {
+    let r = global();
+    r.counter_family(
+        "serve_index_builds_total",
+        "dispatch index builds by construction path",
+        "source",
+    )
+    .with_label(source)
+    .inc();
+    r.gauge(
+        "serve_index_entries",
+        "(class, member) entries in the last built dispatch index",
+    )
+    .set(i64::try_from(entries).unwrap_or(i64::MAX));
+    r.gauge(
+        "serve_index_bytes",
+        "flat storage bytes of the last built dispatch index",
+    )
+    .set(i64::try_from(bytes).unwrap_or(i64::MAX));
+    r.histogram(
+        "serve_index_build_seconds",
+        "dispatch index build wall time (recorded in nanoseconds)",
+        Histogram::latency_ns(),
+    )
+    .observe(elapsed_ns);
 }
 
 /// Records one probe-directory build in the [`global()`] registry:
@@ -295,18 +258,16 @@ pub fn index_built(_source: &str, _entries: u64, _bytes: u64, _elapsed_ns: u64) 
 /// hash-and-displace search plus cell placement — observed in
 /// **nanoseconds**, like the other latency histograms (the help text
 /// states the unit). Placing cells under a snapshot's shipped hash is
-/// not a build and is not recorded. No-op with the `obs` feature
-/// disabled.
+/// not a build and is not recorded.
 #[inline]
-pub fn directory_built(_elapsed_ns: u64) {
-    #[cfg(feature = "obs")]
+pub fn directory_built(elapsed_ns: u64) {
     global()
         .histogram(
             "mph_build_seconds",
             "minimal perfect hash construction wall time (recorded in nanoseconds)",
             Histogram::latency_ns(),
         )
-        .observe(_elapsed_ns);
+        .observe(elapsed_ns);
 }
 
 /// Records one [`ServeHandle`](crate::serve::ServeHandle) publish in
@@ -314,108 +275,31 @@ pub fn directory_built(_elapsed_ns: u64) {
 /// publishes, `serve_index_epoch` gauges the newest epoch, and
 /// `serve_index_publish_seconds` histograms the pointer-swap wall time
 /// (observed in **nanoseconds** — it should sit in the lowest buckets;
-/// anything else means a publisher blocked on readers). No-op with the
-/// `obs` feature disabled.
+/// anything else means a publisher blocked on readers).
 #[inline]
-pub fn index_published(_epoch: u64, _elapsed_ns: u64) {
-    #[cfg(feature = "obs")]
-    {
-        let r = global();
-        r.counter(
-            "serve_index_publishes_total",
-            "dispatch index versions published",
-        )
-        .inc();
-        r.gauge("serve_index_epoch", "most recently published index epoch")
-            .set(i64::try_from(_epoch).unwrap_or(i64::MAX));
-        r.histogram(
-            "serve_index_publish_seconds",
-            "index publish pointer-swap wall time (recorded in nanoseconds)",
-            Histogram::latency_ns(),
-        )
-        .observe(_elapsed_ns);
-    }
+pub fn index_published(epoch: u64, elapsed_ns: u64) {
+    let r = global();
+    r.counter(
+        "serve_index_publishes_total",
+        "dispatch index versions published",
+    )
+    .inc();
+    r.gauge("serve_index_epoch", "most recently published index epoch")
+        .set(i64::try_from(epoch).unwrap_or(i64::MAX));
+    r.histogram(
+        "serve_index_publish_seconds",
+        "index publish pointer-swap wall time (recorded in nanoseconds)",
+        Histogram::latency_ns(),
+    )
+    .observe(elapsed_ns);
 }
 
-/// Per-shard families, histograms, and the event sink — the parts of
-/// the engine's instrumentation that only exist with the `obs` feature.
-#[cfg(feature = "obs")]
-struct EngineExt {
-    shard_hits: Vec<Arc<Counter>>,
-    shard_misses: Vec<Arc<Counter>>,
-    latency: Arc<Histogram>,
-    ambiguous: Arc<Counter>,
-    edit_dirty: Arc<Histogram>,
-    edit_invalidated: Arc<Histogram>,
-    has_sink: std::sync::atomic::AtomicBool,
-    sink: std::sync::RwLock<Option<Arc<dyn EventSink>>>,
-}
-
-#[cfg(feature = "obs")]
-impl std::fmt::Debug for EngineExt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineExt")
-            .field("shards", &self.shard_hits.len())
-            .field(
-                "has_sink",
-                &self.has_sink.load(std::sync::atomic::Ordering::Relaxed),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-#[cfg(feature = "obs")]
-impl EngineExt {
-    fn new(registry: &Registry, shards: usize) -> Self {
-        let hits_family = registry.counter_family(
-            "engine_shard_hits_total",
-            "cache hits by memo-cache shard",
-            "shard",
-        );
-        let misses_family = registry.counter_family(
-            "engine_shard_misses_total",
-            "cache misses by memo-cache shard",
-            "shard",
-        );
-        EngineExt {
-            shard_hits: (0..shards)
-                .map(|i| hits_family.with_label(&i.to_string()))
-                .collect(),
-            shard_misses: (0..shards)
-                .map(|i| misses_family.with_label(&i.to_string()))
-                .collect(),
-            latency: registry.histogram(
-                "engine_lookup_latency_ns",
-                "per-query wall-clock latency (requires EngineOptions::timing)",
-                Histogram::latency_ns(),
-            ),
-            ambiguous: registry.counter(
-                "engine_ambiguous_total",
-                "queries that returned an ambiguous entry",
-            ),
-            edit_dirty: registry.histogram(
-                "engine_edit_dirty_size",
-                "dirty-set closure size per edit batch",
-                Histogram::sizes(),
-            ),
-            edit_invalidated: registry.histogram(
-                "engine_edit_invalidated_size",
-                "cached entries invalidated per edit batch",
-                Histogram::sizes(),
-            ),
-            has_sink: std::sync::atomic::AtomicBool::new(false),
-            sink: std::sync::RwLock::new(None),
-        }
-    }
-}
-
-/// The engine's metric handles: always-on summary counters registered
-/// in a per-engine [`Registry`], plus the feature-gated extras.
+/// The engine's metric handles, registered in a per-engine
+/// [`Registry`], plus its event sink.
 ///
 /// `pub(crate)`: only `engine.rs` records through this; external
 /// consumers read the registry via
 /// [`LookupEngine::metrics_registry`](crate::LookupEngine::metrics_registry).
-#[derive(Debug)]
 pub(crate) struct EngineMetrics {
     registry: Arc<Registry>,
     pub(crate) lookups: Arc<Counter>,
@@ -427,14 +311,39 @@ pub(crate) struct EngineMetrics {
     pub(crate) recomputed: Arc<Counter>,
     pub(crate) edits: Arc<Counter>,
     cached_entries: Arc<Gauge>,
-    #[cfg(feature = "obs")]
-    ext: EngineExt,
+    shard_hits: Vec<Arc<Counter>>,
+    shard_misses: Vec<Arc<Counter>>,
+    latency: Arc<Histogram>,
+    ambiguous: Arc<Counter>,
+    edit_dirty: Arc<Histogram>,
+    edit_invalidated: Arc<Histogram>,
+    has_sink: AtomicBool,
+    sink: RwLock<Option<Arc<dyn EventSink>>>,
+}
+
+impl std::fmt::Debug for EngineMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineMetrics")
+            .field("shards", &self.shard_hits.len())
+            .field("has_sink", &self.has_sink.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
 }
 
 impl EngineMetrics {
     pub(crate) fn new(shards: usize) -> Self {
         let registry = Arc::new(Registry::new());
-        let metrics = EngineMetrics {
+        let hits_family = registry.counter_family(
+            "engine_shard_hits_total",
+            "cache hits by memo-cache shard",
+            "shard",
+        );
+        let misses_family = registry.counter_family(
+            "engine_shard_misses_total",
+            "cache misses by memo-cache shard",
+            "shard",
+        );
+        EngineMetrics {
             lookups: registry.counter(
                 "engine_lookups_total",
                 "queries served (lookup + entry + batch elements)",
@@ -468,13 +377,35 @@ impl EngineMetrics {
                 "engine_cached_entries",
                 "entries currently cached (refreshed at snapshot time)",
             ),
-            #[cfg(feature = "obs")]
-            ext: EngineExt::new(&registry, shards),
+            shard_hits: (0..shards)
+                .map(|i| hits_family.with_label(&i.to_string()))
+                .collect(),
+            shard_misses: (0..shards)
+                .map(|i| misses_family.with_label(&i.to_string()))
+                .collect(),
+            latency: registry.histogram(
+                "engine_lookup_latency_ns",
+                "per-query wall-clock latency (requires EngineOptions::timing)",
+                Histogram::latency_ns(),
+            ),
+            ambiguous: registry.counter(
+                "engine_ambiguous_total",
+                "queries that returned an ambiguous entry",
+            ),
+            edit_dirty: registry.histogram(
+                "engine_edit_dirty_size",
+                "dirty-set closure size per edit batch",
+                Histogram::sizes(),
+            ),
+            edit_invalidated: registry.histogram(
+                "engine_edit_invalidated_size",
+                "cached entries invalidated per edit batch",
+                Histogram::sizes(),
+            ),
+            has_sink: AtomicBool::new(false),
+            sink: RwLock::new(None),
             registry,
-        };
-        #[cfg(not(feature = "obs"))]
-        let _ = shards;
-        metrics
+        }
     }
 
     pub(crate) fn registry(&self) -> &Arc<Registry> {
@@ -490,30 +421,24 @@ impl EngineMetrics {
     /// Records a cache hit on `shard` (the `lookups` counter is bumped
     /// separately by the caller, once per query).
     #[inline]
-    pub(crate) fn record_hit(&self, _shard: usize) {
+    pub(crate) fn record_hit(&self, shard: usize) {
         self.hits.inc();
-        #[cfg(feature = "obs")]
-        {
-            self.ext.shard_hits[_shard].inc();
-            self.emit(|| Event::CacheHit { shard: _shard });
-        }
+        self.shard_hits[shard].inc();
+        self.emit(|| Event::CacheHit { shard });
     }
 
     /// Records a cache miss on `shard`.
     #[inline]
-    pub(crate) fn record_miss(&self, _shard: usize) {
+    pub(crate) fn record_miss(&self, shard: usize) {
         self.misses.inc();
-        #[cfg(feature = "obs")]
-        {
-            self.ext.shard_misses[_shard].inc();
-            self.emit(|| Event::CacheMiss { shard: _shard });
-        }
+        self.shard_misses[shard].inc();
+        self.emit(|| Event::CacheMiss { shard });
     }
 
     /// Records the engine's initial cache build: which strategy ran
     /// (`build_strategy` label on `engine_build_info`) and how long it
-    /// took (`engine_build_seconds`, observed in nanoseconds). Always
-    /// on — `stats` surfaces both without the `obs` feature.
+    /// took (`engine_build_seconds`, observed in nanoseconds); `stats`
+    /// surfaces both.
     pub(crate) fn record_build(&self, strategy: &str, nanos: u64) {
         self.registry
             .counter_family(
@@ -536,32 +461,21 @@ impl EngineMetrics {
     #[inline]
     pub(crate) fn record_latency(&self, nanos: u64) {
         self.lookup_nanos.add(nanos);
-        #[cfg(feature = "obs")]
-        self.ext.latency.observe(nanos);
+        self.latency.observe(nanos);
     }
 
     /// Records a query that returned an ambiguous entry.
     #[inline]
-    pub(crate) fn record_ambiguity(&self, _class: u32, _member: u32) {
-        #[cfg(feature = "obs")]
-        {
-            self.ext.ambiguous.inc();
-            self.emit(|| Event::AmbiguityEncountered {
-                class: _class,
-                member: _member,
-            });
-        }
+    pub(crate) fn record_ambiguity(&self, class: u32, member: u32) {
+        self.ambiguous.inc();
+        self.emit(|| Event::AmbiguityEncountered { class, member });
     }
 
     /// Records one lazily computed (freshly inserted) entry.
     #[inline]
-    pub(crate) fn record_computed(&self, _class: u32, _member: u32) {
+    pub(crate) fn record_computed(&self, class: u32, member: u32) {
         self.computed.inc();
-        #[cfg(feature = "obs")]
-        self.emit(|| Event::NodeVisited {
-            class: _class,
-            member: _member,
-        });
+        self.emit(|| Event::NodeVisited { class, member });
     }
 
     /// Records an applied edit batch with its invalidation footprint.
@@ -576,47 +490,32 @@ impl EngineMetrics {
         self.edits.add(edits as u64);
         self.invalidated.add(invalidated);
         self.recomputed.add(recomputed);
-        #[cfg(feature = "obs")]
-        {
-            self.ext.edit_dirty.observe(dirty as u64);
-            self.ext.edit_invalidated.observe(invalidated);
-            self.emit(|| Event::EditApplied {
-                edits,
-                dirty,
-                invalidated: invalidated as usize,
-                recomputed: recomputed as usize,
-                generation,
-            });
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (dirty, generation);
-        }
+        self.edit_dirty.observe(dirty as u64);
+        self.edit_invalidated.observe(invalidated);
+        self.emit(|| Event::EditApplied {
+            edits,
+            dirty,
+            invalidated: invalidated as usize,
+            recomputed: recomputed as usize,
+            generation,
+        });
     }
 
     /// Installs (or removes, with `None`) the engine's event sink.
-    pub(crate) fn set_sink(&self, _sink: Option<Arc<dyn EventSink>>) {
-        #[cfg(feature = "obs")]
-        {
-            self.ext
-                .has_sink
-                .store(_sink.is_some(), std::sync::atomic::Ordering::Release);
-            *self.ext.sink.write().expect("sink lock poisoned") = _sink;
-        }
+    pub(crate) fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
+        self.has_sink.store(sink.is_some(), Ordering::Release);
+        *self.sink.write().expect("sink lock poisoned") = sink;
     }
 
     /// Sends an event to the installed sink, constructing it only when
-    /// a sink is present. Compiles to nothing without the `obs` feature.
+    /// a sink is present.
     #[inline]
-    pub(crate) fn emit(&self, _make: impl FnOnce() -> Event) {
-        #[cfg(feature = "obs")]
-        {
-            if !self.ext.has_sink.load(std::sync::atomic::Ordering::Acquire) {
-                return;
-            }
-            if let Some(sink) = self.ext.sink.read().expect("sink lock poisoned").as_ref() {
-                sink.record(&_make());
-            }
+    pub(crate) fn emit(&self, make: impl FnOnce() -> Event) {
+        if !self.has_sink.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some(sink) = self.sink.read().expect("sink lock poisoned").as_ref() {
+            sink.record(&make());
         }
     }
 }
@@ -639,7 +538,6 @@ mod tests {
         assert_eq!(snap.gauge("engine_cached_entries"), Some(7));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn shard_families_and_latency_histogram() {
         let m = EngineMetrics::new(4);
@@ -660,7 +558,6 @@ mod tests {
         assert_eq!(snap.histogram("engine_lookup_latency_ns").unwrap().count, 1);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn events_reach_the_sink_only_when_installed() {
         let m = EngineMetrics::new(1);
@@ -686,7 +583,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn propagation_counters_accumulate() {
         let p = propagation();
@@ -704,31 +600,25 @@ mod tests {
         serve_query("index", 3);
         index_built("table", 10, 640, 1_000);
         index_published(1, 50);
-        #[cfg(feature = "obs")]
-        {
-            let snap = global().snapshot();
-            assert!(snap.counter("serve_index_publishes_total").unwrap() >= 1);
-            assert!(snap.gauge("serve_index_bytes").is_some());
-            assert!(snap.gauge("serve_index_epoch").is_some());
-            assert!(snap.histogram("serve_index_build_seconds").unwrap().count >= 1);
-        }
+        let snap = global().snapshot();
+        assert!(snap.counter("serve_index_publishes_total").unwrap() >= 1);
+        assert!(snap.gauge("serve_index_bytes").is_some());
+        assert!(snap.gauge("serve_index_epoch").is_some());
+        assert!(snap.histogram("serve_index_build_seconds").unwrap().count >= 1);
     }
 
     #[test]
     fn baseline_counter_is_callable_in_both_modes() {
         baseline_query("naive");
-        #[cfg(feature = "obs")]
-        {
-            let snap = global().snapshot();
-            let found = snap.metrics.iter().any(|ms| {
-                ms.name == "baseline_queries_total"
-                    && matches!(
-                        &ms.value,
-                        MetricValue::Family { series, .. }
-                            if series.iter().any(|(s, n)| s == "naive" && *n >= 1)
-                    )
-            });
-            assert!(found);
-        }
+        let snap = global().snapshot();
+        let found = snap.metrics.iter().any(|ms| {
+            ms.name == "baseline_queries_total"
+                && matches!(
+                    &ms.value,
+                    MetricValue::Family { series, .. }
+                        if series.iter().any(|(s, n)| s == "naive" && *n >= 1)
+                )
+        });
+        assert!(found);
     }
 }

@@ -106,7 +106,7 @@ pub use crate::dispatch::{
 
 /// A backend that can be packed into a [`DispatchIndex`] — the unified
 /// construction surface behind [`DispatchIndex::from_backend`] and
-/// [`ServeHandle::publish_backend`].
+/// [`ServeHandle::serving`].
 ///
 /// Before this trait existed every backend grew its own ad-hoc entry
 /// point (`DispatchIndex::from_table`, `DispatchIndex::from_engine`,
@@ -126,40 +126,23 @@ pub use crate::dispatch::{
 /// * `&SnapshotTable` in `cpplookup-snapshot` (each varint payload is
 ///   decoded exactly once).
 pub trait IntoDispatchIndex {
-    /// Short stable label for metrics and diagnostics: `"table"`,
-    /// `"engine"`, `"snapshot"`, or `"index"` — the same values the
-    /// CLI's `--backend` flag accepts.
-    fn backend_label(&self) -> &'static str;
-
     /// Packs this backend into a flat [`DispatchIndex`].
     fn into_dispatch_index(self) -> DispatchIndex;
 }
 
 impl IntoDispatchIndex for LookupTable {
-    fn backend_label(&self) -> &'static str {
-        "table"
-    }
-
     fn into_dispatch_index(self) -> DispatchIndex {
         DispatchIndex::from_table(self)
     }
 }
 
 impl IntoDispatchIndex for &LookupEngine {
-    fn backend_label(&self) -> &'static str {
-        "engine"
-    }
-
     fn into_dispatch_index(self) -> DispatchIndex {
         DispatchIndex::from_engine(self)
     }
 }
 
 impl IntoDispatchIndex for DispatchIndex {
-    fn backend_label(&self) -> &'static str {
-        "index"
-    }
-
     fn into_dispatch_index(self) -> DispatchIndex {
         self
     }
@@ -1195,16 +1178,6 @@ impl ServeHandle {
         crate::obs::index_published(epoch, elapsed_ns(start));
         epoch
     }
-
-    /// Packs any backend and atomically publishes it, returning the new
-    /// epoch — [`publish`](Self::publish) behind the unified
-    /// [`IntoDispatchIndex`] surface. The pack happens *before* the
-    /// write lock is taken, so readers are never blocked on an index
-    /// build.
-    pub fn publish_backend(&self, backend: impl IntoDispatchIndex) -> u64 {
-        let index = backend.into_dispatch_index();
-        self.publish(index)
-    }
 }
 
 /// A [`LookupEngine`] paired with a published [`DispatchIndex`]: edits
@@ -1254,7 +1227,7 @@ impl IndexedEngine {
     /// This is the promotion step a write path takes when a previously
     /// read-only backend receives its first edit.
     pub fn attach(engine: LookupEngine, handle: ServeHandle) -> Self {
-        handle.publish_backend(&engine);
+        handle.publish(DispatchIndex::from_engine(&engine));
         IndexedEngine { engine, handle }
     }
 
@@ -1545,23 +1518,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_labels_are_stable() {
-        let g = fixtures::fig2();
-        let table = LookupTable::build(&g);
-        assert_eq!(table.backend_label(), "table");
-        let engine = LookupEngine::new(g.clone());
-        assert_eq!((&engine).backend_label(), "engine");
-        let index = DispatchIndex::from_backend(table);
-        assert_eq!(index.backend_label(), "index");
-    }
-
-    #[test]
     fn publish_backend_and_serving_bump_and_seed_epochs() {
         let g = fixtures::fig2();
         let handle = ServeHandle::serving(LookupTable::build(&g));
         assert_eq!(handle.epoch(), 0);
         let engine = LookupEngine::new(g.clone());
-        assert_eq!(handle.publish_backend(&engine), 1);
+        assert_eq!(handle.publish(DispatchIndex::from_backend(&engine)), 1);
         assert_eq!(handle.epoch(), 1);
     }
 

@@ -3,8 +3,9 @@
 //! ```text
 //! cpplookup-serverd [--addr HOST:PORT] [--max-connections N]
 //!                   [--read-timeout-secs N] [--tenant NAME=PATH]...
-//!                   [--no-obs] [--recorder-capacity N]
+//!                   [--recorder-capacity N]
 //!                   [--slow-threshold-ms N] [--tenant-cardinality N]
+//!                   [--io-model threads|epoll] [--reactors N]
 //!                   [--wal PATH] [--fsync-every N] [--retain-epochs N]
 //!                   [--read-only] [--compact-every-secs N] [--compact-dir DIR]
 //!                   [--follow ADDR | --follow-log PATH] [--follower-id NAME]
@@ -23,12 +24,12 @@
 //! CLI's `serve` subcommand and the tests read the real port from that
 //! line when port 0 was requested), then serves until killed.
 //!
-//! The `--no-obs` family of flags controls the observability layer:
-//! per-tenant metric families and the flight recorder (dumped from
-//! `GET /flightrecorder` on the same port; `GET /healthz`, `/tenants`,
-//! and `/metrics` are always available). Request tracing via the
-//! protocol TRACE flag is always honored and costs nothing when no
-//! client asks for it.
+//! `--recorder-capacity`, `--slow-threshold-ms` and
+//! `--tenant-cardinality` size the observability layer: the flight
+//! recorder (dumped from `GET /flightrecorder` on the same port, beside
+//! `GET /healthz`, `/tenants` and `/metrics`) and the per-tenant metric
+//! families. Request tracing via the protocol TRACE flag costs nothing
+//! when no client asks for it.
 //!
 //! Flag parsing and the serve loop live in [`cpplookup_server::cli`],
 //! shared with the main CLI's `serve` subcommand.

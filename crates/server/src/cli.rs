@@ -18,7 +18,7 @@ use crate::server::{Server, ServerConfig};
 
 /// Usage text for the server front end.
 pub const SERVE_USAGE: &str = "[--addr HOST:PORT] [--max-connections N] \
-     [--read-timeout-secs N] [--tenant NAME=PATH]... [--no-obs] \
+     [--read-timeout-secs N] [--tenant NAME=PATH]... \
      [--recorder-capacity N] [--slow-threshold-ms N] [--tenant-cardinality N] \
      [--io-model threads|epoll] [--reactors N] \
      [--wal PATH] [--fsync-every N] [--retain-epochs N] [--read-only] \
@@ -93,7 +93,6 @@ pub fn parse_server_args(args: &[String]) -> Result<ServeArgs, String> {
                     _ => return Err(format!("--tenant wants NAME=PATH, got `{spec}`")),
                 }
             }
-            "--no-obs" => config.obs.enabled = false,
             "--recorder-capacity" => {
                 config.obs.recorder_capacity = it
                     .next()
@@ -743,7 +742,6 @@ mod tests {
     #[test]
     fn server_obs_flags_parse() {
         let cfg = parse_server_args(&strs(&[
-            "--no-obs",
             "--recorder-capacity",
             "32",
             "--slow-threshold-ms",
@@ -753,11 +751,11 @@ mod tests {
         ]))
         .unwrap()
         .config;
-        assert!(!cfg.obs.enabled);
         assert_eq!(cfg.obs.recorder_capacity, 32);
         assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(5));
         assert_eq!(cfg.obs.tenant_cardinality, 8);
         assert!(parse_server_args(&strs(&["--recorder-capacity", "0"])).is_err());
+        assert!(parse_server_args(&strs(&["--no-obs"])).is_err());
     }
 
     #[test]

@@ -218,10 +218,8 @@ impl Tenant {
     fn promote(&self) -> &ServeHandle {
         self.serve.get_or_init(|| {
             self.metrics.promotions.inc();
-            if let Some(m) = &self.metrics.obs {
-                m.promotions.with_label(&self.name).inc();
-                m.epoch.with_label(&self.name).set(0);
-            }
+            self.metrics.tenant_promotions.with_label(&self.name).inc();
+            self.metrics.tenant_epoch.with_label(&self.name).set(0);
             let handle = ServeHandle::serving(&*self.snapshot);
             if self.retain_epochs > 1 {
                 handle.set_retention(self.retain_epochs);
@@ -325,9 +323,10 @@ impl Tenant {
         debug_assert!(names.in_step_with(chg));
         drop(slot);
         self.edits.fetch_add(edits.len() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.metrics.obs {
-            m.epoch.with_label(&self.name).set(epoch as i64);
-        }
+        self.metrics
+            .tenant_epoch
+            .with_label(&self.name)
+            .set(epoch as i64);
     }
 
     fn edit_now(&self, directive: &str, wal: Option<&WalStore>) -> Result<u64, FarmError> {
@@ -556,9 +555,9 @@ fn replica_edit(result: Result<u64, FarmError>) -> Result<ReplicaApply, FarmErro
 
 /// Construction-time knobs for a [`Farm`].
 pub struct FarmOptions {
-    /// Bounds the per-tenant metric label space (`None` disables the
-    /// per-tenant families — the observability-off baseline).
-    pub tenant_cardinality: Option<usize>,
+    /// Bounds the per-tenant metric label space: tenants past the first
+    /// `tenant_cardinality` distinct names share one `other` series.
+    pub tenant_cardinality: usize,
     /// The durable edit log: loads and edits are appended before they
     /// apply, making the farm a replication leader.
     pub wal: Option<Arc<WalStore>>,
@@ -573,7 +572,7 @@ pub struct FarmOptions {
 impl Default for FarmOptions {
     fn default() -> FarmOptions {
         FarmOptions {
-            tenant_cardinality: Some(64),
+            tenant_cardinality: 64,
             wal: None,
             read_only: false,
             retain_epochs: 1,
@@ -1260,10 +1259,10 @@ mod tests {
         }
         let farm = farm_with(TENANT, &chg);
         let promotions = || {
-            let by_tenant = farm.metrics.obs.as_ref().expect("per-tenant metrics on");
+            let m = &farm.metrics;
             (
-                farm.metrics.promotions.get(),
-                by_tenant.promotions.with_label(TENANT).get(),
+                m.promotions.get(),
+                m.tenant_promotions.with_label(TENANT).get(),
             )
         };
         assert_eq!(promotions(), (0, 0), "LOAD must not promote");

@@ -5,7 +5,9 @@
 //! connections, reactors, follower and compaction all reach the handles
 //! through it, so two servers in one process never share a series.
 //! Every handle is resolved here, at construction: the request path
-//! never takes the registry lock or looks a metric up by name.
+//! never takes the registry lock or looks a metric up by name. Every
+//! handle always exists — the observability layer has no off switch —
+//! so the request path records without checking for one.
 //!
 //! A server's `/metrics` (and [`Request::Metrics`](crate::Request::Metrics))
 //! renders three parts — see [`ServerMetrics::render`]: this registry,
@@ -45,15 +47,8 @@ pub(crate) struct ServerMetrics {
     pub(crate) replication_applied: Arc<Gauge>,
     pub(crate) replication_skipped: Arc<Counter>,
     pub(crate) replication_errors: Arc<Counter>,
-    /// `None` with the observability layer off (the E19/E24 baseline).
-    pub(crate) obs: Option<ObsMetrics>,
-}
-
-/// The per-tenant families and byte counters that exist only with the
-/// observability layer on.
-pub(crate) struct ObsMetrics {
-    pub(crate) promotions: Arc<Family>,
-    pub(crate) epoch: Arc<GaugeFamily>,
+    pub(crate) tenant_promotions: Arc<Family>,
+    pub(crate) tenant_epoch: Arc<GaugeFamily>,
     pub(crate) queries: Arc<Family2>,
     pub(crate) latency: Arc<HistogramFamily>,
     pub(crate) bytes_read: Arc<Counter>,
@@ -63,8 +58,8 @@ pub(crate) struct ObsMetrics {
 impl ServerMetrics {
     /// Registers every metric in a fresh registry. `tenant_cardinality`
     /// bounds the tenant-labelled families (tenants past it share one
-    /// `other` series); `None` leaves the observability layer out.
-    pub(crate) fn new(tenant_cardinality: Option<usize>) -> ServerMetrics {
+    /// `other` series).
+    pub(crate) fn new(tenant_cardinality: usize) -> ServerMetrics {
         let r = Registry::new();
         ServerMetrics {
             connections: r.gauge("server_connections", "connections currently open"),
@@ -146,39 +141,37 @@ impl ServerMetrics {
                 "replication_errors_total",
                 "records that failed to apply or stream errors",
             ),
-            obs: tenant_cardinality.map(|k| ObsMetrics {
-                promotions: r.counter_family_bounded(
-                    "tenant_promotions_total",
-                    "snapshot-to-index promotions, by tenant",
-                    "tenant",
-                    k,
-                ),
-                epoch: r.gauge_family(
-                    "tenant_epoch",
-                    "currently published index epoch, by tenant",
-                    "tenant",
-                    k,
-                ),
-                queries: r.counter_family2(
-                    "server_queries_total",
-                    "requests served, by tenant and operation",
-                    "tenant",
-                    "op",
-                    k,
-                ),
-                latency: r.histogram_family(
-                    "server_query_latency_ns",
-                    "end-to-end query/batch service latency, by tenant",
-                    "tenant",
-                    Histogram::latency_ns(),
-                    k,
-                ),
-                bytes_read: r.counter("server_bytes_read_total", "request bytes read off the wire"),
-                bytes_written: r.counter(
-                    "server_bytes_written_total",
-                    "response bytes written to the wire",
-                ),
-            }),
+            tenant_promotions: r.counter_family_bounded(
+                "tenant_promotions_total",
+                "snapshot-to-index promotions, by tenant",
+                "tenant",
+                tenant_cardinality,
+            ),
+            tenant_epoch: r.gauge_family(
+                "tenant_epoch",
+                "currently published index epoch, by tenant",
+                "tenant",
+                tenant_cardinality,
+            ),
+            queries: r.counter_family2(
+                "server_queries_total",
+                "requests served, by tenant and operation",
+                "tenant",
+                "op",
+                tenant_cardinality,
+            ),
+            latency: r.histogram_family(
+                "server_query_latency_ns",
+                "end-to-end query/batch service latency, by tenant",
+                "tenant",
+                Histogram::latency_ns(),
+                tenant_cardinality,
+            ),
+            bytes_read: r.counter("server_bytes_read_total", "request bytes read off the wire"),
+            bytes_written: r.counter(
+                "server_bytes_written_total",
+                "response bytes written to the wire",
+            ),
             registry: r,
         }
     }

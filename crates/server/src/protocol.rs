@@ -785,6 +785,27 @@ fn dec_outcome(d: &mut Dec<'_>) -> Result<WireOutcome, String> {
     }
 }
 
+/// A `u32` count, then that many outcomes: the outcome section of
+/// [`Response::Outcomes`] and [`Response::Traced`].
+fn enc_outcomes(e: &mut Enc, outcomes: &[WireOutcome]) {
+    e.u32(outcomes.len() as u32);
+    for o in outcomes {
+        enc_outcome(e, o);
+    }
+}
+
+fn dec_outcomes(d: &mut Dec<'_>) -> Result<Vec<WireOutcome>, String> {
+    let n = d.u32("outcome count")?;
+    if n > MAX_BODY / 2 {
+        return Err(format!("outcome count {n} exceeds frame capacity"));
+    }
+    let mut outcomes = Vec::with_capacity(n.min(4096) as usize);
+    for _ in 0..n {
+        outcomes.push(dec_outcome(d)?);
+    }
+    Ok(outcomes)
+}
+
 impl Request {
     /// Encodes this request as a frame body.
     pub fn encode(&self) -> Vec<u8> {
@@ -933,8 +954,8 @@ impl Request {
 
 /// Two-phase encoder for [`Response::Traced`]: the outcomes are encoded
 /// first (so the server can clock the encode phase), then the span list
-/// — which may include that very encode span — is appended. The result
-/// is byte-identical to `Response::Traced { .. }.encode()`.
+/// — which may include that very encode span — is appended.
+/// `Response::Traced { .. }.encode()` runs through it in one go.
 pub struct TracedEncoder {
     e: Enc,
 }
@@ -943,10 +964,7 @@ impl TracedEncoder {
     /// Encodes the opcode and outcome section.
     pub fn new(outcomes: &[WireOutcome]) -> TracedEncoder {
         let mut e = Enc::new(op::R_TRACED);
-        e.u32(outcomes.len() as u32);
-        for o in outcomes {
-            enc_outcome(&mut e, o);
-        }
+        enc_outcomes(&mut e, outcomes);
         TracedEncoder { e }
     }
 
@@ -981,10 +999,7 @@ impl Response {
             }
             Response::Outcomes(outcomes) => {
                 let mut e = Enc::new(op::R_OUTCOMES);
-                e.u32(outcomes.len() as u32);
-                for o in outcomes {
-                    enc_outcome(&mut e, o);
-                }
+                enc_outcomes(&mut e, outcomes);
                 e.finish()
             }
             Response::Edited { epoch } => {
@@ -1002,18 +1017,7 @@ impl Response {
                 e.str(text);
                 e.finish()
             }
-            Response::Traced { outcomes, spans } => {
-                let mut e = Enc::new(op::R_TRACED);
-                e.u32(outcomes.len() as u32);
-                for o in outcomes {
-                    enc_outcome(&mut e, o);
-                }
-                e.u32(spans.len() as u32);
-                for s in spans {
-                    enc_span(&mut e, s);
-                }
-                e.finish()
-            }
+            Response::Traced { outcomes, spans } => TracedEncoder::new(outcomes).finish(spans),
             Response::Replicated {
                 seq,
                 unix_nanos,
@@ -1055,17 +1059,7 @@ impl Response {
                 bytes: d.u64("bytes")?,
             },
             op::R_OUTCOME => Response::Outcome(dec_outcome(&mut d)?),
-            op::R_OUTCOMES => {
-                let n = d.u32("outcome count")?;
-                if n > MAX_BODY / 2 {
-                    return Err(format!("outcome count {n} exceeds frame capacity"));
-                }
-                let mut outcomes = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    outcomes.push(dec_outcome(&mut d)?);
-                }
-                Response::Outcomes(outcomes)
-            }
+            op::R_OUTCOMES => Response::Outcomes(dec_outcomes(&mut d)?),
             op::R_EDITED => Response::Edited {
                 epoch: d.u64("epoch")?,
             },
@@ -1076,14 +1070,7 @@ impl Response {
                 text: d.str("metrics text")?,
             },
             op::R_TRACED => {
-                let n = d.u32("outcome count")?;
-                if n > MAX_BODY / 2 {
-                    return Err(format!("outcome count {n} exceeds frame capacity"));
-                }
-                let mut outcomes = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    outcomes.push(dec_outcome(&mut d)?);
-                }
+                let outcomes = dec_outcomes(&mut d)?;
                 let n = d.u32("span count")?;
                 if n > MAX_BODY / 34 {
                     // 34 bytes = the smallest span encoding.

@@ -35,11 +35,9 @@
 //! request carrying the protocol's TRACE flag gets those boundaries
 //! back as a span tree in a [`Response::Traced`]; the spans are built
 //! from contiguous instants, so the child phases partition the root
-//! span *exactly* — their durations sum to the root's. With the
-//! [`ObsConfig`] layer enabled the server additionally feeds
-//! per-tenant metric families and the [`FlightRecorder`]; with it
-//! disabled the request path is the bare PR-6 loop, which is what the
-//! E24 overhead experiment compares against.
+//! span *exactly* — their durations sum to the root's. Every request
+//! also feeds the per-tenant metric families and the
+//! [`FlightRecorder`], sized by [`ObsConfig`].
 //!
 //! Metrics belong to the server instance: they live in its farm's
 //! registry (the crate-private `metrics` module), so `/metrics` shows
@@ -78,16 +76,11 @@ use crate::replication::wire_record;
 #[cfg(target_os = "linux")]
 use crate::sys::EventFd;
 
-/// Observability-layer configuration: per-tenant metric families and
-/// the flight recorder. Request tracing (the protocol TRACE flag) is
-/// always honored and is *not* gated here — it costs nothing unless a
-/// client asks for it.
+/// Sizes of the observability layer: the per-tenant metric families
+/// and the flight recorder. Request tracing (the protocol TRACE flag)
+/// costs nothing unless a client asks for it.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Master switch. `false` drops the per-tenant families and the
-    /// flight recorder from the request path entirely — the baseline
-    /// the E24 overhead experiment measures against.
-    pub enabled: bool,
     /// Flight-recorder main ring size (recent completed requests).
     pub recorder_capacity: usize,
     /// Slow-query log size (full span trees).
@@ -103,7 +96,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            enabled: true,
             recorder_capacity: 256,
             slow_capacity: 64,
             slow_threshold: Duration::from_millis(50),
@@ -208,8 +200,7 @@ impl Default for ServerConfig {
 /// The server's metrics live in its farm ([`Farm::metrics`]).
 pub(crate) struct Shared {
     pub(crate) farm: Arc<Farm>,
-    /// The flight recorder, when the observability layer is on.
-    recorder: Option<Arc<FlightRecorder>>,
+    recorder: Arc<FlightRecorder>,
     /// Connections currently admitted, bounded by `max_connections`.
     active: AtomicUsize,
     max_connections: usize,
@@ -273,7 +264,7 @@ impl Server {
             None => (None, Vec::new()),
         };
         let farm = Arc::new(Farm::with_options(FarmOptions {
-            tenant_cardinality: config.obs.enabled.then_some(config.obs.tenant_cardinality),
+            tenant_cardinality: config.obs.tenant_cardinality,
             wal: wal.clone(),
             read_only: config.read_only,
             retain_epochs: config.retain_epochs,
@@ -302,13 +293,11 @@ impl Server {
         let obs = &config.obs;
         let shared = Arc::new(Shared {
             farm,
-            recorder: obs.enabled.then(|| {
-                Arc::new(FlightRecorder::new(
-                    obs.recorder_capacity,
-                    obs.slow_capacity,
-                    obs.slow_threshold.as_nanos() as u64,
-                ))
-            }),
+            recorder: Arc::new(FlightRecorder::new(
+                obs.recorder_capacity,
+                obs.slow_capacity,
+                obs.slow_threshold.as_nanos() as u64,
+            )),
             active: AtomicUsize::new(0),
             max_connections: config.max_connections,
         });
@@ -372,9 +361,9 @@ impl Server {
         &self.shared.farm
     }
 
-    /// The flight recorder, when the observability layer is enabled.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.recorder.as_ref()
+    /// The flight recorder.
+    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+        &self.shared.recorder
     }
 
     /// Stops the acceptor and waits for it. Under the threaded model
@@ -562,9 +551,7 @@ pub(crate) enum Action {
 /// stamps they cut the traced span tree's exact partition.
 pub(crate) fn process_body(shared: &Shared, body: &[u8], t0: Instant, t1: Instant) -> Action {
     let metrics = shared.farm.metrics();
-    if let Some(obs) = &metrics.obs {
-        obs.bytes_read.add((4 + body.len() + 8) as u64);
-    }
+    metrics.bytes_read.add((4 + body.len() + 8) as u64);
     let decoded = Request::decode(body);
     let t2 = Instant::now();
     let (meta, outcome) = match decoded {
@@ -607,19 +594,17 @@ pub(crate) fn process_body(shared: &Shared, body: &[u8], t0: Instant, t1: Instan
         (Response::Outcomes(os), true, Some(t)) => traced_body(os, t0, t1, t2, t, &mut spans),
         _ => response.encode(),
     };
-    if let Some(obs) = &metrics.obs {
-        obs.bytes_written.add((4 + frame_body.len() + 8) as u64);
-        let latency_ns = t0.elapsed().as_nanos() as u64;
-        if !meta.tenant.is_empty() {
-            obs.queries.with_labels(&meta.tenant, meta.op).inc();
-            if matches!(meta.op, "query" | "batch") {
-                obs.latency.with_label(&meta.tenant).observe(latency_ns);
-            }
-        }
-        if let Some(recorder) = &shared.recorder {
-            recorder.record(&meta.tenant, meta.op, outcome_label, latency_ns, &spans);
+    metrics.bytes_written.add((4 + frame_body.len() + 8) as u64);
+    let latency_ns = t0.elapsed().as_nanos() as u64;
+    if !meta.tenant.is_empty() {
+        metrics.queries.with_labels(&meta.tenant, meta.op).inc();
+        if matches!(meta.op, "query" | "batch") {
+            metrics.latency.with_label(&meta.tenant).observe(latency_ns);
         }
     }
+    shared
+        .recorder
+        .record(&meta.tenant, meta.op, outcome_label, latency_ns, &spans);
     Action::Reply(frame_body)
 }
 
@@ -829,9 +814,7 @@ pub(crate) fn serve_subscription(mut stream: TcpStream, shared: &Shared, from_se
                 break;
             }
             metrics.replicated.inc();
-            if let Some(o) = &metrics.obs {
-                o.bytes_written.add((4 + body.len() + 8) as u64);
-            }
+            metrics.bytes_written.add((4 + body.len() + 8) as u64);
         }
         if closed {
             break;
@@ -888,14 +871,7 @@ pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]
                 .stats_json("")
                 .unwrap_or_else(|(_, m)| format!("{{\"error\":{}}}", crate::farm::json_str(&m))),
         ),
-        "/flightrecorder" => match &shared.recorder {
-            Some(recorder) => ("200 OK", "application/json", recorder.to_json()),
-            None => (
-                "404 Not Found",
-                "text/plain",
-                "flight recorder disabled\n".to_owned(),
-            ),
-        },
+        "/flightrecorder" => ("200 OK", "application/json", shared.recorder.to_json()),
         _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
     };
     let _ = write!(

@@ -459,6 +459,30 @@ fn http_get(addr: &str, target: &str) -> String {
     response
 }
 
+/// A server's metrics carry the engine's process-wide facade: after a
+/// LOAD and a QUERY, both `/metrics` and `Request::Metrics` show the
+/// snapshot load and the dispatch index build behind the promotion.
+#[test]
+fn metrics_carry_the_engine_facade_on_both_surfaces() {
+    let dir = TempDir::new("facade");
+    let snap = dir.file("fig2.snap");
+    write_snapshot(&fixtures::fig2(), &snap);
+    let (_server, addr) = start_server(ServerConfig::default());
+    let mut c = connect(&addr);
+    c.load("t0", snap.to_str().unwrap()).unwrap();
+    c.query("t0", "E", "m").unwrap();
+    let wire = c.metrics().unwrap();
+    let http = http_get(&addr, "/metrics");
+    for (surface, text) in [("Request::Metrics", &wire), ("/metrics", &http)] {
+        for name in ["snapshot_loads_total", "serve_index_builds_total"] {
+            assert!(
+                text.contains(&format!("# TYPE {name} counter")),
+                "{surface} lacks {name}: {text}"
+            );
+        }
+    }
+}
+
 #[test]
 fn traced_query_returns_exact_phase_partition() {
     let dir = TempDir::new("traced");
@@ -556,31 +580,6 @@ fn admin_endpoints_tenants_and_flightrecorder_work_end_to_end() {
         metrics.contains("tenant_epoch{tenant=\"acme\"}"),
         "{metrics}"
     );
-}
-
-#[test]
-fn obs_disabled_server_still_traces_but_has_no_flight_recorder() {
-    let dir = TempDir::new("obsless");
-    let snap = dir.file("fig1.snap");
-    write_snapshot(&fixtures::fig1(), &snap);
-    let (server, addr) = start_server(ServerConfig {
-        obs: cpplookup_server::ObsConfig {
-            enabled: false,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    assert!(server.recorder().is_none());
-    let mut c = connect(&addr);
-    c.load("t", snap.to_str().unwrap()).unwrap();
-    // Tracing is request-scoped, not part of the obs layer: it still
-    // answers with a full span tree.
-    let (_, spans) = c.query_traced("t", "A", "m").unwrap();
-    assert_eq!(spans.len(), 1 + PHASES.len());
-    let fr = http_get(&addr, "/flightrecorder");
-    assert!(fr.starts_with("HTTP/1.1 404"), "{fr}");
-    let health = http_get(&addr, "/healthz");
-    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
 }
 
 #[test]

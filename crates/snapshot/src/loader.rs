@@ -1241,10 +1241,6 @@ impl SnapshotTable {
 }
 
 impl cpplookup_core::IntoDispatchIndex for &SnapshotTable {
-    fn backend_label(&self) -> &'static str {
-        "snapshot"
-    }
-
     fn into_dispatch_index(self) -> cpplookup_core::DispatchIndex {
         self.dispatch_index()
     }

@@ -5,7 +5,6 @@
 //! the second is a build. The histogram lives in the process-wide
 //! engine facade, so this check has a test binary of its own: no
 //! concurrent test can move the count between the two reads.
-#![cfg(feature = "obs")]
 
 use std::path::PathBuf;
 

@@ -9,8 +9,8 @@
 //! coincide:
 //!
 //! 1. `entries_invalidated` as counted by the engine's metrics,
-//! 2. the dirty-set size reported by the `EditApplied` trace event
-//!    (with the `obs` feature), and
+//! 2. the dirty-set size reported by the `EditApplied` trace event,
+//!    and
 //! 3. the closure size recomputed here from the public `Chg` API,
 //!    which is also the number of cache misses the next full sweep
 //!    takes.
@@ -127,23 +127,20 @@ fn cache_metrics_match_dirty_closure_across_edits() {
     assert_eq!(misses, closure);
     assert_eq!(hits, pairs_now - closure);
 
-    // (2) the EditApplied trace events carry the same numbers (events
-    // only flow with the `obs` feature compiled in).
-    if cfg!(feature = "obs") {
-        let edits: Vec<(usize, usize)> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                obs::Event::EditApplied {
-                    dirty, invalidated, ..
-                } => Some((dirty, invalidated)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(edits.len(), 2, "one event per scripted edit");
-        assert_eq!(edits[0], (member_closure as usize, 0));
-        assert_eq!(edits[1], (closure as usize, closure as usize));
-    }
+    // (2) the EditApplied trace events carry the same numbers.
+    let edits: Vec<(usize, usize)> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            obs::Event::EditApplied {
+                dirty, invalidated, ..
+            } => Some((dirty, invalidated)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(edits.len(), 2, "one event per scripted edit");
+    assert_eq!(edits[0], (member_closure as usize, 0));
+    assert_eq!(edits[1], (closure as usize, closure as usize));
 }
 
 /// The batched compiler's build metrics: on an interface-heavy family
@@ -159,9 +156,6 @@ static BUILD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn build_metrics_report_frontier_pruning() {
-    if !cfg!(feature = "obs") {
-        return; // the global build counters compile away without obs
-    }
     let _serial = BUILD_LOCK.lock().unwrap();
     let registry = obs::global();
     let visited = |label: &str| {
