@@ -8,7 +8,9 @@
 //!   the killing optimization as a switch (reproduces Figures 4–5 and
 //!   powers the killing-ablation experiment);
 //! * [`toposort`] — the topological-number shortcut of Section 7.2,
-//!   sound only for unambiguous lookups.
+//!   sound only for unambiguous lookups;
+//! * [`retired`] — the whole-table builders the batched compiler
+//!   replaced, kept as its differential oracles.
 //!
 //! All of these exist to be measured against `cpplookup-core`'s
 //! CHG-based algorithm; see `cpplookup-bench` for the experiments. The
@@ -22,4 +24,5 @@
 pub mod adapters;
 pub mod gxx;
 pub mod naive;
+pub mod retired;
 pub mod toposort;

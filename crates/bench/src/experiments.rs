@@ -9,6 +9,7 @@ use std::io::{self, Write};
 
 use cpplookup_baselines::gxx::{gxx_lookup, gxx_lookup_corrected, GxxResult};
 use cpplookup_baselines::naive::{propagate, PropagationConfig};
+use cpplookup_baselines::retired;
 use cpplookup_baselines::toposort::toposort_lookup;
 use cpplookup_chg::{apply_edits, fixtures, Chg, Edit, Inheritance};
 use cpplookup_core::access::{check_access, AccessContext};
@@ -24,7 +25,7 @@ use cpplookup_subobject::{
     defns, isomorphism, lookup as oracle_lookup, Resolution, SubobjectGraph,
 };
 
-use crate::timing::{fmt_duration, median_time, Spread};
+use crate::timing::{fmt_duration, median_time, time_once, Spread};
 use crate::workloads::{self, Workload};
 
 /// All experiment ids, in order.
@@ -1021,12 +1022,34 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
+/// Rounds per family in E21: every round times all three builders.
+const E21_ROUNDS: usize = 7;
+
+/// The median of `values` and the spread of its middle half (the
+/// interquartile range, linearly interpolated) as a share of it.
+fn median_and_iqr_share(mut values: Vec<f64>) -> (f64, f64) {
+    values.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let x = p * (values.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        values[lo] + (values[hi] - values[lo]) * (x - lo as f64)
+    };
+    let median = at(0.5);
+    (median, (at(0.75) - at(0.25)) / median)
+}
+
 /// E21 — the batched single-sweep compiler (CSR + member-frontier
 /// pruning + arena-interned abstractions) against the per-member
 /// reference build it replaced, plus the work-stealing parallel sweep
 /// on top. Every family here is ≥2000 classes; the headline number is
 /// the geometric-mean single-thread speedup (target ≥3×). The builders
 /// are asserted entry-identical before any timing is reported.
+///
+/// The three builders run interleaved, [`E21_ROUNDS`] rounds per
+/// family, each round in a rotated order, so host drift during a
+/// family falls on all of them alike. A speedup is the median of the
+/// per-round ratios, printed with the interquartile range of those
+/// ratios as a share of it.
 fn e21(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
@@ -1038,7 +1061,8 @@ fn e21(w: &mut dyn Write) -> io::Result<()> {
         "  old = one full topological sweep over all classes per member \
          (Theta(|N|*|M|) steps); batched = one sweep per member *frontier*, \
          shared CSR, interned abstractions; parallel = work-stealing over \
-         member columns ({jobs} jobs)"
+         member columns ({jobs} jobs); medians of {E21_ROUNDS} interleaved rounds, \
+         each speedup with its IQR/median"
     )?;
     let families: Vec<(&str, Chg)> = vec![
         ("chain_2500", families::chain(2500, Some(16))),
@@ -1055,21 +1079,30 @@ fn e21(w: &mut dyn Write) -> io::Result<()> {
     ];
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>8} {:>11} {:>8}",
-        "family", "classes", "entries", "old", "batched", "speedup", "parallel", "speedup"
+        "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>8} {:>6} {:>11} {:>8} {:>6}",
+        "family",
+        "classes",
+        "entries",
+        "old",
+        "batched",
+        "speedup",
+        "iqr",
+        "parallel",
+        "speedup",
+        "iqr"
     )?;
     let mut ratios: Vec<f64> = Vec::new();
     for (name, chg) in &families {
         let options = LookupOptions::default();
-        let (t_old, old) = median_time(3, || LookupTable::build_per_member(chg, options));
-        let (t_bat, batched) = median_time(3, || LookupTable::build(chg));
+        let old = retired::build_per_member(chg, options);
+        let batched = LookupTable::build(chg);
         assert_eq!(
             old.stats(),
             batched.stats(),
             "{name}: builders diverged — timing a wrong table is meaningless"
         );
         drop(old);
-        let (t_par, parallel) = median_time(3, || LookupTable::build_parallel(chg, options, jobs));
+        let parallel = LookupTable::build_parallel(chg, options, jobs);
         assert_eq!(
             batched.stats(),
             parallel.stats(),
@@ -1077,20 +1110,45 @@ fn e21(w: &mut dyn Write) -> io::Result<()> {
         );
         let entries = batched.stats().entries;
         drop((batched, parallel));
-        let speedup = t_old.as_secs_f64() / t_bat.as_secs_f64().max(f64::MIN_POSITIVE);
-        let par_speedup = t_old.as_secs_f64() / t_par.as_secs_f64().max(f64::MIN_POSITIVE);
+        // times[builder][round]: old, batched, parallel.
+        let mut times = [const { Vec::new() }; 3];
+        for round in 0..E21_ROUNDS {
+            for k in 0..3 {
+                let builder = (round + k) % 3;
+                let (t, table) = time_once(|| match builder {
+                    0 => retired::build_per_member(chg, options),
+                    1 => LookupTable::build(chg),
+                    _ => LookupTable::build_parallel(chg, options, jobs),
+                });
+                drop(table);
+                times[builder].push(t.as_secs_f64());
+            }
+        }
+        let per_round = |k: usize| -> Vec<f64> {
+            times[0]
+                .iter()
+                .zip(&times[k])
+                .map(|(old, new)| old / new.max(f64::MIN_POSITIVE))
+                .collect()
+        };
+        let (speedup, iqr) = median_and_iqr_share(per_round(1));
+        let (par_speedup, par_iqr) = median_and_iqr_share(per_round(2));
+        let median =
+            |k: usize| std::time::Duration::from_secs_f64(median_and_iqr_share(times[k].clone()).0);
         ratios.push(speedup);
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>7.2}x {:>11} {:>7.2}x",
+            "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>7.2}x {:>6.2} {:>11} {:>7.2}x {:>6.2}",
             name,
             chg.class_count(),
             entries,
-            fmt_duration(t_old),
-            fmt_duration(t_bat),
+            fmt_duration(median(0)),
+            fmt_duration(median(1)),
             speedup,
-            fmt_duration(t_par),
+            iqr,
+            fmt_duration(median(2)),
             par_speedup,
+            par_iqr,
         )?;
     }
     let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
@@ -1110,7 +1168,7 @@ fn e21_smoke(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E21-smoke: batched-vs-old differential + perf guard")?;
     let chg = families::interface_heavy(200, 4);
     let options = LookupOptions::default();
-    let old = LookupTable::build_per_member(&chg, options);
+    let old = retired::build_per_member(&chg, options);
     let batched = LookupTable::build(&chg);
     for c in chg.classes() {
         for m in chg.member_ids() {
@@ -1129,7 +1187,7 @@ fn e21_smoke(w: &mut dyn Write) -> io::Result<()> {
         chg.class_count(),
         batched.stats().entries
     )?;
-    let (t_old, _) = median_time(5, || LookupTable::build_per_member(&chg, options));
+    let (t_old, _) = median_time(5, || retired::build_per_member(&chg, options));
     let (t_bat, _) = median_time(5, || LookupTable::build(&chg));
     let ratio = t_bat.as_secs_f64() / t_old.as_secs_f64().max(f64::MIN_POSITIVE);
     writeln!(
@@ -1823,9 +1881,82 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
+/// E23-smoke's codec check: the server writes read replies straight
+/// from the directory, so the raw reply bytes of a 64-probe `BATCH`, a
+/// `QUERY` and a `BATCH` naming an unknown class must equal what the
+/// owned encoder makes of the verified answers (`answers[i]` answers
+/// `probes[i]`) and of the expected error.
+fn e23_raw_frames(
+    addr: &str,
+    probes: &[(String, String)],
+    answers: &[cpplookup_server::WireOutcome],
+) -> io::Result<String> {
+    use cpplookup_server::protocol::{read_frame, write_frame};
+    use cpplookup_server::{ErrorCode, Request, Response};
+
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+    let mut round_trip = |req: Request| -> io::Result<Vec<u8>> {
+        write_frame(&mut stream, &req.encode())?;
+        read_frame(&mut stream).map_err(|e| io::Error::other(e.to_string()))
+    };
+    let picks: Vec<usize> = (0..64).map(|i| i % probes.len()).collect();
+    let batch = |probes: Vec<(String, String)>| Request::Batch {
+        tenant: "t0".to_owned(),
+        probes,
+        trace: false,
+        as_of: None,
+    };
+    let mut unknown: Vec<(String, String)> = picks.iter().map(|&i| probes[i].clone()).collect();
+    unknown[7].0 = "zz_no_such_class".to_owned();
+    let (class, member) = probes[0].clone();
+    let checks = [
+        (
+            "64-probe BATCH",
+            batch(picks.iter().map(|&i| probes[i].clone()).collect()),
+            Response::Outcomes(picks.iter().map(|&i| answers[i].clone()).collect()),
+        ),
+        (
+            "QUERY",
+            Request::Query {
+                tenant: "t0".to_owned(),
+                class,
+                member,
+                trace: false,
+                as_of: None,
+            },
+            Response::Outcome(answers[0].clone()),
+        ),
+        (
+            "unknown-name BATCH",
+            batch(unknown),
+            Response::Error {
+                code: ErrorCode::UnknownName,
+                message: "unknown class `zz_no_such_class`".to_owned(),
+            },
+        ),
+    ];
+    let mut bytes = 0;
+    for (what, req, want) in checks {
+        let got = round_trip(req)?;
+        if got != want.encode() {
+            return Err(io::Error::other(format!(
+                "{what}: the reply bytes differ from the owned encoder's ({} vs {} bytes)",
+                got.len(),
+                want.encode().len()
+            )));
+        }
+        bytes += got.len();
+    }
+    Ok(format!(
+        "64-probe BATCH, QUERY and unknown-name BATCH replies == owned encoder ({bytes} bytes)"
+    ))
+}
+
 /// E23's CI guard: a full wire session (LOAD → QUERY → BATCH → EDIT →
 /// STATS → METRICS) against an in-process server with every answer
-/// checked, the HTTP admin endpoint probed over raw TCP, and a short
+/// checked, raw reply frames held to the owned encoder's bytes (see
+/// [`e23_raw_frames`]), the HTTP admin endpoint probed over raw TCP, and a short
 /// closed-loop load run held to an absolute QPS floor — plus, when a
 /// committed `BENCH_e23.json` exists, a no-regression floor at 0.05x
 /// the recorded 8-connection QPS.
@@ -1881,6 +2012,8 @@ fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
     if client.query("t0", class, member).map_err(wire)? != answers[0] {
         return Err(io::Error::other("point query disagrees with batch"));
     }
+    let raw = e23_raw_frames(&addr, &probes, &answers)?;
+    writeln!(w, "  raw frames: {raw}")?;
     let epoch = client
         .edit("t0", &format!("member {class} zz_e23_probe"))
         .map_err(wire)?;

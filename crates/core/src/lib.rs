@@ -26,8 +26,8 @@
 //!   [`lookup_ref`](DispatchIndex::lookup_ref) fast path and wait-free
 //!   epoch-published versions ([`ServeHandle`] / [`IndexedEngine`]),
 //! * [`obs`] — the observability facade: per-engine metric registries,
-//!   propagation work counters, and structured event sinks (feature
-//!   `obs`, on by default; disabling it compiles the hooks away),
+//!   propagation work counters, and structured event sinks (always
+//!   compiled in),
 //! * [`trace`] — instrumented propagation reproducing Figures 6–7,
 //! * [`access`] — post-lookup access-rights checking (Section 6),
 //! * the applications the paper names in Section 1: [`dispatch`]
@@ -90,7 +90,7 @@ pub use result::{DisplayEntry, Entry, LookupOutcome};
 pub use serve::{
     DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex, ServeHandle,
 };
-pub use table::{LookupOptions, LookupTable, TableStats};
+pub use table::{compute_entry_with, LookupOptions, LookupTable, TableStats};
 
 pub mod prelude {
     //! The stable one-line import for lookup consumers:

@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use cpplookup_chg::fxmap::{FxBuildHasher, FxHashMap};
+use cpplookup_chg::fxmap::FxHashMap;
 use cpplookup_chg::{Chg, ClassId, MemberId, Path};
 
 use crate::abstraction::{LeastVirtual, RedAbs, StaticRule};
@@ -38,7 +38,7 @@ use crate::result::{Entry, LookupOutcome};
 /// base's entry for `m` (or `None` when `m` is not visible there); the
 /// caller guarantees base entries are already up to date. Returns `None`
 /// when `m ∉ Members[c]`.
-pub(crate) fn compute_entry_with<'e, F>(
+pub fn compute_entry_with<'e, F>(
     chg: &Chg,
     options: LookupOptions,
     c: ClassId,
@@ -136,8 +136,6 @@ pub(crate) struct Merge {
     /// The current candidate (None both before the first red and after a
     /// demotion — the paper's `nocandidate`).
     candidate: Option<RedCand>,
-    /// Whether any red was ever fed (for assertions).
-    saw_red: bool,
     /// The `toBeDominated` set.
     demoted: BTreeSet<LeastVirtual>,
     /// Work counts accumulated locally and flushed to the global
@@ -170,7 +168,6 @@ impl Merge {
         via: ClassId,
         statics: StaticRule,
     ) {
-        self.saw_red = true;
         self.work.reds += 1;
         let incoming = RedCand {
             abs,
@@ -246,9 +243,11 @@ impl Merge {
         entry
     }
 
-    /// Whether anything has been merged.
+    /// Whether anything has been merged (every red leaves a candidate
+    /// or a demoted set behind).
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        !self.saw_red && self.candidate.is_none() && self.demoted.is_empty()
+        self.candidate.is_none() && self.demoted.is_empty()
     }
 }
 
@@ -288,8 +287,9 @@ impl LookupTable {
     /// the hierarchy, member-frontier pruning so only live
     /// `(class, member)` pairs are touched, and arena-interned
     /// abstractions in the merge loop. Produces entries identical to
-    /// [`LookupTable::build_reference`] (asserted by the differential
-    /// suite), several-fold faster on large hierarchies.
+    /// the class-major reference build kept in `cpplookup-baselines`
+    /// (asserted by the differential suite), several-fold faster on
+    /// large hierarchies.
     pub fn build_with(chg: &Chg, options: LookupOptions) -> Self {
         LookupTable {
             options,
@@ -297,122 +297,10 @@ impl LookupTable {
         }
     }
 
-    /// Builds the whole table with the retired per-member strategy:
-    /// for each member name, one full topological sweep over *all*
-    /// classes through [`compute_entry_with`] — `Θ(|N|·|M|)`
-    /// propagation steps regardless of where the member is actually
-    /// visible. This is the column build the pre-batched parallel
-    /// fan-out ran per member, and the "old" baseline of the E21
-    /// experiment and the `e21-smoke` regression gate; not used on any
-    /// production path.
-    pub fn build_per_member(chg: &Chg, options: LookupOptions) -> Self {
-        let start = std::time::Instant::now();
-        let n = chg.class_count();
-        let mut entries: Vec<FxHashMap<MemberId, Entry>> = vec![FxHashMap::default(); n];
-        let mut slots: Vec<Option<Entry>> = vec![None; n];
-        for m in chg.member_ids() {
-            slots.iter_mut().for_each(|s| *s = None);
-            for &c in chg.topo_order() {
-                let entry = compute_entry_with(chg, options, c, m, |b| slots[b.index()].as_ref());
-                if let Some(e) = entry {
-                    entries[c.index()].insert(m, e.clone());
-                    slots[c.index()] = Some(e);
-                }
-            }
-        }
-        crate::obs::table_built(
-            "per-member",
-            (n as u64) * (chg.member_name_count() as u64),
-            0,
-            crate::batched::elapsed_ns(start),
-        );
-        LookupTable { options, entries }
-    }
-
-    /// Builds the whole table with the original per-class/per-member
-    /// propagation — a literal transcription of Figure 8's doubly
-    /// nested loop.
-    ///
-    /// Kept as the differential oracle for the batched compiler (see
-    /// `tests/build_equiv.rs` and the `e21-smoke` CI gate); not used on
-    /// any production path.
-    pub fn build_reference(chg: &Chg, options: LookupOptions) -> Self {
-        let start = std::time::Instant::now();
-        let n = chg.class_count();
-        let mut total_entries = 0u64;
-        let mut entries: Vec<FxHashMap<MemberId, Entry>> = vec![FxHashMap::default(); n];
-        for &c in chg.topo_order() {
-            let mut acc: FxHashMap<MemberId, Merge> = FxHashMap::default();
-            for spec in chg.direct_bases(c) {
-                for (&m, entry) in &entries[spec.base.index()] {
-                    // Line 12: a generated definition kills everything
-                    // arriving from bases; skip the merge entirely.
-                    if chg.declares(c, m) {
-                        continue;
-                    }
-                    let merge = acc.entry(m).or_default();
-                    match entry {
-                        Entry::Red { abs, shared, .. } => {
-                            let ext_shared: Vec<_> = shared
-                                .iter()
-                                .map(|lv| lv.extend(spec.base, spec.inheritance))
-                                .collect();
-                            merge.add_red(
-                                chg,
-                                m,
-                                abs.extend(spec.base, spec.inheritance),
-                                &ext_shared,
-                                spec.base,
-                                options.statics,
-                            );
-                        }
-                        Entry::Blue(set) => {
-                            for &lv in set {
-                                merge.add_blue(lv.extend(spec.base, spec.inheritance));
-                            }
-                        }
-                    }
-                }
-            }
-            let mut tbl: FxHashMap<MemberId, Entry> = FxHashMap::with_capacity_and_hasher(
-                acc.len() + chg.declared_members(c).len(),
-                FxBuildHasher,
-            );
-            for &(m, _) in chg.declared_members(c) {
-                tbl.insert(
-                    m,
-                    Entry::Red {
-                        abs: RedAbs::generated(c),
-                        via: None,
-                        shared: Vec::new(),
-                    },
-                );
-            }
-            for (m, merge) in acc {
-                debug_assert!(!merge.is_empty());
-                tbl.insert(m, merge.finish(chg));
-            }
-            // The eager builder bypasses `compute_entry_with`, so count
-            // its per-(class, member) steps here in one batch.
-            crate::obs::propagation().nodes_visited_add(tbl.len() as u64);
-            total_entries += tbl.len() as u64;
-            entries[c.index()] = tbl;
-        }
-        crate::obs::table_built(
-            "reference",
-            total_entries,
-            0,
-            crate::batched::elapsed_ns(start),
-        );
-        LookupTable { options, entries }
-    }
-
-    /// Assembles a table from prebuilt per-class entry maps (used by the
-    /// parallel builder).
-    pub(crate) fn from_parts(
-        options: LookupOptions,
-        entries: Vec<FxHashMap<MemberId, Entry>>,
-    ) -> Self {
+    /// Assembles a table from prebuilt per-class entry maps, one map per
+    /// class index (used by the parallel builder and the retired
+    /// builders in `cpplookup-baselines`).
+    pub fn from_parts(options: LookupOptions, entries: Vec<FxHashMap<MemberId, Entry>>) -> Self {
         LookupTable { options, entries }
     }
 

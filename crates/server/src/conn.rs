@@ -3,10 +3,11 @@
 //! A [`Session`] is everything the wire protocol knows about one
 //! connection: frame reassembly ([`FrameBuffer`]), the first-bytes sniff
 //! that tells HTTP admin traffic from binary frames, the frame-damage
-//! policy, the fairness cap, and the queue of framed responses. A driver
-//! only moves bytes: it [`feed`](Session::feed)s what it read, calls
-//! [`serve`](Session::serve), writes the queue, and does what the
-//! returned [`Turn`] says. Two drivers exist — [`drive`] below (blocking
+//! policy, the fairness cap, the output buffer replies are framed into,
+//! and the read path's reused scratch. A driver only moves bytes: it
+//! [`feed`](Session::feed)s what it read, calls
+//! [`serve`](Session::serve), writes the output buffer, and does what
+//! the returned [`Turn`] says. Two drivers exist — [`drive`] below (blocking
 //! I/O: the threads model, and the reactor's handoff threads) and the
 //! epoll reactor (`crate::reactor`) — so the two I/O models answer
 //! byte-identically because there is only one state machine.
@@ -19,7 +20,7 @@
 //!                      │       SUBSCRIBE            the queue is written
 //!                      ├───────────────▶ Subscribed (hand off)
 //!                      ▼
-//!   feed ──▶ reassemble ──▶ process_body ──▶ queue ──▶ driver writes
+//!   feed ──▶ reassemble ──▶ process_body ──▶ output buffer ──▶ driver writes
 //! ```
 //!
 //! * **Incremental frame reassembly** — [`FrameBuffer`] carries a
@@ -35,27 +36,31 @@
 //!   began (the `serve` step that peels it, or the instant the fairness
 //!   cap deferred the connection) and its read ends when the frame is
 //!   peeled off the buffer, whichever driver runs the session.
+//! * **Replies framed in place** — `process_body` appends each reply
+//!   frame straight to one output buffer, and the driver writes that
+//!   buffer with one call; the buffer and the read path's
+//!   [`ReadScratch`] keep their capacity across requests, so a warmed
+//!   connection answers a `QUERY` or `BATCH` of any size without
+//!   allocating past the copy of its frame body.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Instant;
 
-use crate::protocol::{checksum64, frame, ErrorCode, FrameError, Response, MAX_BODY};
+use crate::farm::ReadScratch;
+use crate::protocol::{checksum64, ErrorCode, FrameError, Response, MAX_BODY};
 use crate::server::{process_body, serve_admin, serve_subscription, Action, Shared};
 
 /// Fairness cap: the most pipelined frames one connection has answered
 /// back-to-back before its driver lets the other connections run.
 pub(crate) const MAX_FRAMES_PER_TURN: usize = 32;
 
-/// The most response frames one vectored write gathers.
-const WRITEV_BATCH: usize = 32;
-
 /// The largest single read either driver asks the socket for.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
-/// How far the consumed prefix may grow before the buffer compacts.
+/// How far a consumed prefix (of the frame buffer, or of the output
+/// buffer) may grow before the buffer compacts.
 const COMPACT_AT: usize = 64 * 1024;
 
 /// Incremental frame reassembly: a growable buffer with a consumed
@@ -203,11 +208,11 @@ pub(crate) struct Session {
     phase: Phase,
     /// The peer closed its write half: serve what is buffered, then go.
     read_closed: bool,
-    /// Framed responses, the front one written up to `out_head`.
-    out: VecDeque<Vec<u8>>,
+    /// Framed responses, written up to `out_head`.
+    out: Vec<u8>,
     out_head: usize,
-    /// Unwritten response bytes across `out`.
-    backlog: usize,
+    /// The read path's id and outcome buffers, reused across frames.
+    scratch: ReadScratch,
     /// When the fairness cap deferred the frames still buffered, for
     /// the next turn's first `queue_wait`.
     deferred_at: Option<Instant>,
@@ -219,9 +224,9 @@ impl Session {
             buf: FrameBuffer::new(),
             phase: Phase::Start,
             read_closed: false,
-            out: VecDeque::new(),
+            out: Vec::new(),
             out_head: 0,
-            backlog: 0,
+            scratch: ReadScratch::default(),
             deferred_at: None,
         }
     }
@@ -262,14 +267,14 @@ impl Session {
                     // answer once, discard whatever else arrives, and
                     // close once the answer is written.
                     self.phase = Phase::Damaged;
-                    self.push(damage_response(shared, &damage));
+                    damage_response(shared, &damage).frame_into(&mut self.out);
                     return Turn::Close;
                 }
             };
             let t0 = deferred.take().unwrap_or(turn_start);
             let t1 = Instant::now();
-            match process_body(shared, &body, t0, t1) {
-                Action::Reply(body) => self.push(body),
+            match process_body(shared, &body, t0, t1, &mut self.scratch, &mut self.out) {
+                Action::Replied => {}
                 Action::Subscribe { from_seq } => {
                     self.phase = Phase::Subscribed { from_seq };
                     return Turn::Subscribe { from_seq };
@@ -305,36 +310,19 @@ impl Session {
 
     /// Response bytes queued but not yet written.
     pub(crate) fn backlog(&self) -> usize {
-        self.backlog
+        self.out.len() - self.out_head
     }
 
-    fn push(&mut self, body: Vec<u8>) {
-        let framed = frame(&body);
-        self.backlog += framed.len();
-        self.out.push_back(framed);
-    }
-
-    /// Writes queued responses with one vectored write of up to
-    /// [`WRITEV_BATCH`] frames and drops the bytes the writer took.
+    /// Writes queued responses with one write call and drops the bytes
+    /// the writer took.
     pub(crate) fn write_to(&mut self, w: &mut impl Write) -> io::Result<usize> {
-        let mut slices = [IoSlice::new(&[]); WRITEV_BATCH];
-        let mut n = 0;
-        for (slot, buffer) in slices.iter_mut().zip(&self.out) {
-            let from = if n == 0 { self.out_head } else { 0 };
-            *slot = IoSlice::new(&buffer[from..]);
-            n += 1;
-        }
-        let wrote = w.write_vectored(&slices[..n])?;
-        self.backlog -= wrote;
-        let mut left = wrote;
-        while let Some(front) = self.out.front() {
-            let rest = front.len() - self.out_head;
-            if left < rest {
-                self.out_head += left;
-                break;
-            }
-            left -= rest;
-            self.out.pop_front();
+        let wrote = w.write(&self.out[self.out_head..])?;
+        self.out_head += wrote;
+        if self.out_head == self.out.len() {
+            self.out.clear();
+            self.out_head = 0;
+        } else if self.out_head >= COMPACT_AT {
+            self.out.drain(..self.out_head);
             self.out_head = 0;
         }
         Ok(wrote)
@@ -342,7 +330,7 @@ impl Session {
 }
 
 /// The answer to frame-level damage, counted as an error response.
-fn damage_response(shared: &Shared, damage: &FrameError) -> Vec<u8> {
+fn damage_response(shared: &Shared, damage: &FrameError) -> Response {
     let (code, message) = match damage {
         FrameError::BadLength { len } => (
             ErrorCode::BadLength,
@@ -351,7 +339,7 @@ fn damage_response(shared: &Shared, damage: &FrameError) -> Vec<u8> {
         other => (ErrorCode::BadFrame, other.to_string()),
     };
     shared.farm.metrics().errors.with_label(code.label()).inc();
-    Response::Error { code, message }.encode()
+    Response::Error { code, message }
 }
 
 /// The blocking driver: runs `session` over a blocking `stream` until
@@ -405,7 +393,7 @@ pub(crate) fn drive(mut stream: TcpStream, mut session: Session, shared: &Shared
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Request;
+    use crate::protocol::{frame, Request};
 
     fn frame_of(req: &Request) -> Vec<u8> {
         frame(&req.encode())

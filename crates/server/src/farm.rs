@@ -24,13 +24,19 @@
 //! without re-resolving anything. A 1000-tenant farm where only a dozen
 //! tenants see traffic pays for exactly a dozen index builds.
 //!
-//! Every read — a QUERY is a batch of one — goes through
-//! [`Farm::read`]: resolve the names, load the publication, probe the
-//! directory in one batch, convert back to names. Concurrent reads of a
-//! cold tenant, identical or not, meet in the promotion's
-//! `OnceLock::get_or_init`: one of them packs the index, the rest wait
-//! for it and then probe it themselves.
+//! Every read — a QUERY is a batch of one — goes through one core,
+//! [`Tenant::read_into`]: resolve the borrowed names into a reused id
+//! buffer, load the publication, probe the directory in one batch, and
+//! write each borrowed outcome straight into the reply, naming its
+//! classes from the tenant's name table. The server calls it through
+//! [`Farm::answer`] with a [`ReadView`] over the request frame, so a
+//! warmed connection answers a read of any size with no allocation;
+//! the owned [`Farm::read`], [`Farm::query`] and [`Farm::batch`] decode
+//! the same reply bytes. Concurrent reads of a cold tenant, identical
+//! or not, meet in the promotion's `OnceLock::get_or_init`: one of them
+//! packs the index, the rest wait for it and then probe it themselves.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -43,7 +49,8 @@ use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_wal::{Stamped, WalRecord, WalStore};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{ErrorCode, WireLv, WireOutcome};
+use crate::names::{NameTable, STRIPE};
+use crate::protocol::{op, Enc, ErrorCode, ReadView, Response, WireOutcome};
 
 /// A request-level failure: the structured code plus a human message.
 pub type FarmError = (ErrorCode, String);
@@ -51,17 +58,37 @@ pub type FarmError = (ErrorCode, String);
 /// Phase boundaries captured inside every read, as instants: after
 /// name resolution, after the serve handle was obtained (on a cold
 /// tenant this absorbs the index build — the "promotion wait"), and
-/// after the directory probe produced wire outcomes. Together with the
-/// caller's own decode/encode stamps these partition a request
-/// end-to-end.
+/// after the directory probe. Together with the caller's own decode
+/// stamp and the instant the outcomes are written, these partition a
+/// request end-to-end.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeTiming {
     /// Names resolved to ids (includes the tenant-map lookup).
     pub resolved: Instant,
     /// Publication handle loaded; cold tenants pay the index pack here.
     pub promoted: Instant,
-    /// Directory probed and outcomes converted back to names.
+    /// Directory probed; the outcomes are borrowed, not yet written.
     pub probed: Instant,
+}
+
+/// The buffers the read core reuses from one read to the next — one
+/// per connection — so a warmed reader resolves and probes without
+/// allocating.
+#[derive(Default)]
+pub struct ReadScratch {
+    ids: Vec<(ClassId, MemberId)>,
+    /// Empty between reads: only its capacity carries over.
+    refs: Vec<OutcomeRef<'static>>,
+}
+
+/// Empties `refs` and hands back its allocation for outcomes of another
+/// borrow. `OutcomeRef`s of every lifetime share one layout, so the
+/// in-place `collect` keeps the buffer; the map never runs.
+fn reuse<'b>(mut refs: Vec<OutcomeRef<'_>>) -> Vec<OutcomeRef<'b>> {
+    refs.clear();
+    refs.into_iter()
+        .map(|_| -> OutcomeRef<'b> { unreachable!("cleared") })
+        .collect()
 }
 
 /// Name ↔ id mapping for one tenant. Hierarchies only grow and ids are
@@ -69,29 +96,26 @@ pub struct ProbeTiming {
 /// ([`intern`](Names::intern)); queries only take the read lock.
 #[derive(Clone)]
 struct Names {
-    classes: FxHashMap<String, ClassId>,
-    members: FxHashMap<String, MemberId>,
-    class_names: Vec<String>,
+    classes: NameTable,
+    members: NameTable,
 }
 
 impl Names {
     fn from_snapshot(table: &SnapshotTable) -> Names {
         let mut n = Names {
-            classes: FxHashMap::default(),
-            members: FxHashMap::default(),
-            class_names: Vec::with_capacity(table.class_count()),
+            classes: NameTable::with_capacity(table.class_count()),
+            members: NameTable::with_capacity(table.member_name_count()),
         };
         for i in 0..table.class_count() {
-            let c = ClassId::from_index(i);
-            let name = table.class_name(c).unwrap_or_default().to_owned();
-            n.classes.insert(name.clone(), c);
-            n.class_names.push(name);
+            n.classes
+                .push(table.class_name(ClassId::from_index(i)).unwrap_or_default());
         }
         for i in 0..table.member_name_count() {
-            let m = MemberId::from_index(i);
-            if let Some(name) = table.member_name(m) {
-                n.members.insert(name.to_owned(), m);
-            }
+            n.members.push(
+                table
+                    .member_name(MemberId::from_index(i))
+                    .unwrap_or_default(),
+            );
         }
         n
     }
@@ -102,14 +126,11 @@ impl Names {
     /// edit, in apply order.
     fn intern(&mut self, edit: &Edit) {
         match edit {
-            Edit::AddClass { name } if !self.classes.contains_key(name) => {
-                let c = ClassId::from_index(self.class_names.len());
-                self.classes.insert(name.clone(), c);
-                self.class_names.push(name.clone());
+            Edit::AddClass { name } if self.classes.get(name).is_none() => {
+                self.classes.push(name);
             }
-            Edit::AddMember { name, .. } if !self.members.contains_key(name) => {
-                let m = MemberId::from_index(self.members.len());
-                self.members.insert(name.clone(), m);
+            Edit::AddMember { name, .. } if self.members.get(name).is_none() => {
+                self.members.push(name);
             }
             _ => {}
         }
@@ -117,61 +138,92 @@ impl Names {
 
     /// Whether these names cover exactly `chg`'s class and member ids.
     fn in_step_with(&self, chg: &Chg) -> bool {
-        self.class_names.len() == chg.class_count() && self.members.len() == chg.member_name_count()
+        self.classes.len() == chg.class_count() && self.members.len() == chg.member_name_count()
     }
 
     fn class(&self, name: &str) -> Result<ClassId, FarmError> {
         self.classes
             .get(name)
-            .copied()
-            .ok_or_else(|| (ErrorCode::UnknownName, format!("unknown class `{name}`")))
+            .map(ClassId::from_index)
+            .ok_or_else(|| unknown("class", name))
     }
 
-    fn member(&self, name: &str) -> Result<MemberId, FarmError> {
-        self.members
-            .get(name)
-            .copied()
-            .ok_or_else(|| (ErrorCode::UnknownName, format!("unknown member `{name}`")))
-    }
-
-    fn lv(&self, lv: &LeastVirtual) -> WireLv {
-        match lv {
-            LeastVirtual::Omega => WireLv::Omega,
-            LeastVirtual::Class(c) => WireLv::Class(self.class_name(*c)),
+    /// Resolves `probes` in order into `ids`, a stripe at a time (see
+    /// [`NameTable::get_stripe`]), failing on the first unknown name —
+    /// a probe's class before its member.
+    fn resolve<'p>(
+        &self,
+        mut probes: impl Iterator<Item = (&'p str, &'p str)>,
+        ids: &mut Vec<(ClassId, MemberId)>,
+    ) -> Result<(), FarmError> {
+        loop {
+            let mut names = [[""; STRIPE]; 2];
+            let mut n = 0;
+            for (class, member) in probes.by_ref().take(STRIPE) {
+                [names[0][n], names[1][n]] = [class, member];
+                n += 1;
+            }
+            if n == 0 {
+                return Ok(());
+            }
+            let mut found = [[None; STRIPE]; 2];
+            self.classes.get_stripe(&names[0][..n], &mut found[0][..n]);
+            self.members.get_stripe(&names[1][..n], &mut found[1][..n]);
+            for i in 0..n {
+                let class = found[0][i].ok_or_else(|| unknown("class", names[0][i]))?;
+                let member = found[1][i].ok_or_else(|| unknown("member", names[1][i]))?;
+                ids.push((ClassId::from_index(class), MemberId::from_index(member)));
+            }
         }
     }
 
-    fn class_name(&self, c: ClassId) -> String {
-        self.class_names
-            .get(c.index())
-            .cloned()
-            .unwrap_or_else(|| format!("{c}"))
+    fn lv(&self, lv: &LeastVirtual) -> Option<Cow<'_, str>> {
+        match lv {
+            LeastVirtual::Omega => None,
+            LeastVirtual::Class(c) => Some(self.class_name(*c)),
+        }
     }
 
-    /// Converts an outcome borrowed from
+    fn class_name(&self, c: ClassId) -> Cow<'_, str> {
+        match self.classes.name(c.index()) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("{c}")),
+        }
+    }
+
+    /// Writes an outcome borrowed from
     /// [`DispatchIndex::lookup_batch_into`](cpplookup_core::DispatchIndex::lookup_batch_into)'s
-    /// pool straight to wire strings, without materializing a
-    /// `LookupOutcome` in between.
-    fn wire_ref(&self, outcome: &OutcomeRef<'_>) -> WireOutcome {
+    /// pool straight into a reply, with class names borrowed from this
+    /// table: no `LookupOutcome` or `WireOutcome` in between.
+    fn put(&self, e: &mut Enc<'_>, outcome: &OutcomeRef<'_>) {
         match outcome {
-            OutcomeRef::NotFound => WireOutcome::NotFound,
+            OutcomeRef::NotFound => {
+                e.not_found();
+            }
             OutcomeRef::Resolved {
                 class,
                 least_virtual,
-            } => WireOutcome::Resolved {
-                class: self.class_name(*class),
-                least_virtual: self.lv(least_virtual),
-            },
-            OutcomeRef::Ambiguous { witnesses } => WireOutcome::Ambiguous {
-                witnesses: witnesses.iter().map(|w| self.lv(&w)).collect(),
-            },
+            } => {
+                e.resolved(&self.class_name(*class), self.lv(least_virtual).as_deref());
+            }
+            OutcomeRef::Ambiguous { witnesses } => {
+                e.ambiguous(witnesses.len());
+                for w in witnesses.iter() {
+                    e.lv(self.lv(&w).as_deref());
+                }
+            }
         }
     }
 }
 
+/// The error for a name the tenant does not have.
+fn unknown(what: &str, name: &str) -> FarmError {
+    (ErrorCode::UnknownName, format!("unknown {what} `{name}`"))
+}
+
 /// One tenant: a snapshot plus its lazily built serving state.
 pub struct Tenant {
-    name: String,
+    name: Arc<str>,
     snapshot: Arc<SnapshotTable>,
     /// Set exactly once, at promotion; `get_or_init` makes concurrent
     /// promoters single-flight.
@@ -196,7 +248,7 @@ impl Tenant {
     ) -> Tenant {
         let names = Names::from_snapshot(&table);
         Tenant {
-            name,
+            name: name.into(),
             snapshot: Arc::new(table),
             serve: OnceLock::new(),
             live: Mutex::new(None),
@@ -206,6 +258,11 @@ impl Tenant {
             retain_epochs,
             metrics,
         }
+    }
+
+    /// The tenant's name, shared with whoever records it.
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
     }
 
     /// Whether the dispatch index has been built.
@@ -254,42 +311,47 @@ impl Tenant {
         }
     }
 
-    /// Answers `probes` in order from the current publication or, for
-    /// an as-of read, the retained epoch `as_of` pins, stamping the
-    /// phase boundaries on the way. Fails on the first unresolvable
-    /// name, before touching the index.
-    fn read<P: AsRef<str>>(
+    /// The read core: answers `probes` in order from the current
+    /// publication or, for an as-of read, the retained epoch `as_of`
+    /// pins, appending one outcome per probe to `e` and stamping the
+    /// phase boundaries on the way. The names resolve into `scratch`'s
+    /// id buffer, the directory answers into its outcome buffer, and
+    /// each borrowed outcome is written straight into the reply. Fails
+    /// on the first unresolvable name, before touching the index, and
+    /// writes nothing when it fails.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::UnknownName`] or [`ErrorCode::EpochRetired`].
+    pub fn read_into<'p>(
         &self,
-        probes: &[(P, P)],
+        probes: impl ExactSizeIterator<Item = (&'p str, &'p str)>,
         as_of: Option<u64>,
-    ) -> Result<(Vec<WireOutcome>, ProbeTiming), FarmError> {
+        scratch: &mut ReadScratch,
+        e: &mut Enc<'_>,
+    ) -> Result<ProbeTiming, FarmError> {
         self.queries
             .fetch_add(probes.len() as u64, Ordering::Relaxed);
         let names = self.names();
-        let ids = probes
-            .iter()
-            .map(|(class, member)| {
-                Ok((names.class(class.as_ref())?, names.member(member.as_ref())?))
-            })
-            .collect::<Result<Vec<_>, FarmError>>()?;
+        scratch.ids.clear();
+        names.resolve(probes, &mut scratch.ids)?;
         let resolved = Instant::now();
         let published = self.published_at(as_of)?;
         let promoted = Instant::now();
         // The SWAR stripe probe: all the directory loads happen inside
-        // `lookup_batch_into` over borrowed outcomes; only the wire
-        // conversion afterwards allocates.
-        let mut refs = Vec::new();
-        published.index().lookup_batch_into(&ids, &mut refs);
-        let outcomes = refs.iter().map(|o| names.wire_ref(o)).collect();
+        // `lookup_batch_into`, over outcomes borrowed from the index.
+        let mut refs = reuse(std::mem::take(&mut scratch.refs));
+        published.index().lookup_batch_into(&scratch.ids, &mut refs);
         let probed = Instant::now();
-        Ok((
-            outcomes,
-            ProbeTiming {
-                resolved,
-                promoted,
-                probed,
-            },
-        ))
+        for outcome in &refs {
+            names.put(e, outcome);
+        }
+        scratch.refs = reuse(refs);
+        Ok(ProbeTiming {
+            resolved,
+            promoted,
+            probed,
+        })
     }
 
     /// The tenant's write path, warming the engine from the snapshot
@@ -340,7 +402,7 @@ impl Tenant {
         // are skipped identically by every replayer).
         if let Some(wal) = wal {
             wal.append(WalRecord::Edit {
-                tenant: self.name.clone(),
+                tenant: self.name.to_string(),
                 directive: directive.to_owned(),
             })
             .map_err(|e| {
@@ -691,7 +753,12 @@ impl Farm {
         self.tenants.read().expect("tenants lock poisoned").len() as u32
     }
 
-    fn get(&self, tenant: &str) -> Result<Arc<Tenant>, FarmError> {
+    /// The tenant of that name.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorCode::NoSuchTenant`].
+    pub fn tenant(&self, tenant: &str) -> Result<Arc<Tenant>, FarmError> {
         self.tenants
             .read()
             .expect("tenants lock poisoned")
@@ -700,25 +767,63 @@ impl Farm {
             .ok_or_else(|| (ErrorCode::NoSuchTenant, format!("no tenant `{tenant}`")))
     }
 
-    /// The read: answers `probes` against one tenant, in probe order,
-    /// from the current publication or — for a time-travel read — the
-    /// retained epoch `as_of` pins, so every probe sees the same frozen
-    /// index version. A cold tenant is promoted first. The returned
-    /// phase stamps let a traced request cut its span tree.
+    /// The server's read: answers a decoded `QUERY` or `BATCH` against
+    /// its tenant, in probe order, from the current publication or —
+    /// for a time-travel read — the retained epoch the view pins, so
+    /// every probe sees the same frozen index version. A cold tenant is
+    /// promoted first. Appends the reply body to `out` — the view's
+    /// [`reply_head`](ReadView::reply_head), then the outcomes, written
+    /// by [`Tenant::read_into`] — and returns the tenant's name and the
+    /// phase stamps a traced request cuts its span tree from. On error
+    /// nothing is appended.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchTenant`], [`ErrorCode::UnknownName`] (the
     /// whole read fails on the first unresolvable name), or
-    /// [`ErrorCode::EpochRetired`] when `as_of` aged out of the
-    /// retention window.
+    /// [`ErrorCode::EpochRetired`] when the pinned epoch aged out of
+    /// the retention window.
+    pub fn answer(
+        &self,
+        view: &ReadView<'_>,
+        scratch: &mut ReadScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(Arc<str>, ProbeTiming), FarmError> {
+        let tenant = self.tenant(view.tenant)?;
+        let start = out.len();
+        let mut e = Enc::new(out);
+        view.reply_head(&mut e);
+        match tenant.read_into(view.probes(), view.as_of, scratch, &mut e) {
+            Ok(timing) => Ok((Arc::clone(&tenant.name), timing)),
+            Err(err) => {
+                out.truncate(start);
+                Err(err)
+            }
+        }
+    }
+
+    /// The owned read: as [`answer`](Farm::answer), for probes held as
+    /// strings, decoding the reply the read core writes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`answer`](Farm::answer).
     pub fn read<P: AsRef<str>>(
         &self,
         tenant: &str,
         probes: &[(P, P)],
         as_of: Option<u64>,
     ) -> Result<(Vec<WireOutcome>, ProbeTiming), FarmError> {
-        self.get(tenant)?.read(probes, as_of)
+        let tenant = self.tenant(tenant)?;
+        let mut body = Vec::new();
+        let mut e = Enc::new(&mut body);
+        e.u8(op::R_OUTCOMES).u32(probes.len() as u32);
+        let pairs = probes.iter().map(|(c, m)| (c.as_ref(), m.as_ref()));
+        let timing = tenant.read_into(pairs, as_of, &mut ReadScratch::default(), &mut e)?;
+        match Response::decode(&body) {
+            Ok(Response::Outcomes(outcomes)) => Ok((outcomes, timing)),
+            other => unreachable!("the read core wrote {other:?}"),
+        }
     }
 
     /// One current lookup: [`read`](Farm::read) of a single probe.
@@ -762,7 +867,8 @@ impl Farm {
                 "this server is a read-only replication follower".to_owned(),
             ));
         }
-        self.get(tenant)?.edit_now(directive, self.wal.as_deref())
+        self.tenant(tenant)?
+            .edit_now(directive, self.wal.as_deref())
     }
 
     /// Whether a tenant of that name is loaded.
@@ -781,7 +887,7 @@ impl Farm {
     ///
     /// [`ErrorCode::NoSuchTenant`].
     pub fn retained_epochs(&self, tenant: &str) -> Result<Vec<u64>, FarmError> {
-        let t = self.get(tenant)?;
+        let t = self.tenant(tenant)?;
         Ok(match t.serve.get() {
             Some(handle) => handle.retained_epochs(),
             None => Vec::new(),
@@ -809,7 +915,7 @@ impl Farm {
                 Ok(ReplicaApply::Loaded)
             }
             WalRecord::Edit { tenant, directive } => {
-                replica_edit(self.get(tenant)?.edit_now(directive, None))
+                replica_edit(self.tenant(tenant)?.edit_now(directive, None))
             }
             WalRecord::Checkpoint { tenant, path, .. } => {
                 if self.has_tenant(tenant) {
@@ -900,7 +1006,7 @@ impl Farm {
             })
             .collect();
         let tenant = self
-            .get(records[run[0]].record.tenant())
+            .tenant(records[run[0]].record.tenant())
             .map_err(|e| (records[run[0]].seq, e))?;
         for (&i, outcome) in run.iter().zip(tenant.replay_edits(&directives)) {
             outcomes[i] = Some(outcome.map_err(|e| (records[i].seq, e))?);
@@ -972,12 +1078,12 @@ impl Farm {
                     0
                 }
             };
-            cutoffs.insert(t.name.clone(), cutoff);
+            cutoffs.insert(t.name.to_string(), cutoff);
             checkpoints.push(Stamped {
                 seq: cutoff,
                 unix_nanos: now,
                 record: WalRecord::Checkpoint {
-                    tenant: t.name.clone(),
+                    tenant: t.name.to_string(),
                     path: file.display().to_string(),
                     epoch,
                 },
@@ -1018,7 +1124,7 @@ impl Farm {
     /// [`ErrorCode::NoSuchTenant`].
     pub fn stats_json(&self, tenant: &str) -> Result<String, FarmError> {
         if !tenant.is_empty() {
-            return Ok(self.get(tenant)?.stats_json());
+            return Ok(self.tenant(tenant)?.stats_json());
         }
         let tenants = self.tenants.read().expect("tenants lock poisoned");
         let mut names: Vec<&String> = tenants.keys().collect();
@@ -1040,6 +1146,7 @@ impl Default for Farm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireLv;
     use cpplookup_chg::fixtures;
     use cpplookup_snapshot::Snapshot;
 
@@ -1402,7 +1509,7 @@ mod tests {
 
     /// The engine generation of tenant `t`: one per engine transaction.
     fn generation(farm: &Farm) -> u64 {
-        let t = farm.get("t").unwrap();
+        let t = farm.tenant("t").unwrap();
         let live = t.live.lock().unwrap();
         live.as_ref().unwrap().engine().generation()
     }

@@ -52,6 +52,7 @@
 
 mod conn;
 mod metrics;
+mod names;
 #[cfg(target_os = "linux")]
 mod reactor;
 #[cfg(target_os = "linux")]

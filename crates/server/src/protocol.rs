@@ -444,12 +444,34 @@ impl std::error::Error for FrameError {}
 /// One whole frame — length prefix, body, trailing checksum — in a
 /// single allocation.
 pub fn frame(body: &[u8]) -> Vec<u8> {
-    debug_assert!(!body.is_empty() && body.len() <= MAX_BODY as usize);
     let mut frame = Vec::with_capacity(body.len() + 12);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let start = begin_frame(&mut frame);
     frame.extend_from_slice(body);
-    frame.extend_from_slice(&checksum64(body).to_le_bytes());
+    finish_frame(&mut frame, start);
     frame
+}
+
+/// Starts a frame at the end of `out` by reserving its length prefix,
+/// and returns where the frame starts. The body is appended next
+/// (usually through an [`Enc`]); [`finish_frame`] seals it. A server
+/// writes its replies this way, straight into a connection's output
+/// buffer, with no body buffer in between.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Seals the frame [`begin_frame`] started at `start`: patches its
+/// length prefix to the body appended since and appends the body's
+/// checksum.
+pub fn finish_frame(out: &mut Vec<u8>, start: usize) {
+    let body = start + 4;
+    let len = out.len() - body;
+    debug_assert!(len >= 1 && len <= MAX_BODY as usize);
+    out[start..body].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum64(&out[body..]);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 /// Writes one frame: length prefix, body, trailing checksum.
@@ -507,14 +529,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     read_frame_body(r, u32::from_le_bytes(prefix))
 }
 
-/// Body encoder: the write-side cursor.
-#[derive(Default)]
-pub struct Enc(Vec<u8>);
+/// Body encoder: the write-side cursor. It appends to a caller's
+/// buffer — a fresh body, or the open frame at the end of a
+/// connection's output buffer.
+pub struct Enc<'b>(&'b mut Vec<u8>);
 
-impl Enc {
-    /// Starts a body with its opcode byte.
-    pub fn new(opcode: u8) -> Enc {
-        Enc(vec![opcode])
+impl<'b> Enc<'b> {
+    /// An encoder appending to `out`.
+    pub fn new(out: &'b mut Vec<u8>) -> Enc<'b> {
+        Enc(out)
     }
 
     /// Appends a `u8`.
@@ -551,9 +574,45 @@ impl Enc {
         self
     }
 
-    /// The finished body.
-    pub fn finish(self) -> Vec<u8> {
-        self.0
+    /// Appends a `leastVirtual`: the root Ω (`None`) or the named class.
+    pub fn lv(&mut self, class: Option<&str>) -> &mut Self {
+        match class {
+            None => self.u8(0),
+            Some(name) => self.u8(1).str(name),
+        }
+    }
+
+    /// Appends a "not found" outcome.
+    pub fn not_found(&mut self) -> &mut Self {
+        self.u8(0)
+    }
+
+    /// Appends a resolved outcome: the declaring class and its
+    /// `leastVirtual` (see [`lv`](Enc::lv)).
+    pub fn resolved(&mut self, class: &str, least_virtual: Option<&str>) -> &mut Self {
+        self.u8(1).str(class).lv(least_virtual)
+    }
+
+    /// Starts an ambiguous outcome; exactly `witnesses` calls of
+    /// [`lv`](Enc::lv) must follow.
+    pub fn ambiguous(&mut self, witnesses: usize) -> &mut Self {
+        self.u8(2).u32(witnesses as u32)
+    }
+
+    /// Appends one span of a trace (see [`WireSpan`]).
+    pub fn span(
+        &mut self,
+        id: u64,
+        parent: u64,
+        label: &str,
+        start_ns: u64,
+        duration_ns: u64,
+    ) -> &mut Self {
+        self.u64(id)
+            .u64(parent)
+            .str(label)
+            .u64(start_ns)
+            .u64(duration_ns)
     }
 }
 
@@ -605,11 +664,16 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &str) -> Result<String, String> {
+    /// Reads a length-prefixed UTF-8 string as a view into the body.
+    pub fn str_ref(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.u16(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
+        std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self, what: &str) -> Result<String, String> {
+        self.str_ref(what).map(str::to_owned)
     }
 
     /// Bytes not yet consumed (used for optional trailing fields like
@@ -631,13 +695,12 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn enc_lv(e: &mut Enc, lv: &WireLv) {
-    match lv {
-        WireLv::Omega => {
-            e.u8(0);
-        }
-        WireLv::Class(name) => {
-            e.u8(1).str(name);
+impl WireLv {
+    /// The class name, `None` for Ω — the form [`Enc::lv`] takes.
+    fn class(&self) -> Option<&str> {
+        match self {
+            WireLv::Omega => None,
+            WireLv::Class(name) => Some(name),
         }
     }
 }
@@ -674,7 +737,7 @@ fn dec_flags(d: &mut Dec<'_>) -> Result<(u8, Option<u64>), String> {
 /// Appends the optional trailing flags section: the flags byte only
 /// when a flag is set (so a flagless request is byte-identical to the
 /// pre-flags encoding), then the as-of epoch when present.
-fn enc_flags(e: &mut Enc, trace: bool, as_of: Option<u64>) {
+fn enc_flags(e: &mut Enc<'_>, trace: bool, as_of: Option<u64>) {
     let mut f = 0u8;
     if trace {
         f |= flags::TRACE;
@@ -690,7 +753,7 @@ fn enc_flags(e: &mut Enc, trace: bool, as_of: Option<u64>) {
     }
 }
 
-fn enc_record(e: &mut Enc, r: &WireRecord) {
+fn enc_record(e: &mut Enc<'_>, r: &WireRecord) {
     match r {
         WireRecord::Open { tenant, path } => {
             e.u8(1).str(tenant).str(path);
@@ -727,9 +790,8 @@ fn dec_record(d: &mut Dec<'_>) -> Result<WireRecord, String> {
     }
 }
 
-fn enc_span(e: &mut Enc, s: &WireSpan) {
-    e.u64(s.id).u64(s.parent).str(&s.label);
-    e.u64(s.start_ns).u64(s.duration_ns);
+fn enc_span(e: &mut Enc<'_>, s: &WireSpan) {
+    e.span(s.id, s.parent, &s.label, s.start_ns, s.duration_ns);
 }
 
 fn dec_span(d: &mut Dec<'_>) -> Result<WireSpan, String> {
@@ -742,22 +804,21 @@ fn dec_span(d: &mut Dec<'_>) -> Result<WireSpan, String> {
     })
 }
 
-fn enc_outcome(e: &mut Enc, o: &WireOutcome) {
+fn enc_outcome(e: &mut Enc<'_>, o: &WireOutcome) {
     match o {
         WireOutcome::NotFound => {
-            e.u8(0);
+            e.not_found();
         }
         WireOutcome::Resolved {
             class,
             least_virtual,
         } => {
-            e.u8(1).str(class);
-            enc_lv(e, least_virtual);
+            e.resolved(class, least_virtual.class());
         }
         WireOutcome::Ambiguous { witnesses } => {
-            e.u8(2).u32(witnesses.len() as u32);
+            e.ambiguous(witnesses.len());
             for w in witnesses {
-                enc_lv(e, w);
+                e.lv(w.class());
             }
         }
     }
@@ -787,7 +848,7 @@ fn dec_outcome(d: &mut Dec<'_>) -> Result<WireOutcome, String> {
 
 /// A `u32` count, then that many outcomes: the outcome section of
 /// [`Response::Outcomes`] and [`Response::Traced`].
-fn enc_outcomes(e: &mut Enc, outcomes: &[WireOutcome]) {
+fn enc_outcomes(e: &mut Enc<'_>, outcomes: &[WireOutcome]) {
     e.u32(outcomes.len() as u32);
     for o in outcomes {
         enc_outcome(e, o);
@@ -806,19 +867,131 @@ fn dec_outcomes(d: &mut Dec<'_>) -> Result<Vec<WireOutcome>, String> {
     Ok(outcomes)
 }
 
+/// A `QUERY` or `BATCH` decoded in place: the tenant and every class
+/// and member name are `&str` views into the frame body, so answering
+/// a read copies no name. [`Request::decode`] builds its owned
+/// [`Request::Query`] / [`Request::Batch`] from this view, so both
+/// forms pass the same bounds, UTF-8, flag and trailing-byte checks
+/// with the same messages.
+#[derive(Clone, Copy, Debug)]
+pub struct ReadView<'a> {
+    /// A `BATCH` (answered with [`Response::Outcomes`]) rather than a
+    /// `QUERY` (answered with [`Response::Outcome`]).
+    pub batch: bool,
+    /// Tenant name.
+    pub tenant: &'a str,
+    /// The validated probe section: `count` class/member string pairs.
+    probes: &'a [u8],
+    count: usize,
+    /// [`flags::TRACE`]: answer with [`Response::Traced`].
+    pub trace: bool,
+    /// [`flags::AS_OF`]: answer from this retained epoch.
+    pub as_of: Option<u64>,
+}
+
+impl<'a> ReadView<'a> {
+    /// Decodes a `QUERY` or `BATCH` payload up to and including its
+    /// flags section; the caller checks for trailing bytes.
+    fn decode(batch: bool, d: &mut Dec<'a>) -> Result<ReadView<'a>, String> {
+        let tenant = d.str_ref("tenant")?;
+        let (count, [class, member]) = if batch {
+            let n = d.u32("probe count")?;
+            if n > MAX_BODY / 4 {
+                return Err(format!("probe count {n} exceeds frame capacity"));
+            }
+            (n as usize, ["probe class", "probe member"])
+        } else {
+            (1, ["class", "member"])
+        };
+        let from = d.at;
+        for _ in 0..count {
+            d.str_ref(class)?;
+            d.str_ref(member)?;
+        }
+        let probes = &d.body[from..d.at];
+        let (f, as_of) = dec_flags(d)?;
+        Ok(ReadView {
+            batch,
+            tenant,
+            probes,
+            count,
+            trace: f & flags::TRACE != 0,
+            as_of,
+        })
+    }
+
+    /// Number of probes: 1 for a `QUERY`.
+    pub fn probe_count(&self) -> usize {
+        self.count
+    }
+
+    /// The `(class, member)` probes, in request order.
+    pub fn probes(&self) -> impl ExactSizeIterator<Item = (&'a str, &'a str)> + 'a {
+        let mut d = Dec::new(self.probes);
+        (0..self.count).map(move |_| {
+            let mut name = || d.str_ref("probe").expect("validated at decode");
+            (name(), name())
+        })
+    }
+
+    /// The owned request this view reads as.
+    pub fn to_request(&self) -> Request {
+        let tenant = self.tenant.to_owned();
+        let (trace, as_of) = (self.trace, self.as_of);
+        let mut probes = self
+            .probes()
+            .map(|(class, member)| (class.to_owned(), member.to_owned()));
+        if self.batch {
+            Request::Batch {
+                tenant,
+                probes: probes.collect(),
+                trace,
+                as_of,
+            }
+        } else {
+            let (class, member) = probes.next().expect("a QUERY holds one probe");
+            Request::Query {
+                tenant,
+                class,
+                member,
+                trace,
+                as_of,
+            }
+        }
+    }
+
+    /// Appends the head of this read's reply — the opcode and, for a
+    /// `BATCH` or a traced read, the outcome count. One outcome per
+    /// probe follows it, then, for a traced read, the span section.
+    pub fn reply_head(&self, e: &mut Enc<'_>) {
+        match (self.trace, self.batch) {
+            (true, _) => e.u8(op::R_TRACED).u32(self.count as u32),
+            (false, true) => e.u8(op::R_OUTCOMES).u32(self.count as u32),
+            (false, false) => e.u8(op::R_OUTCOME),
+        };
+    }
+}
+
+/// A request body as [`Request::decode_borrowed`] reads it.
+#[derive(Clone, Debug)]
+pub enum Decoded<'a> {
+    /// A `QUERY` or `BATCH`, borrowed from the body.
+    Read(ReadView<'a>),
+    /// Any other request.
+    Owned(Request),
+}
+
 impl Request {
     /// Encodes this request as a frame body.
     pub fn encode(&self) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut e = Enc::new(&mut body);
         match self {
             Request::Hello { version } => {
-                let mut e = Enc::new(op::HELLO);
-                e.u32(*version);
-                e.finish()
+                e.u8(op::HELLO).u32(*version);
             }
             Request::Load { tenant, path } => {
-                let mut e = Enc::new(op::LOAD);
-                e.str(tenant).str(path);
-                e.finish()
+                e.u8(op::LOAD).str(tenant).str(path);
             }
             Request::Query {
                 tenant,
@@ -827,10 +1000,8 @@ impl Request {
                 trace,
                 as_of,
             } => {
-                let mut e = Enc::new(op::QUERY);
-                e.str(tenant).str(class).str(member);
+                e.u8(op::QUERY).str(tenant).str(class).str(member);
                 enc_flags(&mut e, *trace, *as_of);
-                e.finish()
             }
             Request::Batch {
                 tenant,
@@ -838,52 +1009,63 @@ impl Request {
                 trace,
                 as_of,
             } => {
-                let mut e = Enc::new(op::BATCH);
-                e.str(tenant).u32(probes.len() as u32);
+                e.u8(op::BATCH).str(tenant).u32(probes.len() as u32);
                 for (class, member) in probes {
                     e.str(class).str(member);
                 }
                 enc_flags(&mut e, *trace, *as_of);
-                e.finish()
             }
             Request::Edit { tenant, directive } => {
-                let mut e = Enc::new(op::EDIT);
-                e.str(tenant).str(directive);
-                e.finish()
+                e.u8(op::EDIT).str(tenant).str(directive);
             }
             Request::Stats { tenant } => {
-                let mut e = Enc::new(op::STATS);
-                e.str(tenant);
-                e.finish()
+                e.u8(op::STATS).str(tenant);
             }
-            Request::Metrics => Enc::new(op::METRICS).finish(),
+            Request::Metrics => {
+                e.u8(op::METRICS);
+            }
             Request::Subscribe { from_seq } => {
-                let mut e = Enc::new(op::SUBSCRIBE);
-                e.u64(*from_seq);
-                e.finish()
+                e.u8(op::SUBSCRIBE).u64(*from_seq);
             }
             Request::Ack { follower, seq } => {
-                let mut e = Enc::new(op::ACK);
-                e.str(follower).u64(*seq);
-                e.finish()
+                e.u8(op::ACK).str(follower).u64(*seq);
             }
         }
+        body
     }
 
     /// Decodes a frame body as a request.
     ///
     /// # Errors
     ///
+    /// As for [`decode_borrowed`](Request::decode_borrowed).
+    pub fn decode(body: &[u8]) -> Result<Request, (ErrorCode, String)> {
+        Ok(match Request::decode_borrowed(body)? {
+            Decoded::Read(view) => view.to_request(),
+            Decoded::Owned(req) => req,
+        })
+    }
+
+    /// Decodes a frame body, leaving a `QUERY` or `BATCH` as a
+    /// [`ReadView`] over `body` — the server's read path.
+    ///
+    /// # Errors
+    ///
     /// `Err((code, message))` — [`ErrorCode::UnknownOpcode`] for a
     /// foreign opcode byte, [`ErrorCode::BadPayload`] for a body that
     /// does not parse as that opcode's payload.
-    pub fn decode(body: &[u8]) -> Result<Request, (ErrorCode, String)> {
+    pub fn decode_borrowed(body: &[u8]) -> Result<Decoded<'_>, (ErrorCode, String)> {
         let bad = |m: String| (ErrorCode::BadPayload, m);
         let (&opcode, payload) = body
             .split_first()
-            .ok_or((ErrorCode::BadPayload, "empty body".to_owned()))?;
+            .ok_or_else(|| bad("empty body".to_owned()))?;
         let mut d = Dec::new(payload);
         let req = match opcode {
+            op::QUERY | op::BATCH => {
+                let view = ReadView::decode(opcode == op::BATCH, &mut d).map_err(bad)?;
+                d.done().map_err(bad)?;
+                return Ok(Decoded::Read(view));
+            }
             op::HELLO => Request::Hello {
                 version: d.u32("version").map_err(bad)?,
             },
@@ -891,40 +1073,6 @@ impl Request {
                 tenant: d.str("tenant").map_err(bad)?,
                 path: d.str("path").map_err(bad)?,
             },
-            op::QUERY => {
-                let tenant = d.str("tenant").map_err(bad)?;
-                let class = d.str("class").map_err(bad)?;
-                let member = d.str("member").map_err(bad)?;
-                let (f, as_of) = dec_flags(&mut d).map_err(bad)?;
-                Request::Query {
-                    tenant,
-                    class,
-                    member,
-                    trace: f & flags::TRACE != 0,
-                    as_of,
-                }
-            }
-            op::BATCH => {
-                let tenant = d.str("tenant").map_err(bad)?;
-                let n = d.u32("probe count").map_err(bad)?;
-                if n > MAX_BODY / 4 {
-                    return Err(bad(format!("probe count {n} exceeds frame capacity")));
-                }
-                let mut probes = Vec::with_capacity(n.min(4096) as usize);
-                for _ in 0..n {
-                    probes.push((
-                        d.str("probe class").map_err(bad)?,
-                        d.str("probe member").map_err(bad)?,
-                    ));
-                }
-                let (f, as_of) = dec_flags(&mut d).map_err(bad)?;
-                Request::Batch {
-                    tenant,
-                    probes,
-                    trace: f & flags::TRACE != 0,
-                    as_of,
-                }
-            }
             op::EDIT => Request::Edit {
                 tenant: d.str("tenant").map_err(bad)?,
                 directive: d.str("directive").map_err(bad)?,
@@ -948,95 +1096,72 @@ impl Request {
             }
         };
         d.done().map_err(bad)?;
-        Ok(req)
-    }
-}
-
-/// Two-phase encoder for [`Response::Traced`]: the outcomes are encoded
-/// first (so the server can clock the encode phase), then the span list
-/// — which may include that very encode span — is appended.
-/// `Response::Traced { .. }.encode()` runs through it in one go.
-pub struct TracedEncoder {
-    e: Enc,
-}
-
-impl TracedEncoder {
-    /// Encodes the opcode and outcome section.
-    pub fn new(outcomes: &[WireOutcome]) -> TracedEncoder {
-        let mut e = Enc::new(op::R_TRACED);
-        enc_outcomes(&mut e, outcomes);
-        TracedEncoder { e }
-    }
-
-    /// Appends the span section and returns the finished frame body.
-    pub fn finish(mut self, spans: &[WireSpan]) -> Vec<u8> {
-        self.e.u32(spans.len() as u32);
-        for s in spans {
-            enc_span(&mut self.e, s);
-        }
-        self.e.finish()
+        Ok(Decoded::Owned(req))
     }
 }
 
 impl Response {
     /// Encodes this response as a frame body.
     pub fn encode(&self) -> Vec<u8> {
+        let mut body = Vec::new();
+        self.encode_into(&mut Enc::new(&mut body));
+        body
+    }
+
+    /// Appends this response to `out` as one whole frame.
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out);
+        self.encode_into(&mut Enc::new(out));
+        finish_frame(out, start);
+    }
+
+    /// Appends this response's frame body.
+    pub fn encode_into(&self, e: &mut Enc<'_>) {
         match self {
             Response::Hello { version, tenants } => {
-                let mut e = Enc::new(op::R_HELLO);
-                e.u32(*version).u32(*tenants);
-                e.finish()
+                e.u8(op::R_HELLO).u32(*version).u32(*tenants);
             }
             Response::Loaded { entries, bytes } => {
-                let mut e = Enc::new(op::R_LOADED);
-                e.u64(*entries).u64(*bytes);
-                e.finish()
+                e.u8(op::R_LOADED).u64(*entries).u64(*bytes);
             }
             Response::Outcome(o) => {
-                let mut e = Enc::new(op::R_OUTCOME);
-                enc_outcome(&mut e, o);
-                e.finish()
+                e.u8(op::R_OUTCOME);
+                enc_outcome(e, o);
             }
             Response::Outcomes(outcomes) => {
-                let mut e = Enc::new(op::R_OUTCOMES);
-                enc_outcomes(&mut e, outcomes);
-                e.finish()
+                e.u8(op::R_OUTCOMES);
+                enc_outcomes(e, outcomes);
             }
             Response::Edited { epoch } => {
-                let mut e = Enc::new(op::R_EDITED);
-                e.u64(*epoch);
-                e.finish()
+                e.u8(op::R_EDITED).u64(*epoch);
             }
             Response::Stats { json } => {
-                let mut e = Enc::new(op::R_STATS);
-                e.str(json);
-                e.finish()
+                e.u8(op::R_STATS).str(json);
             }
             Response::Metrics { text } => {
-                let mut e = Enc::new(op::R_METRICS);
-                e.str(text);
-                e.finish()
+                e.u8(op::R_METRICS).str(text);
             }
-            Response::Traced { outcomes, spans } => TracedEncoder::new(outcomes).finish(spans),
+            Response::Traced { outcomes, spans } => {
+                e.u8(op::R_TRACED);
+                enc_outcomes(e, outcomes);
+                e.u32(spans.len() as u32);
+                for s in spans {
+                    enc_span(e, s);
+                }
+            }
             Response::Replicated {
                 seq,
                 unix_nanos,
                 record,
             } => {
-                let mut e = Enc::new(op::R_REPLICATED);
-                e.u64(*seq).u64(*unix_nanos);
-                enc_record(&mut e, record);
-                e.finish()
+                e.u8(op::R_REPLICATED).u64(*seq).u64(*unix_nanos);
+                enc_record(e, record);
             }
             Response::Acked { leader_seq } => {
-                let mut e = Enc::new(op::R_ACKED);
-                e.u64(*leader_seq);
-                e.finish()
+                e.u8(op::R_ACKED).u64(*leader_seq);
             }
             Response::Error { code, message } => {
-                let mut e = Enc::new(op::R_ERROR);
-                e.u16(*code as u16).str(message);
-                e.finish()
+                e.u8(op::R_ERROR).u16(*code as u16).str(message);
             }
         }
     }
@@ -1427,5 +1552,179 @@ mod tests {
         body.push(0xAB);
         assert_eq!(Request::decode(&body).unwrap_err().0, ErrorCode::BadPayload);
         assert!(Response::decode(&[]).is_err());
+    }
+
+    /// The owned `QUERY`/`BATCH` decoder as it stood before the borrowed
+    /// view, kept as the reference the view is held to: `None` for a body
+    /// that is not a read.
+    fn reference_read(body: &[u8]) -> Option<Result<Request, (ErrorCode, String)>> {
+        fn owned(d: &mut Dec<'_>, what: &str) -> Result<String, String> {
+            let len = d.u16(what)? as usize;
+            let bytes = d.take(len, what)?;
+            String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
+        }
+        let (&opcode, payload) = body.split_first()?;
+        if opcode != op::QUERY && opcode != op::BATCH {
+            return None;
+        }
+        let mut d = Dec::new(payload);
+        let mut read = || -> Result<Request, String> {
+            let tenant = owned(&mut d, "tenant")?;
+            if opcode == op::QUERY {
+                let class = owned(&mut d, "class")?;
+                let member = owned(&mut d, "member")?;
+                let (f, as_of) = dec_flags(&mut d)?;
+                return Ok(Request::Query {
+                    tenant,
+                    class,
+                    member,
+                    trace: f & flags::TRACE != 0,
+                    as_of,
+                });
+            }
+            let n = d.u32("probe count")?;
+            if n > MAX_BODY / 4 {
+                return Err(format!("probe count {n} exceeds frame capacity"));
+            }
+            let mut probes = Vec::new();
+            for _ in 0..n {
+                probes.push((
+                    owned(&mut d, "probe class")?,
+                    owned(&mut d, "probe member")?,
+                ));
+            }
+            let (f, as_of) = dec_flags(&mut d)?;
+            Ok(Request::Batch {
+                tenant,
+                probes,
+                trace: f & flags::TRACE != 0,
+                as_of,
+            })
+        };
+        let req = read();
+        Some(
+            req.and_then(|req| d.done().map(|()| req))
+                .map_err(|m| (ErrorCode::BadPayload, m)),
+        )
+    }
+
+    /// Holds one body to the differential: a read decodes, as a view
+    /// turned owned and through [`Request::decode`], to exactly the
+    /// reference's request or error (code and message); any other body
+    /// never decodes as a view.
+    fn check_read_decode(body: &[u8]) {
+        let view = Request::decode_borrowed(body);
+        let Some(want) = reference_read(body) else {
+            assert!(
+                !matches!(view, Ok(Decoded::Read(_))),
+                "a non-read body decoded as a read: {body:?}"
+            );
+            return;
+        };
+        let got = view.map(|d| match d {
+            Decoded::Read(view) => {
+                assert_eq!(view.probes().len(), view.probe_count());
+                assert_eq!(view.probes().count(), view.probe_count());
+                view.to_request()
+            }
+            Decoded::Owned(other) => panic!("a read decoded as {other:?}"),
+        });
+        assert_eq!(got, want, "view of {body:?}");
+        assert_eq!(Request::decode(body), want, "decode of {body:?}");
+    }
+
+    /// Valid reads of every shape: QUERY and BATCH (empty, single,
+    /// multi-byte names), with and without TRACE and AS_OF.
+    fn sample_reads() -> Vec<Request> {
+        let mut reads = Vec::new();
+        for (trace, as_of) in [
+            (false, None),
+            (true, None),
+            (false, Some(7)),
+            (true, Some(0)),
+        ] {
+            reads.push(Request::Query {
+                tenant: "t0".into(),
+                class: "Ω".into(),
+                member: "m".into(),
+                trace,
+                as_of,
+            });
+            for probes in [
+                vec![],
+                vec![("E".into(), "m".into())],
+                vec![("Dé".into(), "".into()), ("C".into(), "f".into())],
+            ] {
+                reads.push(Request::Batch {
+                    tenant: "tenant".into(),
+                    probes,
+                    trace,
+                    as_of,
+                });
+            }
+        }
+        reads
+    }
+
+    #[test]
+    fn read_view_matches_the_owned_decoder_on_every_cut_and_byte() {
+        for req in sample_reads() {
+            let body = req.encode();
+            assert_eq!(Request::decode(&body).unwrap(), req);
+            for cut in 0..body.len() {
+                check_read_decode(&body[..cut]);
+            }
+            // Every value at every position: bad UTF-8, unknown flag
+            // bits, oversized counts, other opcodes.
+            for at in 0..body.len() {
+                for value in 0..=u8::MAX {
+                    let mut damaged = body.clone();
+                    damaged[at] = value;
+                    check_read_decode(&damaged);
+                }
+            }
+            for tail in [&[0u8][..], &[0x80], &[0, 0, 0, 0, 0, 0, 0, 0, 0]] {
+                let mut long = body.clone();
+                long.extend_from_slice(tail);
+                check_read_decode(&long);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn read_view_matches_the_owned_decoder_on_random_bodies(
+            batch in proptest::prelude::any::<bool>(),
+            tenant in "\\PC{0,6}",
+            probes in proptest::collection::vec(("\\PC{0,5}", "\\PC{0,5}"), 0..6),
+            trace in proptest::prelude::any::<bool>(),
+            as_of in (proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+            damage in (0u8..4, proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+        ) {
+            let as_of = as_of.0.then_some(as_of.1);
+            let req = match probes.first() {
+                Some((class, member)) if !batch => Request::Query {
+                    tenant,
+                    class: class.clone(),
+                    member: member.clone(),
+                    trace,
+                    as_of,
+                },
+                _ => Request::Batch { tenant, probes, trace, as_of },
+            };
+            let mut body = req.encode();
+            check_read_decode(&body);
+            let (kind, at, value) = damage;
+            let at = at % body.len();
+            match kind {
+                0 => body.truncate(at),
+                1 => body[at] = value,
+                2 => body.insert(at, value),
+                _ => body.push(value),
+            }
+            check_read_decode(&body);
+        }
     }
 }

@@ -20,8 +20,8 @@
 //! * **A ready list for the fairness cap** — a session that ends its
 //!   turn with frames still buffered re-queues behind every other ready
 //!   connection, so one pipelining client cannot starve the loop.
-//! * **Backpressure by interest, not queues** — the response queue
-//!   flushes with vectored `writev`; `EPOLLOUT` interest exists only
+//! * **Backpressure by interest, not queues** — the output buffer
+//!   flushes with plain `write`s; `EPOLLOUT` interest exists only
 //!   while a backlog does, and read interest is parked while a backlog
 //!   exists *or* the session holds a budget of unprocessed input, so a
 //!   peer that pipelines requests without reading responses stops being
@@ -482,8 +482,8 @@ impl Reactor {
         self.flush(token);
     }
 
-    /// Writes the backlog out with vectored writes until empty or
-    /// `WouldBlock`, keeping `EPOLLOUT` interest registered exactly
+    /// Writes the backlog out until empty or `WouldBlock`, keeping
+    /// `EPOLLOUT` interest registered exactly
     /// while a backlog exists. Returns `true` when the connection was
     /// closed (error, or close-after-flush completing).
     fn flush(&mut self, token: usize) -> bool {

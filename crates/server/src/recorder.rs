@@ -13,12 +13,13 @@
 //! dump is honest about what it no longer remembers.
 //!
 //! The write path is one short uncontended mutex hold per completed
-//! request — no allocation beyond the entry itself, no I/O, no
+//! request — no allocation for an untraced request (the entry shares
+//! its tenant's name and the ring is preallocated), no I/O, no
 //! formatting; JSON rendering happens only when an operator asks.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cpplookup_obs::Span;
 
@@ -29,8 +30,9 @@ use crate::farm::json_str;
 pub struct FlightEntry {
     /// Monotonic sequence number, assigned at completion.
     pub seq: u64,
-    /// The tenant the request addressed (empty for tenant-less ops).
-    pub tenant: String,
+    /// The tenant the request addressed (empty for tenant-less ops),
+    /// shared with the tenant itself rather than copied per request.
+    pub tenant: Arc<str>,
     /// Operation label (`query`, `batch`, `edit`, …).
     pub op: &'static str,
     /// `ok`, or the error code label the client was sent.
@@ -93,7 +95,7 @@ impl FlightRecorder {
     /// tree (root first) when it was traced, empty otherwise.
     pub fn record(
         &self,
-        tenant: &str,
+        tenant: impl Into<Arc<str>>,
         op: &'static str,
         outcome: &'static str,
         latency_ns: u64,
@@ -108,7 +110,7 @@ impl FlightRecorder {
             .collect();
         let entry = FlightEntry {
             seq,
-            tenant: tenant.to_owned(),
+            tenant: tenant.into(),
             op,
             outcome,
             latency_ns,

@@ -58,7 +58,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -66,9 +66,9 @@ use cpplookup_obs::{Span, SpanRecorder};
 use cpplookup_wal::{TailCursor, WalStore};
 
 use crate::conn::{drive, Session};
-use crate::farm::{Farm, FarmOptions, ProbeTiming};
+use crate::farm::{Farm, FarmError, FarmOptions, ProbeTiming, ReadScratch};
 use crate::protocol::{
-    write_frame, ErrorCode, Request, Response, TracedEncoder, WireOutcome, WireSpan,
+    begin_frame, finish_frame, write_frame, Decoded, Enc, ErrorCode, Request, Response,
     PROTOCOL_VERSION,
 };
 use crate::recorder::FlightRecorder;
@@ -498,43 +498,10 @@ fn refuse(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// What the metrics and the flight recorder need to know about a
-/// request after it has been consumed by [`handle`].
-struct ReqMeta {
-    op: &'static str,
-    tenant: String,
-    trace: bool,
-}
-
-impl ReqMeta {
-    fn of(req: &Request) -> ReqMeta {
-        let tenant = match req {
-            Request::Load { tenant, .. }
-            | Request::Query { tenant, .. }
-            | Request::Batch { tenant, .. }
-            | Request::Edit { tenant, .. }
-            | Request::Stats { tenant } => tenant.clone(),
-            Request::Hello { .. }
-            | Request::Metrics
-            | Request::Subscribe { .. }
-            | Request::Ack { .. } => String::new(),
-        };
-        let trace = matches!(
-            req,
-            Request::Query { trace: true, .. } | Request::Batch { trace: true, .. }
-        );
-        ReqMeta {
-            op: op_label(req),
-            tenant,
-            trace,
-        }
-    }
-}
-
 /// What a processed request body asks of the connection driver.
 pub(crate) enum Action {
-    /// Send this response frame body back.
-    Reply(Vec<u8>),
+    /// The reply frame was appended to the output buffer.
+    Replied,
     /// The connection becomes a replication subscription: hand the
     /// stream to [`serve_subscription`].
     Subscribe {
@@ -543,85 +510,106 @@ pub(crate) enum Action {
     },
 }
 
+/// The tenant name flight-recorder entries of tenant-less requests
+/// carry.
+static NO_TENANT: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
+
 /// Executes one request body — decode, dispatch, encode, metrics — and
-/// returns what to do with the connection. The connection state machine
-/// calls it for every frame under either I/O model. `t0` is when the
-/// frame's turn began and `t1` when it was peeled off the frame buffer
-/// (the `queue_wait` phase); together with the decode and farm phase
-/// stamps they cut the traced span tree's exact partition.
-pub(crate) fn process_body(shared: &Shared, body: &[u8], t0: Instant, t1: Instant) -> Action {
+/// appends its reply frame to `out`, the connection's output buffer.
+/// The connection state machine calls it for every frame under either
+/// I/O model. A `QUERY` or `BATCH` stays borrowed from frame to frame:
+/// it is decoded as a [`ReadView`](crate::protocol::ReadView) over `body`, resolved and probed
+/// through `scratch`, and its outcomes are written straight into
+/// `out`, so a warmed connection answers it without allocating. `t0`
+/// is when the frame's turn began and `t1` when it was peeled off the
+/// frame buffer (the `queue_wait` phase); together with the decode and
+/// farm phase stamps they cut the traced span tree's exact partition.
+pub(crate) fn process_body(
+    shared: &Shared,
+    body: &[u8],
+    t0: Instant,
+    t1: Instant,
+    scratch: &mut ReadScratch,
+    out: &mut Vec<u8>,
+) -> Action {
     let metrics = shared.farm.metrics();
     metrics.bytes_read.add((4 + body.len() + 8) as u64);
-    let decoded = Request::decode(body);
+    let decoded = Request::decode_borrowed(body);
     let t2 = Instant::now();
-    let (meta, outcome) = match decoded {
-        Ok(Request::Subscribe { from_seq }) => {
+    let frame = begin_frame(out);
+    let mut spans: Vec<Span> = Vec::new();
+    let (op, tenant, answered) = match decoded {
+        Ok(Decoded::Read(view)) => {
+            let op = if view.batch { "batch" } else { "query" };
+            metrics.requests.with_label(op).inc();
+            match shared.farm.answer(&view, scratch, out) {
+                Ok((tenant, probe)) => {
+                    // A traced read that succeeded answers with its span
+                    // tree; everything else uses the plain encoding.
+                    if view.trace {
+                        spans = trace_spans(t0, t1, t2, probe);
+                        let mut e = Enc::new(out);
+                        e.u32(spans.len() as u32);
+                        for s in &spans {
+                            let parent = s.parent.unwrap_or(u64::MAX);
+                            e.span(s.id, parent, &s.label, s.start_ns, s.duration_ns);
+                        }
+                    }
+                    (op, tenant, Ok(()))
+                }
+                Err(e) => (op, Arc::from(view.tenant), Err(e)),
+            }
+        }
+        Ok(Decoded::Owned(Request::Subscribe { from_seq })) => {
             // A subscription takes over the connection: from here the
             // stream speaks nothing but replicated records.
+            out.truncate(frame);
             metrics.requests.with_label("subscribe").inc();
             return Action::Subscribe { from_seq };
         }
-        Ok(req) => {
-            metrics.requests.with_label(op_label(&req)).inc();
-            (ReqMeta::of(&req), handle(shared, req))
+        Ok(Decoded::Owned(req)) => {
+            let op = op_label(&req);
+            metrics.requests.with_label(op).inc();
+            let tenant = match &req {
+                Request::Load { tenant, .. }
+                | Request::Edit { tenant, .. }
+                | Request::Stats { tenant } => Arc::from(tenant.as_str()),
+                _ => Arc::clone(&NO_TENANT),
+            };
+            let answered = handle(shared, req).map(|r| r.encode_into(&mut Enc::new(out)));
+            (op, tenant, answered)
         }
         // Payload-level damage: framing is intact, keep going.
-        Err((code, message)) => (
-            ReqMeta {
-                op: "invalid",
-                tenant: String::new(),
-                trace: false,
-            },
-            (Response::Error { code, message }, None),
-        ),
+        Err(e) => ("invalid", Arc::clone(&NO_TENANT), Err(e)),
     };
-    let (response, timing) = outcome;
-    if let Response::Error { code, .. } = &response {
-        metrics.errors.with_label(code.label()).inc();
-    }
-    let outcome_label = match &response {
-        Response::Error { code, .. } => code.label(),
-        _ => "ok",
-    };
-    // A traced probe that succeeded answers with its span tree;
-    // everything else (including traced probes that failed) uses the
-    // plain encoding.
-    let mut spans: Vec<Span> = Vec::new();
-    let frame_body = match (&response, meta.trace, timing) {
-        (Response::Outcome(o), true, Some(t)) => {
-            traced_body(std::slice::from_ref(o), t0, t1, t2, t, &mut spans)
+    let outcome_label = match answered {
+        Ok(()) => "ok",
+        Err((code, message)) => {
+            metrics.errors.with_label(code.label()).inc();
+            Response::Error { code, message }.encode_into(&mut Enc::new(out));
+            code.label()
         }
-        (Response::Outcomes(os), true, Some(t)) => traced_body(os, t0, t1, t2, t, &mut spans),
-        _ => response.encode(),
     };
-    metrics.bytes_written.add((4 + frame_body.len() + 8) as u64);
+    finish_frame(out, frame);
+    metrics.bytes_written.add((out.len() - frame) as u64);
     let latency_ns = t0.elapsed().as_nanos() as u64;
-    if !meta.tenant.is_empty() {
-        metrics.queries.with_labels(&meta.tenant, meta.op).inc();
-        if matches!(meta.op, "query" | "batch") {
-            metrics.latency.with_label(&meta.tenant).observe(latency_ns);
+    if !tenant.is_empty() {
+        metrics.queries.with_labels(&tenant, op).inc();
+        if matches!(op, "query" | "batch") {
+            metrics.latency.with_label(&tenant).observe(latency_ns);
         }
     }
     shared
         .recorder
-        .record(&meta.tenant, meta.op, outcome_label, latency_ns, &spans);
-    Action::Reply(frame_body)
+        .record(tenant, op, outcome_label, latency_ns, &spans);
+    Action::Replied
 }
 
-/// Builds the span tree for one traced probe and encodes the traced
-/// response. The outcomes are encoded *before* the spans are stamped,
-/// so the `encode` span reflects real outcome-encoding work; the six
-/// phases are cut from contiguous instants, so their durations sum to
-/// the root's exactly.
-fn traced_body(
-    outcomes: &[WireOutcome],
-    t0: Instant,
-    t1: Instant,
-    t2: Instant,
-    probe: ProbeTiming,
-    spans_out: &mut Vec<Span>,
-) -> Vec<u8> {
-    let enc = TracedEncoder::new(outcomes);
+/// Cuts the span tree of one traced read. It is called once the
+/// outcomes are written, so the `encode` span is the real outcome
+/// write; the six phases are cut from contiguous instants, so their
+/// durations sum to the root's exactly.
+fn trace_spans(t0: Instant, t1: Instant, t2: Instant, probe: ProbeTiming) -> Vec<Span> {
     let t6 = Instant::now();
     let mut rec = SpanRecorder::new(t0, 16);
     let off = |t: Instant| t.saturating_duration_since(t0).as_nanos() as u64;
@@ -641,19 +629,7 @@ fn traced_body(
         rec.record_ns(label, Some(root), prev, end - prev);
         prev = end;
     }
-    let (spans, _dropped) = rec.finish();
-    let wire: Vec<WireSpan> = spans
-        .iter()
-        .map(|s| WireSpan {
-            id: s.id,
-            parent: s.parent.unwrap_or(u64::MAX),
-            label: s.label.clone(),
-            start_ns: s.start_ns,
-            duration_ns: s.duration_ns,
-        })
-        .collect();
-    *spans_out = spans;
-    enc.finish(&wire)
+    rec.finish().0
 }
 
 fn op_label(req: &Request) -> &'static str {
@@ -670,81 +646,55 @@ fn op_label(req: &Request) -> &'static str {
     }
 }
 
-/// Executes one decoded request against the farm. Reads also return
-/// the farm's phase timing, for the caller to cut spans from when the
-/// request asked for a trace.
-/// ([`Request::Subscribe`] never reaches here — [`process_body`] turns
-/// it into a connection takeover.)
-fn handle(shared: &Shared, req: Request) -> (Response, Option<ProbeTiming>) {
+/// Executes one decoded request that is not a read against the farm.
+/// (`QUERY` and `BATCH` take the borrowed path in [`process_body`], and
+/// [`Request::Subscribe`] becomes a connection takeover there.)
+fn handle(shared: &Shared, req: Request) -> Result<Response, FarmError> {
     let farm = &shared.farm;
-    let err = |(code, message): (ErrorCode, String)| Response::Error { code, message };
-    let plain = |r: Response| (r, None);
     match req {
         Request::Hello { version } => {
             if version != PROTOCOL_VERSION {
-                return plain(Response::Error {
-                    code: ErrorCode::BadVersion,
-                    message: format!("client speaks v{version}, server v{PROTOCOL_VERSION}"),
-                });
+                return Err((
+                    ErrorCode::BadVersion,
+                    format!("client speaks v{version}, server v{PROTOCOL_VERSION}"),
+                ));
             }
-            plain(Response::Hello {
+            Ok(Response::Hello {
                 version: PROTOCOL_VERSION,
                 tenants: farm.tenant_count(),
             })
         }
-        Request::Load { tenant, path } => plain(match farm.load(&tenant, path.as_ref()) {
-            Ok((entries, bytes)) => Response::Loaded { entries, bytes },
-            Err(e) => err(e),
-        }),
-        Request::Query {
-            tenant,
-            class,
-            member,
-            as_of,
-            ..
-        } => match farm.read(&tenant, &[(class, member)], as_of) {
-            Ok((mut outcomes, timing)) => (Response::Outcome(outcomes.remove(0)), Some(timing)),
-            Err(e) => plain(err(e)),
-        },
-        Request::Batch {
-            tenant,
-            probes,
-            as_of,
-            ..
-        } => match farm.read(&tenant, &probes, as_of) {
-            Ok((outcomes, timing)) => (Response::Outcomes(outcomes), Some(timing)),
-            Err(e) => plain(err(e)),
-        },
-        Request::Edit { tenant, directive } => plain(match farm.edit(&tenant, &directive) {
-            Ok(epoch) => Response::Edited { epoch },
-            Err(e) => err(e),
-        }),
-        Request::Stats { tenant } => plain(match farm.stats_json(&tenant) {
-            Ok(json) => Response::Stats { json },
-            Err(e) => err(e),
-        }),
-        Request::Metrics => plain(Response::Metrics {
+        Request::Load { tenant, path } => farm
+            .load(&tenant, path.as_ref())
+            .map(|(entries, bytes)| Response::Loaded { entries, bytes }),
+        Request::Edit { tenant, directive } => farm
+            .edit(&tenant, &directive)
+            .map(|epoch| Response::Edited { epoch }),
+        Request::Stats { tenant } => farm
+            .stats_json(&tenant)
+            .map(|json| Response::Stats { json }),
+        Request::Metrics => Ok(Response::Metrics {
             text: farm.render_metrics(),
         }),
-        Request::Subscribe { .. } => plain(Response::Error {
-            code: ErrorCode::BadPayload,
-            message: "subscribe is a connection-level request".to_owned(),
-        }),
-        Request::Ack { follower, seq } => plain(match farm.wal() {
+        Request::Query { .. } | Request::Batch { .. } | Request::Subscribe { .. } => Err((
+            ErrorCode::BadPayload,
+            "reads and subscriptions are served by the connection".to_owned(),
+        )),
+        Request::Ack { follower, seq } => match farm.wal() {
             Some(wal) => {
                 farm.metrics()
                     .follower_acked_seq
                     .with_label(&follower)
                     .set(seq as i64);
-                Response::Acked {
+                Ok(Response::Acked {
                     leader_seq: wal.last_seq(),
-                }
+                })
             }
-            None => Response::Error {
-                code: ErrorCode::NotReplicating,
-                message: "this server has no edit log".to_owned(),
-            },
-        }),
+            None => Err((
+                ErrorCode::NotReplicating,
+                "this server has no edit log".to_owned(),
+            )),
+        },
     }
 }
 

@@ -707,3 +707,171 @@ fn v1_snapshot_tenant_serves_byte_identically_to_v2_across_an_edit() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// A hierarchy with every outcome shape: `R::v` is ambiguous between
+/// the virtual bases `P` and `Q` (named witnesses), `S::v` between the
+/// same classes inherited non-virtually (Ω witnesses), `P::v` resolves
+/// through Ω and `T::v` through the virtual base `P`, and `Lone::v` is
+/// not found.
+fn shapes() -> Chg {
+    use cpplookup_chg::{ChgBuilder, Inheritance, MemberDecl, MemberKind};
+    let mut b = ChgBuilder::new();
+    let [p, q, r, s] = ["P", "Q", "R", "S"].map(|name| b.class(name));
+    b.class("Lone");
+    for c in [p, q] {
+        b.member_with(c, "v", MemberDecl::public(MemberKind::Function))
+            .unwrap();
+    }
+    for base in [p, q] {
+        b.derive(r, base, Inheritance::Virtual).unwrap();
+        b.derive(s, base, Inheritance::NonVirtual).unwrap();
+    }
+    let t = b.class("T");
+    b.derive(t, p, Inheritance::Virtual).unwrap();
+    b.finish().unwrap()
+}
+
+/// Every read reply the server writes straight from the directory is
+/// the owned encoder's reply, byte for byte, under both I/O models:
+/// resolved, ambiguous (witnesses named and Ω) and not-found outcomes,
+/// unknown names and tenants, as-of reads at a retained and at a
+/// retired epoch, each as a plain and as a traced `BATCH` and `QUERY`.
+#[test]
+fn read_replies_are_the_owned_encoders_bytes_under_both_io_models() {
+    let dir = TempDir::new("read-bytes");
+    let families = [
+        ("fig1", fixtures::fig1()),
+        ("fig9", fixtures::fig9()),
+        ("shapes", shapes()),
+    ];
+    let mut preload = Vec::new();
+    for (name, chg) in &families {
+        let path = dir.file(&format!("{name}.snap"));
+        write_snapshot(chg, &path);
+        preload.push((name.to_string(), path));
+    }
+    let mut models = vec![cpplookup_server::IoModel::Threads];
+    if cfg!(target_os = "linux") {
+        models.push(cpplookup_server::IoModel::Epoll);
+    }
+    for model in models {
+        let (server, addr) = start_server(ServerConfig {
+            preload: preload.clone(),
+            retain_epochs: 2,
+            io_model: model,
+            ..ServerConfig::default()
+        });
+        let farm = server.farm().clone();
+        let mut s = TcpStream::connect(&addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Promotion publishes epoch 0, attach 1 and the edit 2: with two
+        // epochs retained, 1 is an as-of read and 0 is retired.
+        let edit = Request::Edit {
+            tenant: "fig9".to_owned(),
+            directive: "member E fresh".to_owned(),
+        };
+        assert_eq!(
+            Response::decode(&round_trip(&mut s, &edit)).unwrap(),
+            Response::Edited { epoch: 2 }
+        );
+        let mut shapes = [false; 5];
+        // (tenant, probes, as-of epoch)
+        type Case = (String, Vec<(String, String)>, Option<u64>);
+        let mut cases: Vec<Case> = Vec::new();
+        for (name, chg) in &families {
+            let pairs: Vec<(String, String)> = chg
+                .classes()
+                .flat_map(|c| chg.member_ids().map(move |m| (c, m)))
+                .map(|(c, m)| (chg.class_name(c).to_owned(), chg.member_name(m).to_owned()))
+                .collect();
+            // The owned answers are themselves decoded from the read
+            // core's bytes, so pin them to the in-process index first.
+            let table = SnapshotTable::load(dir.file(&format!("{name}.snap"))).unwrap();
+            let index = table.dispatch_index();
+            let owned = farm.batch(name, &pairs).unwrap();
+            for ((c, m), got) in chg
+                .classes()
+                .flat_map(|c| chg.member_ids().map(move |m| (c, m)))
+                .zip(&owned)
+            {
+                assert_eq!(*got, expect_wire(&table, &index.lookup(c, m)), "{name}");
+            }
+            for o in owned {
+                match o {
+                    WireOutcome::Resolved { least_virtual, .. } => {
+                        shapes[usize::from(least_virtual == WireLv::Omega)] = true
+                    }
+                    WireOutcome::NotFound => shapes[2] = true,
+                    WireOutcome::Ambiguous { witnesses } => {
+                        for w in witnesses {
+                            shapes[3 + usize::from(w == WireLv::Omega)] = true;
+                        }
+                    }
+                }
+            }
+            cases.push((name.to_string(), pairs, None));
+        }
+        assert_eq!(
+            shapes, [true; 5],
+            "resolved through a named class and through Ω, not found, named and Ω witnesses"
+        );
+        let fig9 = cases[1].1.clone();
+        let mut bad_class = fig9.clone();
+        bad_class.push(("Nope".to_owned(), "m".to_owned()));
+        let mut bad_member = fig9.clone();
+        bad_member.insert(1, ("E".to_owned(), "nope".to_owned()));
+        cases.extend([
+            ("fig9".to_owned(), bad_class, None),
+            ("fig9".to_owned(), bad_member, None),
+            ("nobody".to_owned(), fig9.clone(), None),
+            ("fig9".to_owned(), fig9.clone(), Some(1)),
+            ("fig9".to_owned(), fig9.clone(), Some(2)),
+            ("fig9".to_owned(), fig9, Some(0)),
+        ]);
+        for (tenant, probes, as_of) in &cases {
+            let what = format!("{model:?} {tenant} as-of {as_of:?}");
+            let owned = farm.read(tenant, probes, *as_of).map(|(o, _)| o);
+            for trace in [false, true] {
+                let batch = Request::Batch {
+                    tenant: tenant.clone(),
+                    probes: probes.clone(),
+                    trace,
+                    as_of: *as_of,
+                };
+                let reply = round_trip(&mut s, &batch);
+                let want = match (&owned, trace) {
+                    (Ok(outcomes), false) => Response::Outcomes(outcomes.clone()),
+                    (Ok(outcomes), true) => match Response::decode(&reply).unwrap() {
+                        Response::Traced { spans, .. } => Response::Traced {
+                            outcomes: outcomes.clone(),
+                            spans,
+                        },
+                        other => panic!("{what}: traced BATCH answered {other:?}"),
+                    },
+                    (Err((code, message)), _) => Response::Error {
+                        code: *code,
+                        message: message.clone(),
+                    },
+                };
+                assert_eq!(reply, want.encode(), "{what}: BATCH, trace {trace}");
+            }
+            // Each probe as a QUERY: the answer, or the error it raises
+            // alone.
+            for (class, member) in probes {
+                let query = Request::Query {
+                    tenant: tenant.clone(),
+                    class: class.clone(),
+                    member: member.clone(),
+                    trace: false,
+                    as_of: *as_of,
+                };
+                let want = match farm.read(tenant, &[(class, member)], *as_of) {
+                    Ok((mut outcomes, _)) => Response::Outcome(outcomes.remove(0)),
+                    Err((code, message)) => Response::Error { code, message },
+                };
+                let reply = round_trip(&mut s, &query);
+                assert_eq!(reply, want.encode(), "{what}: QUERY ({class}, {member})");
+            }
+        }
+    }
+}

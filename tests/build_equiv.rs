@@ -1,10 +1,11 @@
 //! Differential equivalence of the table builders.
 //!
 //! The batched single-sweep compiler (`LookupTable::build_with`), the
-//! work-stealing parallel sweep (`build_parallel`), the old per-member
-//! build it replaced (`build_per_member`), and the class-major eager
-//! reference (`build_reference`) must produce *identical* tables —
-//! same entries, same stats — on every generator family. On the
+//! work-stealing parallel sweep (`build_parallel`), and the two builders
+//! it replaced — the old per-member build (`build_per_member`) and the
+//! class-major eager reference (`build_reference`), both kept in the
+//! `retired` module of `cpplookup-baselines` — must produce *identical*
+//! tables — same entries, same stats — on every generator family. On the
 //! smaller hierarchies the verdicts are additionally re-derived from
 //! the Rossie–Friedman subobject oracle (Definition 17), so all four
 //! builders are pinned to the semantics, not merely to each other.
@@ -13,6 +14,8 @@
 //! batched compiler must reproduce every `tests/corpus/*.snap`
 //! byte-for-byte without re-blessing.
 
+use cpplookup::baselines::retired;
+use cpplookup::chg::fixtures;
 use cpplookup::hiergen::families;
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::prelude::*;
@@ -73,6 +76,52 @@ fn assert_tables_equal(name: &str, label: &str, g: &Chg, a: &LookupTable, b: &Lo
     }
 }
 
+/// The paper's figures, the static-member fixtures and the empty
+/// hierarchy: the batched build equals the reference entry for entry,
+/// stats included.
+#[test]
+fn batched_matches_reference_on_fixtures() {
+    let graphs = [
+        fixtures::fig1(),
+        fixtures::fig2(),
+        fixtures::fig3(),
+        fixtures::fig9(),
+        fixtures::static_diamond(),
+        fixtures::static_override_mix(),
+        fixtures::dominance_diamond(),
+        ChgBuilder::new().finish().unwrap(),
+    ];
+    for g in &graphs {
+        let reference = retired::build_reference(g, LookupOptions::default());
+        assert_tables_equal(
+            "fixture",
+            "batched vs reference",
+            g,
+            &LookupTable::build(g),
+            &reference,
+        );
+    }
+}
+
+/// The static-member rule option reaches the batched merge: with
+/// statics ignored, the static diamond builds as the reference does.
+#[test]
+fn batched_respects_static_rule_options() {
+    let g = fixtures::static_diamond();
+    let options = LookupOptions {
+        statics: StaticRule::Ignore,
+    };
+    let reference = retired::build_reference(&g, options);
+    let batched = LookupTable::build_with(&g, options);
+    assert_tables_equal(
+        "static_diamond",
+        "batched vs reference",
+        &g,
+        &batched,
+        &reference,
+    );
+}
+
 /// Batched == old per-member build == reference == parallel, for both
 /// static-member rules.
 #[test]
@@ -80,10 +129,10 @@ fn batched_equals_reference_on_every_family() {
     for (name, g) in family_zoo() {
         for rule in [StaticRule::Cpp, StaticRule::Ignore] {
             let options = LookupOptions { statics: rule };
-            let reference = LookupTable::build_reference(&g, options);
+            let reference = retired::build_reference(&g, options);
             let batched = LookupTable::build_with(&g, options);
             assert_tables_equal(name, "batched vs reference", &g, &batched, &reference);
-            let per_member = LookupTable::build_per_member(&g, options);
+            let per_member = retired::build_per_member(&g, options);
             assert_tables_equal(
                 name,
                 "old per-member vs reference",

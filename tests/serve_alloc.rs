@@ -207,3 +207,140 @@ fn owned_lookup_allocates_on_ambiguous_hits() {
     });
     assert!(allocs > 0, "owned ambiguous lookup should allocate");
 }
+
+/// The server's read path, farm plus codec, inherits the criterion: a
+/// `QUERY` or `BATCH` decodes as a view over its frame, resolves and
+/// probes through a reused [`ReadScratch`] and writes its reply into a
+/// reused buffer. Once those are warmed, a 64-probe `BATCH` allocates no
+/// more than a 1-probe `QUERY` — nothing at all — plain, traced or
+/// pinned to an epoch, and its reply is the owned encoder's bytes.
+#[test]
+fn farm_read_path_allocations_do_not_grow_with_the_probe_count() {
+    use cpplookup::server::farm::ReadScratch;
+    use cpplookup::server::protocol::Decoded;
+    use cpplookup::server::{Farm, Request, Response};
+
+    // `R::v` is ambiguous (named witnesses), `S::v` too (Ω), `P::v` and
+    // `T::v` resolve and `Lone::v` is not found.
+    let g = {
+        use cpplookup::chg::{ChgBuilder, MemberDecl, MemberKind};
+        let mut b = ChgBuilder::new();
+        let [p, q, r, s] = ["P", "Q", "R", "S"].map(|name| b.class(name));
+        b.class("Lone");
+        for c in [p, q] {
+            b.member_with(c, "v", MemberDecl::public(MemberKind::Function))
+                .unwrap();
+        }
+        for base in [p, q] {
+            b.derive(r, base, Inheritance::Virtual).unwrap();
+            b.derive(s, base, Inheritance::NonVirtual).unwrap();
+        }
+        let t = b.class("T");
+        b.derive(t, p, Inheritance::Virtual).unwrap();
+        b.finish().unwrap()
+    };
+    let dir = std::env::temp_dir().join(format!("cpplookup-serve-alloc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shapes.snap");
+    cpplookup::snapshot::Snapshot::compile(&g)
+        .write_to(&path)
+        .unwrap();
+    let farm = Farm::new();
+    farm.load("t", &path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let pairs: Vec<(String, String)> = g
+        .classes()
+        .flat_map(|c| g.member_ids().map(move |m| (c, m)))
+        .map(|(c, m)| (g.class_name(c).to_owned(), g.member_name(m).to_owned()))
+        .collect();
+    let probes: Vec<(String, String)> = pairs.iter().cycle().take(64).cloned().collect();
+    let owned = farm.batch("t", &probes).unwrap();
+    for shape in ["Resolved", "Ambiguous", "NotFound"] {
+        assert!(
+            owned.iter().any(|o| format!("{o:?}").starts_with(shape)),
+            "the batch must hold a {shape} outcome"
+        );
+    }
+    let epoch = farm.retained_epochs("t").unwrap()[0];
+
+    let mut scratch = ReadScratch::default();
+    let mut out = Vec::new();
+    let mut answer = |body: &[u8]| {
+        out.clear();
+        let Ok(Decoded::Read(view)) = Request::decode_borrowed(body) else {
+            panic!("not a read");
+        };
+        farm.answer(&view, &mut scratch, &mut out).unwrap();
+        std::hint::black_box(&out);
+    };
+    for (trace, as_of) in [(false, None), (true, None), (false, Some(epoch))] {
+        let batch = Request::Batch {
+            tenant: "t".to_owned(),
+            probes: probes.clone(),
+            trace,
+            as_of,
+        }
+        .encode();
+        let (class, member) = probes[0].clone();
+        let query = Request::Query {
+            tenant: "t".to_owned(),
+            class,
+            member,
+            trace,
+            as_of,
+        }
+        .encode();
+        // Warm up: grows the scratch and the reply buffer to their
+        // steady-state capacity.
+        answer(&batch);
+        answer(&query);
+        let batch_allocs = count_allocs(|| {
+            for _ in 0..16 {
+                answer(&batch);
+            }
+        });
+        let query_allocs = count_allocs(|| {
+            for _ in 0..16 {
+                answer(&query);
+            }
+        });
+        assert!(
+            batch_allocs <= query_allocs,
+            "64-probe BATCH allocated {batch_allocs} times, 1-probe QUERY {query_allocs} (16 each)"
+        );
+        assert_eq!(batch_allocs, 0, "trace {trace}, as-of {as_of:?}");
+    }
+    // The borrowed reply is the owned encoder's reply, byte for byte.
+    answer(
+        &Request::Batch {
+            tenant: "t".to_owned(),
+            probes: probes.clone(),
+            trace: false,
+            as_of: None,
+        }
+        .encode(),
+    );
+    assert_eq!(out, Response::Outcomes(owned).encode());
+
+    // Contrast: the owned path decodes every name into a `String` and
+    // builds every outcome's names again, so its allocations grow with
+    // the probe count.
+    let batch = Request::Batch {
+        tenant: "t".to_owned(),
+        probes: probes.clone(),
+        trace: false,
+        as_of: None,
+    }
+    .encode();
+    let owned_allocs = count_allocs(|| {
+        let Ok(Request::Batch { tenant, probes, .. }) = Request::decode(&batch) else {
+            panic!("not a batch");
+        };
+        std::hint::black_box(farm.batch(&tenant, &probes).unwrap());
+    });
+    assert!(
+        owned_allocs > 64,
+        "owned path allocated only {owned_allocs} times"
+    );
+}
