@@ -323,11 +323,7 @@ impl LookupEngine {
         for (c, members) in table.into_entries().into_iter().enumerate() {
             let c = ClassId::from_index(c);
             for (m, e) in members {
-                let idx = self.shard_index(c, m);
-                self.shards[idx]
-                    .get_mut()
-                    .expect("engine shard lock poisoned")
-                    .insert((c, m), Slot::Present(e));
+                self.shard_mut(c, m).insert((c, m), Slot::Present(e));
             }
         }
     }
@@ -336,12 +332,16 @@ impl LookupEngine {
     /// [`with_entries`](Self::with_entries)).
     fn seed_entries(&mut self, entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>) {
         for (c, m, e) in entries {
-            let idx = self.shard_index(c, m);
-            self.shards[idx]
-                .get_mut()
-                .expect("engine shard lock poisoned")
-                .insert((c, m), Slot::Present(e));
+            self.shard_mut(c, m).insert((c, m), Slot::Present(e));
         }
+    }
+
+    /// The shard holding `(c, m)`, for the exclusive write paths.
+    fn shard_mut(&mut self, c: ClassId, m: MemberId) -> &mut FxHashMap<(ClassId, MemberId), Slot> {
+        let idx = self.shard_index(c, m);
+        self.shards[idx]
+            .get_mut()
+            .expect("engine shard lock poisoned")
     }
 
     fn shard_index(&self, c: ClassId, m: MemberId) -> usize {
@@ -539,29 +539,21 @@ impl LookupEngine {
     /// (bottom-up in topological order) and caches them, returning the
     /// entry for `(c, m)`.
     fn compute_missing(&self, c: ClassId, m: MemberId) -> Option<Entry> {
-        let mut ancestors: Vec<ClassId> = self.chg.bases_of(c).collect();
-        ancestors.push(c);
-        ancestors.sort_by_key(|&a| self.chg.topo_position(a));
-        let mut local: FxHashMap<ClassId, Option<Entry>> = FxHashMap::default();
-        let mut fresh: Vec<(ClassId, Option<Entry>)> = Vec::new();
-        for &a in &ancestors {
-            if let Some(cached) = self.cached(a, m) {
-                local.insert(a, cached);
-                continue;
-            }
-            // Every direct base of `a` is an ancestor of `c` with a
-            // smaller topological position, so it is already in `local`.
-            let e = compute_entry_with(&self.chg, self.options.lookup, a, m, |b| {
-                local.get(&b).and_then(|o| o.as_ref())
-            });
-            fresh.push((a, e.clone()));
-            local.insert(a, e);
-        }
-        for (a, e) in fresh {
-            let slot = match e {
-                Some(e) => Slot::Present(e),
-                None => Slot::Absent,
-            };
+        let mut missing: Vec<(ClassId, MemberId)> = self
+            .chg
+            .bases_of(c)
+            .filter(|&a| self.cached(a, m).is_none())
+            .map(|a| (a, m))
+            .collect();
+        missing.sort_by_key(|&(a, _)| self.chg.topo_position(a));
+        // Last: every ancestor precedes `c` in topological order.
+        missing.push((c, m));
+        let fresh = recompute_dirty(&self.chg, self.options.lookup, &missing, |b, m| {
+            self.cached(b, m).flatten()
+        });
+        let entry = fresh.last().and_then(|(_, e)| e.clone());
+        for ((a, m), e) in fresh {
+            let slot = e.map_or(Slot::Absent, Slot::Present);
             let mut shard = self.shards[self.shard_index(a, m)]
                 .write()
                 .expect("engine shard lock poisoned");
@@ -575,48 +567,42 @@ impl LookupEngine {
                     .record_computed(a.index() as u32, m.index() as u32);
             }
         }
-        local
-            .remove(&c)
-            .expect("query class is an ancestor of itself")
+        entry
     }
 
     /// Applies a batch of hierarchy edits as one transaction: the graph
     /// is rebuilt once (generation + 1) and the combined dirty set is
-    /// invalidated, then recomputed in topological order under complete
-    /// backings (the lazy backing recomputes on demand).
+    /// invalidated, then recomputed by [`recompute_dirty`] under
+    /// complete backings (the lazy backing recomputes on demand).
     ///
     /// # Errors
     ///
     /// Returns the first [`ChgError`] produced by validation. On error
     /// the engine is unchanged — hierarchy, cache, and counters.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<(), ChgError> {
-        self.apply_dirty(edits).map(drop)
-    }
-
-    /// [`apply`](Self::apply), returning the dirty set it invalidated
-    /// (in [`dirty_set`]'s order) so an index over the engine can
-    /// refresh exactly those rows without recomputing the set.
-    pub(crate) fn apply_dirty(
-        &mut self,
-        edits: &[Edit],
-    ) -> Result<Vec<(ClassId, MemberId)>, ChgError> {
-        let new_chg = apply_edits(&self.chg, edits)?;
-        let dirty = dirty_set(&new_chg, edits);
-        self.chg = new_chg;
+        let chg = apply_edits(&self.chg, edits)?;
+        let dirty = dirty_set(&chg, edits);
+        // Clean pairs keep their entries, so the memo as it stands is
+        // the base source; every dirty base is staged before it is read.
+        let fresh = if self.options.backing.complete() {
+            recompute_dirty(&chg, self.options.lookup, &dirty, |c, m| {
+                self.cached(c, m).flatten()
+            })
+        } else {
+            Vec::new()
+        };
+        self.chg = chg;
         let mut invalidated = 0;
         for &(c, m) in &dirty {
-            let idx = self.shard_index(c, m);
-            let removed = self.shards[idx]
-                .get_mut()
-                .expect("engine shard lock poisoned")
-                .remove(&(c, m));
-            invalidated += u64::from(removed.is_some());
+            invalidated += u64::from(self.shard_mut(c, m).remove(&(c, m)).is_some());
         }
-        let recomputed = if self.options.backing.complete() {
-            self.recompute(&dirty)
-        } else {
-            0
-        };
+        let mut recomputed = 0;
+        for ((c, m), e) in fresh {
+            if let Some(e) = e {
+                self.shard_mut(c, m).insert((c, m), Slot::Present(e));
+                recomputed += 1;
+            }
+        }
         self.metrics.record_edit(
             edits.len(),
             dirty.len(),
@@ -624,45 +610,7 @@ impl LookupEngine {
             recomputed,
             self.chg.generation(),
         );
-        Ok(dirty)
-    }
-
-    /// Recomputes the (invalidated) dirty entries against the updated
-    /// hierarchy, reusing every untouched cached entry, and returns how
-    /// many were recomputed. `dirty` must be sorted by member and
-    /// topological position — [`dirty_set`]'s order.
-    fn recompute(&mut self, dirty: &[(ClassId, MemberId)]) -> u64 {
-        let mut recomputed = 0;
-        let mut i = 0;
-        while i < dirty.len() {
-            let m = dirty[i].1;
-            // One member's run of dirty classes, already topologically
-            // sorted: stage base entries locally so each recomputation
-            // sees its member's fresh values.
-            let mut local: FxHashMap<ClassId, Option<Entry>> = FxHashMap::default();
-            while i < dirty.len() && dirty[i].1 == m {
-                let c = dirty[i].0;
-                for spec in self.chg.direct_bases(c) {
-                    local
-                        .entry(spec.base)
-                        .or_insert_with(|| self.cached(spec.base, m).flatten());
-                }
-                let e = compute_entry_with(&self.chg, self.options.lookup, c, m, |b| {
-                    local.get(&b).and_then(|o| o.as_ref())
-                });
-                if let Some(entry) = &e {
-                    let idx = self.shard_index(c, m);
-                    self.shards[idx]
-                        .get_mut()
-                        .expect("engine shard lock poisoned")
-                        .insert((c, m), Slot::Present(entry.clone()));
-                    recomputed += 1;
-                }
-                local.insert(c, e);
-                i += 1;
-            }
-        }
-        recomputed
+        Ok(())
     }
 
     /// Adds a new class (no bases, no members). Returns its id.
@@ -796,7 +744,7 @@ impl MemberLookup for LookupEngine {
 
 /// The set of `(class, member)` cache keys an edit batch can change,
 /// sorted by member then topological position (the order
-/// [`LookupEngine::recompute`] requires). Derived from the *post-edit*
+/// [`recompute_dirty`] requires). Derived from the *post-edit*
 /// hierarchy so newly visible members are included. Conservative: a
 /// dirty entry may recompute to its old value.
 pub(crate) fn dirty_set(new: &Chg, edits: &[Edit]) -> Vec<(ClassId, MemberId)> {
@@ -825,6 +773,43 @@ pub(crate) fn dirty_set(new: &Chg, edits: &[Edit]) -> Vec<(ClassId, MemberId)> {
     }
     let mut out: Vec<(ClassId, MemberId)> = dirty.into_iter().collect();
     out.sort_by_key(|&(c, m)| (m.index(), new.topo_position(c)));
+    out
+}
+
+/// One recomputed pair: `None` when the member is not visible in the
+/// class after the edit.
+pub(crate) type Recomputed = ((ClassId, MemberId), Option<Entry>);
+
+/// Figure 8's step over stale pairs (an edit's dirty set, or the
+/// uncached ancestors a lazy query needs), in [`dirty_set`]'s order so
+/// a stale base is recomputed before its derived pairs: one result per
+/// pair of `dirty`. Base entries come from a per-member staging map of
+/// the pairs recomputed so far first, and from `base` second — a table
+/// whose other pairs are current: the engine's memo, or the index an
+/// [`IndexedEngine`](crate::IndexedEngine) published before the edit.
+pub(crate) fn recompute_dirty(
+    chg: &Chg,
+    options: LookupOptions,
+    dirty: &[(ClassId, MemberId)],
+    mut base: impl FnMut(ClassId, MemberId) -> Option<Entry>,
+) -> Vec<Recomputed> {
+    let mut out = Vec::with_capacity(dirty.len());
+    let mut staged: FxHashMap<ClassId, Option<Entry>> = FxHashMap::default();
+    for (i, &(c, m)) in dirty.iter().enumerate() {
+        if i > 0 && dirty[i - 1].1 != m {
+            staged.clear();
+        }
+        for spec in chg.direct_bases(c) {
+            staged
+                .entry(spec.base)
+                .or_insert_with(|| base(spec.base, m));
+        }
+        let e = compute_entry_with(chg, options, c, m, |b| {
+            staged.get(&b).and_then(Option::as_ref)
+        });
+        staged.insert(c, e.clone());
+        out.push(((c, m), e));
+    }
     out
 }
 

@@ -23,8 +23,9 @@
 //!   baselines) behind one query interface,
 //! * [`serve`] — the flat [`DispatchIndex`]: a pre-decoded, cache-dense
 //!   serving read path with an allocation-free
-//!   [`lookup_ref`](DispatchIndex::lookup_ref) fast path and wait-free
-//!   epoch-published versions ([`ServeHandle`] / [`IndexedEngine`]),
+//!   [`lookup_ref`](DispatchIndex::lookup_ref) fast path, wait-free
+//!   epoch-published versions ([`ServeHandle`]), and an edit path
+//!   ([`IndexedEngine`]) that keeps the index as its only table,
 //! * [`obs`] — the observability facade: per-engine metric registries,
 //!   propagation work counters, and structured event sinks (always
 //!   compiled in),

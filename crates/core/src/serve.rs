@@ -65,11 +65,10 @@
 //!   stream, under a prebuilt hash or a fresh one;
 //!   `SnapshotTable::dispatch_index` uses it to decode each varint
 //!   payload exactly once at load, then never again;
-//! * [`DispatchIndex::from_engine`] / [`DispatchIndex::refreshed`] —
-//!   (re)packs the engine's memo; after
-//!   [`LookupEngine::apply`](crate::LookupEngine::apply) only the dirty
-//!   classes are re-probed, clean rows and their pool ranges are copied
-//!   verbatim.
+//! * [`DispatchIndex::from_engine`] — packs an engine's memo;
+//! * [`DispatchIndex::refreshed`] — the index after an edit: the edit's
+//!   recomputed pairs are merged into the old rows, every other entry
+//!   and its pool range is copied verbatim.
 //!
 //! # Epoch publish
 //!
@@ -82,23 +81,24 @@
 //! it as one pointer swap, so a reader observes either the old epoch or
 //! the new one in full — never a torn index, never a state older than
 //! the snapshot it loaded. [`IndexedEngine`] packages the protocol:
-//! `apply` edits the engine, incrementally refreshes the index, and
-//! republishes.
+//! `apply` edits the hierarchy, recomputes the dirty pairs from the
+//! published index, merges them into a refreshed index, and
+//! republishes. The published index is the only table it keeps.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use cpplookup_chg::fxmap::FxHashMap;
-use cpplookup_chg::{ChgError, ClassId, Edit, MemberId};
+use cpplookup_chg::{apply_edits, Chg, ChgError, ClassId, Edit, MemberId};
 
 use crate::abstraction::{LeastVirtual, RedAbs};
 use crate::api::MemberLookup;
 use crate::batched::elapsed_ns;
-use crate::engine::LookupEngine;
+use crate::engine::{dirty_set, recompute_dirty, LookupEngine, Recomputed};
 use crate::mph::MphFunction;
 use crate::result::{Entry, LookupOutcome};
-use crate::table::LookupTable;
+use crate::table::{LookupOptions, LookupTable};
 
 pub use crate::dispatch::{
     build_dispatch_map, dynamic_target, DispatchEntry, DispatchMap, DispatchTarget,
@@ -106,15 +106,8 @@ pub use crate::dispatch::{
 
 /// A backend that can be packed into a [`DispatchIndex`] — the unified
 /// construction surface behind [`DispatchIndex::from_backend`] and
-/// [`ServeHandle::serving`].
-///
-/// Before this trait existed every backend grew its own ad-hoc entry
-/// point (`DispatchIndex::from_table`, `DispatchIndex::from_engine`,
-/// `SnapshotTable::dispatch_index`), and every caller — the CLI, the
-/// server, the benches — had to know which one to reach for. Now any
-/// code that serves lookups takes `impl IntoDispatchIndex` and lets the
-/// backend describe itself; the old constructors remain as thin
-/// documented delegates.
+/// [`ServeHandle::serving`]; the backend-specific constructors remain
+/// as thin delegates.
 ///
 /// Implementors in this workspace:
 ///
@@ -571,14 +564,7 @@ impl DispatchIndex {
                     .collect()
             })
             .collect();
-        let index = Self::from_rows(member_count, rows, None);
-        crate::obs::index_built(
-            "table",
-            index.entry_count() as u64,
-            index.size_bytes() as u64,
-            elapsed_ns(start),
-        );
-        index
+        Self::from_rows(member_count, rows, None).recorded("table", start)
     }
 
     /// Packs the engine's memo into an index: every `(class, member)`
@@ -600,67 +586,68 @@ impl DispatchIndex {
                 }
             }
         }
-        let index = Self::from_rows(chg.member_name_count(), rows, None);
-        crate::obs::index_built(
-            "engine",
-            index.entry_count() as u64,
-            index.size_bytes() as u64,
-            elapsed_ns(start),
-        );
-        index
+        Self::from_rows(chg.member_name_count(), rows, None).recorded("engine", start)
     }
 
-    /// Incrementally refreshes this index against an engine whose
-    /// hierarchy just changed: rows of classes in `dirty` (plus any
-    /// classes beyond the old `class_count`) are re-probed from the
-    /// engine's memo; every clean row — pairs, packed entries, and
-    /// their pool ranges — is copied verbatim. The pool only grows, so
-    /// copied `set_off` ranges stay valid. The probe directory is
-    /// rebuilt whole (its key set changed).
-    pub fn refreshed(&self, engine: &LookupEngine, dirty: &[(ClassId, MemberId)]) -> Self {
+    /// The index of `chg` after an edit, from this one and the edit's
+    /// recomputed pairs `fresh`: each replaces or adds its entry (drops
+    /// it when `None`), and every other entry and its pool range is
+    /// copied verbatim. The pool only grows, so copied ranges stay
+    /// valid; the probe directory is rebuilt whole.
+    pub fn refreshed(&self, chg: &Chg, fresh: &[Recomputed]) -> Self {
         let start = Instant::now();
-        let chg = engine.chg();
         let class_count = chg.class_count();
-        let mut is_dirty = vec![false; class_count];
-        for &(c, _) in dirty {
-            is_dirty[c.index()] = true;
-        }
+        let mut updates: Vec<(usize, u32, Option<&Entry>)> = fresh
+            .iter()
+            .map(|((c, m), e)| (c.index(), m.index() as u32, e.as_ref()))
+            .collect();
+        updates.sort_unstable_by_key(|&(c, m, _)| (c, m));
+        let mut updates = updates.as_slice();
         let mut pool = PoolBuilder::resume(self.pool.clone());
         let mut row_starts = Vec::with_capacity(class_count + 1);
         let mut pairs = Vec::with_capacity(self.pairs.len());
         let mut entries = Vec::with_capacity(self.entries.len());
         row_starts.push(0u32);
-        for (ci, &row_dirty) in is_dirty.iter().enumerate() {
-            if ci < self.class_count && !row_dirty {
-                let (lo, hi) = (
-                    self.row_starts[ci] as usize,
-                    self.row_starts[ci + 1] as usize,
-                );
-                for pair in &self.pairs[lo..hi] {
-                    let slot = entries.len() as u32;
-                    entries.push(self.entries[pair.slot as usize]);
-                    pairs.push(IndexPair {
-                        member: pair.member,
-                        slot,
-                    });
-                }
+        for ci in 0..class_count {
+            let old = if ci < self.class_count {
+                &self.pairs[self.row_starts[ci] as usize..self.row_starts[ci + 1] as usize]
             } else {
-                let c = ClassId::from_index(ci);
-                for m in chg.member_ids() {
-                    if let Some(e) = engine.entry(c, m) {
-                        let slot = entries.len() as u32;
-                        entries.push(pool.pack(&e));
-                        pairs.push(IndexPair {
-                            member: m.index() as u32,
-                            slot,
-                        });
+                &[]
+            };
+            let split = updates.iter().take_while(|u| u.0 == ci).count();
+            let (row, rest) = updates.split_at(split);
+            updates = rest;
+            let mut push = |member: u32, packed: PackedEntry| {
+                let slot = entries.len() as u32;
+                entries.push(packed);
+                pairs.push(IndexPair { member, slot });
+            };
+            // Both runs are sorted by member: merge them, the
+            // recomputed entry winning over the old one.
+            let (mut i, mut j) = (0, 0);
+            loop {
+                let kept = old.get(i);
+                match row.get(j) {
+                    Some(&(_, m, e)) if kept.is_none_or(|p| m <= p.member) => {
+                        i += usize::from(kept.is_some_and(|p| p.member == m));
+                        j += 1;
+                        if let Some(e) = e {
+                            push(m, pool.pack(e));
+                        }
                     }
+                    _ => match kept {
+                        Some(p) => {
+                            push(p.member, self.entries[p.slot as usize]);
+                            i += 1;
+                        }
+                        None => break,
+                    },
                 }
             }
             row_starts.push(u32::try_from(pairs.len()).expect("dispatch index overflow"));
         }
         let directory = Self::build_directory(None, &row_starts, &pairs, &entries);
-        let index = DispatchIndex {
+        DispatchIndex {
             class_count,
             member_count: chg.member_name_count(),
             row_starts,
@@ -668,14 +655,16 @@ impl DispatchIndex {
             directory,
             entries,
             pool: pool.pool,
-        };
-        crate::obs::index_built(
-            "refresh",
-            index.entry_count() as u64,
-            index.size_bytes() as u64,
-            elapsed_ns(start),
-        );
-        index
+        }
+        .recorded("refresh", start)
+    }
+
+    /// Counts this index in the build metrics, as built by `source`
+    /// since `start`.
+    fn recorded(self, source: &str, start: Instant) -> Self {
+        let (entries, bytes) = (self.entry_count() as u64, self.size_bytes() as u64);
+        crate::obs::index_built(source, entries, bytes, elapsed_ns(start));
+        self
     }
 
     /// The shared layout pass: sorts each row by member id and packs
@@ -1021,7 +1010,9 @@ impl MemberLookup for DispatchIndex {
 #[derive(Debug)]
 pub struct PublishedIndex {
     epoch: u64,
-    index: DispatchIndex,
+    /// Shared with the next epoch when a publish keeps the table (see
+    /// [`ServeHandle::republish`]).
+    index: Arc<DispatchIndex>,
 }
 
 impl PublishedIndex {
@@ -1076,7 +1067,10 @@ impl ServeHandle {
     pub fn new(index: DispatchIndex) -> Self {
         ServeHandle {
             current: Arc::new(RwLock::new(Publications {
-                current: Arc::new(PublishedIndex { epoch: 0, index }),
+                current: Arc::new(PublishedIndex {
+                    epoch: 0,
+                    index: Arc::new(index),
+                }),
                 history: VecDeque::new(),
                 retain: 1,
             })),
@@ -1161,8 +1155,9 @@ impl ServeHandle {
     /// have landed. The skipped epochs were never published, so
     /// [`load_at`](Self::load_at) reports them retired. `steps` is
     /// clamped to at least 1: epochs never repeat or go backwards.
-    pub fn publish_advancing(&self, index: DispatchIndex, steps: u64) -> u64 {
+    pub fn publish_advancing(&self, index: impl Into<Arc<DispatchIndex>>, steps: u64) -> u64 {
         let start = Instant::now();
+        let index = index.into();
         let mut slot = self.current.write().expect("serve handle lock poisoned");
         let epoch = slot.current.epoch + steps.max(1);
         let superseded =
@@ -1178,14 +1173,21 @@ impl ServeHandle {
         crate::obs::index_published(epoch, elapsed_ns(start));
         epoch
     }
+
+    /// Publishes the current index again as the next epoch, sharing it
+    /// rather than copying or repacking it: readers see a new epoch over
+    /// the same table. A write path that takes over a handle uses it to
+    /// mark where its own epochs begin.
+    pub fn republish(&self) -> u64 {
+        self.publish_advancing(self.load().index.clone(), 1)
+    }
 }
 
-/// A [`LookupEngine`] paired with a published [`DispatchIndex`]: edits
-/// go through [`apply`](IndexedEngine::apply), which recomputes only
-/// the dirty entries (the engine's incremental invalidation), refreshes
-/// only the dirty index rows, and republishes — while clones of
-/// [`handle`](IndexedEngine::handle) keep serving wait-free from
-/// whatever epoch they loaded.
+/// A class hierarchy and its published [`DispatchIndex`], the one table
+/// it keeps: [`apply`](IndexedEngine::apply) recomputes an edit's dirty
+/// pairs from the published index, merges them into a refreshed one,
+/// and republishes, while clones of [`handle`](IndexedEngine::handle)
+/// keep serving wait-free from whatever epoch they loaded.
 ///
 /// # Examples
 ///
@@ -1202,33 +1204,38 @@ impl ServeHandle {
 /// # Ok::<(), cpplookup_chg::ChgError>(())
 /// ```
 pub struct IndexedEngine {
-    engine: LookupEngine,
+    chg: Chg,
+    options: LookupOptions,
     handle: ServeHandle,
 }
 
 impl IndexedEngine {
-    /// Builds the initial index from the engine's memo and publishes it
-    /// as epoch 0.
+    /// Packs the engine's memo into the initial index, published as
+    /// epoch 0, and keeps only the engine's hierarchy and options.
     pub fn new(engine: LookupEngine) -> Self {
-        let index = DispatchIndex::from_engine(&engine);
+        let handle = ServeHandle::serving(&engine);
+        Self::with_handle(engine.chg().clone(), engine.options().lookup, handle)
+    }
+
+    /// The write path of `chg` over a handle whose current index is
+    /// the table of `chg` under `options`, such as a snapshot's. Nothing
+    /// is built or published.
+    pub fn with_handle(chg: Chg, options: LookupOptions, handle: ServeHandle) -> Self {
         IndexedEngine {
-            engine,
-            handle: ServeHandle::new(index),
+            chg,
+            options,
+            handle,
         }
     }
 
-    /// Pairs `engine` with an *existing* publication point: the index
-    /// is rebuilt from the engine's memo and published on `handle` as a
-    /// fresh epoch, so readers already serving from clones of `handle`
-    /// (for example, a tenant that has been answering queries straight
-    /// from a snapshot-packed index) migrate to the engine-backed
-    /// versions without ever re-resolving a handle.
-    ///
-    /// This is the promotion step a write path takes when a previously
-    /// read-only backend receives its first edit.
+    /// [`with_handle`](Self::with_handle) for the engine's hierarchy and
+    /// options, after [republishing](ServeHandle::republish) the
+    /// handle's index, which must be the engine's table, as a fresh
+    /// epoch: readers of the handle see every later edit without
+    /// re-resolving it. The engine's memo is dropped.
     pub fn attach(engine: LookupEngine, handle: ServeHandle) -> Self {
-        handle.publish(DispatchIndex::from_engine(&engine));
-        IndexedEngine { engine, handle }
+        handle.republish();
+        Self::with_handle(engine.chg().clone(), engine.options().lookup, handle)
     }
 
     /// A serving handle; clone freely across reader threads.
@@ -1236,24 +1243,24 @@ impl IndexedEngine {
         self.handle.clone()
     }
 
-    /// The engine behind the index.
-    pub fn engine(&self) -> &LookupEngine {
-        &self.engine
+    /// The hierarchy the published index is the table of.
+    pub fn chg(&self) -> &Chg {
+        &self.chg
     }
 
-    /// Applies edits to the engine (incremental invalidation +
-    /// recompute), refreshes the dirty index rows, and publishes the new
-    /// version. On error the engine, the index, and the epoch are
+    /// Applies edits to the hierarchy, recomputes their dirty pairs,
+    /// merges them into the index, and publishes the new version. On
+    /// error the hierarchy, the published index, and the epoch are
     /// unchanged.
     ///
     /// # Errors
     ///
-    /// Any [`ChgError`] of [`LookupEngine::apply`].
+    /// Any [`ChgError`] of [`apply_edits`].
     pub fn apply(&mut self, edits: &[Edit]) -> Result<u64, ChgError> {
         self.apply_publishing(edits, 1)
     }
 
-    /// Applies a run of edits as *one* engine transaction and *one*
+    /// Applies a run of edits as *one* hierarchy transaction and *one*
     /// index refresh, and publishes a single version numbered as if
     /// each edit had been applied and published on its own: the current
     /// epoch plus `edits.len()`. This is the recovery shape: a replayer
@@ -1262,14 +1269,15 @@ impl IndexedEngine {
     /// numbering. The intermediate epochs are never published. An
     /// empty run changes nothing and returns the current epoch.
     ///
-    /// The transaction accepts exactly the runs whose edits the engine
-    /// would accept one by one (edits only add, and every check either
-    /// looks at one edit or, like cycle detection, at the final graph).
+    /// The transaction accepts exactly the runs whose edits
+    /// [`apply`](Self::apply) would accept one by one (edits only add,
+    /// and every check either looks at one edit or, like cycle
+    /// detection, at the final graph).
     ///
     /// # Errors
     ///
-    /// Any [`ChgError`] of [`LookupEngine::apply`]; as there, nothing
-    /// changes on error.
+    /// Any [`ChgError`] of [`apply_edits`]; as there, nothing changes
+    /// on error.
     ///
     /// # Examples
     ///
@@ -1295,8 +1303,12 @@ impl IndexedEngine {
     }
 
     fn apply_publishing(&mut self, edits: &[Edit], steps: u64) -> Result<u64, ChgError> {
-        let dirty = self.engine.apply_dirty(edits)?;
-        let refreshed = self.handle.load().index.refreshed(&self.engine, &dirty);
+        let chg = apply_edits(&self.chg, edits)?;
+        let dirty = dirty_set(&chg, edits);
+        let current = self.handle.load();
+        let fresh = recompute_dirty(&chg, self.options, &dirty, |c, m| current.index.entry(c, m));
+        let refreshed = current.index.refreshed(&chg, &fresh);
+        self.chg = chg;
         Ok(self.handle.publish_advancing(refreshed, steps))
     }
 }
@@ -1580,7 +1592,7 @@ mod tests {
         let mut serving = IndexedEngine::new(LookupEngine::new(g.clone()));
         let handle = serving.handle();
         handle.set_retention(3);
-        let e = serving.engine().chg().class_by_name("E").unwrap();
+        let e = serving.chg().class_by_name("E").unwrap();
         for i in 0..4 {
             serving
                 .apply(&[Edit::AddMember {
@@ -1595,7 +1607,7 @@ mod tests {
         assert!(handle.load_at(1).is_none());
         // Old epochs answer from their frozen index: the member added
         // at epoch 3 is visible at 3 and 4, unknown at 2.
-        let chg = serving.engine().chg();
+        let chg = serving.chg();
         let m2 = chg.member_by_name("m2").unwrap();
         let at = |epoch: u64| handle.load_at(epoch).unwrap();
         assert!(!at(2).index().lookup_ref(e, m2).is_resolved());
@@ -1615,7 +1627,7 @@ mod tests {
         let edits = [
             Edit::AddClass { name: "Z".into() },
             Edit::AddMember {
-                class: serving.engine().chg().class_by_name("E").unwrap(),
+                class: serving.chg().class_by_name("E").unwrap(),
                 name: "fresh".into(),
                 decl: MemberDecl::public(MemberKind::Function),
             },
@@ -1623,8 +1635,8 @@ mod tests {
         let epoch = serving.apply(&edits).unwrap();
         assert_eq!(epoch, 1);
         let refreshed = handle.load();
-        let rebuilt = DispatchIndex::from_engine(serving.engine());
-        let chg = serving.engine().chg();
+        let rebuilt = DispatchIndex::from_table(LookupTable::build(serving.chg()));
+        let chg = serving.chg();
         for c in chg.classes() {
             for m in chg.member_ids() {
                 assert_eq!(
@@ -1648,11 +1660,72 @@ mod tests {
         assert_eq!(handle.epoch(), 1);
     }
 
+    /// Over a realistic edit script, every edit recomputes exactly its
+    /// dirty set — one entry per pair, each equal to a rebuild's — and
+    /// every pair outside it keeps the entry it had; a cycle-closing
+    /// edge publishes nothing and leaves the hierarchy as it was.
+    #[test]
+    fn an_edit_recomputes_exactly_its_dirty_set() {
+        use cpplookup_hiergen::{edit_script, EditScriptConfig};
+        use std::collections::HashSet;
+
+        let options = LookupOptions::default();
+        let (base, edits) = edit_script(&EditScriptConfig::realistic(60, 40, 3));
+        let handle = ServeHandle::serving(LookupTable::build(&base));
+        let mut serving = IndexedEngine::with_handle(base, options, handle.clone());
+        for (step, edit) in edits.iter().enumerate() {
+            let edit = std::slice::from_ref(edit);
+            let old = handle.load();
+            let next = apply_edits(serving.chg(), edit).unwrap();
+            let dirty = dirty_set(&next, edit);
+            let fresh = recompute_dirty(&next, options, &dirty, |c, m| old.index().entry(c, m));
+            assert_eq!(fresh.len(), dirty.len(), "step {step}");
+            assert!(fresh
+                .iter()
+                .map(|(pair, _)| *pair)
+                .eq(dirty.iter().copied()));
+            serving.apply(edit).unwrap();
+            let new = handle.load();
+            let rebuilt = LookupTable::build(&next);
+            for ((c, m), e) in &fresh {
+                assert_eq!(e.as_ref(), rebuilt.entry(*c, *m), "step {step}");
+                assert_eq!(&new.index().entry(*c, *m), e, "step {step}");
+            }
+            let dirty: HashSet<_> = dirty.into_iter().collect();
+            for c in next.classes() {
+                for m in next.member_ids().filter(|&m| !dirty.contains(&(c, m))) {
+                    assert_eq!(
+                        new.index().entry(c, m),
+                        old.index().entry(c, m),
+                        "step {step}"
+                    );
+                }
+            }
+        }
+        let chg = serving.chg();
+        let (derived, base) = chg
+            .classes()
+            .find_map(|c| chg.direct_bases(c).first().map(|spec| (c, spec.base)))
+            .expect("the script's hierarchy has an edge");
+        let generation = chg.generation();
+        let before = handle.load();
+        let cycle = serving.apply(&[Edit::AddEdge {
+            derived: base,
+            base: derived,
+            inheritance: Inheritance::NonVirtual,
+            access: Access::Public,
+        }]);
+        assert!(matches!(cycle, Err(ChgError::Cycle { .. })), "{cycle:?}");
+        assert_eq!(handle.epoch(), before.epoch());
+        assert!(Arc::ptr_eq(&handle.load(), &before));
+        assert_eq!(serving.chg().generation(), generation);
+    }
+
     #[test]
     fn refresh_after_edge_edit_updates_dirty_rows_only() {
         let g = fixtures::fig9();
         let mut serving = IndexedEngine::new(LookupEngine::new(g));
-        let chg = serving.engine().chg();
+        let chg = serving.chg();
         let d = chg.class_by_name("D").unwrap();
         let s = chg.class_by_name("S").unwrap();
         serving
@@ -1664,8 +1737,8 @@ mod tests {
             }])
             .unwrap();
         let index = serving.handle().load();
-        let rebuilt = DispatchIndex::from_engine(serving.engine());
-        let chg = serving.engine().chg();
+        let rebuilt = DispatchIndex::from_table(LookupTable::build(serving.chg()));
+        let chg = serving.chg();
         for c in chg.classes() {
             for m in chg.member_ids() {
                 assert_eq!(index.index().entry(c, m), rebuilt.entry(c, m));

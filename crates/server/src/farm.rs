@@ -8,21 +8,21 @@
 //! ```text
 //!           LOAD                    first read               first EDIT
 //! (nothing) ────► SnapshotTable ───────────────► promoted ──────────────► live
-//!                 cold, no index    DispatchIndex packed     engine warmed,
-//!                                   once (single-flight),    attached to the
-//!                                   published on a           SAME ServeHandle
-//!                                   ServeHandle
+//!                 cold, no index    DispatchIndex packed     hierarchy rebuilt,
+//!                                   once (single-flight),    SAME index and
+//!                                   published on a           ServeHandle,
+//!                                   ServeHandle              republished
 //! ```
 //!
 //! The promotion step packs the snapshot through the backend-generic
 //! [`IntoDispatchIndex`](cpplookup_core::IntoDispatchIndex) surface and
 //! publishes epoch 0 on the tenant's
-//! [`ServeHandle`](cpplookup_core::ServeHandle); the edit step warms a
-//! [`LookupEngine`](cpplookup_core::LookupEngine) from the snapshot and
-//! [`IndexedEngine::attach`](cpplookup_core::IndexedEngine::attach)es it
-//! to that same handle, so readers migrate to engine-backed epochs
-//! without re-resolving anything. A 1000-tenant farm where only a dozen
-//! tenants see traffic pays for exactly a dozen index builds.
+//! [`ServeHandle`](cpplookup_core::ServeHandle); the edit step rebuilds
+//! the hierarchy and republishes that index, unrepacked, as epoch 1 for
+//! an [`IndexedEngine`](cpplookup_core::IndexedEngine) on the same
+//! handle. The index is the only table the tenant keeps: each edit
+//! recomputes its dirty pairs from it. A 1000-tenant farm where only a
+//! dozen tenants see traffic pays for exactly a dozen index builds.
 //!
 //! Every read — a QUERY is a batch of one — goes through one core,
 //! [`Tenant::read_into`]: resolve the borrowed names into a reused id
@@ -228,8 +228,8 @@ pub struct Tenant {
     /// Set exactly once, at promotion; `get_or_init` makes concurrent
     /// promoters single-flight.
     serve: OnceLock<ServeHandle>,
-    /// The engine-backed write path; `Some` after the first edit. The
-    /// mutex serializes edits per tenant (queries never take it).
+    /// The write path; `Some` after the first edit. The mutex
+    /// serializes edits per tenant (queries never take it).
     live: Mutex<Option<IndexedEngine>>,
     names: RwLock<Arc<Names>>,
     queries: AtomicU64,
@@ -354,22 +354,20 @@ impl Tenant {
         })
     }
 
-    /// The tenant's write path, warming the engine from the snapshot
-    /// on first use.
+    /// The tenant's write path, built on first use over the handle
+    /// queries already hold.
     fn go_live<'a>(
         &self,
         live: &'a mut Option<IndexedEngine>,
     ) -> Result<&'a mut IndexedEngine, FarmError> {
         if live.is_none() {
-            let engine = self.snapshot.warm_engine().map_err(|e| {
-                (
-                    ErrorCode::EditRejected,
-                    format!("cannot warm engine for `{}`: {e}", self.name),
-                )
+            let chg = self.snapshot.to_chg().map_err(|e| {
+                let why = format!("cannot rebuild the hierarchy of `{}`: {e}", self.name);
+                (ErrorCode::EditRejected, why)
             })?;
-            // Attach to the SAME handle queries already hold, so
-            // readers see engine-backed epochs from here on.
-            *live = Some(IndexedEngine::attach(engine, self.promote().clone()));
+            let (handle, options) = (self.promote().clone(), self.snapshot.options());
+            handle.republish();
+            *live = Some(IndexedEngine::with_handle(chg, options, handle));
         }
         Ok(live.as_mut().expect("just set"))
     }
@@ -415,7 +413,7 @@ impl Tenant {
         let epoch = serving
             .apply(std::slice::from_ref(&edit))
             .map_err(|e| (ErrorCode::EditRejected, format!("edit rejected: {e}")))?;
-        self.record_applied(std::slice::from_ref(&edit), epoch, serving.engine().chg());
+        self.record_applied(std::slice::from_ref(&edit), epoch, serving.chg());
         Ok(epoch)
     }
 
@@ -488,7 +486,7 @@ impl Tenant {
             }
         }
         if let Some(&epoch) = epochs.last() {
-            self.record_applied(&edits[..epochs.len()], epoch, serving.engine().chg());
+            self.record_applied(&edits[..epochs.len()], epoch, serving.chg());
         }
         let rejected = epochs.len() < edits.len();
         (epochs, rejected)
@@ -849,8 +847,8 @@ impl Farm {
         Ok(self.read(tenant, probes, None)?.0)
     }
 
-    /// Applies one edit directive through the tenant's engine, warming
-    /// it on first use, and returns the newly published epoch. On a
+    /// Applies one edit directive through the tenant's write path,
+    /// built on first use, and returns the newly published epoch. On a
     /// logging farm the directive is appended to the edit log before it
     /// applies.
     ///
@@ -1060,7 +1058,7 @@ impl Farm {
             let cutoff = wal.reserve_seq();
             let captured = live
                 .as_ref()
-                .map(|engine| (engine.engine().chg().clone(), t.promote().epoch()));
+                .map(|serving| (serving.chg().clone(), t.promote().epoch()));
             drop(live);
             let file = dir.join(format!("{}-seq{cutoff}.snap", sanitize_name(&t.name)));
             let epoch = match captured {
@@ -1290,7 +1288,7 @@ mod tests {
             assert_eq!(got, &farm.query("t", class, member).unwrap());
         }
         // Pinned to the current epoch — the snapshot's, then an
-        // engine-backed one — a read answers as the unpinned one does.
+        // edited one — a read answers as the unpinned one does.
         for edit in [None, Some("member E fresh")] {
             if let Some(directive) = edit {
                 farm.edit("t", directive).unwrap();
@@ -1507,11 +1505,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The engine generation of tenant `t`: one per engine transaction.
+    /// The hierarchy generation of tenant `t`: one per transaction.
     fn generation(farm: &Farm) -> u64 {
         let t = farm.tenant("t").unwrap();
         let live = t.live.lock().unwrap();
-        live.as_ref().unwrap().engine().generation()
+        live.as_ref().unwrap().chg().generation()
     }
 
     #[test]

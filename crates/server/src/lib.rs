@@ -15,8 +15,8 @@
 //! * [`farm`] — the tenant farm. Each tenant is a loaded snapshot
 //!   lazily *promoted* to a [`DispatchIndex`](cpplookup_core::DispatchIndex)
 //!   on first traffic (concurrent cold readers share one build), and
-//!   lazily *warmed* to an engine on first edit so subsequent queries
-//!   read the epoch-published index. Every read, QUERY or BATCH, goes
+//!   made *live* on first edit, when its index becomes the write
+//!   path's only table and each edit publishes the next epoch. Every read, QUERY or BATCH, goes
 //!   through one batched [`Farm::read`].
 //! * [`server`] — the TCP listener: bounded-accept admission control,
 //!   request-scoped phase tracing (the protocol TRACE flag returns a

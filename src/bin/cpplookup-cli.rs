@@ -26,7 +26,7 @@
 //!                                            (default: available parallelism). With
 //!                                            --serve, queries are answered from the flat
 //!                                            dispatch index published by an IndexedEngine
-//!                                            (edit directives refresh the dirty rows and
+//!                                            (edit directives recompute their dirty pairs and
 //!                                            publish a new epoch); index size and epochs
 //!                                            are reported to stderr
 //! cpplookup-cli compile <file.cpp> -o <out.snap> [--jobs N]
@@ -90,8 +90,8 @@ use cpplookup::obs;
 use cpplookup::subobject::stats::count_subobjects;
 use cpplookup::{
     Access, Chg, ClassId, DispatchIndex, Edit, EngineOptions, IndexedEngine, Inheritance,
-    LookupEngine, LookupOptions, LookupOutcome, MemberDecl, MemberId, MemberKind, Snapshot,
-    SnapshotTable,
+    LookupEngine, LookupOptions, LookupOutcome, MemberDecl, MemberId, MemberKind, ServeHandle,
+    Snapshot, SnapshotTable,
 };
 
 const USAGE: &str = "usage: cpplookup-cli <check|table|trace|layout|audit|dot|export|stats|batch|compile|query> <file.cpp> [args]\n       cpplookup-cli <query|batch|stats> --snapshot <file.snap> [args]\n       cpplookup-cli <query|batch|stats> <file.cpp> --backend <table|engine|snapshot|index> [args]\n       cpplookup-cli serve [--addr HOST:PORT] [--tenant NAME=PATH]...\n       cpplookup-cli loadgen --addr HOST:PORT --snapshot PATH [args]\n       cpplookup-cli query --addr HOST:PORT --tenant NAME CLASS MEMBER [--trace]";
@@ -360,7 +360,7 @@ fn flush_batch(engine: &LookupEngine, pending: &mut Vec<PendingLine>) -> bool {
 /// would pin an epoch for a batch.
 fn flush_serve(serving: &IndexedEngine, pending: &mut Vec<PendingLine>) -> bool {
     let published = serving.handle().load();
-    flush_pending(serving.engine().chg(), pending, |queries| {
+    flush_pending(serving.chg(), pending, |queries| {
         published.index().lookup_batch(queries)
     })
 }
@@ -694,9 +694,9 @@ fn parse_edit(chg: &Chg, line: &str) -> Result<Edit, String> {
 /// The stdin loop for `--serve`: queries are answered from the flat
 /// [`DispatchIndex`] pinned off the [`IndexedEngine`]'s serve handle —
 /// exactly what a reader thread would serve from — and `!` edit
-/// directives go through [`IndexedEngine::apply`] (incremental
-/// invalidation, dirty-row refresh, atomic republish), so queries after
-/// a directive observe the new epoch.
+/// directives go through [`IndexedEngine::apply`] (dirty-pair
+/// recompute, index refresh, atomic republish), so queries after a
+/// directive observe the new epoch.
 fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
     use std::io::BufRead;
 
@@ -730,7 +730,7 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
             // Flush first so buffered lookups observe the hierarchy as
             // of their position in the stream, like `--metrics` mode.
             failed |= flush_serve(&serving, &mut pending);
-            match parse_edit(serving.engine().chg(), line)
+            match parse_edit(serving.chg(), line)
                 .and_then(|edit| serving.apply(&[edit]).map_err(|e| e.to_string()))
             {
                 Ok(epoch) => eprintln!("applied: {line} (epoch {epoch})"),
@@ -752,7 +752,6 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
         published.index().entry_count(),
         published.index().size_bytes()
     );
-    eprintln!("{}", serving.engine().stats());
     if failed {
         ExitCode::from(1)
     } else {
@@ -892,7 +891,8 @@ fn snapshot_query(file: &str, rest: &[String]) -> ExitCode {
 /// `batch --snapshot <file.snap>`: the batch loop over an engine whose
 /// memo cache is warm-started from the snapshot's serialized entries,
 /// so no lookup triggers a cold propagation unless an edit directive
-/// invalidates it first.
+/// invalidates it first. With `--serve`, the snapshot's packed index is
+/// served and edited directly, with no memo beside it.
 fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
     let metrics = rest.iter().any(|a| a == "--metrics");
     let serve = rest.iter().any(|a| a == "--serve");
@@ -917,6 +917,10 @@ fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if serve {
+        let handle = ServeHandle::serving(&snap);
+        return serve_loop(IndexedEngine::with_handle(chg, snap.options(), handle));
+    }
     let options = EngineOptions {
         lookup: snap.options(),
         timing: metrics,
@@ -930,11 +934,6 @@ fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
         file,
         snap.size_bytes()
     );
-    if serve {
-        // The seeded memo is complete, so the initial index packs
-        // straight from it — no cold propagation.
-        return serve_loop(IndexedEngine::new(engine));
-    }
     batch_loop(engine, metrics)
 }
 

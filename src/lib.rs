@@ -45,7 +45,8 @@
 //! backend into a flat, cache-dense index whose
 //! [`lookup_ref`](DispatchIndex::lookup_ref) fast path never allocates,
 //! and [`ServeHandle`] / [`IndexedEngine`] republish fresh index
-//! versions atomically while readers keep serving:
+//! versions atomically while readers keep serving (an edit recomputes
+//! its dirty pairs from the published index, the only table kept):
 //!
 //! ```
 //! use cpplookup::{chg::fixtures, DispatchIndex, LookupTable};

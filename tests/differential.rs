@@ -14,8 +14,8 @@ use cpplookup::hiergen::{edit_script, random_hierarchy, EditScriptConfig, Random
 use cpplookup::lookup::LazyLookup;
 use cpplookup::subobject::{lookup, lookup_cpp, Resolution, Subobject};
 use cpplookup::{
-    apply_edits, Chg, EngineOptions, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome,
-    LookupTable, MemberLookup, StaticRule, SubobjectGraph,
+    apply_edits, Chg, EngineOptions, IndexedEngine, LeastVirtual, LookupEngine, LookupOptions,
+    LookupOutcome, LookupTable, MemberLookup, ServeHandle, StaticRule, SubobjectGraph,
 };
 
 const LIMIT: usize = 200_000;
@@ -488,54 +488,91 @@ fn member_lookup_trait_unifies_all_strategies() {
 
 /// Replaying a random edit script, the incremental engine must stay
 /// equivalent to a from-scratch table AND to the subobject oracle at
-/// every step — the three-way equivalence of the engine's contract.
+/// every step — the three-way equivalence of the engine's contract. The
+/// same script drives an `IndexedEngine` over a handle that already
+/// serves the base table (a farm tenant's shape), whose published index
+/// is held to the same two references after every edit, and replayed
+/// as one `apply_run` it must land on the same final index and epoch.
 #[test]
 fn engine_edit_sequences_match_rebuild_and_oracle() {
+    let over_base = |base: &Chg| {
+        let handle = ServeHandle::serving(LookupTable::build(base));
+        handle.republish();
+        IndexedEngine::with_handle(base.clone(), LookupOptions::default(), handle)
+    };
     for seed in 0..12 {
         let (base, edits) = edit_script(&EditScriptConfig::stress(25, seed));
-        for options in [
+        let mut engines: Vec<LookupEngine> = [
             EngineOptions::default(),
             EngineOptions::lazy(),
             EngineOptions::parallel(3),
-        ] {
-            let mut engine = LookupEngine::with_options(base.clone(), options);
-            let mut current = base.clone();
-            for (step, edit) in edits.iter().enumerate() {
-                current = apply_edits(&current, std::slice::from_ref(edit))
-                    .expect("generated edits apply");
-                engine
-                    .apply(std::slice::from_ref(edit))
-                    .expect("generated edits apply");
-                let rebuilt = LookupTable::build(&current);
-                for c in current.classes() {
-                    let sg = SubobjectGraph::build(&current, c, LIMIT).expect("small");
-                    for m in current.member_ids() {
-                        let incremental = engine.entry(c, m);
-                        assert_eq!(
-                            incremental.as_ref(),
-                            rebuilt.entry(c, m),
-                            "engine≠rebuild seed={seed} step={step} {:?} ({}, {})",
-                            options.backing,
+        ]
+        .into_iter()
+        .map(|options| LookupEngine::with_options(base.clone(), options))
+        .collect();
+        let mut indexed = over_base(&base);
+        let mut current = base.clone();
+        for (step, edit) in edits.iter().enumerate() {
+            let edit = std::slice::from_ref(edit);
+            current = apply_edits(&current, edit).expect("generated edits apply");
+            for engine in &mut engines {
+                engine.apply(edit).expect("generated edits apply");
+            }
+            indexed.apply(edit).expect("generated edits apply");
+            let published = indexed.handle().load();
+            let index = published.index();
+            assert_eq!(index.class_count(), current.class_count());
+            assert_eq!(index.member_name_count(), current.member_name_count());
+            let rebuilt = LookupTable::build(&current);
+            for c in current.classes() {
+                let sg = SubobjectGraph::build(&current, c, LIMIT).expect("small");
+                for m in current.member_ids() {
+                    let oracle =
+                        verdict_of_resolution(&current, &sg, &lookup_cpp(&current, &sg, m));
+                    let at = |who: &str| {
+                        format!(
+                            "{who} seed={seed} step={step} ({}, {})",
                             current.class_name(c),
                             current.member_name(m)
-                        );
+                        )
+                    };
+                    for engine in &engines {
+                        let incremental = engine.entry(c, m);
+                        let who = format!("{:?}", engine.options().backing);
+                        assert_eq!(incremental.as_ref(), rebuilt.entry(c, m), "{}", at(&who));
                         let ours = verdict_of_outcome(
                             &current,
                             &LookupOutcome::from_entry(incremental.as_ref()),
                         );
-                        let oracle =
-                            verdict_of_resolution(&current, &sg, &lookup_cpp(&current, &sg, m));
-                        assert_eq!(
-                            ours,
-                            oracle,
-                            "engine≠oracle seed={seed} step={step} ({}, {})",
-                            current.class_name(c),
-                            current.member_name(m)
-                        );
+                        assert_eq!(ours, oracle, "{}", at(&who));
                     }
+                    assert_eq!(
+                        index.entry(c, m).as_ref(),
+                        rebuilt.entry(c, m),
+                        "{}",
+                        at("index")
+                    );
+                    let served = verdict_of_outcome(&current, &index.lookup_ref(c, m).to_outcome());
+                    assert_eq!(served, oracle, "{}", at("index"));
                 }
             }
+        }
+        for engine in &engines {
             assert_eq!(engine.generation(), edits.len() as u64);
+        }
+        assert_eq!(indexed.chg().generation(), edits.len() as u64);
+
+        let mut run = over_base(&base);
+        let epoch = run.apply_run(&edits).expect("generated edits apply");
+        let (one_by_one, at_once) = (indexed.handle().load(), run.handle().load());
+        assert_eq!(epoch, one_by_one.epoch(), "seed={seed}");
+        assert_eq!(at_once.epoch(), one_by_one.epoch(), "seed={seed}");
+        let (a, b) = (one_by_one.index(), at_once.index());
+        assert_eq!(a.entry_count(), b.entry_count(), "seed={seed}");
+        for c in current.classes() {
+            for m in current.member_ids() {
+                assert_eq!(a.entry(c, m), b.entry(c, m), "run seed={seed}");
+            }
         }
     }
 }
