@@ -34,11 +34,13 @@ impl ClassId {
     ///
     /// Mostly useful for tests and for tools that build dense tables; ids
     /// are ordinarily obtained from [`crate::ChgBuilder::class`].
+    #[inline]
     pub fn from_index(index: usize) -> Self {
         ClassId(u32::try_from(index).expect("class index exceeds u32"))
     }
 
     /// Returns the dense index backing this id.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -67,11 +69,13 @@ pub struct MemberId(u32);
 
 impl MemberId {
     /// Creates a `MemberId` from a raw index.
+    #[inline]
     pub fn from_index(index: usize) -> Self {
         MemberId(u32::try_from(index).expect("member index exceeds u32"))
     }
 
     /// Returns the dense index backing this id.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }

@@ -35,22 +35,21 @@
 /// sets; small enough that a pathological seed fails fast.
 const MAX_DISPLACEMENT: u32 = 1 << 18;
 
-/// Seeds tried before construction gives up: the 64 small seeds, then
-/// 64 wide ones (see [`attempt_seed`]). The per-seed failure
-/// probability is tiny once seeds are wide; exhausting them indicates
-/// duplicate keys (a caller bug), not bad luck.
+/// Seeds tried before construction gives up: seed 0, then 127 wide
+/// ones (see [`attempt_seed`]). The per-seed failure probability is
+/// tiny once seeds are wide; exhausting them indicates duplicate keys
+/// (a caller bug), not bad luck.
 const MAX_SEEDS: u64 = 128;
 
-/// The seed of construction attempt `i`. Attempts 0–63 use the seed
-/// `i`, so every key set that ever built still compiles to the same
-/// bytes; later attempts use splitmix64 outputs. Small seeds alone are
-/// too weak a retry: `key ^ seed` with a seed below `2^k` only permutes
-/// a dense run of `2^k` class ids, so a packed key set over such a run
-/// (say 64 classes × 2 members) that fails at seed 0 fails identically
-/// at every seed up to 63.
+/// The seed of construction attempt `i`: attempt 0 uses seed 0, every
+/// later attempt a splitmix64 output. Small retry seeds are too weak:
+/// `key ^ seed` with a seed below `2^k` only permutes a dense run of
+/// `2^k` class ids, so a packed key set over such a run (say 64
+/// classes × 2 members) that fails at seed 0 fails identically at
+/// every seed up to 63.
 fn attempt_seed(i: u64) -> u64 {
-    if i < 64 {
-        return i;
+    if i == 0 {
+        return 0;
     }
     let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -68,7 +67,7 @@ fn attempt_seed(i: u64) -> u64 {
 /// low product bits — the `z >> 32` fold is what spreads their
 /// buckets, not redundancy.
 #[inline]
-fn mix(key: u64, seed: u64) -> u64 {
+pub(crate) fn mix(key: u64, seed: u64) -> u64 {
     let z = (key ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z ^ (z >> 32)
 }
@@ -84,7 +83,7 @@ fn mix(key: u64, seed: u64) -> u64 {
 /// miss every free pair at high load, making construction fail no
 /// matter the displacement budget.
 #[inline]
-fn slot(h: u64, d: u32, n: u32) -> usize {
+pub(crate) fn slot(h: u64, d: u32, n: u32) -> usize {
     let mut x = ((h >> 32) as u32).wrapping_add(d);
     x ^= x >> 16;
     x = x.wrapping_mul(0x7feb_352d);

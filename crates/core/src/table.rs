@@ -310,6 +310,11 @@ impl LookupTable {
         self.entries
     }
 
+    /// The per-class entry maps, one per class index.
+    pub(crate) fn class_entries(&self) -> &[FxHashMap<MemberId, Entry>] {
+        &self.entries
+    }
+
     /// The options the table was built with.
     pub fn options(&self) -> LookupOptions {
         self.options

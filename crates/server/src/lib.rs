@@ -13,8 +13,10 @@
 //!   and fuzz-tested: malformed bytes produce structured errors, never
 //!   panics or unbounded reads.
 //! * [`farm`] — the tenant farm. Each tenant is a loaded snapshot
-//!   lazily *promoted* to a [`DispatchIndex`](cpplookup_core::DispatchIndex)
-//!   on first traffic (concurrent cold readers share one build), and
+//!   lazily *promoted* on first traffic: the
+//!   [`DispatchIndex`](cpplookup_core::DispatchIndex) the loaded file
+//!   already holds is published (concurrent cold readers share one
+//!   promotion), and
 //!   made *live* on first edit, when its index becomes the write
 //!   path's only table and each edit publishes the next epoch. Every read, QUERY or BATCH, goes
 //!   through one batched [`Farm::read`].

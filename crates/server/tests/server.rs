@@ -609,35 +609,48 @@ fn round_trip(s: &mut TcpStream, req: &Request) -> Vec<u8> {
 /// Asks `req(tenant)` of both tenants and returns the one answer they
 /// must agree on byte for byte.
 fn same_answer(s: &mut TcpStream, what: &str, req: impl Fn(&str) -> Request) -> Response {
-    let (v1, v2) = (round_trip(s, &req("v1")), round_trip(s, &req("v2")));
-    assert_eq!(v1, v2, "{what}: v1 and v2 tenants answer differently");
+    let v1 = round_trip(s, &req("v1"));
+    for tenant in ["v2", "v3"] {
+        let other = round_trip(s, &req(tenant));
+        assert_eq!(
+            v1, other,
+            "{what}: v1 and {tenant} tenants answer differently"
+        );
+    }
     Response::decode(&v1).unwrap()
 }
 
-/// A version-1 snapshot (written before snapshots carried their minimal
-/// perfect hash; its index builds the hash at load) serves exactly like
-/// the version-2 recompile of the same hierarchy, through its whole
-/// lifecycle: every QUERY and BATCH answer is byte-equal across the two
+/// Snapshots of every format version serve identically through their
+/// whole lifecycle: a version-1 file (written before snapshots carried
+/// their minimal perfect hash; its index builds the hash at load), a
+/// version-2 file (a TABLE section decoded at load) and the version-3
+/// recompile of the same hierarchy (its index served from the file's
+/// buffer). Every QUERY and BATCH answer is byte-equal across the three
 /// tenants before and after the same EDIT, which promotes each tenant,
 /// attaches an engine to its published index and refreshes it.
 #[test]
 fn v1_snapshot_tenant_serves_byte_identically_to_v2_across_an_edit() {
     let dir = TempDir::new("v1-lifecycle");
-    let v1 = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/chain_12_v1.snap"
-    ))
-    .to_path_buf();
-    let v2 = dir.file("chain_12.snap");
-    write_snapshot(&cpplookup_hiergen::families::chain(12, None), &v2);
+    let fixture = |name: &str| {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name)
+    };
+    let v3 = dir.file("chain_12.snap");
+    write_snapshot(&cpplookup_hiergen::families::chain(12, None), &v3);
     let (_server, addr) = start_server(ServerConfig {
-        preload: vec![("v1".to_owned(), v1), ("v2".to_owned(), v2.clone())],
+        preload: vec![
+            ("v1".to_owned(), fixture("chain_12_v1.snap")),
+            ("v2".to_owned(), fixture("chain_12_v2.snap")),
+            ("v3".to_owned(), v3.clone()),
+        ],
         ..ServerConfig::default()
     });
     let mut s = TcpStream::connect(&addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    let table = SnapshotTable::load(&v2).unwrap();
+    let table = SnapshotTable::load(&v3).unwrap();
+    assert_eq!(table.version(), 3);
     let mut probes = Vec::new();
     for ci in 0..table.class_count() {
         for mi in 0..table.member_name_count() {

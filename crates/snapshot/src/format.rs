@@ -1,7 +1,7 @@
 //! The on-disk layout: constants, checksums, varints, and the
 //! bounds-checked byte cursor shared by the writer and the loader.
 //!
-//! A snapshot file is laid out as
+//! A version-3 snapshot file is laid out as
 //!
 //! ```text
 //! ┌────────────────────────────┐ 0
@@ -13,20 +13,32 @@
 //! ├────────────────────────────┤
 //! │ NAMES section              │   interned class + member name tables
 //! │ CHG section                │   topo-ordered, varint-encoded graph
-//! │ TABLE section              │   resolved red/blue lookup entries
-//! │ MPH section (version ≥ 2)  │   minimal perfect hash over the
-//! │ (each 8-byte aligned,      │   packed (class, member) probe keys
-//! │  zero padding between)     │
+//! │ INDEX section              │   16-byte fixed header (statics rule),
+//! │ (each 16-byte aligned,     │   then the dispatch index's own byte
+//! │  zero padding between)     │   columns, served in place
 //! ├────────────────────────────┤ len − 8
 //! │ file checksum (8 bytes)    │   word-FNV of bytes [0, len − 8)
 //! └────────────────────────────┘ len
 //! ```
 //!
+//! The INDEX section's columns are exactly
+//! [`DispatchIndex::columns`](cpplookup_core::DispatchIndex::columns):
+//! `row_starts`, `(member, slot)` pairs, 24-byte packed entries,
+//! 16-byte directory cells, the `leastVirtual` pool and the minimal
+//! perfect hash's seed and displacements, each column at a 16-byte
+//! aligned offset (the layout is documented in `cpplookup_core::serve`).
+//! Loading checks the whole-file checksum and the columns' structure in
+//! O(n), then serves from the loaded buffer without decoding an entry.
+//!
+//! Versions 1 and 2 (8-byte aligned sections) stored a TABLE section
+//! instead: varint-encoded entries behind a binary-searched
+//! `(member, offset)` index, plus (version 2) an MPH section. The
+//! loader still reads them, decoding every entry into the same
+//! in-memory index.
+//!
 //! All multi-byte integers are little-endian. Variable-length integers
 //! use LEB128 (7 data bits per byte, high bit = continuation), capped at
-//! 10 bytes. The 8-byte alignment of section starts keeps every
-//! fixed-width `u32` table inside the TABLE and NAMES sections
-//! naturally aligned when the file is mapped at a page boundary.
+//! 10 bytes.
 
 use crate::error::SnapshotError;
 
@@ -35,9 +47,11 @@ pub const MAGIC: [u8; 8] = *b"CPLKSNAP";
 
 /// The format version this build writes. Version 2 added the MPH
 /// section (the serialized minimal perfect hash over the probe keys);
-/// the loader still reads [`MIN_VERSION`]-and-up, and a pre-MPH
-/// snapshot's index builds the hash at load.
-pub const VERSION: u16 = 2;
+/// version 3 replaced the TABLE and MPH sections with the INDEX
+/// section, the dispatch index's own columns. The loader still reads
+/// [`MIN_VERSION`]-and-up: older files decode into the same index, and
+/// a version-1 file's index builds its hash at load.
+pub const VERSION: u16 = 3;
 
 /// The oldest format version the loader accepts.
 pub const MIN_VERSION: u16 = 1;
@@ -56,20 +70,41 @@ pub const DIR_ENTRY_LEN: usize = 28;
 /// Trailing whole-file checksum size.
 pub const TRAILER_LEN: usize = 8;
 
-/// Required alignment of every section start.
-pub const SECTION_ALIGN: usize = 8;
+/// Required alignment of every section start (version 3): a multiple
+/// of the index columns' 16-byte alignment.
+pub const SECTION_ALIGN: usize = 16;
+
+/// Required alignment of every section start in version-1 and -2
+/// files.
+pub const LEGACY_SECTION_ALIGN: usize = 8;
+
+/// The section alignment files of `version` use.
+pub fn section_align(version: u16) -> usize {
+    if version >= 3 {
+        SECTION_ALIGN
+    } else {
+        LEGACY_SECTION_ALIGN
+    }
+}
+
+/// Bytes of the INDEX section's fixed header: the statics rule as a
+/// `u32` (0 = C++, 1 = ignore), then 12 zero bytes, so the columns
+/// after it stay 16-byte aligned.
+pub const INDEX_HEADER_LEN: usize = 16;
 
 /// Section ids, in file order.
 pub const SECTION_NAMES: u32 = 1;
 /// The class-hierarchy topology section.
 pub const SECTION_CHG: u32 = 2;
-/// The resolved lookup-table section.
+/// The resolved lookup-table section (versions 1 and 2).
 pub const SECTION_TABLE: u32 = 3;
-/// The minimal-perfect-hash section (version ≥ 2): the probe
+/// The minimal-perfect-hash section (version 2 only): the probe
 /// directory's hash, built once at compile time so loads skip the
 /// displacement search. Layout: `seed: u64, n: u32, nbuckets: u32`,
 /// then `nbuckets` little-endian `u32` displacements.
 pub const SECTION_MPH: u32 = 4;
+/// The dispatch-index section (version 3): see the module docs.
+pub const SECTION_INDEX: u32 = 5;
 
 /// Human-readable section name for error messages.
 pub fn section_name(id: u32) -> &'static str {
@@ -78,6 +113,7 @@ pub fn section_name(id: u32) -> &'static str {
         SECTION_CHG => "chg",
         SECTION_TABLE => "table",
         SECTION_MPH => "mph",
+        SECTION_INDEX => "index",
         _ => "unknown",
     }
 }
@@ -230,7 +266,7 @@ pub fn u32_at(bytes: &[u8], offset: usize) -> Option<u32> {
 
 /// Zero padding needed to bring `len` up to [`SECTION_ALIGN`].
 pub fn padding_to_align(len: usize) -> usize {
-    (SECTION_ALIGN - len % SECTION_ALIGN) % SECTION_ALIGN
+    len.next_multiple_of(SECTION_ALIGN) - len
 }
 
 #[cfg(test)]
@@ -310,9 +346,11 @@ mod tests {
     #[test]
     fn padding_math() {
         assert_eq!(padding_to_align(0), 0);
-        assert_eq!(padding_to_align(8), 0);
-        assert_eq!(padding_to_align(1), 7);
-        assert_eq!(padding_to_align(15), 1);
+        assert_eq!(padding_to_align(16), 0);
+        assert_eq!(padding_to_align(1), 15);
+        assert_eq!(padding_to_align(8), 8);
+        assert_eq!(section_align(2), 8);
+        assert_eq!(section_align(3), 16);
     }
 
     #[test]

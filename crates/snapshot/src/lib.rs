@@ -12,19 +12,19 @@
 //! This crate serializes the compiled artifact into a versioned,
 //! checksummed, alignment-disciplined binary format:
 //!
-//! * [`Snapshot`] — the writer. [`Snapshot::compile`] builds the table
-//!   and encodes the name tables, the topo-ordered hierarchy, and every
-//!   resolved red/blue entry into one deterministic byte buffer
+//! * [`Snapshot`] — the writer. [`Snapshot::compile`] builds the table,
+//!   packs it into a [`DispatchIndex`](cpplookup_core::DispatchIndex),
+//!   and writes the name tables, the topo-ordered hierarchy, and the
+//!   index's own byte columns into one deterministic byte buffer
 //!   (identical input ⇒ identical bytes, suitable for golden tests and
 //!   content-addressed caches).
 //! * [`SnapshotTable`] — the loader. One validation pass checks magic,
 //!   version, endianness, per-section and whole-file checksums, and
-//!   every structural invariant; afterwards queries are answered by
-//!   binary-searching fixed-width index tables and decoding single
-//!   varint payloads **directly from the byte buffer** — no owned
-//!   hash maps, no graph reconstruction. It implements
-//!   [`MemberLookup`](cpplookup_core::MemberLookup) like every other
-//!   backend.
+//!   every structural invariant; afterwards queries are answered by the
+//!   index, which serves **directly from the loaded byte buffer** — no
+//!   per-entry decode, no owned hash maps, no graph reconstruction. It
+//!   implements [`MemberLookup`](cpplookup_core::MemberLookup) like
+//!   every other backend.
 //! * [`SnapshotError`] — the integrity contract. Truncated, corrupt, or
 //!   version-skewed input always yields a structured error, never a
 //!   panic and never a wrong answer.
@@ -53,9 +53,10 @@
 
 mod error;
 pub mod format;
+mod legacy;
 mod loader;
 mod writer;
 
 pub use error::SnapshotError;
-pub use loader::{SnapshotEntries, SnapshotTable};
+pub use loader::SnapshotTable;
 pub use writer::Snapshot;

@@ -891,8 +891,8 @@ fn snapshot_query(file: &str, rest: &[String]) -> ExitCode {
 /// `batch --snapshot <file.snap>`: the batch loop over an engine whose
 /// memo cache is warm-started from the snapshot's serialized entries,
 /// so no lookup triggers a cold propagation unless an edit directive
-/// invalidates it first. With `--serve`, the snapshot's packed index is
-/// served and edited directly, with no memo beside it.
+/// invalidates it first. With `--serve`, the index the snapshot file
+/// holds is served and edited directly, with no memo beside it.
 fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
     let metrics = rest.iter().any(|a| a == "--metrics");
     let serve = rest.iter().any(|a| a == "--serve");
@@ -1026,10 +1026,10 @@ fn render_metrics(snapshot: &obs::Snapshot, rest: &[String]) {
     }
 }
 
-/// `stats --snapshot <file.snap>`: pack the dispatch index straight
+/// `stats --snapshot <file.snap>`: serve the dispatch index straight
 /// from the loaded snapshot bytes (the `&SnapshotTable` backend — no
-/// table rebuild, no engine) and dump the process-global metrics
-/// registry.
+/// table rebuild, no engine, no repacking) and dump the process-global
+/// metrics registry.
 fn snapshot_stats(file: &str, rest: &[String]) -> ExitCode {
     let snap = match SnapshotTable::load(file) {
         Ok(s) => s,

@@ -1,8 +1,9 @@
 //! `mph_build_seconds` counts hash builds, not cell placements.
 //!
-//! Promoting a v2 snapshot places cells under the hash the file ships;
-//! promoting a v1 snapshot, which ships none, builds one at load. Only
-//! the second is a build. The histogram lives in the process-wide
+//! Loading a v3 snapshot serves the hash the file ships in place, and
+//! loading a v2 snapshot places cells under it; loading a v1 snapshot,
+//! which ships none, builds one. Only the last is a build, and
+//! promoting a loaded snapshot builds nothing at all. The histogram lives in the process-wide
 //! engine facade, so this check has a test binary of its own: no
 //! concurrent test can move the count between the two reads.
 
@@ -23,12 +24,26 @@ fn load(relative: &str) -> SnapshotTable {
 
 #[test]
 fn only_a_hash_built_at_load_records_a_build() {
-    let v2 = load("tests/corpus/chain_12.snap");
-    let v1 = load("tests/fixtures/chain_12_v1.snap");
     let before = builds();
-    let v2_index = v2.dispatch_index();
-    assert_eq!(builds(), before, "placing under a shipped hash is no build");
-    let v1_index = v1.dispatch_index();
+    let v3 = load("tests/corpus/chain_12.snap");
+    let v2 = load("tests/fixtures/chain_12_v2.snap");
+    assert_eq!(
+        builds(),
+        before,
+        "serving or placing under a shipped hash is no build"
+    );
+    let v1 = load("tests/fixtures/chain_12_v1.snap");
     assert_eq!(builds(), before + 1, "a v1 load builds its hash once");
-    assert_eq!(v1_index.entry_count(), v2_index.entry_count());
+    let indexes = [
+        v1.dispatch_index(),
+        v2.dispatch_index(),
+        v3.dispatch_index(),
+    ];
+    assert_eq!(
+        builds(),
+        before + 1,
+        "promoting a loaded snapshot builds nothing"
+    );
+    assert_eq!(indexes[0].entry_count(), indexes[2].entry_count());
+    assert_eq!(indexes[1].entry_count(), indexes[2].entry_count());
 }

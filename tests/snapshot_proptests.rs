@@ -6,7 +6,31 @@
 
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::prelude::*;
+use cpplookup::snapshot::format::{checksum64, DIR_ENTRY_LEN, HEADER_LEN};
 use proptest::prelude::*;
+
+/// `(offset, len)` of directory slot `i` of a snapshot image.
+fn section(bytes: &[u8], i: usize) -> (usize, usize) {
+    let at = HEADER_LEN + i * DIR_ENTRY_LEN;
+    let word = |o: usize| u64::from_le_bytes(bytes[at + o..at + o + 8].try_into().unwrap());
+    (word(4) as usize, word(12) as usize)
+}
+
+/// Re-stamps every section checksum and the whole-file checksum of a
+/// damaged image, forging its integrity: only structural validation
+/// can still catch the damage.
+fn reseal(bytes: &mut [u8]) {
+    let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    for i in 0..count {
+        let (offset, len) = section(bytes, i);
+        let sum = checksum64(&bytes[offset..offset + len]);
+        let at = HEADER_LEN + i * DIR_ENTRY_LEN + 20;
+        bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let n = bytes.len();
+    let sum = checksum64(&bytes[..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+}
 
 /// A strategy producing small, ambiguity-rich hierarchies (same shape
 /// as the main proptest suite's generator).
@@ -150,5 +174,47 @@ proptest! {
             ),
             Err(_) => prop_assert!(false, "loader panicked on arbitrary bytes"),
         }
+    }
+
+    /// Structural validation behind a forged checksum: XOR-damaging any
+    /// byte of the index section and re-stamping the section and file
+    /// checksums slips past the integrity sweep, so the index's
+    /// structural validation alone stands between the damage and the
+    /// read path. The load must fail, or hand back a table whose every
+    /// `lookup_ref`, `lookup_batch_into`, `entry` and `members_of` call
+    /// returns without panicking.
+    #[test]
+    fn forged_index_damage_never_panics_a_reader(
+        chg in small_chg(),
+        position in any::<u64>(),
+        mask in 0u8..255,
+    ) {
+        let mask = mask + 1; // 1..=255: never the identity flip
+        let mut bytes = Snapshot::compile(&chg).into_bytes();
+        let (offset, len) = section(&bytes, 2);
+        let at = offset + (position % len as u64) as usize;
+        bytes[at] ^= mask;
+        reseal(&mut bytes);
+        let result = std::panic::catch_unwind(|| {
+            let Ok(table) = SnapshotTable::from_bytes(bytes) else {
+                return;
+            };
+            let index = table.index();
+            let mut probes = Vec::new();
+            for ci in 0..index.class_count() + 2 {
+                let c = ClassId::from_index(ci);
+                for mi in 0..index.member_name_count() + 2 {
+                    let m = MemberId::from_index(mi);
+                    probes.push((c, m));
+                    std::hint::black_box(index.lookup_ref(c, m).to_outcome());
+                    std::hint::black_box(table.entry(c, m));
+                }
+                std::hint::black_box(index.members_of(c).count());
+            }
+            let mut out = Vec::new();
+            index.lookup_batch_into(&probes, &mut out);
+            std::hint::black_box(out.len());
+        });
+        prop_assert!(result.is_ok(), "a reader panicked on byte {} xor {:#04x}", at, mask);
     }
 }
