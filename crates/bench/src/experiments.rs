@@ -817,7 +817,8 @@ fn e18(w: &mut dyn Write) -> io::Result<()> {
 /// The comparison against a build with the instrumentation compiled
 /// out, which settled that the engine has one build, is recorded in
 /// `EXPERIMENTS.md`; this experiment measures what the one binary can:
-/// how much an installed sink costs.
+/// how much an installed sink costs. A sink also turns on the per-query
+/// clock reads, so the sink rows include them.
 fn e19(w: &mut dyn Write) -> io::Result<()> {
     use cpplookup_core::obs;
     use std::sync::Arc;
@@ -834,7 +835,7 @@ fn e19(w: &mut dyn Write) -> io::Result<()> {
         })
         .take(50_000)
         .collect();
-    engine.lookup_batch(&queries); // warm every shard
+    engine.lookup_batch(&queries); // warm the table's cache lines
 
     let sinks: [(&str, Option<Arc<dyn obs::EventSink>>); 3] = [
         ("no sink", None),
@@ -873,7 +874,7 @@ fn e19(w: &mut dyn Write) -> io::Result<()> {
     )?;
     writeln!(
         w,
-        "  [no-sink queries never construct events: one relaxed atomic load gates the path]"
+        "  [no-sink queries never construct events or read the clock: one atomic load gates the path]"
     )?;
     Ok(())
 }
@@ -1244,19 +1245,25 @@ fn outcome_ref_word(outcome: &cpplookup_core::OutcomeRef<'_>) -> u64 {
 }
 
 /// Times `reps` single-threaded passes over `probes` through `f`,
-/// returning (ns per lookup, checksum).
+/// returning (ns per lookup, checksum): the median of three sweeps.
 fn serve_single(probes: &[Probe], reps: usize, f: impl Fn(Probe) -> u64) -> (f64, u64) {
-    let (t, sum) = median_time(3, || {
-        let mut sum = 0u64;
-        for _ in 0..reps {
-            for &p in probes {
-                sum = sum.wrapping_add(f(p));
-            }
+    let (t, sum) = median_time(3, || sweep(probes, reps, &f));
+    (ns_per_lookup(t, reps * probes.len()), sum)
+}
+
+/// One sweep: `reps` passes over `probes` through `f`, checksummed.
+fn sweep(probes: &[Probe], reps: usize, f: &impl Fn(Probe) -> u64) -> u64 {
+    let mut sum = 0u64;
+    for _ in 0..reps {
+        for &p in probes {
+            sum = sum.wrapping_add(f(p));
         }
-        sum
-    });
-    let lookups = (reps * probes.len()) as f64;
-    (t.as_secs_f64() * 1e9 / lookups, sum)
+    }
+    sum
+}
+
+fn ns_per_lookup(t: std::time::Duration, lookups: usize) -> f64 {
+    t.as_secs_f64() * 1e9 / lookups as f64
 }
 
 /// Runs `threads` workers, each making `reps` rotated passes over
@@ -1490,6 +1497,9 @@ fn table_lookup(
     }
 }
 
+/// Rounds of `e22-smoke`'s interleaved table and index sweeps.
+const E22_SMOKE_ROUNDS: usize = 9;
+
 /// E22's CI guard, in four stages: a full index-vs-table differential
 /// on an interface-heavy family (every construction detail wrong shows
 /// up here); a legacy-load gate — `tests/fixtures/chain_12_v1.snap`,
@@ -1502,7 +1512,9 @@ fn table_lookup(
 /// family where the index's one-line probe has the widest, most
 /// noise-proof margin over the hashmap table (≥2×) — and, when a
 /// committed `BENCH_e22.json` baseline exists, a no-regression check
-/// against 0.4× that family's recorded ratio.
+/// against 0.4× that family's recorded ratio. The perf sweeps are
+/// 1M lookups each, table and index alternating over
+/// [`E22_SMOKE_ROUNDS`] rounds, compared best against best.
 fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     use cpplookup_core::DispatchIndex;
     use cpplookup_snapshot::SnapshotTable;
@@ -1588,21 +1600,32 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     let index = DispatchIndex::from_table(LookupTable::build(&chg));
     let probes = serve_probes(&chg, &table, 0xE22);
     let reps = (1_000_000 / probes.len()).max(1);
-    let (ns_table, s_table) =
-        serve_single(&probes, reps, |(c, m)| outcome_word(&table.lookup(c, m)));
-    let (ns_index, s_index) = serve_single(&probes, reps, |(c, m)| {
-        outcome_ref_word(&index.lookup_ref(c, m))
-    });
-    if s_table != s_index {
-        return Err(io::Error::other(
-            "probe checksums diverged between table and index",
-        ));
+    let lookups = reps * probes.len();
+    // Table and index sweeps alternate round by round and each side
+    // keeps its best, so a burst of host noise costs one round of one
+    // side instead of moving the ratio.
+    let (mut ns_table, mut ns_index) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..E22_SMOKE_ROUNDS {
+        let (t_table, s_table) =
+            time_once(|| sweep(&probes, reps, &|(c, m)| outcome_word(&table.lookup(c, m))));
+        let (t_index, s_index) = time_once(|| {
+            sweep(&probes, reps, &|(c, m)| {
+                outcome_ref_word(&index.lookup_ref(c, m))
+            })
+        });
+        if s_table != s_index {
+            return Err(io::Error::other(
+                "probe checksums diverged between table and index",
+            ));
+        }
+        ns_table = ns_table.min(ns_per_lookup(t_table, lookups));
+        ns_index = ns_index.min(ns_per_lookup(t_index, lookups));
     }
     let ratio = ns_table / ns_index.max(f64::MIN_POSITIVE);
     writeln!(
         w,
-        "  perf (grid_50x50): table {ns_table:.1} ns/lookup, index {ns_index:.1} ns/lookup \
-         (index speedup {ratio:.2}x)"
+        "  perf (grid_50x50): table {ns_table:.1} ns/lookup, index {ns_index:.1} ns/lookup, \
+         best of {E22_SMOKE_ROUNDS} interleaved rounds (index speedup {ratio:.2}x)"
     )?;
     if ratio < 2.0 {
         return Err(io::Error::other(format!(

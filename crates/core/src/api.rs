@@ -7,8 +7,8 @@
 //! `cpplookup-baselines`. [`MemberLookup`] gives them one signature so
 //! differential tests, benches, and callers can be generic over strategy.
 //!
-//! Receivers are `&mut self` because several strategies (lazy, engine in
-//! lazy mode, the caching baseline adapters) memoise under the hood;
+//! Receivers are `&mut self` because several strategies (the lazy
+//! cache, the caching baseline adapters) memoise under the hood;
 //! stateless strategies simply ignore the mutability. `resolve_path`
 //! takes the [`Chg`] explicitly — the eager table's shape — so
 //! strategies that do not retain a graph reference can still implement
@@ -47,9 +47,9 @@ pub trait MemberLookup {
 
     /// The table entry for `(c, m)`, or `None` when `m ∉ Members[c]`.
     ///
-    /// Returned by value: caching strategies cannot lend references into
-    /// their internal storage (the engine's entries live behind shard
-    /// locks).
+    /// Returned by value: strategies that decode or compute entries on
+    /// demand (the lazy cache, the dispatch index) cannot lend references
+    /// into their internal storage.
     fn entry(&mut self, c: ClassId, m: MemberId) -> Option<Entry>;
 
     /// Recovers a concrete definition path for an unambiguous lookup by

@@ -1,12 +1,13 @@
-//! A thread-safe lookup engine with incremental invalidation.
+//! A lookup engine with incremental invalidation.
 //!
 //! [`LookupEngine`] is the deployment-shaped wrapper around the paper's
-//! algorithm: it **owns** its class hierarchy, answers queries from a
-//! sharded memo cache, and — unlike every other strategy in this crate —
-//! survives hierarchy edits. C++ hierarchies only ever grow (new
-//! classes, members, base edges), and Figure 8's propagation is a
-//! distributive dataflow problem over the CHG in topological order, so
-//! an edit invalidates a *computable* set of `(class, member)` entries:
+//! algorithm: it **owns** its class hierarchy, answers queries from one
+//! complete [`LookupTable`] — Figure 8's whole table, computed once —
+//! and, unlike the other strategies in this crate, survives hierarchy
+//! edits. C++ hierarchies only ever grow (new classes, members, base
+//! edges), and Figure 8's propagation is a distributive dataflow
+//! problem over the CHG in topological order, so an edit invalidates a
+//! *computable* set of `(class, member)` entries:
 //!
 //! * `AddClass` changes no existing entry — the new class has no bases,
 //!   members, or derived classes yet;
@@ -22,21 +23,25 @@
 //!   ancestors — for any class outside the closure, neither changes.
 //!
 //! The dirty set is recomputed in topological order, reusing every
-//! untouched red/blue abstraction in the cache; on large hierarchies a
+//! untouched red/blue abstraction in the table; on large hierarchies a
 //! single-edge edit recomputes a small closure instead of the whole
 //! table (experiment E18 quantifies the win). The edit-sequence
 //! proptests and differential suite pin the equivalence
 //! `engine ≡ from-scratch LookupTable ≡ subobject oracle`.
+//!
+//! Section 5's memoising on-demand variant is
+//! [`LazyLookup`](crate::LazyLookup).
 //!
 //! # Concurrency model
 //!
 //! Queries ([`lookup`](LookupEngine::lookup),
 //! [`entry`](LookupEngine::entry),
 //! [`lookup_batch`](LookupEngine::lookup_batch)) take `&self` and are
-//! safe to issue from many threads: the cache is sharded behind
-//! `RwLock`s and all statistics are atomic. Edits take `&mut self`,
-//! so the borrow checker serializes them against in-flight queries —
-//! no query ever observes a half-applied edit.
+//! safe to issue from many threads: the table is complete, so a query
+//! only reads it, with no lock, and all statistics are atomic. Only
+//! edits write the table, and they take `&mut self`, so the borrow
+//! checker serializes them against in-flight queries — no query ever
+//! observes a half-applied edit.
 //!
 //! # Examples
 //!
@@ -59,7 +64,7 @@
 //! assert_eq!(engine.generation(), 1);
 //! ```
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cpplookup_chg::{
@@ -73,130 +78,41 @@ use crate::obs::{self, EngineMetrics};
 use crate::result::{Entry, LookupOutcome};
 use crate::table::{compute_entry_with, LookupOptions, LookupTable};
 
-/// How the engine fills its cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EngineBacking {
-    /// Compute the complete table up front, sequentially. Queries are
-    /// pure cache reads; edits recompute their dirty set eagerly.
-    #[default]
-    Eager,
-    /// Compute entries on first use (the memoising strategy of
-    /// Section 5). Edits only drop their dirty set; recomputation
-    /// happens lazily on the next query that needs it.
-    Lazy,
-    /// Like [`Eager`](EngineBacking::Eager), but the initial build
-    /// shards member names across worker threads, and
-    /// [`lookup_batch`](LookupEngine::lookup_batch) fans out across the
-    /// same number of threads.
-    Parallel {
-        /// Worker thread count (clamped to at least 1).
-        threads: usize,
-    },
-}
-
-impl EngineBacking {
-    /// Whether this backing keeps the cache complete: every visible
-    /// `(class, member)` pair is cached, so a missing key *means*
-    /// "member not visible" rather than "not computed yet".
-    fn complete(self) -> bool {
-        !matches!(self, EngineBacking::Lazy)
-    }
-}
-
-/// Configuration for a [`LookupEngine`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Semantics options forwarded to the lookup algorithm.
-    pub lookup: LookupOptions,
-    /// Cache-filling strategy.
-    pub backing: EngineBacking,
-    /// Number of cache shards (clamped to at least 1). More shards
-    /// reduce lock contention for concurrent lazy-mode queries.
-    pub shards: usize,
-    /// Whether to accumulate per-query wall-clock timing into
-    /// [`EngineStats::lookup_nanos`]. Off by default: reading the clock
-    /// twice per query is measurable on nanosecond-scale cache hits.
-    pub timing: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            lookup: LookupOptions::default(),
-            backing: EngineBacking::default(),
-            shards: 16,
-            timing: false,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// Options selecting the lazy backing.
-    pub fn lazy() -> Self {
-        EngineOptions {
-            backing: EngineBacking::Lazy,
-            ..Self::default()
-        }
-    }
-
-    /// Options selecting the parallel backing with `threads` workers.
-    pub fn parallel(threads: usize) -> Self {
-        EngineOptions {
-            backing: EngineBacking::Parallel { threads },
-            ..Self::default()
-        }
-    }
-}
-
 /// A point-in-time snapshot of engine counters, from
 /// [`LookupEngine::stats`].
 ///
 /// This is the *compatibility* view: the counters themselves live in
 /// the engine's metrics [`Registry`](crate::obs::Registry) (see
 /// [`LookupEngine::metrics_registry`]), which additionally exposes
-/// per-shard families, histograms, and the Prometheus/JSON exporters.
+/// histograms and the Prometheus/JSON exporters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Total queries served (`lookup` + `entry` + batch elements).
     pub lookups: u64,
-    /// Queries answered from the cache without computing anything.
-    pub cache_hits: u64,
-    /// Queries that had to compute at least their own entry (lazy
-    /// backing only; a complete cache never misses).
-    pub cache_misses: u64,
-    /// Entries computed on demand by lazy-mode queries.
-    pub entries_computed: u64,
-    /// Cached entries dropped by edits.
+    /// Entries an edit replaced or dropped.
     pub entries_invalidated: u64,
-    /// Entries recomputed eagerly after edits (complete backings only).
+    /// Entries recomputed as present by edits.
     pub entries_recomputed: u64,
     /// Individual edits applied.
     pub edits: u64,
     /// The hierarchy's generation counter (rebuilds since the engine's
     /// initial graph).
     pub generation: u64,
-    /// Entries currently cached (lazy mode also counts negative
-    /// "not visible" slots).
+    /// Entries in the table: the visible `(class, member)` pairs.
     pub cached_entries: u64,
-    /// Accumulated query wall-clock time; only meaningful when
-    /// [`EngineOptions::timing`] is set.
+    /// Accumulated query wall-clock time: queries are timed while an
+    /// event sink is installed (see
+    /// [`set_event_sink`](LookupEngine::set_event_sink)).
     pub lookup_nanos: u64,
 }
 
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "lookups: {}", self.lookups)?;
         writeln!(
             f,
-            "lookups: {} ({} hits, {} misses)",
-            self.lookups, self.cache_hits, self.cache_misses
-        )?;
-        writeln!(
-            f,
-            "entries: {} cached, {} computed lazily, {} invalidated, {} recomputed",
-            self.cached_entries,
-            self.entries_computed,
-            self.entries_invalidated,
-            self.entries_recomputed
+            "entries: {} cached, {} invalidated, {} recomputed",
+            self.cached_entries, self.entries_invalidated, self.entries_recomputed
         )?;
         write!(f, "edits: {} (generation {})", self.edits, self.generation)?;
         if self.lookup_nanos > 0 && self.lookups > 0 {
@@ -210,50 +126,58 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Cached value for one `(class, member)` pair; `Absent` is only stored
-/// by the lazy backing (a complete cache encodes absence by omission).
-#[derive(Clone, Debug)]
-enum Slot {
-    Present(Entry),
-    Absent,
-}
-
-type Shard = RwLock<FxHashMap<(ClassId, MemberId), Slot>>;
-
 /// A thread-safe member-lookup service over an owned, editable class
 /// hierarchy. See the [module docs](self) for the design.
 #[derive(Debug)]
 pub struct LookupEngine {
     chg: Chg,
-    options: EngineOptions,
-    shards: Vec<Shard>,
+    /// The complete table of `chg`; only [`apply`](Self::apply) writes it.
+    table: LookupTable,
     metrics: EngineMetrics,
 }
 
 impl LookupEngine {
-    /// Creates an engine over `chg` with default options (eager
-    /// backing).
+    /// Creates an engine over `chg` with default lookup options.
     pub fn new(chg: Chg) -> Self {
-        Self::with_options(chg, EngineOptions::default())
+        Self::with_options(chg, LookupOptions::default())
     }
 
-    /// Creates an engine with explicit options. Complete backings pay
-    /// the full table build here.
-    pub fn with_options(chg: Chg, options: EngineOptions) -> Self {
-        let mut engine = Self::empty(chg, options);
+    /// Creates an engine with explicit lookup options, building the
+    /// whole table with [`LookupTable::build_with`].
+    pub fn with_options(chg: Chg, options: LookupOptions) -> Self {
         let start = Instant::now();
-        let strategy = match options.backing {
-            EngineBacking::Lazy => "lazy",
-            EngineBacking::Eager => {
-                let table = LookupTable::build_with(&engine.chg, options.lookup);
-                engine.seed_from_table(table);
-                "eager"
-            }
-            EngineBacking::Parallel { threads } => {
-                let table = LookupTable::build_parallel(&engine.chg, options.lookup, threads);
-                engine.seed_from_table(table);
-                "parallel"
-            }
+        let table = LookupTable::build_with(&chg, options);
+        Self::recorded(chg, table, "eager", start)
+    }
+
+    /// Creates an engine whose table was built elsewhere — in parallel
+    /// ([`LookupTable::build_parallel`]) or from a loaded snapshot — so
+    /// no build runs. `table` must be the whole table of `chg` under
+    /// [`table.options()`](LookupTable::options); the engine trusts it
+    /// as it trusts its own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cpplookup_chg::fixtures;
+    /// use cpplookup_core::{LookupEngine, LookupTable};
+    ///
+    /// let g = fixtures::fig9();
+    /// let table = LookupTable::build_parallel(&g, Default::default(), 2);
+    /// let engine = LookupEngine::from_table(g, table);
+    /// let e = engine.chg().class_by_name("E").unwrap();
+    /// let m = engine.chg().member_by_name("m").unwrap();
+    /// assert!(engine.lookup(e, m).is_resolved());
+    /// ```
+    pub fn from_table(chg: Chg, table: LookupTable) -> Self {
+        Self::recorded(chg, table, "seeded", Instant::now())
+    }
+
+    fn recorded(chg: Chg, table: LookupTable, strategy: &str, start: Instant) -> Self {
+        let engine = LookupEngine {
+            chg,
+            table,
+            metrics: EngineMetrics::new(),
         };
         engine
             .metrics
@@ -261,107 +185,19 @@ impl LookupEngine {
         engine
     }
 
-    /// Creates an engine whose memo is `entries`, computed elsewhere —
-    /// typically a loaded snapshot — so no build runs. Under a complete
-    /// backing (eager or parallel) `entries` must be the *whole* table
-    /// for `chg` under `options.lookup`: a pair missing from the memo
-    /// then means "not visible", queries never compute, and
-    /// [`apply`](Self::apply) recomputes its dirty set eagerly. Under the
-    /// lazy backing the entries are only a warm start; pairs outside
-    /// them are computed on first use.
-    ///
-    /// The engine trusts the entries as it trusts its own memo.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cpplookup_chg::fixtures;
-    /// use cpplookup_core::{EngineOptions, LookupEngine, LookupTable};
-    ///
-    /// let g = fixtures::fig9();
-    /// let table = LookupTable::build(&g);
-    /// let entries: Vec<_> = g
-    ///     .classes()
-    ///     .flat_map(|c| g.member_ids().map(move |m| (c, m)))
-    ///     .filter_map(|(c, m)| table.entry(c, m).map(|e| (c, m, e.clone())))
-    ///     .collect();
-    /// let engine = LookupEngine::with_entries(g, EngineOptions::default(), entries);
-    /// let e = engine.chg().class_by_name("E").unwrap();
-    /// let m = engine.chg().member_by_name("m").unwrap();
-    /// assert!(engine.lookup(e, m).is_resolved());
-    /// assert_eq!(engine.stats().entries_computed, 0);
-    /// ```
-    pub fn with_entries(
-        chg: Chg,
-        options: EngineOptions,
-        entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
-    ) -> Self {
-        let mut engine = Self::empty(chg, options);
-        let start = Instant::now();
-        engine.seed_entries(entries);
-        engine
-            .metrics
-            .record_build("seeded", start.elapsed().as_nanos() as u64);
-        engine
-    }
-
-    /// An engine over `chg` with an empty memo.
-    fn empty(chg: Chg, options: EngineOptions) -> Self {
-        let shard_count = options.shards.max(1);
-        let shards = (0..shard_count)
-            .map(|_| RwLock::new(FxHashMap::default()))
-            .collect();
-        LookupEngine {
-            chg,
-            options,
-            shards,
-            metrics: EngineMetrics::new(shard_count),
-        }
-    }
-
-    fn seed_from_table(&mut self, table: LookupTable) {
-        for (c, members) in table.into_entries().into_iter().enumerate() {
-            let c = ClassId::from_index(c);
-            for (m, e) in members {
-                self.shard_mut(c, m).insert((c, m), Slot::Present(e));
-            }
-        }
-    }
-
-    /// Inserts precomputed entries into the memo (see
-    /// [`with_entries`](Self::with_entries)).
-    fn seed_entries(&mut self, entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>) {
-        for (c, m, e) in entries {
-            self.shard_mut(c, m).insert((c, m), Slot::Present(e));
-        }
-    }
-
-    /// The shard holding `(c, m)`, for the exclusive write paths.
-    fn shard_mut(&mut self, c: ClassId, m: MemberId) -> &mut FxHashMap<(ClassId, MemberId), Slot> {
-        let idx = self.shard_index(c, m);
-        self.shards[idx]
-            .get_mut()
-            .expect("engine shard lock poisoned")
-    }
-
-    fn shard_index(&self, c: ClassId, m: MemberId) -> usize {
-        // Cheap deterministic mix; shard counts are small so low bits
-        // suffice.
-        let h = c
-            .index()
-            .wrapping_mul(0x9E37_79B1)
-            .wrapping_add(m.index().wrapping_mul(0x85EB_CA77));
-        h % self.shards.len()
-    }
-
     /// The current hierarchy.
     pub fn chg(&self) -> &Chg {
         &self.chg
     }
 
-    /// The options the engine was created with.
-    pub fn options(&self) -> EngineOptions {
-        self.options
+    /// The complete table of the current hierarchy.
+    pub(crate) fn table(&self) -> &LookupTable {
+        &self.table
+    }
+
+    /// The lookup options the engine was created with.
+    pub fn options(&self) -> LookupOptions {
+        self.table.options()
     }
 
     /// The hierarchy's generation: 0 until the first edit, then one per
@@ -370,58 +206,28 @@ impl LookupEngine {
         self.chg.generation()
     }
 
-    /// Reads `(c, m)` from the cache. Outer `None`: key not cached;
-    /// inner `None`: cached knowledge that `m ∉ Members[c]`.
-    fn cached(&self, c: ClassId, m: MemberId) -> Option<Option<Entry>> {
-        self.cached_in(self.shard_index(c, m), c, m)
-    }
-
-    /// [`cached`](Self::cached) with a precomputed shard index.
-    fn cached_in(&self, idx: usize, c: ClassId, m: MemberId) -> Option<Option<Entry>> {
-        let shard = self.shards[idx].read().expect("engine shard lock poisoned");
-        shard.get(&(c, m)).map(|slot| match slot {
-            Slot::Present(e) => Some(e.clone()),
-            Slot::Absent => None,
-        })
-    }
-
-    /// The entry for `(c, m)`, computing it first under the lazy
-    /// backing. `None` means `m ∉ Members[c]`.
+    /// The entry for `(c, m)`; `None` means `m ∉ Members[c]`. The query
+    /// is timed, and traced, while an event sink is installed.
     pub fn entry(&self, c: ClassId, m: MemberId) -> Option<Entry> {
-        let start = self.options.timing.then(Instant::now);
         self.metrics.lookups.inc();
         self.metrics.emit(|| obs::Event::QueryStart {
             class: c.index() as u32,
             member: m.index() as u32,
         });
-        let idx = self.shard_index(c, m);
-        let result = match self.cached_in(idx, c, m) {
-            Some(cached) => {
-                self.metrics.record_hit(idx);
-                cached
-            }
-            None if self.options.backing.complete() => {
-                // A complete cache encodes "not visible" by omission.
-                self.metrics.record_hit(idx);
-                None
-            }
-            None => {
-                self.metrics.record_miss(idx);
-                self.compute_missing(c, m)
-            }
-        };
+        // The clock brackets the probe alone, so the sink's own cost
+        // stays out of the recorded latency.
+        let start = self.metrics.has_sink().then(Instant::now);
+        let result = self.table.entry(c, m).cloned();
+        let nanos = start.map_or(0, |start| {
+            let nanos = start.elapsed().as_nanos() as u64;
+            self.metrics.record_latency(nanos);
+            nanos
+        });
+        self.metrics.emit(|| obs::Event::CacheHit);
         if matches!(result, Some(Entry::Blue(_))) {
             self.metrics
                 .record_ambiguity(c.index() as u32, m.index() as u32);
         }
-        let nanos = match start {
-            Some(start) => {
-                let nanos = start.elapsed().as_nanos() as u64;
-                self.metrics.record_latency(nanos);
-                nanos
-            }
-            None => 0,
-        };
         self.metrics.emit(|| obs::Event::QueryEnd {
             class: c.index() as u32,
             member: m.index() as u32,
@@ -440,79 +246,10 @@ impl LookupEngine {
         LookupOutcome::from_entry(self.entry(c, m).as_ref())
     }
 
-    /// Answers a batch of queries, in order. Each distinct
-    /// `(class, member)` pair probes the shard map once: the batch is
-    /// sorted and deduplicated up front (which also gives repeated
-    /// probes of one class shard/cache locality) and the outcome is
-    /// fanned back out to every occurrence. Duplicates still count as
-    /// one lookup and one cache hit each, so the metrics match the
-    /// equivalent sequence of single queries. Under the parallel
-    /// backing the distinct probes are chunked across worker threads.
+    /// Answers a batch of queries, in order: one [`lookup`](Self::lookup)
+    /// each.
     pub fn lookup_batch(&self, queries: &[(ClassId, MemberId)]) -> Vec<LookupOutcome> {
-        let mut order: Vec<u32> = (0..queries.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let (c, m) = queries[i as usize];
-            (c.index(), m.index())
-        });
-        let mut unique: Vec<(ClassId, MemberId)> = Vec::new();
-        let mut slot_of = vec![0u32; queries.len()];
-        for &i in &order {
-            let q = queries[i as usize];
-            if unique.last() != Some(&q) {
-                unique.push(q);
-            }
-            slot_of[i as usize] = (unique.len() - 1) as u32;
-        }
-        let answers = self.lookup_unique(&unique);
-        let mut answered = vec![false; unique.len()];
-        let mut out = Vec::with_capacity(queries.len());
-        for (i, &slot) in slot_of.iter().enumerate() {
-            let slot = slot as usize;
-            if std::mem::replace(&mut answered[slot], true) {
-                // A duplicate is served from its twin's probe: account
-                // for it as a lookup answered from cache.
-                let (c, m) = queries[i];
-                self.metrics.lookups.inc();
-                self.metrics.record_hit(self.shard_index(c, m));
-                if matches!(answers[slot], LookupOutcome::Ambiguous { .. }) {
-                    self.metrics
-                        .record_ambiguity(c.index() as u32, m.index() as u32);
-                }
-            }
-            out.push(answers[slot].clone());
-        }
-        out
-    }
-
-    /// The probe stage of [`lookup_batch`](Self::lookup_batch):
-    /// answers each (already deduplicated) query, chunked across worker
-    /// threads under the parallel backing.
-    fn lookup_unique(&self, unique: &[(ClassId, MemberId)]) -> Vec<LookupOutcome> {
-        let threads = match self.options.backing {
-            EngineBacking::Parallel { threads } => threads.max(1),
-            _ => 1,
-        };
-        if threads == 1 || unique.len() < 2 * threads {
-            return unique.iter().map(|&(c, m)| self.lookup(c, m)).collect();
-        }
-        let chunk = unique.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = unique
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&(c, m)| self.lookup(c, m))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        })
+        queries.iter().map(|&(c, m)| self.lookup(c, m)).collect()
     }
 
     /// Recovers the winning definition path for `(c, m)`, like
@@ -535,73 +272,38 @@ impl LookupEngine {
         Some(Path::new(&self.chg, rev).expect("parent pointers follow real edges"))
     }
 
-    /// Lazy-mode fill: computes the entries of `c`'s uncached ancestors
-    /// (bottom-up in topological order) and caches them, returning the
-    /// entry for `(c, m)`.
-    fn compute_missing(&self, c: ClassId, m: MemberId) -> Option<Entry> {
-        let mut missing: Vec<(ClassId, MemberId)> = self
-            .chg
-            .bases_of(c)
-            .filter(|&a| self.cached(a, m).is_none())
-            .map(|a| (a, m))
-            .collect();
-        missing.sort_by_key(|&(a, _)| self.chg.topo_position(a));
-        // Last: every ancestor precedes `c` in topological order.
-        missing.push((c, m));
-        let fresh = recompute_dirty(&self.chg, self.options.lookup, &missing, |b, m| {
-            self.cached(b, m).flatten()
-        });
-        let entry = fresh.last().and_then(|(_, e)| e.clone());
-        for ((a, m), e) in fresh {
-            let slot = e.map_or(Slot::Absent, Slot::Present);
-            let mut shard = self.shards[self.shard_index(a, m)]
-                .write()
-                .expect("engine shard lock poisoned");
-            // A racing query may have cached this first; entries are
-            // deterministic, so first write wins and the counter only
-            // tracks actual insertions.
-            if let std::collections::hash_map::Entry::Vacant(v) = shard.entry((a, m)) {
-                v.insert(slot);
-                drop(shard);
-                self.metrics
-                    .record_computed(a.index() as u32, m.index() as u32);
-            }
-        }
-        entry
-    }
-
     /// Applies a batch of hierarchy edits as one transaction: the graph
-    /// is rebuilt once (generation + 1) and the combined dirty set is
-    /// invalidated, then recomputed by [`recompute_dirty`] under
-    /// complete backings (the lazy backing recomputes on demand).
+    /// is rebuilt once (generation + 1), and the combined dirty set is
+    /// recomputed by [`recompute_dirty`] and written into the table.
     ///
     /// # Errors
     ///
     /// Returns the first [`ChgError`] produced by validation. On error
-    /// the engine is unchanged — hierarchy, cache, and counters.
+    /// the engine is unchanged — hierarchy, table, and counters.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<(), ChgError> {
         let chg = apply_edits(&self.chg, edits)?;
         let dirty = dirty_set(&chg, edits);
-        // Clean pairs keep their entries, so the memo as it stands is
+        // Clean pairs keep their entries, so the table as it stands is
         // the base source; every dirty base is staged before it is read.
-        let fresh = if self.options.backing.complete() {
-            recompute_dirty(&chg, self.options.lookup, &dirty, |c, m| {
-                self.cached(c, m).flatten()
-            })
-        } else {
-            Vec::new()
-        };
+        // A class the batch added has no row yet and no entries.
+        let rows = self.table.class_entries();
+        let fresh = recompute_dirty(&chg, self.table.options(), &dirty, |c, m| {
+            rows.get(c.index()).and_then(|row| row.get(&m)).cloned()
+        });
         self.chg = chg;
-        let mut invalidated = 0;
-        for &(c, m) in &dirty {
-            invalidated += u64::from(self.shard_mut(c, m).remove(&(c, m)).is_some());
-        }
-        let mut recomputed = 0;
+        let rows = self.table.class_entries_mut();
+        rows.resize_with(self.chg.class_count(), FxHashMap::default);
+        let (mut invalidated, mut recomputed) = (0, 0);
         for ((c, m), e) in fresh {
-            if let Some(e) = e {
-                self.shard_mut(c, m).insert((c, m), Slot::Present(e));
-                recomputed += 1;
-            }
+            let row = &mut rows[c.index()];
+            let old = match e {
+                Some(e) => {
+                    recomputed += 1;
+                    row.insert(m, e)
+                }
+                None => row.remove(&m),
+            };
+            invalidated += u64::from(old.is_some());
         }
         self.metrics.record_edit(
             edits.len(),
@@ -681,9 +383,6 @@ impl LookupEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             lookups: self.metrics.lookups.get(),
-            cache_hits: self.metrics.hits.get(),
-            cache_misses: self.metrics.misses.get(),
-            entries_computed: self.metrics.computed.get(),
             entries_invalidated: self.metrics.invalidated.get(),
             entries_recomputed: self.metrics.recomputed.get(),
             edits: self.metrics.edits.get(),
@@ -694,22 +393,23 @@ impl LookupEngine {
     }
 
     fn cached_entries(&self) -> u64 {
-        self.shards
+        self.table
+            .class_entries()
             .iter()
-            .map(|s| s.read().expect("engine shard lock poisoned").len() as u64)
+            .map(|row| row.len() as u64)
             .sum()
     }
 
     /// The engine's metrics registry: the summary counters
-    /// (`engine_lookups_total`, `engine_cache_hits_total`, …), the
-    /// per-shard hit/miss families, the lookup-latency histogram, and
-    /// the per-edit dirty/invalidation size histograms.
+    /// (`engine_lookups_total`, `engine_entries_recomputed_total`, …),
+    /// the lookup-latency histogram, and the per-edit
+    /// dirty/invalidation size histograms.
     pub fn metrics_registry(&self) -> &Arc<obs::Registry> {
         self.metrics.registry()
     }
 
     /// A point-in-time export of every engine metric, with the
-    /// cache-residency gauge refreshed. Render it with
+    /// table-size gauge refreshed. Render it with
     /// [`render_text`](obs::Snapshot::render_text),
     /// [`render_prometheus`](obs::Snapshot::render_prometheus), or
     /// [`render_json`](obs::Snapshot::render_json).
@@ -718,9 +418,11 @@ impl LookupEngine {
     }
 
     /// Installs an [`EventSink`](obs::EventSink) that receives
-    /// structured trace events (query start/end, per-shard cache
-    /// hits/misses, node visits, ambiguity encounters, edit
-    /// applications); `None` removes it.
+    /// structured trace events (query start/end, cache hits, ambiguity
+    /// encounters, edit applications); `None` removes it. While a sink
+    /// is installed every query is also timed: its `QueryEnd` event
+    /// carries the wall-clock nanoseconds, which also accumulate into
+    /// [`EngineStats::lookup_nanos`] and the latency histogram.
     pub fn set_event_sink(&self, sink: Option<Arc<dyn obs::EventSink>>) {
         self.metrics.set_sink(sink);
     }
@@ -780,13 +482,13 @@ pub(crate) fn dirty_set(new: &Chg, edits: &[Edit]) -> Vec<(ClassId, MemberId)> {
 /// class after the edit.
 pub(crate) type Recomputed = ((ClassId, MemberId), Option<Entry>);
 
-/// Figure 8's step over stale pairs (an edit's dirty set, or the
-/// uncached ancestors a lazy query needs), in [`dirty_set`]'s order so
-/// a stale base is recomputed before its derived pairs: one result per
-/// pair of `dirty`. Base entries come from a per-member staging map of
-/// the pairs recomputed so far first, and from `base` second — a table
-/// whose other pairs are current: the engine's memo, or the index an
-/// [`IndexedEngine`](crate::IndexedEngine) published before the edit.
+/// Figure 8's step over an edit's dirty set, in [`dirty_set`]'s order
+/// so a stale base is recomputed before its derived pairs: one result
+/// per pair of `dirty`. Base entries come from a per-member staging map
+/// of the pairs recomputed so far first, and from `base` second — a
+/// table whose other pairs are current: the engine's table, or the
+/// index an [`IndexedEngine`](crate::IndexedEngine) published before
+/// the edit.
 pub(crate) fn recompute_dirty(
     chg: &Chg,
     options: LookupOptions,
@@ -818,16 +520,10 @@ mod tests {
     use super::*;
     use cpplookup_chg::{fixtures, ChgBuilder};
 
-    fn backings() -> [EngineOptions; 3] {
-        [
-            EngineOptions::default(),
-            EngineOptions::lazy(),
-            EngineOptions::parallel(4),
-        ]
-    }
+    use crate::abstraction::StaticRule;
 
     fn assert_engine_matches_table(engine: &LookupEngine, label: &str) {
-        let table = LookupTable::build_with(engine.chg(), engine.options().lookup);
+        let table = LookupTable::build_with(engine.chg(), engine.options());
         for c in engine.chg().classes() {
             for m in engine.chg().member_ids() {
                 assert_eq!(
@@ -839,8 +535,12 @@ mod tests {
                 );
             }
         }
+        assert_eq!(engine.stats().cached_entries, table.stats().entries as u64);
     }
 
+    /// Both ways to back the engine's table, on every fixture and
+    /// static rule: built in place, or seeded with `from_table` (here
+    /// from a parallel build).
     #[test]
     fn all_backings_match_table_on_fixtures() {
         for fixture in [
@@ -851,9 +551,13 @@ mod tests {
             fixtures::static_diamond(),
             fixtures::static_override_mix(),
         ] {
-            for options in backings() {
+            for statics in [StaticRule::Cpp, StaticRule::Ignore] {
+                let options = LookupOptions { statics };
                 let engine = LookupEngine::with_options(fixture.clone(), options);
-                assert_engine_matches_table(&engine, &format!("{:?}", options.backing));
+                assert_engine_matches_table(&engine, &format!("{statics:?}"));
+                let table = LookupTable::build_parallel(&fixture, options, 3);
+                let seeded = LookupEngine::from_table(fixture.clone(), table);
+                assert_engine_matches_table(&seeded, &format!("seeded {statics:?}"));
             }
         }
     }
@@ -920,22 +624,45 @@ mod tests {
 
     #[test]
     fn incremental_equals_rebuild_per_edit_kind() {
-        for options in backings() {
-            let mut engine = LookupEngine::with_options(fixtures::fig1(), options);
-            let e = engine.chg().class_by_name("E").unwrap();
-            let c = engine.chg().class_by_name("C").unwrap();
+        let mut engine = LookupEngine::new(fixtures::fig1());
+        let e = engine.chg().class_by_name("E").unwrap();
+        let c = engine.chg().class_by_name("C").unwrap();
 
-            let f = engine.add_class("F").unwrap();
-            assert_engine_matches_table(&engine, "AddClass");
+        let f = engine.add_class("F").unwrap();
+        assert_engine_matches_table(&engine, "AddClass");
 
-            engine.add_member(f, "fresh").unwrap();
-            engine.add_member(c, "m").unwrap();
-            assert_engine_matches_table(&engine, "AddMember");
+        engine.add_member(f, "fresh").unwrap();
+        engine.add_member(c, "m").unwrap();
+        assert_engine_matches_table(&engine, "AddMember");
 
-            engine.add_edge(f, e, Inheritance::NonVirtual).unwrap();
-            assert_engine_matches_table(&engine, "AddEdge");
-            assert_eq!(engine.generation(), 4);
-        }
+        engine.add_edge(f, e, Inheritance::NonVirtual).unwrap();
+        assert_engine_matches_table(&engine, "AddEdge");
+        assert_eq!(engine.generation(), 4);
+
+        // One batch that adds two classes and derives one from both the
+        // other and F: the dirty pairs of X read bases of W, which had
+        // no row before the batch.
+        let (w, x) = {
+            let n = engine.chg().class_count();
+            (ClassId::from_index(n), ClassId::from_index(n + 1))
+        };
+        let edge = |base| Edit::AddEdge {
+            derived: x,
+            base,
+            inheritance: Inheritance::Virtual,
+            access: Access::Public,
+        };
+        engine
+            .apply(&[
+                Edit::AddClass { name: "W".into() },
+                Edit::AddClass { name: "X".into() },
+                edge(w),
+                edge(f),
+            ])
+            .unwrap();
+        assert_eq!(engine.chg().class_by_name("X"), Some(x));
+        assert!(engine.stats().entries_recomputed > 0);
+        assert_engine_matches_table(&engine, "one batch");
     }
 
     #[test]
@@ -960,128 +687,91 @@ mod tests {
             .classes()
             .flat_map(|c| g.member_ids().map(move |m| (c, m)))
             .collect();
-        let singles: Vec<LookupOutcome> = {
-            let engine = LookupEngine::new(g.clone());
-            queries.iter().map(|&(c, m)| engine.lookup(c, m)).collect()
-        };
-        for options in backings() {
-            let engine = LookupEngine::with_options(g.clone(), options);
-            // Repeat the batch so it exceeds the parallel fan-out
-            // threshold.
-            let big: Vec<_> = queries
-                .iter()
-                .chain(queries.iter())
-                .chain(queries.iter())
-                .copied()
-                .collect();
-            let batched = engine.lookup_batch(&big);
-            for (i, outcome) in batched.iter().enumerate() {
-                assert_eq!(
-                    outcome,
-                    &singles[i % singles.len()],
-                    "{:?}",
-                    options.backing
-                );
-            }
-            assert_eq!(engine.stats().lookups, big.len() as u64);
+        let table = LookupTable::build(&g);
+        let engine = LookupEngine::new(g);
+        // Repeated probes are answered, and counted, one by one.
+        let big: Vec<_> = queries.iter().chain(&queries).copied().collect();
+        let batched = engine.lookup_batch(&big);
+        for (&(c, m), outcome) in big.iter().zip(&batched) {
+            assert_eq!(outcome, &table.lookup(c, m));
         }
-    }
-
-    #[test]
-    fn batch_dedupes_duplicate_probes() {
-        let g = fixtures::fig3();
-        let h = g.class_by_name("H").unwrap();
-        let foo = g.member_by_name("foo").unwrap();
-        let engine = LookupEngine::with_options(g, EngineOptions::lazy());
-        let out = engine.lookup_batch(&[(h, foo); 8]);
-        assert!(out.iter().all(|o| o == &out[0]));
-        let stats = engine.stats();
-        // One real probe (a lazy-mode miss); the other seven are served
-        // from it but still count as lookups answered from cache.
-        assert_eq!(stats.lookups, 8);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hits, 7);
+        assert_eq!(engine.stats().lookups, big.len() as u64);
     }
 
     #[test]
     fn concurrent_lookups_are_consistent() {
-        for options in backings() {
-            let engine = LookupEngine::with_options(fixtures::fig3(), options);
-            let table = LookupTable::build(engine.chg());
-            let queries: Vec<(ClassId, MemberId)> = engine
-                .chg()
-                .classes()
-                .flat_map(|c| engine.chg().member_ids().map(move |m| (c, m)))
-                .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..8 {
-                    scope.spawn(|| {
-                        for &(c, m) in &queries {
-                            assert_eq!(engine.lookup(c, m), table.lookup(c, m));
-                        }
-                    });
-                }
-            });
-            let stats = engine.stats();
-            assert_eq!(stats.lookups, 8 * queries.len() as u64);
-        }
-    }
-
-    #[test]
-    fn lazy_counters_track_hits_and_misses() {
-        let engine = LookupEngine::with_options(fixtures::fig3(), EngineOptions::lazy());
-        let h = engine.chg().class_by_name("H").unwrap();
-        let foo = engine.chg().member_by_name("foo").unwrap();
-        assert_eq!(engine.stats().cached_entries, 0);
-        engine.lookup(h, foo);
-        let s1 = engine.stats();
-        assert_eq!(s1.cache_misses, 1);
-        assert!(s1.entries_computed >= 1);
-        engine.lookup(h, foo);
-        let s2 = engine.stats();
-        assert_eq!(s2.cache_hits, 1);
-        assert_eq!(s2.entries_computed, s1.entries_computed, "memoised");
+        let engine = LookupEngine::new(fixtures::fig3());
+        let table = LookupTable::build(engine.chg());
+        let queries: Vec<(ClassId, MemberId)> = engine
+            .chg()
+            .classes()
+            .flat_map(|c| engine.chg().member_ids().map(move |m| (c, m)))
+            .collect();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for &(c, m) in &queries {
+                        assert_eq!(engine.lookup(c, m), table.lookup(c, m));
+                    }
+                });
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!(stats.lookups, 8 * queries.len() as u64);
     }
 
     #[test]
     fn eager_cache_never_misses() {
-        let engine = LookupEngine::new(fixtures::fig1());
-        let g = engine.chg();
-        let a = g.class_by_name("A").unwrap();
-        let e = g.class_by_name("E").unwrap();
-        let m = g.member_by_name("m").unwrap();
-        engine.lookup(e, m);
-        engine.lookup(a, m);
-        // A query for a member that is nowhere visible is still a hit:
-        // the complete cache *knows* it is absent.
-        let engine2 = {
-            let mut b = ChgBuilder::from_chg(g);
+        // A query for a member that is nowhere visible is still answered
+        // from the table: the complete table *knows* it is absent.
+        let engine = {
+            let mut b = ChgBuilder::from_chg(&fixtures::fig1());
             b.intern_member_name("ghost");
             LookupEngine::new(b.finish().unwrap())
         };
-        let ghost = engine2.chg().member_by_name("ghost").unwrap();
-        assert_eq!(engine2.lookup(a, ghost), LookupOutcome::NotFound);
+        let a = engine.chg().class_by_name("A").unwrap();
+        let ghost = engine.chg().member_by_name("ghost").unwrap();
+        assert_eq!(engine.lookup(a, ghost), LookupOutcome::NotFound);
         let stats = engine.stats();
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.cache_hits, 2);
-        assert_eq!(engine2.stats().cache_misses, 0);
+        assert_eq!(stats.lookups, 1);
+        assert_eq!(
+            stats.cached_entries,
+            LookupTable::build(engine.chg()).stats().entries as u64
+        );
     }
 
     #[test]
     fn timing_accumulates_when_enabled() {
-        let options = EngineOptions {
-            timing: true,
-            ..EngineOptions::default()
-        };
-        let engine = LookupEngine::with_options(fixtures::fig3(), options);
+        let engine = LookupEngine::new(fixtures::fig3());
         let h = engine.chg().class_by_name("H").unwrap();
         let foo = engine.chg().member_by_name("foo").unwrap();
+        engine.lookup(h, foo);
+        assert_eq!(engine.stats().lookup_nanos, 0, "no sink: untimed");
+        // Installing a sink turns timing on; its QueryEnd events carry
+        // the same clock reads.
+        let sink = Arc::new(obs::MemorySink::new());
+        engine.set_event_sink(Some(sink.clone()));
         for _ in 0..50 {
             engine.lookup(h, foo);
         }
+        engine.set_event_sink(None);
         let stats = engine.stats();
         assert!(stats.lookup_nanos > 0);
         assert!(stats.to_string().contains("avg query time"));
+        let timed: u64 = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                obs::Event::QueryEnd { nanos, .. } => Some(*nanos),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(timed, stats.lookup_nanos);
+        let latency = engine.metrics_snapshot();
+        assert_eq!(
+            latency.histogram("engine_lookup_latency_ns").unwrap().count,
+            50
+        );
     }
 
     #[test]
@@ -1128,26 +818,24 @@ mod tests {
         // A miniature of experiment E18: grow a hierarchy one edit at a
         // time, checking the engine against a from-scratch rebuild after
         // every step.
-        for options in backings() {
-            let mut b = ChgBuilder::new();
-            let root = b.class("K0");
-            b.member(root, "m0");
-            let mut engine = LookupEngine::with_options(b.finish().unwrap(), options);
-            for i in 1..12 {
-                let c = engine.add_class(&format!("K{i}")).unwrap();
-                let base = engine.chg().class_by_name(&format!("K{}", i / 2)).unwrap();
-                let inh = if i % 3 == 0 {
-                    Inheritance::Virtual
-                } else {
-                    Inheritance::NonVirtual
-                };
-                engine.add_edge(c, base, inh).unwrap();
-                if i % 2 == 0 {
-                    engine.add_member(c, &format!("m{}", i % 4)).unwrap();
-                }
+        let mut b = ChgBuilder::new();
+        let root = b.class("K0");
+        b.member(root, "m0");
+        let mut engine = LookupEngine::new(b.finish().unwrap());
+        for i in 1..12 {
+            let c = engine.add_class(&format!("K{i}")).unwrap();
+            let base = engine.chg().class_by_name(&format!("K{}", i / 2)).unwrap();
+            let inh = if i % 3 == 0 {
+                Inheritance::Virtual
+            } else {
+                Inheritance::NonVirtual
+            };
+            engine.add_edge(c, base, inh).unwrap();
+            if i % 2 == 0 {
+                engine.add_member(c, &format!("m{}", i % 4)).unwrap();
             }
-            assert_engine_matches_table(&engine, &format!("{:?}", options.backing));
-            assert!(engine.stats().edits > 20);
+            assert_engine_matches_table(&engine, &format!("step {i}"));
         }
+        assert!(engine.stats().edits > 20);
     }
 }

@@ -1,9 +1,9 @@
 //! Fixed-seed FxHash maps for the hot memo/cache paths.
 //!
 //! Re-exports [`cpplookup_chg::fxmap`] (the hasher lives next to the
-//! name interner, its first user) so lookup-side code — the engine's
-//! memo shards, the lazy cache, the table's per-class entry maps, and
-//! the batched builder's dedup arenas — shares one hasher definition.
+//! name interner, its first user) so lookup-side code — the lazy cache,
+//! the table's per-class entry maps (the engine's too), and the batched
+//! builder's dedup arenas — shares one hasher definition.
 //!
 //! The hasher is seeded with a compile-time constant, so the same key
 //! hashes identically in every process: cache behaviour, probe

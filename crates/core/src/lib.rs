@@ -16,9 +16,9 @@
 //!   member-name-sharded parallel construction
 //!   ([`LookupTable::build_parallel`]),
 //! * [`LazyLookup`] — the memoising on-demand variant,
-//! * [`LookupEngine`] — a thread-safe, stat-counting query engine over a
-//!   sharded memo cache that survives hierarchy edits by incremental
-//!   invalidation,
+//! * [`LookupEngine`] — a thread-safe, stat-counting query engine over
+//!   one complete table that survives hierarchy edits by incremental
+//!   invalidation (queries read it with no lock; only edits write it),
 //! * [`MemberLookup`] — the trait unifying all of the above (and the
 //!   baselines) behind one query interface,
 //! * [`serve`] — the flat [`DispatchIndex`]: a pre-decoded, cache-dense
@@ -85,7 +85,7 @@ pub use abstraction::{
     red_dominates, red_dominates_blue, DisplayLv, LeastVirtual, RedAbs, StaticRule,
 };
 pub use api::MemberLookup;
-pub use engine::{EngineBacking, EngineOptions, EngineStats, LookupEngine};
+pub use engine::{EngineStats, LookupEngine};
 pub use lazy::LazyLookup;
 pub use result::{DisplayEntry, Entry, LookupOutcome};
 pub use serve::{
@@ -106,7 +106,7 @@ pub mod prelude {
     //! crate) extend this with the snapshot types.
     pub use crate::abstraction::{LeastVirtual, StaticRule};
     pub use crate::api::MemberLookup;
-    pub use crate::engine::{EngineOptions, LookupEngine};
+    pub use crate::engine::LookupEngine;
     pub use crate::result::{Entry, LookupOutcome};
     pub use crate::serve::{
         DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex, ServeHandle,

@@ -5,12 +5,13 @@
 //! sinks) live in the dependency-free [`cpplookup_obs`] crate and are
 //! re-exported here. This module adds the *wiring*:
 //!
-//! * **Per engine** — the summary counters (lookups, cache hits/misses,
-//!   invalidations, edits) that power the
+//! * **Per engine** — the summary counters (lookups, invalidations,
+//!   recomputations, edits) that power the
 //!   [`EngineStats`](crate::EngineStats) compatibility accessor, the
-//!   per-shard cache hit/miss families, the lookup latency histogram,
-//!   edit dirty-set/invalidation histograms, the ambiguity counter and
-//!   structured [`Event`] emission, all in a per-engine [`Registry`].
+//!   lookup latency histogram (queries are timed while an event sink is
+//!   installed), edit dirty-set/invalidation histograms, the ambiguity
+//!   counter and structured [`Event`] emission, all in a per-engine
+//!   [`Registry`].
 //! * **Process-wide** — the propagation work counters
 //!   ([`propagation()`]) that make the paper's unambiguous-vs-ambiguous
 //!   work split measurable, and the build, snapshot and serve hooks,
@@ -303,16 +304,11 @@ pub fn index_published(epoch: u64, elapsed_ns: u64) {
 pub(crate) struct EngineMetrics {
     registry: Arc<Registry>,
     pub(crate) lookups: Arc<Counter>,
-    pub(crate) hits: Arc<Counter>,
-    pub(crate) misses: Arc<Counter>,
     pub(crate) lookup_nanos: Arc<Counter>,
-    pub(crate) computed: Arc<Counter>,
     pub(crate) invalidated: Arc<Counter>,
     pub(crate) recomputed: Arc<Counter>,
     pub(crate) edits: Arc<Counter>,
     cached_entries: Arc<Gauge>,
-    shard_hits: Vec<Arc<Counter>>,
-    shard_misses: Vec<Arc<Counter>>,
     latency: Arc<Histogram>,
     ambiguous: Arc<Counter>,
     edit_dirty: Arc<Histogram>,
@@ -324,68 +320,39 @@ pub(crate) struct EngineMetrics {
 impl std::fmt::Debug for EngineMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineMetrics")
-            .field("shards", &self.shard_hits.len())
-            .field("has_sink", &self.has_sink.load(Ordering::Relaxed))
+            .field("has_sink", &self.has_sink())
             .finish_non_exhaustive()
     }
 }
 
 impl EngineMetrics {
-    pub(crate) fn new(shards: usize) -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let hits_family = registry.counter_family(
-            "engine_shard_hits_total",
-            "cache hits by memo-cache shard",
-            "shard",
-        );
-        let misses_family = registry.counter_family(
-            "engine_shard_misses_total",
-            "cache misses by memo-cache shard",
-            "shard",
-        );
         EngineMetrics {
             lookups: registry.counter(
                 "engine_lookups_total",
                 "queries served (lookup + entry + batch elements)",
             ),
-            hits: registry.counter(
-                "engine_cache_hits_total",
-                "queries answered from the memo cache",
-            ),
-            misses: registry.counter(
-                "engine_cache_misses_total",
-                "queries that had to compute at least their own entry",
-            ),
             lookup_nanos: registry.counter(
                 "engine_lookup_nanos_total",
-                "accumulated query wall-clock time (requires EngineOptions::timing)",
-            ),
-            computed: registry.counter(
-                "engine_entries_computed_total",
-                "entries computed on demand by lazy-mode queries",
+                "accumulated query wall-clock time (timed while an event sink is installed)",
             ),
             invalidated: registry.counter(
                 "engine_entries_invalidated_total",
-                "cached entries dropped by edits",
+                "entries replaced or dropped by edits",
             ),
             recomputed: registry.counter(
                 "engine_entries_recomputed_total",
-                "entries recomputed eagerly after edits",
+                "entries recomputed as present by edits",
             ),
             edits: registry.counter("engine_edits_total", "individual hierarchy edits applied"),
             cached_entries: registry.gauge(
                 "engine_cached_entries",
-                "entries currently cached (refreshed at snapshot time)",
+                "entries in the engine's table (refreshed at snapshot time)",
             ),
-            shard_hits: (0..shards)
-                .map(|i| hits_family.with_label(&i.to_string()))
-                .collect(),
-            shard_misses: (0..shards)
-                .map(|i| misses_family.with_label(&i.to_string()))
-                .collect(),
             latency: registry.histogram(
                 "engine_lookup_latency_ns",
-                "per-query wall-clock latency (requires EngineOptions::timing)",
+                "per-query wall-clock latency (timed while an event sink is installed)",
                 Histogram::latency_ns(),
             ),
             ambiguous: registry.counter(
@@ -399,7 +366,7 @@ impl EngineMetrics {
             ),
             edit_invalidated: registry.histogram(
                 "engine_edit_invalidated_size",
-                "cached entries invalidated per edit batch",
+                "entries replaced or dropped per edit batch",
                 Histogram::sizes(),
             ),
             has_sink: AtomicBool::new(false),
@@ -412,38 +379,22 @@ impl EngineMetrics {
         &self.registry
     }
 
-    /// Refreshes the cache-residency gauge and snapshots the registry.
+    /// Refreshes the table-size gauge and snapshots the registry.
     pub(crate) fn snapshot(&self, cached_entries: u64) -> Snapshot {
         self.cached_entries.set(cached_entries as i64);
         self.registry.snapshot()
     }
 
-    /// Records a cache hit on `shard` (the `lookups` counter is bumped
-    /// separately by the caller, once per query).
-    #[inline]
-    pub(crate) fn record_hit(&self, shard: usize) {
-        self.hits.inc();
-        self.shard_hits[shard].inc();
-        self.emit(|| Event::CacheHit { shard });
-    }
-
-    /// Records a cache miss on `shard`.
-    #[inline]
-    pub(crate) fn record_miss(&self, shard: usize) {
-        self.misses.inc();
-        self.shard_misses[shard].inc();
-        self.emit(|| Event::CacheMiss { shard });
-    }
-
-    /// Records the engine's initial cache build: which strategy ran
-    /// (`build_strategy` label on `engine_build_info`) and how long it
-    /// took (`engine_build_seconds`, observed in nanoseconds); `stats`
+    /// Records how the engine's table was made — built by the engine
+    /// (`eager`) or handed in (`seeded`) — as the `build_strategy` label
+    /// on `engine_build_info`, and how long that took
+    /// (`engine_build_seconds`, observed in nanoseconds); `stats`
     /// surfaces both.
     pub(crate) fn record_build(&self, strategy: &str, nanos: u64) {
         self.registry
             .counter_family(
                 "engine_build_info",
-                "initial cache builds by strategy",
+                "engine table builds by strategy",
                 "build_strategy",
             )
             .with_label(strategy)
@@ -451,7 +402,7 @@ impl EngineMetrics {
         self.registry
             .histogram(
                 "engine_build_seconds",
-                "initial cache build wall time (recorded in nanoseconds)",
+                "engine table build wall time (recorded in nanoseconds)",
                 Histogram::latency_ns(),
             )
             .observe(nanos);
@@ -469,13 +420,6 @@ impl EngineMetrics {
     pub(crate) fn record_ambiguity(&self, class: u32, member: u32) {
         self.ambiguous.inc();
         self.emit(|| Event::AmbiguityEncountered { class, member });
-    }
-
-    /// Records one lazily computed (freshly inserted) entry.
-    #[inline]
-    pub(crate) fn record_computed(&self, class: u32, member: u32) {
-        self.computed.inc();
-        self.emit(|| Event::NodeVisited { class, member });
     }
 
     /// Records an applied edit batch with its invalidation footprint.
@@ -501,6 +445,13 @@ impl EngineMetrics {
         });
     }
 
+    /// Whether an event sink is installed: the engine then also times
+    /// each query.
+    #[inline]
+    pub(crate) fn has_sink(&self) -> bool {
+        self.has_sink.load(Ordering::Acquire)
+    }
+
     /// Installs (or removes, with `None`) the engine's event sink.
     pub(crate) fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
         self.has_sink.store(sink.is_some(), Ordering::Release);
@@ -511,7 +462,7 @@ impl EngineMetrics {
     /// a sink is present.
     #[inline]
     pub(crate) fn emit(&self, make: impl FnOnce() -> Event) {
-        if !self.has_sink.load(Ordering::Acquire) {
+        if !self.has_sink() {
             return;
         }
         if let Some(sink) = self.sink.read().expect("sink lock poisoned").as_ref() {
@@ -526,51 +477,43 @@ mod tests {
 
     #[test]
     fn engine_metrics_register_summary_counters() {
-        let m = EngineMetrics::new(4);
+        let m = EngineMetrics::new();
         m.lookups.inc();
-        m.record_hit(2);
-        m.record_miss(3);
         m.record_latency(500);
+        m.record_edit(1, 5, 3, 2, 1);
         let snap = m.snapshot(7);
         assert_eq!(snap.counter("engine_lookups_total"), Some(1));
-        assert_eq!(snap.counter("engine_cache_hits_total"), Some(1));
-        assert_eq!(snap.counter("engine_cache_misses_total"), Some(1));
+        assert_eq!(snap.counter("engine_lookup_nanos_total"), Some(500));
+        assert_eq!(snap.counter("engine_entries_invalidated_total"), Some(3));
+        assert_eq!(snap.counter("engine_entries_recomputed_total"), Some(2));
         assert_eq!(snap.gauge("engine_cached_entries"), Some(7));
     }
 
     #[test]
-    fn shard_families_and_latency_histogram() {
-        let m = EngineMetrics::new(4);
-        m.record_hit(2);
-        m.record_hit(2);
-        m.record_miss(0);
+    fn latency_histogram_observes_timed_queries() {
+        let m = EngineMetrics::new();
         m.record_latency(128);
+        m.record_latency(4096);
         let snap = m.snapshot(0);
-        let prom = snap.render_prometheus();
-        assert!(
-            prom.contains("engine_shard_hits_total{shard=\"2\"} 2"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("engine_shard_misses_total{shard=\"0\"} 1"),
-            "{prom}"
-        );
-        assert_eq!(snap.histogram("engine_lookup_latency_ns").unwrap().count, 1);
+        assert_eq!(snap.histogram("engine_lookup_latency_ns").unwrap().count, 2);
+        assert!(!snap.render_prometheus().contains("shard"));
     }
 
     #[test]
     fn events_reach_the_sink_only_when_installed() {
-        let m = EngineMetrics::new(1);
+        let m = EngineMetrics::new();
         let sink = Arc::new(MemorySink::new());
-        m.record_hit(0); // no sink yet: dropped
+        m.emit(|| Event::CacheHit); // no sink yet: dropped
+        assert!(!m.has_sink());
         m.set_sink(Some(sink.clone()));
-        m.record_hit(0);
+        assert!(m.has_sink());
+        m.emit(|| Event::CacheHit);
         m.record_edit(1, 5, 3, 2, 1);
         m.set_sink(None);
-        m.record_hit(0); // removed again: dropped
+        m.emit(|| Event::CacheHit); // removed again: dropped
         let events = sink.take();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0], Event::CacheHit { shard: 0 });
+        assert_eq!(events[0], Event::CacheHit);
         assert_eq!(
             events[1],
             Event::EditApplied {

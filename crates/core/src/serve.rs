@@ -72,7 +72,6 @@
 //! * [`DispatchIndex::from_entries`] — any `(class, member, entry)`
 //!   stream, under a prebuilt hash or a fresh one (how a snapshot
 //!   written before format version 3 loads);
-//! * [`DispatchIndex::from_engine`] — packs an engine's memo;
 //! * [`DispatchIndex::refreshed`] — the index after an edit: the edit's
 //!   recomputed pairs are merged into the old rows, every other entry
 //!   and its pool range is copied verbatim.
@@ -121,7 +120,7 @@ pub use crate::dispatch::{
 /// Implementors in this workspace:
 ///
 /// * [`LookupTable`], by value or by reference,
-/// * [`&LookupEngine`](LookupEngine) (the memo is probed, the engine
+/// * [`&LookupEngine`](LookupEngine) (its table is packed, the engine
 ///   keeps serving),
 /// * [`DispatchIndex`] itself (identity — lets already-packed indexes
 ///   flow through backend-generic call sites),
@@ -147,7 +146,7 @@ impl IntoDispatchIndex for &LookupTable {
 
 impl IntoDispatchIndex for &LookupEngine {
     fn into_dispatch_index(self) -> DispatchIndex {
-        DispatchIndex::from_engine(self)
+        self.table().into_dispatch_index()
     }
 }
 
@@ -815,8 +814,8 @@ pub struct DispatchIndex {
 
 impl DispatchIndex {
     /// Builds the index from any backend — the canonical construction
-    /// entry point. [`LookupTable`]s are packed, engines are probed
-    /// through a shared reference, a loaded snapshot shares the index
+    /// entry point. [`LookupTable`]s are packed, an engine packs its
+    /// table through a shared reference, a loaded snapshot shares the index
     /// it holds; the backend itself decides via its
     /// [`IntoDispatchIndex`] impl.
     ///
@@ -1067,32 +1066,6 @@ impl DispatchIndex {
             }
         }
         packer.finish(member_count, mph)
-    }
-
-    /// Packs the engine's memo into an index: every `(class, member)`
-    /// pair is probed once through [`LookupEngine::entry`] (memo hits
-    /// under complete backings; the lazy backing computes missing
-    /// columns on demand, so the result always covers the full table).
-    ///
-    /// Prefer the backend-generic [`DispatchIndex::from_backend`] in new
-    /// code; this remains as the engine-specific delegate behind
-    /// `&LookupEngine`'s [`IntoDispatchIndex`] impl.
-    pub fn from_engine(engine: &LookupEngine) -> Self {
-        let start = Instant::now();
-        let chg = engine.chg();
-        let mut packer = Packer::new(PoolBuilder::new());
-        for c in chg.classes() {
-            for m in chg.member_ids() {
-                if let Some(e) = engine.entry(c, m) {
-                    let packed = packer.pool.pack(&e);
-                    packer.push(m.index() as u32, packed);
-                }
-            }
-            packer.end_row();
-        }
-        packer
-            .finish(chg.member_name_count(), None)
-            .recorded("engine", start)
     }
 
     /// The index of `chg` after an edit, from this one and the edit's
@@ -1432,8 +1405,8 @@ impl DispatchIndex {
     }
 
     /// Every `(class, member, entry)` triple, class by class and by
-    /// ascending member id within a class — the bulk export that warms
-    /// an engine's memo.
+    /// ascending member id within a class — the bulk export that seeds
+    /// an engine's table.
     pub fn entries(&self) -> impl Iterator<Item = (ClassId, MemberId, Entry)> + '_ {
         (0..self.layout.class_count).flat_map(move |ci| {
             self.row(ci).map(move |i| {
@@ -1725,11 +1698,11 @@ pub struct IndexedEngine {
 }
 
 impl IndexedEngine {
-    /// Packs the engine's memo into the initial index, published as
+    /// Packs the engine's table into the initial index, published as
     /// epoch 0, and keeps only the engine's hierarchy and options.
     pub fn new(engine: LookupEngine) -> Self {
         let handle = ServeHandle::serving(&engine);
-        Self::with_handle(engine.chg().clone(), engine.options().lookup, handle)
+        Self::with_handle(engine.chg().clone(), engine.options(), handle)
     }
 
     /// The write path of `chg` over a handle whose current index is
@@ -1747,10 +1720,10 @@ impl IndexedEngine {
     /// options, after [republishing](ServeHandle::republish) the
     /// handle's index, which must be the engine's table, as a fresh
     /// epoch: readers of the handle see every later edit without
-    /// re-resolving it. The engine's memo is dropped.
+    /// re-resolving it. The engine's table is dropped.
     pub fn attach(engine: LookupEngine, handle: ServeHandle) -> Self {
         handle.republish();
-        Self::with_handle(engine.chg().clone(), engine.options().lookup, handle)
+        Self::with_handle(engine.chg().clone(), engine.options(), handle)
     }
 
     /// A serving handle; clone freely across reader threads.
@@ -1877,18 +1850,28 @@ mod tests {
         }
     }
 
+    /// The index packed from an edited engine is the index packed from
+    /// a rebuilt table of the edited hierarchy.
     #[test]
     fn from_engine_matches_from_table() {
         for g in graphs() {
-            let by_table = DispatchIndex::from_table(LookupTable::build(&g));
-            let engine = LookupEngine::new(g.clone());
-            let by_engine = DispatchIndex::from_engine(&engine);
-            for c in g.classes() {
-                for m in g.member_ids() {
+            let mut engine = LookupEngine::new(g.clone());
+            let z = engine.add_class("Z").unwrap();
+            let base = g.classes().next().unwrap_or(z);
+            if base != z {
+                engine.add_edge(z, base, Inheritance::NonVirtual).unwrap();
+            }
+            engine.add_member(base, "fresh").unwrap();
+            let edited = engine.chg();
+            let by_table = DispatchIndex::from_table(LookupTable::build(edited));
+            let by_engine = DispatchIndex::from_backend(&engine);
+            for c in edited.classes() {
+                for m in edited.member_ids() {
                     assert_eq!(by_table.entry(c, m), by_engine.entry(c, m));
                 }
             }
             assert_eq!(by_table.entry_count(), by_engine.entry_count());
+            assert_eq!(by_table.class_count(), edited.class_count());
         }
     }
 

@@ -304,8 +304,8 @@ impl LookupTable {
         LookupTable { options, entries }
     }
 
-    /// Dismantles the table into its per-class entry maps (used by the
-    /// engine to seed its cache without re-deriving every entry).
+    /// Dismantles the table into its per-class entry maps (used to pack
+    /// a dispatch index without cloning every entry).
     pub(crate) fn into_entries(self) -> Vec<FxHashMap<MemberId, Entry>> {
         self.entries
     }
@@ -313,6 +313,11 @@ impl LookupTable {
     /// The per-class entry maps, one per class index.
     pub(crate) fn class_entries(&self) -> &[FxHashMap<MemberId, Entry>] {
         &self.entries
+    }
+
+    /// The per-class entry maps, for the engine's edit path.
+    pub(crate) fn class_entries_mut(&mut self) -> &mut Vec<FxHashMap<MemberId, Entry>> {
+        &mut self.entries
     }
 
     /// The options the table was built with.

@@ -2,9 +2,8 @@
 //!
 //! Metrics aggregate; events narrate. A sink registered with the
 //! engine receives one [`Event`] per interesting moment of a query or
-//! edit — query start/end, per-shard cache hit/miss, propagation node
-//! visits, ambiguity encounters, and edit-applied records carrying
-//! dirty-set sizes. Identifiers are raw `u32` indices (the obs crate
+//! edit — query start/end, cache hits, ambiguity encounters, and
+//! edit-applied records carrying dirty-set sizes. Identifiers are raw `u32` indices (the obs crate
 //! has no access to the hierarchy's name tables); consumers that want
 //! names resolve them against their own `Chg`.
 //!
@@ -39,27 +38,13 @@ pub enum Event {
         member: u32,
         /// `"resolved"`, `"ambiguous"`, or `"not_found"`.
         outcome: &'static str,
-        /// Wall-clock duration, 0 when the engine's timing option is
-        /// off.
+        /// Wall-clock duration: the engine times every query while a
+        /// sink is installed.
         nanos: u64,
     },
-    /// The memo cache answered a query.
-    CacheHit {
-        /// Index of the shard that held the entry.
-        shard: usize,
-    },
-    /// The memo cache had no entry; propagation ran.
-    CacheMiss {
-        /// Index of the shard that missed.
-        shard: usize,
-    },
-    /// Propagation visited a class node (one Figure-8 step).
-    NodeVisited {
-        /// Visited class index.
-        class: u32,
-        /// Member-name index being propagated.
-        member: u32,
-    },
+    /// The engine's table answered a query (it is complete, so every
+    /// query is a hit).
+    CacheHit,
     /// A lookup produced an ambiguous (blue, |set| > 1) entry.
     AmbiguityEncountered {
         /// Class whose entry is ambiguous.
@@ -74,9 +59,9 @@ pub enum Event {
         /// Size of the dirty closure (all (class, member) pairs whose
         /// entries may have changed).
         dirty: usize,
-        /// Cached entries actually dropped from the memo cache.
+        /// Entries the edit replaced or dropped.
         invalidated: usize,
-        /// Entries recomputed eagerly (complete backings only).
+        /// Entries recomputed as present.
         recomputed: usize,
         /// Engine generation after the edit.
         generation: u64,
@@ -89,9 +74,7 @@ impl Event {
         match self {
             Event::QueryStart { .. } => "query_start",
             Event::QueryEnd { .. } => "query_end",
-            Event::CacheHit { .. } => "cache_hit",
-            Event::CacheMiss { .. } => "cache_miss",
-            Event::NodeVisited { .. } => "node_visited",
+            Event::CacheHit => "cache_hit",
             Event::AmbiguityEncountered { .. } => "ambiguity",
             Event::EditApplied { .. } => "edit_applied",
         }
@@ -115,11 +98,8 @@ impl Event {
                     ",\"class\":{class},\"member\":{member},\"outcome\":\"{outcome}\",\"nanos\":{nanos}"
                 ));
             }
-            Event::CacheHit { shard } | Event::CacheMiss { shard } => {
-                out.push_str(&format!(",\"shard\":{shard}"));
-            }
-            Event::NodeVisited { class, member }
-            | Event::AmbiguityEncountered { class, member } => {
+            Event::CacheHit => {}
+            Event::AmbiguityEncountered { class, member } => {
                 out.push_str(&format!(",\"class\":{class},\"member\":{member}"));
             }
             Event::EditApplied {
@@ -260,12 +240,7 @@ mod tests {
                 outcome: "resolved",
                 nanos: 512,
             },
-            Event::CacheHit { shard: 3 },
-            Event::CacheMiss { shard: 0 },
-            Event::NodeVisited {
-                class: 4,
-                member: 2,
-            },
+            Event::CacheHit,
             Event::AmbiguityEncountered {
                 class: 9,
                 member: 1,
@@ -284,19 +259,23 @@ mod tests {
             assert!(j.contains(&format!("\"event\":\"{}\"", e.kind())), "{j}");
             assert_eq!(j.matches('{').count(), j.matches('}').count());
         }
-        assert!(cases[6].to_json().contains("\"dirty\":12"));
+        assert_eq!(cases[2].to_json(), "{\"event\":\"cache_hit\"}");
+        assert!(cases[4].to_json().contains("\"dirty\":12"));
     }
 
     #[test]
     fn memory_sink_buffers_and_drains() {
         let sink = MemorySink::with_capacity(2);
-        sink.record(&Event::CacheHit { shard: 0 });
-        sink.record(&Event::CacheMiss { shard: 1 });
-        sink.record(&Event::CacheHit { shard: 2 });
+        sink.record(&Event::CacheHit);
+        sink.record(&Event::QueryStart {
+            class: 1,
+            member: 2,
+        });
+        sink.record(&Event::CacheHit);
         assert_eq!(sink.events().len(), 2, "cap enforced");
         assert_eq!(sink.dropped(), 1);
         let drained = sink.take();
-        assert_eq!(drained[0], Event::CacheHit { shard: 0 });
+        assert_eq!(drained[0], Event::CacheHit);
         assert!(sink.events().is_empty());
     }
 
@@ -304,9 +283,9 @@ mod tests {
     fn counting_sink_counts() {
         let sink = CountingSink::new();
         for _ in 0..5 {
-            sink.record(&Event::CacheHit { shard: 0 });
+            sink.record(&Event::CacheHit);
         }
         assert_eq!(sink.count(), 5);
-        NullSink.record(&Event::CacheHit { shard: 0 });
+        NullSink.record(&Event::CacheHit);
     }
 }

@@ -566,7 +566,7 @@ pub fn global() -> &'static Registry {
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricSnapshot {
     /// The registered name (Prometheus-style, e.g.
-    /// `engine_cache_hits_total`).
+    /// `engine_lookups_total`).
     pub name: String,
     /// The registered help text.
     pub help: String,

@@ -496,18 +496,30 @@ impl Tenant {
         (epochs, rejected)
     }
 
+    /// The tenant's STATS object. `classes`, `entries` and `epoch` are
+    /// those of the current published index once the tenant is
+    /// promoted, so they follow its edits, and the loaded file's
+    /// before; `snapshot_bytes` is always the file's size.
     fn stats_json(&self) -> String {
         let live = self.live.lock().expect("live lock poisoned").is_some();
+        let (classes, entries, epoch) = match self.serve.get() {
+            Some(handle) => {
+                let published = handle.load();
+                let index = published.index();
+                (index.class_count(), index.entry_count(), published.epoch())
+            }
+            None => (self.snapshot.class_count(), self.snapshot.entry_count(), 0),
+        };
         format!(
             "{{\"tenant\":{},\"classes\":{},\"entries\":{},\"snapshot_bytes\":{},\
              \"promoted\":{},\"live\":{},\"epoch\":{},\"queries\":{},\"edits\":{}}}",
             json_str(&self.name),
-            self.snapshot.class_count(),
-            self.snapshot.entry_count(),
+            classes,
+            entries,
             self.snapshot.size_bytes(),
             self.is_promoted(),
             live,
-            self.serve.get().map(|h| h.epoch()).unwrap_or(0),
+            epoch,
             self.queries.load(Ordering::Relaxed),
             self.edits.load(Ordering::Relaxed),
         )
@@ -1259,7 +1271,8 @@ mod tests {
 
     #[test]
     fn stats_json_shape() {
-        let farm = farm_with("alpha", &fixtures::fig2());
+        let g = fixtures::fig2();
+        let farm = farm_with("alpha", &g);
         let one = farm.stats_json("alpha").unwrap();
         assert!(one.starts_with("{\"tenant\":\"alpha\""), "{one}");
         assert!(one.contains("\"promoted\":false"));
@@ -1269,6 +1282,40 @@ mod tests {
             farm.stats_json("nope").unwrap_err().0,
             ErrorCode::NoSuchTenant
         );
+
+        // STATS follows the live tenant, not the file it loaded.
+        let field = |json: &str, key: &str| -> u64 {
+            let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let end = json[at..].find([',', '}']).unwrap();
+            json[at..at + end].parse().unwrap()
+        };
+        let loaded = farm.stats_json("alpha").unwrap();
+        let (classes, entries) = (g.class_count() as u64, field(&loaded, "entries"));
+        assert_eq!(field(&loaded, "classes"), classes);
+        assert_eq!(
+            entries,
+            cpplookup_core::LookupTable::build(&g).stats().entries as u64
+        );
+        let bytes = field(&loaded, "snapshot_bytes");
+
+        farm.edit("alpha", "class Z").unwrap();
+        let after_class = farm.stats_json("alpha").unwrap();
+        assert_eq!(field(&after_class, "classes"), classes + 1, "{after_class}");
+        assert_eq!(field(&after_class, "entries"), entries, "{after_class}");
+        assert_eq!(field(&after_class, "epoch"), 2, "{after_class}");
+
+        // `fresh` in A is visible in A and every class below it: each
+        // is a pair recomputed as present.
+        farm.edit("alpha", "member A fresh").unwrap();
+        let present = 1 + g.derived_of(g.class_by_name("A").unwrap()).count() as u64;
+        let after_member = farm.stats_json("alpha").unwrap();
+        assert_eq!(field(&after_member, "classes"), classes + 1);
+        assert_eq!(
+            field(&after_member, "entries"),
+            entries + present,
+            "{after_member}"
+        );
+        assert_eq!(field(&after_member, "snapshot_bytes"), bytes);
     }
 
     /// One probe through the read path — a QUERY, as the server asks it.

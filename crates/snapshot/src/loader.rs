@@ -16,12 +16,13 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cpplookup_chg::fxmap::FxHashMap;
 use cpplookup_chg::{
     Access, Chg, ChgBuilder, ClassId, Inheritance, MemberDecl, MemberId, MemberKind,
     Path as ChgPath,
 };
 use cpplookup_core::{
-    obs, DispatchIndex, EngineOptions, Entry, LookupEngine, LookupOptions, LookupOutcome,
+    obs, DispatchIndex, Entry, LookupEngine, LookupOptions, LookupOutcome, LookupTable,
     MemberLookup, StaticRule,
 };
 
@@ -438,8 +439,8 @@ impl SnapshotTable {
     }
 
     /// Iterates every `(class, member, entry)` triple, class by class
-    /// and by ascending member id — the bulk-export path used to warm a
-    /// [`LookupEngine`] cache.
+    /// and by ascending member id — the bulk-export path that seeds a
+    /// [`LookupEngine`]'s table.
     pub fn entries(&self) -> impl Iterator<Item = (ClassId, MemberId, Entry)> + '_ {
         self.index.entries()
     }
@@ -526,25 +527,24 @@ impl SnapshotTable {
             .map_err(|e| SnapshotError::malformed(e.to_string()))
     }
 
-    /// Materializes a [`LookupEngine`] whose memo is the snapshot's
-    /// table: the hierarchy is rebuilt with
-    /// [`to_chg`](SnapshotTable::to_chg) and every entry is seeded into
-    /// a *complete* (eager) engine without running the build. A
-    /// snapshot holds the whole table, so a pair missing from the memo
-    /// means "not visible": the engine serves every probe as a cache
-    /// hit, never computes on demand, and recomputes an edit's dirty
-    /// set eagerly with incremental invalidation.
+    /// Materializes a [`LookupEngine`] whose table is the snapshot's:
+    /// the hierarchy is rebuilt with [`to_chg`](SnapshotTable::to_chg)
+    /// and every entry is seeded into the engine's table without running
+    /// the build (see [`LookupEngine::from_table`]). The engine answers
+    /// every probe from that table and recomputes an edit's dirty set
+    /// with incremental invalidation.
     ///
     /// # Errors
     ///
     /// Any error of [`to_chg`](SnapshotTable::to_chg).
     pub fn warm_engine(&self) -> Result<LookupEngine, SnapshotError> {
         let chg = self.to_chg()?;
-        let options = EngineOptions {
-            lookup: self.options(),
-            ..EngineOptions::default()
-        };
-        Ok(LookupEngine::with_entries(chg, options, self.entries()))
+        let mut rows = vec![FxHashMap::default(); chg.class_count()];
+        for (c, m, e) in self.entries() {
+            rows[c.index()].insert(m, e);
+        }
+        let table = LookupTable::from_parts(self.options(), rows);
+        Ok(LookupEngine::from_table(chg, table))
     }
 
     /// The serving index: for a version-3 file, the file's own index
@@ -875,7 +875,6 @@ mod tests {
     use crate::format::LEGACY_SECTION_ALIGN;
     use crate::Snapshot;
     use cpplookup_chg::fixtures;
-    use cpplookup_core::LookupTable;
     use cpplookup_hiergen::{families, random_hierarchy, RandomConfig};
 
     /// `tests/corpus/chain_12.snap` as the version-1 and version-2
@@ -1145,9 +1144,11 @@ mod tests {
             }
             other => panic!("expected C::m, got {other:?}"),
         }
+        // The seeded table is the whole snapshot: nothing was built.
         let stats = engine.stats();
-        assert_eq!(stats.cache_misses, 0, "warm cache must not miss");
-        assert_eq!(stats.entries_computed, 0);
+        assert_eq!(stats.cached_entries, snap.entry_count() as u64);
+        let dump = engine.metrics_snapshot().render_prometheus();
+        assert!(dump.contains("build_strategy=\"seeded\""), "{dump}");
     }
 
     #[test]

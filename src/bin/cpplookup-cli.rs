@@ -15,14 +15,14 @@
 //!                                            lookup engine, then dump the metrics registry
 //! cpplookup-cli batch  <file.cpp> [--metrics] [--jobs N] [--serve] [--backend B]
 //!                                            answer `class member` query pairs from stdin
-//!                                            via the concurrent lookup engine; engine
-//!                                            statistics go to stderr on exit. With
-//!                                            --metrics, runs a lazy timed engine, accepts
+//!                                            via the lookup engine; engine statistics
+//!                                            go to stderr on exit. With --metrics,
+//!                                            times every query, accepts
 //!                                            `!class N` / `!member C N` /
 //!                                            `!edge D B [virtual]` edit directives, and
 //!                                            finishes with a JSON metrics snapshot on
 //!                                            stdout (per-edit invalidation sizes included).
-//!                                            --jobs N sets the worker thread count
+//!                                            --jobs N sets the table build's thread count
 //!                                            (default: available parallelism). With
 //!                                            --serve, queries are answered from the flat
 //!                                            dispatch index published by an IndexedEngine
@@ -89,8 +89,8 @@ use cpplookup::lookup::trace::{render_trace, trace_member, trace_to_dot, trace_t
 use cpplookup::obs;
 use cpplookup::subobject::stats::count_subobjects;
 use cpplookup::{
-    Access, Chg, ClassId, DispatchIndex, Edit, EngineOptions, IndexedEngine, Inheritance,
-    LookupEngine, LookupOptions, LookupOutcome, MemberDecl, MemberId, MemberKind, ServeHandle,
+    Access, Chg, ClassId, DispatchIndex, Edit, IndexedEngine, Inheritance, LookupEngine,
+    LookupOptions, LookupOutcome, LookupTable, MemberDecl, MemberId, MemberKind, ServeHandle,
     Snapshot, SnapshotTable,
 };
 
@@ -457,11 +457,12 @@ fn metrics_json(engine: &LookupEngine, sink: &obs::MemorySink) -> String {
 /// [`LookupEngine`] batch, and reports the engine's statistics to
 /// stderr at the end.
 ///
-/// With `--metrics` the engine runs lazy and timed, lines starting with
-/// `!` are edit directives (each one flushes the buffered queries
-/// first, so lookups observe the hierarchy as of their position in the
-/// stream), and a JSON metrics snapshot — including per-edit dirty-set
-/// and invalidation sizes — is printed to stdout at the end.
+/// With `--metrics` an event sink is installed, so every query is
+/// timed, lines starting with `!` are edit directives (each one flushes
+/// the buffered queries first, so lookups observe the hierarchy as of
+/// their position in the stream), and a JSON metrics snapshot —
+/// including per-edit dirty-set and invalidation sizes — is printed to
+/// stdout at the end.
 fn batch(analysis: &Analysis, rest: &[String]) -> ExitCode {
     let (backend, rest) = match parse_backend(rest) {
         Ok(parsed) => parsed,
@@ -508,9 +509,14 @@ fn batch(analysis: &Analysis, rest: &[String]) -> ExitCode {
                 );
                 return ExitCode::from(2);
             }
-            let engine =
-                LookupEngine::with_options(analysis.chg.clone(), EngineOptions::parallel(jobs));
-            serve_loop(IndexedEngine::new(engine))
+            let options = LookupOptions::default();
+            let table = LookupTable::build_parallel(&analysis.chg, options, jobs);
+            let handle = ServeHandle::serving(table);
+            serve_loop(IndexedEngine::with_handle(
+                analysis.chg.clone(),
+                options,
+                handle,
+            ))
         }
         Backend::Table => {
             if metrics {
@@ -523,21 +529,17 @@ fn batch(analysis: &Analysis, rest: &[String]) -> ExitCode {
             table_loop(analysis)
         }
         Backend::Engine => {
-            let options = if metrics {
-                let mut o = EngineOptions::lazy();
-                o.timing = true;
-                o
-            } else {
-                EngineOptions::parallel(jobs)
-            };
-            let engine = LookupEngine::with_options(analysis.chg.clone(), options);
-            batch_loop(engine, metrics)
+            let table = LookupTable::build_parallel(&analysis.chg, LookupOptions::default(), jobs);
+            batch_loop(
+                LookupEngine::from_table(analysis.chg.clone(), table),
+                metrics,
+            )
         }
     }
 }
 
-/// Parses an optional `--jobs N` flag (N ≥ 1); absent means one worker
-/// per available hardware thread.
+/// Parses an optional `--jobs N` flag (N ≥ 1), the number of threads
+/// that build the table; absent means one per available hardware thread.
 fn parse_jobs(rest: &[String]) -> Result<usize, String> {
     match rest.iter().position(|a| a == "--jobs") {
         None => Ok(std::thread::available_parallelism().map_or(1, usize::from)),
@@ -889,10 +891,9 @@ fn snapshot_query(file: &str, rest: &[String]) -> ExitCode {
 }
 
 /// `batch --snapshot <file.snap>`: the batch loop over an engine whose
-/// memo cache is warm-started from the snapshot's serialized entries,
-/// so no lookup triggers a cold propagation unless an edit directive
-/// invalidates it first. With `--serve`, the index the snapshot file
-/// holds is served and edited directly, with no memo beside it.
+/// table is seeded from the snapshot's entries, so nothing is built.
+/// With `--serve`, the index the snapshot file holds is served and
+/// edited directly, with no table beside it.
 fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
     let metrics = rest.iter().any(|a| a == "--metrics");
     let serve = rest.iter().any(|a| a == "--serve");
@@ -910,24 +911,24 @@ fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let chg = match snap.to_chg() {
-        Ok(g) => g,
+    if serve {
+        let chg = match snap.to_chg() {
+            Ok(g) => g,
+            Err(e) => {
+                eprintln!("cpplookup-cli: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        let handle = ServeHandle::serving(&snap);
+        return serve_loop(IndexedEngine::with_handle(chg, snap.options(), handle));
+    }
+    let engine = match snap.warm_engine() {
+        Ok(engine) => engine,
         Err(e) => {
             eprintln!("cpplookup-cli: {e}");
             return ExitCode::from(2);
         }
     };
-    if serve {
-        let handle = ServeHandle::serving(&snap);
-        return serve_loop(IndexedEngine::with_handle(chg, snap.options(), handle));
-    }
-    let options = EngineOptions {
-        lookup: snap.options(),
-        timing: metrics,
-        ..EngineOptions::default()
-    };
-    // The snapshot is the whole table, so the seeded memo is complete.
-    let engine = LookupEngine::with_entries(chg, options, snap.entries());
     eprintln!(
         "warm start: {} entries seeded from {} ({} bytes)",
         snap.entry_count(),
@@ -957,8 +958,9 @@ fn trace(analysis: &Analysis, rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Sweeps every `(class, member)` pair through a lazy, timed
-/// [`LookupEngine`] so the metrics registry has something to say, then
+/// Sweeps every `(class, member)` pair through a [`LookupEngine`] with
+/// a counting event sink installed, so every query is timed and the
+/// metrics registry has something to say, then
 /// dumps the engine's registry merged with the process-global one
 /// (propagation counters, baseline query counts) in the requested
 /// format.
@@ -978,9 +980,8 @@ fn stats(analysis: &Analysis, rest: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let mut options = EngineOptions::lazy();
-    options.timing = true;
-    let engine = LookupEngine::with_options(analysis.chg.clone(), options);
+    let engine = LookupEngine::new(analysis.chg.clone());
+    engine.set_event_sink(Some(Arc::new(obs::CountingSink::new())));
     let chg = engine.chg();
     let queries: Vec<_> = chg
         .classes()

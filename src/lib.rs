@@ -106,8 +106,8 @@
 //! ```
 //!
 //! For long-lived tooling (language servers, incremental compilers),
-//! [`LookupEngine`] owns the hierarchy, serves concurrent queries from a
-//! sharded cache, and survives edits by incremental invalidation:
+//! [`LookupEngine`] owns the hierarchy, serves concurrent queries from
+//! one complete table, and survives edits by incremental invalidation:
 //!
 //! ```
 //! use cpplookup::{chg::fixtures, LookupEngine, MemberLookup};
@@ -152,9 +152,9 @@ pub use cpplookup_chg::{
     MemberId, MemberKind, Path,
 };
 pub use cpplookup_core::{
-    DispatchIndex, EngineBacking, EngineOptions, EngineStats, IndexedEngine, IntoDispatchIndex,
-    LazyLookup, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome, LookupTable,
-    MemberLookup, OutcomeRef, RedAbs, ServeHandle, StaticRule,
+    DispatchIndex, EngineStats, IndexedEngine, IntoDispatchIndex, LazyLookup, LeastVirtual,
+    LookupEngine, LookupOptions, LookupOutcome, LookupTable, MemberLookup, OutcomeRef, RedAbs,
+    ServeHandle, StaticRule,
 };
 pub use cpplookup_snapshot::{Snapshot, SnapshotError, SnapshotTable};
 pub use cpplookup_subobject::{Resolution, Subobject, SubobjectGraph};

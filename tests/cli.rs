@@ -209,7 +209,11 @@ fn stats_dumps_the_metrics_registry_in_every_format() {
     let (stdout, _, code) = run(&["stats", p]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("engine_lookups_total"), "{stdout}");
-    assert!(stdout.contains("engine_cache_misses_total"), "{stdout}");
+    assert!(
+        stdout.contains("engine_entries_recomputed_total"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("shard"), "{stdout}");
 
     let (stdout, _, code) = run(&["stats", p, "--json"]);
     assert_eq!(code, Some(0));
@@ -244,24 +248,18 @@ fn batch_metrics_emits_json_snapshot_and_applies_edit_directives() {
     // Queries before the edit see the old hierarchy, after it the new one.
     assert!(stdout.contains("E::fresh"), "{stdout}");
     assert!(stderr.contains("applied: !member E fresh"), "{stderr}");
-    // The final stdout line is the JSON snapshot: lazy + timed engine,
-    // so hit/miss counters and the latency histogram are nonzero.
+    // The final stdout line is the JSON snapshot: the sink that records
+    // edits also times every query, so the lookup counter and the
+    // latency histogram both count the 4 queries.
     let json = stdout.lines().last().expect("snapshot line");
     assert!(json.starts_with("{\"metrics\":["), "{json}");
-    // 4 queries: `E m` misses cold (computing cached entries for its
-    // ancestors on the way), the repeat hits, `E fresh` misses, and
-    // `C m` hits the entry cached while computing `E m`.
     assert!(
-        json.contains("{\"name\":\"engine_cache_hits_total\",\"type\":\"counter\",\"value\":2"),
-        "{json}"
-    );
-    assert!(
-        json.contains("{\"name\":\"engine_cache_misses_total\",\"type\":\"counter\",\"value\":2"),
+        json.contains("{\"name\":\"engine_lookups_total\",\"type\":\"counter\",\"value\":4"),
         "{json}"
     );
     assert!(json.contains("\"edits\":["), "{json}");
     assert!(
-        json.contains("\"name\":\"engine_lookup_latency_ns\",\"type\":\"histogram\""),
+        json.contains("\"name\":\"engine_lookup_latency_ns\",\"type\":\"histogram\",\"count\":4"),
         "{json}"
     );
     // Per-edit sizes from the EditApplied trace events: the fresh
@@ -374,10 +372,10 @@ fn stats_reports_build_strategy_and_build_time() {
 
     let (stdout, _, code) = run(&["stats", p]);
     assert_eq!(code, Some(0));
-    // The stats engine is lazy; its build strategy and build wall time
-    // are part of the registry dump.
+    // The stats engine builds its table; the build strategy and build
+    // wall time are part of the registry dump.
     assert!(
-        stdout.contains("engine_build_info{build_strategy=\"lazy\"}"),
+        stdout.contains("engine_build_info{build_strategy=\"eager\"}"),
         "{stdout}"
     );
     assert!(stdout.contains("engine_build_seconds"), "{stdout}");
@@ -385,7 +383,7 @@ fn stats_reports_build_strategy_and_build_time() {
     let (stdout, _, code) = run(&["stats", p, "--json"]);
     assert_eq!(code, Some(0));
     assert!(
-        stdout.contains("\"name\":\"engine_build_info\",\"type\":\"counter\",\"label\":\"build_strategy\",\"series\":[{\"value\":\"lazy\",\"count\":1}]"),
+        stdout.contains("\"name\":\"engine_build_info\",\"type\":\"counter\",\"label\":\"build_strategy\",\"series\":[{\"value\":\"eager\",\"count\":1}]"),
         "{stdout}"
     );
     assert!(
@@ -418,14 +416,14 @@ fn batch_from_snapshot_warm_starts_the_engine() {
     );
     assert!(stderr.contains("warm start:"), "{stderr}");
     assert!(stderr.contains("entries seeded"), "{stderr}");
-    // Every answer comes from the seeded cache: hits, no misses.
+    // Both answers come from the seeded table: no build ran.
     let json = stdout.lines().last().expect("metrics snapshot line");
     assert!(
-        json.contains("{\"name\":\"engine_cache_hits_total\",\"type\":\"counter\",\"value\":2"),
+        json.contains("{\"name\":\"engine_lookups_total\",\"type\":\"counter\",\"value\":2"),
         "{json}"
     );
     assert!(
-        json.contains("{\"name\":\"engine_cache_misses_total\",\"type\":\"counter\",\"value\":0"),
+        json.contains("\"series\":[{\"value\":\"seeded\",\"count\":1}]"),
         "{json}"
     );
 

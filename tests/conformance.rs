@@ -46,17 +46,18 @@ fn lazy_lookup_conforms() {
     });
 }
 
+/// Both ways to back the engine's table: built in place, or seeded
+/// with `from_table` from a parallel build (a snapshot-seeded engine is
+/// `warmed_engine_conforms`).
 #[test]
 fn engine_conforms_in_every_backing() {
-    for (name, options) in [
-        ("eager", EngineOptions::default()),
-        ("lazy", EngineOptions::lazy()),
-        ("parallel", EngineOptions::parallel(4)),
-    ] {
-        assert_conforms(&format!("LookupEngine[{name}]"), Conformance::Full, |g| {
-            Box::new(LookupEngine::with_options(g.clone(), options))
-        });
-    }
+    assert_conforms("LookupEngine::new", Conformance::Full, |g| {
+        Box::new(LookupEngine::new(g.clone()))
+    });
+    assert_conforms("LookupEngine::from_table", Conformance::Full, |g| {
+        let table = LookupTable::build_parallel(g, Default::default(), 4);
+        Box::new(LookupEngine::from_table(g.clone(), table))
+    });
 }
 
 #[test]
@@ -72,7 +73,7 @@ fn snapshot_roundtrip_conforms() {
 #[test]
 fn warmed_engine_conforms() {
     // The full serve-many pipeline: compile → bytes → load → rebuild
-    // hierarchy → seed the engine cache → answer.
+    // hierarchy → seed the engine's table → answer.
     assert_conforms("SnapshotTable::warm_engine", Conformance::Full, |g| {
         let snap = SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes())
             .expect("corpus snapshots validate");

@@ -430,10 +430,11 @@ fn growth_script(g: &Chg) -> Vec<Edit> {
     script
 }
 
-/// The warm engine a snapshot hands out is *complete*: packing it into
-/// a dispatch index computes nothing, and edits — one at a time or as
-/// one batch — recompute their dirty sets eagerly to exactly the table
-/// a from-scratch engine over the edited hierarchy builds.
+/// The warm engine a snapshot hands out is *complete*: its table holds
+/// every entry of the snapshot and packs into the same dispatch index,
+/// and edits — one at a time or as one batch — recompute their dirty
+/// sets to exactly the table a from-scratch engine over the edited
+/// hierarchy builds.
 #[test]
 fn warm_engines_are_complete_and_edit_like_a_rebuild() {
     for case in CASES {
@@ -444,24 +445,17 @@ fn warm_engines_are_complete_and_edit_like_a_rebuild() {
             let snap = SnapshotTable::from_bytes(Snapshot::compile_with(&g, lookup).into_bytes())
                 .expect("corpus snapshots validate");
             let warm = snap.warm_engine().expect("corpus hierarchies rebuild");
-            let index = DispatchIndex::from_engine(&warm);
+            let index = DispatchIndex::from_backend(&warm);
             assert_eq!(index.entry_count(), snap.entry_count(), "{label}");
-            let stats = warm.stats();
             assert_eq!(
-                stats.entries_computed, 0,
-                "{label}: packing computed entries"
+                warm.stats().cached_entries,
+                snap.entry_count() as u64,
+                "{label}: the seeded table is the snapshot's"
             );
-            assert_eq!(stats.cache_misses, 0, "{label}: packing missed the memo");
 
             let script = growth_script(&g);
             let edited = cpplookup::apply_edits(&g, &script).expect("growth script applies");
-            let rebuilt = LookupEngine::with_options(
-                edited.clone(),
-                EngineOptions {
-                    lookup,
-                    ..EngineOptions::default()
-                },
-            );
+            let rebuilt = LookupEngine::with_options(edited.clone(), lookup);
             let mut one_by_one = snap.warm_engine().unwrap();
             for edit in &script {
                 one_by_one.apply(std::slice::from_ref(edit)).unwrap();
@@ -480,9 +474,11 @@ fn warm_engines_are_complete_and_edit_like_a_rebuild() {
                         );
                     }
                 }
-                let stats = engine.stats();
-                assert_eq!(stats.entries_computed, 0, "{label}: edits computed lazily");
-                assert_eq!(stats.cache_misses, 0, "{label}: probes missed the memo");
+                assert_eq!(
+                    engine.stats().cached_entries,
+                    rebuilt.stats().cached_entries,
+                    "{label}: table size after the script"
+                );
             }
         }
     }

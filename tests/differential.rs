@@ -14,8 +14,8 @@ use cpplookup::hiergen::{edit_script, random_hierarchy, EditScriptConfig, Random
 use cpplookup::lookup::LazyLookup;
 use cpplookup::subobject::{lookup, lookup_cpp, Resolution, Subobject};
 use cpplookup::{
-    apply_edits, Chg, EngineOptions, IndexedEngine, LeastVirtual, LookupEngine, LookupOptions,
-    LookupOutcome, LookupTable, MemberLookup, ServeHandle, StaticRule, SubobjectGraph,
+    apply_edits, Chg, IndexedEngine, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome,
+    LookupTable, MemberLookup, ServeHandle, StaticRule, SubobjectGraph,
 };
 
 const LIMIT: usize = 200_000;
@@ -392,7 +392,7 @@ fn applications_consistent_with_table() {
 }
 
 /// Every `MemberLookup` implementation in the workspace — tables, lazy
-/// cache, all three engine backings, and the baseline adapters — driven
+/// cache, the engine, and the baseline adapters — driven
 /// through the one trait, against the eager table. The toposort
 /// shortcut is checked only where it is sound (resolved lookups).
 #[test]
@@ -408,10 +408,6 @@ fn member_lookup_trait_unifies_all_strategies() {
         let options = LookupOptions {
             statics: StaticRule::Ignore,
         };
-        let engine_opts = |backing| EngineOptions {
-            lookup: options,
-            ..backing
-        };
         let mut full_fidelity: Vec<(&str, Box<dyn MemberLookup>)> = vec![
             ("table", Box::new(LookupTable::build_with(&chg, options))),
             (
@@ -419,25 +415,8 @@ fn member_lookup_trait_unifies_all_strategies() {
                 Box::new(LookupTable::build_parallel(&chg, options, 4)),
             ),
             (
-                "engine-eager",
-                Box::new(LookupEngine::with_options(
-                    chg.clone(),
-                    engine_opts(EngineOptions::default()),
-                )),
-            ),
-            (
-                "engine-lazy",
-                Box::new(LookupEngine::with_options(
-                    chg.clone(),
-                    engine_opts(EngineOptions::lazy()),
-                )),
-            ),
-            (
-                "engine-parallel",
-                Box::new(LookupEngine::with_options(
-                    chg.clone(),
-                    engine_opts(EngineOptions::parallel(4)),
-                )),
+                "engine",
+                Box::new(LookupEngine::with_options(chg.clone(), options)),
             ),
         ];
         let mut lazy = LazyLookup::with_options(&chg, options);
@@ -502,28 +481,24 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
     };
     for seed in 0..12 {
         let (base, edits) = edit_script(&EditScriptConfig::stress(25, seed));
-        let mut engines: Vec<LookupEngine> = [
-            EngineOptions::default(),
-            EngineOptions::lazy(),
-            EngineOptions::parallel(3),
-        ]
-        .into_iter()
-        .map(|options| LookupEngine::with_options(base.clone(), options))
-        .collect();
+        let mut engine = LookupEngine::new(base.clone());
         let mut indexed = over_base(&base);
         let mut current = base.clone();
         for (step, edit) in edits.iter().enumerate() {
             let edit = std::slice::from_ref(edit);
             current = apply_edits(&current, edit).expect("generated edits apply");
-            for engine in &mut engines {
-                engine.apply(edit).expect("generated edits apply");
-            }
+            engine.apply(edit).expect("generated edits apply");
             indexed.apply(edit).expect("generated edits apply");
             let published = indexed.handle().load();
             let index = published.index();
             assert_eq!(index.class_count(), current.class_count());
             assert_eq!(index.member_name_count(), current.member_name_count());
             let rebuilt = LookupTable::build(&current);
+            assert_eq!(
+                engine.stats().cached_entries,
+                rebuilt.stats().entries as u64,
+                "engine table size seed={seed} step={step}"
+            );
             for c in current.classes() {
                 let sg = SubobjectGraph::build(&current, c, LIMIT).expect("small");
                 for m in current.member_ids() {
@@ -536,16 +511,18 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
                             current.member_name(m)
                         )
                     };
-                    for engine in &engines {
-                        let incremental = engine.entry(c, m);
-                        let who = format!("{:?}", engine.options().backing);
-                        assert_eq!(incremental.as_ref(), rebuilt.entry(c, m), "{}", at(&who));
-                        let ours = verdict_of_outcome(
-                            &current,
-                            &LookupOutcome::from_entry(incremental.as_ref()),
-                        );
-                        assert_eq!(ours, oracle, "{}", at(&who));
-                    }
+                    let incremental = engine.entry(c, m);
+                    assert_eq!(
+                        incremental.as_ref(),
+                        rebuilt.entry(c, m),
+                        "{}",
+                        at("engine")
+                    );
+                    let ours = verdict_of_outcome(
+                        &current,
+                        &LookupOutcome::from_entry(incremental.as_ref()),
+                    );
+                    assert_eq!(ours, oracle, "{}", at("engine"));
                     assert_eq!(
                         index.entry(c, m).as_ref(),
                         rebuilt.entry(c, m),
@@ -557,9 +534,7 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
                 }
             }
         }
-        for engine in &engines {
-            assert_eq!(engine.generation(), edits.len() as u64);
-        }
+        assert_eq!(engine.generation(), edits.len() as u64);
         assert_eq!(indexed.chg().generation(), edits.len() as u64);
 
         let mut run = over_base(&base);

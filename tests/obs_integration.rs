@@ -1,42 +1,26 @@
-//! Cross-layer observability test: the engine's cache metrics must
+//! Cross-layer observability test: the engine's edit metrics must
 //! agree, to the entry, with what the incremental-invalidation theory
 //! predicts for a scripted edit-then-lookup sequence.
 //!
-//! A lazy engine that has swept every `(class, member)` pair holds a
-//! complete cache (Present *and* Absent entries). An edit then drops
-//! exactly its dirty closure — `{b} ∪ derived_of(b)` crossed with the
-//! affected members — so three independently obtained numbers must
-//! coincide:
+//! The engine's table is complete: every visible `(class, member)` pair
+//! has its entry. An edit recomputes exactly its dirty closure —
+//! `{b} ∪ derived_of(b)` crossed with the affected members — and every
+//! dirty pair is visible after an AddMember or AddEdge, so three
+//! independently obtained numbers must coincide:
 //!
-//! 1. `entries_invalidated` as counted by the engine's metrics,
+//! 1. `entries_recomputed` as counted by the engine's metrics,
 //! 2. the dirty-set size reported by the `EditApplied` trace event,
 //!    and
-//! 3. the closure size recomputed here from the public `Chg` API,
-//!    which is also the number of cache misses the next full sweep
-//!    takes.
+//! 3. the closure size recomputed here from the public `Chg` API.
+//!
+//! After every edit the table also has exactly as many entries as a
+//! from-scratch `LookupTable::build` of the edited hierarchy.
 
 use std::sync::Arc;
 
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::obs;
 use cpplookup::prelude::*;
-
-/// Sweeps every `(class, member)` pair and returns the sweep's
-/// `(hits, misses)` deltas.
-fn sweep(engine: &LookupEngine) -> (u64, u64) {
-    let before = engine.stats();
-    let queries: Vec<(ClassId, MemberId)> = engine
-        .chg()
-        .classes()
-        .flat_map(|c| engine.chg().member_ids().map(move |m| (c, m)))
-        .collect();
-    engine.lookup_batch(&queries);
-    let after = engine.stats();
-    (
-        after.cache_hits - before.cache_hits,
-        after.cache_misses - before.cache_misses,
-    )
-}
 
 /// The dirty closure of adding an edge below `derived`, computed from
 /// the *post-edit* hierarchy with the public `Chg` API only: every
@@ -54,50 +38,46 @@ fn edge_closure_size(engine: &LookupEngine, derived: ClassId) -> u64 {
         .sum()
 }
 
+/// The engine's table holds exactly the entries of a rebuild.
+fn assert_table_is_a_rebuild(engine: &LookupEngine) {
+    assert_eq!(
+        engine.stats().cached_entries,
+        LookupTable::build(engine.chg()).stats().entries as u64
+    );
+}
+
 #[test]
 fn cache_metrics_match_dirty_closure_across_edits() {
+    let _serial = BUILD_LOCK.lock().unwrap();
     let chg = random_hierarchy(&RandomConfig::realistic(120, 42));
-    let pairs = (chg.class_count() * chg.member_name_count()) as u64;
-    let mut engine = LookupEngine::with_options(chg, EngineOptions::lazy());
-    // Full sweeps emit several events per query; size the buffer so the
-    // EditApplied events at the end of the script are never dropped.
+    let mut engine = LookupEngine::new(chg);
+    // A full sweep emits several events per query; size the buffer so
+    // none is dropped.
     let sink = Arc::new(obs::MemorySink::with_capacity(1 << 20));
     engine.set_event_sink(Some(sink.clone()));
-
-    // Cold sweep: every pair misses, none hit; the cache is now total.
-    let (hits, misses) = sweep(&engine);
-    assert_eq!((hits, misses), (0, pairs));
-    assert_eq!(engine.stats().cached_entries, pairs);
-
-    // Warm sweep: pure hits.
-    let (hits, misses) = sweep(&engine);
-    assert_eq!((hits, misses), (pairs, 0));
+    assert_table_is_a_rebuild(&engine);
 
     // Script: declare a fresh member, then splice a new inheritance
     // edge between two previously unrelated classes.
     let k3 = engine.chg().class_by_name("K3").unwrap();
-    let invalidated_before = engine.stats().entries_invalidated;
+    let before = engine.stats();
     engine.add_member(k3, "obs_probe").unwrap();
-    let member_invalidated = engine.stats().entries_invalidated - invalidated_before;
-    // The cache held no entries for a brand-new member name, so the
-    // edit invalidates nothing even though its dirty set is the whole
-    // derived closure of K3.
-    assert_eq!(member_invalidated, 0);
+    let after = engine.stats();
+    let member_recomputed = after.entries_recomputed - before.entries_recomputed;
+    // The table held no entries for a brand-new member name, so the
+    // edit replaces nothing even though it recomputes the whole derived
+    // closure of K3, where the new member is now visible.
+    assert_eq!(after.entries_invalidated, before.entries_invalidated);
     let member_closure = 1 + engine.chg().derived_of(k3).count() as u64;
+    // (1) metrics == (3) closure recomputed from the Chg API.
+    assert_eq!(member_recomputed, member_closure);
+    assert_eq!(after.cached_entries, before.cached_entries + member_closure);
+    assert_table_is_a_rebuild(&engine);
 
-    // Sweep again: misses are exactly the new member's dirty closure
-    // (the probe is Absent everywhere else, and Absent is cached too —
-    // so only genuinely dirty keys recompute)... plus the new member
-    // column for the previously swept classes, which was never cached.
-    let fresh_column = engine.chg().class_count() as u64;
-    let (_, misses) = sweep(&engine);
-    assert_eq!(misses, fresh_column);
-    assert!(member_closure <= fresh_column);
-
-    // Now the edge edit, against a total cache again. Pick the first
-    // pair of classes with no inheritance relation in either direction
-    // (so the edit is legal) where the derived side already sees some
-    // member (so the closure is nonempty).
+    // Now the edge edit. Pick the first pair of classes with no
+    // inheritance relation in either direction (so the edit is legal)
+    // where the derived side already sees some member (so the closure
+    // is nonempty).
     let (derived, base) = {
         let chg = engine.chg();
         chg.classes()
@@ -110,22 +90,18 @@ fn cache_metrics_match_dirty_closure_across_edits() {
             })
             .expect("a realistic hierarchy has unrelated classes")
     };
-    let invalidated_before = engine.stats().entries_invalidated;
+    let before = engine.stats();
     engine
         .add_edge(derived, base, Inheritance::NonVirtual)
         .unwrap();
-    let edge_invalidated = engine.stats().entries_invalidated - invalidated_before;
+    let after = engine.stats();
+    let edge_recomputed = after.entries_recomputed - before.entries_recomputed;
 
     // (1) metrics == (3) closure recomputed from the Chg API.
     let closure = edge_closure_size(&engine, derived);
     assert!(closure > 0, "workload edit must dirty something");
-    assert_eq!(edge_invalidated, closure);
-
-    // (3) is also the next sweep's miss count: only dirty keys recompute.
-    let (hits, misses) = sweep(&engine);
-    let pairs_now = (engine.chg().class_count() * engine.chg().member_name_count()) as u64;
-    assert_eq!(misses, closure);
-    assert_eq!(hits, pairs_now - closure);
+    assert_eq!(edge_recomputed, closure);
+    assert_table_is_a_rebuild(&engine);
 
     // (2) the EditApplied trace events carry the same numbers.
     let edits: Vec<(usize, usize)> = sink
@@ -133,14 +109,31 @@ fn cache_metrics_match_dirty_closure_across_edits() {
         .iter()
         .filter_map(|e| match *e {
             obs::Event::EditApplied {
-                dirty, invalidated, ..
-            } => Some((dirty, invalidated)),
+                dirty, recomputed, ..
+            } => Some((dirty, recomputed)),
             _ => None,
         })
         .collect();
     assert_eq!(edits.len(), 2, "one event per scripted edit");
-    assert_eq!(edits[0], (member_closure as usize, 0));
+    assert_eq!(edits[0], (member_closure as usize, member_closure as usize));
     assert_eq!(edits[1], (closure as usize, closure as usize));
+
+    // A query sweep over the edited engine is answered from the table:
+    // one lookup, and one timed QueryEnd, per pair.
+    let queries: Vec<(ClassId, MemberId)> = engine
+        .chg()
+        .classes()
+        .flat_map(|c| engine.chg().member_ids().map(move |m| (c, m)))
+        .collect();
+    sink.take();
+    engine.lookup_batch(&queries);
+    let ends = sink
+        .take()
+        .iter()
+        .filter(|e| matches!(e, obs::Event::QueryEnd { .. }))
+        .count();
+    assert_eq!(ends, queries.len());
+    assert_eq!(engine.stats().lookups - after.lookups, queries.len() as u64);
 }
 
 /// The batched compiler's build metrics: on an interface-heavy family
@@ -198,20 +191,18 @@ fn build_metrics_report_frontier_pruning() {
 fn eager_engines_never_miss_after_edits() {
     let _serial = BUILD_LOCK.lock().unwrap();
     let chg = random_hierarchy(&RandomConfig::realistic(60, 7));
-    let mut engine = LookupEngine::with_options(chg, EngineOptions::default());
-    let (_, misses) = sweep(&engine);
-    assert_eq!(misses, 0, "eager cache is complete from construction");
+    let mut engine = LookupEngine::new(chg);
+    assert_table_is_a_rebuild(&engine);
 
     let k2 = engine.chg().class_by_name("K2").unwrap();
     engine.add_member(k2, "probe").unwrap();
     let stats = engine.stats();
-    // Eager backing recomputes the dirty set inside apply(): the member
+    // The engine recomputes the dirty set inside apply(): the member
     // edit's closure reappears as recomputed entries...
     assert_eq!(
         stats.entries_recomputed,
         1 + engine.chg().derived_of(k2).count() as u64
     );
-    // ...so the very next sweep still never misses.
-    let (_, misses) = sweep(&engine);
-    assert_eq!(misses, 0);
+    // ...so the table is complete again before any query.
+    assert_table_is_a_rebuild(&engine);
 }

@@ -8,8 +8,8 @@ use cpplookup::subobject::isomorphism::{
 };
 use cpplookup::subobject::{lookup, lookup_cpp, Resolution};
 use cpplookup::{
-    Chg, Edit, EngineOptions, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome,
-    LookupTable, StaticRule, Subobject, SubobjectGraph,
+    Chg, Edit, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome, LookupTable, StaticRule,
+    Subobject, SubobjectGraph,
 };
 use proptest::prelude::*;
 
@@ -214,21 +214,15 @@ proptest! {
         }
     }
 
-    /// After any random edit sequence, the incremental engine (each
-    /// backing), a from-scratch `LookupTable::build`, and the subobject
-    /// oracle all agree on every `(class, member)` pair — the engine's
-    /// three-way equivalence contract.
+    /// After any random edit sequence, the incremental engine, a
+    /// from-scratch `LookupTable::build`, and the subobject oracle all
+    /// agree on every `(class, member)` pair — the engine's three-way
+    /// equivalence contract.
     #[test]
     fn engine_after_edit_script_matches_rebuild_and_oracle(
         (base, edits) in edit_scripts(),
-        backing in 0usize..3,
     ) {
-        let options = match backing {
-            0 => EngineOptions::default(),
-            1 => EngineOptions::lazy(),
-            _ => EngineOptions::parallel(3),
-        };
-        let mut engine = LookupEngine::with_options(base.clone(), options);
+        let mut engine = LookupEngine::new(base.clone());
         let mut current = base;
         for edit in &edits {
             current = cpplookup::apply_edits(&current, std::slice::from_ref(edit)).unwrap();
@@ -236,6 +230,7 @@ proptest! {
         }
         prop_assert_eq!(engine.generation(), edits.len() as u64);
         let rebuilt = LookupTable::build(&current);
+        prop_assert_eq!(engine.stats().cached_entries, rebuilt.stats().entries as u64);
         for c in current.classes() {
             let sg = SubobjectGraph::build(&current, c, 100_000).unwrap();
             for m in current.member_ids() {

@@ -90,14 +90,8 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
                 .expect("fresh snapshot loads");
             let from_table = DispatchIndex::from_table(LookupTable::build_with(&g, options));
             let from_snapshot = snap.dispatch_index();
-            let engine = LookupEngine::with_options(
-                g.clone(),
-                cpplookup::EngineOptions {
-                    lookup: options,
-                    ..Default::default()
-                },
-            );
-            let from_engine = DispatchIndex::from_engine(&engine);
+            let engine = LookupEngine::with_options(g.clone(), options);
+            let from_engine = DispatchIndex::from_backend(&engine);
             assert_eq!(
                 from_table.entry_count(),
                 snap.entry_count(),
