@@ -13,6 +13,7 @@ use cpplookup_baselines::retired;
 use cpplookup_baselines::toposort::toposort_lookup;
 use cpplookup_chg::{apply_edits, fixtures, Chg, Edit, Inheritance};
 use cpplookup_core::access::{check_access, AccessContext};
+use cpplookup_core::mph::MphFunction;
 use cpplookup_core::trace::{render_trace, trace_member};
 use cpplookup_core::{
     LazyLookup, LookupEngine, LookupOptions, LookupOutcome, LookupTable, StaticRule,
@@ -1504,11 +1505,13 @@ const E22_SMOKE_ROUNDS: usize = 9;
 /// on an interface-heavy family (every construction detail wrong shows
 /// up here); a legacy-load gate — `tests/fixtures/chain_12_v1.snap`,
 /// written before snapshots carried their hash (it builds its minimal
-/// perfect hash at load), and three version-2 files written before the
+/// perfect hash at load), three version-2 files written before the
 /// index columns were the file's own (`chain_12_v2.snap` and two with
-/// blue entries and witness sets) must decode their TABLE sections
-/// into an index that answers every pair plus a dead-id margin as the
-/// table does; a serve-sweep perf floor on `grid_50x50` — the
+/// blue entries and witness sets) and one version-3 file written while
+/// the hash builder searched every displacement
+/// (`random_realistic_20_7_v3.snap`) must load into an index that
+/// answers every pair plus a dead-id margin as the table does; a
+/// serve-sweep perf floor on `grid_50x50` — the
 /// family where the index's one-line probe has the widest, most
 /// noise-proof margin over the hashmap table (≥2×) — and, when a
 /// committed `BENCH_e22.json` baseline exists, a no-regression check
@@ -1554,6 +1557,11 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
         (
             "random_realistic_20_7_v2.snap",
             2,
+            random_hierarchy(&RandomConfig::realistic(20, 7)),
+        ),
+        (
+            "random_realistic_20_7_v3.snap",
+            3,
             random_hierarchy(&RandomConfig::realistic(20, 7)),
         ),
     ];
@@ -2805,6 +2813,24 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
+/// The packed `(class, member)` probe keys `c | m << 32` of `index`:
+/// the key set its directory hashes.
+fn packed_keys(index: &cpplookup_core::DispatchIndex) -> Vec<u64> {
+    (0..index.class_count())
+        .flat_map(|ci| {
+            index
+                .members_of(cpplookup_chg::ClassId::from_index(ci))
+                .map(move |m| ci as u64 | (m.index() as u64) << 32)
+        })
+        .collect()
+}
+
+/// Median wall time of three hash builds over `keys`, with the built
+/// function.
+fn time_mph_build(keys: &[u64]) -> (std::time::Duration, MphFunction) {
+    median_time(3, || MphFunction::build(keys))
+}
+
 /// E26 — the minimal perfect hash probe directory and the SWAR batch
 /// path over it.
 ///
@@ -2824,6 +2850,10 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
 ///    threads on the largest family; the shared directory is
 ///    read-only, so scaling should track cores until memory bandwidth
 ///    (on a single-core host the curve is honestly flat).
+///
+/// It also prints, ungated, each family's hash build time
+/// (`MphFunction::build` over the index's packed keys, median of 3)
+/// and whether it built at seed 0.
 ///
 /// Emits `BENCH_e26.json` (with host context) for the CI gate
 /// (`e26-smoke`). Files recorded before the open-addressed directory
@@ -2865,9 +2895,18 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     )?;
     let mut json_rows: Vec<String> = Vec::new();
     let mut batch_ratios: Vec<f64> = Vec::new();
+    let mut build_rows: Vec<String> = Vec::new();
     for (name, chg) in &families {
         let table = LookupTable::build(chg);
         let mph = DispatchIndex::from_table(LookupTable::build(chg));
+        let keys = packed_keys(&mph);
+        let (t_build, hash) = time_mph_build(&keys);
+        build_rows.push(format!(
+            "    {name:<16} {:>8} keys {:>8.1} ms  seed {}",
+            keys.len(),
+            t_build.as_secs_f64() * 1e3,
+            if hash.seed() == 0 { "0" } else { "retried" }
+        ));
         let probes = serve_probes(chg, &table, 0xE26 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
         let lookups = (reps * probes.len()) as f64;
@@ -2927,6 +2966,13 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
             mph.entry_count(),
         ));
     }
+    writeln!(
+        w,
+        "  hash build (MphFunction::build over the packed keys, median of 3):"
+    )?;
+    for row in &build_rows {
+        writeln!(w, "{row}")?;
+    }
     // Thread scaling on the largest family.
     let (scale_name, scale_chg) = families.last().expect("families nonempty");
     let table = LookupTable::build(scale_chg);
@@ -2977,7 +3023,7 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// E26's CI gate, in three stages mirroring `e22-smoke`:
+/// E26's CI gate, in four stages, the first three mirroring `e22-smoke`:
 ///
 /// 1. **Directory differential** — every live pair *and* a dead-key
 ///    margin beyond the id ranges on an interface-heavy family, single
@@ -2991,6 +3037,12 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
 /// 3. **No-regression** — when a committed `BENCH_e26.json` exists,
 ///    the measured ratio must stay above 0.4× the recorded
 ///    `grid_50x50` `batch_vs_owned` ratio.
+/// 4. **Seed-0 hash** — the two tenants of the `batch_cold` benchmark
+///    workload (`RandomConfig::realistic(4000, 1)` and `(4000, 2)`,
+///    ~300k keys each) must hash at seed 0: a retry means the build
+///    failed a whole seed, which the solved single-key buckets leave
+///    only to two keys of one bucket sharing their high hash bits. The
+///    build time is printed, not gated.
 fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
     use cpplookup_core::DispatchIndex;
 
@@ -3096,6 +3148,25 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
             "  baseline: BENCH_e26.json not present, skipping no-regression guard"
         )?;
     }
+    for tenant in [1, 2] {
+        let chg = random_hierarchy(&RandomConfig::realistic(4000, tenant));
+        let keys = packed_keys(&DispatchIndex::from_table(LookupTable::build(&chg)));
+        let (t_build, hash) = time_mph_build(&keys);
+        writeln!(
+            w,
+            "  hash (realistic_4000 seed {tenant}): {} keys, built in {:.1} ms at seed {:#x}",
+            keys.len(),
+            t_build.as_secs_f64() * 1e3,
+            hash.seed()
+        )?;
+        if hash.seed() != 0 {
+            return Err(io::Error::other(format!(
+                "realistic_4000 seed {tenant}: the hash needed a retry (seed {:#x}, not 0)",
+                hash.seed()
+            )));
+        }
+    }
+    writeln!(w, "  seed-0 hash: PASS")?;
     Ok(())
 }
 

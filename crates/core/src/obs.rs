@@ -253,6 +253,14 @@ pub fn index_built(source: &str, entries: u64, bytes: u64, elapsed_ns: u64) {
     .observe(elapsed_ns);
 }
 
+#[cfg(test)]
+thread_local! {
+    /// The [`directory_built`] observations made on this thread: a unit
+    /// test counts its own builds, which the shared histogram cannot
+    /// tell apart from those of tests running beside it.
+    pub(crate) static DIRECTORY_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Records one probe-directory build in the [`global()`] registry:
 /// `mph_build_seconds` histograms the wall time of building a
 /// minimal-perfect-hash directory from its key set — the
@@ -262,6 +270,8 @@ pub fn index_built(source: &str, entries: u64, bytes: u64, elapsed_ns: u64) {
 /// not a build and is not recorded.
 #[inline]
 pub fn directory_built(elapsed_ns: u64) {
+    #[cfg(test)]
+    DIRECTORY_BUILDS.with(|n| n.set(n.get() + 1));
     global()
         .histogram(
             "mph_build_seconds",

@@ -74,7 +74,8 @@
 //!   written before format version 3 loads);
 //! * [`DispatchIndex::refreshed`] — the index after an edit: the edit's
 //!   recomputed pairs are merged into the old rows, every other entry
-//!   and its pool range is copied verbatim.
+//!   and its pool range is copied verbatim, and the hash is kept when
+//!   the key set is unchanged.
 //!
 //! # Epoch publish
 //!
@@ -1072,7 +1073,8 @@ impl DispatchIndex {
     /// recomputed pairs `fresh`: each replaces or adds its entry (drops
     /// it when `None`), and every other entry and its pool range is
     /// copied verbatim. The pool only grows, so copied ranges stay
-    /// valid; the probe directory is rebuilt whole.
+    /// valid. The probe directory keeps this index's hash when the edit
+    /// left the key set as it was and is rebuilt whole otherwise.
     pub fn refreshed(&self, chg: &Chg, fresh: &[Recomputed]) -> Self {
         let start = Instant::now();
         let mut updates: Vec<(usize, u32, Option<&Entry>)> = fresh
@@ -1121,7 +1123,7 @@ impl DispatchIndex {
             packer.end_row();
         }
         packer
-            .finish(chg.member_name_count(), None)
+            .finish(chg.member_name_count(), self.mph())
             .recorded("refresh", start)
     }
 
@@ -1159,9 +1161,14 @@ impl DispatchIndex {
             }
             packer.end_row();
         }
+        packer.finish(l.member_count, self.mph())
+    }
+
+    /// The hash this index's cells sit under, rebuilt from its seed and
+    /// displacement columns.
+    fn mph(&self) -> Option<MphFunction> {
         let disp = self.disp().iter().map(|d| u32::from_le_bytes(*d)).collect();
-        let mph = MphFunction::from_parts(l.seed, l.entry_count as u32, disp);
-        packer.finish(l.member_count, mph)
+        MphFunction::from_parts(self.layout.seed, self.layout.entry_count as u32, disp)
     }
 
     /// Counts this index in the build metrics, as built by `source`
@@ -2262,6 +2269,64 @@ mod tests {
         }]);
         assert!(bad.is_err());
         assert_eq!(handle.epoch(), 1);
+    }
+
+    /// An edit that changes entries but adds or drops no key keeps the
+    /// hash: adding `m` to `C` in Figure 2 re-resolves `C` and `E`,
+    /// which both saw `A::m` already. An edit that adds a key rebuilds
+    /// it. Either way the index answers as a rebuild does.
+    #[test]
+    fn refresh_keeps_the_hash_when_the_key_set_is_unchanged() {
+        let builds = || crate::obs::DIRECTORY_BUILDS.with(|n| n.get());
+        let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig2()));
+        let chg = serving.chg();
+        let (c, e) = (
+            chg.class_by_name("C").unwrap(),
+            chg.class_by_name("E").unwrap(),
+        );
+        let before = serving.handle().load().index().clone();
+        let start = builds();
+        serving
+            .apply(&[Edit::AddMember {
+                class: c,
+                name: "m".into(),
+                decl: MemberDecl::public(MemberKind::Function),
+            }])
+            .unwrap();
+        let kept = serving.handle().load().index().clone();
+        assert_eq!(builds(), start, "an unchanged key set builds no hash");
+        let m = serving.chg().member_by_name("m").unwrap();
+        assert_ne!(kept.entry(e, m), before.entry(e, m), "E's entry changed");
+        assert_eq!(kept.entry_count(), before.entry_count());
+        assert_eq!(kept.layout.seed, before.layout.seed);
+        assert_eq!(kept.disp(), before.disp());
+        let rebuilt = DispatchIndex::from_table(LookupTable::build(serving.chg()));
+        let reloaded =
+            DispatchIndex::from_columns(kept.bytes.clone(), 0, kept.size_bytes()).unwrap();
+        for c in serving.chg().classes() {
+            for m in serving.chg().member_ids() {
+                assert_eq!(kept.entry(c, m), rebuilt.entry(c, m));
+                assert_eq!(reloaded.entry(c, m), rebuilt.entry(c, m));
+            }
+        }
+
+        let start = builds();
+        serving
+            .apply(&[Edit::AddMember {
+                class: e,
+                name: "fresh".into(),
+                decl: MemberDecl::public(MemberKind::Function),
+            }])
+            .unwrap();
+        assert_eq!(builds(), start + 1, "a new key rebuilds the hash");
+        let grown = serving.handle().load().index().clone();
+        assert_eq!(grown.entry_count(), kept.entry_count() + 1);
+        let rebuilt = DispatchIndex::from_table(LookupTable::build(serving.chg()));
+        for c in serving.chg().classes() {
+            for m in serving.chg().member_ids() {
+                assert_eq!(grown.entry(c, m), rebuilt.entry(c, m));
+            }
+        }
     }
 
     /// Over a realistic edit script, every edit recomputes exactly its

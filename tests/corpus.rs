@@ -233,8 +233,12 @@ fn v1_snapshot_fixture_loads_and_builds_its_mph() {
 /// version-1 and version-2 writers produced it, and
 /// `stacked_diamonds_3_nonvirtual_v2.snap` and
 /// `random_realistic_20_7_v2.snap` are those corpus snapshots as the
-/// version-2 writer produced them (all preserved verbatim before a
-/// re-bless). Between them the legacy files hold blue entries, witness
+/// version-2 writer produced them, and `random_realistic_20_7_v3.snap`
+/// is that corpus snapshot as the version-3 writer produced it while
+/// the hash builder still searched every displacement (all preserved
+/// verbatim before a re-bless): a file whose single-key buckets were
+/// searched, not solved, must still load, validate and answer. Between
+/// them the legacy files hold blue entries, witness
 /// sets and `leastVirtual` classes, so every branch of the legacy
 /// entry decoder runs. Each legacy file and a version-3 compile of the
 /// same hierarchy answer `lookup`, `entry`, `lookup_batch_into` and
@@ -252,7 +256,10 @@ fn legacy_fixtures_and_v3_compile_answer_identically() {
             families::stacked_diamonds(3, Inheritance::NonVirtual),
         ),
         (
-            &[("random_realistic_20_7_v2.snap", 2)],
+            &[
+                ("random_realistic_20_7_v2.snap", 2),
+                ("random_realistic_20_7_v3.snap", 3),
+            ],
             random_hierarchy(&RandomConfig::realistic(20, 7)),
         ),
     ];
