@@ -122,8 +122,8 @@ impl ChgBuilder {
     ///
     /// All `ClassId`s and `MemberId`s of the source graph remain valid in
     /// the result (ids are append-only), which is what lets incremental
-    /// consumers such as `cpplookup-core`'s `LookupEngine` reuse cached
-    /// per-id state across an edit. The rebuilt graph's
+    /// consumers such as `cpplookup-core`'s `IndexedEngine` reuse the
+    /// published index's per-id entries across an edit. The rebuilt graph's
     /// [`generation`](Chg::generation) is the source's plus one.
     pub fn from_chg(chg: &Chg) -> Self {
         let classes = chg

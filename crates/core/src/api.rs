@@ -2,9 +2,9 @@
 //!
 //! The crate grew several ways to answer `lookup(C, m)` — the eager
 //! [`LookupTable`](crate::LookupTable), the memoising
-//! [`LazyLookup`](crate::LazyLookup), the incremental
-//! [`LookupEngine`](crate::LookupEngine), and the baseline algorithms in
-//! `cpplookup-baselines`. [`MemberLookup`] gives them one signature so
+//! [`LazyLookup`](crate::LazyLookup), the served
+//! [`DispatchIndex`](crate::DispatchIndex), and the baseline algorithms
+//! in `cpplookup-baselines`. [`MemberLookup`] gives them one signature so
 //! differential tests, benches, and callers can be generic over strategy.
 //!
 //! Receivers are `&mut self` because several strategies (the lazy

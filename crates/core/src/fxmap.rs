@@ -16,10 +16,10 @@ pub use cpplookup_chg::fxmap::{fxhash, FxBuildHasher, FxHashMap, FxHashSet, FxHa
 
 #[cfg(test)]
 mod tests {
-    use crate::{LookupEngine, LookupTable};
+    use crate::{IndexedEngine, LookupTable};
     use cpplookup_chg::fixtures;
 
-    /// The outputs that matter — table entries, stats, engine answers —
+    /// The outputs that matter — table entries, stats, served answers —
     /// must not depend on map iteration order, and with the fixed-seed
     /// hasher they are identical across repeated builds in one process
     /// (and, unlike `RandomState`, across processes too).
@@ -41,12 +41,14 @@ mod tests {
             let b: Vec<_> = t2.members_of(c).collect();
             assert_eq!(a, b);
         }
-        let e1 = LookupEngine::new(fixtures::fig9());
-        let e2 = LookupEngine::new(fixtures::fig9());
-        for c in e1.chg().classes().collect::<Vec<_>>() {
-            for m in e1.chg().member_ids().collect::<Vec<_>>() {
-                assert_eq!(e1.lookup(c, m), e2.lookup(c, m));
+        let e1 = IndexedEngine::new(fixtures::fig9(), Default::default());
+        let e2 = IndexedEngine::new(fixtures::fig9(), Default::default());
+        let (p1, p2) = (e1.handle().load(), e2.handle().load());
+        for c in e1.chg().classes() {
+            for m in e1.chg().member_ids() {
+                assert_eq!(p1.index().lookup(c, m), p2.index().lookup(c, m));
             }
         }
+        assert_eq!(p1.index().columns(), p2.index().columns());
     }
 }

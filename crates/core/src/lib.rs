@@ -16,19 +16,17 @@
 //!   member-name-sharded parallel construction
 //!   ([`LookupTable::build_parallel`]),
 //! * [`LazyLookup`] — the memoising on-demand variant,
-//! * [`LookupEngine`] — a thread-safe, stat-counting query engine over
-//!   one complete table that survives hierarchy edits by incremental
-//!   invalidation (queries read it with no lock; only edits write it),
 //! * [`MemberLookup`] — the trait unifying all of the above (and the
 //!   baselines) behind one query interface,
 //! * [`serve`] — the flat [`DispatchIndex`]: a pre-decoded, cache-dense
 //!   serving read path with an allocation-free
 //!   [`lookup_ref`](DispatchIndex::lookup_ref) fast path, wait-free
-//!   epoch-published versions ([`ServeHandle`]), and an edit path
-//!   ([`IndexedEngine`]) that keeps the index as its only table,
-//! * [`obs`] — the observability facade: per-engine metric registries,
-//!   propagation work counters, and structured event sinks (always
-//!   compiled in),
+//!   epoch-published versions ([`ServeHandle`]), and the edit path
+//!   ([`IndexedEngine`]): an edit recomputes only the entries it can
+//!   change, by incremental invalidation, and the published index is
+//!   the only table kept,
+//! * [`obs`] — the observability facade: propagation work counters and
+//!   the build, snapshot, serve and edit metrics (always compiled in),
 //! * [`trace`] — instrumented propagation reproducing Figures 6–7,
 //! * [`access`] — post-lookup access-rights checking (Section 6),
 //! * the applications the paper names in Section 1: [`dispatch`]
@@ -85,7 +83,7 @@ pub use abstraction::{
     red_dominates, red_dominates_blue, DisplayLv, LeastVirtual, RedAbs, StaticRule,
 };
 pub use api::MemberLookup;
-pub use engine::{EngineStats, LookupEngine};
+pub use engine::LookupEngine;
 pub use lazy::LazyLookup;
 pub use result::{DisplayEntry, Entry, LookupOutcome};
 pub use serve::{
@@ -99,14 +97,12 @@ pub mod prelude {
     //!
     //! Re-exports the types almost every caller touches — the
     //! [`MemberLookup`] query trait and its [`LookupOutcome`], the
-    //! buildable backends ([`LookupTable`], [`LookupEngine`]), and the
-    //! serving layer ([`DispatchIndex`], [`ServeHandle`],
+    //! buildable [`LookupTable`], and the serving layer ([`DispatchIndex`], [`ServeHandle`],
     //! [`IndexedEngine`]) behind the unified [`IntoDispatchIndex`]
     //! construction surface. Downstream facades (the root `cpplookup`
     //! crate) extend this with the snapshot types.
     pub use crate::abstraction::{LeastVirtual, StaticRule};
     pub use crate::api::MemberLookup;
-    pub use crate::engine::LookupEngine;
     pub use crate::result::{Entry, LookupOutcome};
     pub use crate::serve::{
         DispatchIndex, IndexedEngine, IntoDispatchIndex, OutcomeRef, PublishedIndex, ServeHandle,

@@ -36,7 +36,7 @@
 //!
 //! A seed fails when two keys of one bucket share their high 32 hash
 //! bits (no displacement parts them) or, in practice never, when a
-//! crowded bucket exhausts [`MAX_DISPLACEMENT`]; the build then retries
+//! crowded bucket exhausts `MAX_DISPLACEMENT`; the build then retries
 //! with the next seed in a fixed sequence. Either way the construction
 //! — and therefore the snapshot bytes that serialize it — is fully
 //! deterministic.

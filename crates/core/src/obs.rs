@@ -1,31 +1,20 @@
-//! The observability facade: metrics and event plumbing for the lookup
-//! engine and the propagation kernels.
+//! The observability facade: metrics for the propagation kernels, the
+//! table builders, snapshots and the serving layer.
 //!
-//! The actual primitives (counters, histograms, registries, event
-//! sinks) live in the dependency-free [`cpplookup_obs`] crate and are
-//! re-exported here. This module adds the *wiring*:
+//! The primitives (counters, histograms, registries) live in the
+//! dependency-free [`cpplookup_obs`] crate and are re-exported here.
+//! This module adds the *wiring*: the propagation work counters
+//! ([`propagation()`]) that make the paper's unambiguous-vs-ambiguous
+//! work split measurable, and the build, snapshot, serve and edit
+//! hooks, all in the process-wide [`global()`] registry.
 //!
-//! * **Per engine** — the summary counters (lookups, invalidations,
-//!   recomputations, edits) that power the
-//!   [`EngineStats`](crate::EngineStats) compatibility accessor, the
-//!   lookup latency histogram (queries are timed while an event sink is
-//!   installed), edit dirty-set/invalidation histograms, the ambiguity
-//!   counter and structured [`Event`] emission, all in a per-engine
-//!   [`Registry`].
-//! * **Process-wide** — the propagation work counters
-//!   ([`propagation()`]) that make the paper's unambiguous-vs-ambiguous
-//!   work split measurable, and the build, snapshot and serve hooks,
-//!   all in the [`global()`] registry.
-//!
-//! Each hot-path hook costs one relaxed atomic add; an event is built
-//! only when a sink is installed.
+//! Each hot-path hook costs one relaxed atomic add.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 pub use cpplookup_obs::{
-    global, CountingSink, Event, EventSink, Family, Gauge, Histogram, HistogramSnapshot,
-    MemorySink, MetricSnapshot, MetricValue, NullSink, Registry, Snapshot,
+    global, Family, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
+    Snapshot,
 };
 
 use cpplookup_obs::Counter;
@@ -305,236 +294,25 @@ pub fn index_published(epoch: u64, elapsed_ns: u64) {
     .observe(elapsed_ns);
 }
 
-/// The engine's metric handles, registered in a per-engine
-/// [`Registry`], plus its event sink.
-///
-/// `pub(crate)`: only `engine.rs` records through this; external
-/// consumers read the registry via
-/// [`LookupEngine::metrics_registry`](crate::LookupEngine::metrics_registry).
-pub(crate) struct EngineMetrics {
-    registry: Arc<Registry>,
-    pub(crate) lookups: Arc<Counter>,
-    pub(crate) lookup_nanos: Arc<Counter>,
-    pub(crate) invalidated: Arc<Counter>,
-    pub(crate) recomputed: Arc<Counter>,
-    pub(crate) edits: Arc<Counter>,
-    cached_entries: Arc<Gauge>,
-    latency: Arc<Histogram>,
-    ambiguous: Arc<Counter>,
-    edit_dirty: Arc<Histogram>,
-    edit_invalidated: Arc<Histogram>,
-    has_sink: AtomicBool,
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
-}
-
-impl std::fmt::Debug for EngineMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineMetrics")
-            .field("has_sink", &self.has_sink())
-            .finish_non_exhaustive()
-    }
-}
-
-impl EngineMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = Arc::new(Registry::new());
-        EngineMetrics {
-            lookups: registry.counter(
-                "engine_lookups_total",
-                "queries served (lookup + entry + batch elements)",
-            ),
-            lookup_nanos: registry.counter(
-                "engine_lookup_nanos_total",
-                "accumulated query wall-clock time (timed while an event sink is installed)",
-            ),
-            invalidated: registry.counter(
-                "engine_entries_invalidated_total",
-                "entries replaced or dropped by edits",
-            ),
-            recomputed: registry.counter(
-                "engine_entries_recomputed_total",
-                "entries recomputed as present by edits",
-            ),
-            edits: registry.counter("engine_edits_total", "individual hierarchy edits applied"),
-            cached_entries: registry.gauge(
-                "engine_cached_entries",
-                "entries in the engine's table (refreshed at snapshot time)",
-            ),
-            latency: registry.histogram(
-                "engine_lookup_latency_ns",
-                "per-query wall-clock latency (timed while an event sink is installed)",
-                Histogram::latency_ns(),
-            ),
-            ambiguous: registry.counter(
-                "engine_ambiguous_total",
-                "queries that returned an ambiguous entry",
-            ),
-            edit_dirty: registry.histogram(
-                "engine_edit_dirty_size",
-                "dirty-set closure size per edit batch",
-                Histogram::sizes(),
-            ),
-            edit_invalidated: registry.histogram(
-                "engine_edit_invalidated_size",
-                "entries replaced or dropped per edit batch",
-                Histogram::sizes(),
-            ),
-            has_sink: AtomicBool::new(false),
-            sink: RwLock::new(None),
-            registry,
-        }
-    }
-
-    pub(crate) fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Refreshes the table-size gauge and snapshots the registry.
-    pub(crate) fn snapshot(&self, cached_entries: u64) -> Snapshot {
-        self.cached_entries.set(cached_entries as i64);
-        self.registry.snapshot()
-    }
-
-    /// Records how the engine's table was made — built by the engine
-    /// (`eager`) or handed in (`seeded`) — as the `build_strategy` label
-    /// on `engine_build_info`, and how long that took
-    /// (`engine_build_seconds`, observed in nanoseconds); `stats`
-    /// surfaces both.
-    pub(crate) fn record_build(&self, strategy: &str, nanos: u64) {
-        self.registry
-            .counter_family(
-                "engine_build_info",
-                "engine table builds by strategy",
-                "build_strategy",
-            )
-            .with_label(strategy)
-            .inc();
-        self.registry
-            .histogram(
-                "engine_build_seconds",
-                "engine table build wall time (recorded in nanoseconds)",
-                Histogram::latency_ns(),
-            )
-            .observe(nanos);
-    }
-
-    /// Records one timed query's duration.
-    #[inline]
-    pub(crate) fn record_latency(&self, nanos: u64) {
-        self.lookup_nanos.add(nanos);
-        self.latency.observe(nanos);
-    }
-
-    /// Records a query that returned an ambiguous entry.
-    #[inline]
-    pub(crate) fn record_ambiguity(&self, class: u32, member: u32) {
-        self.ambiguous.inc();
-        self.emit(|| Event::AmbiguityEncountered { class, member });
-    }
-
-    /// Records an applied edit batch with its invalidation footprint.
-    pub(crate) fn record_edit(
-        &self,
-        edits: usize,
-        dirty: usize,
-        invalidated: u64,
-        recomputed: u64,
-        generation: u64,
-    ) {
-        self.edits.add(edits as u64);
-        self.invalidated.add(invalidated);
-        self.recomputed.add(recomputed);
-        self.edit_dirty.observe(dirty as u64);
-        self.edit_invalidated.observe(invalidated);
-        self.emit(|| Event::EditApplied {
-            edits,
-            dirty,
-            invalidated: invalidated as usize,
-            recomputed: recomputed as usize,
-            generation,
-        });
-    }
-
-    /// Whether an event sink is installed: the engine then also times
-    /// each query.
-    #[inline]
-    pub(crate) fn has_sink(&self) -> bool {
-        self.has_sink.load(Ordering::Acquire)
-    }
-
-    /// Installs (or removes, with `None`) the engine's event sink.
-    pub(crate) fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
-        self.has_sink.store(sink.is_some(), Ordering::Release);
-        *self.sink.write().expect("sink lock poisoned") = sink;
-    }
-
-    /// Sends an event to the installed sink, constructing it only when
-    /// a sink is present.
-    #[inline]
-    pub(crate) fn emit(&self, make: impl FnOnce() -> Event) {
-        if !self.has_sink() {
-            return;
-        }
-        if let Some(sink) = self.sink.read().expect("sink lock poisoned").as_ref() {
-            sink.record(&make());
-        }
-    }
+/// Records one [`IndexedEngine`](crate::serve::IndexedEngine) refresh
+/// in the [`global()`] registry: `serve_index_refresh_dirty_pairs`
+/// histograms the `(class, member)` pairs the edit recomputed — its
+/// whole dirty set, since every dirty pair is recomputed and no clean
+/// one is.
+#[inline]
+pub fn index_refreshed(dirty_pairs: u64) {
+    global()
+        .histogram(
+            "serve_index_refresh_dirty_pairs",
+            "(class, member) pairs recomputed per index refresh (the edit's dirty set)",
+            Histogram::sizes(),
+        )
+        .observe(dirty_pairs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_metrics_register_summary_counters() {
-        let m = EngineMetrics::new();
-        m.lookups.inc();
-        m.record_latency(500);
-        m.record_edit(1, 5, 3, 2, 1);
-        let snap = m.snapshot(7);
-        assert_eq!(snap.counter("engine_lookups_total"), Some(1));
-        assert_eq!(snap.counter("engine_lookup_nanos_total"), Some(500));
-        assert_eq!(snap.counter("engine_entries_invalidated_total"), Some(3));
-        assert_eq!(snap.counter("engine_entries_recomputed_total"), Some(2));
-        assert_eq!(snap.gauge("engine_cached_entries"), Some(7));
-    }
-
-    #[test]
-    fn latency_histogram_observes_timed_queries() {
-        let m = EngineMetrics::new();
-        m.record_latency(128);
-        m.record_latency(4096);
-        let snap = m.snapshot(0);
-        assert_eq!(snap.histogram("engine_lookup_latency_ns").unwrap().count, 2);
-        assert!(!snap.render_prometheus().contains("shard"));
-    }
-
-    #[test]
-    fn events_reach_the_sink_only_when_installed() {
-        let m = EngineMetrics::new();
-        let sink = Arc::new(MemorySink::new());
-        m.emit(|| Event::CacheHit); // no sink yet: dropped
-        assert!(!m.has_sink());
-        m.set_sink(Some(sink.clone()));
-        assert!(m.has_sink());
-        m.emit(|| Event::CacheHit);
-        m.record_edit(1, 5, 3, 2, 1);
-        m.set_sink(None);
-        m.emit(|| Event::CacheHit); // removed again: dropped
-        let events = sink.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0], Event::CacheHit);
-        assert_eq!(
-            events[1],
-            Event::EditApplied {
-                edits: 1,
-                dirty: 5,
-                invalidated: 3,
-                recomputed: 2,
-                generation: 1
-            }
-        );
-    }
 
     #[test]
     fn propagation_counters_accumulate() {
@@ -553,11 +331,18 @@ mod tests {
         serve_query("index", 3);
         index_built("table", 10, 640, 1_000);
         index_published(1, 50);
+        index_refreshed(4);
         let snap = global().snapshot();
         assert!(snap.counter("serve_index_publishes_total").unwrap() >= 1);
         assert!(snap.gauge("serve_index_bytes").is_some());
         assert!(snap.gauge("serve_index_epoch").is_some());
         assert!(snap.histogram("serve_index_build_seconds").unwrap().count >= 1);
+        assert!(
+            snap.histogram("serve_index_refresh_dirty_pairs")
+                .unwrap()
+                .count
+                >= 1
+        );
     }
 
     #[test]

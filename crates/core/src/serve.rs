@@ -104,7 +104,7 @@ use cpplookup_chg::{apply_edits, Chg, ChgError, ClassId, Edit, MemberId};
 use crate::abstraction::{LeastVirtual, RedAbs};
 use crate::api::MemberLookup;
 use crate::batched::elapsed_ns;
-use crate::engine::{dirty_set, recompute_dirty, LookupEngine, Recomputed};
+use crate::engine::{dirty_set, recompute_dirty, Recomputed};
 use crate::mph::{self, MphFunction};
 use crate::result::{Entry, LookupOutcome};
 use crate::table::{LookupOptions, LookupTable};
@@ -121,8 +121,6 @@ pub use crate::dispatch::{
 /// Implementors in this workspace:
 ///
 /// * [`LookupTable`], by value or by reference,
-/// * [`&LookupEngine`](LookupEngine) (its table is packed, the engine
-///   keeps serving),
 /// * [`DispatchIndex`] itself (identity — lets already-packed indexes
 ///   flow through backend-generic call sites),
 /// * `&SnapshotTable` in `cpplookup-snapshot` (a clone of the index the
@@ -142,12 +140,6 @@ impl IntoDispatchIndex for &LookupTable {
     fn into_dispatch_index(self) -> DispatchIndex {
         let start = Instant::now();
         DispatchIndex::pack_table(self).recorded("table", start)
-    }
-}
-
-impl IntoDispatchIndex for &LookupEngine {
-    fn into_dispatch_index(self) -> DispatchIndex {
-        self.table().into_dispatch_index()
     }
 }
 
@@ -815,9 +807,9 @@ pub struct DispatchIndex {
 
 impl DispatchIndex {
     /// Builds the index from any backend — the canonical construction
-    /// entry point. [`LookupTable`]s are packed, an engine packs its
-    /// table through a shared reference, a loaded snapshot shares the index
-    /// it holds; the backend itself decides via its
+    /// entry point. [`LookupTable`]s are packed (by value or through a
+    /// shared reference), a loaded snapshot shares the index it holds;
+    /// the backend itself decides via its
     /// [`IntoDispatchIndex`] impl.
     ///
     /// # Examples
@@ -825,13 +817,13 @@ impl DispatchIndex {
     /// ```
     /// use cpplookup_chg::fixtures;
     /// use cpplookup_core::serve::DispatchIndex;
-    /// use cpplookup_core::{LookupEngine, LookupTable};
+    /// use cpplookup_core::LookupTable;
     ///
     /// let g = fixtures::fig2();
-    /// let from_table = DispatchIndex::from_backend(LookupTable::build(&g));
-    /// let engine = LookupEngine::new(g);
-    /// let from_engine = DispatchIndex::from_backend(&engine);
-    /// assert_eq!(from_table.entry_count(), from_engine.entry_count());
+    /// let table = LookupTable::build(&g);
+    /// let from_ref = DispatchIndex::from_backend(&table);
+    /// let from_table = DispatchIndex::from_backend(table);
+    /// assert_eq!(from_table.entry_count(), from_ref.entry_count());
     /// ```
     pub fn from_backend(backend: impl IntoDispatchIndex) -> Self {
         backend.into_dispatch_index()
@@ -1413,7 +1405,7 @@ impl DispatchIndex {
 
     /// Every `(class, member, entry)` triple, class by class and by
     /// ascending member id within a class — the bulk export that seeds
-    /// an engine's table.
+    /// a [`LookupTable`].
     pub fn entries(&self) -> impl Iterator<Item = (ClassId, MemberId, Entry)> + '_ {
         (0..self.layout.class_count).flat_map(move |ci| {
             self.row(ci).map(move |i| {
@@ -1689,9 +1681,8 @@ impl ServeHandle {
 /// ```
 /// use cpplookup_chg::{fixtures, Edit};
 /// use cpplookup_core::serve::IndexedEngine;
-/// use cpplookup_core::LookupEngine;
 ///
-/// let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig2()));
+/// let mut serving = IndexedEngine::new(fixtures::fig2(), Default::default());
 /// let handle = serving.handle();
 /// let v0 = handle.load();
 /// serving.apply(&[Edit::AddClass { name: "Z".into() }])?;
@@ -1705,11 +1696,11 @@ pub struct IndexedEngine {
 }
 
 impl IndexedEngine {
-    /// Packs the engine's table into the initial index, published as
-    /// epoch 0, and keeps only the engine's hierarchy and options.
-    pub fn new(engine: LookupEngine) -> Self {
-        let handle = ServeHandle::serving(&engine);
-        Self::with_handle(engine.chg().clone(), engine.options(), handle)
+    /// Builds the table of `chg` under `options` and packs it into the
+    /// initial index, published as epoch 0; the table is dropped.
+    pub fn new(chg: Chg, options: LookupOptions) -> Self {
+        let handle = ServeHandle::serving(LookupTable::build_with(&chg, options));
+        Self::with_handle(chg, options, handle)
     }
 
     /// The write path of `chg` over a handle whose current index is
@@ -1727,8 +1718,11 @@ impl IndexedEngine {
     /// options, after [republishing](ServeHandle::republish) the
     /// handle's index, which must be the engine's table, as a fresh
     /// epoch: readers of the handle see every later edit without
-    /// re-resolving it. The engine's table is dropped.
-    pub fn attach(engine: LookupEngine, handle: ServeHandle) -> Self {
+    /// re-resolving it. The engine's table is dropped. (The benchmark's
+    /// edit ladder, which also edits a [`LookupEngine`](crate::LookupEngine)
+    /// bare, needs this; serving paths start from [`new`](Self::new) or
+    /// [`with_handle`](Self::with_handle).)
+    pub fn attach(engine: crate::LookupEngine, handle: ServeHandle) -> Self {
         handle.republish();
         Self::with_handle(engine.chg().clone(), engine.options(), handle)
     }
@@ -1779,9 +1773,8 @@ impl IndexedEngine {
     /// ```
     /// use cpplookup_chg::{fixtures, Edit};
     /// use cpplookup_core::serve::IndexedEngine;
-    /// use cpplookup_core::LookupEngine;
     ///
-    /// let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig2()));
+    /// let mut serving = IndexedEngine::new(fixtures::fig2(), Default::default());
     /// let run = [
     ///     Edit::AddClass { name: "Y".into() },
     ///     Edit::AddClass { name: "Z".into() },
@@ -1802,6 +1795,7 @@ impl IndexedEngine {
         let dirty = dirty_set(&chg, edits);
         let current = self.handle.load();
         let fresh = recompute_dirty(&chg, self.options, &dirty, |c, m| current.index.entry(c, m));
+        crate::obs::index_refreshed(fresh.len() as u64);
         let refreshed = current.index.refreshed(&chg, &fresh);
         self.chg = chg;
         Ok(self.handle.publish_advancing(refreshed, steps))
@@ -1857,21 +1851,35 @@ mod tests {
         }
     }
 
-    /// The index packed from an edited engine is the index packed from
-    /// a rebuilt table of the edited hierarchy.
+    /// The index an edited engine publishes is the index packed from a
+    /// rebuilt table of the edited hierarchy.
     #[test]
     fn from_engine_matches_from_table() {
         for g in graphs() {
-            let mut engine = LookupEngine::new(g.clone());
-            let z = engine.add_class("Z").unwrap();
+            let mut engine = IndexedEngine::new(g.clone(), LookupOptions::default());
+            let z = ClassId::from_index(g.class_count());
             let base = g.classes().next().unwrap_or(z);
+            let mut edits = vec![Edit::AddClass { name: "Z".into() }];
             if base != z {
-                engine.add_edge(z, base, Inheritance::NonVirtual).unwrap();
+                edits.push(Edit::AddEdge {
+                    derived: z,
+                    base,
+                    inheritance: Inheritance::NonVirtual,
+                    access: Access::Public,
+                });
             }
-            engine.add_member(base, "fresh").unwrap();
+            edits.push(Edit::AddMember {
+                class: base,
+                name: "fresh".into(),
+                decl: MemberDecl::public(MemberKind::Data),
+            });
+            for edit in &edits {
+                engine.apply(std::slice::from_ref(edit)).unwrap();
+            }
             let edited = engine.chg();
             let by_table = DispatchIndex::from_table(LookupTable::build(edited));
-            let by_engine = DispatchIndex::from_backend(&engine);
+            let published = engine.handle().load();
+            let by_engine = published.index();
             for c in edited.classes() {
                 for m in edited.member_ids() {
                     assert_eq!(by_table.entry(c, m), by_engine.entry(c, m));
@@ -1973,7 +1981,7 @@ mod tests {
 
     #[test]
     fn refreshed_columns_with_unreferenced_pool_words_validate() {
-        let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig1()));
+        let mut serving = IndexedEngine::new(fixtures::fig1(), LookupOptions::default());
         let e = serving.chg().class_by_name("E").unwrap();
         serving
             .apply(&[Edit::AddMember {
@@ -2016,7 +2024,7 @@ mod tests {
         );
 
         // Each edit supersedes E's witness set; the pool keeps them all.
-        let mut serving = IndexedEngine::new(LookupEngine::new(g));
+        let mut serving = IndexedEngine::new(g, LookupOptions::default());
         let e = serving.chg().class_by_name("E").unwrap();
         for (name, kind) in [("m", MemberKind::Function), ("x", MemberKind::Data)] {
             serving
@@ -2127,13 +2135,13 @@ mod tests {
         for g in graphs() {
             let by_table = DispatchIndex::from_table(LookupTable::build(&g));
             let via_table = DispatchIndex::from_backend(LookupTable::build(&g));
-            let engine = LookupEngine::new(g.clone());
-            let via_engine = DispatchIndex::from_backend(&engine);
+            let table = LookupTable::build(&g);
+            let via_ref = DispatchIndex::from_backend(&table);
             let via_identity = DispatchIndex::from_backend(by_table.clone());
             for c in g.classes() {
                 for m in g.member_ids() {
                     assert_eq!(by_table.entry(c, m), via_table.entry(c, m));
-                    assert_eq!(by_table.entry(c, m), via_engine.entry(c, m));
+                    assert_eq!(by_table.entry(c, m), via_ref.entry(c, m));
                     assert_eq!(by_table.entry(c, m), via_identity.entry(c, m));
                 }
             }
@@ -2145,8 +2153,8 @@ mod tests {
         let g = fixtures::fig2();
         let handle = ServeHandle::serving(LookupTable::build(&g));
         assert_eq!(handle.epoch(), 0);
-        let engine = LookupEngine::new(g.clone());
-        assert_eq!(handle.publish(DispatchIndex::from_backend(&engine)), 1);
+        let table = LookupTable::build(&g);
+        assert_eq!(handle.publish(DispatchIndex::from_backend(&table)), 1);
         assert_eq!(handle.epoch(), 1);
     }
 
@@ -2158,7 +2166,8 @@ mod tests {
         let reader = handle.clone();
         // …then its first edit promotes it to an engine-backed writer
         // on the *same* handle.
-        let mut serving = IndexedEngine::attach(LookupEngine::new(g.clone()), handle);
+        let engine = crate::LookupEngine::new(g.clone());
+        let mut serving = IndexedEngine::attach(engine, handle);
         assert_eq!(reader.epoch(), 1, "attach republishes as a fresh epoch");
         let epoch = serving
             .apply(&[Edit::AddClass { name: "Z".into() }])
@@ -2200,7 +2209,7 @@ mod tests {
     #[test]
     fn retention_window_serves_time_travel_reads() {
         let g = fixtures::fig2();
-        let mut serving = IndexedEngine::new(LookupEngine::new(g.clone()));
+        let mut serving = IndexedEngine::new(g.clone(), LookupOptions::default());
         let handle = serving.handle();
         handle.set_retention(3);
         let e = serving.chg().class_by_name("E").unwrap();
@@ -2233,7 +2242,7 @@ mod tests {
     #[test]
     fn indexed_engine_refresh_matches_rebuild() {
         let g = fixtures::fig2();
-        let mut serving = IndexedEngine::new(LookupEngine::new(g));
+        let mut serving = IndexedEngine::new(g, LookupOptions::default());
         let handle = serving.handle();
         let edits = [
             Edit::AddClass { name: "Z".into() },
@@ -2278,7 +2287,7 @@ mod tests {
     #[test]
     fn refresh_keeps_the_hash_when_the_key_set_is_unchanged() {
         let builds = || crate::obs::DIRECTORY_BUILDS.with(|n| n.get());
-        let mut serving = IndexedEngine::new(LookupEngine::new(fixtures::fig2()));
+        let mut serving = IndexedEngine::new(fixtures::fig2(), LookupOptions::default());
         let chg = serving.chg();
         let (c, e) = (
             chg.class_by_name("C").unwrap(),
@@ -2393,7 +2402,7 @@ mod tests {
     #[test]
     fn refresh_after_edge_edit_updates_dirty_rows_only() {
         let g = fixtures::fig9();
-        let mut serving = IndexedEngine::new(LookupEngine::new(g));
+        let mut serving = IndexedEngine::new(g, LookupOptions::default());
         let chg = serving.chg();
         let d = chg.class_by_name("D").unwrap();
         let s = chg.class_by_name("S").unwrap();

@@ -20,25 +20,21 @@
 //!   Prometheus text exposition, or JSON;
 //! * [`Span`] / [`SpanRecorder`] / [`SpanBuffer`] — request-scoped
 //!   phase attribution: single-writer span trees with per-trace
-//!   monotonic ids and oldest-dropped overflow;
-//! * [`Event`] / [`EventSink`] — structured per-query trace events
-//!   ([`MemorySink`], [`CountingSink`], [`NullSink`] provided).
+//!   monotonic ids and oldest-dropped overflow.
 //!
-//! `cpplookup-core` wires these into the engine behind its `obs`
-//! feature; this crate itself is always-on and feature-free so the
-//! engine's compatibility statistics keep working when tracing is
-//! compiled out.
+//! `cpplookup-core`'s `obs` module wires these into the propagation
+//! kernels, the builders and the serving layer; the server and the
+//! edit log register their own. There are no feature flags: every
+//! metric is always recorded.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod span;
 
-pub use event::{CountingSink, Event, EventSink, MemorySink, NullSink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{
     global, Family, Family2, GaugeFamily, HistogramFamily, MetricSnapshot, MetricValue, Registry,

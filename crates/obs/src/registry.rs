@@ -284,9 +284,9 @@ struct Registered {
 
 /// A named collection of metrics with get-or-create registration.
 ///
-/// Each [`LookupEngine`](../cpplookup_core/struct.LookupEngine.html)
-/// owns one; process-wide metrics (propagation counters, baseline
-/// comparisons) live in [`global()`].
+/// A server instance and an edit log each own one; process-wide
+/// metrics (propagation counters, builds, snapshots, the serving
+/// layer) live in [`global()`].
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: RwLock<Vec<Registered>>,
@@ -566,7 +566,7 @@ pub fn global() -> &'static Registry {
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricSnapshot {
     /// The registered name (Prometheus-style, e.g.
-    /// `engine_lookups_total`).
+    /// `serve_index_publishes_total`).
     pub name: String,
     /// The registered help text.
     pub help: String,

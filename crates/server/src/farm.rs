@@ -1,10 +1,9 @@
 //! The tenant farm: many hierarchies, one server.
 //!
-//! Each tenant is born as a loaded
-//! [`SnapshotTable`](cpplookup_snapshot::SnapshotTable) — validated,
-//! and for a version-3 file already holding its serving index, whose
-//! byte columns are the loaded file's own — and climbs a lifecycle
-//! ladder strictly on demand:
+//! Each tenant is born as a loaded [`SnapshotTable`] — validated, and
+//! for a version-3 file already holding its serving index, whose byte
+//! columns are the loaded file's own — and climbs a lifecycle ladder
+//! strictly on demand:
 //!
 //! ```text
 //!           LOAD                    first read               first EDIT
@@ -18,14 +17,15 @@
 //! The promotion step takes the snapshot's index through the
 //! backend-generic [`IntoDispatchIndex`](cpplookup_core::IntoDispatchIndex)
 //! surface — a reference-count bump, nothing is decoded or packed — and
-//! publishes it as epoch 0 on the tenant's
-//! [`ServeHandle`](cpplookup_core::ServeHandle); the edit step rebuilds
-//! the hierarchy and republishes that index, unrepacked, as epoch 1 for
-//! an [`IndexedEngine`](cpplookup_core::IndexedEngine) on the same
-//! handle. The index is the only table the tenant keeps: each edit
-//! recomputes its dirty pairs from it, and compaction writes it (its
-//! pool compacted), with the live hierarchy, as the tenant's checkpoint. (A version-1 or -2
-//! file decodes its entries into the same index at load.)
+//! publishes it as epoch 0 on the tenant's [`ServeHandle`]; the edit
+//! step rebuilds the hierarchy, republishes that index, unrepacked, as
+//! epoch 1 for an [`IndexedEngine`] on the same handle, and releases
+//! the loaded file: the retained epochs keep whatever buffers they
+//! still share. The index is the only table the
+//! tenant keeps: each edit recomputes its dirty pairs from it, and
+//! compaction writes it (its pool compacted), with the live hierarchy,
+//! as the tenant's checkpoint. (A version-1 or -2 file decodes its
+//! entries into the same index at load.)
 //!
 //! Every read — a QUERY is a batch of one — goes through one core,
 //! [`Tenant::read_into`]: resolve the borrowed names into a reused id
@@ -48,7 +48,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use cpplookup_chg::fxmap::FxHashMap;
 use cpplookup_chg::{Chg, ClassId, Edit, Inheritance, MemberDecl, MemberId, MemberKind};
-use cpplookup_core::{IndexedEngine, LeastVirtual, OutcomeRef, ServeHandle};
+use cpplookup_core::{IndexedEngine, LeastVirtual, LookupOptions, OutcomeRef, ServeHandle};
 use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_wal::{Stamped, WalRecord, WalStore};
 
@@ -228,7 +228,15 @@ fn unknown(what: &str, name: &str) -> FarmError {
 /// One tenant: a snapshot plus its lazily built serving state.
 pub struct Tenant {
     name: Arc<str>,
-    snapshot: Arc<SnapshotTable>,
+    /// The loaded file until the tenant goes live: promotion serves its
+    /// index, and a compaction of the never-edited tenant copies its
+    /// bytes. Going live releases it; queries read it only inside the
+    /// single-flight promotion, which going live completes first.
+    snapshot: RwLock<Option<Arc<SnapshotTable>>>,
+    /// The file's lookup options, kept past its release.
+    options: LookupOptions,
+    /// The file's size, kept past its release for STATS.
+    snapshot_bytes: usize,
     /// Set exactly once, at promotion; `get_or_init` makes concurrent
     /// promoters single-flight.
     serve: OnceLock<ServeHandle>,
@@ -253,7 +261,9 @@ impl Tenant {
         let names = Names::from_snapshot(&table);
         Tenant {
             name: name.into(),
-            snapshot: Arc::new(table),
+            options: table.options(),
+            snapshot_bytes: table.size_bytes(),
+            snapshot: RwLock::new(Some(Arc::new(table))),
             serve: OnceLock::new(),
             live: Mutex::new(None),
             names: RwLock::new(Arc::new(names)),
@@ -281,12 +291,24 @@ impl Tenant {
             self.metrics.promotions.inc();
             self.metrics.tenant_promotions.with_label(&self.name).inc();
             self.metrics.tenant_epoch.with_label(&self.name).set(0);
-            let handle = ServeHandle::serving(&*self.snapshot);
+            let handle = ServeHandle::serving(
+                &*self
+                    .loaded()
+                    .expect("a tenant keeps its file until it goes live, which promotes it first"),
+            );
             if self.retain_epochs > 1 {
                 handle.set_retention(self.retain_epochs);
             }
             handle
         })
+    }
+
+    /// The loaded file; `None` once the tenant is live.
+    fn loaded(&self) -> Option<Arc<SnapshotTable>> {
+        self.snapshot
+            .read()
+            .expect("snapshot lock poisoned")
+            .clone()
     }
 
     fn names(&self) -> Arc<Names> {
@@ -365,13 +387,18 @@ impl Tenant {
         live: &'a mut Option<IndexedEngine>,
     ) -> Result<&'a mut IndexedEngine, FarmError> {
         if live.is_none() {
-            let chg = self.snapshot.to_chg().map_err(|e| {
+            let handle = self.promote().clone();
+            let mut slot = self.snapshot.write().expect("snapshot lock poisoned");
+            let file = slot
+                .as_ref()
+                .expect("a tenant keeps its file until it goes live");
+            let chg = file.to_chg().map_err(|e| {
                 let why = format!("cannot rebuild the hierarchy of `{}`: {e}", self.name);
                 (ErrorCode::EditRejected, why)
             })?;
-            let (handle, options) = (self.promote().clone(), self.snapshot.options());
             handle.republish();
-            *live = Some(IndexedEngine::with_handle(chg, options, handle));
+            *live = Some(IndexedEngine::with_handle(chg, self.options, handle));
+            *slot = None;
         }
         Ok(live.as_mut().expect("just set"))
     }
@@ -502,13 +529,19 @@ impl Tenant {
     /// before; `snapshot_bytes` is always the file's size.
     fn stats_json(&self) -> String {
         let live = self.live.lock().expect("live lock poisoned").is_some();
-        let (classes, entries, epoch) = match self.serve.get() {
-            Some(handle) => {
+        // The file first: a tenant releases it only after promotion, so
+        // a released file means the handle below is set.
+        let file = self.loaded();
+        let (classes, entries, epoch) = match (self.serve.get(), file) {
+            (Some(handle), _) => {
                 let published = handle.load();
                 let index = published.index();
                 (index.class_count(), index.entry_count(), published.epoch())
             }
-            None => (self.snapshot.class_count(), self.snapshot.entry_count(), 0),
+            (None, file) => {
+                let file = file.expect("a tenant releases its file only after promotion");
+                (file.class_count(), file.entry_count(), 0)
+            }
         };
         format!(
             "{{\"tenant\":{},\"classes\":{},\"entries\":{},\"snapshot_bytes\":{},\
@@ -516,7 +549,7 @@ impl Tenant {
             json_str(&self.name),
             classes,
             entries,
-            self.snapshot.size_bytes(),
+            self.snapshot_bytes,
             self.is_promoted(),
             live,
             epoch,
@@ -1078,11 +1111,12 @@ impl Farm {
             let captured = live
                 .as_ref()
                 .map(|serving| (serving.chg().clone(), t.promote().load()));
+            let cold = t.loaded();
             drop(live);
             let file = dir.join(format!("{}-seq{cutoff}.snap", sanitize_name(&t.name)));
             let epoch = match captured {
                 Some((chg, published)) => {
-                    Snapshot::from_index(&chg, published.index(), t.snapshot.options())
+                    Snapshot::from_index(&chg, published.index(), t.options)
                         .write_to(&file)
                         .map_err(|e| io("checkpoint write", &e))?;
                     published.epoch()
@@ -1090,7 +1124,8 @@ impl Farm {
                 None => {
                     // Never edited: the validated snapshot image is the
                     // state, verbatim.
-                    std::fs::write(&file, t.snapshot.as_bytes())
+                    let image = cold.expect("a tenant that is not live keeps its file");
+                    std::fs::write(&file, image.as_bytes())
                         .map_err(|e| io("checkpoint write", &e))?;
                     0
                 }
@@ -1770,6 +1805,64 @@ mod tests {
         for (c, m) in [("E", "m"), ("E", "fresh"), ("Z", "fresh")] {
             assert_eq!(follower.query("t", c, m), leader.query("t", c, m));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Going live releases the loaded file: only the values STATS and
+    /// compaction still need are kept, and a cold tenant beside it
+    /// still checkpoints as its file, verbatim.
+    #[test]
+    fn a_live_tenant_drops_its_loaded_file() {
+        let dir = scratch("release");
+        let leader = logging_farm(&dir, &fixtures::fig2());
+        let cold = dir.join("u.snap");
+        Snapshot::compile(&fixtures::fig1())
+            .write_to(&cold)
+            .unwrap();
+        leader.load("u", &cold).unwrap();
+        let tenant = leader.tenant("t").unwrap();
+        let file = Arc::downgrade(&tenant.loaded().expect("loaded"));
+        let bytes_field = |json: &str| {
+            let at = json.find("\"snapshot_bytes\":").unwrap() + 17;
+            json[at..].split([',', '}']).next().unwrap().to_owned()
+        };
+        let before = bytes_field(&leader.stats_json("t").unwrap());
+        leader.query("t", "E", "m").unwrap();
+        assert!(file.upgrade().is_some(), "a promoted tenant keeps its file");
+
+        leader.edit("t", "class Z").unwrap();
+        assert!(
+            file.upgrade().is_none(),
+            "the live tenant released its file"
+        );
+        assert!(tenant.loaded().is_none());
+        assert_eq!(bytes_field(&leader.stats_json("t").unwrap()), before);
+        assert_eq!(
+            before,
+            std::fs::metadata(dir.join("t.snap"))
+                .unwrap()
+                .len()
+                .to_string()
+        );
+        assert_eq!(leader.query("t", "Z", "m").unwrap(), WireOutcome::NotFound);
+        assert!(leader.query("t", "E", "m").is_ok());
+
+        leader.compact_wal(&dir.join("ckpt")).unwrap();
+        let records = cpplookup_wal::read_all(leader.wal().unwrap().path()).unwrap();
+        let checkpoint = |tenant: &str| {
+            records
+                .iter()
+                .find_map(|r| match &r.record {
+                    WalRecord::Checkpoint {
+                        tenant: t, path, ..
+                    } if t == tenant => Some(std::fs::read(path).unwrap()),
+                    _ => None,
+                })
+                .unwrap()
+        };
+        assert_eq!(checkpoint("u"), std::fs::read(&cold).unwrap());
+        let live = SnapshotTable::from_bytes(checkpoint("t")).unwrap();
+        assert!(live.class_by_name("Z").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

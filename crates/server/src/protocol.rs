@@ -101,7 +101,7 @@ pub mod flags {
     pub const ALL: u8 = TRACE | AS_OF;
 }
 
-/// Structured protocol error codes carried by [`Response::Error`](super::Response::Error).
+/// Structured protocol error codes carried by [`Response::Error`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
@@ -357,7 +357,7 @@ pub enum Response {
         /// Snapshot size in bytes.
         bytes: u64,
     },
-    /// Answer to [`Request::Query`](super::Request::Query).
+    /// Answer to [`Request::Query`].
     Outcome(WireOutcome),
     /// Answers to [`Request::Batch`], in probe order.
     Outcomes(Vec<WireOutcome>),

@@ -15,7 +15,7 @@
 //!   is idempotent by construction.
 //! * **File** ([`FollowSource::File`]): the leader's log file is tailed
 //!   directly (same host or shared filesystem) with
-//!   [`FileTailer`](cpplookup_wal::FileTailer); a torn tail — the
+//!   [`FileTailer`]; a torn tail — the
 //!   leader mid-append — reads as "no new records yet".
 //!
 //! Replication lag is measured per record as apply-time minus the

@@ -3,7 +3,7 @@
 //!
 //! Both models drive the same per-connection state machine (the
 //! crate-private `conn` module: framing, admin sniffing, frame-damage
-//! policy, fairness cap), which hands each frame to [`process_body`]
+//! policy, fairness cap), which hands each frame to `process_body`
 //! here — so their responses are byte-identical by construction. The
 //! default [`IoModel::Threads`] runs one OS thread per connection with
 //! the blocking driver — a fine trade at modest concurrency: a
@@ -30,7 +30,7 @@
 //! # Observability
 //!
 //! Every request is clocked at its phase boundaries (frame read,
-//! decode, and — through [`ProbeTiming`](crate::farm::ProbeTiming) —
+//! decode, and — through [`ProbeTiming`] —
 //! name resolution, promotion wait, and the directory probe). A
 //! request carrying the protocol's TRACE flag gets those boundaries
 //! back as a span tree in a [`Response::Traced`]; the spans are built
@@ -647,7 +647,7 @@ fn op_label(req: &Request) -> &'static str {
 }
 
 /// Executes one decoded request that is not a read against the farm.
-/// (`QUERY` and `BATCH` take the borrowed path in [`process_body`], and
+/// (`QUERY` and `BATCH` take the borrowed path in `process_body`, and
 /// [`Request::Subscribe`] becomes a connection takeover there.)
 fn handle(shared: &Shared, req: Request) -> Result<Response, FarmError> {
     let farm = &shared.farm;

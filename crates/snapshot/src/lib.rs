@@ -29,7 +29,7 @@
 //!   version-skewed input always yields a structured error, never a
 //!   panic and never a wrong answer.
 //!
-//! The file layout is documented in [`format`].
+//! The file layout is documented in [`format`](mod@format).
 //!
 //! # Example
 //!

@@ -49,18 +49,11 @@ impl Snapshot {
         Self::from_index(chg, &index, options)
     }
 
-    /// Like [`compile_with`](Snapshot::compile_with), but builds the
-    /// table with the work-stealing parallel sweep on `jobs` worker
-    /// threads (clamped to at least 1). The resulting bytes are
-    /// identical to the sequential compile: the parallel build produces
-    /// the same entries and the index packs them in sorted order.
-    pub fn compile_parallel(chg: &Chg, options: LookupOptions, jobs: usize) -> Snapshot {
-        let index = DispatchIndex::from_table(LookupTable::build_parallel(chg, options, jobs));
-        Self::from_index(chg, &index, options)
-    }
-
     /// Serializes an already-built table (the table must have been built
-    /// from `chg`).
+    /// from `chg`), such as a parallel build's
+    /// ([`LookupTable::build_parallel`]): the bytes do not depend on how
+    /// the table was built, since the index packs its entries in sorted
+    /// order.
     pub fn from_table(chg: &Chg, table: &LookupTable) -> Snapshot {
         Self::from_index(chg, &DispatchIndex::from_backend(table), table.options())
     }
@@ -290,7 +283,8 @@ mod tests {
         for g in [fixtures::fig1(), fixtures::fig3(), fixtures::fig9()] {
             let seq = Snapshot::compile(&g);
             for jobs in [1, 3, 8] {
-                let par = Snapshot::compile_parallel(&g, LookupOptions::default(), jobs);
+                let table = LookupTable::build_parallel(&g, LookupOptions::default(), jobs);
+                let par = Snapshot::from_table(&g, &table);
                 assert_eq!(seq.as_bytes(), par.as_bytes(), "jobs={jobs}");
             }
         }

@@ -10,7 +10,7 @@
 //!   checksummed, length-prefixed frame codec. Framing mirrors the wire
 //!   protocol so one set of corruption arguments covers both.
 //! * [`log`] — the file format (header + frames), lenient crash
-//!   [`recovery`](log::recover) vs strict [`read_all`](log::read_all),
+//!   [`recovery`](log::recover) vs strict [`read_all`],
 //!   and the batch-fsync [`WalWriter`].
 //! * [`store`] — [`WalStore`], the shared handle a server hangs onto:
 //!   thread-safe append, in-process tailing with blocking

@@ -10,42 +10,24 @@
 //! cpplookup-cli audit  <file.cpp>            ambiguity lint + subobject blowup report
 //! cpplookup-cli dot    <file.cpp>            Graphviz export of the class hierarchy
 //! cpplookup-cli export <file.cpp>            JSON export of the class hierarchy
-//! cpplookup-cli stats  <file.cpp> [--json|--prometheus] [--backend B]
-//!                                            sweep every (class, member) pair through the
-//!                                            lookup engine, then dump the metrics registry
-//! cpplookup-cli batch  <file.cpp> [--metrics] [--jobs N] [--serve] [--backend B]
+//! cpplookup-cli query  <file.cpp> <class> <member>
+//!                                            answer one lookup query from the table
+//! cpplookup-cli batch  <file.cpp> [--metrics]
 //!                                            answer `class member` query pairs from stdin
-//!                                            via the lookup engine; engine statistics
-//!                                            go to stderr on exit. With --metrics,
-//!                                            times every query, accepts
-//!                                            `!class N` / `!member C N` /
-//!                                            `!edge D B [virtual]` edit directives, and
-//!                                            finishes with a JSON metrics snapshot on
-//!                                            stdout (per-edit invalidation sizes included).
-//!                                            --jobs N sets the table build's thread count
-//!                                            (default: available parallelism). With
-//!                                            --serve, queries are answered from the flat
-//!                                            dispatch index published by an IndexedEngine
-//!                                            (edit directives recompute their dirty pairs and
-//!                                            publish a new epoch); index size and epochs
-//!                                            are reported to stderr
-//! cpplookup-cli compile <file.cpp> -o <out.snap> [--jobs N]
-//!                                            compile the hierarchy and lookup table into a
-//!                                            binary snapshot ("compile once, serve many");
-//!                                            --jobs N compiles the table on N worker
-//!                                            threads (byte-identical output)
-//! cpplookup-cli query  <file.cpp> <class> <member> [--backend B]
-//!                                            answer one lookup query
-//! cpplookup-cli query  --snapshot <file.snap> <class> <member>
-//!                                            the same, served straight from a snapshot
-//!                                            without rebuilding the table
-//! cpplookup-cli batch  --snapshot <file.snap> [--metrics] [--serve]
-//!                                            batch mode over an engine warm-started from
-//!                                            the snapshot's serialized entries; --serve
-//!                                            serves from the flat dispatch index instead
-//! cpplookup-cli stats  --snapshot <file.snap> [--json|--prometheus]
-//!                                            pack the dispatch index straight from the
-//!                                            snapshot and dump the metrics registry
+//!                                            and apply `!class N` / `!member C N` /
+//!                                            `!edge D B [virtual]` edit directives in
+//!                                            stream order; index size and epochs go to
+//!                                            stderr. --metrics prints the process metrics
+//!                                            as one JSON line at the end of stdout
+//! cpplookup-cli stats  <file.cpp> [--json|--prometheus]
+//!                                            pack the dispatch index and dump the process
+//!                                            metrics
+//! cpplookup-cli compile <file.cpp> -o <out.snap>
+//!                                            write the hierarchy and its lookup table as a
+//!                                            binary snapshot ("compile once, serve many")
+//! cpplookup-cli <query|batch|stats> --snapshot <file.snap> [args]
+//!                                            the same three, served from a snapshot
+//!                                            without the source or a table build
 //! cpplookup-cli serve   [--addr HOST:PORT] [--tenant NAME=PATH]...
 //!                                            run the multi-tenant wire-protocol server
 //!                                            (see cpplookup-serverd for all flags)
@@ -57,28 +39,18 @@
 //!                                            server's span tree as an attributed breakdown
 //! ```
 //!
-//! `query`, `batch`, and `stats` answer through one of four backends
-//! behind the same unified `IntoDispatchIndex` API, selected with
-//! `--backend {table,engine,snapshot,index}`:
-//!
-//! * `table` — the freshly built immutable [`LookupTable`] (default
-//!   for `query`; in `batch` it rejects edit directives),
-//! * `engine` — a [`LookupEngine`] (default for `batch` and `stats`),
-//! * `snapshot` — a loaded binary snapshot; spelled `--snapshot
-//!   <file.snap>` since it needs the artifact path,
-//! * `index` — the flat [`DispatchIndex`] packed from the table (for
-//!   `batch` this is the epoch-published serve loop, alias `--serve`).
-//!
-//! `--snapshot`/`--serve` stay as the canonical spellings of the
-//! snapshot and index backends; contradictory combinations (e.g.
-//! `--snapshot` with `--backend table`) exit 2.
+//! Every source command builds the lookup table once, in
+//! [`analyze`]. `batch` serves that table, packed into a
+//! [`DispatchIndex`], through an [`IndexedEngine`]: a query reads the
+//! published index and an edit directive recomputes its dirty pairs and
+//! publishes a new epoch. `batch --snapshot` runs the same loop over the
+//! index the snapshot file holds, so both answer byte-identically.
 //!
 //! Exit status: 0 on success, 1 on resolution errors (`check`) or
-//! unknown query names (`batch`, `query`), 2 on usage/IO errors
-//! (including snapshot integrity failures).
+//! unknown names and rejected lines (`batch`, `query`), 2 on usage/IO
+//! errors (including snapshot integrity failures).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use cpplookup::chg::dot::to_dot;
 use cpplookup::chg::spec::ChgSpec;
@@ -89,68 +61,11 @@ use cpplookup::lookup::trace::{render_trace, trace_member, trace_to_dot, trace_t
 use cpplookup::obs;
 use cpplookup::subobject::stats::count_subobjects;
 use cpplookup::{
-    Access, Chg, ClassId, DispatchIndex, Edit, IndexedEngine, Inheritance, LookupEngine,
-    LookupOptions, LookupOutcome, LookupTable, MemberDecl, MemberId, MemberKind, ServeHandle,
-    Snapshot, SnapshotTable,
+    Access, Chg, ClassId, DispatchIndex, Edit, IndexedEngine, Inheritance, LookupOptions,
+    LookupOutcome, MemberDecl, MemberId, MemberKind, ServeHandle, Snapshot, SnapshotTable,
 };
 
-const USAGE: &str = "usage: cpplookup-cli <check|table|trace|layout|audit|dot|export|stats|batch|compile|query> <file.cpp> [args]\n       cpplookup-cli <query|batch|stats> --snapshot <file.snap> [args]\n       cpplookup-cli <query|batch|stats> <file.cpp> --backend <table|engine|snapshot|index> [args]\n       cpplookup-cli serve [--addr HOST:PORT] [--tenant NAME=PATH]...\n       cpplookup-cli loadgen --addr HOST:PORT --snapshot PATH [args]\n       cpplookup-cli query --addr HOST:PORT --tenant NAME CLASS MEMBER [--trace]";
-
-/// The lookup backend a `query`/`batch`/`stats` invocation answers
-/// from. All four sit behind [`DispatchIndex::from_backend`]'s
-/// `IntoDispatchIndex` surface; the CLI names them so the same command
-/// can exercise any of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Backend {
-    /// The freshly built immutable [`LookupTable`].
-    Table,
-    /// A [`LookupEngine`] (edits allowed in `batch`).
-    Engine,
-    /// A loaded binary snapshot (needs the `--snapshot <path>` form).
-    Snapshot,
-    /// The flat [`DispatchIndex`]; in `batch`, the epoch-published
-    /// serve loop (alias `--serve`).
-    Index,
-}
-
-impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Table => "table",
-            Backend::Engine => "engine",
-            Backend::Snapshot => "snapshot",
-            Backend::Index => "index",
-        }
-    }
-}
-
-/// Extracts an optional `--backend B` flag, returning the backend and
-/// the remaining arguments.
-fn parse_backend(rest: &[String]) -> Result<(Option<Backend>, Vec<String>), String> {
-    let mut backend = None;
-    let mut remaining = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg != "--backend" {
-            remaining.push(arg.clone());
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or("--backend expects one of table, engine, snapshot, index")?;
-        let parsed = match value.as_str() {
-            "table" => Backend::Table,
-            "engine" => Backend::Engine,
-            "snapshot" => Backend::Snapshot,
-            "index" => Backend::Index,
-            other => return Err(format!("unknown backend `{other}`")),
-        };
-        if backend.replace(parsed).is_some() {
-            return Err("--backend given more than once".to_owned());
-        }
-    }
-    Ok((backend, remaining))
-}
+const USAGE: &str = "usage: cpplookup-cli <check|table|trace|layout|audit|dot|export|query|batch|stats|compile> <file.cpp> [args]\n       cpplookup-cli <query|batch|stats> --snapshot <file.snap> [args]\n       cpplookup-cli serve [--addr HOST:PORT] [--tenant NAME=PATH]...\n       cpplookup-cli loadgen --addr HOST:PORT --snapshot PATH [args]\n       cpplookup-cli query --addr HOST:PORT --tenant NAME CLASS MEMBER [--trace]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -171,32 +86,22 @@ fn main() -> ExitCode {
     // they dispatch before the UTF-8 source read below.
     if let [command, flag, file, rest @ ..] = args.as_slice() {
         if flag == "--snapshot" {
-            // `--snapshot <path>` is the canonical spelling of
-            // `--backend snapshot`; naming any other backend alongside
-            // it is a contradiction.
-            let rest = match parse_backend(rest) {
-                Ok((None | Some(Backend::Snapshot), rest)) => rest,
-                Ok((Some(other), _)) => {
-                    eprintln!(
-                        "cpplookup-cli: --snapshot conflicts with --backend {}",
-                        other.name()
-                    );
-                    return ExitCode::from(2);
-                }
+            if !matches!(command.as_str(), "query" | "batch" | "stats") {
+                eprintln!("cpplookup-cli: `{command}` does not take --snapshot\n{USAGE}");
+                return ExitCode::from(2);
+            }
+            let snap = match SnapshotTable::load(file) {
+                Ok(s) => s,
                 Err(e) => {
-                    eprintln!("cpplookup-cli: {e}\n{USAGE}");
+                    eprintln!("cpplookup-cli: {e}");
                     return ExitCode::from(2);
                 }
             };
-            match command.as_str() {
-                "query" => return snapshot_query(file, &rest),
-                "batch" => return snapshot_batch(file, &rest),
-                "stats" => return snapshot_stats(file, &rest),
-                other => {
-                    eprintln!("cpplookup-cli: `{other}` does not take --snapshot\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
+            return match command.as_str() {
+                "query" => snapshot_query(&snap, rest),
+                "batch" => snapshot_batch(&snap, file, rest),
+                _ => stats(DispatchIndex::from_backend(&snap), rest),
+            };
         }
     }
     let (command, file, rest) = match args.as_slice() {
@@ -234,7 +139,7 @@ fn main() -> ExitCode {
             println!("{}", ChgSpec::from_chg(&analysis.chg).to_json());
             ExitCode::SUCCESS
         }
-        "stats" => stats(&analysis, rest),
+        "stats" => stats(DispatchIndex::from_backend(&analysis.table), rest),
         "batch" => batch(&analysis, rest),
         "compile" => compile(&analysis, rest),
         "query" => query(&analysis, rest),
@@ -303,14 +208,13 @@ fn table(analysis: &Analysis) {
 /// preceding edit directives), or a line that already failed to parse.
 type PendingLine = (String, Result<(String, String), String>);
 
-/// Resolves the pending lines' names against `chg`, answers the valid
-/// queries through one `lookup` batch, and prints a verdict per line.
-/// Returns whether any line failed.
-fn flush_pending(
-    chg: &Chg,
-    pending: &mut Vec<PendingLine>,
-    lookup: impl FnOnce(&[(ClassId, MemberId)]) -> Vec<LookupOutcome>,
-) -> bool {
+/// Resolves the pending lines' names against the engine's hierarchy,
+/// answers the valid queries through one batch over the currently
+/// published [`DispatchIndex`] — the handle is loaded once per flush,
+/// exactly as a reader thread would pin an epoch — and prints a verdict
+/// per line. Returns whether any line failed.
+fn flush(serving: &IndexedEngine, pending: &mut Vec<PendingLine>) -> bool {
+    let chg = serving.chg();
     let resolved: Vec<Result<(ClassId, MemberId), String>> = pending
         .iter()
         .map(|(_, slot)| match slot {
@@ -326,7 +230,8 @@ fn flush_pending(
         .iter()
         .filter_map(|r| r.as_ref().ok().copied())
         .collect();
-    let mut outcomes = lookup(&queries).into_iter();
+    let published = serving.handle().load();
+    let mut outcomes = published.index().lookup_batch(&queries).into_iter();
     let mut failed = false;
     for ((label, _), slot) in pending.iter().zip(&resolved) {
         let verdict = match slot {
@@ -334,35 +239,16 @@ fn flush_pending(
                 failed = true;
                 format!("error: {e}")
             }
-            Ok((_, m)) => match outcomes.next().expect("one outcome per valid query") {
-                LookupOutcome::Resolved { class, .. } => {
-                    format!("{}::{}", chg.class_name(class), chg.member_name(*m))
-                }
-                LookupOutcome::Ambiguous { .. } => "ambiguous".to_owned(),
-                LookupOutcome::NotFound => "not found".to_owned(),
-            },
+            Ok((_, m)) => render_verdict(
+                outcomes.next().expect("one outcome per valid query"),
+                chg.member_name(*m),
+                |c| chg.class_name(c).to_owned(),
+            ),
         };
         println!("{label:<24} {verdict}");
     }
     pending.clear();
     failed
-}
-
-/// [`flush_pending`] through a [`LookupEngine`] batch.
-fn flush_batch(engine: &LookupEngine, pending: &mut Vec<PendingLine>) -> bool {
-    flush_pending(engine.chg(), pending, |queries| {
-        engine.lookup_batch(queries)
-    })
-}
-
-/// [`flush_pending`] through the currently published [`DispatchIndex`]:
-/// the handle is loaded once per flush, exactly as a reader thread
-/// would pin an epoch for a batch.
-fn flush_serve(serving: &IndexedEngine, pending: &mut Vec<PendingLine>) -> bool {
-    let published = serving.handle().load();
-    flush_pending(serving.chg(), pending, |queries| {
-        published.index().lookup_batch(queries)
-    })
 }
 
 /// Parses a `class member` query line into a buffered [`PendingLine`].
@@ -377,282 +263,6 @@ fn parse_query_line(line: &str) -> PendingLine {
         Err(_) => line.to_owned(),
     };
     (label, slot)
-}
-
-/// Applies one `!class` / `!member` / `!edge` edit directive to the
-/// engine, acknowledging it on stderr.
-fn apply_directive(engine: &mut LookupEngine, line: &str) -> Result<(), String> {
-    let words: Vec<&str> = line.split_whitespace().collect();
-    let class_id = |engine: &LookupEngine, name: &str| {
-        engine
-            .chg()
-            .class_by_name(name)
-            .ok_or_else(|| format!("no class named `{name}`"))
-    };
-    match words.as_slice() {
-        ["!class", name] => {
-            engine.add_class(name).map_err(|e| e.to_string())?;
-        }
-        ["!member", class, name] => {
-            let c = class_id(engine, class)?;
-            engine.add_member(c, name).map_err(|e| e.to_string())?;
-        }
-        ["!edge", derived, base, rest @ ..] => {
-            let inheritance = match rest {
-                [] => Inheritance::NonVirtual,
-                ["virtual"] => Inheritance::Virtual,
-                _ => return Err("expected `!edge DERIVED BASE [virtual]`".to_owned()),
-            };
-            let d = class_id(engine, derived)?;
-            let b = class_id(engine, base)?;
-            engine
-                .add_edge(d, b, inheritance)
-                .map_err(|e| e.to_string())?;
-        }
-        _ => {
-            return Err(
-                "expected `!class NAME`, `!member CLASS NAME`, or `!edge DERIVED BASE [virtual]`"
-                    .to_owned(),
-            )
-        }
-    }
-    eprintln!("applied: {line}");
-    Ok(())
-}
-
-/// Renders the engine's metrics snapshot as JSON with a per-edit array
-/// (sizes taken from the [`obs::Event::EditApplied`] events captured by
-/// the in-memory sink) spliced in.
-fn metrics_json(engine: &LookupEngine, sink: &obs::MemorySink) -> String {
-    let mut out = engine.metrics_snapshot().render_json();
-    debug_assert!(out.ends_with('}'));
-    out.pop();
-    out.push_str(",\"edits\":[");
-    let mut first = true;
-    for event in sink.events() {
-        if let obs::Event::EditApplied {
-            edits,
-            dirty,
-            invalidated,
-            recomputed,
-            generation,
-        } = event
-        {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"edits\":{edits},\"dirty\":{dirty},\"invalidated\":{invalidated},\
-                 \"recomputed\":{recomputed},\"generation\":{generation}}}"
-            ));
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Reads whitespace-separated `class member` pairs from stdin (blank
-/// lines and `#` comments skipped), answers them all through a
-/// [`LookupEngine`] batch, and reports the engine's statistics to
-/// stderr at the end.
-///
-/// With `--metrics` an event sink is installed, so every query is
-/// timed, lines starting with `!` are edit directives (each one flushes
-/// the buffered queries first, so lookups observe the hierarchy as of
-/// their position in the stream), and a JSON metrics snapshot —
-/// including per-edit dirty-set and invalidation sizes — is printed to
-/// stdout at the end.
-fn batch(analysis: &Analysis, rest: &[String]) -> ExitCode {
-    let (backend, rest) = match parse_backend(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics = rest.iter().any(|a| a == "--metrics");
-    let serve = rest.iter().any(|a| a == "--serve");
-    // `--serve` is the canonical spelling of `--backend index`.
-    let backend = match (backend, serve) {
-        (None | Some(Backend::Index), true) => Backend::Index,
-        (Some(other), true) => {
-            eprintln!(
-                "cpplookup-cli: --serve conflicts with --backend {}",
-                other.name()
-            );
-            return ExitCode::from(2);
-        }
-        (Some(b), false) => b,
-        (None, false) => Backend::Engine,
-    };
-    let jobs = match parse_jobs(&rest) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match backend {
-        Backend::Snapshot => {
-            eprintln!(
-                "cpplookup-cli: the snapshot backend needs the artifact path: \
-                 `batch --snapshot <file.snap>`"
-            );
-            ExitCode::from(2)
-        }
-        Backend::Index => {
-            if metrics {
-                eprintln!(
-                    "cpplookup-cli: --serve and --metrics are mutually exclusive \
-                     (the serve loop reports index size and epochs to stderr)"
-                );
-                return ExitCode::from(2);
-            }
-            let options = LookupOptions::default();
-            let table = LookupTable::build_parallel(&analysis.chg, options, jobs);
-            let handle = ServeHandle::serving(table);
-            serve_loop(IndexedEngine::with_handle(
-                analysis.chg.clone(),
-                options,
-                handle,
-            ))
-        }
-        Backend::Table => {
-            if metrics {
-                eprintln!(
-                    "cpplookup-cli: --metrics requires the engine backend \
-                     (the table backend is immutable and untimed)"
-                );
-                return ExitCode::from(2);
-            }
-            table_loop(analysis)
-        }
-        Backend::Engine => {
-            let table = LookupTable::build_parallel(&analysis.chg, LookupOptions::default(), jobs);
-            batch_loop(
-                LookupEngine::from_table(analysis.chg.clone(), table),
-                metrics,
-            )
-        }
-    }
-}
-
-/// Parses an optional `--jobs N` flag (N ≥ 1), the number of threads
-/// that build the table; absent means one per available hardware thread.
-fn parse_jobs(rest: &[String]) -> Result<usize, String> {
-    match rest.iter().position(|a| a == "--jobs") {
-        None => Ok(std::thread::available_parallelism().map_or(1, usize::from)),
-        Some(i) => match rest.get(i + 1).map(|n| n.parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => Ok(n),
-            _ => Err("--jobs expects a thread count of at least 1".to_owned()),
-        },
-    }
-}
-
-/// The stdin query loop shared by source-backed and snapshot-backed
-/// batch modes.
-fn batch_loop(mut engine: LookupEngine, metrics: bool) -> ExitCode {
-    use std::io::BufRead;
-
-    let sink = Arc::new(obs::MemorySink::new());
-    if metrics {
-        engine.set_event_sink(Some(sink.clone()));
-    }
-
-    let mut pending: Vec<PendingLine> = Vec::new();
-    let mut failed = false;
-    for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("cpplookup-cli: cannot read stdin: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('!') {
-            failed |= flush_batch(&engine, &mut pending);
-            if !metrics {
-                println!("{line:<24} error: edit directives require --metrics");
-                failed = true;
-            } else if let Err(e) = apply_directive(&mut engine, line) {
-                println!("{line:<24} error: {e}");
-                failed = true;
-            }
-            continue;
-        }
-        pending.push(parse_query_line(line));
-    }
-    failed |= flush_batch(&engine, &mut pending);
-
-    if metrics {
-        println!("{}", metrics_json(&engine, &sink));
-    }
-    eprintln!("{}", engine.stats());
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// The stdin loop for `--backend table`: queries are answered straight
-/// from the freshly built immutable [`LookupTable`] — no engine, no
-/// cache, no edits. Edit directives are rejected per line (the rest of
-/// the stream still runs) so a mixed script degrades loudly, not
-/// silently.
-fn table_loop(analysis: &Analysis) -> ExitCode {
-    use std::io::BufRead;
-
-    let flush = |pending: &mut Vec<PendingLine>| {
-        flush_pending(&analysis.chg, pending, |queries| {
-            queries
-                .iter()
-                .map(|&(c, m)| analysis.table.lookup(c, m))
-                .collect()
-        })
-    };
-    let mut pending: Vec<PendingLine> = Vec::new();
-    let mut failed = false;
-    for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("cpplookup-cli: cannot read stdin: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('!') {
-            // The directive itself is the failure; the flush verdicts
-            // still print so preceding queries get their answers.
-            flush(&mut pending);
-            println!("{line:<24} error: edit directives require the engine or index backend");
-            failed = true;
-            continue;
-        }
-        pending.push(parse_query_line(line));
-    }
-    failed |= flush(&mut pending);
-    let stats = analysis.table.stats();
-    eprintln!(
-        "table backend: {} classes, {} lookup entries ({} ambiguous)",
-        analysis.chg.class_count(),
-        stats.entries,
-        stats.blue
-    );
-    if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// Parses one `!class` / `!member` / `!edge` directive into an [`Edit`]
@@ -693,13 +303,69 @@ fn parse_edit(chg: &Chg, line: &str) -> Result<Edit, String> {
     }
 }
 
-/// The stdin loop for `--serve`: queries are answered from the flat
-/// [`DispatchIndex`] pinned off the [`IndexedEngine`]'s serve handle —
-/// exactly what a reader thread would serve from — and `!` edit
-/// directives go through [`IndexedEngine::apply`] (dirty-pair
-/// recompute, index refresh, atomic republish), so queries after a
-/// directive observe the new epoch.
-fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
+/// `batch`'s one flag: `Ok(true)` for `--metrics`; any other argument
+/// is a usage error.
+fn parse_metrics_flag(rest: &[String]) -> Result<bool, ExitCode> {
+    match rest {
+        [] => Ok(false),
+        [flag] if flag == "--metrics" => Ok(true),
+        _ => {
+            eprintln!("usage: cpplookup-cli batch <file.cpp | --snapshot file.snap> [--metrics]");
+            Err(ExitCode::from(2))
+        }
+    }
+}
+
+/// `batch <file.cpp> [--metrics]`: serves the table [`analyze`] built,
+/// packed into the first published index — no second build.
+fn batch(analysis: &Analysis, rest: &[String]) -> ExitCode {
+    let metrics = match parse_metrics_flag(rest) {
+        Ok(metrics) => metrics,
+        Err(code) => return code,
+    };
+    let handle = ServeHandle::serving(&analysis.table);
+    let options = analysis.table.options();
+    serve_loop(
+        IndexedEngine::with_handle(analysis.chg.clone(), options, handle),
+        metrics,
+    )
+}
+
+/// `batch --snapshot <file.snap> [--metrics]`: the same loop over the
+/// index the snapshot file holds, with no table beside it.
+fn snapshot_batch(snap: &SnapshotTable, file: &str, rest: &[String]) -> ExitCode {
+    let metrics = match parse_metrics_flag(rest) {
+        Ok(metrics) => metrics,
+        Err(code) => return code,
+    };
+    let chg = match snap.to_chg() {
+        Ok(g) => g,
+        Err(e) => {
+            eprintln!("cpplookup-cli: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    eprintln!(
+        "warm start: {} entries seeded from {file} ({} bytes)",
+        snap.entry_count(),
+        snap.size_bytes()
+    );
+    let handle = ServeHandle::serving(snap);
+    serve_loop(
+        IndexedEngine::with_handle(chg, snap.options(), handle),
+        metrics,
+    )
+}
+
+/// The stdin loop of `batch`. Reads whitespace-separated `class member`
+/// pairs (blank lines and `#` comments skipped) and answers them from
+/// the [`DispatchIndex`] published by the [`IndexedEngine`]. A `!` line
+/// is an edit directive: the buffered queries are answered first, so
+/// each query observes the hierarchy as of its position in the stream,
+/// then the edit goes through [`IndexedEngine::apply`] (dirty-pair
+/// recompute, index refresh, atomic republish). With `metrics`, the
+/// process-wide metrics follow as one JSON line at the end of stdout.
+fn serve_loop(mut serving: IndexedEngine, metrics: bool) -> ExitCode {
     use std::io::BufRead;
 
     let handle = serving.handle();
@@ -715,7 +381,7 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
         );
     }
     let mut pending: Vec<PendingLine> = Vec::new();
-    let mut failed = false;
+    let (mut failed, mut queries, mut edits) = (false, 0, 0);
     for line in std::io::stdin().lock().lines() {
         let line = match line {
             Ok(l) => l,
@@ -729,13 +395,14 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
             continue;
         }
         if line.starts_with('!') {
-            // Flush first so buffered lookups observe the hierarchy as
-            // of their position in the stream, like `--metrics` mode.
-            failed |= flush_serve(&serving, &mut pending);
+            failed |= flush(&serving, &mut pending);
             match parse_edit(serving.chg(), line)
                 .and_then(|edit| serving.apply(&[edit]).map_err(|e| e.to_string()))
             {
-                Ok(epoch) => eprintln!("applied: {line} (epoch {epoch})"),
+                Ok(epoch) => {
+                    edits += 1;
+                    eprintln!("applied: {line} (epoch {epoch})");
+                }
                 Err(e) => {
                     println!("{line:<24} error: {e}");
                     failed = true;
@@ -743,17 +410,21 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
             }
             continue;
         }
+        queries += 1;
         pending.push(parse_query_line(line));
     }
-    failed |= flush_serve(&serving, &mut pending);
+    failed |= flush(&serving, &mut pending);
 
     let published = handle.load();
     eprintln!(
-        "served epoch {}: {} entries, {} bytes",
+        "served epoch {}: {queries} queries, {edits} edits; {} entries, {} bytes",
         published.epoch(),
         published.index().entry_count(),
         published.index().size_bytes()
     );
+    if metrics {
+        println!("{}", obs::snapshot().render_json());
+    }
     if failed {
         ExitCode::from(1)
     } else {
@@ -761,41 +432,21 @@ fn serve_loop(mut serving: IndexedEngine) -> ExitCode {
     }
 }
 
-/// `compile <file.cpp> -o <out.snap> [--jobs N]`: compiles the lookup
-/// table with the work-stealing parallel sweep (default: one worker per
-/// hardware thread — the output is byte-identical at any thread count)
-/// and serializes table + hierarchy into a binary snapshot.
+/// `compile <file.cpp> -o <out.snap>`: serializes the hierarchy and the
+/// table [`analyze`] built into a binary snapshot.
 fn compile(analysis: &Analysis, rest: &[String]) -> ExitCode {
-    let usage = "usage: cpplookup-cli compile <file.cpp> -o <out.snap> [--jobs N]";
-    let out = match rest.iter().position(|a| a == "-o") {
-        Some(i) => match rest.get(i + 1) {
-            Some(out) => out,
-            None => {
-                eprintln!("{usage}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            eprintln!("{usage}");
+    let out = match rest {
+        [flag, out] if flag == "-o" => out,
+        _ => {
+            eprintln!("usage: cpplookup-cli compile <file.cpp> -o <out.snap>");
             return ExitCode::from(2);
         }
     };
-    let jobs = match parse_jobs(rest) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}\n{usage}");
-            return ExitCode::from(2);
-        }
-    };
-    let snap = if jobs == 1 {
-        Snapshot::from_table(&analysis.chg, &analysis.table)
-    } else {
-        Snapshot::compile_parallel(&analysis.chg, analysis.table.options(), jobs)
-    };
+    let snap = Snapshot::from_table(&analysis.chg, &analysis.table);
     match snap.write_to(out) {
         Ok(()) => {
             eprintln!(
-                "wrote {out}: {} bytes ({} classes, {} entries, {jobs} jobs)",
+                "wrote {out}: {} bytes ({} classes, {} entries)",
                 snap.len(),
                 analysis.chg.class_count(),
                 analysis.table.stats().entries
@@ -813,7 +464,7 @@ fn compile(analysis: &Analysis, rest: &[String]) -> ExitCode {
 fn render_verdict(
     outcome: LookupOutcome,
     member: &str,
-    class_name_of: impl Fn(cpplookup::ClassId) -> String,
+    class_name_of: impl Fn(ClassId) -> String,
 ) -> String {
     match outcome {
         LookupOutcome::Resolved { class, .. } => {
@@ -824,20 +475,11 @@ fn render_verdict(
     }
 }
 
-/// `query <file.cpp> <class> <member> [--backend B]`: one lookup,
-/// answered by the chosen backend (default: the freshly built table).
-/// All three source-backed backends go through the same names and must
-/// agree; the flag exists to exercise any one of them on demand.
+/// `query <file.cpp> <class> <member>`: one lookup, answered from the
+/// table [`analyze`] built.
 fn query(analysis: &Analysis, rest: &[String]) -> ExitCode {
-    let (backend, rest) = match parse_backend(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let [class, member] = rest.as_slice() else {
-        eprintln!("usage: cpplookup-cli query <file.cpp> <class> <member> [--backend B]");
+    let [class, member] = rest else {
+        eprintln!("usage: cpplookup-cli query <file.cpp> <class> <member>");
         return ExitCode::from(2);
     };
     let chg = &analysis.chg;
@@ -845,97 +487,29 @@ fn query(analysis: &Analysis, rest: &[String]) -> ExitCode {
         eprintln!("cpplookup-cli: unknown class or member `{class}::{member}`");
         return ExitCode::from(1);
     };
-    let outcome = match backend.unwrap_or(Backend::Table) {
-        Backend::Snapshot => {
-            eprintln!(
-                "cpplookup-cli: the snapshot backend needs the artifact path: \
-                 `query --snapshot <file.snap> <class> <member>`"
-            );
-            return ExitCode::from(2);
-        }
-        Backend::Table => analysis.table.lookup(c, m),
-        Backend::Engine => {
-            let engine = LookupEngine::new(analysis.chg.clone());
-            engine.lookup_batch(&[(c, m)]).remove(0)
-        }
-        Backend::Index => DispatchIndex::from_backend(analysis.table.clone()).lookup(c, m),
-    };
-    let verdict = render_verdict(outcome, member, |c| chg.class_name(c).to_owned());
+    let verdict = render_verdict(analysis.table.lookup(c, m), member, |c| {
+        chg.class_name(c).to_owned()
+    });
     println!("{:<24} {verdict}", format!("{class}::{member}"));
     ExitCode::SUCCESS
 }
 
 /// `query --snapshot <file.snap> <class> <member>`: the same verdict,
 /// served straight from the validated snapshot bytes — no table build.
-fn snapshot_query(file: &str, rest: &[String]) -> ExitCode {
+fn snapshot_query(snap: &SnapshotTable, rest: &[String]) -> ExitCode {
     let [class, member] = rest else {
         eprintln!("usage: cpplookup-cli query --snapshot <file.snap> <class> <member>");
         return ExitCode::from(2);
-    };
-    let snap = match SnapshotTable::load(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
     };
     let (Some(c), Some(m)) = (snap.class_by_name(class), snap.member_by_name(member)) else {
         eprintln!("cpplookup-cli: unknown class or member `{class}::{member}`");
         return ExitCode::from(1);
     };
-    let verdict = render_verdict(SnapshotTable::lookup(&snap, c, m), member, |c| {
+    let verdict = render_verdict(SnapshotTable::lookup(snap, c, m), member, |c| {
         snap.class_name(c).unwrap_or("?").to_owned()
     });
     println!("{:<24} {verdict}", format!("{class}::{member}"));
     ExitCode::SUCCESS
-}
-
-/// `batch --snapshot <file.snap>`: the batch loop over an engine whose
-/// table is seeded from the snapshot's entries, so nothing is built.
-/// With `--serve`, the index the snapshot file holds is served and
-/// edited directly, with no table beside it.
-fn snapshot_batch(file: &str, rest: &[String]) -> ExitCode {
-    let metrics = rest.iter().any(|a| a == "--metrics");
-    let serve = rest.iter().any(|a| a == "--serve");
-    if serve && metrics {
-        eprintln!(
-            "cpplookup-cli: --serve and --metrics are mutually exclusive \
-             (the serve loop reports index size and epochs to stderr)"
-        );
-        return ExitCode::from(2);
-    }
-    let snap = match SnapshotTable::load(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if serve {
-        let chg = match snap.to_chg() {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("cpplookup-cli: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let handle = ServeHandle::serving(&snap);
-        return serve_loop(IndexedEngine::with_handle(chg, snap.options(), handle));
-    }
-    let engine = match snap.warm_engine() {
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    eprintln!(
-        "warm start: {} entries seeded from {} ({} bytes)",
-        snap.entry_count(),
-        file,
-        snap.size_bytes()
-    );
-    batch_loop(engine, metrics)
 }
 
 fn trace(analysis: &Analysis, rest: &[String]) -> ExitCode {
@@ -958,49 +532,22 @@ fn trace(analysis: &Analysis, rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Sweeps every `(class, member)` pair through a [`LookupEngine`] with
-/// a counting event sink installed, so every query is timed and the
-/// metrics registry has something to say, then
-/// dumps the engine's registry merged with the process-global one
-/// (propagation counters, baseline query counts) in the requested
-/// format.
-fn stats(analysis: &Analysis, rest: &[String]) -> ExitCode {
-    let (backend, rest) = match parse_backend(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
+/// `stats <file.cpp | --snapshot file.snap> [--json|--prometheus]`:
+/// reports the dispatch index — packed from the table [`analyze`] built,
+/// or the snapshot's own — on stderr and dumps the process-wide metrics
+/// (propagation and build counters, snapshot loads, index builds) in
+/// the requested format (default: plain text).
+fn stats(index: DispatchIndex, rest: &[String]) -> ExitCode {
+    let render: fn(&obs::Snapshot) -> String = match rest {
+        [] => obs::Snapshot::render_text,
+        [flag] if flag == "--json" => |s| s.render_json() + "\n",
+        [flag] if flag == "--prometheus" => obs::Snapshot::render_prometheus,
+        _ => {
+            eprintln!(
+                "usage: cpplookup-cli stats <file.cpp | --snapshot file.snap> [--json|--prometheus]"
+            );
             return ExitCode::from(2);
         }
-    };
-    let backend = backend.unwrap_or(Backend::Engine);
-    if backend == Backend::Snapshot {
-        eprintln!(
-            "cpplookup-cli: the snapshot backend needs the artifact path: \
-             `stats --snapshot <file.snap>`"
-        );
-        return ExitCode::from(2);
-    }
-    let engine = LookupEngine::new(analysis.chg.clone());
-    engine.set_event_sink(Some(Arc::new(obs::CountingSink::new())));
-    let chg = engine.chg();
-    let queries: Vec<_> = chg
-        .classes()
-        .flat_map(|c| chg.member_ids().map(move |m| (c, m)))
-        .collect();
-    engine.lookup_batch(&queries);
-
-    // Pack the chosen backend into a dispatch index through the unified
-    // `IntoDispatchIndex` surface so the serve-side build metrics
-    // (index size, entry count, build time) appear in the dump. Every
-    // backend packs the same entries; the flag picks which impl runs.
-    let index = match backend {
-        Backend::Engine => DispatchIndex::from_backend(&engine),
-        Backend::Table => DispatchIndex::from_backend(analysis.table.clone()),
-        Backend::Index => {
-            // The identity impl: an already packed index passes through.
-            DispatchIndex::from_backend(DispatchIndex::from_backend(analysis.table.clone()))
-        }
-        Backend::Snapshot => unreachable!("rejected above"),
     };
     eprintln!(
         "dispatch index: {} entries, {} bytes ({:.1} bytes/entry)",
@@ -1008,45 +555,7 @@ fn stats(analysis: &Analysis, rest: &[String]) -> ExitCode {
         index.size_bytes(),
         index.bytes_per_entry()
     );
-
-    let mut snapshot = engine.metrics_snapshot();
-    snapshot.extend(obs::global().snapshot());
-    render_metrics(&snapshot, &rest);
-    ExitCode::SUCCESS
-}
-
-/// Prints a metrics snapshot in the format chosen by
-/// `--json`/`--prometheus` (default: plain text).
-fn render_metrics(snapshot: &obs::Snapshot, rest: &[String]) {
-    if rest.iter().any(|a| a == "--json") {
-        println!("{}", snapshot.render_json());
-    } else if rest.iter().any(|a| a == "--prometheus") {
-        print!("{}", snapshot.render_prometheus());
-    } else {
-        print!("{}", snapshot.render_text());
-    }
-}
-
-/// `stats --snapshot <file.snap>`: serve the dispatch index straight
-/// from the loaded snapshot bytes (the `&SnapshotTable` backend — no
-/// table rebuild, no engine, no repacking) and dump the process-global
-/// metrics registry.
-fn snapshot_stats(file: &str, rest: &[String]) -> ExitCode {
-    let snap = match SnapshotTable::load(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cpplookup-cli: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let index = DispatchIndex::from_backend(&snap);
-    eprintln!(
-        "dispatch index: {} entries, {} bytes ({:.1} bytes/entry)",
-        index.entry_count(),
-        index.size_bytes(),
-        index.bytes_per_entry()
-    );
-    render_metrics(&obs::global().snapshot(), rest);
+    print!("{}", render(&obs::snapshot()));
     ExitCode::SUCCESS
 }
 

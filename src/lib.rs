@@ -14,7 +14,7 @@
 //! | [`chg`] | `cpplookup-chg` | class hierarchy graphs, paths, closures, fixtures |
 //! | [`subobject`] | `cpplookup-subobject` | subobject graphs, reference lookup semantics, Theorem 1 |
 //! | [`lookup`] | `cpplookup-core` | **the paper's algorithm**: eager/lazy/parallel tables, traces, access rights |
-//! | [`obs`] | `cpplookup-obs` (via `cpplookup-core`) | metrics registries, histograms, event sinks, exporters |
+//! | [`obs`] | `cpplookup-obs` (via `cpplookup-core`) | metrics registries, histograms, span trees, exporters |
 //! | [`baselines`] | `cpplookup-baselines` | g++ BFS (faithful + corrected), naive propagation, topo shortcut |
 //! | [`frontend`] | `cpplookup-frontend` | mini-C++ parser, lowering, and name resolution |
 //! | [`hiergen`] | `cpplookup-hiergen` | structured and random hierarchy generators |
@@ -106,28 +106,35 @@
 //! ```
 //!
 //! For long-lived tooling (language servers, incremental compilers),
-//! [`LookupEngine`] owns the hierarchy, serves concurrent queries from
-//! one complete table, and survives edits by incremental invalidation:
+//! [`IndexedEngine`] owns the hierarchy, publishes its table as a
+//! [`DispatchIndex`] that any number of reader threads serve from, and
+//! survives edits by incremental invalidation:
 //!
 //! ```
-//! use cpplookup::{chg::fixtures, LookupEngine, MemberLookup};
+//! use cpplookup::{chg::fixtures, Edit, IndexedEngine, MemberDecl, MemberKind, MemberLookup};
 //!
-//! let mut engine = LookupEngine::new(fixtures::fig2());
+//! let mut engine = IndexedEngine::new(fixtures::fig2(), Default::default());
+//! let readers = engine.handle(); // clone freely across threads
 //! let e = engine.chg().class_by_name("E").unwrap();
 //! let m = engine.chg().member_by_name("m").unwrap();
-//! assert!(engine.lookup(e, m).is_resolved());
+//! assert!(readers.load().index().lookup_ref(e, m).is_resolved());
 //!
-//! // Hierarchies grow during parsing; only the dirty entries recompute.
-//! engine.add_member(e, "fresh").unwrap();
+//! // Hierarchies grow during parsing; only the dirty entries recompute,
+//! // and the refreshed index is published as the next epoch.
+//! let decl = MemberDecl::public(MemberKind::Data);
+//! let epoch = engine.apply(&[Edit::AddMember { class: e, name: "fresh".into(), decl }])?;
 //! let fresh = engine.chg().member_by_name("fresh").unwrap();
-//! assert!(engine.lookup(e, fresh).is_resolved());
-//! println!("{}", engine.stats());
+//! let published = readers.load();
+//! assert_eq!(published.epoch(), epoch);
+//! assert!(published.index().lookup_ref(e, fresh).is_resolved());
 //!
-//! // `MemberLookup` unifies the engine, the tables, and the baselines.
+//! // `MemberLookup` unifies the published index, the tables, and the
+//! // baselines.
 //! fn answer(l: &mut dyn MemberLookup, c: cpplookup::ClassId, m: cpplookup::MemberId) -> bool {
 //!     l.lookup(c, m).is_resolved()
 //! }
-//! assert!(answer(&mut engine, e, m));
+//! assert!(answer(&mut published.index().clone(), e, m));
+//! # Ok::<(), cpplookup::ChgError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -152,9 +159,8 @@ pub use cpplookup_chg::{
     MemberId, MemberKind, Path,
 };
 pub use cpplookup_core::{
-    DispatchIndex, EngineStats, IndexedEngine, IntoDispatchIndex, LazyLookup, LeastVirtual,
-    LookupEngine, LookupOptions, LookupOutcome, LookupTable, MemberLookup, OutcomeRef, RedAbs,
-    ServeHandle, StaticRule,
+    DispatchIndex, IndexedEngine, IntoDispatchIndex, LazyLookup, LeastVirtual, LookupOptions,
+    LookupOutcome, LookupTable, MemberLookup, OutcomeRef, RedAbs, ServeHandle, StaticRule,
 };
 pub use cpplookup_snapshot::{Snapshot, SnapshotError, SnapshotTable};
 pub use cpplookup_subobject::{Resolution, Subobject, SubobjectGraph};

@@ -140,9 +140,12 @@ fn batch_answers_queries_and_prints_engine_stats() {
         "{stdout}"
     );
     assert!(stdout.contains("S::m"), "{stdout}");
-    // Engine statistics land on stderr.
-    assert!(stderr.contains("lookups: 3"), "{stderr}");
-    assert!(stderr.contains("edits: 0"), "{stderr}");
+    // The serving engine's index and counts land on stderr.
+    assert!(stderr.contains("serve index: 6 entries"), "{stderr}");
+    assert!(
+        stderr.contains("served epoch 0: 3 queries, 0 edits; 6 entries"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_file(path);
 }
 
@@ -206,27 +209,28 @@ fn stats_dumps_the_metrics_registry_in_every_format() {
     let path = write_temp(FIG9);
     let p = path.to_str().unwrap();
 
-    let (stdout, _, code) = run(&["stats", p]);
+    let (stdout, stderr, code) = run(&["stats", p]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("engine_lookups_total"), "{stdout}");
+    assert!(stderr.contains("dispatch index: 6 entries"), "{stderr}");
     assert!(
-        stdout.contains("engine_entries_recomputed_total"),
+        stdout.contains("propagation_nodes_visited_total"),
         "{stdout}"
     );
+    assert!(stdout.contains("serve_index_builds_total"), "{stdout}");
     assert!(!stdout.contains("shard"), "{stdout}");
 
     let (stdout, _, code) = run(&["stats", p, "--json"]);
     assert_eq!(code, Some(0));
     assert!(stdout.trim_end().starts_with("{\"metrics\":["), "{stdout}");
     assert!(
-        stdout.contains("\"name\":\"engine_cached_entries\""),
+        stdout.contains("{\"name\":\"serve_index_entries\",\"type\":\"gauge\",\"value\":6}"),
         "{stdout}"
     );
 
     let (stdout, _, code) = run(&["stats", p, "--prometheus"]);
     assert_eq!(code, Some(0));
     assert!(
-        stdout.contains("# TYPE engine_lookups_total counter"),
+        stdout.contains("# TYPE propagation_nodes_visited_total counter"),
         "{stdout}"
     );
 
@@ -247,24 +251,35 @@ fn batch_metrics_emits_json_snapshot_and_applies_edit_directives() {
     assert_eq!(code, Some(0), "stderr: {stderr}");
     // Queries before the edit see the old hierarchy, after it the new one.
     assert!(stdout.contains("E::fresh"), "{stdout}");
-    assert!(stderr.contains("applied: !member E fresh"), "{stderr}");
-    // The final stdout line is the JSON snapshot: the sink that records
-    // edits also times every query, so the lookup counter and the
-    // latency histogram both count the 4 queries.
+    assert!(
+        stderr.contains("applied: !member E fresh (epoch 1)"),
+        "{stderr}"
+    );
+    // The final stdout line is the process metrics as JSON: the 4
+    // queries were answered from the index...
     let json = stdout.lines().last().expect("snapshot line");
     assert!(json.starts_with("{\"metrics\":["), "{json}");
     assert!(
-        json.contains("{\"name\":\"engine_lookups_total\",\"type\":\"counter\",\"value\":4"),
+        json.contains("\"label\":\"backend\",\"series\":[{\"value\":\"index\",\"count\":4}]"),
         "{json}"
     );
-    assert!(json.contains("\"edits\":["), "{json}");
+    // ...the table was built once, by the analysis...
     assert!(
-        json.contains("\"name\":\"engine_lookup_latency_ns\",\"type\":\"histogram\",\"count\":4"),
+        json.contains("\"name\":\"build_seconds\",\"type\":\"histogram\",\"count\":1,"),
         "{json}"
     );
-    // Per-edit sizes from the EditApplied trace events: the fresh
-    // member dirties E's derived closure but invalidates nothing.
-    assert!(json.contains("\"dirty\":1,\"invalidated\":0"), "{json}");
+    // ...and the one edit refreshed the index over its dirty set: the
+    // fresh member in E, which has no derived classes, dirties one pair.
+    assert!(
+        json.contains(
+            "\"name\":\"serve_index_refresh_dirty_pairs\",\"type\":\"histogram\",\"count\":1,\"sum\":1,"
+        ),
+        "{json}"
+    );
+    assert!(
+        json.contains("{\"name\":\"serve_index_epoch\",\"type\":\"gauge\",\"value\":1}"),
+        "{json}"
+    );
     let _ = std::fs::remove_file(path);
 }
 
@@ -315,54 +330,41 @@ fn compile_then_query_snapshot_answers_without_source() {
     let _ = std::fs::remove_file(snap);
 }
 
+/// `compile` writes the table the analysis built; the bytes equal a
+/// compile of a parallel build at any thread count, and the retired
+/// `--jobs` flag is a usage error.
 #[test]
 fn compile_jobs_is_byte_identical_and_validated() {
+    use cpplookup::{LookupOptions, LookupTable, Snapshot};
+
     let src = write_temp(FIG9);
-    let seq = temp_snap_path("jobs-seq");
-    let par = temp_snap_path("jobs-par");
+    let out = temp_snap_path("jobs");
     let (_, stderr, code) = run(&[
         "compile",
         src.to_str().unwrap(),
         "-o",
-        seq.to_str().unwrap(),
-        "--jobs",
-        "1",
+        out.to_str().unwrap(),
     ]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("1 jobs"), "{stderr}");
+    let written = std::fs::read(&out).expect("read snapshot");
+    let g = cpplookup::frontend::analyze(FIG9).chg;
+    for jobs in [1, 3] {
+        let table = LookupTable::build_parallel(&g, LookupOptions::default(), jobs);
+        let expected = Snapshot::from_table(&g, &table);
+        assert_eq!(written, expected.as_bytes(), "jobs={jobs}");
+    }
 
-    // The parallel sweep must produce the exact same snapshot bytes.
-    let (_, stderr, code) = run(&[
-        "compile",
-        src.to_str().unwrap(),
-        "--jobs",
-        "3",
-        "-o",
-        par.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("3 jobs"), "{stderr}");
-    let a = std::fs::read(&seq).expect("read sequential snapshot");
-    let b = std::fs::read(&par).expect("read parallel snapshot");
-    assert_eq!(a, b, "parallel compile changed the snapshot bytes");
-
-    // And the parallel-compiled snapshot serves queries.
-    let (stdout, _, code) = run(&["query", "--snapshot", par.to_str().unwrap(), "E", "m"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout.contains("C::m"), "{stdout}");
-
-    // A bogus thread count is a usage error.
-    for bad in [&["--jobs", "0"][..], &["--jobs"][..]] {
+    for bad in [&["--jobs", "3"][..], &["--jobs"][..]] {
         let mut args = vec!["compile", src.to_str().unwrap(), "-o", "ignored.snap"];
         args.extend_from_slice(bad);
         let (_, stderr, code) = run(&args);
         assert_eq!(code, Some(2), "stderr: {stderr}");
-        assert!(stderr.contains("--jobs"), "{stderr}");
+        assert!(stderr.contains("usage: cpplookup-cli compile"), "{stderr}");
     }
+    assert!(!std::path::Path::new("ignored.snap").exists());
 
     let _ = std::fs::remove_file(src);
-    let _ = std::fs::remove_file(seq);
-    let _ = std::fs::remove_file(par);
+    let _ = std::fs::remove_file(out);
 }
 
 #[test]
@@ -372,22 +374,23 @@ fn stats_reports_build_strategy_and_build_time() {
 
     let (stdout, _, code) = run(&["stats", p]);
     assert_eq!(code, Some(0));
-    // The stats engine builds its table; the build strategy and build
-    // wall time are part of the registry dump.
+    // The analysis builds the table with the batched builder, and the
+    // build wall time is part of the dump.
     assert!(
-        stdout.contains("engine_build_info{build_strategy=\"eager\"}"),
+        stdout.contains("build_nodes_visited_total{strategy=\"batched\"}"),
         "{stdout}"
     );
-    assert!(stdout.contains("engine_build_seconds"), "{stdout}");
+    assert!(stdout.contains("build_seconds"), "{stdout}");
 
+    // One build only: `stats` packs the table the analysis built.
     let (stdout, _, code) = run(&["stats", p, "--json"]);
     assert_eq!(code, Some(0));
     assert!(
-        stdout.contains("\"name\":\"engine_build_info\",\"type\":\"counter\",\"label\":\"build_strategy\",\"series\":[{\"value\":\"eager\",\"count\":1}]"),
+        stdout.contains("\"name\":\"build_nodes_visited_total\",\"type\":\"counter\",\"label\":\"strategy\",\"series\":[{\"value\":\"batched\","),
         "{stdout}"
     );
     assert!(
-        stdout.contains("\"name\":\"engine_build_seconds\",\"type\":\"histogram\""),
+        stdout.contains("\"name\":\"build_seconds\",\"type\":\"histogram\",\"count\":1,"),
         "{stdout}"
     );
     let _ = std::fs::remove_file(path);
@@ -416,14 +419,20 @@ fn batch_from_snapshot_warm_starts_the_engine() {
     );
     assert!(stderr.contains("warm start:"), "{stderr}");
     assert!(stderr.contains("entries seeded"), "{stderr}");
-    // Both answers come from the seeded table: no build ran.
+    // Both answers come from the file's own index: it was loaded once
+    // and no table was built.
     let json = stdout.lines().last().expect("metrics snapshot line");
     assert!(
-        json.contains("{\"name\":\"engine_lookups_total\",\"type\":\"counter\",\"value\":2"),
+        json.contains("{\"name\":\"snapshot_loads_total\",\"type\":\"counter\",\"value\":1}"),
+        "{json}"
+    );
+    assert!(!json.contains("\"name\":\"build_seconds\""), "{json}");
+    assert!(
+        json.contains("\"label\":\"source\",\"series\":[{\"value\":\"snapshot\",\"count\":1}]"),
         "{json}"
     );
     assert!(
-        json.contains("\"series\":[{\"value\":\"seeded\",\"count\":1}]"),
+        json.contains("\"label\":\"backend\",\"series\":[{\"value\":\"index\",\"count\":2}]"),
         "{json}"
     );
 
@@ -482,6 +491,8 @@ fn snapshot_flag_usage_errors_exit_2() {
     let _ = std::fs::remove_file(src);
 }
 
+/// The two backends the CLI has left — the table built from source and
+/// a compiled snapshot — answer `query` and `batch` identically.
 #[test]
 fn backend_flag_answers_identically_across_backends() {
     let src = write_temp(FIG9);
@@ -489,118 +500,130 @@ fn backend_flag_answers_identically_across_backends() {
     let (reference, _, code) = run(&["query", p, "E", "m"]);
     assert_eq!(code, Some(0));
     assert!(reference.contains("C::m"), "{reference}");
-    for backend in ["table", "engine", "index"] {
-        let (stdout, stderr, code) = run(&["query", p, "E", "m", "--backend", backend]);
-        assert_eq!(code, Some(0), "backend {backend}: {stderr}");
-        assert_eq!(stdout, reference, "backend {backend} disagrees");
-    }
 
-    // The snapshot backend answers the same through its own spelling.
     let snap = temp_snap_path("backend-equiv");
     let (_, _, code) = run(&["compile", p, "-o", snap.to_str().unwrap()]);
     assert_eq!(code, Some(0));
-    let (stdout, _, code) = run(&[
-        "query",
-        "--snapshot",
-        snap.to_str().unwrap(),
-        "E",
-        "m",
-        "--backend",
-        "snapshot",
-    ]);
+    let (stdout, _, code) = run(&["query", "--snapshot", snap.to_str().unwrap(), "E", "m"]);
     assert_eq!(code, Some(0));
     assert_eq!(stdout, reference);
+    for args in [
+        &["batch", p][..],
+        &["batch", "--snapshot", snap.to_str().unwrap()],
+    ] {
+        let (stdout, stderr, code) = run_with_stdin(args, "E m\n");
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert_eq!(stdout, reference, "{args:?}");
+    }
 
     let _ = std::fs::remove_file(src);
     let _ = std::fs::remove_file(snap);
 }
 
+/// One directive script, fed to `batch` over the source and over the
+/// snapshot compiled from it, prints byte-identical answers: both run
+/// the same loop over the same index.
+#[test]
+fn batch_script_answers_identically_from_source_and_snapshot() {
+    let src = write_temp(FIG9);
+    let p = src.to_str().unwrap();
+    let snap = temp_snap_path("script-equiv");
+    let (_, _, code) = run(&["compile", p, "-o", snap.to_str().unwrap()]);
+    assert_eq!(code, Some(0));
+    let script = "E m\n\
+                  !class F\n\
+                  !edge F E virtual\n\
+                  F m\n\
+                  !member D m\n\
+                  E m\n\
+                  F m\n\
+                  !edge A F\n\
+                  !member Nope x\n\
+                  bogus line here\n\
+                  NoSuch m\n\
+                  !member F late\n\
+                  F late\n";
+    let (from_source, source_err, code) = run_with_stdin(&["batch", p], script);
+    assert_eq!(code, Some(1), "{source_err}");
+    let (from_snapshot, snapshot_err, code) =
+        run_with_stdin(&["batch", "--snapshot", snap.to_str().unwrap()], script);
+    assert_eq!(code, Some(1), "{snapshot_err}");
+    assert_eq!(from_source, from_snapshot);
+    assert!(from_source.contains("F::late"), "{from_source}");
+    assert!(from_source.contains("!edge A F"), "{from_source}");
+    let last_line = |s: &str| s.lines().last().unwrap_or_default().to_owned();
+    assert_eq!(last_line(&source_err), last_line(&snapshot_err));
+
+    let _ = std::fs::remove_file(src);
+    let _ = std::fs::remove_file(snap);
+}
+
+/// The backend, serve and thread-count flags are gone: `query`,
+/// `batch`, `stats` and `compile` have one path each, and naming a
+/// retired flag is a usage error rather than a silently ignored word.
 #[test]
 fn backend_arg_conflicts_exit_2() {
     let src = write_temp(FIG9);
     let p = src.to_str().unwrap();
 
-    // `--snapshot <path>` is `--backend snapshot`; naming another
-    // backend alongside it is a contradiction.
-    let (_, stderr, code) = run(&[
-        "query",
-        "--snapshot",
-        "whatever.snap",
-        "E",
-        "m",
-        "--backend",
-        "table",
-    ]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("--snapshot conflicts with --backend table"),
-        "{stderr}"
-    );
-
-    // Likewise `--serve` is `--backend index` in batch mode.
-    let (_, stderr, code) = run_with_stdin(&["batch", p, "--serve", "--backend", "engine"], "");
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("--serve conflicts with --backend engine"),
-        "{stderr}"
-    );
-    // The consistent spellings are fine.
-    let (_, _, code) = run_with_stdin(&["batch", p, "--serve", "--backend", "index"], "");
-    assert_eq!(code, Some(0));
-
-    // The snapshot backend needs the artifact path.
-    let (_, stderr, code) = run(&["query", p, "E", "m", "--backend", "snapshot"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--snapshot <file.snap>"), "{stderr}");
-    let (_, stderr, code) = run(&["stats", p, "--backend", "snapshot"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--snapshot <file.snap>"), "{stderr}");
-
-    // The immutable table backend cannot be timed.
-    let (_, stderr, code) = run_with_stdin(&["batch", p, "--backend", "table", "--metrics"], "");
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--metrics requires the engine"), "{stderr}");
-
-    // Malformed flags are usage errors, not silent defaults.
-    let (_, stderr, code) = run(&["query", p, "E", "m", "--backend", "bogus"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown backend `bogus`"), "{stderr}");
-    let (_, stderr, code) = run(&["query", p, "E", "m", "--backend"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("--backend expects"), "{stderr}");
-    let (_, stderr, code) = run(&[
-        "query",
-        p,
-        "E",
-        "m",
-        "--backend",
-        "table",
-        "--backend",
-        "index",
-    ]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("more than once"), "{stderr}");
+    for args in [
+        &["query", p, "E", "m", "--backend", "table"][..],
+        &[
+            "query",
+            "--snapshot",
+            "whatever.snap",
+            "E",
+            "m",
+            "--backend",
+            "snapshot",
+        ],
+        &["stats", p, "--backend", "engine"],
+        &["stats", p, "--json", "--prometheus"],
+    ] {
+        let (_, stderr, code) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage") || stderr.contains("whatever.snap"),
+            "{args:?}: {stderr}"
+        );
+    }
+    for flags in [
+        &["--serve"][..],
+        &["--backend", "index"],
+        &["--jobs", "2"],
+        &["--metrics", "--serve"],
+    ] {
+        let mut args = vec!["batch", p];
+        args.extend_from_slice(flags);
+        let (stdout, stderr, code) = run_with_stdin(&args, "E m\n");
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: cpplookup-cli batch"), "{stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+    }
 
     let _ = std::fs::remove_file(src);
 }
 
 #[test]
-fn batch_backend_table_answers_but_rejects_edits() {
+fn batch_answers_around_rejected_edits() {
     let path = write_temp(FIG9);
     let (stdout, stderr, code) = run_with_stdin(
-        &["batch", path.to_str().unwrap(), "--backend", "table"],
-        "E m\n!class X\nC m\n",
+        &["batch", path.to_str().unwrap()],
+        "E m\n!edge A E\n!member Nope x\n!frobnicate\nC m\n",
     );
     assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(
         stdout.contains("E::m") && stdout.contains("C::m"),
         "{stdout}"
     );
+    assert!(stdout.contains("cycle"), "{stdout}");
+    assert!(stdout.contains("no class named `Nope`"), "{stdout}");
+    assert!(stdout.contains("expected `!class NAME`"), "{stdout}");
+    // No edit was applied, so no epoch was published.
     assert!(
-        stdout.contains("edit directives require the engine or index backend"),
-        "{stdout}"
+        stderr.contains("served epoch 0: 2 queries, 0 edits"),
+        "{stderr}"
     );
-    assert!(stderr.contains("table backend:"), "{stderr}");
     let _ = std::fs::remove_file(path);
 }
 
@@ -616,22 +639,23 @@ fn stats_over_snapshot_packs_the_index_from_the_bytes() {
     ]);
     assert_eq!(code, Some(0));
 
-    let (stdout, stderr, code) = run(&[
+    let (stdout, from_snapshot, code) = run(&[
         "stats",
         "--snapshot",
         snap.to_str().unwrap(),
         "--prometheus",
     ]);
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("dispatch index:"), "{stderr}");
+    assert_eq!(code, Some(0), "stderr: {from_snapshot}");
     assert!(stdout.contains("snapshot_loads_total"), "{stdout}");
     assert!(stdout.contains("serve_index_builds_total"), "{stdout}");
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("build_seconds")),
+        "no table build: {stdout}"
+    );
 
-    // Source-backed stats accepts the backend flag too and reports the
-    // same index shape regardless of which impl packed it.
-    let (_, from_engine, code) = run(&["stats", src.to_str().unwrap(), "--backend", "engine"]);
-    assert_eq!(code, Some(0));
-    let (_, from_table, code) = run(&["stats", src.to_str().unwrap(), "--backend", "table"]);
+    // Source-backed stats packs the analysis' table into the same index
+    // shape.
+    let (_, from_source, code) = run(&["stats", src.to_str().unwrap()]);
     assert_eq!(code, Some(0));
     let index_line = |s: &str| {
         s.lines()
@@ -639,7 +663,7 @@ fn stats_over_snapshot_packs_the_index_from_the_bytes() {
             .expect("index line")
             .to_owned()
     };
-    assert_eq!(index_line(&from_engine), index_line(&from_table));
+    assert_eq!(index_line(&from_source), index_line(&from_snapshot));
 
     let _ = std::fs::remove_file(src);
     let _ = std::fs::remove_file(snap);
@@ -714,14 +738,16 @@ fn serve_and_loadgen_subcommands_front_the_server_crate() {
 }
 
 #[test]
-fn batch_rejects_directives_without_metrics_flag() {
+fn batch_applies_directives_without_metrics_flag() {
     let path = write_temp(FIG9);
-    let (stdout, _, code) = run_with_stdin(&["batch", path.to_str().unwrap()], "!class X\nE m\n");
-    assert_eq!(code, Some(1));
-    assert!(
-        stdout.contains("edit directives require --metrics"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("E::m"), "{stdout}");
+    let (stdout, stderr, code) =
+        run_with_stdin(&["batch", path.to_str().unwrap()], "!class X\nX m\nE m\n");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("applied: !class X (epoch 1)"), "{stderr}");
+    assert!(stdout.contains("X::m"), "{stdout}");
+    assert!(stdout.contains("not found"), "{stdout}");
+    assert!(stdout.contains("C::m"), "{stdout}");
+    // Without --metrics no JSON line follows the answers.
+    assert!(!stdout.contains("{\"metrics\""), "{stdout}");
     let _ = std::fs::remove_file(path);
 }

@@ -46,17 +46,21 @@ fn lazy_lookup_conforms() {
     });
 }
 
-/// Both ways to back the engine's table: built in place, or seeded
-/// with `from_table` from a parallel build (a snapshot-seeded engine is
+/// The index the serving engine publishes, in both ways to back it:
+/// built by the engine, or a parallel build's table published on a
+/// handle the engine takes over (a snapshot-backed engine is
 /// `warmed_engine_conforms`).
 #[test]
 fn engine_conforms_in_every_backing() {
-    assert_conforms("LookupEngine::new", Conformance::Full, |g| {
-        Box::new(LookupEngine::new(g.clone()))
+    assert_conforms("IndexedEngine::new", Conformance::Full, |g| {
+        let engine = IndexedEngine::new(g.clone(), LookupOptions::default());
+        Box::new(engine.handle().load().index().clone())
     });
-    assert_conforms("LookupEngine::from_table", Conformance::Full, |g| {
+    assert_conforms("IndexedEngine::with_handle", Conformance::Full, |g| {
         let table = LookupTable::build_parallel(g, Default::default(), 4);
-        Box::new(LookupEngine::from_table(g.clone(), table))
+        let handle = ServeHandle::serving(table);
+        let engine = IndexedEngine::with_handle(g.clone(), LookupOptions::default(), handle);
+        Box::new(engine.handle().load().index().clone())
     });
 }
 
@@ -73,11 +77,14 @@ fn snapshot_roundtrip_conforms() {
 #[test]
 fn warmed_engine_conforms() {
     // The full serve-many pipeline: compile → bytes → load → rebuild
-    // hierarchy → seed the engine's table → answer.
+    // hierarchy → attach the warmed engine to the handle serving the
+    // file's index → answer from the published index.
     assert_conforms("SnapshotTable::warm_engine", Conformance::Full, |g| {
         let snap = SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes())
             .expect("corpus snapshots validate");
-        Box::new(snap.warm_engine().expect("corpus hierarchies rebuild"))
+        let warm = snap.warm_engine().expect("corpus hierarchies rebuild");
+        let engine = IndexedEngine::attach(warm, ServeHandle::serving(&snap));
+        Box::new(engine.handle().load().index().clone())
     });
 }
 

@@ -32,7 +32,7 @@ use cpplookup::hiergen::families;
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::prelude::*;
 use cpplookup::subobject::{lookup_in_class, Resolution};
-use cpplookup::{Access, DispatchIndex};
+use cpplookup::Access;
 
 /// Subobject-graph budget for the oracle pass; corpus hierarchies are
 /// chosen to stay well under it.
@@ -437,11 +437,11 @@ fn growth_script(g: &Chg) -> Vec<Edit> {
     script
 }
 
-/// The warm engine a snapshot hands out is *complete*: its table holds
-/// every entry of the snapshot and packs into the same dispatch index,
-/// and edits — one at a time or as one batch — recompute their dirty
-/// sets to exactly the table a from-scratch engine over the edited
-/// hierarchy builds.
+/// The warm engine a snapshot hands out is *complete*: attached to the
+/// handle serving the snapshot's own index, it publishes every entry of
+/// the snapshot, and edits — one at a time or as one batch — recompute
+/// their dirty sets to exactly the table a from-scratch build of the
+/// edited hierarchy holds.
 #[test]
 fn warm_engines_are_complete_and_edit_like_a_rebuild() {
     for case in CASES {
@@ -451,29 +451,32 @@ fn warm_engines_are_complete_and_edit_like_a_rebuild() {
             let label = format!("{} {statics:?}", case.name);
             let snap = SnapshotTable::from_bytes(Snapshot::compile_with(&g, lookup).into_bytes())
                 .expect("corpus snapshots validate");
-            let warm = snap.warm_engine().expect("corpus hierarchies rebuild");
-            let index = DispatchIndex::from_backend(&warm);
-            assert_eq!(index.entry_count(), snap.entry_count(), "{label}");
+            let attach = || {
+                let warm = snap.warm_engine().expect("corpus hierarchies rebuild");
+                assert_eq!(warm.options(), lookup, "{label}");
+                IndexedEngine::attach(warm, ServeHandle::serving(&snap))
+            };
+            let mut one_by_one = attach();
             assert_eq!(
-                warm.stats().cached_entries,
-                snap.entry_count() as u64,
-                "{label}: the seeded table is the snapshot's"
+                one_by_one.handle().load().index().entry_count(),
+                snap.entry_count(),
+                "{label}: the published index is the snapshot's"
             );
 
             let script = growth_script(&g);
             let edited = cpplookup::apply_edits(&g, &script).expect("growth script applies");
-            let rebuilt = LookupEngine::with_options(edited.clone(), lookup);
-            let mut one_by_one = snap.warm_engine().unwrap();
+            let rebuilt = LookupTable::build_with(&edited, lookup);
             for edit in &script {
                 one_by_one.apply(std::slice::from_ref(edit)).unwrap();
             }
-            let mut batched = warm;
+            let mut batched = attach();
             batched.apply(&script).unwrap();
             for engine in [&one_by_one, &batched] {
+                let published = engine.handle().load();
                 for c in edited.classes() {
                     for m in edited.member_ids() {
                         assert_eq!(
-                            engine.entry(c, m),
+                            published.index().entry(c, m).as_ref(),
                             rebuilt.entry(c, m),
                             "{label}: ({}, {}) after the script",
                             edited.class_name(c),
@@ -482,8 +485,8 @@ fn warm_engines_are_complete_and_edit_like_a_rebuild() {
                     }
                 }
                 assert_eq!(
-                    engine.stats().cached_entries,
-                    rebuilt.stats().cached_entries,
+                    published.index().entry_count(),
+                    rebuilt.stats().entries,
                     "{label}: table size after the script"
                 );
             }

@@ -14,8 +14,8 @@ use cpplookup::hiergen::{edit_script, random_hierarchy, EditScriptConfig, Random
 use cpplookup::lookup::LazyLookup;
 use cpplookup::subobject::{lookup, lookup_cpp, Resolution, Subobject};
 use cpplookup::{
-    apply_edits, Chg, IndexedEngine, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome,
-    LookupTable, MemberLookup, ServeHandle, StaticRule, SubobjectGraph,
+    apply_edits, Chg, IndexedEngine, LeastVirtual, LookupOptions, LookupOutcome, LookupTable,
+    MemberLookup, ServeHandle, StaticRule, SubobjectGraph,
 };
 
 const LIMIT: usize = 200_000;
@@ -416,7 +416,13 @@ fn member_lookup_trait_unifies_all_strategies() {
             ),
             (
                 "engine",
-                Box::new(LookupEngine::with_options(chg.clone(), options)),
+                Box::new(
+                    IndexedEngine::new(chg.clone(), options)
+                        .handle()
+                        .load()
+                        .index()
+                        .clone(),
+                ),
             ),
         ];
         let mut lazy = LazyLookup::with_options(&chg, options);
@@ -467,11 +473,12 @@ fn member_lookup_trait_unifies_all_strategies() {
 
 /// Replaying a random edit script, the incremental engine must stay
 /// equivalent to a from-scratch table AND to the subobject oracle at
-/// every step — the three-way equivalence of the engine's contract. The
-/// same script drives an `IndexedEngine` over a handle that already
-/// serves the base table (a farm tenant's shape), whose published index
-/// is held to the same two references after every edit, and replayed
-/// as one `apply_run` it must land on the same final index and epoch.
+/// every step — the three-way equivalence of the engine's contract. Two
+/// `IndexedEngine`s run the script: one that built and published its
+/// own table, and one over a handle that already serves the base table
+/// (a farm tenant's shape); both published indexes are held to the two
+/// references after every edit, and replayed as one `apply_run` the
+/// script must land on the same final index and epoch.
 #[test]
 fn engine_edit_sequences_match_rebuild_and_oracle() {
     let over_base = |base: &Chg| {
@@ -481,7 +488,7 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
     };
     for seed in 0..12 {
         let (base, edits) = edit_script(&EditScriptConfig::stress(25, seed));
-        let mut engine = LookupEngine::new(base.clone());
+        let mut engine = IndexedEngine::new(base.clone(), LookupOptions::default());
         let mut indexed = over_base(&base);
         let mut current = base.clone();
         for (step, edit) in edits.iter().enumerate() {
@@ -493,10 +500,11 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
             let index = published.index();
             assert_eq!(index.class_count(), current.class_count());
             assert_eq!(index.member_name_count(), current.member_name_count());
+            let own = engine.handle().load();
             let rebuilt = LookupTable::build(&current);
             assert_eq!(
-                engine.stats().cached_entries,
-                rebuilt.stats().entries as u64,
+                own.index().entry_count(),
+                rebuilt.stats().entries,
                 "engine table size seed={seed} step={step}"
             );
             for c in current.classes() {
@@ -511,7 +519,7 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
                             current.member_name(m)
                         )
                     };
-                    let incremental = engine.entry(c, m);
+                    let incremental = own.index().entry(c, m);
                     assert_eq!(
                         incremental.as_ref(),
                         rebuilt.entry(c, m),
@@ -534,7 +542,7 @@ fn engine_edit_sequences_match_rebuild_and_oracle() {
                 }
             }
         }
-        assert_eq!(engine.generation(), edits.len() as u64);
+        assert_eq!(engine.chg().generation(), edits.len() as u64);
         assert_eq!(indexed.chg().generation(), edits.len() as u64);
 
         let mut run = over_base(&base);

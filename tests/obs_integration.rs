@@ -1,33 +1,34 @@
-//! Cross-layer observability test: the engine's edit metrics must
-//! agree, to the entry, with what the incremental-invalidation theory
-//! predicts for a scripted edit-then-lookup sequence.
+//! Cross-layer observability test: the serving engine's edit metric
+//! must agree, to the pair, with what the incremental-invalidation
+//! theory predicts for a scripted edit-then-lookup sequence.
 //!
-//! The engine's table is complete: every visible `(class, member)` pair
-//! has its entry. An edit recomputes exactly its dirty closure —
+//! The published index is complete: every visible `(class, member)`
+//! pair has its entry. An edit recomputes exactly its dirty closure —
 //! `{b} ∪ derived_of(b)` crossed with the affected members — and every
 //! dirty pair is visible after an AddMember or AddEdge, so three
 //! independently obtained numbers must coincide:
 //!
-//! 1. `entries_recomputed` as counted by the engine's metrics,
-//! 2. the dirty-set size reported by the `EditApplied` trace event,
+//! 1. the pairs recomputed, as the facade's
+//!    `serve_index_refresh_dirty_pairs` histogram records them,
+//! 2. the entries the published index holds for the closure's classes,
 //!    and
 //! 3. the closure size recomputed here from the public `Chg` API.
 //!
-//! After every edit the table also has exactly as many entries as a
-//! from-scratch `LookupTable::build` of the edited hierarchy.
-
-use std::sync::Arc;
+//! After every edit the index also has exactly as many entries as a
+//! from-scratch `LookupTable::build` of the edited hierarchy. The
+//! facade is process-wide, so every test here that edits, builds or
+//! queries holds `BUILD_LOCK` and reads the metrics by delta.
 
 use cpplookup::hiergen::{random_hierarchy, RandomConfig};
 use cpplookup::obs;
 use cpplookup::prelude::*;
+use cpplookup::Access;
 
 /// The dirty closure of adding an edge below `derived`, computed from
 /// the *post-edit* hierarchy with the public `Chg` API only: every
 /// member visible at `derived` or at any class transitively derived
 /// from it.
-fn edge_closure_size(engine: &LookupEngine, derived: ClassId) -> u64 {
-    let chg = engine.chg();
+fn edge_closure_size(chg: &Chg, derived: ClassId) -> u64 {
     std::iter::once(derived)
         .chain(chg.derived_of(derived))
         .map(|d| {
@@ -38,41 +39,67 @@ fn edge_closure_size(engine: &LookupEngine, derived: ClassId) -> u64 {
         .sum()
 }
 
-/// The engine's table holds exactly the entries of a rebuild.
-fn assert_table_is_a_rebuild(engine: &LookupEngine) {
+/// The refreshes recorded so far and the pairs they recomputed.
+fn refreshes() -> (u64, u64) {
+    obs::snapshot()
+        .histogram("serve_index_refresh_dirty_pairs")
+        .map_or((0, 0), |h| (h.count, h.sum))
+}
+
+/// Applies one edit and returns the pairs it recomputed, checking that
+/// it was one refresh.
+fn apply_counted(engine: &mut IndexedEngine, edit: Edit) -> u64 {
+    let (count0, sum0) = refreshes();
+    engine.apply(&[edit]).unwrap();
+    let (count, sum) = refreshes();
+    assert_eq!(count - count0, 1, "one refresh per edit");
+    sum - sum0
+}
+
+/// The entries the published index holds for `classes`.
+fn index_entries(engine: &IndexedEngine, classes: impl Iterator<Item = ClassId>) -> u64 {
+    let published = engine.handle().load();
+    classes
+        .map(|c| published.index().members_of(c).count() as u64)
+        .sum()
+}
+
+/// The published index holds exactly the entries of a rebuild.
+fn assert_index_is_a_rebuild(engine: &IndexedEngine) {
     assert_eq!(
-        engine.stats().cached_entries,
-        LookupTable::build(engine.chg()).stats().entries as u64
+        engine.handle().load().index().entry_count(),
+        LookupTable::build(engine.chg()).stats().entries
     );
+}
+
+fn add_member(class: ClassId, name: &str) -> Edit {
+    Edit::AddMember {
+        class,
+        name: name.into(),
+        decl: MemberDecl::public(MemberKind::Data),
+    }
 }
 
 #[test]
 fn cache_metrics_match_dirty_closure_across_edits() {
     let _serial = BUILD_LOCK.lock().unwrap();
     let chg = random_hierarchy(&RandomConfig::realistic(120, 42));
-    let mut engine = LookupEngine::new(chg);
-    // A full sweep emits several events per query; size the buffer so
-    // none is dropped.
-    let sink = Arc::new(obs::MemorySink::with_capacity(1 << 20));
-    engine.set_event_sink(Some(sink.clone()));
-    assert_table_is_a_rebuild(&engine);
+    let mut engine = IndexedEngine::new(chg, LookupOptions::default());
+    assert_index_is_a_rebuild(&engine);
 
     // Script: declare a fresh member, then splice a new inheritance
     // edge between two previously unrelated classes.
     let k3 = engine.chg().class_by_name("K3").unwrap();
-    let before = engine.stats();
-    engine.add_member(k3, "obs_probe").unwrap();
-    let after = engine.stats();
-    let member_recomputed = after.entries_recomputed - before.entries_recomputed;
-    // The table held no entries for a brand-new member name, so the
-    // edit replaces nothing even though it recomputes the whole derived
-    // closure of K3, where the new member is now visible.
-    assert_eq!(after.entries_invalidated, before.entries_invalidated);
+    let entries = engine.handle().load().index().entry_count() as u64;
+    let member_recomputed = apply_counted(&mut engine, add_member(k3, "obs_probe"));
     let member_closure = 1 + engine.chg().derived_of(k3).count() as u64;
     // (1) metrics == (3) closure recomputed from the Chg API.
     assert_eq!(member_recomputed, member_closure);
-    assert_eq!(after.cached_entries, before.cached_entries + member_closure);
-    assert_table_is_a_rebuild(&engine);
+    // (2) The index held no entries for a brand-new member name, so
+    // the edit adds exactly its closure.
+    let after = engine.handle().load().index().entry_count() as u64;
+    assert_eq!(after, entries + member_closure);
+    assert_index_is_a_rebuild(&engine);
 
     // Now the edge edit. Pick the first pair of classes with no
     // inheritance relation in either direction (so the edit is legal)
@@ -90,50 +117,41 @@ fn cache_metrics_match_dirty_closure_across_edits() {
             })
             .expect("a realistic hierarchy has unrelated classes")
     };
-    let before = engine.stats();
-    engine
-        .add_edge(derived, base, Inheritance::NonVirtual)
-        .unwrap();
-    let after = engine.stats();
-    let edge_recomputed = after.entries_recomputed - before.entries_recomputed;
+    let edge_recomputed = apply_counted(
+        &mut engine,
+        Edit::AddEdge {
+            derived,
+            base,
+            inheritance: Inheritance::NonVirtual,
+            access: Access::Public,
+        },
+    );
 
-    // (1) metrics == (3) closure recomputed from the Chg API.
-    let closure = edge_closure_size(&engine, derived);
+    // (1) metrics == (3) closure recomputed from the Chg API...
+    let closure = edge_closure_size(engine.chg(), derived);
     assert!(closure > 0, "workload edit must dirty something");
     assert_eq!(edge_recomputed, closure);
-    assert_table_is_a_rebuild(&engine);
+    // ...== (2) the entries the index now holds for the closure.
+    let closure_classes = std::iter::once(derived).chain(engine.chg().derived_of(derived));
+    assert_eq!(index_entries(&engine, closure_classes), closure);
+    assert_index_is_a_rebuild(&engine);
 
-    // (2) the EditApplied trace events carry the same numbers.
-    let edits: Vec<(usize, usize)> = sink
-        .events()
-        .iter()
-        .filter_map(|e| match *e {
-            obs::Event::EditApplied {
-                dirty, recomputed, ..
-            } => Some((dirty, recomputed)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(edits.len(), 2, "one event per scripted edit");
-    assert_eq!(edits[0], (member_closure as usize, member_closure as usize));
-    assert_eq!(edits[1], (closure as usize, closure as usize));
-
-    // A query sweep over the edited engine is answered from the table:
-    // one lookup, and one timed QueryEnd, per pair.
+    // A query sweep over the edited engine is answered from the
+    // published index, and counted once per pair.
     let queries: Vec<(ClassId, MemberId)> = engine
         .chg()
         .classes()
         .flat_map(|c| engine.chg().member_ids().map(move |m| (c, m)))
         .collect();
-    sink.take();
-    engine.lookup_batch(&queries);
-    let ends = sink
-        .take()
-        .iter()
-        .filter(|e| matches!(e, obs::Event::QueryEnd { .. }))
-        .count();
-    assert_eq!(ends, queries.len());
-    assert_eq!(engine.stats().lookups - after.lookups, queries.len() as u64);
+    let served = || {
+        obs::global()
+            .counter_family("serve_queries_total", "", "backend")
+            .with_label("index")
+            .get()
+    };
+    let before = served();
+    engine.handle().load().index().lookup_batch(&queries);
+    assert_eq!(served() - before, queries.len() as u64);
 }
 
 /// The batched compiler's build metrics: on an interface-heavy family
@@ -191,18 +209,14 @@ fn build_metrics_report_frontier_pruning() {
 fn eager_engines_never_miss_after_edits() {
     let _serial = BUILD_LOCK.lock().unwrap();
     let chg = random_hierarchy(&RandomConfig::realistic(60, 7));
-    let mut engine = LookupEngine::new(chg);
-    assert_table_is_a_rebuild(&engine);
+    let mut engine = IndexedEngine::new(chg, LookupOptions::default());
+    assert_index_is_a_rebuild(&engine);
 
     let k2 = engine.chg().class_by_name("K2").unwrap();
-    engine.add_member(k2, "probe").unwrap();
-    let stats = engine.stats();
+    let recomputed = apply_counted(&mut engine, add_member(k2, "probe"));
     // The engine recomputes the dirty set inside apply(): the member
-    // edit's closure reappears as recomputed entries...
-    assert_eq!(
-        stats.entries_recomputed,
-        1 + engine.chg().derived_of(k2).count() as u64
-    );
-    // ...so the table is complete again before any query.
-    assert_table_is_a_rebuild(&engine);
+    // edit's closure is what the refresh recomputed...
+    assert_eq!(recomputed, 1 + engine.chg().derived_of(k2).count() as u64);
+    // ...so the published index is complete again before any query.
+    assert_index_is_a_rebuild(&engine);
 }

@@ -8,7 +8,7 @@ use cpplookup::subobject::isomorphism::{
 };
 use cpplookup::subobject::{lookup, lookup_cpp, Resolution};
 use cpplookup::{
-    Chg, Edit, LeastVirtual, LookupEngine, LookupOptions, LookupOutcome, LookupTable, StaticRule,
+    Chg, Edit, IndexedEngine, LeastVirtual, LookupOptions, LookupOutcome, LookupTable, StaticRule,
     Subobject, SubobjectGraph,
 };
 use proptest::prelude::*;
@@ -214,27 +214,28 @@ proptest! {
         }
     }
 
-    /// After any random edit sequence, the incremental engine, a
-    /// from-scratch `LookupTable::build`, and the subobject oracle all
-    /// agree on every `(class, member)` pair — the engine's three-way
-    /// equivalence contract.
+    /// After any random edit sequence, the index the incremental engine
+    /// published, a from-scratch `LookupTable::build`, and the subobject
+    /// oracle all agree on every `(class, member)` pair — the engine's
+    /// three-way equivalence contract.
     #[test]
     fn engine_after_edit_script_matches_rebuild_and_oracle(
         (base, edits) in edit_scripts(),
     ) {
-        let mut engine = LookupEngine::new(base.clone());
+        let mut engine = IndexedEngine::new(base.clone(), LookupOptions::default());
         let mut current = base;
         for edit in &edits {
             current = cpplookup::apply_edits(&current, std::slice::from_ref(edit)).unwrap();
             engine.apply(std::slice::from_ref(edit)).unwrap();
         }
-        prop_assert_eq!(engine.generation(), edits.len() as u64);
+        prop_assert_eq!(engine.chg().generation(), edits.len() as u64);
+        let published = engine.handle().load();
         let rebuilt = LookupTable::build(&current);
-        prop_assert_eq!(engine.stats().cached_entries, rebuilt.stats().entries as u64);
+        prop_assert_eq!(published.index().entry_count(), rebuilt.stats().entries);
         for c in current.classes() {
             let sg = SubobjectGraph::build(&current, c, 100_000).unwrap();
             for m in current.member_ids() {
-                let entry = engine.entry(c, m);
+                let entry = published.index().entry(c, m);
                 prop_assert_eq!(
                     entry.as_ref(),
                     rebuilt.entry(c, m),

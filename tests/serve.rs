@@ -90,8 +90,9 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
                 .expect("fresh snapshot loads");
             let from_table = DispatchIndex::from_table(LookupTable::build_with(&g, options));
             let from_snapshot = snap.dispatch_index();
-            let engine = LookupEngine::with_options(g.clone(), options);
-            let from_engine = DispatchIndex::from_backend(&engine);
+            let engine = IndexedEngine::new(g.clone(), options);
+            let published = engine.handle().load();
+            let from_engine = published.index();
             assert_eq!(
                 from_table.entry_count(),
                 snap.entry_count(),
@@ -123,7 +124,7 @@ fn dispatch_index_matches_table_and_snapshot_on_corpus() {
                         )
                     };
                     assert_eq!(snap.lookup(c, m), expected, "{}", context());
-                    for index in [&from_table, &from_snapshot, &from_engine] {
+                    for index in [&from_table, &from_snapshot, from_engine] {
                         assert_eq!(
                             index.lookup_ref(c, m).to_outcome(),
                             expected,
@@ -215,7 +216,7 @@ fn concurrent_readers_never_observe_torn_or_regressing_indexes() {
     }
     let expected = Arc::new(expected);
 
-    let mut serving = cpplookup::IndexedEngine::new(LookupEngine::new(base));
+    let mut serving = IndexedEngine::new(base, LookupOptions::default());
     let handle = serving.handle();
     let stop = Arc::new(AtomicBool::new(false));
     let observed_epochs = Arc::new(AtomicU64::new(0));
