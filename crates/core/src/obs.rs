@@ -8,16 +8,18 @@
 //! work split measurable, and the build, snapshot, serve and edit
 //! hooks, all in the process-wide [`global()`] registry.
 //!
-//! Each hot-path hook costs one relaxed atomic add.
+//! Every hook resolves its handles once, in a `static` `OnceLock`, on
+//! its first call, and afterwards records through them without touching
+//! the registry: each hot-path hook costs one relaxed atomic add. A hook
+//! registers its metrics only when it first runs, so an export lists
+//! what this process actually recorded, in the order it first did.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use cpplookup_obs::{
-    global, Family, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
-    Snapshot,
+    global, Counter, Family, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue,
+    Registry, Snapshot,
 };
-
-use cpplookup_obs::Counter;
 
 /// A point-in-time copy of the process-wide facade: every metric this
 /// module records in [`global()`]. A server appends it to its own
@@ -39,7 +41,6 @@ pub struct PropagationStats {
 
 /// The process-wide propagation counters.
 pub fn propagation() -> &'static PropagationStats {
-    use std::sync::OnceLock;
     static STATS: OnceLock<PropagationStats> = OnceLock::new();
     STATS.get_or_init(|| {
         let r = global();
@@ -114,12 +115,17 @@ impl PropagationStats {
 /// (`baseline_queries_total{strategy="..."}`).
 #[inline]
 pub fn baseline_query(strategy: &str) {
-    global()
-        .counter_family(
-            "baseline_queries_total",
-            "queries answered by baseline lookup strategies",
-            "strategy",
-        )
+    static QUERIES: OnceLock<Arc<Family<Counter>>> = OnceLock::new();
+    QUERIES
+        .get_or_init(|| {
+            global().family(
+                "baseline_queries_total",
+                "queries answered by baseline lookup strategies",
+                "strategy",
+                usize::MAX,
+                Counter::new(),
+            )
+        })
         .with_label(strategy)
         .inc();
 }
@@ -132,23 +138,28 @@ pub fn baseline_query(strategy: &str) {
 /// loads are sub-second; the help text states the unit).
 #[inline]
 pub fn snapshot_loaded(bytes: u64, elapsed_ns: u64) {
-    let r = global();
-    r.counter(
-        "snapshot_loads_total",
-        "snapshot files loaded and validated",
-    )
-    .inc();
-    r.gauge(
-        "snapshot_bytes",
-        "size in bytes of the last loaded snapshot",
-    )
-    .set(i64::try_from(bytes).unwrap_or(i64::MAX));
-    r.histogram(
-        "snapshot_load_seconds",
-        "snapshot load+validate wall time (recorded in nanoseconds)",
-        Histogram::latency_ns(),
-    )
-    .observe(elapsed_ns);
+    static HANDLES: OnceLock<(Arc<Counter>, Arc<Gauge>, Arc<Histogram>)> = OnceLock::new();
+    let (loads, size, seconds) = HANDLES.get_or_init(|| {
+        let r = global();
+        (
+            r.counter(
+                "snapshot_loads_total",
+                "snapshot files loaded and validated",
+            ),
+            r.gauge(
+                "snapshot_bytes",
+                "size in bytes of the last loaded snapshot",
+            ),
+            r.histogram(
+                "snapshot_load_seconds",
+                "snapshot load+validate wall time (recorded in nanoseconds)",
+                Histogram::latency_ns(),
+            ),
+        )
+    });
+    loads.inc();
+    size.set(i64::try_from(bytes).unwrap_or(i64::MAX));
+    seconds.observe(elapsed_ns);
 }
 
 /// Records one whole-table build in the [`global()`] registry:
@@ -167,79 +178,99 @@ pub fn table_built(
     members_pruned: u64,
     elapsed_ns: u64,
 ) {
-    let r = global();
-    r.counter_family(
-        "build_nodes_visited_total",
-        "live (class, member) pairs touched by whole-table builds",
-        "strategy",
-    )
-    .with_label(strategy)
-    .add(nodes_visited);
-    r.counter(
-        "build_members_pruned_total",
-        "(class, member) pairs skipped by member-frontier pruning",
-    )
-    .add(members_pruned);
-    r.histogram(
-        "build_seconds",
-        "whole-table build wall time (recorded in nanoseconds)",
-        Histogram::latency_ns(),
-    )
-    .observe(elapsed_ns);
+    type Handles = (Arc<Family<Counter>>, Arc<Counter>, Arc<Histogram>);
+    static HANDLES: OnceLock<Handles> = OnceLock::new();
+    let (visited, pruned, seconds) = HANDLES.get_or_init(|| {
+        let r = global();
+        (
+            r.family(
+                "build_nodes_visited_total",
+                "live (class, member) pairs touched by whole-table builds",
+                "strategy",
+                usize::MAX,
+                Counter::new(),
+            ),
+            r.counter(
+                "build_members_pruned_total",
+                "(class, member) pairs skipped by member-frontier pruning",
+            ),
+            r.histogram(
+                "build_seconds",
+                "whole-table build wall time (recorded in nanoseconds)",
+                Histogram::latency_ns(),
+            ),
+        )
+    });
+    visited.with_label(strategy).add(nodes_visited);
+    pruned.add(members_pruned);
+    seconds.observe(elapsed_ns);
 }
 
-/// Counts `queries` queries answered by a serving read path, labelled
-/// by backend, in the [`global()`] registry
-/// (`serve_queries_total{backend="index" | "table" | "snapshot"}`).
-/// Batch paths record once per batch with the element count; the
-/// allocation-free [`lookup_ref`](crate::serve::DispatchIndex::lookup_ref)
-/// hot path records nothing by design.
+/// Counts `queries` queries answered by the
+/// [`DispatchIndex`](crate::serve::DispatchIndex) read paths in the
+/// [`global()`] registry (`serve_queries_total{backend="index"}`, the
+/// one serving backend). Batch paths record once per batch with the
+/// element count; the allocation-free
+/// [`lookup_ref`](crate::serve::DispatchIndex::lookup_ref) hot path
+/// records nothing by design.
 #[inline]
-pub fn serve_query(backend: &str, queries: u64) {
-    global()
-        .counter_family(
-            "serve_queries_total",
-            "queries answered by serving read paths",
-            "backend",
-        )
-        .with_label(backend)
+pub fn serve_query(queries: u64) {
+    static QUERIES: OnceLock<Arc<Counter>> = OnceLock::new();
+    QUERIES
+        .get_or_init(|| {
+            global()
+                .family(
+                    "serve_queries_total",
+                    "queries answered by serving read paths",
+                    "backend",
+                    usize::MAX,
+                    Counter::new(),
+                )
+                .with_label("index")
+        })
         .add(queries);
 }
 
 /// Records one [`DispatchIndex`](crate::serve::DispatchIndex) build in
 /// the [`global()`] registry: `serve_index_builds_total{source}` counts
-/// builds by construction path (`table`, `snapshot`, `engine`,
-/// `refresh`), `serve_index_entries` / `serve_index_bytes` gauge the
-/// most recently built index's footprint, and
-/// `serve_index_build_seconds` histograms the build wall time (observed
-/// in **nanoseconds**, like the other latency histograms — the help
-/// text states the unit).
+/// builds by construction path (`table`, `snapshot`, `refresh`),
+/// `serve_index_entries` / `serve_index_bytes` gauge the most recently
+/// built index's footprint, and `serve_index_build_seconds` histograms
+/// the build wall time (observed in **nanoseconds**, like the other
+/// latency histograms — the help text states the unit).
 #[inline]
 pub fn index_built(source: &str, entries: u64, bytes: u64, elapsed_ns: u64) {
-    let r = global();
-    r.counter_family(
-        "serve_index_builds_total",
-        "dispatch index builds by construction path",
-        "source",
-    )
-    .with_label(source)
-    .inc();
-    r.gauge(
-        "serve_index_entries",
-        "(class, member) entries in the last built dispatch index",
-    )
-    .set(i64::try_from(entries).unwrap_or(i64::MAX));
-    r.gauge(
-        "serve_index_bytes",
-        "flat storage bytes of the last built dispatch index",
-    )
-    .set(i64::try_from(bytes).unwrap_or(i64::MAX));
-    r.histogram(
-        "serve_index_build_seconds",
-        "dispatch index build wall time (recorded in nanoseconds)",
-        Histogram::latency_ns(),
-    )
-    .observe(elapsed_ns);
+    type Handles = (Arc<Family<Counter>>, Arc<Gauge>, Arc<Gauge>, Arc<Histogram>);
+    static HANDLES: OnceLock<Handles> = OnceLock::new();
+    let (builds, entry_count, size, seconds) = HANDLES.get_or_init(|| {
+        let r = global();
+        (
+            r.family(
+                "serve_index_builds_total",
+                "dispatch index builds by construction path",
+                "source",
+                usize::MAX,
+                Counter::new(),
+            ),
+            r.gauge(
+                "serve_index_entries",
+                "(class, member) entries in the last built dispatch index",
+            ),
+            r.gauge(
+                "serve_index_bytes",
+                "flat storage bytes of the last built dispatch index",
+            ),
+            r.histogram(
+                "serve_index_build_seconds",
+                "dispatch index build wall time (recorded in nanoseconds)",
+                Histogram::latency_ns(),
+            ),
+        )
+    });
+    builds.with_label(source).inc();
+    entry_count.set(i64::try_from(entries).unwrap_or(i64::MAX));
+    size.set(i64::try_from(bytes).unwrap_or(i64::MAX));
+    seconds.observe(elapsed_ns);
 }
 
 #[cfg(test)]
@@ -261,12 +292,15 @@ thread_local! {
 pub fn directory_built(elapsed_ns: u64) {
     #[cfg(test)]
     DIRECTORY_BUILDS.with(|n| n.set(n.get() + 1));
-    global()
-        .histogram(
-            "mph_build_seconds",
-            "minimal perfect hash construction wall time (recorded in nanoseconds)",
-            Histogram::latency_ns(),
-        )
+    static SECONDS: OnceLock<Arc<Histogram>> = OnceLock::new();
+    SECONDS
+        .get_or_init(|| {
+            global().histogram(
+                "mph_build_seconds",
+                "minimal perfect hash construction wall time (recorded in nanoseconds)",
+                Histogram::latency_ns(),
+            )
+        })
         .observe(elapsed_ns);
 }
 
@@ -278,20 +312,25 @@ pub fn directory_built(elapsed_ns: u64) {
 /// anything else means a publisher blocked on readers).
 #[inline]
 pub fn index_published(epoch: u64, elapsed_ns: u64) {
-    let r = global();
-    r.counter(
-        "serve_index_publishes_total",
-        "dispatch index versions published",
-    )
-    .inc();
-    r.gauge("serve_index_epoch", "most recently published index epoch")
-        .set(i64::try_from(epoch).unwrap_or(i64::MAX));
-    r.histogram(
-        "serve_index_publish_seconds",
-        "index publish pointer-swap wall time (recorded in nanoseconds)",
-        Histogram::latency_ns(),
-    )
-    .observe(elapsed_ns);
+    static HANDLES: OnceLock<(Arc<Counter>, Arc<Gauge>, Arc<Histogram>)> = OnceLock::new();
+    let (publishes, newest, seconds) = HANDLES.get_or_init(|| {
+        let r = global();
+        (
+            r.counter(
+                "serve_index_publishes_total",
+                "dispatch index versions published",
+            ),
+            r.gauge("serve_index_epoch", "most recently published index epoch"),
+            r.histogram(
+                "serve_index_publish_seconds",
+                "index publish pointer-swap wall time (recorded in nanoseconds)",
+                Histogram::latency_ns(),
+            ),
+        )
+    });
+    publishes.inc();
+    newest.set(i64::try_from(epoch).unwrap_or(i64::MAX));
+    seconds.observe(elapsed_ns);
 }
 
 /// Records one [`IndexedEngine`](crate::serve::IndexedEngine) refresh
@@ -301,12 +340,15 @@ pub fn index_published(epoch: u64, elapsed_ns: u64) {
 /// one is.
 #[inline]
 pub fn index_refreshed(dirty_pairs: u64) {
-    global()
-        .histogram(
-            "serve_index_refresh_dirty_pairs",
-            "(class, member) pairs recomputed per index refresh (the edit's dirty set)",
-            Histogram::sizes(),
-        )
+    static PAIRS: OnceLock<Arc<Histogram>> = OnceLock::new();
+    PAIRS
+        .get_or_init(|| {
+            global().histogram(
+                "serve_index_refresh_dirty_pairs",
+                "(class, member) pairs recomputed per index refresh (the edit's dirty set)",
+                Histogram::sizes(),
+            )
+        })
         .observe(dirty_pairs);
 }
 
@@ -328,7 +370,7 @@ mod tests {
 
     #[test]
     fn serve_hooks_are_callable_in_both_modes() {
-        serve_query("index", 3);
+        serve_query(3);
         index_built("table", 10, 640, 1_000);
         index_published(1, 50);
         index_refreshed(4);
@@ -351,11 +393,9 @@ mod tests {
         let snap = global().snapshot();
         let found = snap.metrics.iter().any(|ms| {
             ms.name == "baseline_queries_total"
-                && matches!(
-                    &ms.value,
-                    MetricValue::Family { series, .. }
-                        if series.iter().any(|(s, n)| s == "naive" && *n >= 1)
-                )
+                && ms.series.iter().any(|(values, v)| {
+                    values == &["naive"] && matches!(v, MetricValue::Counter(n) if *n >= 1)
+                })
         });
         assert!(found);
     }

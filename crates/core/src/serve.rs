@@ -1312,7 +1312,7 @@ impl DispatchIndex {
     /// `serve_queries_total{backend="index"}` query; allocates only for
     /// ambiguous hits, when the witness set is materialized).
     pub fn lookup(&self, c: ClassId, m: MemberId) -> LookupOutcome {
-        crate::obs::serve_query("index", 1);
+        crate::obs::serve_query(1);
         self.lookup_ref(c, m).to_outcome()
     }
 
@@ -1335,7 +1335,7 @@ impl DispatchIndex {
         probes: &[(ClassId, MemberId)],
         out: &mut Vec<OutcomeRef<'a>>,
     ) {
-        crate::obs::serve_query("index", probes.len() as u64);
+        crate::obs::serve_query(probes.len() as u64);
         out.clear();
         out.reserve(probes.len());
         if self.layout.entry_count == 0 {
@@ -1796,9 +1796,19 @@ impl IndexedEngine {
         let current = self.handle.load();
         let fresh = recompute_dirty(&chg, self.options, &dirty, |c, m| current.index.entry(c, m));
         crate::obs::index_refreshed(fresh.len() as u64);
-        let refreshed = current.index.refreshed(&chg, &fresh);
+        // An edit that recomputes nothing and names no new class or
+        // member (a repeated `AddClass`, an edge whose base shows no
+        // member) leaves the table as it was: publish it again.
+        let unchanged = fresh.is_empty()
+            && chg.class_count() == self.chg.class_count()
+            && chg.member_name_count() == self.chg.member_name_count();
+        let index = if unchanged {
+            current.index.clone()
+        } else {
+            Arc::new(current.index.refreshed(&chg, &fresh))
+        };
         self.chg = chg;
-        Ok(self.handle.publish_advancing(refreshed, steps))
+        Ok(self.handle.publish_advancing(index, steps))
     }
 }
 
@@ -2278,6 +2288,30 @@ mod tests {
         }]);
         assert!(bad.is_err());
         assert_eq!(handle.epoch(), 1);
+    }
+
+    /// A duplicate `AddClass` recomputes nothing and names nothing new:
+    /// the edit publishes the very index it started from as the next
+    /// epoch, and that index still answers as a rebuild does.
+    #[test]
+    fn a_no_op_edit_republishes_the_same_index() {
+        let mut serving = IndexedEngine::new(fixtures::fig9(), LookupOptions::default());
+        let handle = serving.handle();
+        let before = handle.load();
+        let epoch = serving
+            .apply(&[Edit::AddClass { name: "D".into() }])
+            .unwrap();
+        assert_eq!(epoch, before.epoch() + 1);
+        let after = handle.load();
+        assert_eq!(after.epoch(), epoch);
+        assert!(std::ptr::eq(after.index(), before.index()));
+        let rebuilt = DispatchIndex::from_table(LookupTable::build(serving.chg()));
+        assert_eq!(after.index().entry_count(), rebuilt.entry_count());
+        for c in serving.chg().classes() {
+            for m in serving.chg().member_ids() {
+                assert_eq!(after.index().entry(c, m), rebuilt.entry(c, m));
+            }
+        }
     }
 
     /// An edit that changes entries but adds or drops no key keeps the

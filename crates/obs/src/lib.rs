@@ -9,8 +9,8 @@
 //!
 //! * [`Counter`], [`Gauge`], [`Histogram`] — relaxed-atomic primitives
 //!   whose record path is one or two uncontended read-modify-writes;
-//! * [`Family`], [`GaugeFamily`], [`HistogramFamily`], [`Family2`] —
-//!   labelled metric families (`…{shard="3"}`,
+//! * [`Family`] — a labelled family of any [`Metric`]
+//!   (`…{op="query"}`; a family of families gives
 //!   `…{tenant="acme",op="query"}`) with a bounded-cardinality guard:
 //!   past a per-family limit, unseen label values share one `other`
 //!   series instead of growing the registry without bound;
@@ -37,7 +37,6 @@ pub mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{
-    global, Family, Family2, GaugeFamily, HistogramFamily, MetricSnapshot, MetricValue, Registry,
-    Snapshot,
+    global, Family, Metric, MetricKind, MetricSnapshot, MetricValue, Registry, Snapshot,
 };
 pub use span::{Span, SpanBuffer, SpanRecorder, OVERFLOW_LABEL};

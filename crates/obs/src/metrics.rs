@@ -102,7 +102,7 @@ impl Gauge {
 #[derive(Debug)]
 pub struct Histogram {
     /// Inclusive upper bounds, strictly increasing.
-    bounds: Vec<u64>,
+    pub(crate) bounds: Vec<u64>,
     /// One slot per bound plus the overflow slot.
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
@@ -193,7 +193,7 @@ impl Histogram {
 /// An owned copy of a [`Histogram`]'s state, detached from the atomics.
 ///
 /// Snapshots from histograms with identical bounds can be
-/// [`merge`](HistogramSnapshot::merge)d — e.g. per-shard or per-thread
+/// [`merge`](HistogramSnapshot::merge)d — e.g. per-tenant or per-thread
 /// histograms folded into one for export.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {

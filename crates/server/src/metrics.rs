@@ -16,9 +16,7 @@
 
 use std::sync::Arc;
 
-use cpplookup_obs::{
-    Counter, Family, Family2, Gauge, GaugeFamily, Histogram, HistogramFamily, Registry,
-};
+use cpplookup_obs::{Counter, Family, Gauge, Histogram, Registry};
 use cpplookup_wal::WalStore;
 
 /// One server's metric handles, plus the registry that renders them.
@@ -29,28 +27,28 @@ pub(crate) struct ServerMetrics {
     pub(crate) connections: Arc<Gauge>,
     pub(crate) accepted: Arc<Counter>,
     pub(crate) rejected: Arc<Counter>,
-    pub(crate) requests: Arc<Family>,
-    pub(crate) errors: Arc<Family>,
+    pub(crate) requests: Arc<Family<Counter>>,
+    pub(crate) errors: Arc<Family<Counter>>,
     pub(crate) io_model: Arc<Gauge>,
     pub(crate) admin_requests: Arc<Counter>,
-    pub(crate) reactor_connections: Arc<GaugeFamily>,
-    pub(crate) reactor_wakeups: Arc<Family>,
-    pub(crate) reactor_backlog: Arc<GaugeFamily>,
+    pub(crate) reactor_connections: Arc<Family<Gauge>>,
+    pub(crate) reactor_wakeups: Arc<Family<Counter>>,
+    pub(crate) reactor_backlog: Arc<Family<Gauge>>,
     pub(crate) tenants: Arc<Gauge>,
     pub(crate) promotions: Arc<Counter>,
     pub(crate) wal_replayed: Arc<Counter>,
     pub(crate) wal_compactions: Arc<Counter>,
     pub(crate) subscribers: Arc<Gauge>,
     pub(crate) replicated: Arc<Counter>,
-    pub(crate) follower_acked_seq: Arc<GaugeFamily>,
+    pub(crate) follower_acked_seq: Arc<Family<Gauge>>,
     pub(crate) replication_lag: Arc<Histogram>,
     pub(crate) replication_applied: Arc<Gauge>,
     pub(crate) replication_skipped: Arc<Counter>,
     pub(crate) replication_errors: Arc<Counter>,
-    pub(crate) tenant_promotions: Arc<Family>,
-    pub(crate) tenant_epoch: Arc<GaugeFamily>,
-    pub(crate) queries: Arc<Family2>,
-    pub(crate) latency: Arc<HistogramFamily>,
+    pub(crate) tenant_promotions: Arc<Family<Counter>>,
+    pub(crate) tenant_epoch: Arc<Family<Gauge>>,
+    pub(crate) queries: Arc<Family<Family<Counter>>>,
+    pub(crate) latency: Arc<Family<Histogram>>,
     pub(crate) bytes_read: Arc<Counter>,
     pub(crate) bytes_written: Arc<Counter>,
 }
@@ -68,37 +66,45 @@ impl ServerMetrics {
                 "server_rejected_total",
                 "connections refused by admission control",
             ),
-            requests: r.counter_family(
+            requests: r.family(
                 "server_requests_total",
                 "requests served, by operation",
                 "op",
+                usize::MAX,
+                Counter::new(),
             ),
-            errors: r.counter_family(
+            errors: r.family(
                 "server_errors_total",
                 "error responses sent, by code",
                 "code",
+                usize::MAX,
+                Counter::new(),
             ),
             io_model: r.gauge(
                 "server_io_model",
                 "active I/O model (0 = threads, 1 = epoll reactor)",
             ),
             admin_requests: r.counter("server_admin_requests_total", "admin HTTP requests served"),
-            reactor_connections: r.gauge_family(
+            reactor_connections: r.family(
                 "reactor_connections",
                 "connections owned, by reactor",
                 "reactor",
                 64,
+                Gauge::new(),
             ),
-            reactor_wakeups: r.counter_family(
+            reactor_wakeups: r.family(
                 "reactor_wakeups_total",
                 "epoll wakeups handled, by reactor",
                 "reactor",
+                usize::MAX,
+                Counter::new(),
             ),
-            reactor_backlog: r.gauge_family(
+            reactor_backlog: r.family(
                 "reactor_writev_backlog_bytes",
                 "buffered response bytes awaiting writev, by reactor",
                 "reactor",
                 64,
+                Gauge::new(),
             ),
             tenants: r.gauge("server_tenants", "tenants currently loaded"),
             promotions: r.counter(
@@ -118,11 +124,12 @@ impl ServerMetrics {
                 "server_replicated_records_total",
                 "edit-log records streamed to subscribers",
             ),
-            follower_acked_seq: r.gauge_family(
+            follower_acked_seq: r.family(
                 "server_follower_acked_seq",
                 "last log sequence number each follower reported applied",
                 "follower",
                 16,
+                Gauge::new(),
             ),
             replication_lag: r.histogram(
                 "replication_lag_ns",
@@ -141,31 +148,33 @@ impl ServerMetrics {
                 "replication_errors_total",
                 "records that failed to apply or stream errors",
             ),
-            tenant_promotions: r.counter_family_bounded(
+            tenant_promotions: r.family(
                 "tenant_promotions_total",
                 "snapshot-to-index promotions, by tenant",
                 "tenant",
                 tenant_cardinality,
+                Counter::new(),
             ),
-            tenant_epoch: r.gauge_family(
+            tenant_epoch: r.family(
                 "tenant_epoch",
                 "currently published index epoch, by tenant",
                 "tenant",
                 tenant_cardinality,
+                Gauge::new(),
             ),
-            queries: r.counter_family2(
+            queries: r.family(
                 "server_queries_total",
                 "requests served, by tenant and operation",
                 "tenant",
-                "op",
                 tenant_cardinality,
+                Family::new("op", usize::MAX, Counter::new()),
             ),
-            latency: r.histogram_family(
+            latency: r.family(
                 "server_query_latency_ns",
                 "end-to-end query/batch service latency, by tenant",
                 "tenant",
-                Histogram::latency_ns(),
                 tenant_cardinality,
+                Histogram::latency_ns(),
             ),
             bytes_read: r.counter("server_bytes_read_total", "request bytes read off the wire"),
             bytes_written: r.counter(

@@ -594,7 +594,7 @@ pub(crate) fn process_body(
     metrics.bytes_written.add((out.len() - frame) as u64);
     let latency_ns = t0.elapsed().as_nanos() as u64;
     if !tenant.is_empty() {
-        metrics.queries.with_labels(&tenant, op).inc();
+        metrics.queries.with_label(&tenant).with_label(op).inc();
         if matches!(op, "query" | "batch") {
             metrics.latency.with_label(&tenant).observe(latency_ns);
         }

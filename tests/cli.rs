@@ -283,6 +283,41 @@ fn batch_metrics_emits_json_snapshot_and_applies_edit_directives() {
     let _ = std::fs::remove_file(path);
 }
 
+/// A repeated `!class X` changes no entry and names no new class: it
+/// still publishes an epoch, but over the index already published, so
+/// the run counts one `refresh` index build (the first `!class X`),
+/// not two.
+#[test]
+fn batch_no_op_edit_republishes_without_a_refresh_build() {
+    let path = write_temp(FIG9);
+    let (stdout, stderr, code) = run_with_stdin(
+        &["batch", path.to_str().unwrap(), "--metrics"],
+        "!class X\n!class X\n",
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("applied: !class X (epoch 1)"), "{stderr}");
+    assert!(stderr.contains("applied: !class X (epoch 2)"), "{stderr}");
+    let json = stdout.lines().last().expect("snapshot line");
+    assert!(
+        json.contains(
+            "{\"name\":\"serve_index_builds_total\",\"type\":\"counter\",\"label\":\"source\",\
+             \"series\":[{\"value\":\"refresh\",\"count\":1},{\"value\":\"table\",\"count\":1}]}"
+        ),
+        "{json}"
+    );
+    assert!(
+        json.contains("{\"name\":\"serve_index_epoch\",\"type\":\"gauge\",\"value\":2}"),
+        "{json}"
+    );
+    assert!(
+        json.contains(
+            "\"name\":\"serve_index_refresh_dirty_pairs\",\"type\":\"histogram\",\"count\":2,\"sum\":0,"
+        ),
+        "{json}"
+    );
+    let _ = std::fs::remove_file(path);
+}
+
 fn temp_snap_path(tag: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!(

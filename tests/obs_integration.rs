@@ -145,7 +145,13 @@ fn cache_metrics_match_dirty_closure_across_edits() {
         .collect();
     let served = || {
         obs::global()
-            .counter_family("serve_queries_total", "", "backend")
+            .family(
+                "serve_queries_total",
+                "",
+                "backend",
+                usize::MAX,
+                obs::Counter::new(),
+            )
             .with_label("index")
             .get()
     };
@@ -171,7 +177,13 @@ fn build_metrics_report_frontier_pruning() {
     let registry = obs::global();
     let visited = |label: &str| {
         registry
-            .counter_family("build_nodes_visited_total", "", "strategy")
+            .family(
+                "build_nodes_visited_total",
+                "",
+                "strategy",
+                usize::MAX,
+                obs::Counter::new(),
+            )
             .with_label(label)
             .get()
     };

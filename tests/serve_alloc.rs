@@ -189,6 +189,35 @@ fn lookup_batch_into_hot_path_is_allocation_free() {
     }
 }
 
+/// Every core metric hook resolves its handles on its first call and
+/// afterwards only records through them: once warmed, none of them
+/// allocates — no registry lookup by name, no histogram template.
+#[test]
+fn core_metric_hooks_are_allocation_free_after_their_first_call() {
+    use cpplookup::obs;
+    let hooks: [(&str, fn()); 7] = [
+        ("index_published", || obs::index_published(1, 50)),
+        ("index_refreshed", || obs::index_refreshed(4)),
+        ("index_built", || obs::index_built("table", 10, 640, 1_000)),
+        ("table_built", || obs::table_built("batched", 10, 2, 1_000)),
+        ("snapshot_loaded", || obs::snapshot_loaded(4_096, 1_000)),
+        ("directory_built", || obs::directory_built(1_000)),
+        ("serve_query", || obs::serve_query(3)),
+    ];
+    for (name, hook) in hooks {
+        hook();
+        let allocs = count_allocs(|| {
+            for _ in 0..16 {
+                hook();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "obs::{name} allocated {allocs} times in 16 calls"
+        );
+    }
+}
+
 /// Contrast case documenting *why* `lookup_ref` exists: the owned
 /// `lookup` necessarily allocates on ambiguous hits (it materializes
 /// the witness `Vec`), which is exactly what the ref path avoids.
