@@ -1103,10 +1103,20 @@ fn e21(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
+/// Interleaved rounds behind E21-smoke's one-pass compile guard.
+const E21_COMPILE_ROUNDS: usize = 9;
+
+/// The floor on the one-pass compile's speedup over building the table,
+/// packing it and copying the index into the file.
+const E21_COMPILE_FLOOR: f64 = 1.3;
+
 /// E21's CI guard: a fast batched-vs-old differential on one small
 /// interface-heavy family, erroring out when the tables diverge or the
 /// batched build is more than 1.25× slower than the old per-member
-/// build it replaced.
+/// build it replaced; then the one-pass snapshot compile against the
+/// table path it replaced on the same family, erroring out when their
+/// bytes differ or the compile is less than [`E21_COMPILE_FLOOR`]
+/// times faster.
 fn e21_smoke(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E21-smoke: batched-vs-old differential + perf guard")?;
     let chg = families::interface_heavy(200, 4);
@@ -1145,6 +1155,57 @@ fn e21_smoke(w: &mut dyn Write) -> io::Result<()> {
         )));
     }
     writeln!(w, "  guard: PASS (limit 1.25x)")?;
+    e21_compile_guard(w, &chg)
+}
+
+/// The one-pass compile guard of [`e21_smoke`]: `Snapshot::compile`
+/// against `Snapshot::from_index` of a packed `LookupTable::build`,
+/// interleaved, [`E21_COMPILE_ROUNDS`] rounds in alternating order;
+/// the speedup is the median per-round ratio.
+fn e21_compile_guard(w: &mut dyn Write, chg: &Chg) -> io::Result<()> {
+    use cpplookup_core::DispatchIndex;
+    use cpplookup_snapshot::Snapshot;
+    let options = LookupOptions::default();
+    let table_path = || {
+        let index = DispatchIndex::from_table(LookupTable::build(chg));
+        Snapshot::from_index(chg, &index, options)
+    };
+    if Snapshot::compile(chg).as_bytes() != table_path().as_bytes() {
+        return Err(io::Error::other(
+            "the one-pass compile's bytes differ from the table path's",
+        ));
+    }
+    let (mut t_table, mut t_compile) = (Vec::new(), Vec::new());
+    for round in 0..E21_COMPILE_ROUNDS {
+        for k in 0..2 {
+            if (round + k) % 2 == 0 {
+                t_table.push(time_once(table_path).0.as_secs_f64());
+            } else {
+                t_compile.push(time_once(|| Snapshot::compile(chg)).0.as_secs_f64());
+            }
+        }
+    }
+    let ratios = t_table
+        .iter()
+        .zip(&t_compile)
+        .map(|(table, compile)| table / compile.max(f64::MIN_POSITIVE))
+        .collect();
+    let (speedup, iqr) = median_and_iqr_share(ratios);
+    let median = |t: Vec<f64>| std::time::Duration::from_secs_f64(median_and_iqr_share(t).0);
+    writeln!(
+        w,
+        "  compile: table path {} one-pass {} (speedup {speedup:.2}x, iqr {iqr:.2}), \
+         bytes identical",
+        fmt_duration(median(t_table)),
+        fmt_duration(median(t_compile)),
+    )?;
+    if speedup < E21_COMPILE_FLOOR {
+        return Err(io::Error::other(format!(
+            "the one-pass compile is only {speedup:.2}x faster than the table path \
+             (floor {E21_COMPILE_FLOOR}x)"
+        )));
+    }
+    writeln!(w, "  compile guard: PASS (floor {E21_COMPILE_FLOOR}x)")?;
     Ok(())
 }
 

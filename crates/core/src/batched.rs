@@ -48,7 +48,7 @@ const NO_VIA: u32 = u32::MAX;
 /// set equality — the common case on diamond-free stretches of the
 /// hierarchy — is a `u32` comparison, and extension through a
 /// non-virtual edge is the identity on the handle.
-struct Pool {
+pub(crate) struct Pool {
     /// Bump storage for all interned set elements.
     elems: Vec<LeastVirtual>,
     /// Handle → `(start, len)` into `elems`. Handle 0 is the empty set.
@@ -77,9 +77,14 @@ impl Pool {
     }
 
     /// The elements of set `h`, sorted ascending and deduplicated.
-    fn set(&self, h: u32) -> &[LeastVirtual] {
+    pub(crate) fn set(&self, h: u32) -> &[LeastVirtual] {
         let (start, len) = self.sets[h as usize];
         &self.elems[start as usize..(start + len) as usize]
+    }
+
+    /// How many set handles the pool has issued: every handle is below.
+    pub(crate) fn set_count(&self) -> usize {
+        self.sets.len()
     }
 
     /// Interns a sorted, deduplicated slice, returning its handle.
@@ -206,6 +211,36 @@ enum Slot {
     Red { red: u32, via: u32 },
     /// Ambiguous: the handle of the blue witness set.
     Blue { set: u32 },
+}
+
+/// One visible `(class, member)` verdict as a [`Sweep`] hands it out:
+/// the table entry with its sets left as handles into the sweep's
+/// [`Pool`].
+#[derive(Clone, Copy)]
+pub(crate) enum Swept {
+    /// Unambiguous: the winning abstraction, the via edge (`None` for a
+    /// generated definition) and the handle of the shared set.
+    Red {
+        abs: RedAbs,
+        via: Option<ClassId>,
+        shared: u32,
+    },
+    /// Ambiguous: the handle of the witness set.
+    Blue { set: u32 },
+}
+
+impl Swept {
+    /// Materializes the verdict into the [`Entry`] form the tables store.
+    fn to_entry(self, pool: &Pool) -> Entry {
+        match self {
+            Swept::Red { abs, via, shared } => Entry::Red {
+                abs,
+                via,
+                shared: pool.set(shared).to_vec(),
+            },
+            Swept::Blue { set } => Entry::Blue(pool.set(set).to_vec()),
+        }
+    }
 }
 
 /// Figure 8's per-member merge (lines 14–44) over pool handles —
@@ -544,41 +579,99 @@ impl ColumnSpace {
         }
     }
 
-    /// Materializes a slot into the [`Entry`] form the tables store.
-    fn slot_to_entry(&self, slot: Slot) -> Entry {
+    /// A slot in the handle form a [`Sweep`] hands out.
+    fn swept(&self, slot: Slot) -> Swept {
         match slot {
             Slot::Red { red, via } => {
                 let (abs, shared) = self.pool.red(red);
-                Entry::Red {
+                Swept::Red {
                     abs,
                     via: (via != NO_VIA).then(|| ClassId::from_index(via as usize)),
-                    shared: self.pool.set(shared).to_vec(),
+                    shared,
                 }
             }
-            Slot::Blue { set } => Entry::Blue(self.pool.set(set).to_vec()),
+            Slot::Blue { set } => Swept::Blue { set },
         }
+    }
+}
+
+/// The sequential batched sweep: every member in ascending id, each
+/// over its frontier. It is the one member loop behind both the table
+/// build ([`build_entries`]) and the one-pass index compile
+/// ([`DispatchIndex::compile`](crate::serve::DispatchIndex::compile)).
+pub(crate) struct Sweep<'a> {
+    chg: &'a Chg,
+    options: LookupOptions,
+    csr: Csr,
+    frontiers: Vec<BitSet>,
+    live: u64,
+    start: Instant,
+}
+
+impl<'a> Sweep<'a> {
+    /// Flattens `chg` and computes every member's frontier.
+    pub(crate) fn new(chg: &'a Chg, options: LookupOptions) -> Self {
+        let start = Instant::now();
+        let csr = Csr::build(chg);
+        let (frontiers, live) = member_frontiers(chg, &csr);
+        Sweep {
+            chg,
+            options,
+            csr,
+            frontiers,
+            live,
+            start,
+        }
+    }
+
+    /// Per class index, how many verdicts [`run`](Self::run) will hand
+    /// out for it: the length of its table row.
+    pub(crate) fn row_lens(&self) -> Vec<u32> {
+        let mut lens = vec![0u32; self.chg.class_count()];
+        for f in &self.frontiers {
+            for r in f.iter() {
+                lens[self.csr.class_at(r as u32).index()] += 1;
+            }
+        }
+        lens
+    }
+
+    /// Sweeps every member in ascending id and hands `visit` each
+    /// visible `(class, member)` verdict, with the pool its handles
+    /// index; then records the build (strategy `batched`). Returns the
+    /// pool, which the handles of every verdict still index.
+    pub(crate) fn run(self, mut visit: impl FnMut(&Pool, ClassId, MemberId, Swept)) -> Pool {
+        let n = self.chg.class_count();
+        let mut space = ColumnSpace::new(n);
+        let mut out = Vec::new();
+        for (i, m) in self.chg.member_ids().enumerate() {
+            out.clear();
+            space.sweep_member(
+                self.chg,
+                &self.csr,
+                self.options,
+                m,
+                &self.frontiers[i],
+                &mut out,
+            );
+            crate::obs::propagation().nodes_visited_add(out.len() as u64);
+            for &(c, slot) in &out {
+                visit(&space.pool, c, m, space.swept(slot));
+            }
+        }
+        let pruned = (n as u64) * (self.frontiers.len() as u64) - self.live;
+        crate::obs::table_built("batched", self.live, pruned, elapsed_ns(self.start));
+        space.pool
     }
 }
 
 /// Builds all per-class entry maps with the sequential batched sweep.
 pub(crate) fn build_entries(chg: &Chg, options: LookupOptions) -> Vec<FxHashMap<MemberId, Entry>> {
-    let start = Instant::now();
-    let n = chg.class_count();
-    let mut entries: Vec<FxHashMap<MemberId, Entry>> = vec![FxHashMap::default(); n];
-    let csr = Csr::build(chg);
-    let (frontiers, live) = member_frontiers(chg, &csr);
-    let mut space = ColumnSpace::new(n);
-    let mut out = Vec::new();
-    for (i, m) in chg.member_ids().enumerate() {
-        out.clear();
-        space.sweep_member(chg, &csr, options, m, &frontiers[i], &mut out);
-        crate::obs::propagation().nodes_visited_add(out.len() as u64);
-        for &(c, slot) in &out {
-            entries[c.index()].insert(m, space.slot_to_entry(slot));
-        }
-    }
-    let pruned = (n as u64) * (frontiers.len() as u64) - live;
-    crate::obs::table_built("batched", live, pruned, elapsed_ns(start));
+    let mut entries: Vec<FxHashMap<MemberId, Entry>> =
+        vec![FxHashMap::default(); chg.class_count()];
+    Sweep::new(chg, options).run(|pool, c, m, swept| {
+        entries[c.index()].insert(m, swept.to_entry(pool));
+    });
     entries
 }
 
@@ -629,7 +722,7 @@ pub(crate) fn build_entries_parallel(
                         crate::obs::propagation().nodes_visited_add(out.len() as u64);
                         let col: Vec<(ClassId, Entry)> = out
                             .iter()
-                            .map(|&(c, slot)| (c, space.slot_to_entry(slot)))
+                            .map(|&(c, slot)| (c, space.swept(slot).to_entry(&space.pool)))
                             .collect();
                         cols.push((m, col));
                     }

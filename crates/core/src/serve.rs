@@ -67,6 +67,11 @@
 //! * [`DispatchIndex::from_columns`] — borrows columns that already
 //!   exist, such as a loaded snapshot's index section, after one O(n)
 //!   structural validation; nothing is decoded or copied;
+//! * [`DispatchIndex::compile`] — one pass from a hierarchy: the
+//!   batched sweep writes each verdict straight into its row, with no
+//!   table in between ([`compile_into`](DispatchIndex::compile_into)
+//!   writes the columns at the end of a caller's buffer, such as a
+//!   snapshot file's);
 //! * [`DispatchIndex::from_table`] — one pass over a finished
 //!   [`LookupTable`];
 //! * [`DispatchIndex::from_entries`] — any `(class, member, entry)`
@@ -103,7 +108,7 @@ use cpplookup_chg::{apply_edits, Chg, ChgError, ClassId, Edit, MemberId};
 
 use crate::abstraction::{LeastVirtual, RedAbs};
 use crate::api::MemberLookup;
-use crate::batched::elapsed_ns;
+use crate::batched::{elapsed_ns, Sweep, Swept};
 use crate::engine::{dirty_set, recompute_dirty, Recomputed};
 use crate::mph::{self, MphFunction};
 use crate::result::{Entry, LookupOutcome};
@@ -435,6 +440,31 @@ struct PackedEntry {
 }
 
 impl PackedEntry {
+    /// A red entry: the winner `abs`, its via edge (`None` for a
+    /// generated definition), and the pool range of its shared set.
+    fn red(abs: RedAbs, via: Option<ClassId>, (set_off, set_len): (u32, u32)) -> PackedEntry {
+        PackedEntry {
+            flags: if via.is_some() { FLAG_VIA } else { 0 },
+            ldc: abs.ldc.index() as u32,
+            lv: enc_lv(abs.lv),
+            via: via.map_or(0, |v| v.index() as u32),
+            set_off,
+            set_len,
+        }
+    }
+
+    /// A blue entry over the pool range of its witness set.
+    fn blue((set_off, set_len): (u32, u32)) -> PackedEntry {
+        PackedEntry {
+            flags: FLAG_BLUE,
+            ldc: 0,
+            lv: 0,
+            via: 0,
+            set_off,
+            set_len,
+        }
+    }
+
     fn decode(e: &[u8; ENTRY_LEN]) -> PackedEntry {
         let f = |i: usize| u32::from_le_bytes([e[4 * i], e[4 * i + 1], e[4 * i + 2], e[4 * i + 3]]);
         PackedEntry {
@@ -640,35 +670,15 @@ impl PoolBuilder {
 
     fn pack(&mut self, entry: &Entry) -> PackedEntry {
         match entry {
-            Entry::Red { abs, via, shared } => {
-                let (set_off, set_len) = self.intern(shared);
-                PackedEntry {
-                    flags: if via.is_some() { FLAG_VIA } else { 0 },
-                    ldc: abs.ldc.index() as u32,
-                    lv: enc_lv(abs.lv),
-                    via: via.map_or(0, |v| v.index() as u32),
-                    set_off,
-                    set_len,
-                }
-            }
-            Entry::Blue(set) => {
-                let (set_off, set_len) = self.intern(set);
-                PackedEntry {
-                    flags: FLAG_BLUE,
-                    ldc: 0,
-                    lv: 0,
-                    via: 0,
-                    set_off,
-                    set_len,
-                }
-            }
+            Entry::Red { abs, via, shared } => PackedEntry::red(*abs, *via, self.intern(shared)),
+            Entry::Blue(set) => PackedEntry::blue(self.intern(set)),
         }
     }
 }
 
 /// The construction side of an index: rows, members, entries and pool
 /// are collected typed, then [`finish`](Packer::finish) places the
-/// directory and writes every column into one fresh buffer. Pair `i`
+/// directory and writes every column at the end of a buffer. Pair `i`
 /// names member `members[i]` and entry slot `i`.
 struct Packer {
     row_starts: Vec<u32>,
@@ -709,11 +719,31 @@ impl Packer {
         self.row_starts.push(end);
     }
 
-    /// Writes the columns into a fresh buffer, every cell at its slot
-    /// under `mph` when that hash covers the rows' keys and under a
-    /// freshly built one otherwise (a prebuilt hash that maps two live
-    /// keys to one slot would turn live probes into `NotFound`).
-    fn finish(self, member_count: usize, mph: Option<MphFunction>) -> DispatchIndex {
+    /// The index of the packed rows, in a buffer of its own.
+    fn into_index(self, member_count: usize, mph: Option<MphFunction>) -> DispatchIndex {
+        let mut bytes = Vec::new();
+        let layout = self.finish(member_count, mph, &mut bytes, 0);
+        DispatchIndex {
+            bytes: Arc::new(bytes),
+            layout,
+        }
+    }
+
+    /// Writes the columns at the end of `buf`, whose length must be a
+    /// multiple of [`COLUMN_ALIGN`], leaving capacity for `tail` more
+    /// bytes after them, and returns their layout. Every cell lands at
+    /// its slot under `mph` when that hash covers the rows' keys and
+    /// under a freshly built one otherwise (a prebuilt hash that maps
+    /// two live keys to one slot would turn live probes into
+    /// `NotFound`).
+    fn finish(
+        self,
+        member_count: usize,
+        mph: Option<MphFunction>,
+        buf: &mut Vec<u8>,
+        tail: usize,
+    ) -> Layout {
+        debug_assert!(buf.len().is_multiple_of(COLUMN_ALIGN), "misaligned columns");
         let Packer {
             row_starts,
             members,
@@ -745,34 +775,86 @@ impl Packer {
             pool.pool.len(),
             mph.disp().len(),
         ];
-        let l = Layout::new(0, counts, mph.seed()).expect("dispatch index overflows its columns");
-        let mut b = vec![0u8; l.end];
-        l.write_header(&mut b);
+        let l = Layout::new(buf.len(), counts, mph.seed())
+            .expect("dispatch index overflows its columns");
+        if buf.is_empty() && tail == 0 {
+            // Zeroed by the allocator rather than written.
+            *buf = vec![0u8; l.end];
+        } else {
+            buf.reserve_exact(l.end + tail - buf.len());
+            buf.resize(l.end, 0);
+        }
+        let b = buf.as_mut_slice();
+        l.write_header(b);
         for (i, &start) in row_starts.iter().enumerate() {
-            put_u32(&mut b, l.rows + 4 * i, start);
+            put_u32(b, l.rows + 4 * i, start);
         }
         for (i, &m) in members.iter().enumerate() {
-            put_u32(&mut b, l.pairs + PAIR_LEN * i, m);
-            put_u32(&mut b, l.pairs + PAIR_LEN * i + 4, i as u32);
+            put_u32(b, l.pairs + PAIR_LEN * i, m);
+            put_u32(b, l.pairs + PAIR_LEN * i + 4, i as u32);
         }
         for (i, e) in entries.iter().enumerate() {
-            e.write(&mut b, l.entries + ENTRY_LEN * i);
+            e.write(b, l.entries + ENTRY_LEN * i);
         }
         for (i, &w) in pool.pool.iter().enumerate() {
-            put_u32(&mut b, l.pool + 4 * i, w);
+            put_u32(b, l.pool + 4 * i, w);
         }
         for (i, &d) in mph.disp().iter().enumerate() {
-            put_u32(&mut b, l.disp + 4 * i, d);
+            put_u32(b, l.disp + 4 * i, d);
         }
         for (key, e) in keys().zip(&entries) {
-            e.cell(key)
-                .write(&mut b, l.cells + CELL_LEN * mph.position(key));
+            e.cell(key).write(b, l.cells + CELL_LEN * mph.position(key));
         }
-        DispatchIndex {
-            bytes: Arc::new(b),
-            layout: l,
-        }
+        l
     }
+}
+
+/// Compiles the index of `chg` under `options` at the end of `buf` in
+/// one pass and returns its layout (see [`DispatchIndex::compile`]).
+fn compile_columns(chg: &Chg, options: LookupOptions, buf: &mut Vec<u8>, tail: usize) -> Layout {
+    let sweep = Sweep::new(chg, options);
+    // The rows are laid out class-major before the sweep, so each
+    // verdict goes straight to its slot; members are swept in ascending
+    // id, so every row fills in sorted order.
+    let mut packer = Packer::new(PoolBuilder::new());
+    let mut next: Vec<usize> = Vec::with_capacity(chg.class_count());
+    let mut live = 0usize;
+    for len in sweep.row_lens() {
+        next.push(live);
+        live += len as usize;
+        packer
+            .row_starts
+            .push(u32::try_from(live).expect("dispatch index overflow"));
+    }
+    packer.members = vec![0; live];
+    // `set_off` holds the sweep's set handle until the pool is interned.
+    packer.entries = vec![PackedEntry::blue((0, 0)); live];
+    let mut member_count = 0;
+    let sets = sweep.run(|_, c, m, swept| {
+        let slot = &mut next[c.index()];
+        packer.members[*slot] = m.index() as u32;
+        packer.entries[*slot] = match swept {
+            Swept::Red { abs, via, shared } => PackedEntry::red(abs, via, (shared, 0)),
+            Swept::Blue { set } => PackedEntry::blue((set, 0)),
+        };
+        *slot += 1;
+        member_count = m.index() + 1;
+    });
+    let start = Instant::now();
+    // One intern per distinct handle, in class-major order: the order a
+    // table's rows intern their sets in, and the sweep's handles are
+    // content-unique, so the pool comes out word for word the same.
+    let mut ranges: Vec<Option<(u32, u32)>> = vec![None; sets.set_count()];
+    for e in &mut packer.entries {
+        let range = *ranges[e.set_off as usize]
+            .get_or_insert_with(|| packer.pool.intern(sets.set(e.set_off)));
+        (e.set_off, e.set_len) = range;
+    }
+    drop((sets, ranges));
+    let l = packer.finish(member_count, None, buf, tail);
+    let (entries, bytes) = (l.entry_count as u64, l.len() as u64);
+    crate::obs::index_built("table", entries, bytes, elapsed_ns(start));
+    l
 }
 
 /// The flat serving structure. See the [module docs](self) for the
@@ -1016,6 +1098,45 @@ impl DispatchIndex {
         Self::pack_rows(rows, mph)
     }
 
+    /// The index of `chg` under `options`, compiled in one pass: the
+    /// batched sweep writes each verdict straight into its row, each
+    /// distinct set is interned once, and the columns are written once.
+    /// Column for column the same as
+    /// [`from_table`](Self::from_table)`(`[`LookupTable::build_with`]`(chg,
+    /// options))`, without building the table. Records one `batched`
+    /// table build and one `table` index build.
+    pub fn compile(chg: &Chg, options: LookupOptions) -> Self {
+        let mut bytes = Vec::new();
+        let layout = compile_columns(chg, options, &mut bytes, 0);
+        DispatchIndex {
+            bytes: Arc::new(bytes),
+            layout,
+        }
+    }
+
+    /// [`compile`](Self::compile) onto the end of `buf`, whose length
+    /// must be a multiple of 16, leaving capacity for `tail` more bytes
+    /// after the columns; returns the columns' length. This is how a
+    /// snapshot writer fills a file's index section in place:
+    /// `buf[start..start + len]` is then what
+    /// [`from_columns`](Self::from_columns) serves.
+    ///
+    /// # Panics
+    ///
+    /// If `buf.len()` is not a multiple of 16.
+    pub fn compile_into(
+        chg: &Chg,
+        options: LookupOptions,
+        buf: &mut Vec<u8>,
+        tail: usize,
+    ) -> usize {
+        assert!(
+            buf.len().is_multiple_of(COLUMN_ALIGN),
+            "index columns must start {COLUMN_ALIGN}-byte aligned"
+        );
+        compile_columns(chg, options, buf, tail).len()
+    }
+
     /// Builds the index from a finished [`LookupTable`], consuming it
     /// one class row at a time, so each row's entries are freed as soon
     /// as they are packed.
@@ -1058,7 +1179,7 @@ impl DispatchIndex {
                 member_count = member_count.max(m as usize + 1);
             }
         }
-        packer.finish(member_count, mph)
+        packer.into_index(member_count, mph)
     }
 
     /// The index of `chg` after an edit, from this one and the edit's
@@ -1115,7 +1236,7 @@ impl DispatchIndex {
             packer.end_row();
         }
         packer
-            .finish(chg.member_name_count(), self.mph())
+            .into_index(chg.member_name_count(), self.mph())
             .recorded("refresh", start)
     }
 
@@ -1153,7 +1274,7 @@ impl DispatchIndex {
             }
             packer.end_row();
         }
-        packer.finish(l.member_count, self.mph())
+        packer.into_index(l.member_count, self.mph())
     }
 
     /// The hash this index's cells sit under, rebuilt from its seed and
@@ -1696,10 +1817,10 @@ pub struct IndexedEngine {
 }
 
 impl IndexedEngine {
-    /// Builds the table of `chg` under `options` and packs it into the
-    /// initial index, published as epoch 0; the table is dropped.
+    /// Compiles the index of `chg` under `options`
+    /// ([`DispatchIndex::compile`]) and publishes it as epoch 0.
     pub fn new(chg: Chg, options: LookupOptions) -> Self {
-        let handle = ServeHandle::serving(LookupTable::build_with(&chg, options));
+        let handle = ServeHandle::new(DispatchIndex::compile(&chg, options));
         Self::with_handle(chg, options, handle)
     }
 

@@ -237,8 +237,11 @@ impl HistogramSnapshot {
     }
 
     /// An upper bound on the `q`-quantile (0.0–1.0), read from the
-    /// bucket boundaries. Returns the largest finite bound when the
-    /// quantile falls in the overflow bucket, and 0 when empty.
+    /// bucket boundaries: the inclusive bound of the bucket the
+    /// quantile falls in. When it falls in the overflow (`+Inf`) bucket
+    /// no finite bound holds, and the result is `u64::MAX`, the bound
+    /// of every `u64` observation (the text and JSON renderers print
+    /// it as is). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -360,6 +363,20 @@ mod tests {
         let empty = Histogram::new(&[1]).snapshot();
         assert_eq!(empty.quantile(0.5), 0);
         assert_eq!(empty.mean(), 0.0);
+    }
+
+    #[test]
+    fn overflow_bucket_quantile_is_u64_max() {
+        let h = Histogram::new(&[10, 100]);
+        h.observe(5);
+        h.observe(7);
+        h.observe(101);
+        let s = h.snapshot();
+        assert_eq!(s.quantile(0.5), 10);
+        assert_eq!(s.quantile(0.6), 10);
+        // Past the last finite bound: no finite upper bound holds.
+        assert_eq!(s.quantile(0.7), u64::MAX);
+        assert_eq!(s.quantile(1.0), u64::MAX);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! This crate serializes the compiled artifact into a versioned,
 //! checksummed, alignment-disciplined binary format:
 //!
-//! * [`Snapshot`] — the writer. [`Snapshot::compile`] builds the table,
-//!   packs it into a [`DispatchIndex`](cpplookup_core::DispatchIndex),
-//!   and writes the name tables, the topo-ordered hierarchy, and the
-//!   index's own byte columns into one deterministic byte buffer
+//! * [`Snapshot`] — the writer. [`Snapshot::compile`] writes the name
+//!   tables and the topo-ordered hierarchy, then compiles the
+//!   [`DispatchIndex`](cpplookup_core::DispatchIndex) straight into the
+//!   file's index section, all in one deterministic byte buffer
 //!   (identical input ⇒ identical bytes, suitable for golden tests and
 //!   content-addressed caches).
 //! * [`SnapshotTable`] — the loader. One validation pass checks magic,

@@ -9,7 +9,7 @@ use cpplookup_core::{DispatchIndex, LookupOptions, LookupTable, StaticRule};
 use crate::error::SnapshotError;
 use crate::format::{
     checksum64, padding_to_align, put_varint, DIR_ENTRY_LEN, ENDIAN_TAG, HEADER_LEN,
-    INDEX_HEADER_LEN, MAGIC, SECTION_CHG, SECTION_INDEX, SECTION_NAMES, VERSION,
+    INDEX_HEADER_LEN, MAGIC, SECTION_CHG, SECTION_INDEX, SECTION_NAMES, TRAILER_LEN, VERSION,
 };
 
 /// A compiled hierarchy serialized into the snapshot format, ready to
@@ -35,18 +35,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds the lookup table for `chg` (default options) and
-    /// serializes hierarchy + index.
+    /// Compiles the index of `chg` (default options) and serializes
+    /// hierarchy + index.
     pub fn compile(chg: &Chg) -> Snapshot {
         Self::compile_with(chg, LookupOptions::default())
     }
 
     /// Like [`compile`](Snapshot::compile) with explicit lookup options.
-    /// The table is packed into its index and dropped before the file
-    /// bytes are written.
+    /// The index is compiled in one pass
+    /// ([`DispatchIndex::compile_into`]) straight into the file's INDEX
+    /// section: no table is built and no index is copied. The bytes
+    /// equal those of [`from_index`](Snapshot::from_index) over
+    /// [`DispatchIndex::compile`].
     pub fn compile_with(chg: &Chg, options: LookupOptions) -> Snapshot {
-        let index = DispatchIndex::from_table(LookupTable::build_with(chg, options));
-        Self::from_index(chg, &index, options)
+        write(chg, options, |bytes, tail| {
+            DispatchIndex::compile_into(chg, options, bytes, tail);
+        })
     }
 
     /// Serializes an already-built table (the table must have been built
@@ -81,62 +85,11 @@ impl Snapshot {
             "the index names members the hierarchy lacks"
         );
         let index = index.compacted();
-        let names = encode_names(chg);
-        let chg_section = encode_chg(chg);
-        let mut index_header = [0u8; INDEX_HEADER_LEN];
-        index_header[..4].copy_from_slice(&encode_statics(options.statics).to_le_bytes());
-        let sections: [(u32, &[&[u8]]); 3] = [
-            (SECTION_NAMES, &[&names]),
-            (SECTION_CHG, &[&chg_section]),
-            (SECTION_INDEX, &[&index_header, index.columns()]),
-        ];
-
-        let dir_len = DIR_ENTRY_LEN * sections.len();
-        let payload: usize = sections
-            .iter()
-            .flat_map(|(_, parts)| parts.iter().map(|p| p.len() + 16))
-            .sum();
-        let mut bytes = Vec::with_capacity(HEADER_LEN + dir_len + payload + 8);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved, must be zero
-        bytes.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved, must be zero
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // total length, patched below
-        debug_assert_eq!(bytes.len(), HEADER_LEN);
-        // Directory placeholder; patched once section offsets are known.
-        bytes.resize(HEADER_LEN + dir_len, 0);
-
-        let mut directory = Vec::with_capacity(sections.len());
-        for (id, parts) in &sections {
-            bytes.resize(bytes.len() + padding_to_align(bytes.len()), 0);
-            let offset = bytes.len();
-            for part in *parts {
-                bytes.extend_from_slice(part);
-            }
-            let section = &bytes[offset..];
-            directory.push((
-                *id,
-                offset as u64,
-                section.len() as u64,
-                checksum64(section),
-            ));
-        }
-
-        for (i, (id, offset, len, checksum)) in directory.iter().enumerate() {
-            let at = HEADER_LEN + i * DIR_ENTRY_LEN;
-            bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
-            bytes[at + 4..at + 12].copy_from_slice(&offset.to_le_bytes());
-            bytes[at + 12..at + 20].copy_from_slice(&len.to_le_bytes());
-            bytes[at + 20..at + 28].copy_from_slice(&checksum.to_le_bytes());
-        }
-
-        let total = (bytes.len() + 8) as u64;
-        bytes[24..32].copy_from_slice(&total.to_le_bytes());
-        let file_sum = checksum64(&bytes);
-        bytes.extend_from_slice(&file_sum.to_le_bytes());
-        Snapshot { bytes }
+        let columns = index.columns();
+        write(chg, options, |bytes, tail| {
+            bytes.reserve_exact(columns.len() + tail);
+            bytes.extend_from_slice(columns);
+        })
     }
 
     /// The serialized bytes.
@@ -177,6 +130,68 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Snapshot {{ {} bytes }}", self.bytes.len())
     }
+}
+
+/// Writes the file of `chg` under `options`: header, directory, the
+/// NAMES and CHG sections, then the INDEX section, whose header is
+/// followed by the index columns that `index_columns` appends to the
+/// buffer (at a 16-byte-aligned length), leaving capacity for `tail`
+/// more bytes: the trailer. The INDEX section ends the file, so its
+/// columns go straight into the file buffer.
+fn write(
+    chg: &Chg,
+    options: LookupOptions,
+    index_columns: impl FnOnce(&mut Vec<u8>, usize),
+) -> Snapshot {
+    let names = encode_names(chg);
+    let chg_section = encode_chg(chg);
+    let mut index_header = [0u8; INDEX_HEADER_LEN];
+    index_header[..4].copy_from_slice(&encode_statics(options.statics).to_le_bytes());
+    let sections: [(u32, &[u8]); 3] = [
+        (SECTION_NAMES, &names),
+        (SECTION_CHG, &chg_section),
+        (SECTION_INDEX, &index_header),
+    ];
+
+    let dir_len = DIR_ENTRY_LEN * sections.len();
+    // Room up to the index columns, which reserve their own.
+    let heads: usize = sections.iter().map(|(_, part)| part.len() + 16).sum();
+    let mut bytes = Vec::with_capacity(HEADER_LEN + dir_len + heads);
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved, must be zero
+    bytes.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved, must be zero
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // total length, patched below
+    debug_assert_eq!(bytes.len(), HEADER_LEN);
+    // Directory placeholder; patched once section offsets are known.
+    bytes.resize(HEADER_LEN + dir_len, 0);
+
+    // Each section's (offset, length).
+    let mut spans = [(0usize, 0usize); 3];
+    for (span, (_, part)) in spans.iter_mut().zip(&sections) {
+        bytes.resize(bytes.len() + padding_to_align(bytes.len()), 0);
+        *span = (bytes.len(), part.len());
+        bytes.extend_from_slice(part);
+    }
+    index_columns(&mut bytes, TRAILER_LEN);
+    spans[2].1 = bytes.len() - spans[2].0;
+
+    for (i, ((id, _), &(offset, len))) in sections.iter().zip(&spans).enumerate() {
+        let at = HEADER_LEN + i * DIR_ENTRY_LEN;
+        let checksum = checksum64(&bytes[offset..offset + len]);
+        bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+        bytes[at + 4..at + 12].copy_from_slice(&(offset as u64).to_le_bytes());
+        bytes[at + 12..at + 20].copy_from_slice(&(len as u64).to_le_bytes());
+        bytes[at + 20..at + 28].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    let total = (bytes.len() + TRAILER_LEN) as u64;
+    bytes[24..32].copy_from_slice(&total.to_le_bytes());
+    let file_sum = checksum64(&bytes);
+    bytes.extend_from_slice(&file_sum.to_le_bytes());
+    Snapshot { bytes }
 }
 
 /// NAMES section: counts, cumulative end-offset tables (fixed-width

@@ -217,6 +217,96 @@ fn build_metrics_report_frontier_pruning() {
     assert_eq!(pruned() - pruned1, dp);
 }
 
+/// The build series one call records, as deltas: visited pairs
+/// (`batched`), pruned pairs, `build_seconds` observations, the five
+/// propagation counters, `table` index builds, index build time
+/// observations and hash builds; then the index gauges it leaves.
+fn build_series(f: impl FnOnce()) -> ([u64; 11], [i64; 2]) {
+    let registry = obs::global();
+    let read = || -> [u64; 11] {
+        let family = |name: &str, label: &str, value: &str| {
+            registry
+                .family(name, "", label, usize::MAX, obs::Counter::new())
+                .with_label(value)
+                .get()
+        };
+        let count = |name: &str| {
+            registry
+                .histogram(name, "", obs::Histogram::latency_ns())
+                .snapshot()
+                .count
+        };
+        let counter = |name: &str| registry.counter(name, "").get();
+        [
+            family("build_nodes_visited_total", "strategy", "batched"),
+            counter("build_members_pruned_total"),
+            count("build_seconds"),
+            counter("propagation_nodes_visited_total"),
+            counter("propagation_red_merges_total"),
+            counter("propagation_blue_merges_total"),
+            counter("propagation_demotions_total"),
+            counter("propagation_entries_ambiguous_total"),
+            family("serve_index_builds_total", "source", "table"),
+            count("serve_index_build_seconds"),
+            count("mph_build_seconds"),
+        ]
+    };
+    let before = read();
+    f();
+    let after = read();
+    let gauge = |name: &str| registry.gauge(name, "").get();
+    (
+        std::array::from_fn(|i| after[i] - before[i]),
+        [gauge("serve_index_entries"), gauge("serve_index_bytes")],
+    )
+}
+
+/// A one-pass compile records what building the table and packing it
+/// recorded: one `batched` table build with the same visited, pruned
+/// and propagation counts, one `table` index build with its gauges, and
+/// one hash build. `stats`, `batch --metrics` and `/metrics` keep their
+/// series through `Snapshot::compile` and `IndexedEngine::new`.
+#[test]
+fn a_compile_records_one_table_build_and_one_index_build() {
+    let _serial = BUILD_LOCK.lock().unwrap();
+    let g = random_hierarchy(&RandomConfig::realistic(150, 4));
+    let options = LookupOptions::default();
+    let index = DispatchIndex::compile(&g, options);
+    let live = g
+        .classes()
+        .flat_map(|c| g.member_ids().map(move |m| (c, m)))
+        .filter(|&(c, m)| g.is_member_visible(c, m))
+        .count() as u64;
+    let pruned = (g.class_count() * g.member_name_count()) as u64 - live;
+    let gauges = [index.entry_count() as i64, index.size_bytes() as i64];
+
+    let (two_step, two_step_gauges) = build_series(|| {
+        DispatchIndex::from_table(LookupTable::build_with(&g, options));
+    });
+    assert_eq!(two_step[..3], [live, pruned, 1]);
+    assert_eq!(two_step[3], live, "one propagation step per live pair");
+    assert_eq!(two_step[8..], [1, 1, 1]);
+    assert_eq!(two_step_gauges, gauges);
+
+    let (compiled, compiled_gauges) = build_series(|| {
+        Snapshot::compile_with(&g, options);
+    });
+    assert_eq!(
+        compiled, two_step,
+        "a file compile records the table path's series"
+    );
+    assert_eq!(compiled_gauges, gauges);
+
+    let (engine, engine_gauges) = build_series(|| {
+        IndexedEngine::new(g.clone(), options);
+    });
+    assert_eq!(
+        engine, two_step,
+        "an engine records the table path's series"
+    );
+    assert_eq!(engine_gauges, gauges);
+}
+
 #[test]
 fn eager_engines_never_miss_after_edits() {
     let _serial = BUILD_LOCK.lock().unwrap();
