@@ -19,8 +19,7 @@ use cpplookup_core::{compute_entry_with, Entry, LookupOptions, LookupTable};
 /// Builds the whole table with the retired per-member strategy: for
 /// each member name, one full topological sweep over *all* classes —
 /// `Θ(|N|·|M|)` propagation steps regardless of where the member is
-/// actually visible. This is the column build the pre-batched parallel
-/// fan-out ran per member.
+/// actually visible.
 pub fn build_per_member(chg: &Chg, options: LookupOptions) -> LookupTable {
     let start = Instant::now();
     let n = chg.class_count();

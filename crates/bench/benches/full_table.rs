@@ -1,10 +1,10 @@
-//! E11: whole-table construction — eager Figure 8, lazy-everything, and
-//! member-sharded parallel construction.
+//! E11: whole-table construction — eager Figure 8 against
+//! lazy-everything.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpplookup_chg::{Chg, Inheritance};
-use cpplookup_core::{LazyLookup, LookupOptions, LookupTable};
+use cpplookup_core::{LazyLookup, LookupTable};
 use cpplookup_hiergen::{families, random_hierarchy, RandomConfig};
 
 fn bench_chg(c: &mut Criterion, name: &str, chg: &Chg) {
@@ -27,13 +27,6 @@ fn bench_chg(c: &mut Criterion, name: &str, chg: &Chg) {
             present
         })
     });
-    for threads in [2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("parallel{threads}"), name),
-            &(),
-            |b, ()| b.iter(|| LookupTable::build_parallel(chg, LookupOptions::default(), threads)),
-        );
-    }
     group.finish();
 }
 

@@ -16,17 +16,23 @@ use cpplookup_core::access::{check_access, AccessContext};
 use cpplookup_core::mph::MphFunction;
 use cpplookup_core::trace::{render_trace, trace_member};
 use cpplookup_core::{
-    IndexedEngine, LazyLookup, LookupOptions, LookupOutcome, LookupTable, StaticRule,
+    DispatchIndex, IndexedEngine, LazyLookup, LookupOptions, LookupOutcome, LookupTable, StaticRule,
 };
 use cpplookup_frontend::{analyze, parser};
 use cpplookup_hiergen::families;
 use cpplookup_hiergen::{edit_script, random_hierarchy, EditScriptConfig, RandomConfig};
+use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_subobject::stats::count_subobjects;
 use cpplookup_subobject::{
     defns, isomorphism, lookup as oracle_lookup, Resolution, SubobjectGraph,
 };
 
-use crate::timing::{fmt_duration, median_time, time_once, Spread};
+use std::time::Duration;
+
+use crate::timing::{
+    fmt_duration, fmt_ns, geomean, interleave, json_rows, margin_differential, median_time,
+    time_once, write_bench, BaselineGate, Spread,
+};
 use crate::workloads::{self, Workload};
 
 /// All experiment ids, in order.
@@ -413,13 +419,13 @@ fn e10(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// E11 — whole-table construction: eager vs lazy-everything vs parallel.
+/// E11 — whole-table construction: eager vs lazy-everything.
 fn e11(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E11: whole-table construction")?;
     writeln!(
         w,
-        "  {:<22} {:>8} {:>10} {:>10} {:>10} {:>12}",
-        "workload", "entries", "eager", "lazy-all", "par(4)", "ambiguous%"
+        "  {:<22} {:>8} {:>10} {:>10} {:>12}",
+        "workload", "entries", "eager", "lazy-all", "ambiguous%"
     )?;
     let mut cases: Vec<(String, Chg)> = vec![
         (
@@ -462,24 +468,20 @@ fn e11(w: &mut dyn Write) -> io::Result<()> {
             }
             touched
         });
-        let (par, _) = median_time(3, || {
-            LookupTable::build_parallel(chg, LookupOptions::default(), 4)
-        });
         let stats = table.stats();
         writeln!(
             w,
-            "  {:<22} {:>8} {:>10} {:>10} {:>10} {:>11.1}%",
+            "  {:<22} {:>8} {:>10} {:>10} {:>11.1}%",
             name,
             stats.entries,
             fmt_duration(eager),
             fmt_duration(lazy_all),
-            fmt_duration(par),
             100.0 * stats.blue as f64 / stats.entries.max(1) as f64
         )?;
     }
     writeln!(
         w,
-        "  shape: all polynomial; parallel wins on wide member pools"
+        "  shape: all polynomial; the eager sweep beats answering every pair lazily"
     )?;
     Ok(())
 }
@@ -826,17 +828,15 @@ fn e18(w: &mut dyn Write) -> io::Result<()> {
 /// The "compile once, serve many" pitch of `cpplookup-snapshot` is that
 /// a server process should reach its first answered query by validating
 /// pre-compiled bytes, not by re-running the closure computation. This
-/// experiment measures time-to-first-query three ways across ascending
-/// hierarchy families — eager build, parallel build (4 threads), and
-/// snapshot load (checksum + structural validation of the byte image,
-/// including the `memcpy` of the input buffer) — plus resident-set
-/// growth while each result is held live.
+/// experiment measures time-to-first-query two ways across ascending
+/// hierarchy families — eager build and snapshot load (checksum +
+/// structural validation of the byte image, including the `memcpy` of
+/// the input buffer) — plus resident-set growth while each result is
+/// held live.
 ///
 /// The acceptance target is a >=10x load-vs-build advantage on the
 /// largest family.
 fn e20(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
-
     fn vm_rss_kb() -> Option<i64> {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
         status
@@ -890,13 +890,12 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10}",
+        "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10}",
         "family",
         "classes",
         "entries",
         "snapshot",
         "build",
-        "par(4)",
         "load",
         "speedup",
         "rss build",
@@ -916,10 +915,6 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
         });
         let rss_build = vm_rss_kb().zip(rss_before_build).map(|(a, b)| a - b);
         drop(table);
-        let (t_par, par_table) = median_time(5, || {
-            LookupTable::build_parallel(chg, LookupOptions::default(), 4)
-        });
-        drop(par_table);
 
         let bytes = Snapshot::compile(chg).into_bytes();
         let snap_len = bytes.len();
@@ -935,13 +930,12 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
         largest_speedup = speedup; // families are ascending; last row is largest
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8.1}x {:>10} {:>10}",
+            "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>8.1}x {:>10} {:>10}",
             name,
             loaded.class_count(),
             loaded.entry_count(),
             fmt_kb(snap_len),
             fmt_duration(t_build),
-            fmt_duration(t_par),
             fmt_duration(t_load),
             speedup,
             fmt_rss(rss_build),
@@ -965,74 +959,35 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Rounds per family in E21: every round times all three builders.
+/// Rounds per family in E21: every round times both builders.
 const E21_ROUNDS: usize = 7;
-
-/// The median of `values` and the spread of its middle half (the
-/// interquartile range, linearly interpolated) as a share of it.
-fn median_and_iqr_share(mut values: Vec<f64>) -> (f64, f64) {
-    values.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let x = p * (values.len() - 1) as f64;
-        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
-        values[lo] + (values[hi] - values[lo]) * (x - lo as f64)
-    };
-    let median = at(0.5);
-    (median, (at(0.75) - at(0.25)) / median)
-}
 
 /// E21 — the batched single-sweep compiler (CSR + member-frontier
 /// pruning + arena-interned abstractions) against the per-member
-/// reference build it replaced, plus the work-stealing parallel sweep
-/// on top. Every family here is ≥2000 classes; the headline number is
-/// the geometric-mean single-thread speedup (target ≥3×). The builders
-/// are asserted entry-identical before any timing is reported.
+/// reference build it replaced. Every family here is ≥2000 classes; the
+/// headline number is the geometric-mean speedup (target ≥3×). The
+/// builders are asserted entry-identical before any timing is reported.
 ///
-/// The three builders run interleaved, [`E21_ROUNDS`] rounds per
-/// family, each round in a rotated order, so host drift during a
-/// family falls on all of them alike. A speedup is the median of the
-/// per-round ratios, printed with the interquartile range of those
-/// ratios as a share of it.
+/// The builders run [interleaved](interleave), [`E21_ROUNDS`] rounds
+/// per family. A speedup is the median of the per-round ratios, printed
+/// with the interquartile range of those ratios as a share of it.
 fn e21(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "E21: batched single-sweep compiler vs the old per-member build"
     )?;
-    let jobs = std::thread::available_parallelism().map_or(4, usize::from);
     writeln!(
         w,
         "  old = one full topological sweep over all classes per member \
          (Theta(|N|*|M|) steps); batched = one sweep per member *frontier*, \
-         shared CSR, interned abstractions; parallel = work-stealing over \
-         member columns ({jobs} jobs); medians of {E21_ROUNDS} interleaved rounds, \
-         each speedup with its IQR/median"
+         shared CSR, interned abstractions; medians of {E21_ROUNDS} interleaved \
+         rounds, the speedup with its IQR/median"
     )?;
-    let families: Vec<(&str, Chg)> = vec![
-        ("chain_2500", families::chain(2500, Some(16))),
-        ("grid_50x50", families::grid(50, 50)),
-        ("interface_500x4", families::interface_heavy(500, 4)),
-        (
-            "realistic_2000",
-            random_hierarchy(&RandomConfig::realistic(2000, 7)),
-        ),
-        (
-            "realistic_4000",
-            random_hierarchy(&RandomConfig::realistic(4000, 7)),
-        ),
-    ];
+    let families = large_families();
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>8} {:>6} {:>11} {:>8} {:>6}",
-        "family",
-        "classes",
-        "entries",
-        "old",
-        "batched",
-        "speedup",
-        "iqr",
-        "parallel",
-        "speedup",
-        "iqr"
+        "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>8} {:>6}",
+        "family", "classes", "entries", "old", "batched", "speedup", "iqr"
     )?;
     let mut ratios: Vec<f64> = Vec::new();
     for (name, chg) in &families {
@@ -1044,57 +999,32 @@ fn e21(w: &mut dyn Write) -> io::Result<()> {
             batched.stats(),
             "{name}: builders diverged — timing a wrong table is meaningless"
         );
-        drop(old);
-        let parallel = LookupTable::build_parallel(chg, options, jobs);
-        assert_eq!(
-            batched.stats(),
-            parallel.stats(),
-            "{name}: parallel diverged"
-        );
         let entries = batched.stats().entries;
-        drop((batched, parallel));
-        // times[builder][round]: old, batched, parallel.
-        let mut times = [const { Vec::new() }; 3];
-        for round in 0..E21_ROUNDS {
-            for k in 0..3 {
-                let builder = (round + k) % 3;
-                let (t, table) = time_once(|| match builder {
-                    0 => retired::build_per_member(chg, options),
-                    1 => LookupTable::build(chg),
-                    _ => LookupTable::build_parallel(chg, options, jobs),
-                });
-                drop(table);
-                times[builder].push(t.as_secs_f64());
-            }
-        }
-        let per_round = |k: usize| -> Vec<f64> {
-            times[0]
-                .iter()
-                .zip(&times[k])
-                .map(|(old, new)| old / new.max(f64::MIN_POSITIVE))
-                .collect()
-        };
-        let (speedup, iqr) = median_and_iqr_share(per_round(1));
-        let (par_speedup, par_iqr) = median_and_iqr_share(per_round(2));
-        let median =
-            |k: usize| std::time::Duration::from_secs_f64(median_and_iqr_share(times[k].clone()).0);
+        drop((old, batched));
+        let rounds = interleave(E21_ROUNDS, 2, |k| {
+            let (t, table) = time_once(|| match k {
+                0 => retired::build_per_member(chg, options),
+                _ => LookupTable::build(chg),
+            });
+            drop(table);
+            Ok(t.as_secs_f64())
+        })?;
+        let (speedup, iqr) = rounds.ratio(0, 1);
+        let median = |k| fmt_duration(Duration::from_secs_f64(rounds.spread(k).median));
         ratios.push(speedup);
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>7.2}x {:>6.2} {:>11} {:>7.2}x {:>6.2}",
+            "  {:<16} {:>7} {:>8} {:>11} {:>11} {:>7.2}x {:>6.2}",
             name,
             chg.class_count(),
             entries,
-            fmt_duration(median(0)),
-            fmt_duration(median(1)),
+            median(0),
+            median(1),
             speedup,
             iqr,
-            fmt_duration(median(2)),
-            par_speedup,
-            par_iqr,
         )?;
     }
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    let geomean = geomean(&ratios);
     writeln!(
         w,
         "  target >=3x single-thread geomean speedup on families >=2000 classes: {} ({geomean:.2}x)",
@@ -1160,11 +1090,9 @@ fn e21_smoke(w: &mut dyn Write) -> io::Result<()> {
 
 /// The one-pass compile guard of [`e21_smoke`]: `Snapshot::compile`
 /// against `Snapshot::from_index` of a packed `LookupTable::build`,
-/// interleaved, [`E21_COMPILE_ROUNDS`] rounds in alternating order;
-/// the speedup is the median per-round ratio.
+/// [interleaved](interleave) over [`E21_COMPILE_ROUNDS`] rounds; the
+/// speedup is the median per-round ratio.
 fn e21_compile_guard(w: &mut dyn Write, chg: &Chg) -> io::Result<()> {
-    use cpplookup_core::DispatchIndex;
-    use cpplookup_snapshot::Snapshot;
     let options = LookupOptions::default();
     let table_path = || {
         let index = DispatchIndex::from_table(LookupTable::build(chg));
@@ -1175,29 +1103,21 @@ fn e21_compile_guard(w: &mut dyn Write, chg: &Chg) -> io::Result<()> {
             "the one-pass compile's bytes differ from the table path's",
         ));
     }
-    let (mut t_table, mut t_compile) = (Vec::new(), Vec::new());
-    for round in 0..E21_COMPILE_ROUNDS {
-        for k in 0..2 {
-            if (round + k) % 2 == 0 {
-                t_table.push(time_once(table_path).0.as_secs_f64());
-            } else {
-                t_compile.push(time_once(|| Snapshot::compile(chg)).0.as_secs_f64());
-            }
-        }
-    }
-    let ratios = t_table
-        .iter()
-        .zip(&t_compile)
-        .map(|(table, compile)| table / compile.max(f64::MIN_POSITIVE))
-        .collect();
-    let (speedup, iqr) = median_and_iqr_share(ratios);
-    let median = |t: Vec<f64>| std::time::Duration::from_secs_f64(median_and_iqr_share(t).0);
+    let rounds = interleave(E21_COMPILE_ROUNDS, 2, |k| {
+        let (t, _) = time_once(|| match k {
+            0 => table_path(),
+            _ => Snapshot::compile(chg),
+        });
+        Ok(t.as_secs_f64())
+    })?;
+    let (speedup, iqr) = rounds.ratio(0, 1);
+    let median = |k| fmt_duration(Duration::from_secs_f64(rounds.spread(k).median));
     writeln!(
         w,
         "  compile: table path {} one-pass {} (speedup {speedup:.2}x, iqr {iqr:.2}), \
          bytes identical",
-        fmt_duration(median(t_table)),
-        fmt_duration(median(t_compile)),
+        median(0),
+        median(1),
     )?;
     if speedup < E21_COMPILE_FLOOR {
         return Err(io::Error::other(format!(
@@ -1247,39 +1167,43 @@ fn outcome_ref_word(outcome: &cpplookup_core::OutcomeRef<'_>) -> u64 {
     }
 }
 
-/// Times `reps` single-threaded passes over `probes` through `f`,
-/// returning (ns per lookup, checksum): the median of three sweeps.
-fn serve_single(probes: &[Probe], reps: usize, f: impl Fn(Probe) -> u64) -> (f64, u64) {
-    let (t, sum) = median_time(3, || sweep(probes, reps, &f));
-    (ns_per_lookup(t, reps * probes.len()), sum)
-}
-
-/// One sweep: `reps` passes over `probes` through `f`, checksummed.
-fn sweep(probes: &[Probe], reps: usize, f: &impl Fn(Probe) -> u64) -> u64 {
-    let mut sum = 0u64;
-    for _ in 0..reps {
-        for &p in probes {
-            sum = sum.wrapping_add(f(p));
+/// One timed single-threaded sweep: `reps` passes over `probes`
+/// through `f`. Returns (ns per lookup, checksum).
+fn sweep_ns(probes: &[Probe], reps: usize, f: impl Fn(Probe) -> u64) -> (f64, u64) {
+    let (t, sum) = time_once(|| {
+        let mut sum = 0u64;
+        for _ in 0..reps {
+            for &p in probes {
+                sum = sum.wrapping_add(f(p));
+            }
         }
+        sum
+    });
+    (t.as_secs_f64() * 1e9 / (reps * probes.len()) as f64, sum)
+}
+
+/// Holds every round's checksum to the first one, so no contender is
+/// timed answering differently from the others.
+fn same_sum(first: &mut Option<u64>, sum: u64, what: &str) -> io::Result<()> {
+    if *first.get_or_insert(sum) != sum {
+        return Err(io::Error::other(format!(
+            "{what}: probe checksums diverged"
+        )));
     }
-    sum
+    Ok(())
 }
 
-fn ns_per_lookup(t: std::time::Duration, lookups: usize) -> f64 {
-    t.as_secs_f64() * 1e9 / lookups as f64
-}
-
-/// Runs `threads` workers, each making `reps` rotated passes over
-/// `probes` through `f` (each worker starts at a different offset so
-/// the backends see spread-out access, not lockstep). Returns
-/// (aggregate lookups per second, checksum).
+/// One timed run of `threads` workers, each making `reps` rotated
+/// passes over `probes` through `f` (each worker starts at a different
+/// offset so the backends see spread-out access, not lockstep).
+/// Returns (aggregate lookups per second, checksum).
 fn serve_mt(
     threads: usize,
     probes: &[Probe],
     reps: usize,
     f: impl Fn(Probe) -> u64 + Sync,
 ) -> (f64, u64) {
-    let (t, sum) = median_time(3, || {
+    let (t, sum) = time_once(|| {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|tid| {
@@ -1319,25 +1243,9 @@ fn serve_probes(chg: &Chg, table: &LookupTable, seed: u64) -> Vec<Probe> {
     probes
 }
 
-/// E22 — the flat dispatch index against the hashmap-of-hashmaps
-/// `LookupTable`. Single-thread ns/lookup and 8-thread aggregate QPS on
-/// ≥2000-class families, shuffled live-pair probe streams,
-/// checksum-verified across backends before any number is reported.
-/// Also emits `BENCH_e22.json` for the CI no-regression guard
-/// (`e22-smoke`). A loaded snapshot has no read path of its own since
-/// format version 3: it serves through this same index.
-fn e22(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::DispatchIndex;
-
-    const THREADS: usize = 8;
-    writeln!(w, "E22: flat dispatch index vs hashmap table")?;
-    writeln!(
-        w,
-        "  table = FxHashMap-of-FxHashMap entry clone; index = pre-decoded \
-         byte columns served via allocation-free lookup_ref through the minimal \
-         perfect hash directory"
-    )?;
-    let families: Vec<(&str, Chg)> = vec![
+/// The ≥2000-class families E21, E22 and E26 time.
+fn large_families() -> Vec<(&'static str, Chg)> {
+    vec![
         ("chain_2500", families::chain(2500, Some(16))),
         ("grid_50x50", families::grid(50, 50)),
         ("interface_500x4", families::interface_heavy(500, 4)),
@@ -1349,86 +1257,114 @@ fn e22(w: &mut dyn Write) -> io::Result<()> {
             "realistic_4000",
             random_hierarchy(&RandomConfig::realistic(4000, 7)),
         ),
-    ];
+    ]
+}
+
+/// Interleaved rounds per family in E22 and E26.
+const SERVE_ROUNDS: usize = 5;
+
+/// E22 — the flat dispatch index against the hashmap-of-hashmaps
+/// `LookupTable`. Single-thread ns/lookup and 8-thread aggregate QPS on
+/// ≥2000-class families, shuffled live-pair probe streams,
+/// checksum-verified across backends before any number is reported.
+/// Table and index run [interleaved](interleave), [`SERVE_ROUNDS`]
+/// rounds each; a ratio is the median per-round ratio. Also emits
+/// `BENCH_e22.json` for the CI no-regression guard (`e22-smoke`). A
+/// loaded snapshot has no read path of its own since format version 3:
+/// it serves through this same index.
+fn e22(w: &mut dyn Write) -> io::Result<()> {
+    const THREADS: usize = 8;
+    writeln!(w, "E22: flat dispatch index vs hashmap table")?;
+    writeln!(
+        w,
+        "  table = FxHashMap-of-FxHashMap entry clone; index = pre-decoded \
+         byte columns served via allocation-free lookup_ref through the minimal \
+         perfect hash directory; medians of {SERVE_ROUNDS} interleaved rounds"
+    )?;
     writeln!(w, "  single thread, ns/lookup:")?;
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>8} {:>9} {:>9} {:>9}",
-        "family", "classes", "entries", "b/entry", "table", "index", "vs table"
+        "  {:<16} {:>7} {:>8} {:>8} {:>9} {:>9} {:>9} {:>6}",
+        "family", "classes", "entries", "b/entry", "table", "index", "vs table", "iqr"
     )?;
     let mut rows: Vec<String> = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut family_rows: Vec<String> = Vec::new();
     let mut single_ratios: Vec<f64> = Vec::new();
     let mut qps_ratios: Vec<f64> = Vec::new();
-    for (name, chg) in &families {
+    for (name, chg) in &large_families() {
         let table = LookupTable::build(chg);
         let index = DispatchIndex::from_table(LookupTable::build(chg));
         let probes = serve_probes(chg, &table, 0x9E37 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
         let mt_reps = (1_000_000 / probes.len()).max(1);
 
-        let (ns_table, s_table) =
-            serve_single(&probes, reps, |(c, m)| outcome_word(&table.lookup(c, m)));
-        let (ns_index, s_index) = serve_single(&probes, reps, |(c, m)| {
-            outcome_ref_word(&index.lookup_ref(c, m))
-        });
-        assert_eq!(s_table, s_index, "{name}: index serve checksum diverged");
-
-        let (qps_table, m_table) = serve_mt(THREADS, &probes, mt_reps, |(c, m)| {
-            outcome_word(&table.lookup(c, m))
-        });
-        let (qps_index, m_index) = serve_mt(THREADS, &probes, mt_reps, |(c, m)| {
-            outcome_ref_word(&index.lookup_ref(c, m))
-        });
-        assert_eq!(m_table, m_index, "{name}: threaded index checksum diverged");
-
-        let single_ratio = ns_table / ns_index.max(f64::MIN_POSITIVE);
-        let qps_ratio = qps_index / qps_table.max(f64::MIN_POSITIVE);
+        let by_table = |(c, m): Probe| outcome_word(&table.lookup(c, m));
+        let by_index = |(c, m): Probe| outcome_ref_word(&index.lookup_ref(c, m));
+        // Contenders: table and index single-thread ns/lookup, then
+        // table and index 8-thread QPS.
+        let mut sums = [None; 2];
+        let rounds = interleave(SERVE_ROUNDS, 4, |k| {
+            let (value, s) = match k {
+                0 => sweep_ns(&probes, reps, by_table),
+                1 => sweep_ns(&probes, reps, by_index),
+                2 => serve_mt(THREADS, &probes, mt_reps, by_table),
+                _ => serve_mt(THREADS, &probes, mt_reps, by_index),
+            };
+            same_sum(&mut sums[k / 2], s, name)?;
+            Ok(value)
+        })?;
+        let (single_ratio, single_iqr) = rounds.ratio(0, 1);
+        let (qps_ratio, qps_iqr) = rounds.ratio(3, 2);
         single_ratios.push(single_ratio);
         qps_ratios.push(qps_ratio);
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>8.1} {:>9.1} {:>9.1} {:>8.2}x",
+            "  {:<16} {:>7} {:>8} {:>8.1} {:>9.1} {:>9.1} {:>8.2}x {:>6.2}",
             name,
             chg.class_count(),
             index.entry_count(),
             index.bytes_per_entry(),
-            ns_table,
-            ns_index,
+            rounds.spread(0).median,
+            rounds.spread(1).median,
             single_ratio,
+            single_iqr,
         )?;
         rows.push(format!(
-            "  {:<16} {:>9.2} {:>9.2} {:>9.2}x",
+            "  {:<16} {:>9.2} {:>9.2} {:>9.2}x {:>6.2}",
             name,
-            qps_table / 1e6,
-            qps_index / 1e6,
+            rounds.spread(2).median / 1e6,
+            rounds.spread(3).median / 1e6,
             qps_ratio,
+            qps_iqr,
         ));
-        json_rows.push(format!(
-            "    {{\"name\": \"{name}\", \"classes\": {}, \"entries\": {}, \
+        family_rows.push(format!(
+            "{{\"name\": \"{name}\", \"classes\": {}, \"entries\": {}, \
              \"index_bytes\": {}, \"bytes_per_entry\": {bpe:.2}, \
-             \"single_ns\": {{\"table\": {ns_table:.2}, \"index\": {ns_index:.2}}}, \
-             \"qps\": {{\"table\": {qps_table:.0}, \"index\": {qps_index:.0}}}, \
+             \"single_ns\": {{\"table\": {}, \"index\": {}}}, \
+             \"qps\": {{\"table\": {}, \"index\": {}}}, \
              \"index_vs_table_single\": {single_ratio:.3}, \
              \"index_vs_table_qps\": {qps_ratio:.3}}}",
             chg.class_count(),
             index.entry_count(),
             index.size_bytes(),
+            rounds.spread(0).json(""),
+            rounds.spread(1).json(""),
+            rounds.spread(2).json(""),
+            rounds.spread(3).json(""),
             bpe = index.bytes_per_entry(),
         ));
     }
     writeln!(w, "  {THREADS} threads, aggregate Mlookups/s:")?;
     writeln!(
         w,
-        "  {:<16} {:>9} {:>9} {:>10}",
-        "family", "table", "index", "vs table"
+        "  {:<16} {:>9} {:>9} {:>10} {:>6}",
+        "family", "table", "index", "vs table", "iqr"
     )?;
     for row in &rows {
         writeln!(w, "{row}")?;
     }
-    let geo = |rs: &[f64]| (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
-    let g_single = geo(&single_ratios);
-    let g_qps = geo(&qps_ratios);
+    let g_single = geomean(&single_ratios);
+    let g_qps = geomean(&qps_ratios);
     writeln!(
         w,
         "  target >=2x single-thread index vs hashmap table (geomean): {} ({g_single:.2}x)",
@@ -1438,66 +1374,40 @@ fn e22(w: &mut dyn Write) -> io::Result<()> {
         w,
         "  {THREADS}-thread QPS index vs hashmap table (geomean): {g_qps:.2}x"
     )?;
-    let json = format!(
-        "{{\n  \"experiment\": \"e22\",\n  \"threads\": {THREADS},\n  \"families\": [\n{}\n  ],\n  \
-         \"geomean_index_vs_table_single\": {g_single:.3},\n  \
-         \"geomean_index_vs_table_qps\": {g_qps:.3}\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_e22.json", json)?;
-    writeln!(w, "  wrote BENCH_e22.json")?;
-    Ok(())
-}
-
-/// The host context recorded alongside wire-path throughput numbers:
-/// QPS on a 64-core box and on a 1-core container are different
-/// experiments, and a baseline file is meaningless without knowing
-/// which one produced it. `client_threads` is the largest client-side
-/// thread count the experiment drove.
-fn host_context_json(client_threads: usize) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    format!(
-        "\"host\": {{\"cores\": {cores}, \"client_threads\": {client_threads}, \
-         \"os\": \"{}\", \"arch\": \"{}\"}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
+    write_bench(
+        w,
+        "e22",
+        THREADS,
+        SERVE_ROUNDS,
+        &[
+            ("families", json_rows(&family_rows)),
+            ("geomean_index_vs_table_single", format!("{g_single:.3}")),
+            ("geomean_index_vs_table_qps", format!("{g_qps:.3}")),
+        ],
     )
 }
 
-/// The I/O model the wire smokes run under: `CPPLOOKUP_IO_MODEL=epoll`
-/// reruns e23/e24's guards against the reactor, so CI exercises both
-/// models through the same assertions.
-fn io_model_from_env() -> cpplookup_server::IoModel {
-    std::env::var("CPPLOOKUP_IO_MODEL")
+/// Starts a wire-smoke server preloading `preload`, under the I/O
+/// model `CPPLOOKUP_IO_MODEL` names (`epoll` reruns e23/e24's guards
+/// against the reactor, so CI exercises both models through the same
+/// assertions), and prints the model on `w`.
+fn smoke_server(
+    w: &mut dyn Write,
+    preload: Vec<(String, std::path::PathBuf)>,
+) -> io::Result<(cpplookup_server::Server, String)> {
+    use cpplookup_server::{IoModel, Server, ServerConfig};
+    let io_model = std::env::var("CPPLOOKUP_IO_MODEL")
         .ok()
-        .and_then(|v| cpplookup_server::IoModel::parse(&v))
-        .unwrap_or_default()
-}
-
-/// Pulls a bare numeric field out of the hand-rolled `BENCH_e22.json`
-/// (the bench crate has no serde); `None` when the key is absent.
-fn json_f64(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\":"))?;
-    let tail = json[at..].split_once(':')?.1.trim_start();
-    let end = tail
-        .find(|ch: char| ch == ',' || ch == '}' || ch.is_whitespace())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// The table's answer for `(c, m)`, or `NotFound` past its class range:
-/// the smokes' dead-id margins probe beyond the ids the table covers.
-fn table_lookup(
-    table: &LookupTable,
-    class_count: usize,
-    c: cpplookup_chg::ClassId,
-    m: cpplookup_chg::MemberId,
-) -> LookupOutcome {
-    if c.index() < class_count {
-        table.lookup(c, m)
-    } else {
-        LookupOutcome::NotFound
-    }
+        .and_then(|v| IoModel::parse(&v))
+        .unwrap_or_default();
+    writeln!(w, "  io-model: {}", io_model.label())?;
+    let server = Server::start(ServerConfig {
+        preload,
+        io_model,
+        ..ServerConfig::default()
+    })?;
+    let addr = server.addr().to_string();
+    Ok((server, addr))
 }
 
 /// Rounds of `e22-smoke`'s interleaved table and index sweeps.
@@ -1518,12 +1428,11 @@ const E22_SMOKE_ROUNDS: usize = 9;
 /// noise-proof margin over the hashmap table (≥2×) — and, when a
 /// committed `BENCH_e22.json` baseline exists, a no-regression check
 /// against 0.4× that family's recorded ratio. The perf sweeps are
-/// 1M lookups each, table and index alternating over
-/// [`E22_SMOKE_ROUNDS`] rounds, compared best against best.
+/// 1M lookups each, table and index [interleaved](interleave) over
+/// [`E22_SMOKE_ROUNDS`] rounds, compared best against best, so a burst
+/// of host noise costs one round of one side instead of moving the
+/// ratio.
 fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::DispatchIndex;
-    use cpplookup_snapshot::SnapshotTable;
-
     writeln!(
         w,
         "E22-smoke: dispatch-index differential, legacy-load gate + serve perf guard"
@@ -1531,17 +1440,13 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     let diff = families::interface_heavy(200, 4);
     let diff_table = LookupTable::build(&diff);
     let diff_index = DispatchIndex::from_table(LookupTable::build(&diff));
-    for c in diff.classes() {
-        for m in diff.member_ids() {
-            if diff_index.lookup_ref(c, m).to_outcome() != diff_table.lookup(c, m) {
-                return Err(io::Error::other(format!(
-                    "index diverges from table at ({}, {})",
-                    diff.class_name(c),
-                    diff.member_name(m)
-                )));
-            }
-        }
-    }
+    margin_differential(
+        &diff_index,
+        &diff_table,
+        diff.class_count(),
+        diff.member_name_count(),
+        0,
+    )?;
     writeln!(
         w,
         "  differential: {} classes, {} entries, index == table",
@@ -1583,22 +1488,14 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
                 "{file}: the v{version} snapshot index does not cover its table"
             )));
         }
-        for ci in 0..legacy_chg.class_count() + 3 {
-            for mi in 0..legacy_chg.member_name_count() + 3 {
-                let (c, m) = (
-                    cpplookup_chg::ClassId::from_index(ci),
-                    cpplookup_chg::MemberId::from_index(mi),
-                );
-                if index.lookup_ref(c, m).to_outcome()
-                    != table_lookup(&legacy_table, legacy_chg.class_count(), c, m)
-                {
-                    return Err(io::Error::other(format!(
-                        "{file}: the v{version} snapshot index diverges from the table \
-                         at probe ({ci}, {mi})"
-                    )));
-                }
-            }
-        }
+        margin_differential(
+            &index,
+            &legacy_table,
+            legacy_chg.class_count(),
+            legacy_chg.member_name_count(),
+            3,
+        )
+        .map_err(|e| io::Error::other(format!("{file}: the v{version} snapshot {e}")))?;
         writeln!(
             w,
             "  v{version} load of {file}: {} entries, index == table (+3 dead margin)",
@@ -1610,73 +1507,37 @@ fn e22_smoke(w: &mut dyn Write) -> io::Result<()> {
     let index = DispatchIndex::from_table(LookupTable::build(&chg));
     let probes = serve_probes(&chg, &table, 0xE22);
     let reps = (1_000_000 / probes.len()).max(1);
-    let lookups = reps * probes.len();
-    // Table and index sweeps alternate round by round and each side
-    // keeps its best, so a burst of host noise costs one round of one
-    // side instead of moving the ratio.
-    let (mut ns_table, mut ns_index) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..E22_SMOKE_ROUNDS {
-        let (t_table, s_table) =
-            time_once(|| sweep(&probes, reps, &|(c, m)| outcome_word(&table.lookup(c, m))));
-        let (t_index, s_index) = time_once(|| {
-            sweep(&probes, reps, &|(c, m)| {
+    let mut sum = None;
+    let rounds = interleave(E22_SMOKE_ROUNDS, 2, |k| {
+        let (ns, s) = match k {
+            0 => sweep_ns(&probes, reps, |(c, m)| outcome_word(&table.lookup(c, m))),
+            _ => sweep_ns(&probes, reps, |(c, m)| {
                 outcome_ref_word(&index.lookup_ref(c, m))
-            })
-        });
-        if s_table != s_index {
-            return Err(io::Error::other(
-                "probe checksums diverged between table and index",
-            ));
-        }
-        ns_table = ns_table.min(ns_per_lookup(t_table, lookups));
-        ns_index = ns_index.min(ns_per_lookup(t_index, lookups));
-    }
+            }),
+        };
+        same_sum(&mut sum, s, "grid_50x50 table vs index")?;
+        Ok(ns)
+    })?;
+    let (ns_table, ns_index) = (rounds.spread(0).min, rounds.spread(1).min);
     let ratio = ns_table / ns_index.max(f64::MIN_POSITIVE);
     writeln!(
         w,
         "  perf (grid_50x50): table {ns_table:.1} ns/lookup, index {ns_index:.1} ns/lookup, \
          best of {E22_SMOKE_ROUNDS} interleaved rounds (index speedup {ratio:.2}x)"
     )?;
-    if ratio < 2.0 {
-        return Err(io::Error::other(format!(
-            "dispatch index is only {ratio:.2}x the hashmap table on the serve sweep (floor 2.0x)"
-        )));
+    BaselineGate {
+        file: "BENCH_e22.json",
+        path: &["families", "name=grid_50x50", "index_vs_table_single"],
+        floor: 2.0,
+        share: 0.4,
     }
-    writeln!(w, "  guard: PASS (floor 2.0x)")?;
-    if let Ok(baseline) = std::fs::read_to_string("BENCH_e22.json") {
-        // Index into the grid_50x50 object so the per-family key wins
-        // over the identical keys of the other families.
-        let recorded = baseline
-            .find("\"name\": \"grid_50x50\"")
-            .and_then(|at| json_f64(&baseline[at..], "index_vs_table_single"));
-        if let Some(recorded) = recorded {
-            let floor = (recorded * 0.4).max(2.0);
-            if ratio < floor {
-                return Err(io::Error::other(format!(
-                    "serve speedup {ratio:.2}x regressed below {floor:.2}x \
-                     (0.4x the recorded grid_50x50 ratio {recorded:.2}x)"
-                )));
-            }
-            writeln!(
-                w,
-                "  baseline: recorded grid_50x50 ratio {recorded:.2}x, floor {floor:.2}x — PASS"
-            )?;
-        }
-    } else {
-        writeln!(
-            w,
-            "  baseline: BENCH_e22.json not present, skipping no-regression guard"
-        )?;
-    }
-    Ok(())
+    .check(w, ratio)
+    .map_err(|e| io::Error::other(format!("index speedup on the serve sweep: {e}")))
 }
 
 /// Maps an in-process [`LookupOutcome`] to the wire shape the server
 /// should produce for it, using the snapshot's name tables.
-fn wire_of(
-    table: &cpplookup_snapshot::SnapshotTable,
-    outcome: &LookupOutcome,
-) -> cpplookup_server::WireOutcome {
+fn wire_of(table: &SnapshotTable, outcome: &LookupOutcome) -> cpplookup_server::WireOutcome {
     use cpplookup_core::LeastVirtual;
     use cpplookup_server::{WireLv, WireOutcome};
 
@@ -1700,6 +1561,122 @@ fn wire_of(
     }
 }
 
+/// A wire-path error as an I/O error.
+fn wire(e: impl std::fmt::Display) -> io::Error {
+    io::Error::other(e.to_string())
+}
+
+/// One closed-loop load run over `connections` against tenant `t0` at
+/// `addr` for `millis` ms, failing on any load error.
+fn closed_loop(
+    addr: &str,
+    probes: &[(String, String)],
+    connections: usize,
+    millis: u64,
+) -> io::Result<cpplookup_server::loadgen::LoadReport> {
+    use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
+    let report = loadgen::run(
+        &LoadConfig {
+            addr: addr.to_owned(),
+            connections,
+            duration: Duration::from_millis(millis),
+            ..LoadConfig::default()
+        },
+        &[TenantTarget {
+            name: "t0".to_owned(),
+            probes: probes.to_vec(),
+        }],
+    )?;
+    if report.errors > 0 {
+        return Err(io::Error::other(format!(
+            "{} load errors at {connections} connections",
+            report.errors
+        )));
+    }
+    Ok(report)
+}
+
+/// The whole HTTP/1.0 response to `GET target` at `addr`.
+fn http_get(addr: &str, target: &str) -> io::Result<String> {
+    use std::io::Read as _;
+    let mut s = std::net::TcpStream::connect(addr)?;
+    s.set_read_timeout(Some(Duration::from_secs(10)))?;
+    s.write_all(format!("GET {target} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())?;
+    let mut body = String::new();
+    s.read_to_string(&mut body)?;
+    Ok(body)
+}
+
+/// Fails unless the phases under a span tree's root sum to the root's
+/// duration exactly.
+fn check_partition(spans: &[cpplookup_server::WireSpan]) -> io::Result<()> {
+    let children_ns: u64 = spans[1..].iter().map(|s| s.duration_ns).sum();
+    if children_ns != spans[0].duration_ns {
+        return Err(io::Error::other(format!(
+            "phases sum to {children_ns}, root is {} — partition must be exact",
+            spans[0].duration_ns
+        )));
+    }
+    Ok(())
+}
+
+/// A span tree's structure (ids, parents, labels): durations are
+/// measurements, never stable.
+fn span_shape(spans: &[cpplookup_server::WireSpan]) -> Vec<(u64, u64, String)> {
+    spans
+        .iter()
+        .map(|s| (s.id, s.parent, s.label.clone()))
+        .collect()
+}
+
+/// A threads-model and an epoll-model server, each preloading `snap`
+/// as tenant `t0`, with their addresses.
+fn start_both_models(
+    snap: &std::path::Path,
+    max_connections: usize,
+) -> io::Result<[(cpplookup_server::Server, String); 2]> {
+    use cpplookup_server::{IoModel, Server, ServerConfig};
+    let start = |io_model| -> io::Result<(Server, String)> {
+        let server = Server::start(ServerConfig {
+            preload: vec![("t0".to_owned(), snap.to_owned())],
+            max_connections,
+            io_model,
+            ..ServerConfig::default()
+        })?;
+        let addr = server.addr().to_string();
+        Ok((server, addr))
+    };
+    Ok([start(IoModel::Threads)?, start(IoModel::Epoll)?])
+}
+
+/// Sends `probes` to tenant `t0` in BATCH frames of `chunk` probes and
+/// holds every answer to the in-process index packed from the same
+/// snapshot. Returns the answers.
+fn wire_answers(
+    client: &mut cpplookup_server::Client,
+    table: &SnapshotTable,
+    probes: &[(String, String)],
+    chunk: usize,
+) -> io::Result<Vec<cpplookup_server::WireOutcome>> {
+    let index = DispatchIndex::from_backend(table);
+    let mut answers = Vec::with_capacity(probes.len());
+    for frame in probes.chunks(chunk) {
+        answers.extend(client.batch("t0", frame).map_err(wire)?);
+    }
+    for ((class, member), got) in probes.iter().zip(&answers) {
+        let c = table.class_by_name(class).unwrap();
+        let m = table.member_by_name(member).unwrap();
+        let want = wire_of(table, &index.lookup(c, m));
+        if *got != want {
+            return Err(io::Error::other(format!(
+                "wire answer diverges from in-process index at ({class}, {member}): \
+                 {got:?} != {want:?}"
+            )));
+        }
+    }
+    Ok(answers)
+}
+
 /// A scratch directory for snapshot artifacts, removed on drop.
 struct BenchDir(std::path::PathBuf);
 
@@ -1713,6 +1690,16 @@ impl BenchDir {
     fn file(&self, name: &str) -> std::path::PathBuf {
         self.0.join(name)
     }
+
+    /// Compiles `chg` into `<name>.snap` here and loads it back.
+    fn snapshot(&self, name: &str, chg: &Chg) -> io::Result<(std::path::PathBuf, SnapshotTable)> {
+        let path = self.file(&format!("{name}.snap"));
+        Snapshot::compile(chg)
+            .write_to(&path)
+            .map_err(io::Error::other)?;
+        let table = SnapshotTable::load(&path).map_err(io::Error::other)?;
+        Ok((path, table))
+    }
 }
 
 impl Drop for BenchDir {
@@ -1725,28 +1712,23 @@ impl Drop for BenchDir {
 /// differential of wire answers against the in-process
 /// `DispatchIndex`, sustained closed-loop QPS with latency quantiles
 /// at 1/8/32 connections, and a 1000-tenant cold-start sweep (LOAD
-/// rate, then first-query promotion rate). Emits `BENCH_e23.json` for
-/// the CI no-regression guard (`e23-smoke`).
+/// rate, then first-query promotion rate), each over [`E23_ROUNDS`]
+/// rounds. Emits `BENCH_e23.json` for the CI no-regression guard
+/// (`e23-smoke`).
 fn e23(w: &mut dyn Write) -> io::Result<()> {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    use cpplookup_core::DispatchIndex;
     use cpplookup_server::cli::live_probes;
-    use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
     use cpplookup_server::{Client, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
 
     const COLD_TENANTS: usize = 1000;
     const COLD_SNAPSHOTS: usize = 16;
+    const E23_ROUNDS: usize = 5;
 
     writeln!(w, "E23: multi-tenant wire protocol over the snapshot farm")?;
     let dir = BenchDir::new("e23")?;
     let chg = random_hierarchy(&RandomConfig::realistic(2000, 7));
-    let snap_path = dir.file("main.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
+    let (snap_path, table) = dir.snapshot("main", &chg)?;
 
     let mut config = ServerConfig::default();
     config.preload.push(("t0".to_owned(), snap_path.clone()));
@@ -1756,26 +1738,9 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
     // Stage 1: every live (class, member) pair answered over the wire
     // must match the in-process DispatchIndex packed from the same
     // snapshot — checked before any number is reported.
-    let index = DispatchIndex::from_backend(&table);
     let probes = live_probes(&table);
-    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(30)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    for chunk in probes.chunks(1024) {
-        let wire = client
-            .batch("t0", chunk)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        for ((class, member), got) in chunk.iter().zip(&wire) {
-            let c = table.class_by_name(class).unwrap();
-            let m = table.member_by_name(member).unwrap();
-            let want = wire_of(&table, &index.lookup(c, m));
-            if *got != want {
-                return Err(io::Error::other(format!(
-                    "wire answer diverges from in-process index at ({class}, {member}): \
-                     {got:?} != {want:?}"
-                )));
-            }
-        }
-    }
+    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(30)))?;
+    wire_answers(&mut client, &table, &probes, 1024)?;
     writeln!(
         w,
         "  differential: {} classes, {} live pairs, wire == in-process index",
@@ -1784,59 +1749,50 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
     )?;
 
     // Stage 2: sustained closed-loop throughput at three connection
-    // counts against the warm tenant.
-    writeln!(w, "  closed loop, 1 probe/request, warm tenant:")?;
+    // counts against the warm tenant, the levels interleaved.
+    const LEVELS: [usize; 3] = [1, 8, 32];
+    writeln!(
+        w,
+        "  closed loop, 1 probe/request, warm tenant, medians of {E23_ROUNDS} interleaved rounds:"
+    )?;
     writeln!(
         w,
         "  {:<12} {:>10} {:>10} {:>10}",
         "connections", "qps", "p50 us", "p99 us"
     )?;
-    let targets = [TenantTarget {
-        name: "t0".to_owned(),
-        probes: probes.clone(),
-    }];
+    let mut quantiles = [const { (Vec::new(), Vec::new()) }; LEVELS.len()];
+    let qps = interleave(E23_ROUNDS, LEVELS.len(), |k| {
+        let report = closed_loop(&addr, &probes, LEVELS[k], 1200)?;
+        quantiles[k].0.push(report.p50_us());
+        quantiles[k].1.push(report.p99_us());
+        Ok(report.qps())
+    })?;
     let mut json_levels: Vec<String> = Vec::new();
-    let mut qps_by_conns: Vec<(usize, f64)> = Vec::new();
-    for conns in [1usize, 8, 32] {
-        let report = loadgen::run(
-            &LoadConfig {
-                addr: addr.clone(),
-                connections: conns,
-                duration: Duration::from_millis(1200),
-                ..LoadConfig::default()
-            },
-            &targets,
-        )?;
-        if report.errors > 0 {
-            return Err(io::Error::other(format!(
-                "{} load errors at {conns} connections",
-                report.errors
-            )));
-        }
+    for (k, conns) in LEVELS.into_iter().enumerate() {
+        let (p50, p99) = (
+            Spread::of(quantiles[k].0.clone()),
+            Spread::of(quantiles[k].1.clone()),
+        );
         writeln!(
             w,
             "  {:<12} {:>10.0} {:>10.1} {:>10.1}",
             conns,
-            report.qps(),
-            report.p50_us(),
-            report.p99_us()
+            qps.spread(k).median,
+            p50.median,
+            p99.median
         )?;
-        qps_by_conns.push((conns, report.qps()));
         json_levels.push(format!(
-            "    {{\"connections\": {conns}, \"qps\": {:.0}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}}}",
-            report.qps(),
-            report.p50_us(),
-            report.p99_us()
+            "{{\"connections\": {conns}, \"qps\": {}, \"p50_us\": {}, \"p99_us\": {}}}",
+            qps.spread(k).json(""),
+            p50.json(""),
+            p99.json("")
         ));
     }
     // On a multi-core host the thread-per-connection server scales past
     // 1x here; on a single core the meaningful property is that 8
     // concurrent connections do not *collapse* aggregate throughput
     // (lock convoy, accept-path serialization). Guard the latter.
-    let qps_1 = qps_by_conns[0].1;
-    let qps_8 = qps_by_conns[1].1;
-    let scaling = qps_8 / qps_1.max(f64::MIN_POSITIVE);
+    let (scaling, _) = qps.ratio(1, 0);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     writeln!(
         w,
@@ -1844,19 +1800,14 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
         if scaling >= 0.5 { "PASS" } else { "FAIL" }
     )?;
 
-    // Stage 3: 1000-tenant cold start. A handful of distinct small
-    // snapshots fan out round-robin as 1000 tenants; LOAD parses and
-    // indexes the artifact, the first QUERY promotes the tenant to a
-    // published DispatchIndex.
+    // Stage 3: 1000-tenant cold start, once per round. A handful of
+    // distinct small snapshots fan out round-robin as 1000 fresh
+    // tenants; LOAD parses and indexes the artifact, the first QUERY
+    // promotes the tenant to a published DispatchIndex.
     let mut cold_paths = Vec::new();
     let mut cold_probe = Vec::new();
     for i in 0..COLD_SNAPSHOTS {
-        let family = families::chain(40 + i, Some(4));
-        let path = dir.file(&format!("cold{i}.snap"));
-        Snapshot::compile(&family)
-            .write_to(&path)
-            .map_err(io::Error::other)?;
-        let t = SnapshotTable::load(&path).map_err(io::Error::other)?;
+        let (path, t) = dir.snapshot(&format!("cold{i}"), &families::chain(40 + i, Some(4)))?;
         let probe = live_probes(&t)
             .into_iter()
             .next()
@@ -1864,54 +1815,62 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
         cold_paths.push(path);
         cold_probe.push(probe);
     }
-    let t_load = Instant::now();
-    for i in 0..COLD_TENANTS {
-        client
-            .load(
-                &format!("cold{i}"),
-                cold_paths[i % COLD_SNAPSHOTS].to_str().unwrap(),
-            )
-            .map_err(|e| io::Error::other(e.to_string()))?;
+    let (mut load_rates, mut promote_rates) = (Vec::new(), Vec::new());
+    for round in 0..E23_ROUNDS {
+        let t_load = Instant::now();
+        for i in 0..COLD_TENANTS {
+            client
+                .load(
+                    &format!("cold{round}-{i}"),
+                    cold_paths[i % COLD_SNAPSHOTS].to_str().unwrap(),
+                )
+                .map_err(wire)?;
+        }
+        load_rates.push(COLD_TENANTS as f64 / t_load.elapsed().as_secs_f64().max(1e-9));
+        let t_promote = Instant::now();
+        for i in 0..COLD_TENANTS {
+            let (class, member) = &cold_probe[i % COLD_SNAPSHOTS];
+            client
+                .query(&format!("cold{round}-{i}"), class, member)
+                .map_err(wire)?;
+        }
+        promote_rates.push(COLD_TENANTS as f64 / t_promote.elapsed().as_secs_f64().max(1e-9));
     }
-    let load_secs = t_load.elapsed().as_secs_f64();
-    let t_promote = Instant::now();
-    for i in 0..COLD_TENANTS {
-        let (class, member) = &cold_probe[i % COLD_SNAPSHOTS];
-        client
-            .query(&format!("cold{i}"), class, member)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-    }
-    let promote_secs = t_promote.elapsed().as_secs_f64();
-    let tenants = client
-        .hello()
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    if tenants as usize != COLD_TENANTS + 1 {
+    let tenants = client.hello().map_err(wire)?;
+    if tenants as usize != E23_ROUNDS * COLD_TENANTS + 1 {
         return Err(io::Error::other(format!(
             "expected {} tenants after cold start, server reports {tenants}",
-            COLD_TENANTS + 1
+            E23_ROUNDS * COLD_TENANTS + 1
         )));
     }
-    let load_rate = COLD_TENANTS as f64 / load_secs.max(1e-9);
-    let promote_rate = COLD_TENANTS as f64 / promote_secs.max(1e-9);
+    let (load_rate, promote_rate) = (Spread::of(load_rates), Spread::of(promote_rates));
     writeln!(
         w,
-        "  cold start: {COLD_TENANTS} tenants over {COLD_SNAPSHOTS} snapshots — \
-         LOAD {load_rate:.0}/s, first-query promotion {promote_rate:.0}/s"
+        "  cold start: {COLD_TENANTS} tenants over {COLD_SNAPSHOTS} snapshots, medians of \
+         {E23_ROUNDS} rounds — LOAD {:.0}/s, first-query promotion {:.0}/s",
+        load_rate.median, promote_rate.median
     )?;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e23\",\n  {},\n  \"differential_pairs\": {},\n  \
-         \"levels\": [\n{}\n  ],\n  \
-         \"qps_8_vs_1\": {scaling:.3},\n  \
-         \"cold_start\": {{\"tenants\": {COLD_TENANTS}, \"snapshots\": {COLD_SNAPSHOTS}, \
-         \"load_per_s\": {load_rate:.0}, \"promote_per_s\": {promote_rate:.0}}}\n}}\n",
-        host_context_json(32),
-        probes.len(),
-        json_levels.join(",\n")
-    );
-    std::fs::write("BENCH_e23.json", json)?;
-    writeln!(w, "  wrote BENCH_e23.json")?;
-    Ok(())
+    write_bench(
+        w,
+        "e23",
+        *LEVELS.last().expect("levels nonempty"),
+        E23_ROUNDS,
+        &[
+            ("differential_pairs", probes.len().to_string()),
+            ("levels", json_rows(&json_levels)),
+            ("qps_8_vs_1", format!("{scaling:.3}")),
+            (
+                "cold_start",
+                format!(
+                    "{{\"tenants\": {COLD_TENANTS}, \"snapshots\": {COLD_SNAPSHOTS}, \
+                     \"load_per_s\": {}, \"promote_per_s\": {}}}",
+                    load_rate.json(""),
+                    promote_rate.json("")
+                ),
+            ),
+        ],
+    )
 }
 
 /// E23-smoke's codec check: the server writes read replies straight
@@ -1931,7 +1890,7 @@ fn e23_raw_frames(
     stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
     let mut round_trip = |req: Request| -> io::Result<Vec<u8>> {
         write_frame(&mut stream, &req.encode())?;
-        read_frame(&mut stream).map_err(|e| io::Error::other(e.to_string()))
+        read_frame(&mut stream).map_err(wire)
     };
     let picks: Vec<usize> = (0..64).map(|i| i % probes.len()).collect();
     let batch = |probes: Vec<(String, String)>| Request::Batch {
@@ -1992,38 +1951,19 @@ fn e23_raw_frames(
 /// [`e23_raw_frames`]), the HTTP admin endpoint probed over raw TCP, and a short
 /// closed-loop load run held to an absolute QPS floor — plus, when a
 /// committed `BENCH_e23.json` exists, a no-regression floor at 0.05x
-/// the recorded 8-connection QPS.
+/// the recorded median 8-connection QPS.
 fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use std::io::Read as _;
-    use std::time::Duration;
-
-    use cpplookup_core::DispatchIndex;
     use cpplookup_server::cli::live_probes;
-    use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
-    use cpplookup_server::{Client, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
+    use cpplookup_server::Client;
 
     writeln!(w, "E23-smoke: wire session + admin endpoint + QPS floor")?;
     let dir = BenchDir::new("e23-smoke")?;
     let chg = families::interface_heavy(100, 4);
-    let snap_path = dir.file("smoke.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
-    let index = DispatchIndex::from_backend(&table);
+    let (snap_path, table) = dir.snapshot("smoke", &chg)?;
     let probes = live_probes(&table);
 
-    let io_model = io_model_from_env();
-    writeln!(w, "  io-model: {}", io_model.label())?;
-    let server = Server::start(ServerConfig {
-        io_model,
-        ..ServerConfig::default()
-    })?;
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
+    let (_server, addr) = smoke_server(w, Vec::new())?;
+    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))?;
 
     let (entries, _) = client
         .load("t0", snap_path.to_str().unwrap())
@@ -2031,16 +1971,7 @@ fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
     if entries == 0 {
         return Err(io::Error::other("LOAD reported zero entries"));
     }
-    let answers = client.batch("t0", &probes).map_err(wire)?;
-    for ((class, member), got) in probes.iter().zip(&answers) {
-        let c = table.class_by_name(class).unwrap();
-        let m = table.member_by_name(member).unwrap();
-        if *got != wire_of(&table, &index.lookup(c, m)) {
-            return Err(io::Error::other(format!(
-                "wire batch diverges from in-process index at ({class}, {member})"
-            )));
-        }
-    }
+    let answers = wire_answers(&mut client, &table, &probes, probes.len())?;
     let (class, member) = &probes[0];
     if client.query("t0", class, member).map_err(wire)? != answers[0] {
         return Err(io::Error::other("point query disagrees with batch"));
@@ -2073,11 +2004,7 @@ fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
 
     // The admin endpoint shares the binary-protocol port; a plain HTTP
     // GET must come back as Prometheus text.
-    let mut http = std::net::TcpStream::connect(&addr)?;
-    http.set_read_timeout(Some(Duration::from_secs(10)))?;
-    std::io::Write::write_all(&mut http, b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")?;
-    let mut body = String::new();
-    http.read_to_string(&mut body)?;
+    let body = http_get(&addr, "/metrics")?;
     if !body.contains(" 200 OK") || !body.contains("server_requests_total") {
         return Err(io::Error::other(format!(
             "admin endpoint did not serve Prometheus metrics: {}",
@@ -2086,45 +2013,16 @@ fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
     }
     writeln!(w, "  admin: GET /metrics -> 200, Prometheus text")?;
 
-    let report = loadgen::run(
-        &LoadConfig {
-            addr: addr.clone(),
-            connections: 2,
-            duration: Duration::from_millis(400),
-            ..LoadConfig::default()
-        },
-        &[TenantTarget {
-            name: "t0".to_owned(),
-            probes,
-        }],
-    )?;
-    if report.errors > 0 {
-        return Err(io::Error::other(format!(
-            "{} load errors during smoke run",
-            report.errors
-        )));
+    let qps = closed_loop(&addr, &probes, 2, 400)?.qps();
+    writeln!(w, "  load: {qps:.0} qps closed-loop over 2 connections")?;
+    BaselineGate {
+        file: "BENCH_e23.json",
+        path: &["levels", "connections=8", "qps", "median"],
+        floor: 1000.0,
+        share: 0.05,
     }
-    let qps = report.qps();
-    let mut floor: f64 = 1000.0;
-    let mut baseline_note = "no BENCH_e23.json baseline".to_owned();
-    if let Ok(baseline) = std::fs::read_to_string("BENCH_e23.json") {
-        if let Some(recorded) = baseline
-            .find("\"connections\": 8")
-            .and_then(|at| json_f64(&baseline[at..], "qps"))
-        {
-            floor = floor.max(recorded * 0.05);
-            baseline_note = format!("0.05x recorded 8-connection QPS {recorded:.0}");
-        }
-    }
-    writeln!(
-        w,
-        "  load: {qps:.0} qps closed-loop over 2 connections (floor {floor:.0}, {baseline_note})"
-    )?;
-    if qps < floor {
-        return Err(io::Error::other(format!(
-            "smoke QPS {qps:.0} fell below the floor {floor:.0}"
-        )));
-    }
+    .check(w, qps)
+    .map_err(|e| io::Error::other(format!("smoke QPS: {e}")))?;
     writeln!(w, "  guard: PASS")?;
     Ok(())
 }
@@ -2144,12 +2042,8 @@ fn e23_smoke(w: &mut dyn Write) -> io::Result<()> {
 /// it to compare against, so it shows up in the gated end-to-end
 /// benchmark instead. Emits `BENCH_e24.json` (with host context).
 fn e24(w: &mut dyn Write) -> io::Result<()> {
-    use std::io::Read as _;
-    use std::time::Duration;
-
     use cpplookup_server::cli::live_probes;
     use cpplookup_server::{Client, ObsConfig, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
 
     /// Client connections the span-stability stage compares.
     const CONNS: usize = 2;
@@ -2157,13 +2051,8 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E24: wire-path request attribution")?;
     let dir = BenchDir::new("e24")?;
     let chg = random_hierarchy(&RandomConfig::realistic(2000, 7));
-    let snap_path = dir.file("main.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
+    let (snap_path, table) = dir.snapshot("main", &chg)?;
     let probes = live_probes(&table);
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
 
     let start_server = |obs: ObsConfig| -> io::Result<(Server, String)> {
         let server = Server::start(ServerConfig {
@@ -2177,37 +2066,18 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
     let (_server, addr) = start_server(ObsConfig::default())?;
 
     // Stage 1: span structure stability and exact attribution.
-    let shape = |spans: &[cpplookup_server::WireSpan]| -> Vec<(u64, u64, String)> {
-        spans
-            .iter()
-            .map(|s| (s.id, s.parent, s.label.clone()))
-            .collect()
-    };
-    let check_partition = |spans: &[cpplookup_server::WireSpan]| -> io::Result<()> {
-        let root = &spans[0];
-        let children_ns: u64 = spans[1..].iter().map(|s| s.duration_ns).sum();
-        if children_ns != root.duration_ns {
-            return Err(io::Error::other(format!(
-                "phases sum {children_ns} != root {} — partition must be exact",
-                root.duration_ns
-            )));
-        }
-        Ok(())
-    };
-    let mut c1 = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    let mut c2 = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut c1 = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))?;
+    let mut c2 = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))?;
     let (class, member) = &probes[0];
     let (_, first) = c1.query_traced("t0", class, member).map_err(wire)?;
-    let reference = shape(&first);
+    let reference = span_shape(&first);
     check_partition(&first)?;
     for _ in 0..32 {
         let (_, again) = c1.query_traced("t0", class, member).map_err(wire)?;
         let (_, other) = c2.query_traced("t0", class, member).map_err(wire)?;
         check_partition(&again)?;
         check_partition(&other)?;
-        if shape(&again) != reference || shape(&other) != reference {
+        if span_shape(&again) != reference || span_shape(&other) != reference {
             return Err(io::Error::other(
                 "span tree structure varied across runs/connections",
             ));
@@ -2217,7 +2087,7 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
         .batch_traced("t0", &probes[..probes.len().min(64)])
         .map_err(wire)?;
     check_partition(&bspans)?;
-    if shape(&bspans) != reference {
+    if span_shape(&bspans) != reference {
         return Err(io::Error::other("batch span structure diverged from query"));
     }
     writeln!(
@@ -2234,21 +2104,9 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
         ..ObsConfig::default()
     })?;
     let _keep2 = &admin_server;
-    let mut ca = Client::connect(admin_addr.as_str(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut ca = Client::connect(admin_addr.as_str(), Some(Duration::from_secs(10)))?;
     ca.query_traced("t0", class, member).map_err(wire)?;
     ca.query("t0", class, member).map_err(wire)?;
-    let http_get = |addr: &str, target: &str| -> io::Result<String> {
-        let mut s = std::net::TcpStream::connect(addr)?;
-        s.set_read_timeout(Some(Duration::from_secs(10)))?;
-        std::io::Write::write_all(
-            &mut s,
-            format!("GET {target} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes(),
-        )?;
-        let mut body = String::new();
-        s.read_to_string(&mut body)?;
-        Ok(body)
-    };
     let health = http_get(&admin_addr, "/healthz")?;
     if !health.contains(" 200 OK") {
         return Err(io::Error::other(format!("/healthz failed: {health}")));
@@ -2270,16 +2128,17 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
          entries + slow span trees"
     )?;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e24\",\n  {},\n  \
-         \"spans_per_trace\": {},\n  \"span_structure_stable\": true,\n  \
-         \"admin_endpoints_verified\": true\n}}\n",
-        host_context_json(CONNS),
-        reference.len(),
-    );
-    std::fs::write("BENCH_e24.json", json)?;
-    writeln!(w, "  wrote BENCH_e24.json")?;
-    Ok(())
+    write_bench(
+        w,
+        "e24",
+        CONNS,
+        1,
+        &[
+            ("spans_per_trace", reference.len().to_string()),
+            ("span_structure_stable", "true".to_owned()),
+            ("admin_endpoints_verified", "true".to_owned()),
+        ],
+    )
 }
 
 /// E24's CI gate: one full wire session with `--trace` semantics — a
@@ -2287,12 +2146,9 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
 /// expected phases, and partition the root exactly — plus a traced
 /// load run that must attribute its requests over the same phases.
 fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use std::time::Duration;
-
     use cpplookup_server::cli::live_probes;
     use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
-    use cpplookup_server::{Client, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
+    use cpplookup_server::Client;
 
     const PHASES: [&str; 6] = [
         "queue_wait",
@@ -2306,27 +2162,14 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E24-smoke: traced wire session + traced load")?;
     let dir = BenchDir::new("e24-smoke")?;
     let chg = families::interface_heavy(100, 4);
-    let snap_path = dir.file("smoke.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
+    let (snap_path, table) = dir.snapshot("smoke", &chg)?;
     let probes = live_probes(&table);
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
 
-    let io_model = io_model_from_env();
-    writeln!(w, "  io-model: {}", io_model.label())?;
-    let server = Server::start(ServerConfig {
-        preload: vec![("t0".to_owned(), snap_path)],
-        io_model,
-        ..ServerConfig::default()
-    })?;
-    let addr = server.addr().to_string();
+    let (_server, addr) = smoke_server(w, vec![("t0".to_owned(), snap_path)])?;
 
     // 1. Traced query: non-empty span tree, the six phases in order,
     //    durations summing to the root exactly.
-    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut client = Client::connect(addr.as_str(), Some(Duration::from_secs(10)))?;
     let (class, member) = &probes[0];
     let (_, spans) = client.query_traced("t0", class, member).map_err(wire)?;
     if spans.len() != 1 + PHASES.len() {
@@ -2336,7 +2179,6 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
             spans.len()
         )));
     }
-    let mut sum = 0u64;
     for (s, want) in spans[1..].iter().zip(PHASES) {
         if s.label != want {
             return Err(io::Error::other(format!(
@@ -2347,14 +2189,8 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
         if s.parent != spans[0].id {
             return Err(io::Error::other("phase not parented to the root span"));
         }
-        sum += s.duration_ns;
     }
-    if sum != spans[0].duration_ns {
-        return Err(io::Error::other(format!(
-            "phase durations sum to {sum}, root is {} — partition must be exact",
-            spans[0].duration_ns
-        )));
-    }
+    check_partition(&spans)?;
     writeln!(
         w,
         "  trace: {} spans, phases sum to root ({} ns) exactly",
@@ -2402,12 +2238,11 @@ fn e24_smoke(w: &mut dyn Write) -> io::Result<()> {
 /// (`e25-smoke`).
 fn e25(w: &mut dyn Write) -> io::Result<()> {
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     use cpplookup_server::{
         Client, Farm, FarmOptions, FollowSource, Follower, FollowerConfig, Server, ServerConfig,
     };
-    use cpplookup_snapshot::Snapshot;
     use cpplookup_wal::WalStore;
 
     const BURSTS: [usize; 3] = [1, 32, 256];
@@ -2417,15 +2252,8 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "E25: edit-log replication lag and recovery time")?;
     let dir = BenchDir::new("e25")?;
     let chg = families::chain(64, None);
-    let class_names: Vec<String> = chg
-        .classes()
-        .map(|c| chg.class_name(c).to_owned())
-        .collect();
-    let snap_path = dir.file("t.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
+    let class_names = class_names(&chg);
+    let (snap_path, _) = dir.snapshot("t", &chg)?;
 
     // Stage 1: wire replication lag. A leader server with a durable
     // log, a follower subscribed over the wire; each sample appends a
@@ -2451,8 +2279,7 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
             ..FollowerConfig::default()
         },
     );
-    let mut client = Client::connect(leader.addr(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut client = Client::connect(leader.addr(), Some(Duration::from_secs(10)))?;
     let mut edit_no = 0usize;
     let mut lag_rows = Vec::new();
     writeln!(w, "  wire replication lag (median of {REPEATS} bursts):")?;
@@ -2474,18 +2301,18 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
                     follower.applied_seq()
                 )));
             }
-            lags.push(t0.elapsed());
+            lags.push(t0.elapsed().as_nanos() as f64);
         }
         let spread = Spread::of(lags);
         writeln!(
             w,
             "  burst {burst:>4} edits: converged in {:>10} ({:>8}/edit)",
-            fmt_duration(spread.median),
-            fmt_duration(spread.median / burst as u32),
+            fmt_ns(spread.median),
+            fmt_ns(spread.median / burst as f64),
         )?;
         lag_rows.push(format!(
             "{{\"burst\": {burst}, \"lag\": {}}}",
-            spread.json()
+            spread.json("_ns")
         ));
     }
     follower.stop();
@@ -2509,8 +2336,9 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
         let wal_path = dir.file(&format!("len{log_len}.wal"));
         write_member_log(&wal_path, &snap_path, &class_names, log_len)?;
         let log_bytes = std::fs::metadata(&wal_path)?.len();
-        let (records, cold) = replay_rounds(&wal_path, REPEATS)?;
-        let rate = records as f64 / cold.median.as_secs_f64().max(1e-9);
+        let records = log_records(&wal_path)?;
+        let cold = interleave(REPEATS, 1, |_| replay(&wal_path))?.spread(0);
+        let rate = records as f64 / (cold.median * 1e-9).max(1e-9);
 
         // Compact: fold the whole history into one checkpoint snapshot.
         {
@@ -2524,37 +2352,45 @@ fn e25(w: &mut dyn Write) -> io::Result<()> {
             farm.compact_wal(&dir.file(&format!("ckpt{log_len}")))
                 .map_err(|(_, m)| io::Error::other(m))?;
         }
-        let (compacted_records, warm) = replay_rounds(&wal_path, REPEATS)?;
+        let compacted_records = log_records(&wal_path)?;
+        let warm = interleave(REPEATS, 1, |_| replay(&wal_path))?.spread(0);
         writeln!(
             w,
             "  {records:>8} {log_bytes:>10} {:>30} {rate:>8.0}/s | {compacted_records:>6} {:>12}",
             format!(
                 "{} / {} / {}",
-                fmt_duration(cold.min),
-                fmt_duration(cold.median),
-                fmt_duration(cold.max)
+                fmt_ns(cold.min),
+                fmt_ns(cold.median),
+                fmt_ns(cold.max)
             ),
-            fmt_duration(warm.median),
+            fmt_ns(warm.median),
         )?;
         recovery_rows.push(format!(
             "{{\"records\": {records}, \"log_bytes\": {log_bytes}, \
              \"replay\": {}, \"records_per_s\": {rate:.0}, \
              \"compacted_records\": {compacted_records}, \"compacted_replay\": {}}}",
-            cold.json(),
-            warm.json()
+            cold.json("_ns"),
+            warm.json("_ns")
         ));
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e25\",\n  {},\n  \"rounds\": {REPEATS},\n  \
-         \"lag\": [{}],\n  \"recovery\": [{}]\n}}\n",
-        host_context_json(1),
-        lag_rows.join(", "),
-        recovery_rows.join(", "),
-    );
-    std::fs::write("BENCH_e25.json", json)?;
-    writeln!(w, "  wrote BENCH_e25.json")?;
-    Ok(())
+    write_bench(
+        w,
+        "e25",
+        1,
+        REPEATS,
+        &[
+            ("lag", json_rows(&lag_rows)),
+            ("recovery", json_rows(&recovery_rows)),
+        ],
+    )
+}
+
+/// Every class name of `chg`, in id order.
+fn class_names(chg: &Chg) -> Vec<String> {
+    chg.classes()
+        .map(|c| chg.class_name(c).to_owned())
+        .collect()
 }
 
 /// Writes an edit log of one `Open` of `snap` followed by `edits`
@@ -2583,21 +2419,24 @@ fn write_member_log(
     store.sync()
 }
 
-/// Times `rounds` cold recoveries of the log at `path` — open, repair,
-/// and [`Farm::replay`](cpplookup_server::Farm::replay) into a fresh
-/// farm, as `Server::start` does — and returns the record count and the
-/// spread.
-fn replay_rounds(path: &std::path::Path, rounds: usize) -> io::Result<(usize, Spread)> {
+/// The number of records in the log at `path`.
+fn log_records(path: &std::path::Path) -> io::Result<usize> {
+    Ok(cpplookup_wal::read_all(path)
+        .map_err(io::Error::other)?
+        .len())
+}
+
+/// The wall time, in nanoseconds, of one cold recovery of the log at
+/// `path` — open, repair, and
+/// [`Farm::replay`](cpplookup_server::Farm::replay) into a fresh farm,
+/// as `Server::start` does.
+fn replay(path: &std::path::Path) -> io::Result<f64> {
     use std::sync::Arc;
-    use std::time::Instant;
 
     use cpplookup_server::{Farm, FarmOptions};
     use cpplookup_wal::WalStore;
 
-    let mut records = 0;
-    let mut times = Vec::with_capacity(rounds);
-    for _ in 0..rounds.max(1) {
-        let t0 = Instant::now();
+    let (t, replayed) = time_once(|| -> io::Result<()> {
         let (store, recovered) = WalStore::open(path, 0).map_err(io::Error::other)?;
         let farm = Farm::with_options(FarmOptions {
             wal: Some(Arc::new(store)),
@@ -2605,10 +2444,9 @@ fn replay_rounds(path: &std::path::Path, rounds: usize) -> io::Result<(usize, Sp
         });
         farm.replay(&recovered)
             .map_err(|(seq, (_, m))| io::Error::other(format!("replay at seq {seq}: {m}")))?;
-        times.push(t0.elapsed());
-        records = recovered.len();
-    }
-    Ok((records, Spread::of(times)))
+        Ok(())
+    });
+    replayed.map(|()| t.as_nanos() as f64)
 }
 
 /// E25's CI gate, four checks deep:
@@ -2630,12 +2468,11 @@ fn replay_rounds(path: &std::path::Path, rounds: usize) -> io::Result<(usize, Sp
 ///    another machine fails on runner noise.
 fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     use cpplookup_server::{
         Client, Farm, FollowSource, Follower, FollowerConfig, Server, ServerConfig,
     };
-    use cpplookup_snapshot::Snapshot;
     use cpplookup_wal::{read_all, recover_bytes, WalStore};
 
     writeln!(
@@ -2644,15 +2481,8 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     )?;
     let dir = BenchDir::new("e25-smoke")?;
     let chg = families::interface_heavy(12, 3);
-    let snap_path = dir.file("t.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let class_names: Vec<String> = chg
-        .classes()
-        .map(|c| chg.class_name(c).to_owned())
-        .collect();
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
+    let (snap_path, _) = dir.snapshot("t", &chg)?;
+    let class_names = class_names(&chg);
 
     // 1. Every-byte-boundary crash recovery on a scripted log.
     let wal_path = dir.file("crash.wal");
@@ -2710,8 +2540,7 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
             ..FollowerConfig::default()
         },
     );
-    let mut lc = Client::connect(leader.addr(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut lc = Client::connect(leader.addr(), Some(Duration::from_secs(10)))?;
     for i in 0..24 {
         let class = &class_names[i % class_names.len()];
         lc.edit("t", &format!("member {class} w{i}"))
@@ -2730,8 +2559,7 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     }
     let lag = t0.elapsed();
 
-    let mut fc = Client::connect(follower_srv.addr(), Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
+    let mut fc = Client::connect(follower_srv.addr(), Some(Duration::from_secs(10)))?;
     // The oldest epoch still inside the retention window: the
     // time-travel target both sides must agree on.
     let as_of = leader
@@ -2795,12 +2623,13 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
     for edits in [256, 4096] {
         let path = dir.file(&format!("replay{edits}.wal"));
         write_member_log(&path, &snap_path, &class_names, edits)?;
-        let (records, spread) = replay_rounds(&path, 3)?;
-        let rate = records as f64 / spread.min.as_secs_f64().max(1e-9);
+        let records = log_records(&path)?;
+        let spread = interleave(3, 1, |_| replay(&path))?.spread(0);
+        let rate = records as f64 / (spread.min * 1e-9).max(1e-9);
         writeln!(
             w,
             "  replay: {records} records in {} (best of 3), {rate:.0} records/s",
-            fmt_duration(spread.min)
+            fmt_ns(spread.min)
         )?;
         rates.push(rate);
     }
@@ -2817,7 +2646,7 @@ fn e25_smoke(w: &mut dyn Write) -> io::Result<()> {
 
 /// The packed `(class, member)` probe keys `c | m << 32` of `index`:
 /// the key set its directory hashes.
-fn packed_keys(index: &cpplookup_core::DispatchIndex) -> Vec<u64> {
+fn packed_keys(index: &DispatchIndex) -> Vec<u64> {
     (0..index.class_count())
         .flat_map(|ci| {
             index
@@ -2827,18 +2656,36 @@ fn packed_keys(index: &cpplookup_core::DispatchIndex) -> Vec<u64> {
         .collect()
 }
 
-/// Median wall time of three hash builds over `keys`, with the built
-/// function.
-fn time_mph_build(keys: &[u64]) -> (std::time::Duration, MphFunction) {
-    median_time(3, || MphFunction::build(keys))
+/// Probes per `lookup_batch_into` call on the batch serve path.
+const CHUNK: usize = 256;
+
+/// One timed single-threaded sweep of the batch serve path:
+/// `lookup_batch_into` over [`CHUNK`]-probe chunks into a reused
+/// buffer, `reps` passes over `probes`. Returns (ns per lookup,
+/// checksum).
+fn batch_sweep_ns(index: &DispatchIndex, probes: &[Probe], reps: usize) -> (f64, u64) {
+    let (t, sum) = time_once(|| {
+        let mut out = Vec::new();
+        let mut sum = 0u64;
+        for _ in 0..reps {
+            for chunk in probes.chunks(CHUNK) {
+                index.lookup_batch_into(chunk, &mut out);
+                for o in &out {
+                    sum = sum.wrapping_add(outcome_ref_word(o));
+                }
+            }
+        }
+        sum
+    });
+    (t.as_secs_f64() * 1e9 / (reps * probes.len()) as f64, sum)
 }
 
 /// E26 — the minimal perfect hash probe directory and the SWAR batch
 /// path over it.
 ///
 /// Three measurements per family, on shuffled live-pair probe streams
-/// with checksums verified against `lookup_ref` before any number is
-/// reported:
+/// with checksums verified against `lookup_ref` in every round, the
+/// contenders [interleaved](interleave) over [`SERVE_ROUNDS`] rounds:
 ///
 /// 1. **Directory probe** — single-thread ns/lookup through
 ///    `lookup_ref`: one displacement read plus exactly one
@@ -2847,23 +2694,19 @@ fn time_mph_build(keys: &[u64]) -> (std::time::Duration, MphFunction) {
 ///    (`lookup_batch_into` over 256-probe chunks, reused buffer)
 ///    against a per-probe *owned* `lookup` loop on the same index (one
 ///    owned outcome, witness `Vec` clones and per-call obs hooks
-///    included, per probe).
+///    included, per probe); the median per-round ratio.
 /// 3. **Thread scaling** — aggregate lookup throughput from 1 to 32
 ///    threads on the largest family; the shared directory is
 ///    read-only, so scaling should track cores until memory bandwidth
 ///    (on a single-core host the curve is honestly flat).
 ///
-/// It also prints, ungated, each family's hash build time
-/// (`MphFunction::build` over the index's packed keys, median of 3)
-/// and whether it built at seed 0.
+/// It also prints each family's hash build time (`MphFunction::build`
+/// over the index's packed keys, median of 3) and whether it built at
+/// seed 0; both are recorded, not gated.
 ///
 /// Emits `BENCH_e26.json` (with host context) for the CI gate
-/// (`e26-smoke`). Files recorded before the open-addressed directory
-/// was deleted also carry its columns, as history.
+/// (`e26-smoke`).
 fn e26(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::DispatchIndex;
-
-    const CHUNK: usize = 256;
     const THREAD_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
     writeln!(
         w,
@@ -2874,75 +2717,45 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
         "  mph = lookup_ref through the CHD displacement directory; owned = \
          per-probe owned lookup loop on the same index; batch = \
          lookup_batch_into over {CHUNK}-probe chunks with a reused buffer \
-         (the serve path)"
+         (the serve path); medians of {SERVE_ROUNDS} interleaved rounds"
     )?;
-    let families: Vec<(&str, Chg)> = vec![
-        ("chain_2500", families::chain(2500, Some(16))),
-        ("grid_50x50", families::grid(50, 50)),
-        ("interface_500x4", families::interface_heavy(500, 4)),
-        (
-            "realistic_2000",
-            random_hierarchy(&RandomConfig::realistic(2000, 7)),
-        ),
-        (
-            "realistic_4000",
-            random_hierarchy(&RandomConfig::realistic(4000, 7)),
-        ),
-    ];
+    let families = large_families();
     writeln!(w, "  single thread, ns/lookup:")?;
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>8} {:>8} {:>8} {:>9}",
-        "family", "classes", "entries", "mph", "owned", "batch", "batch gain"
+        "  {:<16} {:>7} {:>8} {:>8} {:>8} {:>8} {:>9} {:>6}",
+        "family", "classes", "entries", "mph", "owned", "batch", "batch gain", "iqr"
     )?;
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut family_rows: Vec<String> = Vec::new();
     let mut batch_ratios: Vec<f64> = Vec::new();
     let mut build_rows: Vec<String> = Vec::new();
     for (name, chg) in &families {
         let table = LookupTable::build(chg);
         let mph = DispatchIndex::from_table(LookupTable::build(chg));
         let keys = packed_keys(&mph);
-        let (t_build, hash) = time_mph_build(&keys);
+        let (t_build, hash) = median_time(3, || MphFunction::build(&keys));
+        let build_ms = t_build.as_secs_f64() * 1e3;
         build_rows.push(format!(
-            "    {name:<16} {:>8} keys {:>8.1} ms  seed {}",
+            "    {name:<16} {:>8} keys {build_ms:>8.1} ms  seed {}",
             keys.len(),
-            t_build.as_secs_f64() * 1e3,
             if hash.seed() == 0 { "0" } else { "retried" }
         ));
         let probes = serve_probes(chg, &table, 0xE26 ^ name.len() as u64);
         let reps = (2_000_000 / probes.len()).max(1);
-        let lookups = (reps * probes.len()) as f64;
 
-        let (ns_mph, s_mph) = serve_single(&probes, reps, |(c, m)| {
-            outcome_ref_word(&mph.lookup_ref(c, m))
-        });
-        let (ns_owned, s_owned) =
-            serve_single(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m)));
-        if s_owned != s_mph {
-            return Err(io::Error::other(format!(
-                "{name}: owned lookup diverged from lookup_ref"
-            )));
-        }
-        let (t_batch, s_batch) = median_time(3, || {
-            let mut out = Vec::new();
-            let mut sum = 0u64;
-            for _ in 0..reps {
-                for chunk in probes.chunks(CHUNK) {
-                    mph.lookup_batch_into(chunk, &mut out);
-                    for o in &out {
-                        sum = sum.wrapping_add(outcome_ref_word(o));
-                    }
-                }
-            }
-            sum
-        });
-        if s_batch != s_mph {
-            return Err(io::Error::other(format!(
-                "{name}: batch path diverged from lookup_ref"
-            )));
-        }
-        let ns_batch = t_batch.as_secs_f64() * 1e9 / lookups;
-        let batch_ratio = ns_owned / ns_batch.max(f64::MIN_POSITIVE);
+        let mut sum = None;
+        let single = interleave(SERVE_ROUNDS, 3, |k| {
+            let (ns, s) = match k {
+                0 => sweep_ns(&probes, reps, |(c, m)| {
+                    outcome_ref_word(&mph.lookup_ref(c, m))
+                }),
+                1 => sweep_ns(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m))),
+                _ => batch_sweep_ns(&mph, &probes, reps),
+            };
+            same_sum(&mut sum, s, name)?;
+            Ok(ns)
+        })?;
+        let (batch_ratio, batch_iqr) = single.ratio(1, 2);
         // The acceptance geomean is over the ≥2000-class families;
         // smaller ones are printed for shape but not averaged in.
         if chg.class_count() >= 2000 {
@@ -2950,22 +2763,27 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
         }
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>8.1} {:>8.1} {:>8.1} {:>8.2}x",
+            "  {:<16} {:>7} {:>8} {:>8.1} {:>8.1} {:>8.1} {:>8.2}x {:>6.2}",
             name,
             chg.class_count(),
             mph.entry_count(),
-            ns_mph,
-            ns_owned,
-            ns_batch,
+            single.spread(0).median,
+            single.spread(1).median,
+            single.spread(2).median,
             batch_ratio,
+            batch_iqr,
         )?;
-        json_rows.push(format!(
-            "    {{\"name\": \"{name}\", \"classes\": {}, \"entries\": {}, \
-             \"single_ns\": {{\"mph\": {ns_mph:.2}, \"owned_mph\": {ns_owned:.2}, \
-             \"batch\": {ns_batch:.2}}}, \
-             \"batch_vs_owned\": {batch_ratio:.3}}}",
+        family_rows.push(format!(
+            "{{\"name\": \"{name}\", \"classes\": {}, \"entries\": {}, \
+             \"single_ns\": {{\"mph\": {}, \"owned\": {}, \"batch\": {}}}, \
+             \"batch_vs_owned\": {batch_ratio:.3}, \"hash_build_ms\": {build_ms:.1}, \
+             \"hash_seed\": {}}}",
             chg.class_count(),
             mph.entry_count(),
+            single.spread(0).json(""),
+            single.spread(1).json(""),
+            single.spread(2).json(""),
+            hash.seed(),
         ));
     }
     writeln!(
@@ -2975,7 +2793,8 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
     for row in &build_rows {
         writeln!(w, "{row}")?;
     }
-    // Thread scaling on the largest family.
+    // Thread scaling on the largest family, the thread counts
+    // interleaved.
     let (scale_name, scale_chg) = families.last().expect("families nonempty");
     let table = LookupTable::build(scale_chg);
     let mph = DispatchIndex::from_table(LookupTable::build(scale_chg));
@@ -2985,44 +2804,51 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
         w,
         "  thread scaling ({scale_name}, mph directory), aggregate Mlookups/s:"
     )?;
-    let mut scale_rows: Vec<String> = Vec::new();
-    let mut base_qps = f64::MIN_POSITIVE;
-    for &threads in &THREAD_SWEEP {
-        let (qps, _) = serve_mt(threads, &probes, mt_reps, |(c, m)| {
+    let scaling = interleave(SERVE_ROUNDS, THREAD_SWEEP.len(), |k| {
+        let (qps, _) = serve_mt(THREAD_SWEEP[k], &probes, mt_reps, |(c, m)| {
             outcome_ref_word(&mph.lookup_ref(c, m))
         });
-        if threads == 1 {
-            base_qps = qps;
-        }
+        Ok(qps)
+    })?;
+    let base_qps = scaling.spread(0).median;
+    let mut scale_rows: Vec<String> = Vec::new();
+    for (k, threads) in THREAD_SWEEP.into_iter().enumerate() {
+        let qps = scaling.spread(k);
         writeln!(
             w,
             "    {threads:>2} threads: {:>8.2} M/s ({:.2}x over 1 thread)",
-            qps / 1e6,
-            qps / base_qps
+            qps.median / 1e6,
+            qps.median / base_qps
         )?;
         scale_rows.push(format!(
-            "    {{\"threads\": {threads}, \"qps\": {qps:.0}, \"speedup\": {:.3}}}",
-            qps / base_qps
+            "{{\"threads\": {threads}, \"qps\": {}, \"speedup\": {:.3}}}",
+            qps.json(""),
+            qps.median / base_qps
         ));
     }
-    let geo = |rs: &[f64]| (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
-    let g_batch = geo(&batch_ratios);
+    let g_batch = geomean(&batch_ratios);
     writeln!(
         w,
         "  target >=2x batch vs per-probe owned loop, same index (geomean): {} ({g_batch:.2}x)",
         if g_batch >= 2.0 { "PASS" } else { "FAIL" }
     )?;
-    let json = format!(
-        "{{\n  \"experiment\": \"e26\",\n  {},\n  \"families\": [\n{}\n  ],\n  \
-         \"scaling\": {{\"family\": \"{scale_name}\", \"points\": [\n{}\n  ]}},\n  \
-         \"geomean_batch_vs_owned\": {g_batch:.3}\n}}\n",
-        host_context_json(*THREAD_SWEEP.last().expect("sweep nonempty")),
-        json_rows.join(",\n"),
-        scale_rows.join(",\n"),
-    );
-    std::fs::write("BENCH_e26.json", json)?;
-    writeln!(w, "  wrote BENCH_e26.json")?;
-    Ok(())
+    write_bench(
+        w,
+        "e26",
+        *THREAD_SWEEP.last().expect("sweep nonempty"),
+        SERVE_ROUNDS,
+        &[
+            ("families", json_rows(&family_rows)),
+            (
+                "scaling",
+                format!(
+                    "{{\"family\": \"{scale_name}\", \"points\": {}}}",
+                    json_rows(&scale_rows)
+                ),
+            ),
+            ("geomean_batch_vs_owned", format!("{g_batch:.3}")),
+        ],
+    )
 }
 
 /// E26's CI gate, in four stages, the first three mirroring `e22-smoke`:
@@ -3035,7 +2861,7 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
 /// 2. **Perf floor** — ≥1.2× single-thread serve path on
 ///    `grid_50x50`: the batched path (`lookup_batch_into`, reused
 ///    buffer) against the per-probe owned `lookup` loop on the same
-///    index.
+///    index, medians of three interleaved rounds.
 /// 3. **No-regression** — when a committed `BENCH_e26.json` exists,
 ///    the measured ratio must stay above 0.4× the recorded
 ///    `grid_50x50` `batch_vs_owned` ratio.
@@ -3046,43 +2872,21 @@ fn e26(w: &mut dyn Write) -> io::Result<()> {
 ///    only to two keys of one bucket sharing their high hash bits. The
 ///    build time is printed, not gated.
 fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use cpplookup_core::DispatchIndex;
-
     writeln!(w, "E26-smoke: mph/table differential + batch perf floor")?;
     let diff = families::interface_heavy(200, 4);
     let table = LookupTable::build(&diff);
     let mph = DispatchIndex::from_table(LookupTable::build(&diff));
-    // Live pairs and a margin of dead ids beyond both ranges: an alien
-    // key still hashes *somewhere*, so this exercises the key-compare
-    // rejection, not just the happy path.
-    let probes: Vec<Probe> = (0..diff.class_count() + 4)
-        .flat_map(|c| {
-            (0..diff.member_name_count() + 4).map(move |m| {
-                (
-                    cpplookup_chg::ClassId::from_index(c),
-                    cpplookup_chg::MemberId::from_index(m),
-                )
-            })
-        })
-        .collect();
-    let mut mph_batch = Vec::new();
-    mph.lookup_batch_into(&probes, &mut mph_batch);
-    for (i, &(c, m)) in probes.iter().enumerate() {
-        let got = mph.lookup_ref(c, m);
-        if got.to_outcome() != table_lookup(&table, diff.class_count(), c, m) || got != mph_batch[i]
-        {
-            return Err(io::Error::other(format!(
-                "mph/table divergence at probe ({}, {})",
-                c.index(),
-                m.index()
-            )));
-        }
-    }
+    let probes = margin_differential(
+        &mph,
+        &table,
+        diff.class_count(),
+        diff.member_name_count(),
+        4,
+    )?;
     writeln!(
         w,
-        "  differential: {} probes ({} live entries + dead margin), \
+        "  differential: {probes} probes ({} live entries + dead margin), \
          mph == table, batch == single",
-        probes.len(),
         mph.entry_count()
     )?;
     let chg = families::grid(50, 50);
@@ -3091,69 +2895,36 @@ fn e26_smoke(w: &mut dyn Write) -> io::Result<()> {
     let probes = serve_probes(&chg, &table, 0xE26);
     let reps = (1_000_000 / probes.len()).max(1);
     // One owned outcome (witness Vec clones and obs hooks included)
-    // per probe.
-    let (ns_owned, s_owned) = serve_single(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m)));
-    // The serve path: batched allocation-free lookups, reused output
-    // buffer.
-    let (t_batch, s_batch) = median_time(3, || {
-        let mut out = Vec::new();
-        let mut sum = 0u64;
-        for _ in 0..reps {
-            for chunk in probes.chunks(256) {
-                mph.lookup_batch_into(chunk, &mut out);
-                for o in &out {
-                    sum = sum.wrapping_add(outcome_ref_word(o));
-                }
-            }
-        }
-        sum
-    });
-    if s_owned != s_batch {
-        return Err(io::Error::other(
-            "probe checksums diverged between the owned loop and the batch path",
-        ));
-    }
-    let ns_batch = t_batch.as_secs_f64() * 1e9 / (reps * probes.len()) as f64;
+    // per probe, against the serve path: batched allocation-free
+    // lookups into a reused output buffer.
+    let mut sum = None;
+    let rounds = interleave(3, 2, |k| {
+        let (ns, s) = match k {
+            0 => sweep_ns(&probes, reps, |(c, m)| outcome_word(&mph.lookup(c, m))),
+            _ => batch_sweep_ns(&mph, &probes, reps),
+        };
+        same_sum(&mut sum, s, "grid_50x50 owned loop vs batch path")?;
+        Ok(ns)
+    })?;
+    let (ns_owned, ns_batch) = (rounds.spread(0).median, rounds.spread(1).median);
     let ratio = ns_owned / ns_batch.max(f64::MIN_POSITIVE);
     writeln!(
         w,
         "  perf (grid_50x50): owned loop {ns_owned:.1} ns/probe, batch \
          {ns_batch:.1} ns/probe (batch speedup {ratio:.2}x)"
     )?;
-    if ratio < 1.2 {
-        return Err(io::Error::other(format!(
-            "the batched serve path is only {ratio:.2}x the per-probe owned \
-             loop (floor 1.2x)"
-        )));
+    BaselineGate {
+        file: "BENCH_e26.json",
+        path: &["families", "name=grid_50x50", "batch_vs_owned"],
+        floor: 1.2,
+        share: 0.4,
     }
-    writeln!(w, "  guard: PASS (floor 1.2x)")?;
-    if let Ok(baseline) = std::fs::read_to_string("BENCH_e26.json") {
-        let recorded = baseline
-            .find("\"name\": \"grid_50x50\"")
-            .and_then(|at| json_f64(&baseline[at..], "batch_vs_owned"));
-        if let Some(recorded) = recorded {
-            let floor = (recorded * 0.4).max(1.2);
-            if ratio < floor {
-                return Err(io::Error::other(format!(
-                    "batch speedup {ratio:.2}x regressed below {floor:.2}x \
-                     (0.4x the recorded grid_50x50 ratio {recorded:.2}x)"
-                )));
-            }
-            writeln!(
-                w,
-                "  baseline: recorded grid_50x50 ratio {recorded:.2}x, floor {floor:.2}x — PASS"
-            )?;
-        }
-    } else {
-        writeln!(
-            w,
-            "  baseline: BENCH_e26.json not present, skipping no-regression guard"
-        )?;
-    }
+    .check(w, ratio)
+    .map_err(|e| io::Error::other(format!("batch speedup on the serve sweep: {e}")))?;
     for tenant in [1, 2] {
         let chg = random_hierarchy(&RandomConfig::realistic(4000, tenant));
         let keys = packed_keys(&DispatchIndex::from_table(LookupTable::build(&chg)));
-        let (t_build, hash) = time_mph_build(&keys);
+        let (t_build, hash) = median_time(3, || MphFunction::build(&keys));
         writeln!(
             w,
             "  hash (realistic_4000 seed {tenant}): {} keys, built in {:.1} ms at seed {:#x}",
@@ -3195,12 +2966,11 @@ fn e27_wire_differential(
 ) -> io::Result<usize> {
     use std::io::Write as _;
     use std::net::{Shutdown, TcpStream};
-    use std::time::Duration;
 
     use cpplookup_server::protocol::{
         read_frame, write_frame, FrameError, Request, PROTOCOL_VERSION,
     };
-    use cpplookup_server::{Client, WireSpan};
+    use cpplookup_server::Client;
 
     let tenant = "t0".to_owned();
     let mut session: Vec<Request> = vec![Request::Hello {
@@ -3285,26 +3055,17 @@ fn e27_wire_differential(
     }
 
     // Traced responses: compare outcome and span-tree structure.
-    let shape = |spans: &[WireSpan]| -> Vec<(u64, u64, String)> {
-        spans
-            .iter()
-            .map(|s| (s.id, s.parent, s.label.clone()))
-            .collect()
-    };
-    let mut ct = Client::connect(threads_addr, Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    let mut ce = Client::connect(epoll_addr, Some(Duration::from_secs(10)))
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    let wire = |e: cpplookup_server::client::ClientError| io::Error::other(e.to_string());
+    let mut ct = Client::connect(threads_addr, Some(Duration::from_secs(10)))?;
+    let mut ce = Client::connect(epoll_addr, Some(Duration::from_secs(10)))?;
     let (to, ts) = ct.query_traced("t0", class0, member0).map_err(wire)?;
     let (eo, es) = ce.query_traced("t0", class0, member0).map_err(wire)?;
-    if to != eo || shape(&ts) != shape(&es) {
+    if to != eo || span_shape(&ts) != span_shape(&es) {
         return Err(io::Error::other("traced QUERY diverges between models"));
     }
     let pair = vec![probes[0].clone(), probes[probes.len() - 1].clone()];
     let (to, ts) = ct.batch_traced("t0", &pair).map_err(wire)?;
     let (eo, es) = ce.batch_traced("t0", &pair).map_err(wire)?;
-    if to != eo || shape(&ts) != shape(&es) {
+    if to != eo || span_shape(&ts) != span_shape(&es) {
         return Err(io::Error::other("traced BATCH diverges between models"));
     }
     Ok(session.len() + 2)
@@ -3329,37 +3090,19 @@ fn e27_wire_differential(
 /// Emits `BENCH_e27.json` for the CI gate (`e27-smoke`).
 fn e27(w: &mut dyn Write) -> io::Result<()> {
     use std::net::TcpStream;
-    use std::time::Duration;
 
     use cpplookup_server::cli::live_probes;
     use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
-    use cpplookup_server::{IoModel, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
 
     const LEVELS: [usize; 5] = [1, 8, 64, 256, 1024];
 
     writeln!(w, "E27: epoll reactor vs thread-per-connection I/O")?;
     let dir = BenchDir::new("e27")?;
     let chg = random_hierarchy(&RandomConfig::realistic(2000, 7));
-    let snap_path = dir.file("main.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
+    let (snap_path, table) = dir.snapshot("main", &chg)?;
     let probes = live_probes(&table);
 
-    let start = |io_model: IoModel| -> io::Result<(Server, String)> {
-        let server = Server::start(ServerConfig {
-            preload: vec![("t0".to_owned(), snap_path.clone())],
-            max_connections: 16_000,
-            io_model,
-            ..ServerConfig::default()
-        })?;
-        let addr = server.addr().to_string();
-        Ok((server, addr))
-    };
-    let (_threads, threads_addr) = start(IoModel::Threads)?;
-    let (_epoll, epoll_addr) = start(IoModel::Epoll)?;
+    let [(_threads, threads_addr), (_epoll, epoll_addr)] = start_both_models(&snap_path, 16_000)?;
 
     // Stage 1: the differential gates everything downstream.
     let frames = e27_wire_differential(&threads_addr, &epoll_addr, &probes)?;
@@ -3481,16 +3224,18 @@ fn e27(w: &mut dyn Write) -> io::Result<()> {
         idle_rss[0] as f64 / (1024.0 * 1024.0),
     )?;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e27\",\n  {},\n  \"differential_frames\": {frames},\n  \
-         \"idle_connections\": {idle_target},\n  \"models\": {{\n{}\n  }},\n  \
-         \"epoll_vs_threads_qps_1conn\": {qps_ratio:.3}\n}}\n",
-        host_context_json(1024),
-        model_json.join(",\n"),
-    );
-    std::fs::write("BENCH_e27.json", json)?;
-    writeln!(w, "  wrote BENCH_e27.json")?;
-    Ok(())
+    write_bench(
+        w,
+        "e27",
+        *LEVELS.last().expect("levels nonempty"),
+        1,
+        &[
+            ("differential_frames", frames.to_string()),
+            ("idle_connections", idle_target.to_string()),
+            ("models", format!("{{\n{}\n  }}", model_json.join(",\n"))),
+            ("epoll_vs_threads_qps_1conn", format!("{qps_ratio:.3}")),
+        ],
+    )
 }
 
 /// E27's CI guard: the full epoll-vs-threads wire differential, a
@@ -3499,63 +3244,21 @@ fn e27(w: &mut dyn Write) -> io::Result<()> {
 /// `BENCH_e27.json` exists — a no-regression floor at 0.05x the
 /// recorded epoll 1-connection QPS.
 fn e27_smoke(w: &mut dyn Write) -> io::Result<()> {
-    use std::time::Duration;
-
     use cpplookup_server::cli::live_probes;
-    use cpplookup_server::loadgen::{self, LoadConfig, TenantTarget};
-    use cpplookup_server::{IoModel, Server, ServerConfig};
-    use cpplookup_snapshot::{Snapshot, SnapshotTable};
 
     writeln!(w, "E27-smoke: epoll/threads differential + scaling floor")?;
     let dir = BenchDir::new("e27-smoke")?;
     let chg = families::interface_heavy(100, 4);
-    let snap_path = dir.file("smoke.snap");
-    Snapshot::compile(&chg)
-        .write_to(&snap_path)
-        .map_err(io::Error::other)?;
-    let table = SnapshotTable::load(&snap_path).map_err(io::Error::other)?;
+    let (snap_path, table) = dir.snapshot("smoke", &chg)?;
     let probes = live_probes(&table);
 
-    let start = |io_model: IoModel| -> io::Result<(Server, String)> {
-        let server = Server::start(ServerConfig {
-            preload: vec![("t0".to_owned(), snap_path.clone())],
-            max_connections: 256,
-            io_model,
-            ..ServerConfig::default()
-        })?;
-        let addr = server.addr().to_string();
-        Ok((server, addr))
-    };
-    let (_threads, threads_addr) = start(IoModel::Threads)?;
-    let (_epoll, epoll_addr) = start(IoModel::Epoll)?;
+    let [(_threads, threads_addr), (_epoll, epoll_addr)] = start_both_models(&snap_path, 256)?;
 
     let frames = e27_wire_differential(&threads_addr, &epoll_addr, &probes)?;
     writeln!(w, "  differential: {frames} frames byte-identical")?;
 
-    let targets = [TenantTarget {
-        name: "t0".to_owned(),
-        probes,
-    }];
-    let run_at = |conns: usize| -> io::Result<f64> {
-        let report = loadgen::run(
-            &LoadConfig {
-                addr: epoll_addr.clone(),
-                connections: conns,
-                duration: Duration::from_millis(700),
-                ..LoadConfig::default()
-            },
-            &targets,
-        )?;
-        if report.errors > 0 {
-            return Err(io::Error::other(format!(
-                "{} load errors at {conns} connections",
-                report.errors
-            )));
-        }
-        Ok(report.qps())
-    };
-    let qps_1 = run_at(1)?;
-    let qps_64 = run_at(64)?;
+    let qps_1 = closed_loop(&epoll_addr, &probes, 1, 700)?.qps();
+    let qps_64 = closed_loop(&epoll_addr, &probes, 64, 700)?.qps();
     writeln!(
         w,
         "  reactor closed loop: {qps_1:.0} qps at 1 connection, {qps_64:.0} at 64"
@@ -3571,24 +3274,14 @@ fn e27_smoke(w: &mut dyn Write) -> io::Result<()> {
         )));
     }
 
-    let mut floor: f64 = 1000.0;
-    let mut baseline_note = "no BENCH_e27.json baseline".to_owned();
-    if let Ok(baseline) = std::fs::read_to_string("BENCH_e27.json") {
-        // The epoll section's first level is the 1-connection run.
-        if let Some(recorded) = baseline
-            .find("\"epoll\"")
-            .and_then(|at| json_f64(&baseline[at..], "qps"))
-        {
-            floor = floor.max(recorded * 0.05);
-            baseline_note = format!("0.05x recorded epoll 1-connection QPS {recorded:.0}");
-        }
+    BaselineGate {
+        file: "BENCH_e27.json",
+        path: &["models", "epoll", "levels", "connections=1", "qps"],
+        floor: 1000.0,
+        share: 0.05,
     }
-    writeln!(w, "  floor {floor:.0} qps ({baseline_note})")?;
-    if qps_1 < floor {
-        return Err(io::Error::other(format!(
-            "smoke QPS {qps_1:.0} fell below the floor {floor:.0}"
-        )));
-    }
+    .check(w, qps_1)
+    .map_err(|e| io::Error::other(format!("smoke QPS at 1 connection: {e}")))?;
     writeln!(w, "  guard: PASS")?;
     Ok(())
 }

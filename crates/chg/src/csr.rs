@@ -13,9 +13,9 @@
 //! * child adjacency (the transpose), used to push member frontiers
 //!   down the hierarchy.
 //!
-//! The same [`Csr`] is shared by the sequential batched builder, the
-//! work-stealing parallel builder, and the engine's full-rebuild path,
-//! so the flattening cost is paid once per hierarchy generation.
+//! The same [`Csr`] is shared by the batched builder and the engine's
+//! full-rebuild path, so the flattening cost is paid once per hierarchy
+//! generation.
 //!
 //! # Examples
 //!

@@ -1,9 +1,8 @@
 //! Single-sweep batched table construction.
 //!
-//! The class-major eager builder it replaced (kept as an oracle in
-//! `cpplookup-baselines`) and the per-member column workers both pay
-//! for `Vec`/`BTreeSet` clones
-//! and hash probes on every propagation step. This module reaches the
+//! The class-major eager builder and the per-member column build it
+//! replaced (both kept as oracles in `cpplookup-baselines`) pay for
+//! `Vec`/`BTreeSet` clones and hash probes on every propagation step. This module reaches the
 //! paper's `O((|M|+|N|)·(|N|+|E|))` bound in practice by combining:
 //!
 //! 1. the [`Csr`] flat view of the hierarchy — one contiguous
@@ -16,16 +15,12 @@
 //!    `leastVirtual` sets and red `(ldc, leastVirtual)` pairs are
 //!    deduplicated into bump arenas addressed by `u32` handles, so the
 //!    hot merge loop compares and copies handles instead of cloning
-//!    sets;
-//! 4. a **work-stealing parallel sweep**: member columns, ordered by
-//!    frontier size, are drained from a shared atomic cursor by
-//!    `threads` workers, each owning its private [`ColumnSpace`].
+//!    sets.
 //!
 //! All builders produce entries byte-identical to the reference
 //! builder (asserted by `tests/build_equiv.rs` and the corpus golden
 //! set).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cpplookup_chg::fxmap::{fxhash, FxHashMap};
@@ -418,7 +413,7 @@ fn member_frontiers(chg: &Chg, csr: &Csr) -> (Vec<BitSet>, u64) {
     (frontiers, live)
 }
 
-/// The reusable per-worker state of the sweep: a dense rank-indexed
+/// The reusable state of the sweep: a dense rank-indexed
 /// slot array with epoch stamping (one epoch per member, so no clearing
 /// between columns) plus the abstraction pool.
 struct ColumnSpace {
@@ -675,80 +670,6 @@ pub(crate) fn build_entries(chg: &Chg, options: LookupOptions) -> Vec<FxHashMap<
     entries
 }
 
-/// Builds all per-class entry maps with the work-stealing parallel
-/// sweep: members are sorted by frontier size (largest first) and
-/// drained from a shared atomic cursor by `threads` workers, each with
-/// its private [`ColumnSpace`]. Output is identical for every thread
-/// count.
-pub(crate) fn build_entries_parallel(
-    chg: &Chg,
-    options: LookupOptions,
-    threads: usize,
-) -> Vec<FxHashMap<MemberId, Entry>> {
-    let members: Vec<MemberId> = chg.member_ids().collect();
-    let threads = threads.max(1).min(members.len().max(1));
-    if threads == 1 {
-        return build_entries(chg, options);
-    }
-    let start = Instant::now();
-    let n = chg.class_count();
-    let csr = Csr::build(chg);
-    let (frontiers, live) = member_frontiers(chg, &csr);
-    // Largest frontiers first, so no big column lands at the tail.
-    let mut order: Vec<u32> = (0..members.len() as u32).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(frontiers[i as usize].len()));
-    let cursor = AtomicUsize::new(0);
-
-    let mut columns: Vec<(MemberId, Vec<(ClassId, Entry)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut space = ColumnSpace::new(n);
-                    let mut out = Vec::new();
-                    let mut cols = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&mi) = order.get(i) else { break };
-                        let m = members[mi as usize];
-                        out.clear();
-                        space.sweep_member(
-                            chg,
-                            &csr,
-                            options,
-                            m,
-                            &frontiers[mi as usize],
-                            &mut out,
-                        );
-                        crate::obs::propagation().nodes_visited_add(out.len() as u64);
-                        let col: Vec<(ClassId, Entry)> = out
-                            .iter()
-                            .map(|&(c, slot)| (c, space.swept(slot).to_entry(&space.pool)))
-                            .collect();
-                        cols.push((m, col));
-                    }
-                    cols
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    // Insertion order must not depend on thread scheduling.
-    columns.sort_by_key(|(m, _)| m.index());
-
-    let mut entries: Vec<FxHashMap<MemberId, Entry>> = vec![FxHashMap::default(); n];
-    for (m, col) in columns {
-        for (c, e) in col {
-            entries[c.index()].insert(m, e);
-        }
-    }
-    let pruned = (n as u64) * (frontiers.len() as u64) - live;
-    crate::obs::table_built("batched-parallel", live, pruned, elapsed_ns(start));
-    entries
-}
-
 /// Elapsed nanoseconds since `start`, saturated into `u64`.
 pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -827,15 +748,5 @@ mod tests {
         // Ω → Class(d) when d is already present: dedup, not duplicate.
         let ext2 = pool.extend_set(h1, d, true);
         assert_eq!(pool.set(ext2), &[LeastVirtual::Class(d)]);
-    }
-
-    #[test]
-    fn parallel_batched_is_thread_count_independent() {
-        let g = fixtures::fig3();
-        let seq = build_entries(&g, LookupOptions::default());
-        for threads in [1, 2, 3, 8] {
-            let par = build_entries_parallel(&g, LookupOptions::default(), threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
     }
 }

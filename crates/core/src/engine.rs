@@ -70,9 +70,8 @@ impl LookupEngine {
         LookupEngine { chg, table }
     }
 
-    /// Creates an engine whose table was built elsewhere — in parallel
-    /// ([`LookupTable::build_parallel`]) or from a loaded snapshot — so
-    /// no build runs. `table` must be the whole table of `chg` under
+    /// Creates an engine whose table was built elsewhere — by the
+    /// caller or from a loaded snapshot — so no build runs. `table` must be the whole table of `chg` under
     /// [`table.options()`](LookupTable::options); the engine trusts it
     /// as it trusts its own.
     ///
@@ -83,7 +82,7 @@ impl LookupEngine {
     /// use cpplookup_core::{LookupEngine, LookupTable};
     ///
     /// let g = fixtures::fig9();
-    /// let table = LookupTable::build_parallel(&g, Default::default(), 2);
+    /// let table = LookupTable::build(&g);
     /// let engine = LookupEngine::from_table(g, table);
     /// assert_eq!(engine.chg().class_count(), 6);
     /// ```
@@ -257,8 +256,7 @@ mod tests {
     }
 
     /// Both ways to back the engine's table, on every fixture and
-    /// static rule: built in place, or seeded with `from_table` (here
-    /// from a parallel build).
+    /// static rule: built in place, or seeded with `from_table`.
     #[test]
     fn all_backings_match_table_on_fixtures() {
         for fixture in [
@@ -272,7 +270,7 @@ mod tests {
             assert_engine_matches_table(&LookupEngine::new(fixture.clone()), "new");
             for statics in [StaticRule::Cpp, StaticRule::Ignore] {
                 let options = LookupOptions { statics };
-                let table = LookupTable::build_parallel(&fixture, options, 3);
+                let table = LookupTable::build_with(&fixture, options);
                 let seeded = LookupEngine::from_table(fixture.clone(), table);
                 assert_eq!(seeded.options(), options);
                 assert_engine_matches_table(&seeded, &format!("seeded {statics:?}"));

@@ -12,9 +12,7 @@
 //! * [`red_dominates`] — the constant-time dominance test (Lemma 4), with
 //!   the static-member extension of Section 6,
 //! * [`LookupTable`] — the eager, whole-table algorithm of Figure 8
-//!   (`O((|M|+|N|)·(|N|+|E|))` when all lookups are unambiguous), with
-//!   member-name-sharded parallel construction
-//!   ([`LookupTable::build_parallel`]),
+//!   (`O((|M|+|N|)·(|N|+|E|))` when all lookups are unambiguous),
 //! * [`LazyLookup`] — the memoising on-demand variant,
 //! * [`MemberLookup`] — the trait unifying all of the above (and the
 //!   baselines) behind one query interface,
@@ -72,7 +70,6 @@ pub mod fxmap;
 mod lazy;
 pub mod mph;
 pub mod obs;
-mod parallel;
 mod result;
 pub mod serve;
 pub mod slice;

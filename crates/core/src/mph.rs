@@ -172,7 +172,7 @@ impl MphFunction {
     ///
     /// Deterministic: the same key sequence always yields the same
     /// seed and displacement array, so snapshots that serialize the
-    /// result stay byte-identical across rebuilds and thread counts.
+    /// result stay byte-identical across rebuilds.
     ///
     /// # Panics
     ///

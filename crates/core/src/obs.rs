@@ -165,7 +165,7 @@ pub fn snapshot_loaded(bytes: u64, elapsed_ns: u64) {
 /// Records one whole-table build in the [`global()`] registry:
 /// `build_nodes_visited_total{strategy="..."}` counts the live
 /// `(class, member)` pairs the build touched, labelled by builder
-/// strategy (`batched`, `batched-parallel`, `reference`);
+/// strategy (`batched`, `reference`);
 /// `build_members_pruned_total` counts the `(class, member)` pairs the
 /// member-frontier pruning skipped (`|N|·|M| −` live; zero for the
 /// unpruned reference builder); and `build_seconds` histograms the

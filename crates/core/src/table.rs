@@ -31,8 +31,8 @@ use crate::result::{Entry, LookupOutcome};
 
 /// Computes `lookup[c, m]` from the entries of `c`'s direct bases,
 /// supplied by `base_entry` — the single propagation step of Figure 8
-/// shared by the eager builder, the lazy cache, the parallel column
-/// workers, and the engine's incremental recomputation.
+/// shared by the eager builder, the lazy cache, and the engine's
+/// incremental recomputation.
 ///
 /// `base_entry` is consulted once per direct base and must return that
 /// base's entry for `m` (or `None` when `m` is not visible there); the
@@ -298,8 +298,8 @@ impl LookupTable {
     }
 
     /// Assembles a table from prebuilt per-class entry maps, one map per
-    /// class index (used by the parallel builder and the retired
-    /// builders in `cpplookup-baselines`).
+    /// class index (used by the retired builders in
+    /// `cpplookup-baselines`).
     pub fn from_parts(options: LookupOptions, entries: Vec<FxHashMap<MemberId, Entry>>) -> Self {
         LookupTable { options, entries }
     }
@@ -691,6 +691,42 @@ mod tests {
                 assert_eq!(t1.entry(c, m), t2.entry(c, m));
             }
         }
+    }
+
+    /// The old per-member reference column: for every class where `m` is
+    /// visible, its entry, in topological order of class.
+    fn member_column(chg: &Chg, m: MemberId, options: LookupOptions) -> Vec<(ClassId, Entry)> {
+        let mut slots: Vec<Option<Entry>> = vec![None; chg.class_count()];
+        let mut out = Vec::new();
+        for &c in chg.topo_order() {
+            let entry = compute_entry_with(chg, options, c, m, |b| slots[b.index()].as_ref());
+            if let Some(e) = entry {
+                out.push((c, e.clone()));
+                slots[c.index()] = Some(e);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn column_matches_table() {
+        let g = fixtures::fig3();
+        let t = LookupTable::build(&g);
+        for m in g.member_ids() {
+            let col = member_column(&g, m, LookupOptions::default());
+            for (c, e) in &col {
+                assert_eq!(t.entry(*c, m), Some(e));
+            }
+            // Column covers exactly the classes where m is visible.
+            let visible = g.classes().filter(|&c| g.is_member_visible(c, m)).count();
+            assert_eq!(col.len(), visible);
+        }
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = cpplookup_chg::ChgBuilder::new().finish().unwrap();
+        assert_eq!(LookupTable::build(&g).stats().entries, 0);
     }
 }
 

@@ -54,10 +54,8 @@ impl Snapshot {
     }
 
     /// Serializes an already-built table (the table must have been built
-    /// from `chg`), such as a parallel build's
-    /// ([`LookupTable::build_parallel`]): the bytes do not depend on how
-    /// the table was built, since the index packs its entries in sorted
-    /// order.
+    /// from `chg`): the bytes do not depend on how the table was built,
+    /// since the index packs its entries in sorted order.
     pub fn from_table(chg: &Chg, table: &LookupTable) -> Snapshot {
         Self::from_index(chg, &DispatchIndex::from_backend(table), table.options())
     }
@@ -294,14 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compile_is_byte_identical() {
+    fn compile_equals_from_table() {
         for g in [fixtures::fig1(), fixtures::fig3(), fixtures::fig9()] {
-            let seq = Snapshot::compile(&g);
-            for jobs in [1, 3, 8] {
-                let table = LookupTable::build_parallel(&g, LookupOptions::default(), jobs);
-                let par = Snapshot::from_table(&g, &table);
-                assert_eq!(seq.as_bytes(), par.as_bytes(), "jobs={jobs}");
-            }
+            let table = Snapshot::from_table(&g, &LookupTable::build(&g));
+            assert_eq!(Snapshot::compile(&g).as_bytes(), table.as_bytes());
         }
     }
 

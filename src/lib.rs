@@ -13,7 +13,7 @@
 //! |--------|-------|----------|
 //! | [`chg`] | `cpplookup-chg` | class hierarchy graphs, paths, closures, fixtures |
 //! | [`subobject`] | `cpplookup-subobject` | subobject graphs, reference lookup semantics, Theorem 1 |
-//! | [`lookup`] | `cpplookup-core` | **the paper's algorithm**: eager/lazy/parallel tables, traces, access rights |
+//! | [`lookup`] | `cpplookup-core` | **the paper's algorithm**: eager/lazy tables, traces, access rights |
 //! | [`obs`] | `cpplookup-obs` (via `cpplookup-core`) | metrics registries, histograms, span trees, exporters |
 //! | [`baselines`] | `cpplookup-baselines` | g++ BFS (faithful + corrected), naive propagation, topo shortcut |
 //! | [`frontend`] | `cpplookup-frontend` | mini-C++ parser, lowering, and name resolution |

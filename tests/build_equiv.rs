@@ -1,8 +1,7 @@
 //! Differential equivalence of the table builders.
 //!
-//! The batched single-sweep compiler (`LookupTable::build_with`), the
-//! work-stealing parallel sweep (`build_parallel`), and the two builders
-//! it replaced — the old per-member build (`build_per_member`) and the
+//! The batched single-sweep compiler (`LookupTable::build_with`) and
+//! the two builders it replaced — the old per-member build (`build_per_member`) and the
 //! class-major eager reference (`build_reference`), both kept in the
 //! `retired` module of `cpplookup-baselines` — must produce *identical*
 //! tables — same entries, same stats — on every generator family. On the
@@ -122,8 +121,8 @@ fn batched_respects_static_rule_options() {
     );
 }
 
-/// Batched == old per-member build == reference == parallel, for both
-/// static-member rules.
+/// Batched == old per-member build == reference, for both static-member
+/// rules.
 #[test]
 fn batched_equals_reference_on_every_family() {
     for (name, g) in family_zoo() {
@@ -140,16 +139,6 @@ fn batched_equals_reference_on_every_family() {
                 &per_member,
                 &reference,
             );
-            for threads in [2, 5] {
-                let parallel = LookupTable::build_parallel(&g, options, threads);
-                assert_tables_equal(
-                    name,
-                    &format!("parallel({threads}) vs reference"),
-                    &g,
-                    &parallel,
-                    &reference,
-                );
-            }
         }
     }
 }

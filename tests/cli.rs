@@ -366,11 +366,11 @@ fn compile_then_query_snapshot_answers_without_source() {
 }
 
 /// `compile` writes the table the analysis built; the bytes equal a
-/// compile of a parallel build at any thread count, and the retired
-/// `--jobs` flag is a usage error.
+/// compile of a fresh build, and the retired `--jobs` flag is a usage
+/// error.
 #[test]
 fn compile_jobs_is_byte_identical_and_validated() {
-    use cpplookup::{LookupOptions, LookupTable, Snapshot};
+    use cpplookup::{LookupTable, Snapshot};
 
     let src = write_temp(FIG9);
     let out = temp_snap_path("jobs");
@@ -383,11 +383,8 @@ fn compile_jobs_is_byte_identical_and_validated() {
     assert_eq!(code, Some(0), "stderr: {stderr}");
     let written = std::fs::read(&out).expect("read snapshot");
     let g = cpplookup::frontend::analyze(FIG9).chg;
-    for jobs in [1, 3] {
-        let table = LookupTable::build_parallel(&g, LookupOptions::default(), jobs);
-        let expected = Snapshot::from_table(&g, &table);
-        assert_eq!(written, expected.as_bytes(), "jobs={jobs}");
-    }
+    let expected = Snapshot::from_table(&g, &LookupTable::build(&g));
+    assert_eq!(written, expected.as_bytes());
 
     for bad in [&["--jobs", "3"][..], &["--jobs"][..]] {
         let mut args = vec!["compile", src.to_str().unwrap(), "-o", "ignored.snap"];

@@ -33,13 +33,6 @@ fn eager_table_conforms() {
 }
 
 #[test]
-fn parallel_table_conforms() {
-    assert_conforms("LookupTable::build_parallel", Conformance::Full, |g| {
-        Box::new(LookupTable::build_parallel(g, LookupOptions::default(), 4))
-    });
-}
-
-#[test]
 fn lazy_lookup_conforms() {
     assert_conforms("LazyLookup", Conformance::Full, |g| {
         Box::new(LazyLookup::new(g))
@@ -47,7 +40,7 @@ fn lazy_lookup_conforms() {
 }
 
 /// The index the serving engine publishes, in both ways to back it:
-/// built by the engine, or a parallel build's table published on a
+/// built by the engine, or a table built beside it and published on a
 /// handle the engine takes over (a snapshot-backed engine is
 /// `warmed_engine_conforms`).
 #[test]
@@ -57,7 +50,7 @@ fn engine_conforms_in_every_backing() {
         Box::new(engine.handle().load().index().clone())
     });
     assert_conforms("IndexedEngine::with_handle", Conformance::Full, |g| {
-        let table = LookupTable::build_parallel(g, Default::default(), 4);
+        let table = LookupTable::build(g);
         let handle = ServeHandle::serving(table);
         let engine = IndexedEngine::with_handle(g.clone(), LookupOptions::default(), handle);
         Box::new(engine.handle().load().index().clone())

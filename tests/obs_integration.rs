@@ -209,12 +209,6 @@ fn build_metrics_report_frontier_pruning() {
     assert_eq!(dv, table.stats().entries as u64, "live pairs == entries");
     assert!(dp > dv, "interfaces are invisible to most classes");
     assert_eq!(builds() - builds0, 1, "one build_seconds observation");
-
-    // The parallel strategy reports under its own label, same totals.
-    let (par0, pruned1) = (visited("batched-parallel"), pruned());
-    cpplookup::LookupTable::build_parallel(&g, Default::default(), 4);
-    assert_eq!(visited("batched-parallel") - par0, dv);
-    assert_eq!(pruned() - pruned1, dp);
 }
 
 /// The build series one call records, as deltas: visited pairs
