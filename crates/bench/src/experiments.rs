@@ -1712,7 +1712,7 @@ impl Drop for BenchDir {
 /// differential of wire answers against the in-process
 /// `DispatchIndex`, sustained closed-loop QPS with latency quantiles
 /// at 1/8/32 connections, and a 1000-tenant cold-start sweep (LOAD
-/// rate, then first-query promotion rate), each over [`E23_ROUNDS`]
+/// rate, then first-query rate), each over [`E23_ROUNDS`]
 /// rounds. Emits `BENCH_e23.json` for the CI no-regression guard
 /// (`e23-smoke`).
 fn e23(w: &mut dyn Write) -> io::Result<()> {
@@ -1802,8 +1802,8 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
 
     // Stage 3: 1000-tenant cold start, once per round. A handful of
     // distinct small snapshots fan out round-robin as 1000 fresh
-    // tenants; LOAD parses and indexes the artifact, the first QUERY
-    // promotes the tenant to a published DispatchIndex.
+    // tenants; LOAD validates the artifact and publishes its
+    // DispatchIndex, and the first QUERY answers from it.
     let mut cold_paths = Vec::new();
     let mut cold_probe = Vec::new();
     for i in 0..COLD_SNAPSHOTS {
@@ -1815,7 +1815,7 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
         cold_paths.push(path);
         cold_probe.push(probe);
     }
-    let (mut load_rates, mut promote_rates) = (Vec::new(), Vec::new());
+    let (mut load_rates, mut query_rates) = (Vec::new(), Vec::new());
     for round in 0..E23_ROUNDS {
         let t_load = Instant::now();
         for i in 0..COLD_TENANTS {
@@ -1827,14 +1827,14 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
                 .map_err(wire)?;
         }
         load_rates.push(COLD_TENANTS as f64 / t_load.elapsed().as_secs_f64().max(1e-9));
-        let t_promote = Instant::now();
+        let t_query = Instant::now();
         for i in 0..COLD_TENANTS {
             let (class, member) = &cold_probe[i % COLD_SNAPSHOTS];
             client
                 .query(&format!("cold{round}-{i}"), class, member)
                 .map_err(wire)?;
         }
-        promote_rates.push(COLD_TENANTS as f64 / t_promote.elapsed().as_secs_f64().max(1e-9));
+        query_rates.push(COLD_TENANTS as f64 / t_query.elapsed().as_secs_f64().max(1e-9));
     }
     let tenants = client.hello().map_err(wire)?;
     if tenants as usize != E23_ROUNDS * COLD_TENANTS + 1 {
@@ -1843,12 +1843,12 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
             E23_ROUNDS * COLD_TENANTS + 1
         )));
     }
-    let (load_rate, promote_rate) = (Spread::of(load_rates), Spread::of(promote_rates));
+    let (load_rate, query_rate) = (Spread::of(load_rates), Spread::of(query_rates));
     writeln!(
         w,
         "  cold start: {COLD_TENANTS} tenants over {COLD_SNAPSHOTS} snapshots, medians of \
-         {E23_ROUNDS} rounds — LOAD {:.0}/s, first-query promotion {:.0}/s",
-        load_rate.median, promote_rate.median
+         {E23_ROUNDS} rounds — LOAD {:.0}/s, first query {:.0}/s",
+        load_rate.median, query_rate.median
     )?;
 
     write_bench(
@@ -1866,7 +1866,7 @@ fn e23(w: &mut dyn Write) -> io::Result<()> {
                     "{{\"tenants\": {COLD_TENANTS}, \"snapshots\": {COLD_SNAPSHOTS}, \
                      \"load_per_s\": {}, \"promote_per_s\": {}}}",
                     load_rate.json(""),
-                    promote_rate.json("")
+                    query_rate.json("")
                 ),
             ),
         ],
@@ -2112,7 +2112,7 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
         return Err(io::Error::other(format!("/healthz failed: {health}")));
     }
     let tenants = http_get(&admin_addr, "/tenants")?;
-    if !tenants.contains("\"tenant\":\"t0\"") || !tenants.contains("\"promoted\":true") {
+    if !tenants.contains("\"tenant\":\"t0\"") || !tenants.contains("\"epoch\":0") {
         return Err(io::Error::other(format!("/tenants wrong: {tenants}")));
     }
     let fr = http_get(&admin_addr, "/flightrecorder")?;
@@ -2124,7 +2124,7 @@ fn e24(w: &mut dyn Write) -> io::Result<()> {
     }
     writeln!(
         w,
-        "  admin: /healthz 200, /tenants lists t0 promoted, /flightrecorder has \
+        "  admin: /healthz 200, /tenants lists t0 at epoch 0, /flightrecorder has \
          entries + slow span trees"
     )?;
 

@@ -26,7 +26,8 @@
 //! * **Incremental frame reassembly** — [`FrameBuffer`] carries a
 //!   consumed-prefix offset and a resumable length-prefix parse, so a
 //!   frame split across any number of partial reads is decoded exactly
-//!   once, with no re-scanning of consumed bytes.
+//!   once, with no re-scanning of consumed bytes. A frame body is lent
+//!   out of the buffer, not copied.
 //! * **Pipelined decoding with a fairness cap** — one `serve` call
 //!   answers at most [`MAX_FRAMES_PER_TURN`] complete frames and returns
 //!   [`Turn::More`] when more are buffered; the driver lets its peers run
@@ -41,7 +42,7 @@
 //!   buffer with one call; the buffer and the read path's
 //!   [`ReadScratch`] keep their capacity across requests, so a warmed
 //!   connection answers a `QUERY` or `BATCH` of any size without
-//!   allocating past the copy of its frame body.
+//!   allocating.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -65,10 +66,13 @@ const COMPACT_AT: usize = 64 * 1024;
 
 /// Incremental frame reassembly: a growable buffer with a consumed
 /// prefix and a *resumable* length-prefix parse. Bytes are appended as
-/// they arrive; complete frames are peeled off the front. The parsed
-/// body length is cached across calls, so a frame arriving one byte at
-/// a time costs one prefix parse and one checksum pass total — consumed
-/// bytes are never re-scanned.
+/// they arrive; complete frames are peeled off the front, their bodies
+/// borrowed from the buffer. The parsed body length is cached across
+/// calls, so a frame arriving one byte at a time costs one prefix parse
+/// and one checksum pass total — consumed bytes are never re-scanned.
+/// The consumed prefix is dropped (the buffer cleared or compacted) at
+/// the next [`extend`](FrameBuffer::extend) or
+/// [`next_frame`](FrameBuffer::next_frame), once no body borrows it.
 struct FrameBuffer {
     buf: Vec<u8>,
     pos: usize,
@@ -87,7 +91,20 @@ impl FrameBuffer {
     }
 
     fn extend(&mut self, bytes: &[u8]) {
+        self.settle();
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drops the consumed prefix when nothing else is buffered, or
+    /// compacts it away once it is large.
+    fn settle(&mut self) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos >= COMPACT_AT {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
     }
 
     /// Unconsumed byte count.
@@ -105,11 +122,12 @@ impl FrameBuffer {
         &self.buf[self.pos..]
     }
 
-    /// Peels the next complete frame body off the front, `Ok(None)`
-    /// when more bytes are needed. Frame-level damage (bad length,
-    /// checksum mismatch) is an error — the stream position is garbage
-    /// from there and the connection must close.
-    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// Peels the next complete frame off the front and lends its body,
+    /// `Ok(None)` when more bytes are needed. Frame-level damage (bad
+    /// length, checksum mismatch) is an error — the stream position is
+    /// garbage from there and the connection must close.
+    fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        self.settle();
         let body_len = match self.pending {
             Some(len) => len,
             None => {
@@ -137,17 +155,9 @@ impl FrameBuffer {
         if checksum64(&self.buf[start..body_end]) != want {
             return Err(FrameError::Checksum);
         }
-        let body = self.buf[start..body_end].to_vec();
         self.pos = body_end + 8;
         self.pending = None;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= COMPACT_AT {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some(body))
+        Ok(Some(&self.buf[start..body_end]))
     }
 
     /// Whether another `next_frame` call would make progress: a full
@@ -273,7 +283,7 @@ impl Session {
             };
             let t0 = deferred.take().unwrap_or(turn_start);
             let t1 = Instant::now();
-            match process_body(shared, &body, t0, t1, &mut self.scratch, &mut self.out) {
+            match process_body(shared, body, t0, t1, &mut self.scratch, &mut self.out) {
                 Action::Replied => {}
                 Action::Subscribe { from_seq } => {
                     self.phase = Phase::Subscribed { from_seq };
@@ -419,11 +429,11 @@ mod tests {
             fb.extend(&stream[..cut]);
             let mut got = Vec::new();
             while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
+                got.push(body.to_vec());
             }
             fb.extend(&stream[cut..]);
             while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
+                got.push(body.to_vec());
             }
             assert_eq!(got, bodies.to_vec(), "split at {cut}");
         }
@@ -434,7 +444,7 @@ mod tests {
         for &byte in &stream {
             fb.extend(&[byte]);
             while let Some(body) = fb.next_frame().unwrap() {
-                got.push(body);
+                got.push(body.to_vec());
             }
         }
         assert_eq!(got, bodies.to_vec());
@@ -487,6 +497,8 @@ mod tests {
         assert!(fb.pos > 0, "mid-stream keeps the offset");
         assert!(fb.next_frame().unwrap().is_some());
         assert!(fb.next_frame().unwrap().is_some());
+        // The last body is lent until the next call, which drops it.
+        assert!(fb.next_frame().unwrap().is_none());
         assert_eq!(fb.pos, 0, "fully-consumed buffer resets");
         assert!(fb.buf.is_empty());
     }

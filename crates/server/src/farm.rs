@@ -1,31 +1,28 @@
 //! The tenant farm: many hierarchies, one server.
 //!
-//! Each tenant is born as a loaded [`SnapshotTable`] — validated, and
-//! for a version-3 file already holding its serving index, whose byte
-//! columns are the loaded file's own — and climbs a lifecycle ladder
-//! strictly on demand:
+//! Each tenant has two lifecycle stages:
 //!
 //! ```text
-//!           LOAD                    first read               first EDIT
-//! (nothing) ────► SnapshotTable ───────────────► promoted ──────────────► live
-//!                 validated, its    the file's index         hierarchy rebuilt,
-//!                 index borrows     shared (an Arc clone),   SAME index and
-//!                 the file bytes    published on a           ServeHandle,
-//!                                   ServeHandle              republished
+//!           LOAD                                   first EDIT
+//! (nothing) ────► loaded ─────────────────────────────────────► live
+//!                 validated file; its index, whose byte      hierarchy rebuilt,
+//!                 columns are the file's own, published      SAME index and
+//!                 as epoch 0 on the tenant's ServeHandle     ServeHandle,
+//!                                                            republished
 //! ```
 //!
-//! The promotion step takes the snapshot's index through the
-//! backend-generic [`IntoDispatchIndex`](cpplookup_core::IntoDispatchIndex)
-//! surface — a reference-count bump, nothing is decoded or packed — and
-//! publishes it as epoch 0 on the tenant's [`ServeHandle`]; the edit
-//! step rebuilds the hierarchy, republishes that index, unrepacked, as
+//! LOAD validates the [`SnapshotTable`] and publishes the index it
+//! holds, through the backend-generic
+//! [`IntoDispatchIndex`](cpplookup_core::IntoDispatchIndex) surface — a
+//! reference-count bump, nothing is decoded or packed (a version-1 or
+//! -2 file decodes its entries into the same index at load). The first
+//! edit rebuilds the hierarchy, republishes that index, unrepacked, as
 //! epoch 1 for an [`IndexedEngine`] on the same handle, and releases
 //! the loaded file: the retained epochs keep whatever buffers they
-//! still share. The index is the only table the
-//! tenant keeps: each edit recomputes its dirty pairs from it, and
-//! compaction writes it (its pool compacted), with the live hierarchy,
-//! as the tenant's checkpoint. (A version-1 or -2 file decodes its
-//! entries into the same index at load.)
+//! still share. The index is the only table the tenant keeps: each
+//! edit recomputes its dirty pairs from it, and compaction writes it
+//! (its pool compacted), with the live hierarchy, as the tenant's
+//! checkpoint.
 //!
 //! Every read — a QUERY is a batch of one — goes through one core,
 //! [`Tenant::read_into`]: resolve the borrowed names into a reused id
@@ -35,15 +32,13 @@
 //! [`Farm::answer`] with a [`ReadView`] over the request frame, so a
 //! warmed connection answers a read of any size with no allocation;
 //! the owned [`Farm::read`], [`Farm::query`] and [`Farm::batch`] decode
-//! the same reply bytes. Concurrent reads of a cold tenant, identical
-//! or not, meet in the promotion's `OnceLock::get_or_init`: one of them
-//! publishes the index, the rest wait for it and then probe it
-//! themselves.
+//! the same reply bytes. A read never locks the file or the write
+//! path: it loads the publication from the handle, whatever the stage.
 
 use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use cpplookup_chg::fxmap::FxHashMap;
@@ -60,17 +55,17 @@ use crate::protocol::{op, Enc, ErrorCode, ReadView, Response, WireOutcome};
 pub type FarmError = (ErrorCode, String);
 
 /// Phase boundaries captured inside every read, as instants: after
-/// name resolution, after the serve handle was obtained (on a cold
-/// tenant this absorbs the promotion — the "promotion wait"), and
-/// after the directory probe. Together with the caller's own decode
-/// stamp and the instant the outcomes are written, these partition a
-/// request end-to-end.
+/// name resolution, after the publication to answer from was loaded
+/// (the trace's `promotion_wait` phase), and after the directory probe.
+/// Together with the caller's own decode stamp and the instant the
+/// outcomes are written, these partition a request end-to-end.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeTiming {
     /// Names resolved to ids (includes the tenant-map lookup).
     pub resolved: Instant,
-    /// Publication handle loaded; cold tenants pay the promotion here.
-    pub promoted: Instant,
+    /// The current publication, or the as-of read's retained epoch,
+    /// loaded.
+    pub published: Instant,
     /// Directory probed; the outcomes are borrowed, not yet written.
     pub probed: Instant,
 }
@@ -225,24 +220,30 @@ fn unknown(what: &str, name: &str) -> FarmError {
     (ErrorCode::UnknownName, format!("unknown {what} `{name}`"))
 }
 
-/// One tenant: a snapshot plus its lazily built serving state.
+/// A tenant's write side: what its first edit starts from, then what
+/// every edit goes through.
+enum Write {
+    /// Loaded and never edited: the file whose index the handle
+    /// publishes. Going live rebuilds its hierarchy, and a compaction
+    /// copies its bytes.
+    File(Arc<SnapshotTable>),
+    /// Edited: the live hierarchy and its write path over the tenant's
+    /// handle. The file is released.
+    Live(Box<IndexedEngine>),
+}
+
+/// One tenant: its published index and its write side.
 pub struct Tenant {
     name: Arc<str>,
-    /// The loaded file until the tenant goes live: promotion serves its
-    /// index, and a compaction of the never-edited tenant copies its
-    /// bytes. Going live releases it; queries read it only inside the
-    /// single-flight promotion, which going live completes first.
-    snapshot: RwLock<Option<Arc<SnapshotTable>>>,
+    /// Publishes the file's index as epoch 0 from LOAD on, then each
+    /// edit's. Reads load from it without any other lock.
+    serve: ServeHandle,
+    /// The mutex serializes edits per tenant; reads never take it.
+    write: Mutex<Write>,
     /// The file's lookup options, kept past its release.
     options: LookupOptions,
     /// The file's size, kept past its release for STATS.
     snapshot_bytes: usize,
-    /// Set exactly once, at promotion; `get_or_init` makes concurrent
-    /// promoters single-flight.
-    serve: OnceLock<ServeHandle>,
-    /// The write path; `Some` after the first edit. The mutex
-    /// serializes edits per tenant (queries never take it).
-    live: Mutex<Option<IndexedEngine>>,
     names: RwLock<Arc<Names>>,
     queries: AtomicU64,
     edits: AtomicU64,
@@ -259,13 +260,15 @@ impl Tenant {
         metrics: Arc<ServerMetrics>,
     ) -> Tenant {
         let names = Names::from_snapshot(&table);
+        let serve = ServeHandle::serving(&table);
+        serve.set_retention(retain_epochs);
+        metrics.tenant_epoch.with_label(&name).set(0);
         Tenant {
             name: name.into(),
+            serve,
             options: table.options(),
             snapshot_bytes: table.size_bytes(),
-            snapshot: RwLock::new(Some(Arc::new(table))),
-            serve: OnceLock::new(),
-            live: Mutex::new(None),
+            write: Mutex::new(Write::File(Arc::new(table))),
             names: RwLock::new(Arc::new(names)),
             queries: AtomicU64::new(0),
             edits: AtomicU64::new(0),
@@ -279,38 +282,6 @@ impl Tenant {
         &self.name
     }
 
-    /// Whether the dispatch index has been built.
-    pub fn is_promoted(&self) -> bool {
-        self.serve.get().is_some()
-    }
-
-    /// Publishes the snapshot's `DispatchIndex` (once, single-flight)
-    /// and returns the tenant's publication handle.
-    fn promote(&self) -> &ServeHandle {
-        self.serve.get_or_init(|| {
-            self.metrics.promotions.inc();
-            self.metrics.tenant_promotions.with_label(&self.name).inc();
-            self.metrics.tenant_epoch.with_label(&self.name).set(0);
-            let handle = ServeHandle::serving(
-                &*self
-                    .loaded()
-                    .expect("a tenant keeps its file until it goes live, which promotes it first"),
-            );
-            if self.retain_epochs > 1 {
-                handle.set_retention(self.retain_epochs);
-            }
-            handle
-        })
-    }
-
-    /// The loaded file; `None` once the tenant is live.
-    fn loaded(&self) -> Option<Arc<SnapshotTable>> {
-        self.snapshot
-            .read()
-            .expect("snapshot lock poisoned")
-            .clone()
-    }
-
     fn names(&self) -> Arc<Names> {
         self.names.read().expect("names lock poisoned").clone()
     }
@@ -321,16 +292,15 @@ impl Tenant {
         &self,
         as_of: Option<u64>,
     ) -> Result<Arc<cpplookup_core::PublishedIndex>, FarmError> {
-        let handle = self.promote();
         match as_of {
-            None => Ok(handle.load()),
-            Some(epoch) => handle.load_at(epoch).ok_or_else(|| {
+            None => Ok(self.serve.load()),
+            Some(epoch) => self.serve.load_at(epoch).ok_or_else(|| {
                 (
                     ErrorCode::EpochRetired,
                     format!(
                         "epoch {epoch} of `{}` is not retained (retained: {:?})",
                         self.name,
-                        handle.retained_epochs()
+                        self.serve.retained_epochs()
                     ),
                 )
             }),
@@ -362,12 +332,14 @@ impl Tenant {
         scratch.ids.clear();
         names.resolve(probes, &mut scratch.ids)?;
         let resolved = Instant::now();
-        let published = self.published_at(as_of)?;
-        let promoted = Instant::now();
+        let publication = self.published_at(as_of)?;
+        let published = Instant::now();
         // The SWAR stripe probe: all the directory loads happen inside
         // `lookup_batch_into`, over outcomes borrowed from the index.
         let mut refs = reuse(std::mem::take(&mut scratch.refs));
-        published.index().lookup_batch_into(&scratch.ids, &mut refs);
+        publication
+            .index()
+            .lookup_batch_into(&scratch.ids, &mut refs);
         let probed = Instant::now();
         for outcome in &refs {
             names.put(e, outcome);
@@ -375,32 +347,31 @@ impl Tenant {
         scratch.refs = reuse(refs);
         Ok(ProbeTiming {
             resolved,
-            promoted,
+            published,
             probed,
         })
     }
 
-    /// The tenant's write path, built on first use over the handle
-    /// queries already hold.
-    fn go_live<'a>(
-        &self,
-        live: &'a mut Option<IndexedEngine>,
-    ) -> Result<&'a mut IndexedEngine, FarmError> {
-        if live.is_none() {
-            let handle = self.promote().clone();
-            let mut slot = self.snapshot.write().expect("snapshot lock poisoned");
-            let file = slot
-                .as_ref()
-                .expect("a tenant keeps its file until it goes live");
+    /// The tenant's write path: on the first edit, the loaded file's
+    /// hierarchy over the handle reads already use, its index
+    /// republished as the live tenant's first epoch.
+    fn go_live<'a>(&self, write: &'a mut Write) -> Result<&'a mut IndexedEngine, FarmError> {
+        if let Write::File(file) = write {
             let chg = file.to_chg().map_err(|e| {
                 let why = format!("cannot rebuild the hierarchy of `{}`: {e}", self.name);
                 (ErrorCode::EditRejected, why)
             })?;
-            handle.republish();
-            *live = Some(IndexedEngine::with_handle(chg, self.options, handle));
-            *slot = None;
+            self.serve.republish();
+            *write = Write::Live(Box::new(IndexedEngine::with_handle(
+                chg,
+                self.options,
+                self.serve.clone(),
+            )));
         }
-        Ok(live.as_mut().expect("just set"))
+        match write {
+            Write::Live(serving) => Ok(serving),
+            Write::File(_) => unreachable!("went live above"),
+        }
     }
 
     /// Interns the names `edits` (just applied, in order) add and counts
@@ -421,10 +392,10 @@ impl Tenant {
     }
 
     fn edit_now(&self, directive: &str, wal: Option<&WalStore>) -> Result<u64, FarmError> {
-        let mut live = self.live.lock().expect("live lock poisoned");
-        let serving = self.go_live(&mut live)?;
+        let mut write = self.write.lock().expect("write lock poisoned");
+        let serving = self.go_live(&mut write)?;
         let edit = parse_directive(directive, &self.names())?;
-        // Append-before-apply, still under the live lock: the log's
+        // Append-before-apply, still under the write lock: the log's
         // record order is exactly the apply order, so a replayer that
         // walks the log reproduces the engine state (directives the
         // engine deterministically rejects below stay in the log and
@@ -486,8 +457,8 @@ impl Tenant {
     /// changed). Nothing reads a booting farm, so the skipped
     /// intermediate epochs are never missed.
     fn apply_batch(&self, directives: &[&str]) -> (Vec<u64>, bool) {
-        let mut live = self.live.lock().expect("live lock poisoned");
-        let Ok(serving) = self.go_live(&mut live) else {
+        let mut write = self.write.lock().expect("write lock poisoned");
+        let Ok(serving) = self.go_live(&mut write) else {
             return (Vec::new(), true);
         };
         // Parse against a private copy that interns as it goes, so a
@@ -523,36 +494,23 @@ impl Tenant {
         (epochs, rejected)
     }
 
-    /// The tenant's STATS object. `classes`, `entries` and `epoch` are
-    /// those of the current published index once the tenant is
-    /// promoted, so they follow its edits, and the loaded file's
-    /// before; `snapshot_bytes` is always the file's size.
+    /// The tenant's STATS object, read from the current publication
+    /// alone: `classes`, `entries` and `epoch` are its index's, so they
+    /// follow the edits, and the tenant is live from epoch 1 on (LOAD
+    /// publishes epoch 0, going live republishes it as epoch 1).
+    /// `snapshot_bytes` is always the loaded file's size.
     fn stats_json(&self) -> String {
-        let live = self.live.lock().expect("live lock poisoned").is_some();
-        // The file first: a tenant releases it only after promotion, so
-        // a released file means the handle below is set.
-        let file = self.loaded();
-        let (classes, entries, epoch) = match (self.serve.get(), file) {
-            (Some(handle), _) => {
-                let published = handle.load();
-                let index = published.index();
-                (index.class_count(), index.entry_count(), published.epoch())
-            }
-            (None, file) => {
-                let file = file.expect("a tenant releases its file only after promotion");
-                (file.class_count(), file.entry_count(), 0)
-            }
-        };
+        let published = self.serve.load();
+        let index = published.index();
         format!(
             "{{\"tenant\":{},\"classes\":{},\"entries\":{},\"snapshot_bytes\":{},\
-             \"promoted\":{},\"live\":{},\"epoch\":{},\"queries\":{},\"edits\":{}}}",
+             \"live\":{},\"epoch\":{},\"queries\":{},\"edits\":{}}}",
             json_str(&self.name),
-            classes,
-            entries,
+            index.class_count(),
+            index.entry_count(),
             self.snapshot_bytes,
-            self.is_promoted(),
-            live,
-            epoch,
+            published.epoch() > 0,
+            published.epoch(),
             self.queries.load(Ordering::Relaxed),
             self.edits.load(Ordering::Relaxed),
         )
@@ -742,8 +700,9 @@ impl Farm {
     }
 
     /// Loads (or replaces) a tenant from a snapshot file, returning
-    /// `(entries, snapshot bytes)`. A replaced tenant restarts its
-    /// lifecycle from cold; readers of the old tenant finish on the old
+    /// `(entries, snapshot bytes)`. The tenant is published as epoch 0
+    /// before this returns. A replaced tenant restarts its lifecycle
+    /// from its new file; readers of the old tenant finish on the old
     /// state. On a logging farm the load is appended to the edit log
     /// (after it validated locally) so a replayer loads the same
     /// snapshot — snapshot files are treated as content-stable
@@ -817,8 +776,8 @@ impl Farm {
     /// The server's read: answers a decoded `QUERY` or `BATCH` against
     /// its tenant, in probe order, from the current publication or —
     /// for a time-travel read — the retained epoch the view pins, so
-    /// every probe sees the same frozen index version. A cold tenant is
-    /// promoted first. Appends the reply body to `out` — the view's
+    /// every probe sees the same frozen index version. Appends the
+    /// reply body to `out` — the view's
     /// [`reply_head`](ReadView::reply_head), then the outcomes, written
     /// by [`Tenant::read_into`] — and returns the tenant's name and the
     /// phase stamps a traced request cuts its span tree from. On error
@@ -927,18 +886,14 @@ impl Farm {
     }
 
     /// The epochs a tenant currently serves `as-of` reads for,
-    /// oldest-first and ending with the current epoch. A cold tenant
-    /// has no published epochs yet and reports an empty list.
+    /// oldest-first and ending with the current epoch: `[0]` for a
+    /// tenant loaded and never edited.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::NoSuchTenant`].
     pub fn retained_epochs(&self, tenant: &str) -> Result<Vec<u64>, FarmError> {
-        let t = self.tenant(tenant)?;
-        Ok(match t.serve.get() {
-            Some(handle) => handle.retained_epochs(),
-            None => Vec::new(),
-        })
+        Ok(self.tenant(tenant)?.serve.retained_epochs())
     }
 
     /// Applies one replayed log record — the follower's (and the
@@ -1103,33 +1058,29 @@ impl Farm {
         for t in &tenants {
             // Capture under the tenant's edit lock: the reserved seq
             // orders before any edit that starts after we release it.
-            let live = t.live.lock().expect("live lock poisoned");
+            let write = t.write.lock().expect("write lock poisoned");
             let cutoff = wal.reserve_seq();
-            // An edited tenant's published index is the table of its
-            // live hierarchy: write both, no rebuild (the writer drops
-            // the pool words earlier edits superseded).
-            let captured = live
-                .as_ref()
-                .map(|serving| (serving.chg().clone(), t.promote().load()));
-            let cold = t.loaded();
-            drop(live);
             let file = dir.join(format!("{}-seq{cutoff}.snap", sanitize_name(&t.name)));
-            let epoch = match captured {
-                Some((chg, published)) => {
-                    Snapshot::from_index(&chg, published.index(), t.options)
-                        .write_to(&file)
-                        .map_err(|e| io("checkpoint write", &e))?;
-                    published.epoch()
-                }
-                None => {
-                    // Never edited: the validated snapshot image is the
-                    // state, verbatim.
-                    let image = cold.expect("a tenant that is not live keeps its file");
+            let epoch = match &*write {
+                // Never edited: the validated snapshot image is the
+                // state, verbatim.
+                Write::File(image) => {
                     std::fs::write(&file, image.as_bytes())
                         .map_err(|e| io("checkpoint write", &e))?;
                     0
                 }
+                // An edited tenant's published index is the table of
+                // its live hierarchy: write both, no rebuild (the writer
+                // drops the pool words earlier edits superseded).
+                Write::Live(serving) => {
+                    let published = t.serve.load();
+                    Snapshot::from_index(serving.chg(), published.index(), t.options)
+                        .write_to(&file)
+                        .map_err(|e| io("checkpoint write", &e))?;
+                    published.epoch()
+                }
             };
+            drop(write);
             cutoffs.insert(t.name.to_string(), cutoff);
             checkpoints.push(Stamped {
                 seq: cutoff,
@@ -1220,19 +1171,17 @@ mod tests {
     }
 
     #[test]
-    fn query_promotes_lazily_and_matches_snapshot_semantics() {
+    fn load_publishes_epoch_zero_and_matches_snapshot_semantics() {
         let farm = farm_with("t", &fixtures::fig2());
-        {
-            let tenants = farm.tenants.read().unwrap();
-            assert!(!tenants["t"].is_promoted(), "LOAD must not build the index");
-        }
+        assert_eq!(farm.retained_epochs("t").unwrap(), vec![0]);
+        let stats = farm.stats_json("t").unwrap();
+        assert!(stats.contains("\"epoch\":0"), "{stats}");
+        assert!(stats.contains("\"live\":false"), "{stats}");
         let out = farm.query("t", "E", "m").unwrap();
         match out {
             WireOutcome::Resolved { class, .. } => assert_eq!(class, "D"),
             other => panic!("unexpected {other:?}"),
         }
-        let tenants = farm.tenants.read().unwrap();
-        assert!(tenants["t"].is_promoted());
     }
 
     #[test]
@@ -1255,8 +1204,8 @@ mod tests {
     #[test]
     fn edit_attaches_engine_and_queries_see_new_members() {
         let farm = farm_with("t", &fixtures::fig2());
-        // Epoch 0 is the snapshot promotion; attach publishes 1; the
-        // edit publishes 2.
+        // LOAD published epoch 0; going live publishes 1; the edit
+        // publishes 2.
         let epoch = farm.edit("t", "member E fresh").unwrap();
         assert_eq!(epoch, 2);
         let out = farm.query("t", "E", "fresh").unwrap();
@@ -1275,10 +1224,10 @@ mod tests {
     }
 
     #[test]
-    fn edit_before_any_query_promotes_first() {
+    fn edit_before_any_query_goes_live_at_epoch_one() {
         let farm = farm_with("t", &fixtures::fig1());
         let epoch = farm.edit("t", "class Q").unwrap();
-        assert_eq!(epoch, 2, "promotion epoch 0, attach 1, edit 2");
+        assert_eq!(epoch, 2, "LOAD epoch 0, going live 1, edit 2");
     }
 
     #[test]
@@ -1310,7 +1259,6 @@ mod tests {
         let farm = farm_with("alpha", &g);
         let one = farm.stats_json("alpha").unwrap();
         assert!(one.starts_with("{\"tenant\":\"alpha\""), "{one}");
-        assert!(one.contains("\"promoted\":false"));
         let all = farm.stats_json("").unwrap();
         assert!(all.starts_with("{\"tenants\":["), "{all}");
         assert_eq!(
@@ -1338,6 +1286,7 @@ mod tests {
         assert_eq!(field(&after_class, "classes"), classes + 1, "{after_class}");
         assert_eq!(field(&after_class, "entries"), entries, "{after_class}");
         assert_eq!(field(&after_class, "epoch"), 2, "{after_class}");
+        assert!(after_class.contains("\"live\":true"), "{after_class}");
 
         // `fresh` in A is visible in A and every class below it: each
         // is a pair recomputed as present.
@@ -1439,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_stampede_promotes_once_and_answers_exactly() {
+    fn first_readers_stampede_and_answer_exactly() {
         const TENANT: &str = "t";
         let chg = fixtures::fig9();
         let table = cpplookup_core::LookupTable::build(&chg);
@@ -1452,14 +1401,6 @@ mod tests {
             }
         }
         let farm = farm_with(TENANT, &chg);
-        let promotions = || {
-            let m = &farm.metrics;
-            (
-                m.promotions.get(),
-                m.tenant_promotions.with_label(TENANT).get(),
-            )
-        };
-        assert_eq!(promotions(), (0, 0), "LOAD must not promote");
         let threads = 8;
         let gate = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
@@ -1488,7 +1429,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(promotions(), (1, 1), "eight cold readers, one promotion");
     }
 
     /// A scratch directory that survives for the test (WAL replay needs
@@ -1597,8 +1537,11 @@ mod tests {
     /// The hierarchy generation of tenant `t`: one per transaction.
     fn generation(farm: &Farm) -> u64 {
         let t = farm.tenant("t").unwrap();
-        let live = t.live.lock().unwrap();
-        live.as_ref().unwrap().chg().generation()
+        let write = t.write.lock().unwrap();
+        let Write::Live(serving) = &*write else {
+            panic!("tenant `t` is not live")
+        };
+        serving.chg().generation()
     }
 
     #[test]
@@ -1708,7 +1651,7 @@ mod tests {
             ..FarmOptions::default()
         });
         farm.load("t", &snap).unwrap();
-        farm.query("t", "E", "m").unwrap(); // promote: epoch 0
+        farm.query("t", "E", "m").unwrap(); // LOAD published epoch 0
         let epoch = farm.edit("t", "member E fresh").unwrap(); // attach 1, edit 2
         assert_eq!(farm.retained_epochs("t").unwrap(), vec![0, 1, 2]);
         // The new member exists now but not in the pinned past.
@@ -1767,8 +1710,11 @@ mod tests {
         // it answers every pair like a fresh build.
         let (chg, published) = {
             let t = leader.tenant("t").unwrap();
-            let live = t.live.lock().unwrap();
-            (live.as_ref().unwrap().chg().clone(), t.promote().load())
+            let write = t.write.lock().unwrap();
+            let Write::Live(serving) = &*write else {
+                panic!("an edited tenant is live")
+            };
+            (serving.chg().clone(), t.serve.load())
         };
         let checkpoint = SnapshotTable::load(path).unwrap();
         let table = cpplookup_core::LookupTable::build(&chg);
@@ -1809,7 +1755,7 @@ mod tests {
     }
 
     /// Going live releases the loaded file: only the values STATS and
-    /// compaction still need are kept, and a cold tenant beside it
+    /// compaction still need are kept, and an unedited tenant beside it
     /// still checkpoints as its file, verbatim.
     #[test]
     fn a_live_tenant_drops_its_loaded_file() {
@@ -1821,21 +1767,24 @@ mod tests {
             .unwrap();
         leader.load("u", &cold).unwrap();
         let tenant = leader.tenant("t").unwrap();
-        let file = Arc::downgrade(&tenant.loaded().expect("loaded"));
+        let file = match &*tenant.write.lock().unwrap() {
+            Write::File(file) => Arc::downgrade(file),
+            Write::Live(_) => panic!("a loaded tenant holds its file"),
+        };
         let bytes_field = |json: &str| {
             let at = json.find("\"snapshot_bytes\":").unwrap() + 17;
             json[at..].split([',', '}']).next().unwrap().to_owned()
         };
         let before = bytes_field(&leader.stats_json("t").unwrap());
         leader.query("t", "E", "m").unwrap();
-        assert!(file.upgrade().is_some(), "a promoted tenant keeps its file");
+        assert!(file.upgrade().is_some(), "a read keeps the loaded file");
 
         leader.edit("t", "class Z").unwrap();
         assert!(
             file.upgrade().is_none(),
             "the live tenant released its file"
         );
-        assert!(tenant.loaded().is_none());
+        assert!(matches!(*tenant.write.lock().unwrap(), Write::Live(_)));
         assert_eq!(bytes_field(&leader.stats_json("t").unwrap()), before);
         assert_eq!(
             before,

@@ -12,14 +12,14 @@
 //!   format and its request/response types. Dependency-free, strict,
 //!   and fuzz-tested: malformed bytes produce structured errors, never
 //!   panics or unbounded reads.
-//! * [`farm`] — the tenant farm. Each tenant is a loaded snapshot
-//!   lazily *promoted* on first traffic: the
-//!   [`DispatchIndex`](cpplookup_core::DispatchIndex) the loaded file
-//!   already holds is published (concurrent cold readers share one
-//!   promotion), and
-//!   made *live* on first edit, when its index becomes the write
-//!   path's only table and each edit publishes the next epoch. Every read, QUERY or BATCH, goes
-//!   through one batched [`Farm::read`].
+//! * [`farm`] — the tenant farm. A tenant has two stages: *loaded*,
+//!   when LOAD publishes the
+//!   [`DispatchIndex`](cpplookup_core::DispatchIndex) the file already
+//!   holds as epoch 0, and *live* from its first edit, when that index
+//!   becomes the write path's only table and each edit publishes the
+//!   next epoch. Every read, QUERY or BATCH, goes through one core,
+//!   [`Tenant::read_into`](farm::Tenant::read_into), which the server reaches via
+//!   [`Farm::answer`].
 //! * [`server`] — the TCP listener: bounded-accept admission control,
 //!   request-scoped phase tracing (the protocol TRACE flag returns a
 //!   span tree), per-instance metrics with per-tenant families (one

@@ -14,9 +14,9 @@
 //!
 //! Tenant and probe choice are zipf-distributed: real multi-tenant
 //! traffic concentrates on a few hot tenants and hot lookup keys, and
-//! uniform traffic would understate both the win from promotion (hot
-//! tenants stay hot) and the cache-residency behaviour of the dispatch
-//! directory.
+//! uniform traffic would misstate the cache-residency behaviour of the
+//! dispatch directories (a hot tenant's stay resident, a cold one's
+//! miss).
 
 use std::collections::BTreeMap;
 use std::io;

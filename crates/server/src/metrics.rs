@@ -35,7 +35,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) reactor_wakeups: Arc<Family<Counter>>,
     pub(crate) reactor_backlog: Arc<Family<Gauge>>,
     pub(crate) tenants: Arc<Gauge>,
-    pub(crate) promotions: Arc<Counter>,
     pub(crate) wal_replayed: Arc<Counter>,
     pub(crate) wal_compactions: Arc<Counter>,
     pub(crate) subscribers: Arc<Gauge>,
@@ -45,7 +44,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) replication_applied: Arc<Gauge>,
     pub(crate) replication_skipped: Arc<Counter>,
     pub(crate) replication_errors: Arc<Counter>,
-    pub(crate) tenant_promotions: Arc<Family<Counter>>,
     pub(crate) tenant_epoch: Arc<Family<Gauge>>,
     pub(crate) queries: Arc<Family<Family<Counter>>>,
     pub(crate) latency: Arc<Family<Histogram>>,
@@ -107,10 +105,6 @@ impl ServerMetrics {
                 Gauge::new(),
             ),
             tenants: r.gauge("server_tenants", "tenants currently loaded"),
-            promotions: r.counter(
-                "server_promotions_total",
-                "tenants promoted from snapshot to dispatch index",
-            ),
             wal_replayed: r.counter(
                 "server_wal_replayed_total",
                 "edit-log records replayed at startup",
@@ -147,13 +141,6 @@ impl ServerMetrics {
             replication_errors: r.counter(
                 "replication_errors_total",
                 "records that failed to apply or stream errors",
-            ),
-            tenant_promotions: r.family(
-                "tenant_promotions_total",
-                "snapshot-to-index promotions, by tenant",
-                "tenant",
-                tenant_cardinality,
-                Counter::new(),
             ),
             tenant_epoch: r.family(
                 "tenant_epoch",

@@ -55,10 +55,13 @@ pub struct SlowEntry {
     pub spans: Vec<Span>,
 }
 
+/// Slow-query log size: the most recent slow requests whose full span
+/// trees the recorder keeps.
+const SLOW_CAPACITY: usize = 64;
+
 /// Fixed-size recorder of recent and slow requests.
 pub struct FlightRecorder {
     capacity: usize,
-    slow_capacity: usize,
     slow_threshold_ns: u64,
     seq: AtomicU64,
     dropped: AtomicU64,
@@ -68,21 +71,19 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder remembering the last `capacity` requests and the last
-    /// `slow_capacity` requests at or over `slow_threshold_ns`.
-    /// Capacities are clamped to at least 1.
-    pub fn new(capacity: usize, slow_capacity: usize, slow_threshold_ns: u64) -> FlightRecorder {
+    /// A recorder remembering the last `capacity` requests (clamped to
+    /// at least 1) and the last 64 requests at or over
+    /// `slow_threshold_ns`.
+    pub fn new(capacity: usize, slow_threshold_ns: u64) -> FlightRecorder {
         let capacity = capacity.max(1);
-        let slow_capacity = slow_capacity.max(1);
         FlightRecorder {
             capacity,
-            slow_capacity,
             slow_threshold_ns,
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slow_seen: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
-            slow: Mutex::new(VecDeque::with_capacity(slow_capacity)),
+            slow: Mutex::new(VecDeque::with_capacity(SLOW_CAPACITY)),
         }
     }
 
@@ -119,7 +120,7 @@ impl FlightRecorder {
         if latency_ns >= self.slow_threshold_ns {
             self.slow_seen.fetch_add(1, Ordering::Relaxed);
             let mut slow = self.slow.lock().expect("slow ring poisoned");
-            if slow.len() == self.slow_capacity {
+            if slow.len() == SLOW_CAPACITY {
                 slow.pop_front();
             }
             slow.push_back(SlowEntry {
@@ -172,7 +173,7 @@ impl FlightRecorder {
             self.recorded(),
             self.dropped(),
             self.slow_threshold_ns,
-            self.slow_capacity,
+            SLOW_CAPACITY,
             self.slow_seen(),
         ));
         out.push_str("\"requests\":[");
@@ -252,7 +253,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts() {
-        let r = FlightRecorder::new(2, 2, u64::MAX);
+        let r = FlightRecorder::new(2, u64::MAX);
         r.record("a", "query", "ok", 10, &[]);
         r.record("b", "query", "ok", 20, &[]);
         r.record("c", "query", "ok", 30, &[]);
@@ -268,7 +269,7 @@ mod tests {
 
     #[test]
     fn slow_requests_keep_their_full_tree() {
-        let r = FlightRecorder::new(8, 8, 1_000);
+        let r = FlightRecorder::new(8, 1_000);
         let tree = vec![
             span(0, None, "request", 0, 1_500),
             span(1, Some(0), "frame_decode", 0, 500),
@@ -290,7 +291,7 @@ mod tests {
 
     #[test]
     fn hostile_tenant_names_stay_valid_json() {
-        let r = FlightRecorder::new(4, 4, u64::MAX);
+        let r = FlightRecorder::new(4, u64::MAX);
         r.record("evil\"\n\\tenant", "query", "no_such_tenant", 5, &[]);
         let json = r.to_json();
         assert!(
@@ -301,7 +302,7 @@ mod tests {
 
     #[test]
     fn untraced_entries_have_empty_phases() {
-        let r = FlightRecorder::new(4, 4, u64::MAX);
+        let r = FlightRecorder::new(4, u64::MAX);
         r.record("t", "edit", "ok", 7, &[]);
         assert!(r.to_json().contains("\"phases\":{}"));
         assert!(!r.is_empty());

@@ -31,7 +31,7 @@
 //!
 //! Every request is clocked at its phase boundaries (frame read,
 //! decode, and — through [`ProbeTiming`] —
-//! name resolution, promotion wait, and the directory probe). A
+//! name resolution, loading the publication, and the directory probe). A
 //! request carrying the protocol's TRACE flag gets those boundaries
 //! back as a span tree in a [`Response::Traced`]; the spans are built
 //! from contiguous instants, so the child phases partition the root
@@ -83,8 +83,6 @@ use crate::sys::EventFd;
 pub struct ObsConfig {
     /// Flight-recorder main ring size (recent completed requests).
     pub recorder_capacity: usize,
-    /// Slow-query log size (full span trees).
-    pub slow_capacity: usize,
     /// Requests at or over this latency also land in the slow log.
     pub slow_threshold: Duration,
     /// Bounded-cardinality limit for tenant-labelled families; tenants
@@ -97,7 +95,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             recorder_capacity: 256,
-            slow_capacity: 64,
             slow_threshold: Duration::from_millis(50),
             tenant_cardinality: 64,
         }
@@ -295,7 +292,6 @@ impl Server {
             farm,
             recorder: Arc::new(FlightRecorder::new(
                 obs.recorder_capacity,
-                obs.slow_capacity,
                 obs.slow_threshold.as_nanos() as u64,
             )),
             active: AtomicUsize::new(0),
@@ -617,7 +613,7 @@ fn trace_spans(t0: Instant, t1: Instant, t2: Instant, probe: ProbeTiming) -> Vec
         ("queue_wait", off(t1)),
         ("frame_decode", off(t2)),
         ("tenant_resolve", off(probe.resolved)),
-        ("promotion_wait", off(probe.promoted)),
+        ("promotion_wait", off(probe.published)),
         ("directory_probe", off(probe.probed)),
         ("encode", off(t6)),
     ];

@@ -461,7 +461,7 @@ fn http_get(addr: &str, target: &str) -> String {
 
 /// A server's metrics carry the engine's process-wide facade: after a
 /// LOAD and a QUERY, both `/metrics` and `Request::Metrics` show the
-/// snapshot load and the dispatch index build behind the promotion.
+/// snapshot load and the dispatch index build behind it.
 #[test]
 fn metrics_carry_the_engine_facade_on_both_surfaces() {
     let dir = TempDir::new("facade");
@@ -555,7 +555,6 @@ fn admin_endpoints_tenants_and_flightrecorder_work_end_to_end() {
     assert!(tenants.starts_with("HTTP/1.1 200 OK"), "{tenants}");
     assert!(tenants.contains("application/json"), "{tenants}");
     assert!(tenants.contains("\"tenant\":\"acme\""), "{tenants}");
-    assert!(tenants.contains("\"promoted\":true"), "{tenants}");
     assert!(tenants.contains("\"epoch\":0"), "{tenants}");
 
     let fr = http_get(&addr, "/flightrecorder");
@@ -570,10 +569,6 @@ fn admin_endpoints_tenants_and_flightrecorder_work_end_to_end() {
     let metrics = http_get(&addr, "/metrics");
     assert!(
         metrics.contains("server_queries_total{tenant=\"acme\",op=\"query\"}"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("tenant_promotions_total{tenant=\"acme\"}"),
         "{metrics}"
     );
     assert!(
@@ -626,8 +621,8 @@ fn same_answer(s: &mut TcpStream, what: &str, req: impl Fn(&str) -> Request) -> 
 /// version-2 file (a TABLE section decoded at load) and the version-3
 /// recompile of the same hierarchy (its index served from the file's
 /// buffer). Every QUERY and BATCH answer is byte-equal across the three
-/// tenants before and after the same EDIT, which promotes each tenant,
-/// attaches an engine to its published index and refreshes it.
+/// tenants before and after the same EDIT, which attaches an engine to
+/// each tenant's published index and refreshes it.
 #[test]
 fn v1_snapshot_tenant_serves_byte_identically_to_v2_across_an_edit() {
     let dir = TempDir::new("v1-lifecycle");
