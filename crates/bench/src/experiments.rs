@@ -823,6 +823,9 @@ fn e18(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
+/// Rounds per family in E20: every round times one build and one load.
+const E20_ROUNDS: usize = 9;
+
 /// E20: snapshot cold load vs building the table from the hierarchy.
 ///
 /// The "compile once, serve many" pitch of `cpplookup-snapshot` is that
@@ -835,7 +838,9 @@ fn e18(w: &mut dyn Write) -> io::Result<()> {
 /// held live.
 ///
 /// The acceptance target is a >=10x load-vs-build advantage on the
-/// largest family.
+/// largest family. Build and load run [interleaved](interleave),
+/// [`E20_ROUNDS`] rounds per family; a speedup is the median of the
+/// per-round ratios, printed with their IQR as a share of it.
 fn e20(w: &mut dyn Write) -> io::Result<()> {
     fn vm_rss_kb() -> Option<i64> {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -868,7 +873,8 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "  every timing includes the first answered query; load includes full \
-         checksum + structural validation"
+         checksum + structural validation; medians of {E20_ROUNDS} interleaved rounds, \
+         the speedup with its IQR/median"
     )?;
     let families: Vec<(&str, Chg)> = vec![
         ("chain_512", families::chain(512, Some(8))),
@@ -890,7 +896,7 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         w,
-        "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10}",
+        "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>9} {:>5} {:>10} {:>10}",
         "family",
         "classes",
         "entries",
@@ -898,6 +904,7 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
         "build",
         "load",
         "speedup",
+        "iqr",
         "rss build",
         "rss load"
     )?;
@@ -907,37 +914,47 @@ fn e20(w: &mut dyn Write) -> io::Result<()> {
         let c0 = chg.classes().next().expect("non-empty hierarchy");
         let m0 = chg.member_ids().next().expect("hierarchy declares members");
 
-        let rss_before_build = vm_rss_kb();
-        let (t_build, table) = median_time(5, || {
+        let build = || {
             let t = LookupTable::build(chg);
             let _ = t.lookup(c0, m0);
             t
-        });
-        let rss_build = vm_rss_kb().zip(rss_before_build).map(|(a, b)| a - b);
-        drop(table);
-
+        };
         let bytes = Snapshot::compile(chg).into_bytes();
-        let snap_len = bytes.len();
-        let rss_before_load = vm_rss_kb();
-        let (t_load, loaded) = median_time(5, || {
+        let load = || {
             let t = SnapshotTable::from_bytes(bytes.clone()).expect("writer output validates");
             let _ = t.lookup(c0, m0);
             t
-        });
+        };
+        let rss_before_build = vm_rss_kb();
+        let table = build();
+        let rss_build = vm_rss_kb().zip(rss_before_build).map(|(a, b)| a - b);
+        drop(table);
+        let rss_before_load = vm_rss_kb();
+        let loaded = load();
         let rss_load = vm_rss_kb().zip(rss_before_load).map(|(a, b)| a - b);
 
-        let speedup = t_build.as_secs_f64() / t_load.as_secs_f64().max(f64::MIN_POSITIVE);
+        let rounds = interleave(E20_ROUNDS, 2, |k| {
+            let start = std::time::Instant::now();
+            match k {
+                0 => drop(build()),
+                _ => drop(load()),
+            }
+            Ok(start.elapsed().as_secs_f64())
+        })?;
+        let (speedup, iqr) = rounds.ratio(0, 1);
+        let secs = |k: usize| Duration::from_secs_f64(rounds.spread(k).median);
         largest_speedup = speedup; // families are ascending; last row is largest
         writeln!(
             w,
-            "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>8.1}x {:>10} {:>10}",
+            "  {:<16} {:>7} {:>8} {:>10} {:>10} {:>10} {:>8.1}x {:>5.2} {:>10} {:>10}",
             name,
             loaded.class_count(),
             loaded.entry_count(),
-            fmt_kb(snap_len),
-            fmt_duration(t_build),
-            fmt_duration(t_load),
+            fmt_kb(bytes.len()),
+            fmt_duration(secs(0)),
+            fmt_duration(secs(1)),
             speedup,
+            iqr,
             fmt_rss(rss_build),
             fmt_rss(rss_load),
         )?;

@@ -14,32 +14,36 @@
 //! The index is one run of little-endian byte columns behind a shared
 //! buffer, read with `from_le_bytes` (the crate forbids `unsafe`, so
 //! nothing is reinterpreted in place). The same bytes are the index
-//! section of a version-3 snapshot: an index loaded from a file serves
+//! section of a version-4 snapshot: an index loaded from a file serves
 //! from the file's buffer as it is, and an index built in memory writes
 //! the same columns into a fresh buffer. A 32-byte header comes first,
-//! then six columns, each at a 16-byte-aligned offset:
+//! then seven columns, each at a 16-byte-aligned offset. Each verdict
+//! is stored once, in the columns keyed by minimal-perfect-hash slot:
 //!
 //! ```text
 //! header      : class_count, member_count, entry_count, pool_len: u32,
-//!               mph seed: u64, nbuckets: u32, reserved: u32 (zero)
-//! row_starts  : class → first pair            (|N|+1 × u32)
-//! pairs       : (member: u32, slot: u32)      one contiguous run per
-//!               sorted by member id per class  class — rank iteration;
-//!                                              slot = the pair's index
-//! entries     : fixed-width pre-decoded slots (24 bytes each)
-//!               {flags, ldc, lv, via, set off, set len}
-//! cells       : 16-byte directory cells       the global probe path,
-//!               {key: u64, a: u32, b: u32}    verdict decoded inline,
-//!               key = class | member << 32    one cell per entry at its
-//!               red  → a = ldc, b = lv        minimal-perfect-hash slot
+//!               mph seed: u64, nbuckets: u32, shared_count: u32
+//! row_starts  : class → first row member       (|N|+1 × u32)
+//! members     : member: u32, one contiguous    rank iteration
+//!               run per class, sorted by id
+//! cells       : 16-byte directory cells        the global probe path,
+//!               {key: u64, a: u32, b: u32}     verdict decoded inline,
+//!               key = class | member << 32     one cell per entry at its
+//!               red  → a = ldc, b = lv         minimal-perfect-hash slot
 //!               blue → a = pool off,
 //!                      b = len | BLUE_BIT
-//! pool        : shared u32 leastVirtual sets  (0 = Ω, else class+1),
+//! via         : u32 per slot                   0 = no via edge (blue, or
+//!                                              a generated definition),
+//!                                              else via class + 1
+//! pool        : shared u32 leastVirtual sets   (0 = Ω, else class+1),
 //!               interned — equal sets share one range
-//! disp        : mph displacements             (nbuckets × u32)
+//! disp        : mph displacements              (nbuckets × u32)
+//! shared      : {slot, pool off, len: u32}     the non-empty static
+//!               sorted by slot                 shared sets of red
+//!                                              entries (Definition 17)
 //! ```
 //!
-//! The rank-sorted `pairs` rows serve ordered iteration
+//! The rank-sorted `members` rows serve ordered iteration
 //! ([`members_of`](DispatchIndex::members_of)); the cell directory
 //! answers a point probe with one hashed 16-byte load. The key set is
 //! *static between epochs*, so the directory is a minimal perfect hash
@@ -50,10 +54,10 @@
 //! buffer the allocator aligns to at least 16 bytes, so a cell never
 //! straddles a cache line. Because a cell carries the decoded verdict
 //! inline, a red hit costs exactly one data-dependent line; blue hits
-//! add one pool read for the witnesses. The `entries` column is only
-//! touched by the cold reconstruction paths
-//! ([`entry`](DispatchIndex::entry), refresh copying), which
-//! binary-search the rank-sorted rows instead.
+//! add one pool read for the witnesses. The `via` and `shared` columns
+//! are only touched by the cold reconstruction paths
+//! ([`entry`](DispatchIndex::entry), [`entries`](DispatchIndex::entries),
+//! path recovery), which find a pair's slot by hashing, as a probe does.
 //!
 //! [`lookup_batch_into`](DispatchIndex::lookup_batch_into) is the
 //! SWAR-style batch probe: stripes of eight probes are packed and
@@ -76,11 +80,12 @@
 //!   [`LookupTable`];
 //! * [`DispatchIndex::from_entries`] — any `(class, member, entry)`
 //!   stream, under a prebuilt hash or a fresh one (how a snapshot
-//!   written before format version 3 loads);
-//! * [`DispatchIndex::refreshed`] — the index after an edit: the edit's
-//!   recomputed pairs are merged into the old rows, every other entry
-//!   and its pool range is copied verbatim, and the hash is kept when
-//!   the key set is unchanged.
+//!   written before format version 4 loads);
+//! * [`DispatchIndex::refreshed`] — the index after an edit. When the
+//!   edit leaves the key set as it was, the columns are copied and the
+//!   recomputed slots patched under the same hash; otherwise the rows
+//!   take the added and dropped keys, the hash is rebuilt, and every
+//!   old verdict moves to its new slot in one scan of the old cells.
 //!
 //! # Epoch publish
 //!
@@ -154,11 +159,6 @@ impl IntoDispatchIndex for DispatchIndex {
     }
 }
 
-/// Entry flag bit: the slot is blue (ambiguous).
-const FLAG_BLUE: u32 = 1;
-/// Entry flag bit: the red slot has a via edge.
-const FLAG_VIA: u32 = 2;
-
 /// Marks a blue cell in [`Cell::b`]'s top bit (encoded `leastVirtual`
 /// values and witness counts both stay below 2³¹; validation checks).
 const BLUE_BIT: u32 = 1 << 31;
@@ -167,12 +167,10 @@ const BLUE_BIT: u32 = 1 << 31;
 const HEADER_LEN: usize = 32;
 /// Alignment of every column start, relative to the buffer.
 const COLUMN_ALIGN: usize = 16;
-/// Bytes of one `(member, slot)` pair.
-const PAIR_LEN: usize = 8;
-/// Bytes of one packed entry.
-const ENTRY_LEN: usize = 24;
 /// Bytes of one directory cell.
 const CELL_LEN: usize = 16;
+/// Bytes of one shared-set record: `(slot, pool offset, length)`.
+const SHARED_LEN: usize = 12;
 
 #[inline]
 fn u32_at(b: &[u8], at: usize) -> u32 {
@@ -192,6 +190,21 @@ fn put_u64(b: &mut [u8], at: usize, v: u64) {
     b[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
+/// The probe key of `(c, m)`: `class | member << 32`.
+#[inline]
+fn pair_key(c: ClassId, m: MemberId) -> u64 {
+    c.index() as u64 | (m.index() as u64) << 32
+}
+
+/// A 64-bit hash of a probe key; validation sums it over the rows and
+/// over the cells.
+#[inline]
+fn key_fingerprint(key: u64) -> u64 {
+    let z = key.rotate_left(17).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^ (z >> 29)
+}
+
 /// Where each column of an index lives in its buffer: the header's
 /// counts plus the absolute byte offsets they imply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,13 +214,15 @@ struct Layout {
     entry_count: usize,
     pool_len: usize,
     nbuckets: usize,
+    shared_count: usize,
     seed: u64,
     rows: usize,
-    pairs: usize,
-    entries: usize,
+    members: usize,
     cells: usize,
+    via: usize,
     pool: usize,
     disp: usize,
+    shared: usize,
     /// The header's first byte.
     start: usize,
     /// One past the last column's padding.
@@ -217,13 +232,21 @@ struct Layout {
 impl Layout {
     /// The layout of an index with these counts whose header starts at
     /// `start`; `None` if a count overflows its `u32` header field or an
-    /// offset overflows `usize`.
+    /// offset overflows `usize`. The shared-set column comes last, so
+    /// no other column's offset depends on its length.
     fn new(
         start: usize,
-        [class_count, member_count, entry_count, pool_len, nbuckets]: [usize; 5],
+        [class_count, member_count, entry_count, pool_len, nbuckets, shared_count]: [usize; 6],
         seed: u64,
     ) -> Option<Layout> {
-        for count in [class_count, member_count, entry_count, pool_len, nbuckets] {
+        for count in [
+            class_count,
+            member_count,
+            entry_count,
+            pool_len,
+            nbuckets,
+            shared_count,
+        ] {
             u32::try_from(count).ok()?;
         }
         let mut at = start.checked_add(HEADER_LEN)?;
@@ -235,24 +258,27 @@ impl Layout {
             Some(begin)
         };
         let rows = column(class_count.checked_add(1)?.checked_mul(4))?;
-        let pairs = column(entry_count.checked_mul(PAIR_LEN))?;
-        let entries = column(entry_count.checked_mul(ENTRY_LEN))?;
+        let members = column(entry_count.checked_mul(4))?;
         let cells = column(entry_count.checked_mul(CELL_LEN))?;
+        let via = column(entry_count.checked_mul(4))?;
         let pool = column(pool_len.checked_mul(4))?;
         let disp = column(nbuckets.checked_mul(4))?;
+        let shared = column(shared_count.checked_mul(SHARED_LEN))?;
         Some(Layout {
             class_count,
             member_count,
             entry_count,
             pool_len,
             nbuckets,
+            shared_count,
             seed,
             rows,
-            pairs,
-            entries,
+            members,
             cells,
+            via,
             pool,
             disp,
+            shared,
             start,
             end: at,
         })
@@ -262,18 +288,29 @@ impl Layout {
     /// inside `b`.
     fn read(b: &[u8], start: usize) -> Result<Layout, String> {
         let count = |i: usize| u32_at(b, start + 4 * i) as usize;
-        if u32_at(b, start + 28) != 0 {
-            return Err("reserved index header field is nonzero".into());
-        }
         let nbuckets = u32_at(b, start + 24) as usize;
         if !nbuckets.is_power_of_two() {
             return Err(format!(
                 "mph bucket count {nbuckets} is not a nonzero power of two"
             ));
         }
+        let shared_count = u32_at(b, start + 28) as usize;
+        if shared_count > count(2) {
+            return Err(format!(
+                "{shared_count} shared-set records for {} entries",
+                count(2)
+            ));
+        }
         Layout::new(
             start,
-            [count(0), count(1), count(2), count(3), nbuckets],
+            [
+                count(0),
+                count(1),
+                count(2),
+                count(3),
+                nbuckets,
+                shared_count,
+            ],
             u64_at(b, start + 16),
         )
         .ok_or_else(|| "index column offsets overflow".to_owned())
@@ -291,33 +328,31 @@ impl Layout {
         }
         put_u64(b, self.start + 16, self.seed);
         put_u32(b, self.start + 24, self.nbuckets as u32);
+        put_u32(b, self.start + 28, self.shared_count as u32);
     }
 
     /// Each column's name, first byte, data bytes, and the start of
     /// whatever follows it: the padding between is zero.
-    fn columns(&self) -> [(&'static str, usize, usize, usize); 6] {
+    fn columns(&self) -> [(&'static str, usize, usize, usize); 7] {
+        let ec = self.entry_count;
         [
             (
                 "row_starts",
                 self.rows,
                 4 * (self.class_count + 1),
-                self.pairs,
+                self.members,
             ),
-            (
-                "pairs",
-                self.pairs,
-                PAIR_LEN * self.entry_count,
-                self.entries,
-            ),
-            (
-                "entries",
-                self.entries,
-                ENTRY_LEN * self.entry_count,
-                self.cells,
-            ),
-            ("cells", self.cells, CELL_LEN * self.entry_count, self.pool),
+            ("members", self.members, 4 * ec, self.cells),
+            ("cells", self.cells, CELL_LEN * ec, self.via),
+            ("via", self.via, 4 * ec, self.pool),
             ("pool", self.pool, 4 * self.pool_len, self.disp),
-            ("disp", self.disp, 4 * self.nbuckets, self.end),
+            ("disp", self.disp, 4 * self.nbuckets, self.shared),
+            (
+                "shared",
+                self.shared,
+                SHARED_LEN * self.shared_count,
+                self.end,
+            ),
         ]
     }
 
@@ -356,13 +391,15 @@ impl Cell {
         }
     }
 
-    /// A 64-bit hash of the whole cell; validation sums it over the
-    /// directory and over the entries' verdicts.
     #[inline]
-    fn fingerprint(&self) -> u64 {
-        let verdict = u64::from(self.a) | u64::from(self.b) << 32;
-        let z = (self.key.rotate_left(17) ^ verdict).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z ^ (z >> 29)
+    fn is_blue(&self) -> bool {
+        self.b & BLUE_BIT != 0
+    }
+
+    /// A blue cell's witness range in the pool.
+    #[inline]
+    fn witnesses(&self) -> (u32, u32) {
+        (self.a, self.b & !BLUE_BIT)
     }
 
     /// Whether the verdict is in range: a blue cell's witnesses inside
@@ -370,7 +407,7 @@ impl Cell {
     /// cells of both colours interleave at random in slot order.
     #[inline]
     fn in_range(&self, class_count: u64, pool_len: u64) -> bool {
-        let blue = self.b & BLUE_BIT != 0;
+        let blue = self.is_blue();
         let blue_ok = u64::from(self.a) + u64::from(self.b & !BLUE_BIT) <= pool_len;
         let red_ok = (u64::from(self.a) < class_count) & (u64::from(self.b) <= class_count);
         (blue & blue_ok) | (!blue & red_ok)
@@ -402,130 +439,75 @@ fn dec_lv(raw: u32) -> LeastVirtual {
     }
 }
 
-/// One `(member, slot)` record of a class's rank-sorted index row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct IndexPair {
-    member: u32,
-    slot: u32,
+/// Decodes a `via` word: `0` = no via edge, otherwise class index + 1.
+#[inline]
+fn dec_via(raw: u32) -> Option<ClassId> {
+    raw.checked_sub(1).map(|c| ClassId::from_index(c as usize))
 }
 
-impl IndexPair {
-    #[inline]
-    fn decode(p: &[u8; PAIR_LEN]) -> IndexPair {
-        let [m0, m1, m2, m3, s0, s1, s2, s3] = *p;
-        IndexPair {
-            member: u32::from_le_bytes([m0, m1, m2, m3]),
-            slot: u32::from_le_bytes([s0, s1, s2, s3]),
-        }
-    }
-}
-
-/// A fixed-width, fully pre-decoded table slot: everything a query
-/// needs without interpretation. 24 bytes, so a 64-byte line holds the
-/// better part of three entries.
+/// One verdict as construction carries it, before it is split between
+/// its slot's cell, its `via` word and, for a red entry with a
+/// non-empty shared set, a shared-set record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct PackedEntry {
-    /// [`FLAG_BLUE`] | [`FLAG_VIA`].
-    flags: u32,
-    /// Red: declaring class of the winning definition. Blue: 0.
-    ldc: u32,
-    /// Red: encoded `leastVirtual` of the winner. Blue: 0.
-    lv: u32,
-    /// Red with [`FLAG_VIA`]: the via-edge class index. Otherwise 0.
+struct Verdict {
+    /// The cell's `a` word: red declaring class, or blue pool offset.
+    a: u32,
+    /// The cell's `b` word: red encoded `leastVirtual`, or blue witness
+    /// count | [`BLUE_BIT`].
+    b: u32,
+    /// The `via` word: 0, or the via-edge class + 1.
     via: u32,
-    /// Pool offset of the shared set (red) / witness set (blue).
-    set_off: u32,
-    /// Pool length of that set.
-    set_len: u32,
+    /// Pool range of a red entry's shared set; `(0, 0)` when it is
+    /// empty, and for a blue entry.
+    shared: (u32, u32),
 }
 
-impl PackedEntry {
+impl Verdict {
     /// A red entry: the winner `abs`, its via edge (`None` for a
     /// generated definition), and the pool range of its shared set.
-    fn red(abs: RedAbs, via: Option<ClassId>, (set_off, set_len): (u32, u32)) -> PackedEntry {
-        PackedEntry {
-            flags: if via.is_some() { FLAG_VIA } else { 0 },
-            ldc: abs.ldc.index() as u32,
-            lv: enc_lv(abs.lv),
-            via: via.map_or(0, |v| v.index() as u32),
-            set_off,
-            set_len,
+    fn red(abs: RedAbs, via: Option<ClassId>, shared: (u32, u32)) -> Verdict {
+        Verdict {
+            a: abs.ldc.index() as u32,
+            b: enc_lv(abs.lv),
+            via: via.map_or(0, |v| v.index() as u32 + 1),
+            shared,
         }
     }
 
     /// A blue entry over the pool range of its witness set.
-    fn blue((set_off, set_len): (u32, u32)) -> PackedEntry {
-        PackedEntry {
-            flags: FLAG_BLUE,
-            ldc: 0,
-            lv: 0,
+    fn blue((off, len): (u32, u32)) -> Verdict {
+        Verdict {
+            a: off,
+            b: len | BLUE_BIT,
             via: 0,
-            set_off,
-            set_len,
+            shared: (0, 0),
         }
     }
 
-    fn decode(e: &[u8; ENTRY_LEN]) -> PackedEntry {
-        let f = |i: usize| u32::from_le_bytes([e[4 * i], e[4 * i + 1], e[4 * i + 2], e[4 * i + 3]]);
-        PackedEntry {
-            flags: f(0),
-            ldc: f(1),
-            lv: f(2),
-            via: f(3),
-            set_off: f(4),
-            set_len: f(5),
-        }
+    fn is_blue(&self) -> bool {
+        self.b & BLUE_BIT != 0
     }
 
-    fn write(&self, b: &mut [u8], at: usize) {
-        let fields = [
-            self.flags,
-            self.ldc,
-            self.lv,
-            self.via,
-            self.set_off,
-            self.set_len,
-        ];
-        for (i, v) in fields.into_iter().enumerate() {
-            put_u32(b, at + 4 * i, v);
-        }
-    }
-
-    /// The directory cell carrying this entry's verdict under `key`.
-    fn cell(&self, key: u64) -> Cell {
-        if self.flags & FLAG_BLUE != 0 {
-            Cell {
-                key,
-                a: self.set_off,
-                b: self.set_len | BLUE_BIT,
-            }
+    /// The verdict's one pool range: a blue entry's witnesses, or a red
+    /// entry's shared set.
+    fn set(&self) -> (u32, u32) {
+        if self.is_blue() {
+            (self.a, self.b & !BLUE_BIT)
         } else {
-            Cell {
-                key,
-                a: self.ldc,
-                b: self.lv,
-            }
+            self.shared
         }
     }
 
-    /// Whether every field is in range for an index of `class_count`
-    /// classes over a pool of `pool_len` words. Branch-free: red and
-    /// blue entries interleave unpredictably, and validation runs this
-    /// on every entry of a loaded file.
-    #[inline]
-    fn in_range(&self, class_count: u64, pool_len: u64) -> bool {
-        let cc = class_count;
-        let in_pool = u64::from(self.set_off) + u64::from(self.set_len) <= pool_len;
-        let blue = (self.flags == FLAG_BLUE)
-            & (self.ldc | self.lv | self.via == 0)
-            & (self.set_len & BLUE_BIT == 0);
-        let via_ok = ((self.flags == FLAG_VIA) & (u64::from(self.via) < cc))
-            | ((self.flags == 0) & (self.via == 0));
-        let red = via_ok
-            & (u64::from(self.ldc) < cc)
-            & (u64::from(self.lv) <= cc)
-            & (self.lv & BLUE_BIT == 0);
-        in_pool & (blue | red)
+    /// This verdict over the pool range `range` in place of its own.
+    fn with_set(self, range: (u32, u32)) -> Verdict {
+        if self.is_blue() {
+            Verdict::blue(range)
+        } else {
+            Verdict {
+                shared: range,
+                ..self
+            }
+        }
     }
 }
 
@@ -654,10 +636,14 @@ impl PoolBuilder {
     }
 
     fn intern(&mut self, lvs: &[LeastVirtual]) -> (u32, u32) {
-        if lvs.is_empty() {
+        self.intern_words(lvs.iter().map(|&lv| enc_lv(lv)).collect())
+    }
+
+    /// Interns a set already in the pool's encoded form.
+    fn intern_words(&mut self, encoded: Vec<u32>) -> (u32, u32) {
+        if encoded.is_empty() {
             return (0, 0);
         }
-        let encoded: Vec<u32> = lvs.iter().map(|&lv| enc_lv(lv)).collect();
         if let Some(&range) = self.interned.get(&encoded) {
             return range;
         }
@@ -668,39 +654,128 @@ impl PoolBuilder {
         (off, len)
     }
 
-    fn pack(&mut self, entry: &Entry) -> PackedEntry {
+    fn pack(&mut self, entry: &Entry) -> Verdict {
         match entry {
-            Entry::Red { abs, via, shared } => PackedEntry::red(*abs, *via, self.intern(shared)),
-            Entry::Blue(set) => PackedEntry::blue(self.intern(set)),
+            Entry::Red { abs, via, shared } => Verdict::red(*abs, *via, self.intern(shared)),
+            Entry::Blue(set) => Verdict::blue(self.intern(set)),
         }
     }
 }
 
-/// The construction side of an index: rows, members, entries and pool
-/// are collected typed, then [`finish`](Packer::finish) places the
-/// directory and writes every column at the end of a buffer. Pair `i`
-/// names member `members[i]` and entry slot `i`.
+/// Writes an index's columns at the end of a buffer. The caller fills
+/// the rows, members, pool and displacements and places every verdict
+/// at its slot; [`finish`](ColumnWriter::finish) then writes the
+/// slot-sorted shared-set column, the last one, whose length the
+/// placed verdicts decide, and the header.
+struct ColumnWriter<'b> {
+    buf: &'b mut Vec<u8>,
+    /// The layout without the shared-set column.
+    l: Layout,
+    /// `(slot, pool offset, length)` of every non-empty shared set.
+    shared: Vec<[u32; 3]>,
+}
+
+impl<'b> ColumnWriter<'b> {
+    /// Zeroed columns for `counts` (class, member, entry, pool word and
+    /// bucket counts) at the end of `buf`, whose length must be a
+    /// multiple of [`COLUMN_ALIGN`], leaving capacity for about
+    /// `shared_hint` shared-set records and `tail` more bytes after the
+    /// columns.
+    fn new(
+        buf: &'b mut Vec<u8>,
+        tail: usize,
+        [cc, mc, ec, pool_len, nbuckets]: [usize; 5],
+        seed: u64,
+        shared_hint: usize,
+    ) -> Self {
+        debug_assert!(buf.len().is_multiple_of(COLUMN_ALIGN), "misaligned columns");
+        let l = Layout::new(buf.len(), [cc, mc, ec, pool_len, nbuckets, 0], seed)
+            .expect("dispatch index overflows its columns");
+        let room = l.end + (SHARED_LEN * shared_hint).next_multiple_of(COLUMN_ALIGN) + tail;
+        if buf.is_empty() {
+            // Zeroed by the allocator rather than written.
+            *buf = vec![0u8; room];
+            buf.truncate(l.end);
+        } else {
+            buf.reserve_exact(room - buf.len());
+            buf.resize(l.end, 0);
+        }
+        ColumnWriter {
+            buf,
+            l,
+            shared: Vec::with_capacity(shared_hint),
+        }
+    }
+
+    /// Writes `words` from byte `at` on.
+    fn put_words(&mut self, at: usize, words: impl IntoIterator<Item = u32>) {
+        for (i, w) in words.into_iter().enumerate() {
+            put_u32(self.buf, at + 4 * i, w);
+        }
+    }
+
+    /// Copies `bytes` to byte `at`.
+    fn copy(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Places the verdict `v` of `key` at `slot`.
+    fn put(&mut self, slot: usize, key: u64, v: Verdict) {
+        Cell {
+            key,
+            a: v.a,
+            b: v.b,
+        }
+        .write(self.buf, self.l.cells + CELL_LEN * slot);
+        put_u32(self.buf, self.l.via + 4 * slot, v.via);
+        if v.shared.1 != 0 {
+            self.shared.push([slot as u32, v.shared.0, v.shared.1]);
+        }
+    }
+
+    /// Writes the shared-set column and the header; returns the layout.
+    fn finish(mut self) -> Layout {
+        self.shared.sort_unstable_by_key(|r| r[0]);
+        let l = &self.l;
+        let counts = [
+            l.class_count,
+            l.member_count,
+            l.entry_count,
+            l.pool_len,
+            l.nbuckets,
+            self.shared.len(),
+        ];
+        let l = Layout::new(l.start, counts, l.seed).expect("dispatch index overflows its columns");
+        self.buf.resize(l.end, 0);
+        let words = self.shared.iter().flatten().copied();
+        for (i, w) in words.enumerate() {
+            put_u32(self.buf, l.shared + 4 * i, w);
+        }
+        l.write_header(self.buf);
+        l
+    }
+}
+
+/// The construction side of an index built row by row: rows, members,
+/// verdicts and pool are collected typed, then
+/// [`finish`](Packer::finish) places the directory and writes every
+/// column at the end of a buffer. Row member `i` is `members[i]` with
+/// verdict `verdicts[i]`.
 struct Packer {
     row_starts: Vec<u32>,
     members: Vec<u32>,
-    entries: Vec<PackedEntry>,
+    verdicts: Vec<Verdict>,
     pool: PoolBuilder,
 }
 
 impl Packer {
-    fn new(pool: PoolBuilder) -> Self {
+    fn new() -> Self {
         Packer {
             row_starts: vec![0],
             members: Vec::new(),
-            entries: Vec::new(),
-            pool,
+            verdicts: Vec::new(),
+            pool: PoolBuilder::new(),
         }
-    }
-
-    /// Appends `packed` to the current class's row.
-    fn push(&mut self, member: u32, packed: PackedEntry) {
-        self.members.push(member);
-        self.entries.push(packed);
     }
 
     /// Packs one class's row from its `(member, entry)` pairs, in any
@@ -708,13 +783,10 @@ impl Packer {
     fn push_row<E: Borrow<Entry>>(&mut self, row: &mut [(u32, E)]) {
         row.sort_unstable_by_key(|&(m, _)| m);
         for (m, e) in row.iter() {
-            let packed = self.pool.pack(e.borrow());
-            self.push(*m, packed);
+            let v = self.pool.pack(e.borrow());
+            self.members.push(*m);
+            self.verdicts.push(v);
         }
-        self.end_row();
-    }
-
-    fn end_row(&mut self) {
         let end = u32::try_from(self.members.len()).expect("dispatch index overflow");
         self.row_starts.push(end);
     }
@@ -743,31 +815,21 @@ impl Packer {
         buf: &mut Vec<u8>,
         tail: usize,
     ) -> Layout {
-        debug_assert!(buf.len().is_multiple_of(COLUMN_ALIGN), "misaligned columns");
         let Packer {
             row_starts,
             members,
-            entries,
+            verdicts,
             pool,
         } = self;
-        let keys = || {
-            row_starts.windows(2).enumerate().flat_map(|(ci, row)| {
-                members[row[0] as usize..row[1] as usize]
-                    .iter()
-                    .map(move |&m| ci as u64 | u64::from(m) << 32)
-            })
-        };
+        let keys = || row_keys(&row_starts, &members);
         let covers = |f: &MphFunction| {
             let mut seen = vec![false; members.len()];
             f.n() as usize == members.len()
                 && keys().all(|k| !std::mem::replace(&mut seen[f.position(k)], true))
         };
-        let mph = mph.filter(covers).unwrap_or_else(|| {
-            let start = Instant::now();
-            let f = MphFunction::build(&keys().collect::<Vec<u64>>());
-            crate::obs::directory_built(elapsed_ns(start));
-            f
-        });
+        let mph = mph
+            .filter(covers)
+            .unwrap_or_else(|| build_directory(&keys().collect::<Vec<u64>>()));
         let counts = [
             row_starts.len() - 1,
             member_count,
@@ -775,38 +837,39 @@ impl Packer {
             pool.pool.len(),
             mph.disp().len(),
         ];
-        let l = Layout::new(buf.len(), counts, mph.seed())
-            .expect("dispatch index overflows its columns");
-        if buf.is_empty() && tail == 0 {
-            // Zeroed by the allocator rather than written.
-            *buf = vec![0u8; l.end];
-        } else {
-            buf.reserve_exact(l.end + tail - buf.len());
-            buf.resize(l.end, 0);
+        let shared = verdicts.iter().filter(|v| v.shared.1 != 0).count();
+        let mut w = ColumnWriter::new(buf, tail, counts, mph.seed(), shared);
+        let l = w.l;
+        w.put_words(l.rows, row_starts.iter().copied());
+        w.put_words(l.members, members.iter().copied());
+        w.put_words(l.pool, pool.pool.iter().copied());
+        w.put_words(l.disp, mph.disp().iter().copied());
+        for (key, &v) in keys().zip(&verdicts) {
+            w.put(mph.position(key), key, v);
         }
-        let b = buf.as_mut_slice();
-        l.write_header(b);
-        for (i, &start) in row_starts.iter().enumerate() {
-            put_u32(b, l.rows + 4 * i, start);
-        }
-        for (i, &m) in members.iter().enumerate() {
-            put_u32(b, l.pairs + PAIR_LEN * i, m);
-            put_u32(b, l.pairs + PAIR_LEN * i + 4, i as u32);
-        }
-        for (i, e) in entries.iter().enumerate() {
-            e.write(b, l.entries + ENTRY_LEN * i);
-        }
-        for (i, &w) in pool.pool.iter().enumerate() {
-            put_u32(b, l.pool + 4 * i, w);
-        }
-        for (i, &d) in mph.disp().iter().enumerate() {
-            put_u32(b, l.disp + 4 * i, d);
-        }
-        for (key, e) in keys().zip(&entries) {
-            e.cell(key).write(b, l.cells + CELL_LEN * mph.position(key));
-        }
-        l
+        w.finish()
     }
+}
+
+/// The probe keys of rows `row_starts` over `members`, class-major and
+/// ascending by member within a class.
+fn row_keys<'a>(row_starts: &'a [u32], members: &'a [u32]) -> impl Iterator<Item = u64> + 'a {
+    row_starts
+        .windows(2)
+        .enumerate()
+        .flat_map(move |(ci, row)| {
+            members[row[0] as usize..row[1] as usize]
+                .iter()
+                .map(move |&m| ci as u64 | u64::from(m) << 32)
+        })
+}
+
+/// Builds the minimal perfect hash over `keys` and counts the build.
+fn build_directory(keys: &[u64]) -> MphFunction {
+    let start = Instant::now();
+    let f = MphFunction::build(keys);
+    crate::obs::directory_built(elapsed_ns(start));
+    f
 }
 
 /// Compiles the index of `chg` under `options` at the end of `buf` in
@@ -816,7 +879,7 @@ fn compile_columns(chg: &Chg, options: LookupOptions, buf: &mut Vec<u8>, tail: u
     // The rows are laid out class-major before the sweep, so each
     // verdict goes straight to its slot; members are swept in ascending
     // id, so every row fills in sorted order.
-    let mut packer = Packer::new(PoolBuilder::new());
+    let mut packer = Packer::new();
     let mut next: Vec<usize> = Vec::with_capacity(chg.class_count());
     let mut live = 0usize;
     for len in sweep.row_lens() {
@@ -827,15 +890,16 @@ fn compile_columns(chg: &Chg, options: LookupOptions, buf: &mut Vec<u8>, tail: u
             .push(u32::try_from(live).expect("dispatch index overflow"));
     }
     packer.members = vec![0; live];
-    // `set_off` holds the sweep's set handle until the pool is interned.
-    packer.entries = vec![PackedEntry::blue((0, 0)); live];
+    // A verdict's set offset holds the sweep's set handle until the
+    // pool is interned.
+    packer.verdicts = vec![Verdict::blue((0, 0)); live];
     let mut member_count = 0;
     let sets = sweep.run(|_, c, m, swept| {
         let slot = &mut next[c.index()];
         packer.members[*slot] = m.index() as u32;
-        packer.entries[*slot] = match swept {
-            Swept::Red { abs, via, shared } => PackedEntry::red(abs, via, (shared, 0)),
-            Swept::Blue { set } => PackedEntry::blue((set, 0)),
+        packer.verdicts[*slot] = match swept {
+            Swept::Red { abs, via, shared } => Verdict::red(abs, via, (shared, 0)),
+            Swept::Blue { set } => Verdict::blue((set, 0)),
         };
         *slot += 1;
         member_count = m.index() + 1;
@@ -845,10 +909,11 @@ fn compile_columns(chg: &Chg, options: LookupOptions, buf: &mut Vec<u8>, tail: u
     // table's rows intern their sets in, and the sweep's handles are
     // content-unique, so the pool comes out word for word the same.
     let mut ranges: Vec<Option<(u32, u32)>> = vec![None; sets.set_count()];
-    for e in &mut packer.entries {
-        let range = *ranges[e.set_off as usize]
-            .get_or_insert_with(|| packer.pool.intern(sets.set(e.set_off)));
-        (e.set_off, e.set_len) = range;
+    for v in &mut packer.verdicts {
+        let handle = v.set().0;
+        let range =
+            *ranges[handle as usize].get_or_insert_with(|| packer.pool.intern(sets.set(handle)));
+        *v = v.with_set(range);
     }
     drop((sets, ranges));
     let l = packer.finish(member_count, None, buf, tail);
@@ -887,6 +952,11 @@ pub struct DispatchIndex {
     layout: Layout,
 }
 
+/// One recomputed pair of an edit, as [`DispatchIndex::refreshed`]
+/// applies it: its key, its slot in the old index when that has the
+/// key, and its new verdict (`None`: the pair left the table).
+type Patch = (u64, Option<usize>, Option<Verdict>);
+
 impl DispatchIndex {
     /// Builds the index from any backend — the canonical construction
     /// entry point. [`LookupTable`]s are packed (by value or through a
@@ -912,7 +982,7 @@ impl DispatchIndex {
     }
 
     /// Serves the columns at `bytes[start..start + len]` in place — the
-    /// load path of a version-3 snapshot, whose index section holds
+    /// load path of a version-4 snapshot, whose index section holds
     /// exactly the bytes [`columns`](Self::columns) returns. One O(n)
     /// pass checks every structural invariant the accessors rely on,
     /// so no accessor of the result can panic or read out of bounds.
@@ -923,13 +993,13 @@ impl DispatchIndex {
     /// A description of the first violated invariant: a misaligned
     /// start, a header that does not describe `len` bytes, nonzero
     /// padding, non-monotone `row_starts`, an unsorted row, a member out
-    /// of range, a pair whose slot is not its own position, an entry
-    /// field or `leastVirtual` encoding (in an entry, a cell or the
-    /// pool) out of range, a set range past the pool's end, a
-    /// directory cell away from its minimal-perfect-hash slot, or
-    /// cells that disagree with the entries. Pool words no entry
-    /// references are allowed: a refreshed index only appends to its
-    /// pool.
+    /// of range, a `leastVirtual` encoding (in a cell or the pool) out
+    /// of range, a witness or shared set past the pool's end, a
+    /// directory cell away from its minimal-perfect-hash slot, rows and
+    /// cells that hold different keys, a via edge out of range or on a
+    /// blue cell, or a shared-set record out of slot order, empty, or
+    /// on a blue cell. Pool words no cell or shared set references are
+    /// allowed: a refreshed index only appends to its pool.
     pub fn from_columns(bytes: Arc<Vec<u8>>, start: usize, len: usize) -> Result<Self, String> {
         if !start.is_multiple_of(COLUMN_ALIGN) {
             return Err(format!(
@@ -958,9 +1028,11 @@ impl DispatchIndex {
     }
 
     /// The structural checks behind [`from_columns`](Self::from_columns).
+    /// Every pass is sequential: the rows in row order, then the cells,
+    /// the via words and the shared-set records in slot order.
     fn validate(&self) -> Result<(), String> {
         let (b, l) = (self.buf(), &self.layout);
-        let (cc, ec) = (l.class_count, l.entry_count);
+        let (cc, ec, pool_len) = (l.class_count, l.entry_count, l.pool_len as u64);
         for (name, at, data, next) in l.columns() {
             if b[at + data..next].iter().any(|&x| x != 0) {
                 return Err(format!("nonzero padding after the {name} column"));
@@ -990,56 +1062,35 @@ impl DispatchIndex {
                 u32::from_le_bytes(pool[i])
             ));
         }
-        // Pairs in row order, each pointing at the entry in its own
-        // position (the layout every writer produces), so one pass
-        // checks every pair and every entry, and sums the keys with
-        // their entries' verdicts into a multiset hash.
-        let (pairs, entries) = (self.pair_records(), self.entry_records());
-        let mut from_pairs = 0u64;
+        // Rows in row order: sorted and in range, so their `ec` keys
+        // are distinct; their fingerprints sum into a multiset hash.
+        let members = self.member_records();
+        let mut from_rows = 0u64;
         for ci in 0..cc {
             let mut prev_member = None;
-            let row = self.row(ci);
-            for (i, (p, e)) in row
-                .clone()
-                .zip(pairs[row.clone()].iter().zip(&entries[row]))
-            {
-                let p = IndexPair::decode(p);
-                if p.member as usize >= l.member_count {
+            for (i, m) in self.row(ci).map(|i| (i, u32::from_le_bytes(members[i]))) {
+                if m as usize >= l.member_count {
                     return Err(format!(
-                        "pair {i} of class {ci} names member {}, out of range ({} members)",
-                        p.member, l.member_count
+                        "row member {i} of class {ci} is {m}, out of range ({} members)",
+                        l.member_count
                     ));
                 }
-                if prev_member.is_some_and(|q| q >= p.member) {
+                if prev_member.is_some_and(|q| q >= m) {
                     return Err(format!("row of class {ci} is not sorted by member id"));
                 }
-                prev_member = Some(p.member);
-                if p.slot as usize != i {
-                    return Err(format!(
-                        "pair {i} of class {ci} has slot {}, not its own position ({ec} entries)",
-                        p.slot
-                    ));
-                }
-                let e = PackedEntry::decode(e);
-                if !e.in_range(cc as u64, l.pool_len as u64) {
-                    return Err(format!(
-                        "entry {i} has a field out of range for {cc} classes and {} pool \
-                         words: {e:?}",
-                        l.pool_len
-                    ));
-                }
-                let key = ci as u64 | u64::from(p.member) << 32;
-                from_pairs = from_pairs.wrapping_add(e.cell(key).fingerprint());
+                prev_member = Some(m);
+                from_rows = from_rows.wrapping_add(key_fingerprint(ci as u64 | u64::from(m) << 32));
             }
         }
         // Cells in slot order, so the directory is read sequentially:
         // each sits at its own key's slot, which also makes the `ec`
-        // cell keys distinct, and carries an in-range verdict. Distinct
-        // pair keys and distinct cell keys, equally many, with equal
-        // multiset hashes: the cells hold exactly the pairs' verdicts.
-        let disp = self.disp();
+        // cell keys distinct, and carries an in-range verdict, and its
+        // via word is in range and absent on a blue cell. Distinct row
+        // keys and distinct cell keys, equally many, with equal
+        // multiset hashes: the cells hold exactly the rows' keys.
+        let (disp, via) = (self.disp(), self.via_records());
         let mut from_cells = 0u64;
-        for (at, cell) in self.cell_records().iter().enumerate() {
+        for (at, (cell, via)) in self.cell_records().iter().zip(via).enumerate() {
             let cell = Cell::decode(cell);
             let (class, member) = (cell.key as u32 as usize, (cell.key >> 32) as usize);
             if class >= cc || member >= l.member_count {
@@ -1054,22 +1105,53 @@ impl DispatchIndex {
                      not at its mph slot {slot}"
                 ));
             }
-            if !cell.in_range(cc as u64, l.pool_len as u64) {
+            if !cell.in_range(cc as u64, pool_len) {
                 return Err(format!(
-                    "the cell at slot {at} has a verdict out of range for {cc} classes and {} \
-                     pool words: {cell:?}",
-                    l.pool_len
+                    "the cell at slot {at} has a verdict out of range for {cc} classes and \
+                     {pool_len} pool words: {cell:?}"
                 ));
             }
-            from_cells = from_cells.wrapping_add(cell.fingerprint());
+            let via = u32::from_le_bytes(*via);
+            if via as usize > cc || (via != 0 && cell.is_blue()) {
+                return Err(format!(
+                    "the via word {via} at slot {at} is out of range for {cc} classes \
+                     or on a blue cell"
+                ));
+            }
+            from_cells = from_cells.wrapping_add(key_fingerprint(cell.key));
         }
-        if from_pairs != from_cells {
-            return Err("the directory cells disagree with the entries their pairs name".into());
+        if from_rows != from_cells {
+            return Err("the directory cells disagree with the rows' keys".into());
+        }
+        // Shared-set records in slot order: strictly ascending, each on
+        // a red cell, over a non-empty range inside the pool.
+        let cells = self.cell_records();
+        let mut next_slot = 0usize;
+        for (i, rec) in self.shared_records().iter().enumerate() {
+            let [slot, off, len] = shared_record(rec);
+            let slot = slot as usize;
+            if slot < next_slot || slot >= ec {
+                return Err(format!(
+                    "shared-set record {i} names slot {slot}, out of slot order ({ec} entries)"
+                ));
+            }
+            next_slot = slot + 1;
+            if Cell::decode(&cells[slot]).is_blue() {
+                return Err(format!(
+                    "shared-set record {i} names the blue cell at slot {slot}"
+                ));
+            }
+            if len == 0 || u64::from(off) + u64::from(len) > pool_len {
+                return Err(format!(
+                    "shared-set record {i} spans pool words {off}+{len}, empty or past the \
+                     {pool_len}-word pool"
+                ));
+            }
         }
         Ok(())
     }
 
-    /// The index's columns, header first: the bytes a version-3
+    /// The index's columns, header first: the bytes a version-4
     /// snapshot stores as its index section, and what
     /// [`from_columns`](Self::from_columns) serves in place.
     pub fn columns(&self) -> &[u8] {
@@ -1081,11 +1163,11 @@ impl DispatchIndex {
     /// the stream may arrive in any order.
     ///
     /// With `mph`, cells are placed under a minimal perfect hash that
-    /// already exists — how a version-2 snapshot, which ships its hash,
-    /// loads without the displacement search. A hash that does not
-    /// cover the stream's packed keys is discarded and rebuilt. Without
-    /// one (a fresh stream, or a version-1 snapshot) the hash is built
-    /// here.
+    /// already exists — how a version-2 or -3 snapshot, which ships its
+    /// hash, loads without the displacement search. A hash that does
+    /// not cover the stream's packed keys is discarded and rebuilt.
+    /// Without one (a fresh stream, or a version-1 snapshot) the hash
+    /// is built here.
     pub fn from_entries(
         class_count: usize,
         entries: impl IntoIterator<Item = (ClassId, MemberId, Entry)>,
@@ -1169,7 +1251,7 @@ impl DispatchIndex {
         rows: impl IntoIterator<Item = impl IntoIterator<Item = (u32, E)>>,
         mph: Option<MphFunction>,
     ) -> Self {
-        let mut packer = Packer::new(PoolBuilder::new());
+        let mut packer = Packer::new();
         let mut member_count = 0usize;
         for row in rows {
             let mut row: Vec<(u32, E)> = row.into_iter().collect();
@@ -1184,104 +1266,245 @@ impl DispatchIndex {
 
     /// The index of `chg` after an edit, from this one and the edit's
     /// recomputed pairs `fresh`: each replaces or adds its entry (drops
-    /// it when `None`), and every other entry and its pool range is
-    /// copied verbatim. The pool only grows, so copied ranges stay
-    /// valid. The probe directory keeps this index's hash when the edit
-    /// left the key set as it was and is rebuilt whole otherwise.
+    /// it when `None`), and every other verdict and its pool range is
+    /// kept. The pool only grows, so kept ranges stay valid.
+    ///
+    /// When the edit leaves the key set as it was, the columns are
+    /// copied under the same hash and the recomputed slots patched.
+    /// Otherwise the rows take the added and dropped keys, the hash is
+    /// rebuilt over them, and one scan of the old cells in slot order
+    /// moves every kept verdict to its new slot: the cells carry their
+    /// keys, so no old key is looked up.
     pub fn refreshed(&self, chg: &Chg, fresh: &[Recomputed]) -> Self {
         let start = Instant::now();
-        let mut updates: Vec<(usize, u32, Option<&Entry>)> = fresh
+        let mut pool = PoolBuilder::resume(self.pool_words().collect());
+        let patches: Vec<Patch> = fresh
             .iter()
-            .map(|((c, m), e)| (c.index(), m.index() as u32, e.as_ref()))
+            .map(|&((c, m), ref e)| {
+                let key = pair_key(c, m);
+                let v = e.as_ref().map(|e| pool.pack(e));
+                (key, self.slot_of_key(key), v)
+            })
             .collect();
-        updates.sort_unstable_by_key(|&(c, m, _)| (c, m));
-        let mut updates = updates.as_slice();
-        let pool: &[[u8; 4]] = self.records(self.layout.pool, self.layout.pool_len);
-        let pool = pool.iter().map(|w| u32::from_le_bytes(*w)).collect();
-        let mut packer = Packer::new(PoolBuilder::resume(pool));
-        packer.members.reserve(self.entry_count());
-        packer.entries.reserve(self.entry_count());
-        for ci in 0..chg.class_count() {
-            let old = if ci < self.layout.class_count {
-                self.row(ci)
-            } else {
-                0..0
-            };
-            let split = updates.iter().take_while(|u| u.0 == ci).count();
-            let (row, rest) = updates.split_at(split);
-            updates = rest;
-            // Both runs are sorted by member: merge them, the
-            // recomputed entry winning over the old one.
-            let (mut i, mut j) = (old.start, 0);
-            loop {
-                let kept = (i < old.end).then(|| self.pair(i));
-                match row.get(j) {
-                    Some(&(_, m, e)) if kept.is_none_or(|p| m <= p.member) => {
-                        i += usize::from(kept.is_some_and(|p| p.member == m));
-                        j += 1;
-                        if let Some(e) = e {
-                            let packed = packer.pool.pack(e);
-                            packer.push(m, packed);
-                        }
-                    }
-                    _ => match kept {
-                        Some(p) => {
-                            packer.push(p.member, self.packed_at(p.slot as usize));
-                            i += 1;
-                        }
-                        None => break,
-                    },
-                }
-            }
-            packer.end_row();
+        let same_keys = patches.iter().all(|(_, at, v)| at.is_some() == v.is_some());
+        let counts = (chg.class_count(), chg.member_name_count());
+        let mut bytes = Vec::new();
+        let layout = if same_keys {
+            self.patch_into(&mut bytes, counts, &pool.pool, &patches)
+        } else {
+            self.rebuild_into(&mut bytes, counts, &pool.pool, &patches)
+        };
+        DispatchIndex {
+            bytes: Arc::new(bytes),
+            layout,
         }
-        packer
-            .into_index(chg.member_name_count(), self.mph())
-            .recorded("refresh", start)
+        .recorded("refresh", start)
     }
 
-    /// This index with no pool word that no entry references: a clone
-    /// when there is none (every index built in one pass), otherwise
-    /// the same rows, entries and directory under the same hash with
-    /// the pool interned afresh. [`refreshed`](Self::refreshed) only
-    /// appends to the pool, so after edits it holds every superseded
-    /// set; this is what a writer uses so that a file does not.
+    /// [`refreshed`](Self::refreshed) when the key set is unchanged:
+    /// every column is copied, new classes get empty rows, and each
+    /// patch rewrites its slot's cell, via word and shared set.
+    fn patch_into(
+        &self,
+        buf: &mut Vec<u8>,
+        (class_count, member_count): (usize, usize),
+        pool: &[u32],
+        patches: &[Patch],
+    ) -> Layout {
+        let old = &self.layout;
+        debug_assert!(class_count >= old.class_count, "edits only add classes");
+        let counts = [
+            class_count,
+            member_count,
+            old.entry_count,
+            pool.len(),
+            old.nbuckets,
+        ];
+        let hint = old.shared_count + patches.len();
+        let mut w = ColumnWriter::new(buf, 0, counts, old.seed, hint);
+        let l = w.l;
+        let ec = old.entry_count as u32;
+        w.copy(
+            l.rows,
+            self.column_bytes(old.rows, 4 * (old.class_count + 1)),
+        );
+        let new_rows = class_count - old.class_count;
+        w.put_words(
+            l.rows + 4 * (old.class_count + 1),
+            (0..new_rows).map(|_| ec),
+        );
+        w.copy(
+            l.members,
+            self.column_bytes(old.members, 4 * old.entry_count),
+        );
+        w.copy(
+            l.cells,
+            self.column_bytes(old.cells, CELL_LEN * old.entry_count),
+        );
+        w.copy(l.via, self.column_bytes(old.via, 4 * old.entry_count));
+        w.put_words(l.pool, pool.iter().copied());
+        w.copy(l.disp, self.column_bytes(old.disp, 4 * old.nbuckets));
+        let mut patched: Vec<usize> = patches.iter().filter_map(|p| p.1).collect();
+        patched.sort_unstable();
+        for rec in self.shared_records() {
+            let rec = shared_record(rec);
+            if patched.binary_search(&(rec[0] as usize)).is_err() {
+                w.shared.push(rec);
+            }
+        }
+        for &(key, at, v) in patches {
+            if let (Some(at), Some(v)) = (at, v) {
+                w.put(at, key, v);
+            }
+        }
+        w.finish()
+    }
+
+    /// [`refreshed`](Self::refreshed) when keys were added or dropped:
+    /// the rows are merged with the changes, the hash is rebuilt over
+    /// the new rows, the old cells are scanned in slot order (their
+    /// shared-set records walked alongside) and each kept verdict is
+    /// placed under the new hash, then each patch's.
+    fn rebuild_into(
+        &self,
+        buf: &mut Vec<u8>,
+        (class_count, member_count): (usize, usize),
+        pool: &[u32],
+        patches: &[Patch],
+    ) -> Layout {
+        let old = &self.layout;
+        // `(class, member, added)` for every key the edit adds or drops.
+        let mut changes: Vec<(usize, u32, bool)> = patches
+            .iter()
+            .filter(|(_, at, v)| at.is_some() != v.is_some())
+            .map(|&(key, _, v)| (key as u32 as usize, (key >> 32) as u32, v.is_some()))
+            .collect();
+        changes.sort_unstable();
+        let mut changes = changes.as_slice();
+        let mut row_starts = Vec::with_capacity(class_count + 1);
+        row_starts.push(0u32);
+        let mut members: Vec<u32> = Vec::with_capacity(old.entry_count + patches.len());
+        let old_members = self.member_records();
+        for ci in 0..class_count {
+            let kept = if ci < old.class_count {
+                &old_members[self.row(ci)]
+            } else {
+                &[]
+            };
+            let split = changes.iter().take_while(|u| u.0 == ci).count();
+            let (row, rest) = changes.split_at(split);
+            changes = rest;
+            // Both runs are sorted by member: an added member goes in
+            // its place, a dropped one is skipped.
+            let mut row = row.iter().peekable();
+            for m in kept.iter().map(|w| u32::from_le_bytes(*w)) {
+                while let Some(&(_, added, _)) = row.next_if(|u| u.1 < m) {
+                    members.push(added);
+                }
+                if row.next_if(|u| u.1 == m).is_none() {
+                    members.push(m);
+                }
+            }
+            members.extend(row.map(|u| u.1));
+            row_starts.push(u32::try_from(members.len()).expect("dispatch index overflow"));
+        }
+        let mph = build_directory(&row_keys(&row_starts, &members).collect::<Vec<u64>>());
+        let counts = [
+            class_count,
+            member_count,
+            members.len(),
+            pool.len(),
+            mph.disp().len(),
+        ];
+        let hint = old.shared_count + patches.len();
+        let mut w = ColumnWriter::new(buf, 0, counts, mph.seed(), hint);
+        let l = w.l;
+        w.put_words(l.rows, row_starts);
+        w.put_words(l.members, members);
+        w.put_words(l.pool, pool.iter().copied());
+        w.put_words(l.disp, mph.disp().iter().copied());
+        let mut dirty: Vec<usize> = patches.iter().filter_map(|p| p.1).collect();
+        dirty.sort_unstable();
+        let mut dirty = dirty.into_iter().peekable();
+        for (at, key, v) in self.slot_verdicts() {
+            if dirty.next_if_eq(&at).is_none() {
+                w.put(mph.position(key), key, v);
+            }
+        }
+        for &(key, _, v) in patches {
+            if let Some(v) = v {
+                w.put(mph.position(key), key, v);
+            }
+        }
+        w.finish()
+    }
+
+    /// This index with no pool word that no cell or shared set
+    /// references: a clone when there is none (every index built in
+    /// one pass), otherwise the same rows, verdicts and directory under
+    /// the same hash with the pool interned afresh, in slot order.
+    /// [`refreshed`](Self::refreshed) only appends to the pool, so
+    /// after edits it holds every superseded set; this is what a writer
+    /// uses so that a file does not.
     pub fn compacted(&self) -> Self {
         let l = &self.layout;
         let mut referenced = vec![false; l.pool_len];
-        for e in self.entry_records() {
-            let e = PackedEntry::decode(e);
-            referenced[e.set_off as usize..(e.set_off + e.set_len) as usize].fill(true);
+        for (_, _, v) in self.slot_verdicts() {
+            let (off, len) = v.set();
+            referenced[off as usize..(off + len) as usize].fill(true);
         }
         if !referenced.contains(&false) {
             return self.clone();
         }
-        let mut packer = Packer::new(PoolBuilder::new());
-        for ci in 0..l.class_count {
-            for i in self.row(ci) {
-                let p = self.pair(i);
-                let e = self.packed_at(p.slot as usize);
-                let set = self.pool_set(e.set_off, e.set_len).to_vec();
-                let (set_off, set_len) = packer.pool.intern(&set);
-                packer.push(
-                    p.member,
-                    PackedEntry {
-                        set_off,
-                        set_len,
-                        ..e
-                    },
-                );
-            }
-            packer.end_row();
+        let mut pool = PoolBuilder::new();
+        let mut moved: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
+        for (_, _, v) in self.slot_verdicts() {
+            let (off, len) = v.set();
+            moved.entry((off, len)).or_insert_with(|| {
+                let words = self.pool_words().skip(off as usize).take(len as usize);
+                pool.intern_words(words.collect())
+            });
         }
-        packer.into_index(l.member_count, self.mph())
+        let mut bytes = Vec::new();
+        let counts = [
+            l.class_count,
+            l.member_count,
+            l.entry_count,
+            pool.pool.len(),
+            l.nbuckets,
+        ];
+        let mut w = ColumnWriter::new(&mut bytes, 0, counts, l.seed, l.shared_count);
+        let nl = w.l;
+        w.copy(nl.rows, self.column_bytes(l.rows, 4 * (l.class_count + 1)));
+        w.copy(nl.members, self.column_bytes(l.members, 4 * l.entry_count));
+        w.put_words(nl.pool, pool.pool.iter().copied());
+        w.copy(nl.disp, self.column_bytes(l.disp, 4 * l.nbuckets));
+        for (at, key, v) in self.slot_verdicts() {
+            w.put(at, key, v.with_set(moved[&v.set()]));
+        }
+        let layout = w.finish();
+        DispatchIndex {
+            bytes: Arc::new(bytes),
+            layout,
+        }
     }
 
-    /// The hash this index's cells sit under, rebuilt from its seed and
-    /// displacement columns.
-    fn mph(&self) -> Option<MphFunction> {
-        let disp = self.disp().iter().map(|d| u32::from_le_bytes(*d)).collect();
-        MphFunction::from_parts(self.layout.seed, self.layout.entry_count as u32, disp)
+    /// Every `(slot, key, verdict)` in slot order: the cells with their
+    /// `via` words, and the shared-set records walked alongside.
+    fn slot_verdicts(&self) -> impl Iterator<Item = (usize, u64, Verdict)> + '_ {
+        let mut shared = self.shared_records().iter().map(shared_record).peekable();
+        let cells = self.cell_records().iter().zip(self.via_records());
+        cells.enumerate().map(move |(at, (cell, via))| {
+            let cell = Cell::decode(cell);
+            let set = shared.next_if(|r| r[0] as usize == at);
+            let v = Verdict {
+                a: cell.a,
+                b: cell.b,
+                via: u32::from_le_bytes(*via),
+                shared: set.map_or((0, 0), |[_, off, len]| (off, len)),
+            };
+            (at, cell.key, v)
+        })
     }
 
     /// Counts this index in the build metrics, as built by `source`
@@ -1303,19 +1526,19 @@ impl DispatchIndex {
         self.buf()[at..at + N * n].as_chunks().0
     }
 
+    /// The `len` bytes of a column starting at `at`.
+    fn column_bytes(&self, at: usize, len: usize) -> &[u8] {
+        &self.buf()[at..at + len]
+    }
+
     #[inline]
     fn row_starts(&self) -> &[[u8; 4]] {
         self.records(self.layout.rows, self.layout.class_count + 1)
     }
 
     #[inline]
-    fn pair_records(&self) -> &[[u8; PAIR_LEN]] {
-        self.records(self.layout.pairs, self.layout.entry_count)
-    }
-
-    #[inline]
-    fn entry_records(&self) -> &[[u8; ENTRY_LEN]] {
-        self.records(self.layout.entries, self.layout.entry_count)
+    fn member_records(&self) -> &[[u8; 4]] {
+        self.records(self.layout.members, self.layout.entry_count)
     }
 
     #[inline]
@@ -1324,24 +1547,31 @@ impl DispatchIndex {
     }
 
     #[inline]
+    fn via_records(&self) -> &[[u8; 4]] {
+        self.records(self.layout.via, self.layout.entry_count)
+    }
+
+    #[inline]
+    fn shared_records(&self) -> &[[u8; SHARED_LEN]] {
+        self.records(self.layout.shared, self.layout.shared_count)
+    }
+
+    #[inline]
     fn disp(&self) -> &[[u8; 4]] {
         self.records(self.layout.disp, self.layout.nbuckets)
     }
 
-    /// The pair indexes of class `ci`'s row (`ci` in range).
+    /// The pool's words, decoded.
+    fn pool_words(&self) -> impl Iterator<Item = u32> + '_ {
+        let pool: &[[u8; 4]] = self.records(self.layout.pool, self.layout.pool_len);
+        pool.iter().map(|w| u32::from_le_bytes(*w))
+    }
+
+    /// The row indexes of class `ci`'s members (`ci` in range).
     #[inline]
     fn row(&self, ci: usize) -> Range<usize> {
         let rows = self.row_starts();
         u32::from_le_bytes(rows[ci]) as usize..u32::from_le_bytes(rows[ci + 1]) as usize
-    }
-
-    #[inline]
-    fn pair(&self, i: usize) -> IndexPair {
-        IndexPair::decode(&self.pair_records()[i])
-    }
-
-    fn packed_at(&self, slot: usize) -> PackedEntry {
-        PackedEntry::decode(&self.entry_records()[slot])
     }
 
     /// The directory slot of `key` under displacements `disp`: one
@@ -1352,6 +1582,15 @@ impl DispatchIndex {
         let h = mph::mix(key, self.layout.seed);
         let d = u32::from_le_bytes(disp[h as usize & (disp.len() - 1)]);
         mph::slot(h, d, self.layout.entry_count as u32)
+    }
+
+    /// The slot whose cell holds `key`, if the index has it.
+    fn slot_of_key(&self, key: u64) -> Option<usize> {
+        if (key as u32 as usize) >= self.layout.class_count || self.layout.entry_count == 0 {
+            return None;
+        }
+        let at = self.slot_of(self.disp(), key);
+        (Cell::decode(&self.cell_records()[at]).key == key).then_some(at)
     }
 
     /// The pool words of the set at `off`, `len` words long.
@@ -1366,7 +1605,7 @@ impl DispatchIndex {
     #[inline]
     fn key(&self, c: ClassId, m: MemberId) -> u64 {
         if c.index() < self.layout.class_count && m.index() <= u32::MAX as usize {
-            c.index() as u64 | (m.index() as u64) << 32
+            pair_key(c, m)
         } else {
             Cell::VACANT
         }
@@ -1376,9 +1615,10 @@ impl DispatchIndex {
     /// and batch probe paths.
     #[inline]
     fn decode(&self, cell: &Cell) -> OutcomeRef<'_> {
-        if cell.b & BLUE_BIT != 0 {
+        if cell.is_blue() {
+            let (off, len) = cell.witnesses();
             OutcomeRef::Ambiguous {
-                witnesses: self.pool_set(cell.a, cell.b & !BLUE_BIT),
+                witnesses: self.pool_set(off, len),
             }
         } else {
             OutcomeRef::Resolved {
@@ -1386,29 +1626,6 @@ impl DispatchIndex {
                 least_virtual: dec_lv(cell.b),
             }
         }
-    }
-
-    /// The packed entry behind `(c, m)`, if any — the cold, fully
-    /// detailed form behind [`entry`](Self::entry), found by binary
-    /// search of the class's rank-sorted row; point queries go through
-    /// the directory instead.
-    fn packed(&self, c: ClassId, m: MemberId) -> Option<PackedEntry> {
-        let ci = c.index();
-        if ci >= self.layout.class_count {
-            return None;
-        }
-        let target = u32::try_from(m.index()).ok()?;
-        let (mut lo, mut hi) = (self.row(ci).start, self.row(ci).end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let p = self.pair(mid);
-            match p.member.cmp(&target) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(self.packed_at(p.slot as usize)),
-            }
-        }
-        None
     }
 
     /// `lookup(c, m)` without a single allocation: ambiguity witnesses
@@ -1500,43 +1717,57 @@ impl DispatchIndex {
         refs.iter().map(|r| r.to_outcome()).collect()
     }
 
-    /// The full [`Entry`] a packed slot encodes.
-    fn unpack(&self, e: PackedEntry) -> Entry {
-        let set = self.pool_set(e.set_off, e.set_len);
-        if e.flags & FLAG_BLUE != 0 {
-            Entry::Blue(set.to_vec())
+    /// The shared set of the red cell at `at`: its record, found by
+    /// binary search of the slot-sorted shared column, or empty.
+    fn shared_at(&self, at: usize) -> LvSlice<'_> {
+        let records = self.shared_records();
+        match records.binary_search_by_key(&(at as u32), |r| shared_record(r)[0]) {
+            Ok(i) => {
+                let [_, off, len] = shared_record(&records[i]);
+                self.pool_set(off, len)
+            }
+            Err(_) => LvSlice(&[]),
+        }
+    }
+
+    /// The full [`Entry`] whose verdict sits at slot `at`.
+    fn entry_at(&self, at: usize) -> Entry {
+        let cell = Cell::decode(&self.cell_records()[at]);
+        if cell.is_blue() {
+            let (off, len) = cell.witnesses();
+            Entry::Blue(self.pool_set(off, len).to_vec())
         } else {
             Entry::Red {
                 abs: RedAbs {
-                    ldc: ClassId::from_index(e.ldc as usize),
-                    lv: dec_lv(e.lv),
+                    ldc: ClassId::from_index(cell.a as usize),
+                    lv: dec_lv(cell.b),
                 },
-                via: (e.flags & FLAG_VIA != 0).then(|| ClassId::from_index(e.via as usize)),
-                shared: set.to_vec(),
+                via: dec_via(u32::from_le_bytes(self.via_records()[at])),
+                shared: self.shared_at(at).to_vec(),
             }
         }
     }
 
     /// Reconstructs the full [`Entry`] for `(c, m)` — the slow,
-    /// allocating form used by differential tests and
-    /// [`MemberLookup::entry`].
+    /// allocating form used by differential tests, path recovery and
+    /// [`MemberLookup::entry`]. The pair's slot is found by hashing, as
+    /// a probe finds it.
     pub fn entry(&self, c: ClassId, m: MemberId) -> Option<Entry> {
-        self.packed(c, m).map(|e| self.unpack(e))
+        let key = self.key(c, m);
+        if key == Cell::VACANT {
+            return None;
+        }
+        self.slot_of_key(key).map(|at| self.entry_at(at))
     }
 
     /// Every `(class, member, entry)` triple, class by class and by
     /// ascending member id within a class — the bulk export that seeds
-    /// a [`LookupTable`].
+    /// a [`LookupTable`]. Each row member's slot is found by hashing.
     pub fn entries(&self) -> impl Iterator<Item = (ClassId, MemberId, Entry)> + '_ {
         (0..self.layout.class_count).flat_map(move |ci| {
-            self.row(ci).map(move |i| {
-                let p = self.pair(i);
-                (
-                    ClassId::from_index(ci),
-                    MemberId::from_index(p.member as usize),
-                    self.unpack(self.packed_at(p.slot as usize)),
-                )
-            })
+            let c = ClassId::from_index(ci);
+            self.members_of(c)
+                .filter_map(move |m| Some((c, m, self.entry_at(self.slot_of_key(pair_key(c, m))?))))
         })
     }
 
@@ -1555,7 +1786,9 @@ impl DispatchIndex {
         } else {
             0..0
         };
-        row.map(|i| MemberId::from_index(self.pair(i).member as usize))
+        self.member_records()[row]
+            .iter()
+            .map(|m| MemberId::from_index(u32::from_le_bytes(*m) as usize))
     }
 
     /// Number of classes the index covers.
@@ -1573,9 +1806,9 @@ impl DispatchIndex {
         self.layout.entry_count
     }
 
-    /// Bytes of the columns: header, row starts, pairs, entries,
-    /// directory cells, pool and hash displacements, with the padding
-    /// that aligns each column.
+    /// Bytes of the columns: header, row starts, members, directory
+    /// cells, via words, pool, hash displacements and shared-set
+    /// records, with the padding that aligns each column.
     pub fn size_bytes(&self) -> usize {
         self.layout.len()
     }
@@ -1588,6 +1821,13 @@ impl DispatchIndex {
             self.size_bytes() as f64 / self.layout.entry_count as f64
         }
     }
+}
+
+/// Decodes one shared-set record: `[slot, pool offset, length]`.
+#[inline]
+fn shared_record(r: &[u8; SHARED_LEN]) -> [u32; 3] {
+    let word = |i: usize| u32::from_le_bytes([r[4 * i], r[4 * i + 1], r[4 * i + 2], r[4 * i + 3]]);
+    [word(0), word(1), word(2)]
 }
 
 impl std::fmt::Debug for DispatchIndex {
@@ -1736,6 +1976,16 @@ impl ServeHandle {
         }
     }
 
+    /// How many recent epochs (current included) stay loadable through
+    /// [`load_at`](Self::load_at): what [`set_retention`](Self::set_retention)
+    /// last set, 1 by default.
+    pub fn retention(&self) -> usize {
+        self.current
+            .read()
+            .expect("serve handle lock poisoned")
+            .retain
+    }
+
     /// The epochs currently loadable through [`load_at`](Self::load_at),
     /// oldest first (the last entry is the current epoch).
     pub fn retained_epochs(&self) -> Vec<u64> {
@@ -1846,6 +2096,11 @@ impl IndexedEngine {
     pub fn attach(engine: crate::LookupEngine, handle: ServeHandle) -> Self {
         handle.republish();
         Self::with_handle(engine.chg().clone(), engine.options(), handle)
+    }
+
+    /// The lookup options the published index was built under.
+    pub fn options(&self) -> LookupOptions {
+        self.options
     }
 
     /// A serving handle; clone freely across reader threads.
@@ -2083,12 +2338,14 @@ mod tests {
         // sets must intern to one pool range.
         let g = fixtures::fig1();
         let index = DispatchIndex::from_table(LookupTable::build(&g));
-        let blues = (0..index.entry_count())
-            .filter(|&slot| index.packed_at(slot).flags & FLAG_BLUE != 0)
+        let blues = index
+            .cell_records()
+            .iter()
+            .filter(|cell| Cell::decode(cell).is_blue())
             .count();
         assert!(blues > 0);
         assert!(
-            index.layout.pool_len * 4 <= index.entry_count() * ENTRY_LEN,
+            index.layout.pool_len * 4 <= index.entry_count() * CELL_LEN,
             "pool should stay small relative to the arena"
         );
     }
@@ -2123,11 +2380,11 @@ mod tests {
             .unwrap();
         let index = serving.handle().load().index().clone();
         let mut covered = vec![false; index.layout.pool_len];
-        for slot in 0..index.entry_count() {
-            let p = index.packed_at(slot);
-            for w in p.set_off..p.set_off + p.set_len {
-                covered[w as usize] = true;
-            }
+        let cells = index.cell_records().iter().map(Cell::decode);
+        let witnesses = cells.filter(Cell::is_blue).map(|cell| cell.witnesses());
+        let shared = index.shared_records().iter().map(shared_record);
+        for (off, len) in witnesses.chain(shared.map(|[_, off, len]| (off, len))) {
+            covered[off as usize..(off + len) as usize].fill(true);
         }
         assert!(
             covered.contains(&false),

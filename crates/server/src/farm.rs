@@ -43,7 +43,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use cpplookup_chg::fxmap::FxHashMap;
 use cpplookup_chg::{Chg, ClassId, Edit, Inheritance, MemberDecl, MemberId, MemberKind};
-use cpplookup_core::{IndexedEngine, LeastVirtual, LookupOptions, OutcomeRef, ServeHandle};
+use cpplookup_core::{IndexedEngine, LeastVirtual, OutcomeRef, ServeHandle};
 use cpplookup_snapshot::{Snapshot, SnapshotTable};
 use cpplookup_wal::{Stamped, WalRecord, WalStore};
 
@@ -240,15 +240,11 @@ pub struct Tenant {
     serve: ServeHandle,
     /// The mutex serializes edits per tenant; reads never take it.
     write: Mutex<Write>,
-    /// The file's lookup options, kept past its release.
-    options: LookupOptions,
     /// The file's size, kept past its release for STATS.
     snapshot_bytes: usize,
     names: RwLock<Arc<Names>>,
     queries: AtomicU64,
     edits: AtomicU64,
-    /// Epochs (current included) kept loadable for as-of reads.
-    retain_epochs: usize,
     metrics: Arc<ServerMetrics>,
 }
 
@@ -266,13 +262,11 @@ impl Tenant {
         Tenant {
             name: name.into(),
             serve,
-            options: table.options(),
             snapshot_bytes: table.size_bytes(),
             write: Mutex::new(Write::File(Arc::new(table))),
             names: RwLock::new(Arc::new(names)),
             queries: AtomicU64::new(0),
             edits: AtomicU64::new(0),
-            retain_epochs,
             metrics,
         }
     }
@@ -364,7 +358,7 @@ impl Tenant {
             self.serve.republish();
             *write = Write::Live(Box::new(IndexedEngine::with_handle(
                 chg,
-                self.options,
+                file.options(),
                 self.serve.clone(),
             )));
         }
@@ -450,8 +444,9 @@ impl Tenant {
     /// Parses the longest prefix of `directives` that parses — each
     /// against the names the earlier ones introduce — and applies it:
     /// one [`IndexedEngine::apply_run`] for all but the last
-    /// `retain_epochs - 1` edits, which publish one by one so the
-    /// retention window holds the same versions as a per-record
+    /// `retention - 1` edits (the handle's
+    /// [`retention`](ServeHandle::retention)), which publish one by one
+    /// so the retention window holds the same versions as a per-record
     /// replay. Returns the epochs of the applied edits and whether the
     /// engine rejected one (then nothing after the applied prefix
     /// changed). Nothing reads a booting farm, so the skipped
@@ -472,7 +467,7 @@ impl Tenant {
             names.intern(&edit);
             edits.push(edit);
         }
-        let singles = (self.retain_epochs - 1).min(edits.len());
+        let singles = (self.serve.retention() - 1).min(edits.len());
         let (run, tail) = edits.split_at(edits.len() - singles);
         let mut epochs = Vec::with_capacity(edits.len());
         if !run.is_empty() {
@@ -1074,7 +1069,7 @@ impl Farm {
                 // drops the pool words earlier edits superseded).
                 Write::Live(serving) => {
                     let published = t.serve.load();
-                    Snapshot::from_index(serving.chg(), published.index(), t.options)
+                    Snapshot::from_index(serving.chg(), published.index(), serving.options())
                         .write_to(&file)
                         .map_err(|e| io("checkpoint write", &e))?;
                     published.epoch()

@@ -827,3 +827,146 @@ pub(crate) fn serve_admin(mut stream: TcpStream, shared: &Shared, prefill: &[u8]
     );
     let _ = stream.shutdown(Shutdown::Both);
 }
+
+/// A warmed connection answers reads without allocating: after a
+/// warm-up, a QUERY and a 64-probe BATCH fed through
+/// [`Session::feed`] and answered by [`Session::serve`] allocate
+/// nothing on the serving thread — frame parse, name resolution,
+/// directory probe, reply encoding and metrics included. The counting
+/// allocator is process-global, so it lives in this test module alone;
+/// it counts per thread, so other tests running beside it do not move
+/// the count.
+#[cfg(test)]
+#[allow(unsafe_code)]
+mod alloc_tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use cpplookup_chg::fixtures;
+    use cpplookup_snapshot::Snapshot;
+
+    use super::*;
+    use crate::conn::Turn;
+    use crate::protocol::frame;
+
+    thread_local! {
+        /// Allocations on this thread while [`COUNTING`] is set.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    struct CountingAlloc;
+
+    fn count_one() {
+        let _ = COUNTING.try_with(|counting| {
+            if counting.get() {
+                let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+            }
+        });
+    }
+
+    // SAFETY: every operation is delegated to `System`; the bookkeeping
+    // only touches thread-local `Cell`s (`try_with`, so an allocation
+    // during TLS teardown goes uncounted instead of panicking).
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_one();
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn a_warmed_session_serves_reads_without_allocating() {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir = std::env::temp_dir().join(format!(
+            "cpplookup-session-alloc-{}-{nanos:x}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fig9.snap");
+        let g = fixtures::fig9();
+        Snapshot::compile(&g).write_to(&path).unwrap();
+        let farm = Farm::new();
+        farm.load("t", &path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let defaults = ObsConfig::default();
+        let shared = Shared {
+            farm: Arc::new(farm),
+            recorder: Arc::new(FlightRecorder::new(
+                defaults.recorder_capacity,
+                defaults.slow_threshold.as_nanos() as u64,
+            )),
+            active: AtomicUsize::new(0),
+            max_connections: 1,
+        };
+        // Every class against every member, and an unknown-to-the-row
+        // member: resolved, ambiguous and not-found verdicts.
+        let names: Vec<(String, String)> = g
+            .classes()
+            .flat_map(|c| g.member_ids().map(move |m| (c, m)))
+            .map(|(c, m)| (g.class_name(c).to_owned(), g.member_name(m).to_owned()))
+            .collect();
+        let probes: Vec<(String, String)> = names.iter().cycle().take(64).cloned().collect();
+        let query = frame(
+            &Request::Query {
+                tenant: "t".to_owned(),
+                class: "E".to_owned(),
+                member: "m".to_owned(),
+                trace: false,
+                as_of: None,
+            }
+            .encode(),
+        );
+        let batch = frame(
+            &Request::Batch {
+                tenant: "t".to_owned(),
+                probes,
+                trace: false,
+                as_of: None,
+            }
+            .encode(),
+        );
+        let mut session = Session::new();
+        let mut round = |mut out: &mut dyn Write| {
+            for request in [&query, &batch] {
+                session.feed(request);
+                assert!(matches!(session.serve(&shared), Turn::Idle));
+                while session.backlog() > 0 {
+                    session.write_to(&mut out).unwrap();
+                }
+            }
+        };
+        // The warm-up's replies are the answers.
+        let mut replies = Vec::new();
+        round(&mut replies);
+        let mut replies = replies.as_slice();
+        let answer = |replies: &mut &[u8]| {
+            Response::decode(&crate::protocol::read_frame(replies).unwrap()).unwrap()
+        };
+        assert!(matches!(answer(&mut replies), Response::Outcome(_)));
+        assert!(matches!(answer(&mut replies), Response::Outcomes(o) if o.len() == 64));
+        for _ in 0..2 {
+            round(&mut io::sink());
+        }
+        ALLOCS.set(0);
+        COUNTING.set(true);
+        round(&mut io::sink());
+        COUNTING.set(false);
+        assert_eq!(ALLOCS.get(), 0, "a warmed QUERY + BATCH allocated");
+    }
+}

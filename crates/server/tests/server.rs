@@ -605,7 +605,7 @@ fn round_trip(s: &mut TcpStream, req: &Request) -> Vec<u8> {
 /// must agree on byte for byte.
 fn same_answer(s: &mut TcpStream, what: &str, req: impl Fn(&str) -> Request) -> Response {
     let v1 = round_trip(s, &req("v1"));
-    for tenant in ["v2", "v3"] {
+    for tenant in ["v2", "v4"] {
         let other = round_trip(s, &req(tenant));
         assert_eq!(
             v1, other,
@@ -618,7 +618,7 @@ fn same_answer(s: &mut TcpStream, what: &str, req: impl Fn(&str) -> Request) -> 
 /// Snapshots of every format version serve identically through their
 /// whole lifecycle: a version-1 file (written before snapshots carried
 /// their minimal perfect hash; its index builds the hash at load), a
-/// version-2 file (a TABLE section decoded at load) and the version-3
+/// version-2 file (a TABLE section decoded at load) and the version-4
 /// recompile of the same hierarchy (its index served from the file's
 /// buffer). Every QUERY and BATCH answer is byte-equal across the three
 /// tenants before and after the same EDIT, which attaches an engine to
@@ -631,21 +631,21 @@ fn v1_snapshot_tenant_serves_byte_identically_to_v2_across_an_edit() {
             .join("../../tests/fixtures")
             .join(name)
     };
-    let v3 = dir.file("chain_12.snap");
-    write_snapshot(&cpplookup_hiergen::families::chain(12, None), &v3);
+    let v4 = dir.file("chain_12.snap");
+    write_snapshot(&cpplookup_hiergen::families::chain(12, None), &v4);
     let (_server, addr) = start_server(ServerConfig {
         preload: vec![
             ("v1".to_owned(), fixture("chain_12_v1.snap")),
             ("v2".to_owned(), fixture("chain_12_v2.snap")),
-            ("v3".to_owned(), v3.clone()),
+            ("v4".to_owned(), v4.clone()),
         ],
         ..ServerConfig::default()
     });
     let mut s = TcpStream::connect(&addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    let table = SnapshotTable::load(&v3).unwrap();
-    assert_eq!(table.version(), 3);
+    let table = SnapshotTable::load(&v4).unwrap();
+    assert_eq!(table.version(), 4);
     let mut probes = Vec::new();
     for ci in 0..table.class_count() {
         for mi in 0..table.member_name_count() {

@@ -1,7 +1,7 @@
 //! The on-disk layout: constants, checksums, varints, and the
 //! bounds-checked byte cursor shared by the writer and the loader.
 //!
-//! A version-3 snapshot file is laid out as
+//! A version-4 snapshot file is laid out as
 //!
 //! ```text
 //! ┌────────────────────────────┐ 0
@@ -22,19 +22,23 @@
 //! ```
 //!
 //! The INDEX section's columns are exactly
-//! [`DispatchIndex::columns`](cpplookup_core::DispatchIndex::columns):
-//! `row_starts`, `(member, slot)` pairs, 24-byte packed entries,
-//! 16-byte directory cells, the `leastVirtual` pool and the minimal
-//! perfect hash's seed and displacements, each column at a 16-byte
-//! aligned offset (the layout is documented in `cpplookup_core::serve`).
+//! [`DispatchIndex::columns`](cpplookup_core::DispatchIndex::columns),
+//! which store each verdict once: `row_starts`, the rows' member ids,
+//! the 16-byte directory cells, the `via` word of each cell, the
+//! `leastVirtual` pool, the minimal perfect hash's displacements (its
+//! seed is in the column header), and the slot-sorted records of the
+//! non-empty static shared sets, each column at a 16-byte aligned
+//! offset (the layout is documented in `cpplookup_core::serve`).
 //! Loading checks the whole-file checksum and the columns' structure in
 //! O(n), then serves from the loaded buffer without decoding an entry.
 //!
-//! Versions 1 and 2 (8-byte aligned sections) stored a TABLE section
-//! instead: varint-encoded entries behind a binary-searched
-//! `(member, offset)` index, plus (version 2) an MPH section. The
-//! loader still reads them, decoding every entry into the same
-//! in-memory index.
+//! Older files take one legacy path that decodes every entry into the
+//! same in-memory index. Versions 1 and 2 (8-byte aligned sections)
+//! stored a TABLE section: varint-encoded entries behind a
+//! binary-searched `(member, offset)` index, plus (version 2) an MPH
+//! section. Version 3 stored an INDEX section of index columns that
+//! kept every verdict twice: 24-byte entries behind `(member, slot)`
+//! pairs beside the directory cells.
 //!
 //! All multi-byte integers are little-endian. Variable-length integers
 //! use LEB128 (7 data bits per byte, high bit = continuation), capped at
@@ -48,10 +52,11 @@ pub const MAGIC: [u8; 8] = *b"CPLKSNAP";
 /// The format version this build writes. Version 2 added the MPH
 /// section (the serialized minimal perfect hash over the probe keys);
 /// version 3 replaced the TABLE and MPH sections with the INDEX
-/// section, the dispatch index's own columns. The loader still reads
+/// section, the dispatch index's own columns; version 4 keeps each
+/// verdict in those columns once. The loader still reads
 /// [`MIN_VERSION`]-and-up: older files decode into the same index, and
 /// a version-1 file's index builds its hash at load.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// The oldest format version the loader accepts.
 pub const MIN_VERSION: u16 = 1;
@@ -70,8 +75,8 @@ pub const DIR_ENTRY_LEN: usize = 28;
 /// Trailing whole-file checksum size.
 pub const TRAILER_LEN: usize = 8;
 
-/// Required alignment of every section start (version 3): a multiple
-/// of the index columns' 16-byte alignment.
+/// Required alignment of every section start (version 3 on): a
+/// multiple of the index columns' 16-byte alignment.
 pub const SECTION_ALIGN: usize = 16;
 
 /// Required alignment of every section start in version-1 and -2
@@ -103,7 +108,7 @@ pub const SECTION_TABLE: u32 = 3;
 /// displacement search. Layout: `seed: u64, n: u32, nbuckets: u32`,
 /// then `nbuckets` little-endian `u32` displacements.
 pub const SECTION_MPH: u32 = 4;
-/// The dispatch-index section (version 3): see the module docs.
+/// The dispatch-index section (version 3 on): see the module docs.
 pub const SECTION_INDEX: u32 = 5;
 
 /// Human-readable section name for error messages.

@@ -1,16 +1,15 @@
 //! The snapshot loader: validates a serialized snapshot once, then
 //! answers lookups from the dispatch index it holds.
 //!
-//! A version-3 file's INDEX section holds a
+//! A version-4 file's INDEX section holds a
 //! [`DispatchIndex`]'s own byte columns. Loading is read + whole-file
 //! checksum + one O(n) structural pass over names, topology and index;
 //! the index then serves from the loaded buffer itself, so promoting a
 //! loaded snapshot to a serving index is a reference-count bump and no
 //! entry is ever decoded. Names are sliced straight from the buffer;
 //! the hierarchy is only rebuilt on demand
-//! ([`to_chg`](SnapshotTable::to_chg)). Version-1 and -2 files decode
-//! their TABLE section entry by entry into the same in-memory index
-//! (see `legacy`).
+//! ([`to_chg`](SnapshotTable::to_chg)). Files of versions 1 to 3
+//! decode their entries into the same in-memory index (see `legacy`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -84,14 +83,14 @@ struct NameTables {
 /// # Ok::<(), cpplookup_snapshot::SnapshotError>(())
 /// ```
 pub struct SnapshotTable {
-    /// The file's bytes, shared with a version-3 file's index.
+    /// The file's bytes, shared with a version-4 file's index.
     data: Arc<Vec<u8>>,
     version: u16,
     chg: Section,
     names: NameTables,
     statics: StaticRule,
-    /// The table: borrowed from `data` (version 3) or decoded from the
-    /// TABLE section at load (versions 1 and 2).
+    /// The table: borrowed from `data` (version 4) or decoded at load
+    /// (versions 1 to 3).
     index: DispatchIndex,
 }
 
@@ -274,13 +273,13 @@ impl SnapshotTable {
         let names = validate_names(&data, sections[0])?;
         validate_chg(&data, sections[1], &names)?;
         let data = Arc::new(data);
-        let (statics, index) = if version >= 3 {
+        let (statics, index) = if version == VERSION {
             load_index(&data, sections[2])?
         } else {
             legacy::decode_index(
                 &data,
-                sections[2],
-                sections.get(3).copied(),
+                version,
+                &sections,
                 names.class_count,
                 names.member_count,
             )?
@@ -549,7 +548,7 @@ impl SnapshotTable {
         Ok(LookupEngine::from_table(chg, table))
     }
 
-    /// The serving index: for a version-3 file, the file's own index
+    /// The serving index: for a version-4 file, the file's own index
     /// columns, shared rather than copied — cloning it is a
     /// reference-count bump. The serving configuration for
     /// snapshot-backed deployments (`batch --snapshot` in the
@@ -571,7 +570,8 @@ impl SnapshotTable {
 
     /// Recovers the winning definition path like
     /// [`LookupTable::resolve_path`](cpplookup_core::LookupTable::resolve_path),
-    /// walking red `via` parent pointers of the index's entries.
+    /// walking red `via` parent pointers of the index's entries, each
+    /// found by hashing, as a probe finds its cell.
     pub fn resolve_path(&self, chg: &Chg, c: ClassId, m: MemberId) -> Option<ChgPath> {
         let mut rev = vec![c];
         let mut cur = c;
@@ -814,7 +814,7 @@ fn validate_chg(data: &[u8], s: Section, names: &NameTables) -> Result<(), Snaps
     Ok(())
 }
 
-/// Serves the version-3 INDEX section in place: the fixed header's
+/// Serves the version-4 INDEX section in place: the fixed header's
 /// statics rule, then the dispatch index's columns, which share `data`.
 fn load_index(
     data: &Arc<Vec<u8>>,
@@ -940,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_snapshots_serve_from_the_loaded_buffer() {
+    fn v4_snapshots_serve_from_the_loaded_buffer() {
         let g = fixtures::fig3();
         let snap = roundtrip(&g);
         assert_eq!(snap.version(), VERSION);
@@ -1011,16 +1011,47 @@ mod tests {
             expect_every_pair(&snap, &g);
             // The index built at load answers every pair, and dead ids
             // past both axes, exactly as a fresh compile's index does.
-            let fresh = roundtrip(&g);
-            let (v1_index, v3_index) = (snap.dispatch_index(), fresh.dispatch_index());
-            for ci in 0..g.class_count() + 3 {
-                for mi in 0..g.member_name_count() + 3 {
-                    let (c, m) = (ClassId::from_index(ci), MemberId::from_index(mi));
-                    assert_eq!(v1_index.lookup_ref(c, m), v3_index.lookup_ref(c, m));
-                    assert_eq!(v1_index.entry(c, m), v3_index.entry(c, m));
-                }
+            expect_the_fresh_index(&snap, &g);
+        }
+    }
+
+    /// `snap`'s index answers every pair, and dead ids past both axes,
+    /// exactly as a fresh compile's index does.
+    fn expect_the_fresh_index(snap: &SnapshotTable, g: &Chg) {
+        let fresh = roundtrip(g);
+        let (loaded, fresh) = (snap.dispatch_index(), fresh.dispatch_index());
+        for ci in 0..g.class_count() + 3 {
+            for mi in 0..g.member_name_count() + 3 {
+                let (c, m) = (ClassId::from_index(ci), MemberId::from_index(mi));
+                assert_eq!(loaded.lookup_ref(c, m), fresh.lookup_ref(c, m));
+                assert_eq!(loaded.entry(c, m), fresh.entry(c, m));
             }
         }
+    }
+
+    /// `tests/corpus/random_realistic_20_7.snap` as the version-3 writer
+    /// produced it: index columns that kept each verdict twice. It
+    /// decodes into the same index a version-4 compile serves, its hash
+    /// reused.
+    #[test]
+    fn v3_snapshots_decode_into_the_same_index() {
+        let bytes = include_bytes!("../../../tests/fixtures/random_realistic_20_7_v3.snap");
+        let g = random_hierarchy(&RandomConfig::realistic(20, 7));
+        let snap = SnapshotTable::from_bytes(bytes.to_vec()).expect("v3 stays loadable");
+        assert_eq!(snap.version(), 3);
+        expect_every_pair(&snap, &g);
+        expect_the_fresh_index(&snap, &g);
+        // A damaged entry is refused, not served.
+        let (at, _) = section_at(bytes, 2);
+        let word = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
+        let (classes, entries) = (word(at + 16) as usize, word(at + 24) as usize);
+        let pairs = at + 48 + (4 * (classes + 1)).next_multiple_of(16);
+        let first_entry = pairs + (8 * entries).next_multiple_of(16);
+        let mut damaged = bytes.to_vec();
+        damaged[first_entry..first_entry + 4].copy_from_slice(&7u32.to_le_bytes());
+        reseal(&mut damaged);
+        let err = SnapshotTable::from_bytes(damaged).unwrap_err();
+        assert!(err.to_string().contains("flags"), "{err}");
     }
 
     #[test]
@@ -1276,7 +1307,7 @@ mod tests {
         assert!(format!("{snap:?}").contains("entries"));
     }
 
-    /// A version-3 image of a fixture plus where its index columns sit,
+    /// A version-4 image of a fixture plus where its index columns sit,
     /// for patching one invariant at a time.
     struct Image {
         bytes: Vec<u8>,
@@ -1286,6 +1317,8 @@ mod tests {
         member_count: usize,
         entry_count: usize,
         pool_len: usize,
+        nbuckets: usize,
+        shared_count: usize,
     }
 
     impl Image {
@@ -1299,19 +1332,15 @@ mod tests {
             let base = section_at(&bytes, 2).0 + INDEX_HEADER_LEN;
             let word =
                 |i: usize| u32::from_le_bytes(bytes[base + 4 * i..][..4].try_into().unwrap());
-            let (class_count, member_count, entry_count, pool_len) = (
-                word(0) as usize,
-                word(1) as usize,
-                word(2) as usize,
-                word(3) as usize,
-            );
             Image {
-                bytes,
                 base,
-                class_count,
-                member_count,
-                entry_count,
-                pool_len,
+                class_count: word(0) as usize,
+                member_count: word(1) as usize,
+                entry_count: word(2) as usize,
+                pool_len: word(3) as usize,
+                nbuckets: word(6) as usize,
+                shared_count: word(7) as usize,
+                bytes,
             }
         }
 
@@ -1319,16 +1348,25 @@ mod tests {
             self.base + 32
         }
 
-        fn pairs(&self) -> usize {
+        fn members(&self) -> usize {
             self.rows() + (4 * (self.class_count + 1)).next_multiple_of(16)
         }
 
-        fn entries(&self) -> usize {
-            self.pairs() + (8 * self.entry_count).next_multiple_of(16)
+        fn cells(&self) -> usize {
+            self.members() + (4 * self.entry_count).next_multiple_of(16)
         }
 
-        fn cells(&self) -> usize {
-            self.entries() + (24 * self.entry_count).next_multiple_of(16)
+        fn via(&self) -> usize {
+            self.cells() + 16 * self.entry_count
+        }
+
+        fn pool(&self) -> usize {
+            self.via() + (4 * self.entry_count).next_multiple_of(16)
+        }
+
+        fn shared(&self) -> usize {
+            let disp = self.pool() + (4 * self.pool_len).next_multiple_of(16);
+            disp + (4 * self.nbuckets).next_multiple_of(16)
         }
 
         fn word(&self, at: usize) -> u32 {
@@ -1338,13 +1376,6 @@ mod tests {
         fn set(&mut self, at: usize, value: u32) -> &mut Self {
             self.bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
             self
-        }
-
-        /// The first entry slot whose flags satisfy `blue`.
-        fn slot(&self, blue: bool) -> usize {
-            (0..self.entry_count)
-                .find(|&s| (self.word(self.entries() + 24 * s) & 1 == 1) == blue)
-                .expect("fig1 has red and blue entries")
         }
 
         /// The first cell whose blue bit equals `blue`.
@@ -1384,17 +1415,29 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_a_pair_slot_out_of_range() {
-        let mut image = Image::fig1();
-        let at = image.pairs() + 4;
+    fn validator_rejects_a_shared_record_slot_out_of_range() {
+        let mut image = Image::of(&fixtures::static_override_mix());
+        assert!(
+            image.shared_count > 0,
+            "static_override_mix has a shared set"
+        );
+        let at = image.shared();
         let past = image.entry_count as u32;
-        image.set(at, past).rejects("slot");
+        image.set(at, past).rejects("slot order");
+    }
+
+    #[test]
+    fn validator_rejects_a_via_word_out_of_range() {
+        let mut image = Image::fig1();
+        let at = image.via() + 4 * image.cell(false);
+        let past = image.class_count as u32 + 1;
+        image.set(at, past).rejects("via word");
     }
 
     #[test]
     fn validator_rejects_a_member_out_of_range() {
         let mut image = Image::fig1();
-        let at = image.pairs();
+        let at = image.members();
         let past = image.member_count as u32;
         image.set(at, past).rejects("out of range");
     }
@@ -1402,13 +1445,13 @@ mod tests {
     #[test]
     fn validator_rejects_an_unsorted_row() {
         let mut image = Image::of(&fixtures::fig3());
-        // The first row with two pairs gets its members swapped.
+        // The first row with two members gets them swapped.
         let class = (0..image.class_count)
             .find(|&c| image.word(image.rows() + 4 * c + 4) - image.word(image.rows() + 4 * c) >= 2)
             .expect("fig3 has a class with two members");
-        let at = image.pairs() + 8 * image.word(image.rows() + 4 * class) as usize;
-        let (m0, m1) = (image.word(at), image.word(at + 8));
-        image.set(at, m1).set(at + 8, m0).rejects("sorted");
+        let at = image.members() + 4 * image.word(image.rows() + 4 * class) as usize;
+        let (m0, m1) = (image.word(at), image.word(at + 4));
+        image.set(at, m1).set(at + 4, m0).rejects("sorted");
     }
 
     #[test]
@@ -1432,43 +1475,54 @@ mod tests {
         image.rejects("mph slot");
     }
 
+    /// The rows name a key no cell holds: the last member of a row
+    /// becomes a later member id the class does not see, so the row
+    /// stays sorted and in range, and only the key sets differ.
     #[test]
     fn validator_rejects_a_cell_that_disagrees_with_its_entry() {
-        let mut image = Image::fig1();
-        let at = image.cells() + 16 * image.cell(false) + 8;
-        let other = (image.word(at) + 1) % image.class_count as u32;
-        image.set(at, other).rejects("disagree");
+        let mut image = Image::of(&fixtures::fig3());
+        let row_end = |image: &Image, c: usize| image.word(image.rows() + 4 * c + 4) as usize;
+        let (at, unseen) = (0..image.class_count)
+            .filter(|&c| row_end(&image, c) > image.word(image.rows() + 4 * c) as usize)
+            .map(|c| image.members() + 4 * (row_end(&image, c) - 1))
+            .find_map(|at| {
+                let last = image.word(at) as usize;
+                (last + 1 < image.member_count).then_some((at, last as u32 + 1))
+            })
+            .expect("fig3 has a row that misses a later member");
+        image.set(at, unseen).rejects("disagree");
     }
 
     #[test]
     fn validator_rejects_a_least_virtual_above_the_class_count() {
         let mut image = Image::fig1();
-        let at = image.entries() + 24 * image.slot(false) + 8;
+        let at = image.cells() + 16 * image.cell(false) + 12;
         let above = image.class_count as u32 + 1;
-        image.set(at, above).rejects("field out of range");
+        image.set(at, above).rejects("verdict out of range");
     }
 
     #[test]
     fn validator_rejects_a_pool_word_above_the_class_count() {
         let mut image = Image::fig1();
-        let pool = image.cells() + 16 * image.entry_count;
+        let pool = image.pool();
         let above = image.class_count as u32 + 1;
         image.set(pool, above).rejects("pool word");
     }
 
     #[test]
     fn validator_rejects_an_entry_set_past_the_pool() {
-        let mut image = Image::fig1();
-        let at = image.entries() + 24 * image.slot(true) + 20;
+        let mut image = Image::of(&fixtures::static_override_mix());
+        let at = image.shared() + 8;
         let past = image.pool_len as u32 + 1;
-        image.set(at, past).rejects("field out of range");
+        image.set(at, past).rejects("past the");
     }
 
+    /// A via edge on a blue cell: a flag combination no entry has.
     #[test]
     fn validator_rejects_unknown_entry_flags() {
         let mut image = Image::fig1();
-        let at = image.entries();
-        image.set(at, 7).rejects("field out of range");
+        let at = image.via() + 4 * image.cell(true);
+        image.set(at, 1).rejects("blue cell");
     }
 
     #[test]
@@ -1482,7 +1536,10 @@ mod tests {
         image.set(at, 3).rejects("power of two");
         let mut image = Image::fig1();
         let at = image.base + 28;
-        image.set(at, 1).rejects("reserved");
+        image.set(at, 1).rejects("describes");
+        let mut image = Image::fig1();
+        let more = image.entry_count as u32 + 1;
+        image.set(at, more).rejects("shared-set records");
     }
 
     #[test]

@@ -234,18 +234,17 @@ fn v1_snapshot_fixture_loads_and_builds_its_mph() {
 /// `stacked_diamonds_3_nonvirtual_v2.snap` and
 /// `random_realistic_20_7_v2.snap` are those corpus snapshots as the
 /// version-2 writer produced them, and `random_realistic_20_7_v3.snap`
-/// is that corpus snapshot as the version-3 writer produced it while
-/// the hash builder still searched every displacement (all preserved
-/// verbatim before a re-bless): a file whose single-key buckets were
-/// searched, not solved, must still load, validate and answer. Between
-/// them the legacy files hold blue entries, witness
+/// is that corpus snapshot as the version-3 writer produced it, index
+/// columns that kept each verdict twice, while the hash builder still
+/// searched every displacement (all preserved verbatim before a
+/// re-bless). Between them the legacy files hold blue entries, witness
 /// sets and `leastVirtual` classes, so every branch of the legacy
-/// entry decoder runs. Each legacy file and a version-3 compile of the
+/// entry decoders runs. Each legacy file and a version-4 compile of the
 /// same hierarchy answer `lookup`, `entry`, `lookup_batch_into` and
 /// `members_of` identically, and exactly as `LookupTable::build`, on
 /// every pair plus a margin of dead ids.
 #[test]
-fn legacy_fixtures_and_v3_compile_answer_identically() {
+fn legacy_fixtures_and_v4_compile_answer_identically() {
     let families: [(&[(&str, u16)], Chg); 3] = [
         (
             &[("chain_12_v1.snap", 1), ("chain_12_v2.snap", 2)],
@@ -295,8 +294,8 @@ fn legacy_fixtures_and_v3_compile_answer_identically() {
             })
             .collect();
         loaded
-            .push(SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes()).expect("v3 loads"));
-        assert_eq!(loaded.last().unwrap().version(), 3);
+            .push(SnapshotTable::from_bytes(Snapshot::compile(g).into_bytes()).expect("v4 loads"));
+        assert_eq!(loaded.last().unwrap().version(), 4);
         expect_identical_answers(g, &loaded);
     }
     assert!(

@@ -1,8 +1,8 @@
 //! `mph_build_seconds` counts hash builds, not cell placements.
 //!
-//! Loading a v3 snapshot serves the hash the file ships in place, and
-//! loading a v2 snapshot places cells under it; loading a v1 snapshot,
-//! which ships none, builds one. Only the last is a build, and
+//! Loading a v4 snapshot serves the hash the file ships in place, and
+//! loading a v2 or v3 snapshot places cells under it; loading a v1
+//! snapshot, which ships none, builds one. Only the last is a build, and
 //! promoting a loaded snapshot builds nothing at all. The histogram lives in the process-wide
 //! engine facade, so this check has a test binary of its own: no
 //! concurrent test can move the count between the two reads.
@@ -25,7 +25,8 @@ fn load(relative: &str) -> SnapshotTable {
 #[test]
 fn only_a_hash_built_at_load_records_a_build() {
     let before = builds();
-    let v3 = load("tests/corpus/chain_12.snap");
+    let v4 = load("tests/corpus/chain_12.snap");
+    let v3 = load("tests/fixtures/random_realistic_20_7_v3.snap");
     let v2 = load("tests/fixtures/chain_12_v2.snap");
     assert_eq!(
         builds(),
@@ -37,6 +38,7 @@ fn only_a_hash_built_at_load_records_a_build() {
     let indexes = [
         v1.dispatch_index(),
         v2.dispatch_index(),
+        v4.dispatch_index(),
         v3.dispatch_index(),
     ];
     assert_eq!(
